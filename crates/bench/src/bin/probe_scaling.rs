@@ -31,11 +31,6 @@
 //!   calendar and its already-built index by `Arc`). The ratio at the
 //!   largest pool is the gated `index_cache_warm_speedup`, and the shape
 //!   also proves the warm capture serves probes with **zero** rebuilds.
-//! * `fan-out`      — a cold chain-head probe batch across a 64-node pool,
-//!   dispatched over the persistent worker pool vs. the sequential loop
-//!   (bit-identical answers, asserted). Reported as
-//!   `probe_fanout_speedup`, not gated: the win is the parallel index
-//!   builds, which shrink once calendars are cached.
 //!
 //! Results land in `BENCH_probe_scaling.json` (override with `--out`).
 //! CI reruns a reduced version and gates it via
@@ -57,8 +52,7 @@
 
 use std::time::{Duration, Instant};
 
-use gridsched::core::session::PlanningSession;
-use gridsched::model::availability::{set_probe_fanout_enabled, ProbeRequest, TimetableOverlay};
+use gridsched::model::availability::TimetableOverlay;
 use gridsched::model::gap_index::GapIndex;
 use gridsched::model::ids::DomainId;
 use gridsched::model::index_cache::set_index_cache_enabled;
@@ -149,85 +143,6 @@ fn json_line(r: &SizeResult) -> String {
         r.speedup_typical,
         r.speedup_capture,
     )
-}
-
-/// Outcome of the cross-node fan-out shape (one 64-node pool).
-struct FanoutResult {
-    nodes: usize,
-    windows_per_node: usize,
-    sequential_ns: u128,
-    fanned_ns: u128,
-    speedup: f64,
-}
-
-/// Times a cold chain-head probe batch over `nodes` dense calendars,
-/// dispatched across the worker pool vs. the sequential loop. The cache
-/// stays disabled so every iteration refreezes and rebuilds — the shape
-/// the fan-out exists for (parallel index builds on a cold pool).
-fn fanout_shape(total_reservations: usize, budget: Duration, rng: &mut SimRng) -> FanoutResult {
-    const NODES: usize = 64;
-    let per_node = (total_reservations / NODES).max(1_000);
-    let mut pool = ResourcePool::new();
-    let mut requests: Vec<ProbeRequest> = Vec::with_capacity(NODES);
-    for n in 0..NODES {
-        let id = pool.add_node(DomainId::new((n % 4) as u32), Perf::FULL);
-        let cal = synthesize(per_node, &mut rng.fork(n as u64));
-        *pool.timetable_mut(id) = Timetable::from_sorted(
-            cal.windows
-                .iter()
-                .enumerate()
-                .map(|(i, &w)| (w, ReservationOwner::Background(i as u64))),
-        );
-        requests.push(ProbeRequest {
-            node: id,
-            not_before: SimTime::ZERO,
-            duration: SimDuration::from_ticks(cal.max_gap + 1),
-            deadline: SimTime::MAX,
-        });
-    }
-    // Opening a session installs the worker-pool probe executor; the
-    // capture cache stays out of the way so each timed iteration pays
-    // the full freeze + build cost the fan-out parallelizes.
-    let _executor = PlanningSession::open(&pool);
-    set_index_cache_enabled(false);
-
-    let run_batch = |out: &mut Vec<Option<SimTime>>| {
-        let overlay = TimetableOverlay::new(pool.snapshot());
-        overlay.earliest_fit_batch(&requests, out);
-        overlay.take_index_stats()
-    };
-    // The timings only mean anything if the paths agree (and dispatch).
-    let mut fanned_out = Vec::new();
-    let fanned_stats = run_batch(&mut fanned_out);
-    assert_eq!(fanned_stats.fanouts, 1, "64-node cold batch dispatches");
-    set_probe_fanout_enabled(false);
-    let mut sequential_out = Vec::new();
-    let sequential_stats = run_batch(&mut sequential_out);
-    assert_eq!(sequential_stats.fanouts, 0);
-    assert_eq!(fanned_out, sequential_out, "fan-out is bit-identical");
-    assert_eq!(fanned_stats.seeks, sequential_stats.seeks);
-    assert_eq!(fanned_stats.builds, sequential_stats.builds);
-
-    let group = Group::new(&format!("fan-out, {NODES} nodes x {per_node} reservations"))
-        .with_budget(budget);
-    let mut out = Vec::new();
-    let sequential = group.bench("cold probe batch, sequential loop", || {
-        run_batch(&mut out);
-        out.len()
-    });
-    set_probe_fanout_enabled(true);
-    let fanned = group.bench("cold probe batch, pooled fan-out", || {
-        run_batch(&mut out);
-        out.len()
-    });
-    set_index_cache_enabled(true);
-    FanoutResult {
-        nodes: NODES,
-        windows_per_node: per_node,
-        sequential_ns: sequential.mean.as_nanos(),
-        fanned_ns: fanned.mean.as_nanos(),
-        speedup: sequential.speedup_over(&fanned),
-    }
 }
 
 fn main() {
@@ -408,15 +323,6 @@ fn main() {
     }
 
     let largest = results.last().expect("at least one size");
-    let fanout = fanout_shape(
-        largest.reservations,
-        Duration::from_millis(budget_ms),
-        &mut master.fork(5_000),
-    );
-    println!(
-        "  -> fan-out {:.2}x over {} nodes x {} reservations\n",
-        fanout.speedup, fanout.nodes, fanout.windows_per_node,
-    );
     let sizes_json = results
         .iter()
         .map(json_line)
@@ -434,11 +340,6 @@ fn main() {
             "  \"index_cache_windows\": {cache_windows},\n",
             "  \"index_cache_warm_rebuilds\": {cache_rebuilds},\n",
             "  \"index_cache_warm_hits\": {cache_hits},\n",
-            "  \"probe_fanout_speedup\": {fan:.3},\n",
-            "  \"probe_fanout_nodes\": {fan_nodes},\n",
-            "  \"probe_fanout_windows_per_node\": {fan_windows},\n",
-            "  \"probe_fanout_sequential_ns\": {fan_seq},\n",
-            "  \"probe_fanout_fanned_ns\": {fan_par},\n",
             "  \"bench\": \"probe_scaling\",\n",
             "  \"seed\": {seed},\n",
             "  \"budget_ms\": {budget_ms},\n",
@@ -453,11 +354,6 @@ fn main() {
         cache_windows = largest.reservations,
         cache_rebuilds = warm_capture_rebuilds,
         cache_hits = warm_capture_hits,
-        fan = fanout.speedup,
-        fan_nodes = fanout.nodes,
-        fan_windows = fanout.windows_per_node,
-        fan_seq = fanout.sequential_ns,
-        fan_par = fanout.fanned_ns,
         seed = seed,
         budget_ms = budget_ms,
         probes = probe_count,
@@ -490,8 +386,4 @@ fn main() {
             largest.speedup_capture >= 10.0,
         );
     }
-    verdict(
-        "pooled fan-out is bit-identical to the sequential probe loop",
-        true, // asserted inside fanout_shape, answers and counters
-    );
 }

@@ -6,7 +6,7 @@
 //! the situation a VO metascheduler actually faces, where per-node
 //! timetables hold thousands of reservations but any single job only
 //! scans the slice below its deadline — and then times full S1/S2/S3/MS1
-//! strategy generation four ways:
+//! strategy generation three ways:
 //!
 //! * `cloning`    — the pre-refactor baseline: every scenario of the sweep
 //!   materializes two full `Vec<Timetable>` copies of the pool
@@ -14,15 +14,11 @@
 //! * `sequential` — one shared [`AvailabilitySnapshot`] per generation,
 //!   copy-on-write overlays per scenario, scenarios swept in order
 //!   ([`Strategy::generate_sequential`]).
-//! * `parallel`   — same session, scenarios on freshly spawned scoped
-//!   threads — the legacy spawn-per-sweep path
-//!   ([`Strategy::generate_scoped`]), kept as the historical "parallel"
-//!   column.
 //! * `pooled`     — same session, scenarios drained by the process-wide
 //!   persistent [`WorkerPool`] ([`Strategy::generate`], the production
 //!   path; falls back to the sequential sweep on single-core machines).
 //!
-//! All four must produce bit-identical strategies (checked here cheaply,
+//! All three must produce bit-identical strategies (checked here cheaply,
 //! and rigorously in `tests/determinism.rs` and
 //! `crates/core/tests/prop_sweep_determinism.rs`). The acceptance
 //! criterion is a ≥ 2× mean speedup of the session sweep over the cloning
@@ -55,7 +51,7 @@ use gridsched_bench::timing::{Group, Stats};
 use gridsched_bench::{keys, verdict, Args};
 
 /// A cheap structural fingerprint: enough to catch a divergence between
-/// the three sweep implementations without hashing every placement (the
+/// the sweep implementations without hashing every placement (the
 /// determinism suite does the exhaustive comparison).
 fn fingerprint(s: &Strategy) -> Vec<(u64, u64, usize, usize)> {
     s.distributions()
@@ -75,7 +71,6 @@ struct KindResult {
     kind: StrategyKind,
     cloning: Stats,
     sequential: Stats,
-    parallel: Stats,
     pooled: Stats,
 }
 
@@ -85,9 +80,8 @@ fn json_line(r: &KindResult) -> String {
             "    {{\"kind\": \"{}\", ",
             "\"cloning_mean_ns\": {}, \"cloning_min_ns\": {}, ",
             "\"sequential_mean_ns\": {}, \"sequential_min_ns\": {}, ",
-            "\"parallel_mean_ns\": {}, \"parallel_min_ns\": {}, ",
             "\"pooled_mean_ns\": {}, \"pooled_min_ns\": {}, ",
-            "\"speedup_sequential\": {:.3}, \"speedup_parallel\": {:.3}, ",
+            "\"speedup_sequential\": {:.3}, ",
             "\"speedup_pooled\": {:.3}}}"
         ),
         r.kind,
@@ -95,12 +89,9 @@ fn json_line(r: &KindResult) -> String {
         r.cloning.min.as_nanos(),
         r.sequential.mean.as_nanos(),
         r.sequential.min.as_nanos(),
-        r.parallel.mean.as_nanos(),
-        r.parallel.min.as_nanos(),
         r.pooled.mean.as_nanos(),
         r.pooled.min.as_nanos(),
         r.cloning.speedup_over(&r.sequential),
-        r.cloning.speedup_over(&r.parallel),
         r.cloning.speedup_over(&r.pooled),
     )
 }
@@ -156,20 +147,14 @@ fn main() {
     for kind in StrategyKind::ALL {
         let config = StrategyConfig::for_kind(kind, &pool);
 
-        // The four sweeps must agree before their timings mean anything.
+        // The three sweeps must agree before their timings mean anything.
         let via_cloning = Strategy::generate_cloning(&job, &pool, &config, SimTime::ZERO);
         let via_sequential = Strategy::generate_sequential(&job, &pool, &config, SimTime::ZERO);
-        let via_parallel = Strategy::generate_scoped(&job, &pool, &config, SimTime::ZERO);
         let via_pooled = Strategy::generate(&job, &pool, &config, SimTime::ZERO);
         assert_eq!(
             fingerprint(&via_cloning),
             fingerprint(&via_sequential),
             "{kind}: session sweep diverged from cloning baseline"
-        );
-        assert_eq!(
-            fingerprint(&via_sequential),
-            fingerprint(&via_parallel),
-            "{kind}: scoped-parallel sweep diverged from sequential sweep"
         );
         assert_eq!(
             fingerprint(&via_sequential),
@@ -198,9 +183,6 @@ fn main() {
         let sequential = group.bench(&format!("{kind} session, sequential"), || {
             Strategy::generate_sequential(&job, &pool, &config, SimTime::ZERO)
         });
-        let parallel = group.bench(&format!("{kind} session, scoped threads"), || {
-            Strategy::generate_scoped(&job, &pool, &config, SimTime::ZERO)
-        });
         let pooled = group.bench(&format!("{kind} session, pooled workers"), || {
             Strategy::generate(&job, &pool, &config, SimTime::ZERO)
         });
@@ -208,7 +190,6 @@ fn main() {
             kind,
             cloning,
             sequential,
-            parallel,
             pooled,
         });
     }
@@ -218,16 +199,13 @@ fn main() {
     };
     let cloning_total = total(|r| r.cloning.mean);
     let sequential_total = total(|r| r.sequential.mean);
-    let parallel_total = total(|r| r.parallel.mean);
     let pooled_total = total(|r| r.pooled.mean);
     let speedup_sequential = cloning_total / sequential_total.max(f64::EPSILON);
-    let speedup_parallel = cloning_total / parallel_total.max(f64::EPSILON);
     let speedup_pooled = cloning_total / pooled_total.max(f64::EPSILON);
     println!(
-        "\noverall mean per generation: cloning {:.3} ms, session sequential {:.3} ms ({speedup_sequential:.2}x), session scoped {:.3} ms ({speedup_parallel:.2}x), session pooled {:.3} ms ({speedup_pooled:.2}x)",
+        "\noverall mean per generation: cloning {:.3} ms, session sequential {:.3} ms ({speedup_sequential:.2}x), session pooled {:.3} ms ({speedup_pooled:.2}x)",
         cloning_total * 1e3 / results.len() as f64,
         sequential_total * 1e3 / results.len() as f64,
-        parallel_total * 1e3 / results.len() as f64,
         pooled_total * 1e3 / results.len() as f64,
     );
 
@@ -249,7 +227,6 @@ fn main() {
             "  \"pool_workers\": {workers},\n",
             "  \"kinds\": [\n{kinds}\n  ],\n",
             "  \"overall_speedup_sequential\": {ss:.3},\n",
-            "  \"overall_speedup_parallel\": {sp:.3},\n",
             "  \"overall_speedup_pooled\": {spool:.3}\n",
             "}}\n"
         ),
@@ -262,7 +239,6 @@ fn main() {
         workers = pool_workers,
         kinds = kinds_json,
         ss = speedup_sequential,
-        sp = speedup_parallel,
         spool = speedup_pooled,
     );
     std::fs::write(&out, &json).unwrap_or_else(|e| panic!("write {out}: {e}"));
@@ -280,7 +256,7 @@ fn main() {
     }
 
     verdict(
-        "all four sweeps produce bit-identical strategies",
+        "all three sweeps produce bit-identical strategies",
         true, // asserted above, per kind
     );
     verdict(

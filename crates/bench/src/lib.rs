@@ -309,11 +309,7 @@ pub fn bench_gate(
     min_speedup: f64,
     require_pooled_ge_sequential: bool,
 ) -> (Vec<GateLine>, bool) {
-    let keys = [
-        "overall_speedup_sequential",
-        "overall_speedup_parallel",
-        "overall_speedup_pooled",
-    ];
+    let keys = ["overall_speedup_sequential", "overall_speedup_pooled"];
     let mut lines: Vec<GateLine> = keys
         .iter()
         .map(|key| {
@@ -605,49 +601,43 @@ mod tests {
 
     #[test]
     fn bench_gate_passes_and_fails_on_threshold() {
-        let fresh = "{\"overall_speedup_sequential\": 5.0, \"overall_speedup_parallel\": 4.0, \
-                     \"overall_speedup_pooled\": 6.0}";
-        let baseline =
-            "{\"overall_speedup_sequential\": 34.1, \"overall_speedup_parallel\": 28.9, \
-                        \"overall_speedup_pooled\": 35.2}";
+        let fresh = "{\"overall_speedup_sequential\": 5.0, \"overall_speedup_pooled\": 6.0}";
+        let baseline = "{\"overall_speedup_sequential\": 34.1, \"overall_speedup_pooled\": 35.2}";
         let (lines, pass) = bench_gate(fresh, baseline, 2.0, false);
         assert!(pass);
-        assert_eq!(lines.len(), 3);
+        assert_eq!(lines.len(), 2);
         assert_eq!(lines[0].fresh, Some(5.0));
         assert_eq!(lines[0].baseline, Some(34.1));
 
-        let (lines, pass) = bench_gate(fresh, baseline, 4.5, false);
-        assert!(!pass, "parallel speedup 4.0 is below 4.5");
-        assert!(lines[0].pass);
-        assert!(!lines[1].pass);
-        assert!(lines[2].pass);
+        let (lines, pass) = bench_gate(fresh, baseline, 5.5, false);
+        assert!(!pass, "sequential speedup 5.0 is below 5.5");
+        assert!(!lines[0].pass);
+        assert!(lines[1].pass);
     }
 
     #[test]
     fn bench_gate_pooled_vs_sequential_line() {
-        let ahead = "{\"overall_speedup_sequential\": 5.0, \"overall_speedup_parallel\": 4.0, \
-                     \"overall_speedup_pooled\": 6.0}";
+        let ahead = "{\"overall_speedup_sequential\": 5.0, \"overall_speedup_pooled\": 6.0}";
         let (lines, pass) = bench_gate(ahead, ahead, 2.0, true);
         assert!(pass);
-        assert_eq!(lines.len(), 4);
-        let gate = &lines[3];
+        assert_eq!(lines.len(), 3);
+        let gate = &lines[2];
         assert_eq!(gate.key, "pooled_ge_sequential");
         assert_eq!(gate.fresh, Some(6.0));
         assert_eq!(gate.baseline, Some(5.0));
         assert!(gate.pass);
 
-        let behind = "{\"overall_speedup_sequential\": 5.0, \"overall_speedup_parallel\": 4.0, \
-                      \"overall_speedup_pooled\": 4.9}";
+        let behind = "{\"overall_speedup_sequential\": 5.0, \"overall_speedup_pooled\": 4.9}";
         let (lines, pass) = bench_gate(behind, behind, 2.0, true);
         assert!(!pass, "pooled 4.9 is behind sequential 5.0");
-        assert!(!lines[3].pass);
+        assert!(!lines[2].pass);
     }
 
     #[test]
     fn bench_gate_fails_on_missing_keys() {
         let (lines, pass) = bench_gate("{}", "{}", 2.0, true);
         assert!(!pass);
-        assert_eq!(lines.len(), 4);
+        assert_eq!(lines.len(), 3);
         assert!(lines.iter().all(|l| l.fresh.is_none() && !l.pass));
     }
 

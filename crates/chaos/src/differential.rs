@@ -3,7 +3,7 @@
 //! Six axes, each a bit-identity contract the test suite pins with
 //! hand-picked seeds and this module fuzzes with generated ones:
 //!
-//! * [`Axis::Executors`] — `Sequential`, `Scoped` and the pooled `Auto`
+//! * [`Axis::Executors`] — the `Sequential` and the pooled `Auto`
 //!   scenario-sweep executors plan identically.
 //! * [`Axis::Collapse`] — collapsing the domain-sharded flow layer to a
 //!   single job manager (`single_manager`) changes nothing observable.
@@ -46,7 +46,7 @@ pub const INJECTION_MASK: u64 = 0xd1ff_d1ff_d1ff_d1ff;
 /// One differential axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Axis {
-    /// Sequential vs scoped vs pooled sweep executors.
+    /// Sequential vs pooled sweep executors.
     Executors,
     /// Sharded vs `single_manager` flow layer.
     Collapse,
@@ -210,26 +210,23 @@ pub fn run_axes(campaign: &ChaosCampaign, inject: Option<Axis>) -> AxisReport {
         Err(failure) => return failed(failure),
     };
 
-    // Axis 1: sweep executors.
-    for (variant, kind) in [
-        ("sequential", SweepExecutorKind::Sequential),
-        ("scoped", SweepExecutorKind::Scoped),
-    ] {
+    // Axis 1: sweep executors (the base run is pooled).
+    {
         let config = CampaignConfig {
-            executor: kind,
+            executor: SweepExecutorKind::Sequential,
             ..base_config.clone()
         };
-        let mut fp = match audited(&config, variant) {
+        let mut fp = match audited(&config, "sequential") {
             Ok(report) => report_fingerprint(&report),
             Err(failure) => return failed(failure),
         };
-        if inject == Some(Axis::Executors) && variant == "scoped" {
+        if inject == Some(Axis::Executors) {
             fp ^= INJECTION_MASK;
         }
         if fp != base {
             return failed(ChaosFailure::Divergence {
                 axis: Axis::Executors,
-                variant,
+                variant: "sequential",
                 expected: base,
                 actual: fp,
             });
@@ -404,7 +401,7 @@ mod tests {
     fn same_kind_matches_axis_not_payload() {
         let a = ChaosFailure::Divergence {
             axis: Axis::Executors,
-            variant: "scoped",
+            variant: "sequential",
             expected: 1,
             actual: 2,
         };

@@ -2,8 +2,8 @@
 //! scheduling stack.
 //!
 //! The workspace's QoS story rests on a pile of *bit-identity contracts*:
-//! the `Sequential`, `Scoped` and pooled scenario-sweep executors must
-//! plan identically; collapsing the domain-sharded flow layer to a single
+//! the `Sequential` and pooled scenario-sweep executors must plan
+//! identically; collapsing the domain-sharded flow layer to a single
 //! job manager must not change a single campaign decision; telemetry must
 //! be strictly observational; and a batch campaign over a degenerate
 //! zero-gap release stream must match an online serving run over the same

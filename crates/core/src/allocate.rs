@@ -23,7 +23,7 @@ use std::fmt;
 use gridsched_sim::time::{SimDuration, SimTime};
 
 use gridsched_data::policy::DataPolicy;
-use gridsched_model::availability::{Availability, ProbeRequest};
+use gridsched_model::availability::Availability;
 use gridsched_model::estimate::EstimateScenario;
 use gridsched_model::ids::{NodeId, TaskId};
 use gridsched_model::job::Job;
@@ -135,13 +135,6 @@ pub struct AllocScratch {
     /// the current chain length are stale leftovers from longer chains and
     /// are ignored.
     frontiers: Vec<Vec<Vec<State>>>,
-    /// Chain-head probes gathered per eligible node, emitted in ascending
-    /// node order so [`Availability::earliest_fit_batch`] may fan them out
-    /// across worker threads.
-    probe_requests: Vec<ProbeRequest>,
-    /// `(node index, stall, cost)` alongside each gathered probe.
-    probe_meta: Vec<(usize, SimDuration, Cost)>,
-    probe_results: Vec<Option<SimTime>>,
 }
 
 impl AllocScratch {
@@ -224,9 +217,6 @@ pub fn allocate_chain_into<A: Availability>(
         rem,
         nodes,
         frontiers,
-        probe_requests,
-        probe_meta,
-        probe_results,
     } = scratch;
     let rem: &[SimDuration] = rem;
     let nodes: &[NodeId] = nodes;
@@ -250,10 +240,6 @@ pub fn allocate_chain_into<A: Availability>(
         let (done, rest) = frontiers.split_at_mut(pos);
         let level = &mut rest[0];
         let prev_level = done.last();
-        if pos == 0 {
-            probe_requests.clear();
-            probe_meta.clear();
-        }
         for (ni, &node_id) in nodes.iter().enumerate() {
             if let Some(domain) = ctx.domain {
                 if ctx.pool.node(node_id).domain() != domain {
@@ -293,18 +279,19 @@ pub fn allocate_chain_into<A: Availability>(
                 }
             }
             if pos == 0 {
-                // Gather the chain-head probe instead of fitting inline:
-                // nodes iterate in ascending id order, so the batch meets
-                // `earliest_fit_batch`'s strictly-ascending precondition
-                // and is eligible for cross-node fan-out.
                 let dur = stall_placed + exec;
-                probe_requests.push(ProbeRequest {
-                    node: node_id,
-                    not_before: ready_placed,
-                    duration: dur,
-                    deadline: finish_bound,
-                });
-                probe_meta.push((ni, stall_placed, task_cost(task.volume(), dur)));
+                if let Some(state) = fit_state(
+                    availability,
+                    node_id,
+                    ready_placed,
+                    dur,
+                    stall_placed,
+                    finish_bound,
+                    task_cost(task.volume(), dur),
+                    None,
+                ) {
+                    level[ni].push(state);
+                }
             } else {
                 // The arc connecting the previous chain element to this one.
                 let prev_task = chain[pos - 1];
@@ -340,26 +327,6 @@ pub fn allocate_chain_into<A: Availability>(
                             level[ni].push(state);
                         }
                     }
-                }
-            }
-        }
-        if pos == 0 {
-            // Resolve the gathered probes in one batch, then materialize
-            // states in the same ascending node order the inline loop used.
-            availability.earliest_fit_batch(probe_requests, probe_results);
-            for ((req, &(ni, stall, cost)), start) in probe_requests
-                .iter()
-                .zip(probe_meta.iter())
-                .zip(probe_results.iter())
-            {
-                if let Some(start) = *start {
-                    level[ni].push(State {
-                        start,
-                        finish: start + req.duration,
-                        stall,
-                        cost,
-                        parent: None,
-                    });
                 }
             }
         }

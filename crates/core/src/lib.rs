@@ -93,4 +93,6 @@ pub use method::{
 pub use objective::Objective;
 pub use scratch::{EngineScratch, Scratch};
 pub use session::PlanningSession;
-pub use strategy::{Strategy, StrategyConfig, StrategyKind, SweepExecutor, FULL_SWEEP_SCENARIOS};
+pub use strategy::{
+    GenerateOptions, Strategy, StrategyConfig, StrategyKind, SweepExecutor, FULL_SWEEP_SCENARIOS,
+};

@@ -23,11 +23,8 @@ use std::collections::HashMap;
 
 use gridsched_sim::time::SimTime;
 
-use gridsched_exec::WorkerPool;
 use gridsched_metrics::telemetry::{Counter, SpanId, Telemetry};
-use gridsched_model::availability::{
-    install_probe_executor, AvailabilitySnapshot, TimetableOverlay,
-};
+use gridsched_model::availability::{AvailabilitySnapshot, TimetableOverlay};
 use gridsched_model::ids::TaskId;
 use gridsched_model::node::ResourcePool;
 
@@ -35,14 +32,6 @@ use crate::distribution::{Distribution, Placement};
 use crate::method::{run_method_chains, ScheduleError, ScheduleRequest};
 use crate::objective::Objective;
 use crate::scratch::Scratch;
-
-/// The process-wide probe executor: fans `earliest_fit_batch` cold probes
-/// across the shared scenario-sweep [`WorkerPool`] when it is idle, and
-/// declines (forcing the caller's sequential fallback) while a sweep has
-/// the pool busy. Installed on first session open; first install wins.
-fn pool_probe_executor(len: usize, task: &(dyn Fn(usize) + Sync)) -> bool {
-    WorkerPool::global().run_tasks_if_idle(len, task)
-}
 
 /// A planning session: a pool reference plus one shared availability
 /// snapshot that every what-if view of the session reads through.
@@ -116,7 +105,6 @@ impl<'p> PlanningSession<'p> {
         telemetry: &Telemetry,
         parent: Option<SpanId>,
     ) -> Self {
-        install_probe_executor(pool_probe_executor);
         telemetry.incr(Counter::SessionsOpened);
         let span = telemetry.span_under("session_open", parent);
         let snapshot = pool.snapshot();
@@ -223,8 +211,6 @@ impl<'p> PlanningSession<'p> {
             .add(Counter::IndexRebuilds, probe_stats.builds);
         self.telemetry
             .add(Counter::IndexBypasses, probe_stats.bypasses);
-        self.telemetry
-            .add(Counter::ProbeFanouts, probe_stats.fanouts);
         // Plan conflicts are observed either way: a successful pass records
         // the collisions it routed around, a failed pass the ones that
         // stranded it.

@@ -34,17 +34,13 @@ pub const FULL_SWEEP_SCENARIOS: usize = 4;
 
 /// How a scenario sweep is executed.
 ///
-/// All three executors are **bit-identical** in output: each scenario's
+/// Both executors are **bit-identical** in output: each scenario's
 /// schedule depends only on the immutable session snapshot, and results are
 /// always collected in sweep order regardless of completion order (the
-/// determinism suite pins this three ways). They differ only in cost:
+/// determinism suite pins this). They differ only in cost:
 ///
 /// * [`Sequential`](SweepExecutor::Sequential) — one scenario after another
 ///   on the calling thread. The baseline, and what small sweeps resolve to.
-/// * [`Scoped`](SweepExecutor::Scoped) — the legacy one-OS-thread-per-
-///   scenario `std::thread::scope` sweep. Kept as a differential reference;
-///   spawn/join churn makes it *slower* than sequential for ~500µs
-///   scenarios.
 /// * [`Pooled`](SweepExecutor::Pooled) — scenarios drained by a persistent
 ///   [`WorkerPool`] (see [`crate::pool`]), reused across sweeps and across
 ///   the whole campaign.
@@ -52,17 +48,12 @@ pub const FULL_SWEEP_SCENARIOS: usize = 4;
 /// Small sweeps are not worth fanning out: `Pooled` resolves to
 /// `Sequential` when the sweep has ≤ 2 scenarios or the machine offers no
 /// parallelism (a zero-worker pool — [`WorkerPool::global`] has zero
-/// workers exactly when `available_parallelism() == 1`). This fixes the
-/// old regression where `Strategy::generate` spawned threads
-/// unconditionally, even for MS1's two scenarios on a single core.
-/// `Scoped` deliberately keeps spawning — it exists as a faithful
-/// differential reference for what the pool replaced.
+/// workers exactly when `available_parallelism() == 1`), so MS1's two
+/// scenarios never pay a thread hand-off.
 #[derive(Clone, Copy)]
 pub enum SweepExecutor<'e> {
     /// Plan scenarios one after another on the calling thread.
     Sequential,
-    /// Spawn one scoped OS thread per scenario (legacy reference path).
-    Scoped,
     /// Drain scenarios through a persistent worker pool.
     Pooled(&'e WorkerPool),
 }
@@ -81,9 +72,9 @@ impl SweepExecutor<'static> {
 /// (which are plain `Clone + PartialEq` data) can carry the executor
 /// selection without holding a pool reference.
 ///
-/// All three choices are bit-identical in observable behaviour — that is
-/// the whole point of naming them: the chaos harness runs the same
-/// campaign under every kind and asserts the trace fingerprints agree.
+/// Both choices are bit-identical in observable behaviour — that is the
+/// whole point of naming them: the chaos harness runs the same campaign
+/// under each kind and asserts the trace fingerprints agree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SweepExecutorKind {
     /// [`SweepExecutor::auto`]: the persistent global pool, with the
@@ -92,8 +83,6 @@ pub enum SweepExecutorKind {
     Auto,
     /// [`SweepExecutor::Sequential`].
     Sequential,
-    /// [`SweepExecutor::Scoped`] — the legacy thread-per-scenario sweep.
-    Scoped,
 }
 
 impl SweepExecutorKind {
@@ -103,7 +92,6 @@ impl SweepExecutorKind {
         match self {
             SweepExecutorKind::Auto => SweepExecutor::auto(),
             SweepExecutorKind::Sequential => SweepExecutor::Sequential,
-            SweepExecutorKind::Scoped => SweepExecutor::Scoped,
         }
     }
 }
@@ -116,6 +104,34 @@ impl<'e> SweepExecutor<'e> {
                 SweepExecutor::Sequential
             }
             other => other,
+        }
+    }
+}
+
+/// How [`Strategy::generate_with`] runs a sweep. None of the fields
+/// changes the schedules built; they pick the executor and say where
+/// telemetry goes.
+#[derive(Clone, Copy)]
+pub struct GenerateOptions<'a> {
+    /// Which executor drains the scenario sweep.
+    pub executor: SweepExecutor<'a>,
+    /// Recorder for the `strategy_generation` and `scenario` spans and the
+    /// sweep counters.
+    pub telemetry: &'a Telemetry,
+    /// Span the `strategy_generation` span nests under.
+    pub parent: Option<SpanId>,
+}
+
+/// The recorder [`GenerateOptions::default`] points at.
+static NO_TELEMETRY: Telemetry = Telemetry::disabled();
+
+impl Default for GenerateOptions<'_> {
+    /// The pooled executor ([`SweepExecutor::auto`]) with telemetry off.
+    fn default() -> Self {
+        GenerateOptions {
+            executor: SweepExecutor::auto(),
+            telemetry: &NO_TELEMETRY,
+            parent: None,
         }
     }
 }
@@ -295,75 +311,42 @@ impl Strategy {
         config: &StrategyConfig,
         release: SimTime,
     ) -> Strategy {
-        Strategy::generate_with(job, pool, config, release, SweepExecutor::auto())
+        Strategy::generate_with(
+            Cow::Borrowed(job),
+            pool,
+            config,
+            release,
+            GenerateOptions::default(),
+        )
     }
 
-    /// [`Strategy::generate`] with an explicit [`SweepExecutor`] — how the
-    /// determinism suite cross-checks the pooled, scoped and sequential
-    /// sweeps against each other (optionally on a caller-built
-    /// [`WorkerPool`], so multi-worker pooling is exercised even on
-    /// single-core machines).
+    /// The one generation entry point: takes the job borrowed or owned
+    /// and the executor and telemetry choices in `opts`.
+    ///
+    /// S3's coarsening happens here, once. [`Strategy::generate`],
+    /// [`Strategy::generate_instrumented`] and
+    /// [`Strategy::generate_sequential`] are thin calls into this one,
+    /// and the job-flow layer hands its jobs over as [`Cow::Owned`] so
+    /// fine-grain strategies plan without a clone. With telemetry on, the
+    /// whole sweep runs under a `strategy_generation` span (parented under
+    /// `opts.parent`), each scenario under its own `scenario` span, and
+    /// [`Counter::ScenariosPlanned`] / [`Counter::ScenariosFailed`] tally
+    /// the sweep outcome. Schedules are bit-identical whatever `opts`
+    /// holds.
     #[must_use]
     pub fn generate_with(
-        job: &Job,
+        job: Cow<'_, Job>,
         pool: &ResourcePool,
         config: &StrategyConfig,
         release: SimTime,
-        executor: SweepExecutor<'_>,
+        opts: GenerateOptions<'_>,
     ) -> Strategy {
-        Strategy::generate_prepared(
-            Self::planning_job(job, config),
-            pool,
-            config,
-            release,
-            executor,
-            &Telemetry::disabled(),
-            None,
-        )
+        let planning_job = Self::planning_job(job, config);
+        Strategy::generate_prepared(planning_job, pool, config, release, opts)
     }
 
-    /// [`Strategy::generate_with`] with a telemetry recorder attached.
-    #[allow(clippy::too_many_arguments)]
-    #[must_use]
-    pub fn generate_with_instrumented(
-        job: &Job,
-        pool: &ResourcePool,
-        config: &StrategyConfig,
-        release: SimTime,
-        executor: SweepExecutor<'_>,
-        telemetry: &Telemetry,
-        parent: Option<SpanId>,
-    ) -> Strategy {
-        Strategy::generate_prepared(
-            Self::planning_job(job, config),
-            pool,
-            config,
-            release,
-            executor,
-            telemetry,
-            parent,
-        )
-    }
-
-    /// The legacy spawn-per-scenario sweep on scoped OS threads, kept as a
-    /// differential reference for the persistent-pool path (and for the
-    /// `strategy_sweep` bench's historical "parallel" column).
-    #[must_use]
-    pub fn generate_scoped(
-        job: &Job,
-        pool: &ResourcePool,
-        config: &StrategyConfig,
-        release: SimTime,
-    ) -> Strategy {
-        Strategy::generate_with(job, pool, config, release, SweepExecutor::Scoped)
-    }
-
-    /// [`Strategy::generate`] with a telemetry recorder attached: the whole
-    /// sweep runs under a `strategy_generation` span (parented under
-    /// `parent`), each scenario under its own `scenario` span, and
-    /// [`Counter::ScenariosPlanned`] / [`Counter::ScenariosFailed`] tally
-    /// the sweep outcome. Schedules are bit-identical to
-    /// [`Strategy::generate`].
+    /// [`Strategy::generate`] with a telemetry recorder attached; see
+    /// [`Strategy::generate_with`] for the spans and counters recorded.
     #[must_use]
     pub fn generate_instrumented(
         job: &Job,
@@ -373,130 +356,12 @@ impl Strategy {
         telemetry: &Telemetry,
         parent: Option<SpanId>,
     ) -> Strategy {
-        Strategy::generate_with_instrumented(
-            job,
-            pool,
-            config,
-            release,
-            SweepExecutor::auto(),
+        let opts = GenerateOptions {
+            executor: SweepExecutor::auto(),
             telemetry,
             parent,
-        )
-    }
-
-    /// [`Strategy::generate`] taking the job by value — the metascheduler
-    /// hand-off path, where the caller is done with the job and no clone
-    /// is needed even for fine-grain strategies.
-    #[must_use]
-    pub fn generate_owned(
-        job: Job,
-        pool: &ResourcePool,
-        config: &StrategyConfig,
-        release: SimTime,
-    ) -> Strategy {
-        Strategy::generate_owned_inner(
-            job,
-            pool,
-            config,
-            release,
-            SweepExecutor::auto(),
-            &Telemetry::disabled(),
-            None,
-        )
-    }
-
-    /// [`Strategy::generate_owned`] with a telemetry recorder attached;
-    /// `parallel` selects between the pooled sweep ([`SweepExecutor::auto`])
-    /// and the sequential baseline (both bit-identical). This is the
-    /// job-flow campaign's hand-off path.
-    #[must_use]
-    pub fn generate_owned_instrumented(
-        job: Job,
-        pool: &ResourcePool,
-        config: &StrategyConfig,
-        release: SimTime,
-        parallel: bool,
-        telemetry: &Telemetry,
-        parent: Option<SpanId>,
-    ) -> Strategy {
-        let executor = if parallel {
-            SweepExecutor::auto()
-        } else {
-            SweepExecutor::Sequential
         };
-        Strategy::generate_owned_inner(job, pool, config, release, executor, telemetry, parent)
-    }
-
-    /// [`Strategy::generate_owned_instrumented`] generalized to any named
-    /// executor — the hand-off path for callers that select the sweep
-    /// executor by configuration (the flow campaign's
-    /// `CampaignConfig::executor`, the chaos harness's executor axis).
-    #[must_use]
-    pub fn generate_owned_kind(
-        job: Job,
-        pool: &ResourcePool,
-        config: &StrategyConfig,
-        release: SimTime,
-        kind: SweepExecutorKind,
-        telemetry: &Telemetry,
-        parent: Option<SpanId>,
-    ) -> Strategy {
-        Strategy::generate_owned_inner(
-            job,
-            pool,
-            config,
-            release,
-            kind.executor(),
-            telemetry,
-            parent,
-        )
-    }
-
-    /// [`Strategy::generate_owned`] with the scenario sweep forced
-    /// sequential — the campaign-level determinism baseline
-    /// (`CampaignConfig::sequential_planning` routes here).
-    #[must_use]
-    pub fn generate_owned_sequential(
-        job: Job,
-        pool: &ResourcePool,
-        config: &StrategyConfig,
-        release: SimTime,
-    ) -> Strategy {
-        Strategy::generate_owned_inner(
-            job,
-            pool,
-            config,
-            release,
-            SweepExecutor::Sequential,
-            &Telemetry::disabled(),
-            None,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn generate_owned_inner(
-        job: Job,
-        pool: &ResourcePool,
-        config: &StrategyConfig,
-        release: SimTime,
-        executor: SweepExecutor<'_>,
-        telemetry: &Telemetry,
-        parent: Option<SpanId>,
-    ) -> Strategy {
-        let planning_job = if config.coarse_grain {
-            Cow::Owned(coarsen(&job).job)
-        } else {
-            Cow::Owned(job)
-        };
-        Strategy::generate_prepared(
-            planning_job,
-            pool,
-            config,
-            release,
-            executor,
-            telemetry,
-            parent,
-        )
+        Strategy::generate_with(Cow::Borrowed(job), pool, config, release, opts)
     }
 
     /// [`Strategy::generate`] with the scenario sweep forced sequential —
@@ -508,7 +373,11 @@ impl Strategy {
         config: &StrategyConfig,
         release: SimTime,
     ) -> Strategy {
-        Strategy::generate_with(job, pool, config, release, SweepExecutor::Sequential)
+        let opts = GenerateOptions {
+            executor: SweepExecutor::Sequential,
+            ..GenerateOptions::default()
+        };
+        Strategy::generate_with(Cow::Borrowed(job), pool, config, release, opts)
     }
 
     /// The pre-refactor baseline sweep: sequential, with every scenario
@@ -524,7 +393,7 @@ impl Strategy {
         config: &StrategyConfig,
         release: SimTime,
     ) -> Strategy {
-        let planning_job = Self::planning_job(job, config);
+        let planning_job = Self::planning_job(Cow::Borrowed(job), config);
         let mut distributions = Vec::new();
         let mut failures = Vec::new();
         for &scenario in config.sweep.scenarios() {
@@ -549,14 +418,14 @@ impl Strategy {
         }
     }
 
-    /// The job actually planned: borrowed as-is for fine-grain
-    /// strategies, an owned coarsened copy for S3. Only the coarse path
-    /// pays an allocation.
-    fn planning_job<'j>(job: &'j Job, config: &StrategyConfig) -> Cow<'j, Job> {
+    /// The job actually planned: the caller's job as handed over for
+    /// fine-grain strategies, an owned coarsened copy for S3. Only the
+    /// coarse path pays an allocation.
+    fn planning_job<'j>(job: Cow<'j, Job>, config: &StrategyConfig) -> Cow<'j, Job> {
         if config.coarse_grain {
-            Cow::Owned(coarsen(job).job)
+            Cow::Owned(coarsen(&job).job)
         } else {
-            Cow::Borrowed(job)
+            job
         }
     }
 
@@ -565,18 +434,19 @@ impl Strategy {
     /// `planning_job` must already be in planning granularity (coarsened
     /// for S3) — this is what lets [`Strategy::refresh`] reuse its stored
     /// job without re-coarsening. Whatever the executor, results are
-    /// collected in sweep order, so output is bit-identical across all of
-    /// them.
-    #[allow(clippy::too_many_arguments)]
+    /// collected in sweep order, so output is bit-identical across both.
     fn generate_prepared(
         planning_job: Cow<'_, Job>,
         pool: &ResourcePool,
         config: &StrategyConfig,
         release: SimTime,
-        executor: SweepExecutor<'_>,
-        telemetry: &Telemetry,
-        parent: Option<SpanId>,
+        opts: GenerateOptions<'_>,
     ) -> Strategy {
+        let GenerateOptions {
+            executor,
+            telemetry,
+            parent,
+        } = opts;
         let sweep_span = telemetry.span_under("strategy_generation", parent);
         let sweep_id = sweep_span.id();
         let session = PlanningSession::open_instrumented(pool, telemetry, sweep_id);
@@ -608,25 +478,6 @@ impl Strategy {
                 // regardless of completion order.
                 telemetry.incr(Counter::PooledSweeps);
                 worker_pool.scatter(scenarios.len(), |i| plan(scenarios[i]))
-            }
-            SweepExecutor::Scoped => {
-                // Legacy path: first scenario on the current thread,
-                // the rest on freshly spawned scoped threads.
-                std::thread::scope(|s| {
-                    let plan = &plan;
-                    let handles: Vec<_> = scenarios[1..]
-                        .iter()
-                        .map(|&scenario| s.spawn(move || plan(scenario)))
-                        .collect();
-                    let first = plan(scenarios[0]);
-                    std::iter::once(first)
-                        .chain(
-                            handles
-                                .into_iter()
-                                .map(|h| h.join().expect("scenario planning never panics")),
-                        )
-                        .collect()
-                })
             }
         };
         let mut distributions = Vec::new();
@@ -674,15 +525,12 @@ impl Strategy {
         telemetry: &Telemetry,
         parent: Option<SpanId>,
     ) -> Strategy {
-        Strategy::generate_prepared(
-            Cow::Borrowed(&self.job),
-            pool,
-            &self.config,
-            now,
-            SweepExecutor::auto(),
+        let opts = GenerateOptions {
+            executor: SweepExecutor::auto(),
             telemetry,
             parent,
-        )
+        };
+        Strategy::generate_prepared(Cow::Borrowed(&self.job), pool, &self.config, now, opts)
     }
 
     /// The configuration this strategy was generated with.
@@ -966,7 +814,13 @@ mod tests {
             let par = Strategy::generate(&job, &pool, &cfg, SimTime::ZERO);
             let seq = Strategy::generate_sequential(&job, &pool, &cfg, SimTime::ZERO);
             let cloning = Strategy::generate_cloning(&job, &pool, &cfg, SimTime::ZERO);
-            let owned = Strategy::generate_owned(job.clone(), &pool, &cfg, SimTime::ZERO);
+            let owned = Strategy::generate_with(
+                Cow::Owned(job.clone()),
+                &pool,
+                &cfg,
+                SimTime::ZERO,
+                GenerateOptions::default(),
+            );
             assert_eq!(fingerprint(&par), fingerprint(&seq), "{kind}");
             assert_eq!(fingerprint(&par), fingerprint(&cloning), "{kind}");
             assert_eq!(fingerprint(&par), fingerprint(&owned), "{kind}");
@@ -1029,7 +883,7 @@ mod tests {
             FULL_SWEEP_SCENARIOS as u64
         );
         // The sweep's span tree covers the full planning hierarchy even
-        // though scenarios ran on scoped threads.
+        // though scenarios ran on pool worker threads.
         for phase in [
             "strategy_generation",
             "session_open",

@@ -1,19 +1,24 @@
 //! Differential determinism suite for the sweep executors.
 //!
-//! The persistent-pool sweep (`SweepExecutor::Pooled`), the legacy
-//! scoped-thread sweep (`SweepExecutor::Scoped`) and the sequential
+//! The persistent-pool sweep (`SweepExecutor::Pooled`) and the sequential
 //! baseline must produce **bit-identical** strategies for arbitrary
 //! generated workloads — the worker-pool determinism contract: results are
 //! collected in sweep order regardless of completion order, and every
-//! scenario plans against the same immutable snapshot.
+//! scenario plans against the same immutable snapshot. Handing the job
+//! over by value (`Cow::Owned`, the job-flow layer's path) must not change
+//! the strategy either, S3's coarsening included.
 //!
 //! The contract also covers instrumentation: running the same sweep under
 //! `--telemetry` must not change the schedules, and the QoS counters must
 //! reconcile exactly across executors (only `pooled_sweeps` may differ —
 //! it records which executor actually ran).
 
+use std::borrow::Cow;
+
 use gridsched_core::pool::WorkerPool;
-use gridsched_core::strategy::{Strategy, StrategyConfig, StrategyKind, SweepExecutor};
+use gridsched_core::strategy::{
+    GenerateOptions, Strategy, StrategyConfig, StrategyKind, SweepExecutor,
+};
 use gridsched_metrics::telemetry::Telemetry;
 use gridsched_model::job::Job;
 use gridsched_model::node::ResourcePool;
@@ -61,7 +66,7 @@ fn random_workload(g: &mut Gen) -> (Job, ResourcePool) {
 }
 
 #[test]
-fn pooled_scoped_and_sequential_sweeps_are_bit_identical_across_seeds() {
+fn pooled_owned_and_sequential_sweeps_are_bit_identical_across_seeds() {
     // A multi-worker pool even on single-core machines, so the pooled path
     // is genuinely exercised (no fallback) and shared across cases — the
     // reuse the campaign relies on.
@@ -71,16 +76,15 @@ fn pooled_scoped_and_sequential_sweeps_are_bit_identical_across_seeds() {
         let kind = *g.pick(&StrategyKind::ALL);
         let cfg = StrategyConfig::for_kind(kind, &pool);
         let release = SimTime::from_ticks(g.u64_in(0, 50));
-        let pooled = Strategy::generate_with(
-            &job,
-            &pool,
-            &cfg,
-            release,
-            SweepExecutor::Pooled(&worker_pool),
-        );
-        let scoped = Strategy::generate_with(&job, &pool, &cfg, release, SweepExecutor::Scoped);
-        let sequential =
-            Strategy::generate_with(&job, &pool, &cfg, release, SweepExecutor::Sequential);
+        let pooled_opts = GenerateOptions {
+            executor: SweepExecutor::Pooled(&worker_pool),
+            ..GenerateOptions::default()
+        };
+        let pooled =
+            Strategy::generate_with(Cow::Borrowed(&job), &pool, &cfg, release, pooled_opts);
+        let owned =
+            Strategy::generate_with(Cow::Owned(job.clone()), &pool, &cfg, release, pooled_opts);
+        let sequential = Strategy::generate_sequential(&job, &pool, &cfg, release);
         assert_eq!(
             fingerprint(&pooled),
             fingerprint(&sequential),
@@ -88,9 +92,9 @@ fn pooled_scoped_and_sequential_sweeps_are_bit_identical_across_seeds() {
             g.case()
         );
         assert_eq!(
-            fingerprint(&scoped),
+            fingerprint(&owned),
             fingerprint(&sequential),
-            "scoped vs sequential diverged (case {}, kind {kind})",
+            "owned-job vs sequential diverged (case {}, kind {kind})",
             g.case()
         );
     });
@@ -105,9 +109,8 @@ fn instrumented_sweeps_are_bit_identical_and_counters_reconcile_exactly() {
         let cfg = StrategyConfig::for_kind(kind, &pool);
         let release = SimTime::from_ticks(g.u64_in(0, 50));
 
-        let executors: [(&str, SweepExecutor<'_>); 3] = [
+        let executors: [(&str, SweepExecutor<'_>); 2] = [
             ("pooled", SweepExecutor::Pooled(&worker_pool)),
-            ("scoped", SweepExecutor::Scoped),
             ("sequential", SweepExecutor::Sequential),
         ];
         let mut fingerprints = Vec::new();
@@ -115,10 +118,22 @@ fn instrumented_sweeps_are_bit_identical_and_counters_reconcile_exactly() {
         let mut pooled_sweeps = Vec::new();
         for (name, executor) in executors {
             let telemetry = Telemetry::new();
-            let uninstrumented = Strategy::generate_with(&job, &pool, &cfg, release, executor);
-            let strategy = Strategy::generate_with_instrumented(
-                &job, &pool, &cfg, release, executor, &telemetry, None,
+            let uninstrumented = Strategy::generate_with(
+                Cow::Borrowed(&job),
+                &pool,
+                &cfg,
+                release,
+                GenerateOptions {
+                    executor,
+                    ..GenerateOptions::default()
+                },
             );
+            let opts = GenerateOptions {
+                executor,
+                telemetry: &telemetry,
+                parent: None,
+            };
+            let strategy = Strategy::generate_with(Cow::Borrowed(&job), &pool, &cfg, release, opts);
             assert_eq!(
                 fingerprint(&strategy),
                 fingerprint(&uninstrumented),
@@ -146,16 +161,9 @@ fn instrumented_sweeps_are_bit_identical_and_counters_reconcile_exactly() {
             pooled_sweeps.push((name, snap.counter("pooled_sweeps")));
         }
         assert_eq!(fingerprints[0], fingerprints[1], "case {}", g.case());
-        assert_eq!(fingerprints[0], fingerprints[2], "case {}", g.case());
         assert_eq!(
             counter_sets[0].1,
             counter_sets[1].1,
-            "pooled vs scoped counters (case {})",
-            g.case()
-        );
-        assert_eq!(
-            counter_sets[0].1,
-            counter_sets[2].1,
             "pooled vs sequential counters (case {})",
             g.case()
         );
@@ -163,7 +171,6 @@ fn instrumented_sweeps_are_bit_identical_and_counters_reconcile_exactly() {
         // the sweep is small enough to fall back (MS1 plans 2 scenarios).
         let expect_pooled = u64::from(cfg.sweep().scenarios().len() > 2);
         assert_eq!(pooled_sweeps[0], ("pooled", expect_pooled));
-        assert_eq!(pooled_sweeps[1], ("scoped", 0));
-        assert_eq!(pooled_sweeps[2], ("sequential", 0));
+        assert_eq!(pooled_sweeps[1], ("sequential", 0));
     });
 }

@@ -141,11 +141,6 @@ struct Shared {
     queue: Mutex<VecDeque<Arc<Batch>>>,
     work_cv: Condvar,
     shutdown: AtomicBool,
-    /// Batches currently inside [`WorkerPool::run_batch`]. The probe
-    /// fan-out entry ([`WorkerPool::run_tasks_if_idle`]) declines while
-    /// this is nonzero so cold-probe batches never contend with a
-    /// scenario sweep for the same workers.
-    active: AtomicUsize,
 }
 
 /// A persistent pool of worker threads draining [`scatter`] batches.
@@ -171,7 +166,6 @@ impl WorkerPool {
             queue: Mutex::new(VecDeque::new()),
             work_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            active: AtomicUsize::new(0),
         });
         let handles = (0..workers)
             .map(|i| {
@@ -201,37 +195,6 @@ impl WorkerPool {
     /// Number of worker threads (not counting the submitting thread).
     pub fn workers(&self) -> usize {
         self.handles.len()
-    }
-
-    /// Whether any batch is currently running on the pool.
-    ///
-    /// Advisory by nature (another submitter can start a batch right
-    /// after the load) — callers use it to *decline* optional work, never
-    /// for correctness.
-    pub fn is_busy(&self) -> bool {
-        self.shared.active.load(Ordering::Acquire) > 0
-    }
-
-    /// Batch entry point for cross-node probe fan-out: runs
-    /// `task(0..len)` across the pool like [`WorkerPool::scatter`] (the
-    /// submitting thread participates; results travel through whatever
-    /// the closure writes), **unless** the pool is already busy — a
-    /// scenario sweep in flight, or a probe batch of another planner —
-    /// in which case nothing runs and `false` is returned so the caller
-    /// can fall back to its sequential loop.
-    ///
-    /// Dyn-compatible on purpose: `gridsched-model` dispatches through a
-    /// plain function pointer (`ProbeExecutor`) and cannot name generic
-    /// closures across the crate boundary.
-    pub fn run_tasks_if_idle(&self, len: usize, task: &(dyn Fn(usize) + Sync)) -> bool {
-        if len == 0 {
-            return true;
-        }
-        if self.is_busy() {
-            return false;
-        }
-        self.run_batch(len, &task);
-        true
     }
 
     /// Run `f(0..len)` across the pool and return the results **in input
@@ -265,7 +228,6 @@ impl WorkerPool {
         if len == 0 {
             return;
         }
-        self.shared.active.fetch_add(1, Ordering::AcqRel);
         let batch = Arc::new(Batch {
             data: (f as *const F).cast::<()>(),
             call: call_erased::<F>,
@@ -295,7 +257,6 @@ impl WorkerPool {
             let mut queue = self.shared.queue.lock().unwrap();
             queue.retain(|b| !Arc::ptr_eq(b, &batch));
         }
-        self.shared.active.fetch_sub(1, Ordering::AcqRel);
         let payload = batch.panic.lock().unwrap().take();
         if let Some(payload) = payload {
             resume_unwind(payload);
@@ -433,35 +394,6 @@ mod tests {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         assert_eq!(pool.workers(), cores.saturating_sub(1).min(8));
         assert_eq!(pool.scatter(4, |i| i * 2), vec![0, 2, 4, 6]);
-    }
-
-    #[test]
-    fn run_tasks_if_idle_runs_when_idle_and_declines_when_busy() {
-        let pool = WorkerPool::new(2);
-        assert!(!pool.is_busy());
-        let hits = AtomicU64::new(0);
-        let task = |i: usize| {
-            hits.fetch_add(1 + i as u64, Ordering::Relaxed);
-        };
-        assert!(pool.run_tasks_if_idle(4, &task), "idle pool accepts");
-        assert_eq!(hits.load(Ordering::Relaxed), 1 + 2 + 3 + 4);
-        // While a slow scatter holds the pool, a nested offer from inside
-        // one of its items must be declined (the sweep-in-flight shape).
-        let declined = AtomicU64::new(0);
-        let noop = |_i: usize| {};
-        pool.scatter(4, |i| {
-            if !pool.run_tasks_if_idle(2, &noop) {
-                declined.fetch_add(1, Ordering::Relaxed);
-            }
-            i
-        });
-        assert_eq!(
-            declined.load(Ordering::Relaxed),
-            4,
-            "every nested offer declines while the batch runs"
-        );
-        assert!(!pool.is_busy(), "busy flag clears after the batch");
-        assert!(pool.run_tasks_if_idle(0, &noop), "empty batch is a no-op");
     }
 
     #[test]

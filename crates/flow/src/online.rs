@@ -40,12 +40,14 @@
 //! `crates/flow/tests/prop_online.rs` pin this). All report-side latencies
 //! are sim-time; wall-clock timings live only in telemetry spans.
 
+use std::borrow::Cow;
+
 use gridsched_core::cost::Cost;
 use gridsched_core::granularity::coarsen;
 use gridsched_core::method::ScheduleRequest;
 use gridsched_core::objective::Objective;
 use gridsched_core::session::PlanningSession;
-use gridsched_core::strategy::{Strategy, StrategyConfig};
+use gridsched_core::strategy::{GenerateOptions, Strategy, StrategyConfig};
 use gridsched_metrics::histogram::Histogram;
 use gridsched_metrics::telemetry::{Counter, Telemetry};
 use gridsched_model::estimate::EstimateScenario;
@@ -572,15 +574,13 @@ impl Online<'_> {
             .clone()
             .with_transfer_model(self.campaign.config.transfer_model.clone());
         let config = config.with_policy(policy);
-        let strategy = Strategy::generate_owned_kind(
-            job,
-            &self.campaign.pool,
-            &config,
-            now,
-            self.campaign.effective_executor(),
-            &self.campaign.telemetry,
-            span.id(),
-        );
+        let opts = GenerateOptions {
+            executor: self.campaign.config.executor.executor(),
+            telemetry: &self.campaign.telemetry,
+            parent: span.id(),
+        };
+        let strategy =
+            Strategy::generate_with(Cow::Owned(job), &self.campaign.pool, &config, now, opts);
         if !strategy.is_admissible() {
             return Some(entry);
         }

@@ -12,12 +12,15 @@
 //! load, job costs, task wall times, schedule time-to-live and start-time
 //! deviations.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use gridsched_core::distribution::Placement;
 use gridsched_core::method::ScheduleRequest;
 use gridsched_core::session::PlanningSession;
-use gridsched_core::strategy::{Strategy, StrategyConfig, StrategyKind, SweepExecutorKind};
+use gridsched_core::strategy::{
+    GenerateOptions, Strategy, StrategyConfig, StrategyKind, SweepExecutorKind,
+};
 use gridsched_data::policy::DataPolicyKind;
 use gridsched_metrics::load::GroupLoad;
 use gridsched_metrics::telemetry::{Counter, SpanId, Telemetry};
@@ -79,18 +82,12 @@ pub struct CampaignConfig {
     /// Collect a chronological [`crate::trace::CampaignTrace`] of every
     /// activation, break, switch, replan and drop.
     pub collect_trace: bool,
-    /// Force every strategy's scenario sweep sequential instead of the
-    /// default scoped-thread sweep. The campaign must be bit-identical
-    /// either way (the determinism suite pins this); the flag exists so
-    /// that baseline is expressible without touching planner code.
-    pub sequential_planning: bool,
     /// Which scenario-sweep executor releases plan with
     /// ([`SweepExecutorKind::Auto`] is the persistent pool with its
     /// sequential fallback). All kinds are bit-identical — the chaos
     /// harness's executor axis runs the same campaign under each and
-    /// asserts the trace fingerprints agree. `sequential_planning: true`
-    /// overrides this to `Sequential` (it predates this knob and the
-    /// benches still set it).
+    /// asserts the trace fingerprints agree; the determinism suite pins
+    /// `Sequential` as the campaign-level baseline.
     pub executor: SweepExecutorKind,
     /// Collapse the flow layer to a single job manager serving every pool
     /// domain (the pre-hierarchy monolithic dispatcher). The campaign must
@@ -126,7 +123,6 @@ impl Default for CampaignConfig {
             slowdown_range: (1.0, EstimateScenario::WORST_FACTOR),
             task_jitter: 0.15,
             collect_trace: false,
-            sequential_planning: false,
             executor: SweepExecutorKind::default(),
             single_manager: false,
             urgency_slack_factor: Some(1.5),
@@ -250,17 +246,6 @@ impl<'a> Campaign<'a> {
         }
     }
 
-    /// The sweep executor releases plan with: `sequential_planning`
-    /// (the older boolean baseline knob) wins, otherwise
-    /// [`CampaignConfig::executor`].
-    pub(crate) fn effective_executor(&self) -> SweepExecutorKind {
-        if self.config.sequential_planning {
-            SweepExecutorKind::Sequential
-        } else {
-            self.config.executor
-        }
-    }
-
     pub(crate) fn record_event(&mut self, at: SimTime, event: crate::trace::CampaignEvent) {
         if let Some(trace) = &mut self.trace {
             trace.push(at, event);
@@ -335,19 +320,16 @@ impl<'a> Campaign<'a> {
             .clone()
             .with_transfer_model(self.config.transfer_model.clone());
         let config = config.with_policy(policy);
-        // The job is handed off to the strategy whole: `generate_owned`
+        // The job is handed off to the strategy whole: an owned job
         // avoids the planning clone for fine-grain strategies.
         let job_id = job.id();
         let release = job.release();
-        let strategy = Strategy::generate_owned_kind(
-            job,
-            &self.pool,
-            &config,
-            release,
-            self.effective_executor(),
-            &self.telemetry,
-            release_span.id(),
-        );
+        let opts = GenerateOptions {
+            executor: self.config.executor.executor(),
+            telemetry: &self.telemetry,
+            parent: release_span.id(),
+        };
+        let strategy = Strategy::generate_with(Cow::Owned(job), &self.pool, &config, release, opts);
         let mut fast = 0;
         let mut slow = 0;
         for c in strategy.collisions() {

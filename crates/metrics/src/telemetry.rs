@@ -148,9 +148,14 @@ pub enum Counter {
     /// Gap indexes lazily built — at most one per (snapshot, node) pair,
     /// so this counts distinct node calendars actually probed cold.
     IndexRebuilds,
-    /// Cold probes that took the linear merged walk because the gap
-    /// index was switched off (chaos axis / benches only; answers are
-    /// bit-identical either way).
+    /// Cold probes that took the linear merged walk instead of the gap
+    /// index: every cold probe on a node calendar below the engagement
+    /// floor (`DEFAULT_PROBE_INDEX_MIN_WINDOWS` base windows), plus every
+    /// cold probe while the index is switched off (chaos axis, benches).
+    /// With the index on, a run whose calendars all stay below the floor
+    /// shows only bypasses and zero seeks; that is the expected shape
+    /// for sparse pools, not a disabled index. Answers are bit-identical
+    /// either way.
     IndexBypasses,
     /// Snapshot captures of a node answered by the pool's cross-snapshot
     /// calendar cache (frozen windows + gap index reused, nothing
@@ -158,15 +163,11 @@ pub enum Counter {
     IndexCacheHits,
     /// Cached calendars dropped to respect the cache's byte budget.
     IndexCacheEvictions,
-    /// Cold-probe batches fanned out across worker threads by the Pareto
-    /// allocator's node loop (answers bit-identical to the sequential
-    /// loop; this is the only counter that sees the dispatch).
-    ProbeFanouts,
 }
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 40] = [
+    pub const ALL: [Counter; 39] = [
         Counter::JobsReleased,
         Counter::JobsActivated,
         Counter::FlowAssignments,
@@ -206,7 +207,6 @@ impl Counter {
         Counter::IndexBypasses,
         Counter::IndexCacheHits,
         Counter::IndexCacheEvictions,
-        Counter::ProbeFanouts,
     ];
 
     const COUNT: usize = Counter::ALL.len();
@@ -254,7 +254,6 @@ impl Counter {
             Counter::IndexBypasses => "index_bypasses",
             Counter::IndexCacheHits => "index_cache_hits",
             Counter::IndexCacheEvictions => "index_cache_evictions",
-            Counter::ProbeFanouts => "probe_fanouts",
         }
     }
 }
@@ -333,7 +332,7 @@ impl Telemetry {
 
     /// A **disabled** handle: every operation is a no-op.
     #[must_use]
-    pub fn disabled() -> Self {
+    pub const fn disabled() -> Self {
         Telemetry { inner: None }
     }
 

@@ -69,20 +69,11 @@
 //! index — which is what lets the engagement floor sit at 1k windows
 //! instead of 16k: the build amortizes over every capture of the
 //! unchanged node, not just one snapshot's lifetime.
-//!
-//! # Cross-node probe fan-out
-//!
-//! [`TimetableOverlay::earliest_fit_batch`] answers one probe per node
-//! for a whole batch of nodes, dispatching the indexed **cold** probes
-//! (the ones that may pay an O(R) index build) across worker threads via
-//! an installed [`ProbeExecutor`] and merging results in request order.
-//! Answers and the [`IndexStats`] counters are bit-identical to the
-//! sequential loop; only the `fanouts` counter observes the dispatch.
 
 use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use gridsched_sim::time::{SimDuration, SimTime};
 
@@ -151,74 +142,11 @@ pub fn probe_index_min_windows() -> usize {
     PROBE_INDEX_MIN_WINDOWS.load(Ordering::SeqCst)
 }
 
-/// Default for [`set_probe_fanout_min_nodes`]: probe batches smaller than
-/// this stay on the calling thread. Dispatch costs one hand-off per
-/// batch, and the per-probe win is only the cold index build (warm
-/// indexed probes are O(log R) — nanoseconds); campaign-sized pools
-/// (tens of nodes) never clear this bar, which keeps the strategy-sweep
-/// hot path untouched.
-pub const DEFAULT_PROBE_FANOUT_MIN_NODES: usize = 64;
-
-/// Process-global switch for cross-node probe fan-out (default **on**,
-/// though fan-out additionally requires an installed [`ProbeExecutor`]
-/// and a batch of at least [`probe_fanout_min_nodes`] nodes). Answers are
-/// bit-identical either way; only the `fanouts` counter observes it.
-static PROBE_FANOUT_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Minimum batch size (distinct nodes) at which
-/// [`TimetableOverlay::earliest_fit_batch`] dispatches cold probes to the
-/// executor.
-static PROBE_FANOUT_MIN_NODES: AtomicUsize = AtomicUsize::new(DEFAULT_PROBE_FANOUT_MIN_NODES);
-
-/// Switches cross-node probe fan-out on or off process-wide.
-pub fn set_probe_fanout_enabled(enabled: bool) {
-    PROBE_FANOUT_ENABLED.store(enabled, Ordering::SeqCst);
-}
-
-/// Whether probe batches may currently dispatch to the executor.
-#[must_use]
-pub fn probe_fanout_enabled() -> bool {
-    PROBE_FANOUT_ENABLED.load(Ordering::SeqCst)
-}
-
-/// Sets the minimum batch size for probe fan-out, process-wide.
-pub fn set_probe_fanout_min_nodes(min: usize) {
-    PROBE_FANOUT_MIN_NODES.store(min, Ordering::SeqCst);
-}
-
-/// The current minimum batch size for probe fan-out.
-#[must_use]
-pub fn probe_fanout_min_nodes() -> usize {
-    PROBE_FANOUT_MIN_NODES.load(Ordering::SeqCst)
-}
-
-/// Executor hook for probe fan-out: run `task(0..len)` across worker
-/// threads, returning `false` to decline (no task ran — the caller
-/// computes sequentially). `gridsched-model` cannot depend on the worker
-/// pool crate, so the pool installs itself here via
-/// [`install_probe_executor`]; declining when the pool is busy with a
-/// scenario sweep is the executor's responsibility.
-pub type ProbeExecutor = fn(len: usize, task: &(dyn Fn(usize) + Sync)) -> bool;
-
-static PROBE_EXECUTOR: OnceLock<ProbeExecutor> = OnceLock::new();
-
-/// Installs the process-wide probe executor; the first install wins and
-/// later calls are ignored (the hook is a pure performance choice, so a
-/// stable winner keeps behavior deterministic).
-pub fn install_probe_executor(executor: ProbeExecutor) {
-    let _ = PROBE_EXECUTOR.set(executor);
-}
-
-fn probe_executor() -> Option<ProbeExecutor> {
-    PROBE_EXECUTOR.get().copied()
-}
-
 /// RAII guard for the process-global probe knobs: captures the current
 /// [`set_probe_index_enabled`] / [`set_probe_index_min_windows`] /
-/// [`set_index_cache_enabled`]
-/// / [`set_probe_fanout_enabled`] / [`set_probe_fanout_min_nodes`] values
-/// on construction and restores them on drop, so tests and chaos axes can
-/// force a configuration without leaking it into the rest of the process.
+/// [`set_index_cache_enabled`] values on construction and restores them
+/// on drop, so tests and chaos axes can force a configuration without
+/// leaking it into the rest of the process.
 ///
 /// The guard also holds a process-wide lock while alive: concurrent test
 /// threads forcing different configurations serialize instead of racing
@@ -240,8 +168,6 @@ pub struct ProbeIndexGuard {
     index_enabled: bool,
     min_windows: usize,
     cache_enabled: bool,
-    fanout_enabled: bool,
-    fanout_min_nodes: usize,
     _serial: std::sync::MutexGuard<'static, ()>,
 }
 
@@ -261,8 +187,6 @@ impl ProbeIndexGuard {
             index_enabled: probe_index_enabled(),
             min_windows: probe_index_min_windows(),
             cache_enabled: index_cache_enabled(),
-            fanout_enabled: probe_fanout_enabled(),
-            fanout_min_nodes: probe_fanout_min_nodes(),
             _serial: serial,
         }
     }
@@ -291,8 +215,6 @@ impl Drop for ProbeIndexGuard {
         set_probe_index_enabled(self.index_enabled);
         set_probe_index_min_windows(self.min_windows);
         set_index_cache_enabled(self.cache_enabled);
-        set_probe_fanout_enabled(self.fanout_enabled);
-        set_probe_fanout_min_nodes(self.fanout_min_nodes);
     }
 }
 
@@ -306,16 +228,14 @@ pub struct IndexStats {
     /// Probes that found their snapshot node unindexed and built the
     /// index (at most once per node per snapshot, `OnceLock`-enforced).
     pub builds: u64,
-    /// Cold probes that took the linear merged walk because the index is
-    /// switched off ([`set_probe_index_enabled`]) or the node's calendar
-    /// is below the engagement floor
-    /// ([`set_probe_index_min_windows`]).
+    /// Cold probes that took the linear merged walk: every cold probe on
+    /// a node whose calendar is below the engagement floor
+    /// ([`DEFAULT_PROBE_INDEX_MIN_WINDOWS`] unless
+    /// [`set_probe_index_min_windows`] moved it), and every cold probe
+    /// while the index is switched off ([`set_probe_index_enabled`]).
+    /// With the index on, sparse pools whose calendars all stay below the
+    /// floor record only bypasses and zero seeks.
     pub bypasses: u64,
-    /// Probe batches whose cold probes were dispatched across worker
-    /// threads ([`TimetableOverlay::earliest_fit_batch`]); the only
-    /// counter that distinguishes the fanned-out path from the
-    /// sequential loop.
-    pub fanouts: u64,
 }
 
 impl IndexStats {
@@ -326,7 +246,6 @@ impl IndexStats {
             seeks: self.seeks + other.seeks,
             builds: self.builds + other.builds,
             bypasses: self.bypasses + other.bypasses,
-            fanouts: self.fanouts + other.fanouts,
         }
     }
 }
@@ -353,20 +272,6 @@ impl fmt::Display for PlanConflict {
 
 impl std::error::Error for PlanConflict {}
 
-/// One cold `earliest_fit` question of a probe batch
-/// ([`Availability::earliest_fit_batch`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProbeRequest {
-    /// Node to probe.
-    pub node: NodeId,
-    /// Earliest admissible start.
-    pub not_before: SimTime,
-    /// Slot length.
-    pub duration: SimDuration,
-    /// Latest admissible end.
-    pub deadline: SimTime,
-}
-
 /// Node-indexed availability that schedule construction can query and
 /// tentatively reserve against.
 ///
@@ -390,21 +295,6 @@ pub trait Availability {
         duration: SimDuration,
         deadline: SimTime,
     ) -> Option<SimTime>;
-
-    /// Batch twin of [`Availability::earliest_fit`]: answers
-    /// `out[k] = earliest_fit(requests[k])` with `out` resized to the
-    /// batch, exactly as the sequential loop in request order would.
-    /// The default implementation *is* that loop; [`TimetableOverlay`]
-    /// overrides it to fan indexed cold probes out across worker
-    /// threads (bit-identically — DESIGN.md §9).
-    fn earliest_fit_batch(&self, requests: &[ProbeRequest], out: &mut Vec<Option<SimTime>>) {
-        out.clear();
-        out.extend(
-            requests
-                .iter()
-                .map(|r| self.earliest_fit(r.node, r.not_before, r.duration, r.deadline)),
-        );
-    }
 
     /// Tentatively reserves `window` on `node` for `owner`.
     ///
@@ -733,11 +623,10 @@ impl<'a> MergedWindows<'a> {
     }
 }
 
-/// The pure core of the indexed cold probe, shared by the sequential
-/// path and the fan-out workers: only reads the frozen calendar and the
-/// node's tentative slice — never the overlay's interior-mutable cells —
-/// so it is safe to run off-thread while the owning overlay merges
-/// results. Returns the answer plus whether *this call* built the gap
+/// The pure core of the indexed cold probe behind
+/// [`TimetableOverlay::earliest_fit`]: only reads the frozen calendar and
+/// the node's tentative slice, never the overlay's interior-mutable
+/// cells. Returns the answer plus whether *this call* built the gap
 /// index (see [`NodeCalendar::gap_index_tracked`]).
 ///
 /// Each round asks the index for the earliest **base-only** fit `s` at
@@ -923,49 +812,21 @@ impl TimetableOverlay {
             return Some(not_before);
         }
         let idx = node.index();
-        if let Some(answer) = self.fit_memo_answer(idx, not_before, duration, deadline) {
-            return answer;
-        }
-        let result = self.earliest_fit_uncached(node, not_before, duration, deadline);
-        self.write_fit_memo(idx, not_before, duration, deadline, result);
-        result
-    }
-
-    /// The fit-memo fast path of [`TimetableOverlay::earliest_fit`]:
-    /// `Some(answer)` when the node's memo covers the probe, `None` when
-    /// the cold path must run.
-    fn fit_memo_answer(
-        &self,
-        idx: usize,
-        not_before: SimTime,
-        duration: SimDuration,
-        deadline: SimTime,
-    ) -> Option<Option<SimTime>> {
         let cache = self.cache[idx].get();
-        let memo = cache.fit?;
-        if memo.epoch == cache.epoch
-            && memo.duration == duration
-            && memo.deadline == deadline
-            && not_before >= memo.not_before
-        {
-            match memo.result {
-                Some(hit) if not_before <= hit => return Some(Some(hit)),
-                None => return Some(None),
-                _ => {}
+        if let Some(memo) = cache.fit {
+            if memo.epoch == cache.epoch
+                && memo.duration == duration
+                && memo.deadline == deadline
+                && not_before >= memo.not_before
+            {
+                match memo.result {
+                    Some(hit) if not_before <= hit => return Some(hit),
+                    None => return None,
+                    _ => {}
+                }
             }
         }
-        None
-    }
-
-    /// Stores a cold probe's answer in the node's fit memo.
-    fn write_fit_memo(
-        &self,
-        idx: usize,
-        not_before: SimTime,
-        duration: SimDuration,
-        deadline: SimTime,
-        result: Option<SimTime>,
-    ) {
+        let result = self.earliest_fit_uncached(node, not_before, duration, deadline);
         // Re-read: a linear walk refreshed the cursor memo through the
         // same cell.
         let mut cache = self.cache[idx].get();
@@ -977,6 +838,7 @@ impl TimetableOverlay {
             result,
         });
         self.cache[idx].set(cache);
+        result
     }
 
     /// The cold path behind [`TimetableOverlay::earliest_fit`]: the
@@ -1061,137 +923,6 @@ impl TimetableOverlay {
                 _ => return Some(candidate),
             }
         }
-    }
-
-    /// Batch twin of [`TimetableOverlay::earliest_fit`]: answers
-    /// `out[k] = earliest_fit(requests[k])`, fanning the indexed **cold**
-    /// probes (the only per-probe work heavy enough to ship — they may
-    /// pay an O(R) index build) out across worker threads via the
-    /// installed [`ProbeExecutor`] and merging results in request order.
-    ///
-    /// Bit-identical to the sequential loop, counters included: memo
-    /// hits, zero durations and below-floor linear probes run inline in
-    /// request order (preserving each node's cursor-memo side effects),
-    /// and every cold result lands in its slot before memos and
-    /// [`IndexStats`] are updated — in request order again. Only the
-    /// `fanouts` counter observes a dispatch.
-    ///
-    /// Falls back to the plain sequential loop when fan-out is switched
-    /// off ([`set_probe_fanout_enabled`]), the batch is smaller than
-    /// [`probe_fanout_min_nodes`], no executor is installed or it
-    /// declines (pool busy with a scenario sweep), or the requests do not
-    /// target strictly ascending nodes (the per-node-uniqueness shape the
-    /// Pareto allocator's node loop emits; duplicates would let a memo
-    /// written by an earlier probe answer a later one, which the fan-out
-    /// cannot reproduce).
-    pub fn earliest_fit_batch(&self, requests: &[ProbeRequest], out: &mut Vec<Option<SimTime>>) {
-        if !self.try_fan_out(requests, out) {
-            out.clear();
-            out.extend(
-                requests
-                    .iter()
-                    .map(|r| self.earliest_fit(r.node, r.not_before, r.duration, r.deadline)),
-            );
-        }
-    }
-
-    /// The dispatching path behind [`TimetableOverlay::earliest_fit_batch`];
-    /// `false` means "not dispatched, run the sequential loop".
-    fn try_fan_out(&self, requests: &[ProbeRequest], out: &mut Vec<Option<SimTime>>) -> bool {
-        if !probe_fanout_enabled()
-            || !probe_index_enabled()
-            || requests.len() < probe_fanout_min_nodes()
-        {
-            return false;
-        }
-        let Some(executor) = probe_executor() else {
-            return false;
-        };
-        if !requests
-            .windows(2)
-            .all(|p| p[0].node.index() < p[1].node.index())
-        {
-            return false;
-        }
-        out.clear();
-        out.resize(requests.len(), None);
-        // Pass 1 (request order): answer everything that must stay on
-        // this thread — zero durations and memo hits (no memo writes,
-        // same as `earliest_fit`), plus below-floor linear probes (their
-        // cursor-memo side effects are per-node, and nodes are unique, so
-        // running them now is order-equivalent to the sequential loop).
-        let min_windows = probe_index_min_windows();
-        let mut cold: Vec<usize> = Vec::new();
-        for (k, r) in requests.iter().enumerate() {
-            if r.duration.is_zero() {
-                out[k] = Some(r.not_before);
-                continue;
-            }
-            let idx = r.node.index();
-            if let Some(answer) = self.fit_memo_answer(idx, r.not_before, r.duration, r.deadline) {
-                out[k] = answer;
-                continue;
-            }
-            if self.base.windows(r.node).len() >= min_windows {
-                cold.push(k);
-            } else {
-                let mut stats = self.index_stats.get();
-                stats.bypasses += 1;
-                self.index_stats.set(stats);
-                let result = self.earliest_fit_linear(r.node, r.not_before, r.duration, r.deadline);
-                self.write_fit_memo(idx, r.not_before, r.duration, r.deadline, result);
-                out[k] = result;
-            }
-        }
-        // Pass 2: ship the cold probes. Workers only touch the frozen
-        // calendars and tentative slices (`indexed_probe` is cell-free);
-        // results land in per-probe `OnceLock` slots, keyed by position,
-        // so merge order — and therefore every memo and counter update —
-        // is the request order regardless of completion order.
-        let slots: Vec<OnceLock<(Option<SimTime>, bool)>> =
-            cold.iter().map(|_| OnceLock::new()).collect();
-        if cold.len() > 1 {
-            let base = &self.base;
-            let tentative = &self.tentative;
-            let task = |i: usize| {
-                let r = &requests[cold[i]];
-                let value = indexed_probe(
-                    base.calendar(r.node),
-                    &tentative[r.node.index()],
-                    r.not_before,
-                    r.duration,
-                    r.deadline,
-                );
-                let _ = slots[i].set(value);
-            };
-            if executor(cold.len(), &task) {
-                let mut stats = self.index_stats.get();
-                stats.fanouts += 1;
-                self.index_stats.set(stats);
-            }
-        }
-        // Pass 3 (request order): merge. A slot the executor declined to
-        // fill computes inline — identical answer by the §9 contract.
-        for (i, &k) in cold.iter().enumerate() {
-            let r = &requests[k];
-            let (result, built) = match slots[i].get() {
-                Some(&value) => value,
-                None => indexed_probe(
-                    self.base.calendar(r.node),
-                    &self.tentative[r.node.index()],
-                    r.not_before,
-                    r.duration,
-                    r.deadline,
-                ),
-            };
-            let mut stats = self.index_stats.get();
-            stats.seeks += 1;
-            stats.builds += u64::from(built);
-            self.index_stats.set(stats);
-            self.write_fit_memo(r.node.index(), r.not_before, r.duration, r.deadline, result);
-            out[k] = result;
-        }
-        true
     }
 
     /// Free windows of `node` inside `range`, in time order — the cursor
@@ -1296,10 +1027,6 @@ impl Availability for TimetableOverlay {
         deadline: SimTime,
     ) -> Option<SimTime> {
         TimetableOverlay::earliest_fit(self, node, not_before, duration, deadline)
-    }
-
-    fn earliest_fit_batch(&self, requests: &[ProbeRequest], out: &mut Vec<Option<SimTime>>) {
-        TimetableOverlay::earliest_fit_batch(self, requests, out);
     }
 
     fn reserve(

@@ -46,8 +46,7 @@ pub mod volume;
 pub mod window;
 
 pub use availability::{
-    Availability, AvailabilitySnapshot, PlanConflict, ProbeIndexGuard, ProbeRequest,
-    TimetableOverlay,
+    Availability, AvailabilitySnapshot, PlanConflict, ProbeIndexGuard, TimetableOverlay,
 };
 pub use estimate::{EstimateScenario, ScenarioSweep};
 pub use gap_index::GapIndex;

@@ -1,6 +1,10 @@
 //! Integration test: bit-exact reproducibility of every stochastic layer.
 
-use gridsched::core::strategy::{Strategy, StrategyConfig, StrategyKind};
+use std::borrow::Cow;
+
+use gridsched::core::strategy::{
+    GenerateOptions, Strategy, StrategyConfig, StrategyKind, SweepExecutorKind,
+};
 use gridsched::flow::simulation::{run_campaign, CampaignConfig};
 use gridsched::model::ids::JobId;
 use gridsched::sim::rng::SimRng;
@@ -35,10 +39,10 @@ fn strategy_generation_is_deterministic() {
     assert_eq!(run(), run());
 }
 
-/// The parallel scoped-thread scenario sweep, the sequential session
-/// sweep and the pre-refactor clone-per-scenario sweep must all produce
-/// the same strategy, placement for placement — otherwise the planning
-/// sessions of this PR silently changed the paper's numbers.
+/// The pooled scenario sweep, the sequential session sweep, the owned-job
+/// hand-off and the pre-refactor clone-per-scenario sweep must all
+/// produce the same strategy, placement for placement — otherwise the
+/// planning sessions silently changed the paper's numbers.
 #[test]
 fn parallel_sweep_matches_sequential_and_cloning_baselines() {
     let mut rng = SimRng::seed_from(2009);
@@ -81,7 +85,13 @@ fn parallel_sweep_matches_sequential_and_cloning_baselines() {
         let parallel = Strategy::generate(&job, &pool, &config, SimTime::ZERO);
         let sequential = Strategy::generate_sequential(&job, &pool, &config, SimTime::ZERO);
         let cloning = Strategy::generate_cloning(&job, &pool, &config, SimTime::ZERO);
-        let owned = Strategy::generate_owned(job.clone(), &pool, &config, SimTime::ZERO);
+        let owned = Strategy::generate_with(
+            Cow::Owned(job.clone()),
+            &pool,
+            &config,
+            SimTime::ZERO,
+            GenerateOptions::default(),
+        );
         assert_eq!(
             fingerprint(&parallel),
             fingerprint(&sequential),
@@ -104,7 +114,7 @@ fn parallel_sweep_matches_sequential_and_cloning_baselines() {
 /// path (shared snapshots + parallel sweeps) must be bit-identical to the
 /// same campaign with every sweep forced sequential.
 #[test]
-fn traced_campaign_matches_sequential_planning_baseline() {
+fn traced_campaign_matches_sequential_executor_baseline() {
     let cfg = CampaignConfig {
         jobs: 25,
         perturbations: 30,
@@ -120,7 +130,7 @@ fn traced_campaign_matches_sequential_planning_baseline() {
     };
     let parallel = run_campaign(&cfg);
     let sequential = run_campaign(&CampaignConfig {
-        sequential_planning: true,
+        executor: SweepExecutorKind::Sequential,
         ..cfg
     });
     assert_eq!(parallel.records, sequential.records);
@@ -423,7 +433,7 @@ fn online_campaign_is_deterministic_and_telemetry_neutral() {
 
     let sequential = run_online(&OnlineConfig {
         base: CampaignConfig {
-            sequential_planning: true,
+            executor: SweepExecutorKind::Sequential,
             ..cfg.base.clone()
         },
         ..cfg.clone()
