@@ -10,6 +10,9 @@
 //!   up with, not the offered rate);
 //! * **time-to-plan p50/p99** — wall-clock duration of the `admit` spans,
 //!   i.e. full strategy-sweep generation plus activation per admitted job;
+//! * **probe p50/p99** — wall-clock duration of the `admission_probe`
+//!   spans, one per deadline/budget admission test (re-probes of deferred
+//!   jobs included) — most of the serving loop's wall time;
 //! * **queue-wait p50/p99** — sim-time ticks between arrival and
 //!   admission (from the report's queue-wait histogram, so these two
 //!   quantiles are deterministic per seed);
@@ -106,16 +109,24 @@ fn emit(m: &Measured, w: &Workload, domains: u32, out: &str) -> bool {
     let probe_throughput = s.probes as f64 / wall_secs;
 
     // Time-to-plan: every `admit` span is one full sweep + activation.
+    // Every `admission_probe` span is one admission test.
     let snapshot = m.telemetry.snapshot();
-    let mut plan_ns: Vec<u64> = snapshot
-        .spans()
-        .iter()
-        .filter(|span| span.name == "admit")
-        .map(|span| span.end_ns.saturating_sub(span.start_ns))
-        .collect();
-    plan_ns.sort_unstable();
+    let span_ns = |name: &str| {
+        let mut ns: Vec<u64> = snapshot
+            .spans()
+            .iter()
+            .filter(|span| span.name == name)
+            .map(|span| span.end_ns.saturating_sub(span.start_ns))
+            .collect();
+        ns.sort_unstable();
+        ns
+    };
+    let plan_ns = span_ns("admit");
     let plan_p50 = quantile_ns(&plan_ns, 0.50);
     let plan_p99 = quantile_ns(&plan_ns, 0.99);
+    let probe_ns = span_ns("admission_probe");
+    let probe_p50 = quantile_ns(&probe_ns, 0.50);
+    let probe_p99 = quantile_ns(&probe_ns, 0.99);
 
     let wait_p50 = m.report.queue_wait.quantile(0.50).unwrap_or(0.0);
     let wait_p99 = m.report.queue_wait.quantile(0.99).unwrap_or(0.0);
@@ -169,6 +180,12 @@ fn emit(m: &Measured, w: &Workload, domains: u32, out: &str) -> bool {
         plan_p99 as f64 / 1e6,
         plan_ns.len()
     );
+    println!(
+        "  probe p50 {:.3} ms  p99 {:.3} ms  ({} probes timed)",
+        probe_p50 as f64 / 1e6,
+        probe_p99 as f64 / 1e6,
+        probe_ns.len()
+    );
     println!("  queue wait p50 {wait_p50:.0} ticks  p99 {wait_p99:.0} ticks (sim time)");
     for (d, activated, breaks, migrations) in &per_domain {
         println!("  domain {d}: activated {activated}  breaks {breaks}  migrations {migrations}");
@@ -207,6 +224,8 @@ fn emit(m: &Measured, w: &Workload, domains: u32, out: &str) -> bool {
             "  \"probe_throughput_per_sec\": {probe_throughput:.3},\n",
             "  \"plan_p50_ns\": {p50},\n",
             "  \"plan_p99_ns\": {p99},\n",
+            "  \"probe_p50_ns\": {probe_p50},\n",
+            "  \"probe_p99_ns\": {probe_p99},\n",
             "  \"queue_wait_p50_ticks\": {wait50:.1},\n",
             "  \"queue_wait_p99_ticks\": {wait99:.1},\n",
             "  \"counters_reconcile\": {reconciled},\n",
@@ -231,6 +250,8 @@ fn emit(m: &Measured, w: &Workload, domains: u32, out: &str) -> bool {
         probe_throughput = probe_throughput,
         p50 = plan_p50,
         p99 = plan_p99,
+        probe_p50 = probe_p50,
+        probe_p99 = probe_p99,
         wait50 = wait_p50,
         wait99 = wait_p99,
         reconciled = reconciled,

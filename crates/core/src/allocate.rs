@@ -118,19 +118,35 @@ struct State {
     parent: Option<(usize, usize)>,
 }
 
+/// Per-class constants of one DP step (rule 1 in DESIGN §4): the input
+/// stall, reserved wall time and step cost shared by every predecessor
+/// of one class.
+#[derive(Debug, Clone, Copy)]
+struct ClassStep {
+    stall: SimDuration,
+    dur: SimDuration,
+    cost: Cost,
+}
+
 /// Reusable buffers for the co-allocation dynamic program.
 ///
 /// One scheduling pass allocates several chains against the same
-/// [`AllocationContext`]; the downstream-slack table (`rem`) and the node
-/// list are invariant across those chains, and the Pareto `frontiers`
-/// triple-nested vector is by far the hottest allocation in the whole
-/// planner. An `AllocScratch` computes the invariants once per pass
+/// [`AllocationContext`]; the downstream-slack table (`rem`), the node
+/// list and each node's domain class are invariant across those chains.
+/// An `AllocScratch` computes the invariants once per pass
 /// ([`Self::begin_pass`]) and recycles the frontier levels across chains
 /// so steady-state planning performs no per-chain heap allocation.
 #[derive(Debug, Default)]
 pub struct AllocScratch {
     rem: Vec<SimDuration>,
     nodes: Vec<NodeId>,
+    /// `node_class[node index]` = the position of the node's domain in
+    /// the pool's domain registry.
+    node_class: Vec<usize>,
+    /// Lazily filled per-class step constants of the current
+    /// `(position, node)`: one slot per domain, then one for the node
+    /// itself.
+    classes: Vec<Option<ClassStep>>,
     /// `frontiers[position][node index] -> Pareto states`. Levels beyond
     /// the current chain length are stale leftovers from longer chains and
     /// are ignored.
@@ -138,7 +154,8 @@ pub struct AllocScratch {
 }
 
 impl AllocScratch {
-    /// Prepares the pass-invariant tables (`rem`, `nodes`) for `ctx`.
+    /// Prepares the pass-invariant tables (`rem`, `nodes`, domain
+    /// classes) for `ctx`.
     ///
     /// Must be called once before the first [`allocate_chain_into`] of a
     /// pass and again whenever the context changes (different scenario,
@@ -147,6 +164,15 @@ impl AllocScratch {
         ctx.remaining_optimistic_into(&mut self.rem);
         self.nodes.clear();
         self.nodes.extend(ctx.pool.nodes().map(|n| n.id()));
+        let domains = ctx.pool.domain_registry();
+        self.node_class.clear();
+        self.node_class.extend(ctx.pool.nodes().map(|n| {
+            domains
+                .binary_search(&n.domain())
+                .expect("every node's domain is registered")
+        }));
+        self.classes.clear();
+        self.classes.resize(domains.len() + 1, None);
     }
 }
 
@@ -216,10 +242,14 @@ pub fn allocate_chain_into<A: Availability>(
     let AllocScratch {
         rem,
         nodes,
+        node_class,
+        classes,
         frontiers,
     } = scratch;
     let rem: &[SimDuration] = rem;
     let nodes: &[NodeId] = nodes;
+    let node_class: &[usize] = node_class;
+    let self_class = classes.len() - 1;
     // Recycle frontier levels: make sure there are enough, clear the ones
     // this chain will use (keeping inner capacity), leave the rest stale.
     if frontiers.len() < chain.len() {
@@ -239,7 +269,17 @@ pub fn allocate_chain_into<A: Availability>(
         // Split so the previous level stays readable while this one fills.
         let (done, rest) = frontiers.split_at_mut(pos);
         let level = &mut rest[0];
-        let prev_level = done.last();
+        // The previous level and the volume of the arc connecting the
+        // previous chain element to this one.
+        let chain_step = done.last().map(|prev_level| {
+            let prev_task = chain[pos - 1];
+            let chain_edge = ctx
+                .job
+                .incoming(task_id)
+                .find(|e| e.from() == prev_task)
+                .expect("consecutive chain tasks are connected");
+            (prev_level, chain_edge.volume())
+        });
         for (ni, &node_id) in nodes.iter().enumerate() {
             if let Some(domain) = ctx.domain {
                 if ctx.pool.node(node_id).domain() != domain {
@@ -278,7 +318,8 @@ pub fn allocate_chain_into<A: Availability>(
                     }
                 }
             }
-            if pos == 0 {
+            let frontier = &mut level[ni];
+            let Some((prev_level, volume)) = chain_step else {
                 let dur = stall_placed + exec;
                 if let Some(state) = fit_state(
                     availability,
@@ -290,48 +331,66 @@ pub fn allocate_chain_into<A: Availability>(
                     task_cost(task.volume(), dur),
                     None,
                 ) {
-                    level[ni].push(state);
+                    frontier.push(state);
                 }
-            } else {
-                // The arc connecting the previous chain element to this one.
-                let prev_task = chain[pos - 1];
-                let chain_edge = ctx
-                    .job
-                    .incoming(task_id)
-                    .find(|e| e.from() == prev_task)
-                    .expect("consecutive chain tasks are connected");
-                let prev_frontier = prev_level.expect("pos > 0 has a previous level");
-                for (pni, prev_states) in prev_frontier.iter().enumerate() {
-                    let prev_node = nodes[pni];
-                    let chain_stall = ctx.policy.consumer_delay(
-                        chain_edge.volume(),
-                        prev_node,
-                        node_id,
-                        ctx.pool,
-                    );
+                continue;
+            };
+            // The chain stall depends on the predecessor's node only
+            // through "same node" and its domain (`consumer_delay`'s
+            // documented invariant), so each class's step is computed
+            // once, from its first predecessor.
+            classes.fill(None);
+            for (pni, prev_states) in prev_level.iter().enumerate() {
+                if prev_states.is_empty() {
+                    continue;
+                }
+                let class = if pni == ni {
+                    self_class
+                } else {
+                    node_class[pni]
+                };
+                let step = *classes[class].get_or_insert_with(|| {
+                    let chain_stall = ctx
+                        .policy
+                        .consumer_delay(volume, nodes[pni], node_id, ctx.pool);
                     let stall = stall_placed.max(chain_stall);
                     let dur = stall + exec;
-                    let step_cost = task_cost(task.volume(), dur);
-                    for (si, prev) in prev_states.iter().enumerate() {
-                        let ready = ready_placed.max_of(prev.finish);
-                        if let Some(state) = fit_state(
-                            availability,
-                            node_id,
-                            ready,
-                            dur,
-                            stall,
-                            finish_bound,
-                            prev.cost + step_cost,
-                            Some((pni, si)),
-                        ) {
-                            level[ni].push(state);
-                        }
+                    ClassStep {
+                        stall,
+                        dur,
+                        cost: task_cost(task.volume(), dur),
+                    }
+                });
+                for (si, prev) in prev_states.iter().enumerate() {
+                    let ready = ready_placed.max_of(prev.finish);
+                    // No fit finishes before `earliest_finish` (`dur` is
+                    // positive: `task_cost` rejects zero wall time).
+                    let earliest_finish = ready.saturating_add(step.dur);
+                    if earliest_finish > finish_bound {
+                        // The fit would fail, and so would every later
+                        // state: they are sorted by finish.
+                        break;
+                    }
+                    let cost = prev.cost + step.cost;
+                    if covered(frontier, earliest_finish, cost) {
+                        // Whatever the fit returned, a kept state would
+                        // dominate it.
+                        continue;
+                    }
+                    if let Some(state) = fit_state(
+                        availability,
+                        node_id,
+                        ready,
+                        step.dur,
+                        step.stall,
+                        finish_bound,
+                        cost,
+                        Some((pni, si)),
+                    ) {
+                        insert_pareto(frontier, state);
                     }
                 }
             }
-        }
-        for states in level.iter_mut() {
-            prune_pareto(states);
         }
         if level.iter().all(Vec::is_empty) {
             return Err(AllocateError { task: task_id });
@@ -424,18 +483,40 @@ fn fit_state<A: Availability>(
     })
 }
 
-/// Keeps only non-dominated `(finish, cost)` states, sorted by finish.
-fn prune_pareto(states: &mut Vec<State>) {
-    states.sort_by_key(|s| (s.finish, s.cost));
-    let mut best_cost = Cost::MAX;
-    states.retain(|s| {
-        if s.cost < best_cost {
-            best_cost = s.cost;
-            true
-        } else {
-            false
-        }
-    });
+/// Whether some state of `frontier` (sorted by finish, strictly
+/// decreasing cost) finishes no later than `finish` at no greater cost.
+fn covered(frontier: &[State], finish: SimTime, cost: Cost) -> bool {
+    let p = frontier.partition_point(|s| s.finish <= finish);
+    p > 0 && frontier[p - 1].cost <= cost
+}
+
+/// Adds `cand` to a Pareto frontier kept sorted by finish with strictly
+/// decreasing cost.
+///
+/// A candidate some kept state weakly dominates is dropped — on an exact
+/// `(finish, cost)` tie the earlier state stays. Otherwise it goes in and
+/// every kept state it weakly dominates goes out. Inserting a sequence
+/// one by one keeps exactly the states, in the same order, that pushing
+/// them all and running the stable-sort prune (`prune_pareto`, kept in
+/// the tests as the reference) would keep.
+fn insert_pareto(frontier: &mut Vec<State>, cand: State) {
+    if covered(frontier, cand.finish, cand.cost) {
+        return;
+    }
+    // States finishing at or after `cand` and costing at least as much
+    // form one run: costs fall as finishes rise, and a kept state with
+    // the same finish costs more (else it covered `cand`).
+    let p = frontier.partition_point(|s| s.finish < cand.finish);
+    let q = p + frontier[p..]
+        .iter()
+        .take_while(|s| s.cost >= cand.cost)
+        .count();
+    if p == q {
+        frontier.insert(p, cand);
+    } else {
+        frontier[p] = cand;
+        frontier.drain(p + 1..q);
+    }
 }
 
 #[cfg(test)]
@@ -446,6 +527,23 @@ mod tests {
     use gridsched_model::perf::Perf;
     use gridsched_model::timetable::{ReservationOwner, Timetable};
     use gridsched_model::volume::Volume;
+    use gridsched_sim::check::check;
+
+    /// The reference prune [`insert_pareto`] must agree with: push every
+    /// candidate, stable-sort by `(finish, cost)`, keep the states that
+    /// are cheaper than everything before them.
+    fn prune_pareto(states: &mut Vec<State>) {
+        states.sort_by_key(|s| (s.finish, s.cost));
+        let mut best_cost = Cost::MAX;
+        states.retain(|s| {
+            if s.cost < best_cost {
+                best_cost = s.cost;
+                true
+            } else {
+                false
+            }
+        });
+    }
 
     fn pool_two_nodes() -> ResourcePool {
         let mut pool = ResourcePool::new();
@@ -625,5 +723,41 @@ mod tests {
         let kept: Vec<(u64, Cost)> = states.iter().map(|s| (s.finish.ticks(), s.cost)).collect();
         // Sorted by finish, strictly decreasing cost: (5,10), (7,7), (10,5).
         assert_eq!(kept, vec![(5, 10), (7, 7), (10, 5)]);
+    }
+
+    /// Inserting candidates one by one keeps the same survivors, in the
+    /// same order and with the same parent tags, as pushing them all and
+    /// pruning — including on exact `(finish, cost)` ties, where the
+    /// earliest-inserted state must win.
+    #[test]
+    fn incremental_frontier_matches_push_all_and_prune() {
+        check(512, |g| {
+            // Narrow ranges force many exact ties.
+            let span = g.u64_in(1, 12);
+            let candidates = g.vec_of(0, 40, |g| (g.u64_in(0, span), g.u64_in(0, span)));
+            let states: Vec<State> = candidates
+                .iter()
+                .enumerate()
+                .map(|(i, &(finish, cost))| State {
+                    start: SimTime::ZERO,
+                    finish: SimTime::from_ticks(finish),
+                    stall: SimDuration::ZERO,
+                    cost,
+                    parent: Some((i % 3, i)),
+                })
+                .collect();
+            let mut reference = states.clone();
+            prune_pareto(&mut reference);
+            let mut incremental = Vec::new();
+            for &s in &states {
+                insert_pareto(&mut incremental, s);
+            }
+            let key = |s: &State| (s.finish, s.cost, s.parent);
+            assert_eq!(
+                incremental.iter().map(key).collect::<Vec<_>>(),
+                reference.iter().map(key).collect::<Vec<_>>(),
+                "candidates {candidates:?}"
+            );
+        });
     }
 }

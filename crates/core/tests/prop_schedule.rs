@@ -2,7 +2,10 @@
 //! feasible — precedence-correct, non-overlapping, deadline-respecting and
 //! consistent with pre-existing background reservations.
 
+use gridsched_core::distribution::Placement;
 use gridsched_core::method::{build_distribution, ScheduleRequest};
+use gridsched_core::objective::Objective;
+use gridsched_core::session::PlanningSession;
 use gridsched_core::strategy::{Strategy as SchedulingStrategy, StrategyConfig, StrategyKind};
 use gridsched_data::policy::DataPolicy;
 use gridsched_model::estimate::EstimateScenario;
@@ -190,4 +193,119 @@ fn scheduling_never_mutates_the_pool() {
         let after: Vec<usize> = pool.nodes().map(|n| pool.timetable(n.id()).len()).collect();
         assert_eq!(before, after);
     });
+}
+
+/// FNV-1a 64-bit over a stream of little-endian words: tiny, stable
+/// across platforms, and sensitive to every field fed to it.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, x: u64) {
+        for b in x.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn placements(&mut self, ps: &[Placement]) {
+        self.word(ps.len() as u64);
+        for p in ps {
+            self.word(p.task.index() as u64);
+            self.word(p.node.index() as u64);
+            self.word(p.window.start().ticks());
+            self.word(p.window.end().ticks());
+            self.word(p.stall.ticks());
+            self.word(p.cost);
+        }
+    }
+}
+
+/// The co-allocation DP's exact output — which Pareto state wins each
+/// tie, and so every placement's node, window, stall and cost — is frozen
+/// here, independently of the campaign-level fingerprints. Covers all
+/// four strategy kinds (so all three data policies and the S3
+/// coarsening) on loaded 3-domain pools, plus `MinTime` admission probes
+/// at several release instants. A change that keeps decisions the same
+/// leaves both hashes untouched.
+#[test]
+fn dp_decisions_match_frozen_fingerprints() {
+    let mut generated = Fnv::new();
+    let mut probed = Fnv::new();
+    for seed in 0..16u64 {
+        let mut rng = SimRng::seed_from(7_000 + seed);
+        let mut pool = generate_pool(&PoolConfig::default(), &mut rng);
+        apply_background_load(
+            &mut pool,
+            &BackgroundConfig {
+                load: 0.1 + 0.05 * (seed % 8) as f64,
+                ..BackgroundConfig::default()
+            },
+            &mut rng,
+        );
+        let job = generate_job(
+            &JobConfig {
+                deadline_factor: 2.0 + (seed % 4) as f64,
+                // Every other job a pipeline: a `MinTime` probe of a
+                // fork-join rarely succeeds, a chain's usually does.
+                width_max: if seed % 2 == 0 { 1 } else { 3 },
+                ..JobConfig::default()
+            },
+            JobId::new(seed),
+            SimTime::ZERO,
+            &mut rng,
+        );
+        for kind in StrategyKind::ALL {
+            let config = StrategyConfig::for_kind(kind, &pool);
+            let strategy = SchedulingStrategy::generate(&job, &pool, &config, SimTime::ZERO);
+            generated.word(strategy.distributions().len() as u64);
+            for d in strategy.distributions() {
+                generated.placements(d.placements());
+                generated.word(d.collisions().len() as u64);
+                for c in d.collisions() {
+                    generated.word(c.task.index() as u64);
+                    generated.word(c.node.index() as u64);
+                    generated.word(c.group as u64);
+                }
+            }
+            generated.word(strategy.failures().len() as u64);
+            for f in strategy.failures() {
+                generated.word(f.task.index() as u64);
+            }
+        }
+        let kind = StrategyKind::ALL[(seed % 4) as usize];
+        let config = StrategyConfig::for_kind(kind, &pool);
+        let session = PlanningSession::open(&pool);
+        for release in [0u64, 7, 25, 60] {
+            let release = SimTime::from_ticks(release);
+            let req = ScheduleRequest {
+                job: &job,
+                pool: &pool,
+                policy: config.policy(),
+                scenario: EstimateScenario::BEST,
+                release,
+            };
+            let deadline = release.saturating_add(job.deadline());
+            match session.probe(&req, deadline, Objective::MinTime { budget: None }) {
+                Ok(d) => {
+                    probed.word(1);
+                    probed.placements(d.placements());
+                }
+                Err(e) => {
+                    probed.word(0);
+                    probed.word(e.task.index() as u64);
+                }
+            }
+        }
+    }
+    assert_eq!(
+        (generated.0, probed.0),
+        (0xc747_6552_84f0_76c8, 0xf727_7236_3cfd_d520),
+        "DP output moved: generate {:#018x}, probe {:#018x}",
+        generated.0,
+        probed.0
+    );
 }

@@ -135,6 +135,14 @@ impl DataPolicy {
 
     /// Delay the consumer of a data arc observes before it can start, when
     /// the producer ran on `from` and the consumer runs on `to`.
+    ///
+    /// For a fixed consumer `to`, the delay depends on the producer only
+    /// through whether `from == to` and through `from`'s domain: whenever
+    /// `a != to`, `b != to` and `a` and `b` share a domain,
+    /// `consumer_delay(v, a, to) == consumer_delay(v, b, to)`. The
+    /// co-allocation DP relies on this to compute one step per
+    /// predecessor class instead of one per predecessor node (DESIGN §4);
+    /// every policy kind must keep it.
     #[must_use]
     pub fn consumer_delay(
         &self,

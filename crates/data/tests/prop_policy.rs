@@ -53,6 +53,43 @@ fn delays_are_sane() {
     });
 }
 
+/// A consumer's delay depends on the producer only through "same node"
+/// and the producer's domain: two other producers in one domain cost the
+/// consumer the same, under every policy and transfer model.
+#[test]
+fn delay_depends_on_the_producer_only_through_its_domain() {
+    check(256, |g| {
+        let domains = gen_domains(g, 2, 9);
+        let volume = Volume::new(g.f64_in(0.0, 50.0));
+        let model = TransferModel::new(
+            g.f64_in(0.5, 10.0),
+            g.f64_in(0.5, 10.0),
+            SimDuration::from_ticks(g.u64_in(0, 3)),
+        );
+        let pool = pool_with(&domains);
+        for policy in policies(&pool) {
+            let policy = policy.with_transfer_model(model.clone());
+            for to in pool.nodes() {
+                for a in pool.nodes().filter(|a| a.id() != to.id()) {
+                    for b in pool
+                        .nodes()
+                        .filter(|b| b.id() != to.id() && b.domain() == a.domain())
+                    {
+                        assert_eq!(
+                            policy.consumer_delay(volume, a.id(), to.id(), &pool),
+                            policy.consumer_delay(volume, b.id(), to.id(), &pool),
+                            "{policy}: {} and {} differ towards {}",
+                            a.id(),
+                            b.id(),
+                            to.id()
+                        );
+                    }
+                }
+            }
+        }
+    });
+}
+
 /// Replication's consumer delay never exceeds remote access's for the
 /// same arc: a local replica is at least as close as the producer.
 #[test]
