@@ -28,10 +28,12 @@ use gridsched_model::estimate::EstimateScenario;
 use gridsched_model::ids::{NodeId, TaskId};
 use gridsched_model::job::Job;
 use gridsched_model::node::ResourcePool;
+use gridsched_model::volume::Volume;
 use gridsched_model::window::TimeWindow;
 
 use crate::cost::{task_cost, Cost};
 use crate::distribution::Placement;
+use crate::objective::Objective;
 
 /// Shared inputs of one scheduling run.
 #[derive(Debug)]
@@ -128,6 +130,21 @@ struct ClassStep {
     cost: Cost,
 }
 
+/// What placed neighbours impose on one `(task, node)`, whatever the DP
+/// predecessor state.
+#[derive(Debug, Clone, Copy)]
+struct NodeStep {
+    /// The task's scenario-scaled execution time on the node.
+    exec: SimDuration,
+    /// Earliest start: the release, or the end of a placed producer.
+    ready: SimTime,
+    /// Input-staging stall from placed producers.
+    stall: SimDuration,
+    /// Latest finish: the deadline less the optimistic remaining work, or
+    /// a placed consumer's start less the transfer to it.
+    finish_bound: SimTime,
+}
+
 /// Reusable buffers for the co-allocation dynamic program.
 ///
 /// One scheduling pass allocates several chains against the same
@@ -151,6 +168,18 @@ pub struct AllocScratch {
     /// the current chain length are stale leftovers from longer chains and
     /// are ignored.
     frontiers: Vec<Vec<Vec<State>>>,
+    /// Earliest-finish pass (rule 4 in DESIGN §4): the earliest finish of
+    /// any state at the current and the previous position, per node
+    /// index (`None`: no state).
+    earliest: Vec<Option<SimTime>>,
+    earliest_prev: Vec<Option<SimTime>>,
+    /// Per domain, the two earliest previous-position finishes and the
+    /// node indices they belong to (the second stands in for the domain
+    /// when the first is the target node itself).
+    domain_earliest: Vec<[Option<(SimTime, usize)>; 2]>,
+    /// `tail[position]`: the least execution time of the chain after
+    /// `position`.
+    tail: Vec<SimDuration>,
 }
 
 impl AllocScratch {
@@ -173,6 +202,8 @@ impl AllocScratch {
         }));
         self.classes.clear();
         self.classes.resize(domains.len() + 1, None);
+        self.domain_earliest.clear();
+        self.domain_earliest.resize(domains.len(), [None; 2]);
     }
 }
 
@@ -216,6 +247,11 @@ pub fn allocate_chain<A: Availability>(
 /// for this `ctx` beforehand. Produces bit-identical results to the
 /// allocating wrapper.
 ///
+/// Under [`Objective::FASTEST`] a cheap earliest-finish pass first fixes
+/// the chain's earliest final finish `F*`, and the Pareto pass then keeps
+/// only states that can still reach it (rule 4 in DESIGN §4). The
+/// placements and errors are those of the Pareto pass alone.
+///
 /// # Errors
 ///
 /// Returns [`AllocateError`] naming the first chain task that cannot be
@@ -239,12 +275,25 @@ pub fn allocate_chain_into<A: Availability>(
         "availability view must cover every node"
     );
     out.clear();
+    let fastest_finish = if ctx.objective == Objective::FASTEST {
+        Some(earliest_finish_pass(
+            ctx,
+            chain,
+            placed,
+            availability,
+            scratch,
+        )?)
+    } else {
+        None
+    };
     let AllocScratch {
         rem,
         nodes,
         node_class,
         classes,
         frontiers,
+        tail,
+        ..
     } = scratch;
     let rem: &[SimDuration] = rem;
     let nodes: &[NodeId] = nodes;
@@ -271,53 +320,23 @@ pub fn allocate_chain_into<A: Availability>(
         let level = &mut rest[0];
         // The previous level and the volume of the arc connecting the
         // previous chain element to this one.
-        let chain_step = done.last().map(|prev_level| {
-            let prev_task = chain[pos - 1];
-            let chain_edge = ctx
-                .job
-                .incoming(task_id)
-                .find(|e| e.from() == prev_task)
-                .expect("consecutive chain tasks are connected");
-            (prev_level, chain_edge.volume())
-        });
+        let chain_step = done
+            .last()
+            .map(|prev_level| (prev_level, chain_volume(ctx.job, chain[pos - 1], task_id)));
+        // A state finishing after `F* - S(pos)` cannot be on the path to
+        // `F*`: the tasks after it need at least `S(pos)`.
+        let reach_bound = fastest_finish.map(|f| saturating_deadline(f, tail[pos]));
         for (ni, &node_id) in nodes.iter().enumerate() {
-            if let Some(domain) = ctx.domain {
-                if ctx.pool.node(node_id).domain() != domain {
-                    continue;
-                }
-            }
-            let perf = ctx.pool.node(node_id).perf();
-            if !task.runs_on(perf) {
+            let Some(NodeStep {
+                exec,
+                ready: ready_placed,
+                stall: stall_placed,
+                finish_bound,
+            }) = node_step(ctx, rem, placed, task_id, node_id)
+            else {
                 continue;
-            }
-            let exec = ctx.scenario.duration(task, perf);
-            // Constraints from placed neighbours, independent of the DP
-            // predecessor state.
-            let mut ready_placed = ctx.release;
-            let mut stall_placed = SimDuration::ZERO;
-            for e in ctx.job.incoming(task_id) {
-                if let Some(p) = placed.get(&e.from()) {
-                    ready_placed = ready_placed.max_of(p.window.end());
-                    let d = ctx
-                        .policy
-                        .consumer_delay(e.volume(), p.node, node_id, ctx.pool);
-                    if d > stall_placed {
-                        stall_placed = d;
-                    }
-                }
-            }
-            let mut finish_bound = saturating_deadline(ctx.deadline, rem[task_id.index()]);
-            for e in ctx.job.outgoing(task_id) {
-                if let Some(p) = placed.get(&e.to()) {
-                    let d = ctx
-                        .policy
-                        .consumer_delay(e.volume(), node_id, p.node, ctx.pool);
-                    let bound = saturating_deadline(p.window.start(), d);
-                    if bound < finish_bound {
-                        finish_bound = bound;
-                    }
-                }
-            }
+            };
+            let finish_bound = reach_bound.map_or(finish_bound, |b| finish_bound.min(b));
             let frontier = &mut level[ni];
             let Some((prev_level, volume)) = chain_step else {
                 let dur = stall_placed + exec;
@@ -457,6 +476,177 @@ pub fn allocate_chain_into<A: Availability>(
     Ok(())
 }
 
+/// Rule 4 (DESIGN §4), the earliest-finish pass of a [`Objective::FASTEST`]
+/// chain: the earliest finish any Pareto-pass state at each
+/// `(position, node)` has, one level at a time.
+///
+/// `earliest_fit` is monotone in its ready time (a later one never
+/// finishes earlier and never fits where an earlier one failed), and the
+/// chain stall depends on the predecessor only through its class (rule
+/// 1). So of all predecessor states only each class's earliest-finishing
+/// one matters: at most one fit per class, where the Pareto pass makes
+/// one per predecessor state. A class whose `ready + dur` cannot beat the
+/// best finish found so far needs no fit at all.
+///
+/// Returns `F*`, the chain's earliest final finish, and fills
+/// `scratch.tail[pos]` with `S(pos)`, the least execution time of the
+/// tasks after `pos` over the nodes the DP considers for them.
+///
+/// # Errors
+///
+/// A level is empty here exactly when it is empty in the Pareto pass, so
+/// the error names the same task.
+fn earliest_finish_pass<A: Availability>(
+    ctx: &AllocationContext<'_>,
+    chain: &[TaskId],
+    placed: &HashMap<TaskId, Placement>,
+    availability: &A,
+    scratch: &mut AllocScratch,
+) -> Result<SimTime, AllocateError> {
+    let AllocScratch {
+        rem,
+        nodes,
+        node_class,
+        earliest,
+        earliest_prev,
+        domain_earliest,
+        tail,
+        ..
+    } = scratch;
+    tail.clear();
+    for (pos, &task_id) in chain.iter().enumerate() {
+        std::mem::swap(earliest, earliest_prev);
+        earliest.clear();
+        earliest.resize(nodes.len(), None);
+        let volume = (pos > 0).then(|| chain_volume(ctx.job, chain[pos - 1], task_id));
+        if pos > 0 {
+            domain_earliest.fill([None; 2]);
+            for (pni, &finish) in earliest_prev.iter().enumerate() {
+                let Some(finish) = finish else {
+                    continue;
+                };
+                let top = &mut domain_earliest[node_class[pni]];
+                if top[0].is_none_or(|(f, _)| finish < f) {
+                    top[1] = top[0];
+                    top[0] = Some((finish, pni));
+                } else if top[1].is_none_or(|(f, _)| finish < f) {
+                    top[1] = Some((finish, pni));
+                }
+            }
+        }
+        let mut least_exec: Option<SimDuration> = None;
+        for (ni, &node_id) in nodes.iter().enumerate() {
+            let Some(step) = node_step(ctx, rem, placed, task_id, node_id) else {
+                continue;
+            };
+            least_exec = Some(least_exec.map_or(step.exec, |e| e.min(step.exec)));
+            let Some(volume) = volume else {
+                let dur = step.stall + step.exec;
+                earliest[ni] = availability
+                    .earliest_fit(node_id, step.ready, dur, step.finish_bound)
+                    .map(|start| start + dur);
+                continue;
+            };
+            // The node itself, then each domain's earliest other node.
+            let own = earliest_prev[ni].map(|finish| (finish, ni));
+            let others = domain_earliest.iter().filter_map(|top| match top[0] {
+                Some((_, pni)) if pni == ni => top[1],
+                first => first,
+            });
+            for (finish, pni) in own.into_iter().chain(others) {
+                let chain_stall = ctx
+                    .policy
+                    .consumer_delay(volume, nodes[pni], node_id, ctx.pool);
+                let dur = step.stall.max(chain_stall) + step.exec;
+                let ready = step.ready.max_of(finish);
+                if earliest[ni].is_some_and(|e| ready.saturating_add(dur) >= e) {
+                    // No fit from here finishes earlier than one found.
+                    continue;
+                }
+                if let Some(start) =
+                    availability.earliest_fit(node_id, ready, dur, step.finish_bound)
+                {
+                    let finish = start + dur;
+                    if earliest[ni].is_none_or(|e| finish < e) {
+                        earliest[ni] = Some(finish);
+                    }
+                }
+            }
+        }
+        if earliest.iter().all(Option::is_none) {
+            return Err(AllocateError { task: task_id });
+        }
+        tail.push(least_exec.expect("a non-empty level considered some node"));
+    }
+    // Each slot holds its own position's least execution time; turn them
+    // into sums over the positions after it.
+    let mut after = SimDuration::ZERO;
+    for slot in tail.iter_mut().rev() {
+        let own = std::mem::replace(slot, after);
+        after += own;
+    }
+    Ok(earliest
+        .iter()
+        .flatten()
+        .copied()
+        .min()
+        .expect("the last level is non-empty"))
+}
+
+/// The constraints placed neighbours put on `task_id` at `node_id`, or
+/// `None` when the DP does not consider the node: it lies outside
+/// `ctx.domain`, or is too slow for the task.
+fn node_step(
+    ctx: &AllocationContext<'_>,
+    rem: &[SimDuration],
+    placed: &HashMap<TaskId, Placement>,
+    task_id: TaskId,
+    node_id: NodeId,
+) -> Option<NodeStep> {
+    let node = ctx.pool.node(node_id);
+    if ctx.domain.is_some_and(|domain| node.domain() != domain) {
+        return None;
+    }
+    let task = ctx.job.task(task_id);
+    if !task.runs_on(node.perf()) {
+        return None;
+    }
+    let mut ready = ctx.release;
+    let mut stall = SimDuration::ZERO;
+    for e in ctx.job.incoming(task_id) {
+        if let Some(p) = placed.get(&e.from()) {
+            ready = ready.max_of(p.window.end());
+            stall = stall.max(
+                ctx.policy
+                    .consumer_delay(e.volume(), p.node, node_id, ctx.pool),
+            );
+        }
+    }
+    let mut finish_bound = saturating_deadline(ctx.deadline, rem[task_id.index()]);
+    for e in ctx.job.outgoing(task_id) {
+        if let Some(p) = placed.get(&e.to()) {
+            let d = ctx
+                .policy
+                .consumer_delay(e.volume(), node_id, p.node, ctx.pool);
+            finish_bound = finish_bound.min(saturating_deadline(p.window.start(), d));
+        }
+    }
+    Some(NodeStep {
+        exec: ctx.scenario.duration(task, node.perf()),
+        ready,
+        stall,
+        finish_bound,
+    })
+}
+
+/// The volume of the arc from `prev` to `task`, consecutive chain tasks.
+fn chain_volume(job: &Job, prev: TaskId, task: TaskId) -> Volume {
+    job.incoming(task)
+        .find(|e| e.from() == prev)
+        .expect("consecutive chain tasks are connected")
+        .volume()
+}
+
 /// `deadline - slack`, clamped at the epoch.
 fn saturating_deadline(deadline: SimTime, slack: SimDuration) -> SimTime {
     SimTime::from_ticks(deadline.ticks().saturating_sub(slack.ticks()))
@@ -522,12 +712,13 @@ fn insert_pareto(frontier: &mut Vec<State>, cand: State) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gridsched_model::availability::TimetableOverlay;
     use gridsched_model::fixtures::pipeline_job;
     use gridsched_model::ids::{DomainId, JobId};
+    use gridsched_model::job::JobBuilder;
     use gridsched_model::perf::Perf;
     use gridsched_model::timetable::{ReservationOwner, Timetable};
-    use gridsched_model::volume::Volume;
-    use gridsched_sim::check::check;
+    use gridsched_sim::check::{check, Gen};
 
     /// The reference prune [`insert_pareto`] must agree with: push every
     /// candidate, stable-sort by `(finish, cost)`, keep the states that
@@ -757,6 +948,131 @@ mod tests {
                 incremental.iter().map(key).collect::<Vec<_>>(),
                 reference.iter().map(key).collect::<Vec<_>>(),
                 "candidates {candidates:?}"
+            );
+        });
+    }
+
+    fn perf(g: &mut Gen, levels: &[f64]) -> Perf {
+        Perf::new(*g.pick(levels)).unwrap()
+    }
+
+    /// A random placed window starting in `[lo, hi]`.
+    fn placed_on(g: &mut Gen, task: TaskId, pool: &ResourcePool, lo: u64, hi: u64) -> Placement {
+        let start = g.u64_in(lo, hi);
+        Placement {
+            task,
+            node: NodeId::new(g.u64_in(0, pool.len() as u64 - 1) as u32),
+            window: TimeWindow::new(
+                SimTime::from_ticks(start),
+                SimTime::from_ticks(start + g.u64_in(1, 10)),
+            )
+            .unwrap(),
+            stall: SimDuration::ZERO,
+            cost: 1,
+        }
+    }
+
+    /// Rule 4 is exact: `FASTEST` (the earliest-finish pass, then the
+    /// Pareto pass bounded by `F* - S(k)`) picks exactly what
+    /// `MinTime { budget: Some(Cost::MAX) }` picks. That objective prefers
+    /// the same states but runs the plain Pareto pass, so it is the
+    /// unbounded reference. Both must give identical placements or fail on
+    /// the same task. Inputs: multi-domain pools under background load,
+    /// tasks with `min_perf`, a chain cut from a pipeline whose tasks
+    /// before and after it are placed, extra placed producers and
+    /// consumers on random chain tasks, both scenarios, all three data
+    /// policies, VO-wide and single-domain contexts.
+    #[test]
+    fn fastest_matches_the_unbounded_pareto_pass() {
+        check(512, |g| {
+            let domains = g.u64_in(1, 3);
+            let mut pool = ResourcePool::new();
+            let mut owner = 0;
+            for _ in 0..g.usize_in(2, 7) {
+                let domain = DomainId::new(g.u64_in(0, domains - 1) as u32);
+                let node = pool.add_node(domain, perf(g, &[0.25, 0.5, 0.75, 1.0]));
+                let mut t = g.u64_in(0, 8);
+                while t < 150 {
+                    let len = g.u64_in(1, 8);
+                    let window =
+                        TimeWindow::new(SimTime::from_ticks(t), SimTime::from_ticks(t + len))
+                            .unwrap();
+                    pool.timetable_mut(node)
+                        .reserve(window, ReservationOwner::Background(owner))
+                        .unwrap();
+                    owner += 1;
+                    t += len + g.u64_in(1, 12);
+                }
+            }
+
+            let mut b = JobBuilder::new();
+            let pipeline: Vec<TaskId> = (0..g.usize_in(1, 8))
+                .map(|_| {
+                    let min_perf = g.chance(0.3).then(|| perf(g, &[0.5, 0.75]));
+                    b.add_task_with(Volume::new(g.f64_in(4.0, 40.0)), min_perf)
+                })
+                .collect();
+            for w in pipeline.windows(2) {
+                b.add_edge(w[0], w[1], Volume::new(g.f64_in(0.0, 30.0)));
+            }
+            // Mostly long chains: the bound bites from the second task on.
+            let first = g.usize_in(0, 1).min(pipeline.len() - 1);
+            let end = pipeline.len() - g.usize_in(0, 1).min(pipeline.len() - first - 1);
+            let chain = &pipeline[first..end];
+            // Placed producers finish early, placed consumers start late.
+            let mut producers: Vec<TaskId> = pipeline[..first].to_vec();
+            let mut consumers: Vec<TaskId> = pipeline[end..].to_vec();
+            for _ in 0..g.usize_in(0, 2) {
+                let side = b.add_task(Volume::new(10.0));
+                let on = *g.pick(chain);
+                let volume = Volume::new(g.f64_in(0.0, 30.0));
+                if g.chance(0.5) {
+                    b.add_edge(side, on, volume);
+                    producers.push(side);
+                } else {
+                    b.add_edge(on, side, volume);
+                    consumers.push(side);
+                }
+            }
+            b.deadline(SimDuration::from_ticks(g.u64_in(30, 250)));
+            let job = b.build(JobId::new(0)).unwrap();
+            let mut placed = HashMap::new();
+            for t in producers {
+                placed.insert(t, placed_on(g, t, &pool, 0, 25));
+            }
+            for t in consumers {
+                placed.insert(t, placed_on(g, t, &pool, 40, 160));
+            }
+
+            let policy = match g.usize_in(0, 2) {
+                0 => DataPolicy::active_replication(),
+                1 => DataPolicy::remote_access(),
+                _ => DataPolicy::static_storage(NodeId::new(0)),
+            };
+            let release = SimTime::from_ticks(g.u64_in(0, 20));
+            let reference = AllocationContext {
+                job: &job,
+                pool: &pool,
+                policy: &policy,
+                scenario: *g.pick(&[EstimateScenario::BEST, EstimateScenario::WORST]),
+                release,
+                deadline: release + job.deadline(),
+                domain: g
+                    .chance(0.5)
+                    .then(|| DomainId::new(g.u64_in(0, domains - 1) as u32)),
+                objective: Objective::MinTime {
+                    budget: Some(Cost::MAX),
+                },
+            };
+            let fastest = AllocationContext {
+                objective: Objective::FASTEST,
+                ..reference
+            };
+            let view = TimetableOverlay::new(pool.snapshot());
+            assert_eq!(
+                allocate_chain(&fastest, chain, &placed, &view),
+                allocate_chain(&reference, chain, &placed, &view),
+                "chain {chain:?}, placed {placed:?}"
             );
         });
     }

@@ -289,20 +289,24 @@ impl<'p> PlanningSession<'p> {
     }
 
     /// A single-pass feasibility probe for online admission control: can
-    /// any supporting schedule meet `deadline` under `objective`?
+    /// the critical works method meet `deadline` when it picks each chain's
+    /// schedule under `objective`?
     ///
     /// Unlike [`PlanningSession::build_distribution_with_objective`] this
-    /// never falls back to `MinCost` — an admission decision wants the
-    /// strict answer for the requested criterion (e.g.
-    /// `Objective::MinTime { budget }` for deadline/budget admission),
-    /// not a best-effort schedule. One critical-works pass, no overlays
+    /// never falls back to a `MinCost` pass when the `objective` pass
+    /// strands a critical work: the answer is the requested criterion's.
+    /// The deadline is strict; a `MinTime { budget }` is not. It ranks the
+    /// states of each critical work, and when no final state fits the
+    /// budget the chain takes its cheapest state instead, so a job whose
+    /// every schedule is over budget still probes `Ok` (with that
+    /// over-budget schedule). One critical-works pass, no overlays
     /// retained; the session snapshot is untouched, so probes are free to
     /// fail.
     ///
     /// # Errors
     ///
-    /// Returns [`ScheduleError`] if no supporting schedule meets the
-    /// deadline under the requested objective.
+    /// Returns [`ScheduleError`] if the pass finds no placement within the
+    /// deadline for some task.
     pub fn probe(
         &self,
         req: &ScheduleRequest<'_>,
@@ -444,8 +448,8 @@ mod tests {
     use super::*;
     use gridsched_data::policy::DataPolicy;
     use gridsched_model::estimate::EstimateScenario;
-    use gridsched_model::fixtures::fig2_job_with_deadline;
-    use gridsched_model::ids::{DomainId, NodeId};
+    use gridsched_model::fixtures::{fig2_job_with_deadline, pipeline_job};
+    use gridsched_model::ids::{DomainId, JobId, NodeId};
     use gridsched_model::perf::Perf;
     use gridsched_model::timetable::ReservationOwner;
     use gridsched_model::window::TimeWindow;
@@ -581,5 +585,42 @@ mod tests {
         assert!(!a.is_free(node, w));
         assert!(b.is_free(node, w), "sibling overlays never see each other");
         assert!(session.overlay().is_free(node, w));
+    }
+
+    /// Pins the documented budget behaviour of `probe`: when no schedule
+    /// of a critical work fits a `MinTime` budget, the probe does not
+    /// fail, it falls back to the cheapest state, which is what `MinCost`
+    /// picks.
+    #[test]
+    fn probe_over_budget_falls_back_to_the_cheapest_schedule() {
+        // A pipeline: one critical work, so `FASTEST` cannot strand a
+        // sibling chain.
+        let job = pipeline_job(
+            JobId::new(0),
+            &[20.0, 30.0, 20.0],
+            SimDuration::from_ticks(60),
+        );
+        let pool = fig2_pool();
+        let policy = DataPolicy::remote_access();
+        let session = PlanningSession::open(&pool);
+        let req = ScheduleRequest {
+            job: &job,
+            pool: &pool,
+            policy: &policy,
+            scenario: EstimateScenario::BEST,
+            release: SimTime::ZERO,
+        };
+        let deadline = job.absolute_deadline();
+        let over_budget = session
+            .probe(&req, deadline, Objective::MinTime { budget: Some(0) })
+            .expect("an unmeetable budget does not fail the probe");
+        assert!(over_budget.cost() > 0, "the schedule exceeds the budget");
+        let cheapest = session.probe(&req, deadline, Objective::MinCost).unwrap();
+        assert_eq!(over_budget.placements(), cheapest.placements());
+        let fastest = session.probe(&req, deadline, Objective::FASTEST).unwrap();
+        assert!(
+            fastest.makespan() < over_budget.makespan(),
+            "the budget ranked states"
+        );
     }
 }

@@ -2,14 +2,17 @@
 //! feasible — precedence-correct, non-overlapping, deadline-respecting and
 //! consistent with pre-existing background reservations.
 
+use std::collections::HashMap;
+
 use gridsched_core::distribution::Placement;
-use gridsched_core::method::{build_distribution, ScheduleRequest};
+use gridsched_core::method::{build_distribution, reschedule_with_objective, ScheduleRequest};
 use gridsched_core::objective::Objective;
 use gridsched_core::session::PlanningSession;
 use gridsched_core::strategy::{Strategy as SchedulingStrategy, StrategyConfig, StrategyKind};
 use gridsched_data::policy::DataPolicy;
 use gridsched_model::estimate::EstimateScenario;
-use gridsched_model::ids::JobId;
+use gridsched_model::ids::{GlobalTaskId, JobId, TaskId};
+use gridsched_model::timetable::ReservationOwner;
 use gridsched_sim::check::{check, Gen};
 use gridsched_sim::rng::SimRng;
 use gridsched_sim::time::SimTime;
@@ -307,5 +310,136 @@ fn dp_decisions_match_frozen_fingerprints() {
         "DP output moved: generate {:#018x}, probe {:#018x}",
         generated.0,
         probed.0
+    );
+}
+
+/// The two other paths that plan under `MinTime`, frozen like
+/// [`dp_decisions_match_frozen_fingerprints`]:
+///
+/// - the urgent replan of the job-flow simulation,
+///   `reschedule_with_objective(.., FASTEST)`, with every other task in
+///   topological order already fixed (and reserved), so the replanned
+///   chains meet placed producers and placed consumers;
+/// - admission probes under `MinTime { budget: Some(b) }` for budgets
+///   from "nothing fits" (the cheapest-state fallback) to "everything
+///   fits".
+///
+/// Both scenarios, all four strategy kinds' data policies, pipelines and
+/// fork-joins on loaded 3-domain pools.
+#[test]
+fn min_time_replans_and_budget_probes_match_frozen_fingerprints() {
+    let mut replanned = Fnv::new();
+    let mut budgeted = Fnv::new();
+    let hash_result = |h: &mut Fnv, result: Result<&[Placement], TaskId>| match result {
+        Ok(ps) => {
+            h.word(1);
+            h.placements(ps);
+        }
+        Err(task) => {
+            h.word(0);
+            h.word(task.index() as u64);
+        }
+    };
+    for seed in 0..16u64 {
+        let mut rng = SimRng::seed_from(9_000 + seed);
+        let mut pool = generate_pool(&PoolConfig::default(), &mut rng);
+        apply_background_load(
+            &mut pool,
+            &BackgroundConfig {
+                load: 0.1 + 0.05 * (seed % 8) as f64,
+                ..BackgroundConfig::default()
+            },
+            &mut rng,
+        );
+        let job = generate_job(
+            &JobConfig {
+                deadline_factor: 2.0 + (seed % 4) as f64,
+                width_max: if seed % 2 == 0 { 1 } else { 3 },
+                ..JobConfig::default()
+            },
+            JobId::new(seed),
+            SimTime::ZERO,
+            &mut rng,
+        );
+        let config = StrategyConfig::for_kind(StrategyKind::ALL[(seed % 4) as usize], &pool);
+        let scenario = if seed % 3 == 0 {
+            EstimateScenario::WORST
+        } else {
+            EstimateScenario::BEST
+        };
+        let req = ScheduleRequest {
+            job: &job,
+            pool: &pool,
+            policy: config.policy(),
+            scenario,
+            release: SimTime::ZERO,
+        };
+        let deadline = job.absolute_deadline();
+
+        // The original plan is a best-case one; the replan runs under the
+        // seed's scenario.
+        let planned = build_distribution(&ScheduleRequest {
+            scenario: EstimateScenario::BEST,
+            ..req
+        });
+        match planned {
+            Ok(plan) => {
+                let mut fixed = HashMap::new();
+                let mut replan_pool = pool.clone();
+                for &t in job.topo_order().iter().step_by(2) {
+                    let p = *plan.placement(t);
+                    replan_pool
+                        .timetable_mut(p.node)
+                        .reserve(
+                            p.window,
+                            ReservationOwner::Task(GlobalTaskId {
+                                job: job.id(),
+                                task: t,
+                            }),
+                        )
+                        .expect("a plan's windows are free");
+                    fixed.insert(t, p);
+                }
+                for release in [0u64, 4] {
+                    let req = ScheduleRequest {
+                        pool: &replan_pool,
+                        release: SimTime::from_ticks(release),
+                        ..req
+                    };
+                    let result =
+                        reschedule_with_objective(&req, &fixed, deadline, Objective::FASTEST);
+                    hash_result(
+                        &mut replanned,
+                        result.as_ref().map(|d| d.placements()).map_err(|e| e.task),
+                    );
+                }
+            }
+            Err(e) => {
+                replanned.word(2);
+                replanned.word(e.task.index() as u64);
+            }
+        }
+
+        let session = PlanningSession::open(&pool);
+        for budget in [0, 6, 12, 20, 35, 1_000] {
+            let result = session.probe(
+                &req,
+                deadline,
+                Objective::MinTime {
+                    budget: Some(budget),
+                },
+            );
+            hash_result(
+                &mut budgeted,
+                result.as_ref().map(|d| d.placements()).map_err(|e| e.task),
+            );
+        }
+    }
+    assert_eq!(
+        (replanned.0, budgeted.0),
+        (0xf7c2_ff5c_fc1d_be65, 0x5d55_7dcc_a4a4_9faf),
+        "MinTime output moved: replan {:#018x}, budget probe {:#018x}",
+        replanned.0,
+        budgeted.0
     );
 }
