@@ -52,10 +52,9 @@
 
 use std::time::{Duration, Instant};
 
-use gridsched::model::availability::TimetableOverlay;
+use gridsched::model::availability::{ProbeConfig, TimetableOverlay};
 use gridsched::model::gap_index::GapIndex;
 use gridsched::model::ids::DomainId;
-use gridsched::model::index_cache::set_index_cache_enabled;
 use gridsched::model::node::ResourcePool;
 use gridsched::model::perf::Perf;
 use gridsched::model::timetable::{ReservationOwner, Timetable};
@@ -260,15 +259,18 @@ fn main() {
             overlay.earliest_fit(node, warm_nb, warm_d, SimTime::MAX)
         });
 
-        // Capture shapes: a full snapshot with the calendar cache
+        // Capture shapes: a full snapshot with the pool's calendar cache
         // disabled (every capture refreezes the window slice, O(R)) vs.
         // enabled and primed (the capture reuses the frozen calendar —
         // and its already-built index — by `Arc`).
-        set_index_cache_enabled(false);
+        pool.set_probe_config(ProbeConfig {
+            calendar_cache: false,
+            ..ProbeConfig::default()
+        });
         let capture_cold = group.bench("cold capture, cache disabled", || {
             pool.snapshot().windows(node).len()
         });
-        set_index_cache_enabled(true);
+        pool.set_probe_config(ProbeConfig::default());
         // Prime: one capture inserts the frozen calendar, one cold probe
         // builds its index inside the shared calendar.
         let primed = TimetableOverlay::new(pool.snapshot());

@@ -33,8 +33,6 @@ use gridsched::flow::oracle;
 use gridsched::flow::simulation::{run_campaign, run_campaign_instrumented, CampaignConfig};
 use gridsched::flow::VoReport;
 use gridsched::metrics::telemetry::Telemetry;
-use gridsched::model::availability::ProbeIndexGuard;
-use gridsched::model::index_cache::set_index_cache_enabled;
 
 use crate::fingerprint::{normalized_fingerprint, online_comparable, report_fingerprint};
 use crate::space::ChaosCampaign;
@@ -279,17 +277,10 @@ pub fn run_axes(campaign: &ChaosCampaign, inject: Option<Axis>) -> AxisReport {
 
     // Axis 4: gap-indexed vs linear cold probes. Campaign calendars sit
     // below the default engagement floor, so the base run probes
-    // linearly; this variant replays the whole campaign with the floor
-    // dropped to zero, forcing every cold probe through the gap index.
-    // The guard restores the floor before any verdict so later axes (and
-    // other campaigns in the same process, which tolerate either path by
-    // the same contract) see the default again.
+    // linearly; this variant replays the whole campaign on a pool whose
+    // floor is zero, forcing every cold probe through the gap index.
     {
-        let result = {
-            let _knobs = ProbeIndexGuard::with_floor(0);
-            audited(&base_config, "probe-index-forced")
-        };
-        let mut fp = match result {
+        let mut fp = match audited(&campaign.probe_index_forced_config(), "probe-index-forced") {
             Ok(report) => report_fingerprint(&report),
             Err(failure) => return failed(failure),
         };
@@ -307,17 +298,12 @@ pub fn run_axes(campaign: &ChaosCampaign, inject: Option<Axis>) -> AxisReport {
     }
 
     // Axis 5: the cross-snapshot calendar cache. Replay once with the
-    // cache forced on and the engagement floor at zero (every capture
-    // consults the cache and cached gap indexes actually answer probes),
-    // then once with the cache disabled outright; both must match the
-    // base fingerprint bit for bit.
+    // cache on and the engagement floor at zero (every capture consults
+    // the cache and cached gap indexes actually answer probes), then once
+    // with the cache disabled outright; both must match the base
+    // fingerprint bit for bit.
     {
-        let forced = {
-            let _knobs = ProbeIndexGuard::with_floor(0);
-            set_index_cache_enabled(true);
-            audited(&base_config, "index-cache-forced")
-        };
-        let fp = match forced {
+        let fp = match audited(&campaign.probe_index_forced_config(), "index-cache-forced") {
             Ok(report) => report_fingerprint(&report),
             Err(failure) => return failed(failure),
         };
@@ -329,12 +315,10 @@ pub fn run_axes(campaign: &ChaosCampaign, inject: Option<Axis>) -> AxisReport {
                 actual: fp,
             });
         }
-        let disabled = {
-            let _knobs = ProbeIndexGuard::capture();
-            set_index_cache_enabled(false);
-            audited(&base_config, "index-cache-disabled")
-        };
-        let mut fp = match disabled {
+        let mut fp = match audited(
+            &campaign.index_cache_disabled_config(),
+            "index-cache-disabled",
+        ) {
             Ok(report) => report_fingerprint(&report),
             Err(failure) => return failed(failure),
         };

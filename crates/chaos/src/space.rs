@@ -11,6 +11,7 @@ use gridsched::flow::faults::FaultConfig;
 use gridsched::flow::metascheduler::FlowAssignment;
 use gridsched::flow::online::OnlineConfig;
 use gridsched::flow::simulation::CampaignConfig;
+use gridsched::model::availability::ProbeConfig;
 use gridsched::sim::rng::SimRng;
 use gridsched::sim::time::SimDuration;
 use gridsched::workload::arrivals::ArrivalProcess;
@@ -179,6 +180,38 @@ impl ChaosCampaign {
             seed: self.seed,
             ..CampaignConfig::default()
         }
+    }
+
+    /// [`ChaosCampaign::base_config`] with the gap index engaged on every
+    /// calendar (floor zero; calendar cache on, as by default). Campaign
+    /// calendars sit below the default floor, so the base run probes
+    /// linearly and this variant sends every cold probe through the
+    /// index. The `probe-index` axis runs it, and so does the
+    /// `index-cache` axis as its cache-forced variant: with the floor at
+    /// zero, cached gap indexes actually answer probes.
+    #[must_use]
+    pub fn probe_index_forced_config(&self) -> CampaignConfig {
+        self.with_probe(ProbeConfig {
+            index_floor: 0,
+            calendar_cache: true,
+        })
+    }
+
+    /// [`ChaosCampaign::base_config`] with the calendar cache off: every
+    /// capture refreezes every node. The `index-cache` axis's second
+    /// variant.
+    #[must_use]
+    pub fn index_cache_disabled_config(&self) -> CampaignConfig {
+        self.with_probe(ProbeConfig {
+            calendar_cache: false,
+            ..ProbeConfig::default()
+        })
+    }
+
+    fn with_probe(&self, probe: ProbeConfig) -> CampaignConfig {
+        let mut config = self.base_config();
+        config.pool_config.probe = probe;
+        config
     }
 
     /// [`ChaosCampaign::base_config`] with every release gap collapsed to

@@ -1,6 +1,7 @@
 //! Differential property tests: generated campaigns agree across every
 //! axis, and the sweep machinery is deterministic end to end.
 
+use gridsched::flow::simulation::{run_campaign_instrumented, CampaignConfig};
 use gridsched::metrics::telemetry::{Counter, Telemetry};
 use gridsched_chaos::{run_axes, run_sweep, ChaosCampaign, SweepConfig};
 
@@ -16,6 +17,45 @@ fn fixed_seeds_run_the_full_differential_clean() {
             report.failure.is_none(),
             "generator seed {generator_seed} diverged: {:?}\ncampaign: {campaign:?}",
             report.failure
+        );
+    }
+}
+
+/// The probe-config variants the `probe-index` and `index-cache` axes
+/// replay must actually reach the pool: forcing the floor to zero sends
+/// cold probes through the gap index, and disabling the calendar cache
+/// leaves every capture uncached. Without this, a variant that never
+/// reached the pool would compare the base run with itself.
+#[test]
+fn probe_config_variants_reach_the_pool() {
+    let counters = |config: &CampaignConfig| {
+        let telemetry = Telemetry::new();
+        let _ = run_campaign_instrumented(config, &telemetry);
+        (
+            telemetry.counter(Counter::IndexSeeks),
+            telemetry.counter(Counter::IndexCacheHits),
+        )
+    };
+    for generator_seed in [0, 1, 2, 3] {
+        let campaign = ChaosCampaign::generate(generator_seed);
+        let (base_seeks, base_hits) = counters(&campaign.base_config());
+        let (forced_seeks, _) = counters(&campaign.probe_index_forced_config());
+        let (_, disabled_hits) = counters(&campaign.index_cache_disabled_config());
+        assert_eq!(
+            base_seeks, 0,
+            "seed {generator_seed}: base calendars stay linear"
+        );
+        assert!(
+            forced_seeks > 0,
+            "seed {generator_seed}: probe-index-forced never seeks"
+        );
+        assert!(
+            base_hits > 0,
+            "seed {generator_seed}: base captures hit the cache"
+        );
+        assert_eq!(
+            disabled_hits, 0,
+            "seed {generator_seed}: index-cache-disabled still hits"
         );
     }
 }

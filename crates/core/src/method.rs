@@ -162,12 +162,7 @@ pub fn build_distribution_cloning(
     let mut with_job = background.clone();
     run_method_chains(
         req,
-        &HashMap::new(),
-        deadline,
-        true,
-        None,
-        crate::objective::Objective::MinCost,
-        false,
+        &Pass::new(&HashMap::new(), deadline),
         &background,
         &mut with_job,
         // The baseline deliberately pays for a fresh working set per run,
@@ -303,6 +298,44 @@ pub fn build_distribution_recovering(
     PlanningSession::open(req.pool).build_distribution_recovering(req)
 }
 
+/// What one critical-works pass plans beyond its [`ScheduleRequest`]: the
+/// settings the session entry points vary. [`Pass::new`] is the paper's
+/// method; entry points override fields with struct-update syntax.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Pass<'a> {
+    /// Placements kept as they are (tasks that already started); only
+    /// the other tasks are planned.
+    pub(crate) fixed: &'a HashMap<TaskId, Placement>,
+    /// Absolute deadline every placement must meet.
+    pub(crate) deadline: SimTime,
+    /// Ideal allocation against the background, then collision
+    /// resolution (the paper's method). `false` is the single-phase
+    /// ablation: every chain allocates against the true availability.
+    pub(crate) two_phase: bool,
+    /// Restricts placement to one domain's nodes.
+    pub(crate) domain: Option<gridsched_model::ids::DomainId>,
+    /// The criterion each chain's schedule is picked under.
+    pub(crate) objective: crate::objective::Objective,
+    /// One chain per task in topological order (the recovery pass)
+    /// instead of critical works.
+    pub(crate) singleton_chains: bool,
+}
+
+impl<'a> Pass<'a> {
+    /// The paper's method: two phases over the whole pool, `MinCost`,
+    /// critical works.
+    pub(crate) fn new(fixed: &'a HashMap<TaskId, Placement>, deadline: SimTime) -> Self {
+        Pass {
+            fixed,
+            deadline,
+            two_phase: true,
+            domain: None,
+            objective: crate::objective::Objective::MinCost,
+            singleton_chains: false,
+        }
+    }
+}
+
 /// The critical-works engine proper, generic over the availability view.
 ///
 /// `background` and `with_job` must start as equal views of the pool's
@@ -315,15 +348,9 @@ pub fn build_distribution_recovering(
 /// All working buffers live in `scratch` and are reused across passes
 /// (cleared before use, so a fresh [`EngineScratch`] behaves identically
 /// to a recycled one); only the returned [`Distribution`] is allocated.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_method_chains<A: Availability>(
     req: &ScheduleRequest<'_>,
-    fixed: &HashMap<TaskId, Placement>,
-    deadline: SimTime,
-    two_phase: bool,
-    domain: Option<gridsched_model::ids::DomainId>,
-    objective: crate::objective::Objective,
-    singleton_chains: bool,
+    pass: &Pass<'_>,
     background: &A,
     with_job: &mut A,
     scratch: &mut EngineScratch,
@@ -334,9 +361,9 @@ pub(crate) fn run_method_chains<A: Availability>(
         policy: req.policy,
         scenario: req.scenario,
         release: req.release,
-        deadline,
-        domain,
-        objective,
+        deadline: pass.deadline,
+        domain: pass.domain,
+        objective: pass.objective,
     };
     // Chain ranking weights: scenario-scaled durations on the fastest node
     // class; transfers at the cheapest (intra-domain) price.
@@ -347,7 +374,7 @@ pub(crate) fn run_method_chains<A: Availability>(
             .tasks()
             .iter()
             .map(|t| t.id())
-            .filter(|t| !fixed.contains_key(t)),
+            .filter(|t| !pass.fixed.contains_key(t)),
     );
     // Retire the previous pass's critical works, keeping their task
     // vectors' capacity for this pass.
@@ -356,7 +383,7 @@ pub(crate) fn run_method_chains<A: Availability>(
         tasks.clear();
         scratch.spare_tasks.push(tasks);
     }
-    if singleton_chains {
+    if pass.singleton_chains {
         for &t in req.job.topo_order() {
             if !scratch.unassigned.contains(&t) {
                 continue;
@@ -373,14 +400,16 @@ pub(crate) fn run_method_chains<A: Availability>(
     }
 
     scratch.placed.clear();
-    scratch.placed.extend(fixed.iter().map(|(&t, &p)| (t, p)));
+    scratch
+        .placed
+        .extend(pass.fixed.iter().map(|(&t, &p)| (t, p)));
     scratch.alloc.begin_pass(&ctx);
     let mut collisions: Vec<CollisionRecord> = Vec::new();
 
     for work in &scratch.works {
         // Phase 1: ideal allocation against the background only (the
         // single-phase ablation skips straight to the true availability).
-        let ideal = if two_phase {
+        let ideal = if pass.two_phase {
             allocate_chain_into(
                 &ctx,
                 &work.tasks,

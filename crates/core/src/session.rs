@@ -29,7 +29,7 @@ use gridsched_model::ids::TaskId;
 use gridsched_model::node::ResourcePool;
 
 use crate::distribution::{Distribution, Placement};
-use crate::method::{run_method_chains, ScheduleError, ScheduleRequest};
+use crate::method::{run_method_chains, Pass, ScheduleError, ScheduleRequest};
 use crate::objective::Objective;
 use crate::scratch::Scratch;
 
@@ -158,17 +158,11 @@ impl<'p> PlanningSession<'p> {
         TimetableOverlay::new(self.snapshot.clone())
     }
 
-    // The engine's full parameter surface; mirrored by `run_method_chains`.
-    #[allow(clippy::too_many_arguments)]
+    /// Runs one engine pass on two overlays from the thread's arena.
     fn run(
         &self,
         req: &ScheduleRequest<'_>,
-        fixed: &HashMap<TaskId, Placement>,
-        deadline: SimTime,
-        two_phase: bool,
-        domain: Option<gridsched_model::ids::DomainId>,
-        objective: Objective,
-        singleton_chains: bool,
+        pass: &Pass<'_>,
     ) -> Result<Distribution, ScheduleError> {
         debug_assert!(
             std::ptr::eq(self.pool, req.pool),
@@ -186,18 +180,8 @@ impl<'p> PlanningSession<'p> {
             self.telemetry.incr(Counter::OverlaysCreated);
             let background = scratch.take_overlay(&self.snapshot);
             let mut with_job = scratch.take_overlay(&self.snapshot);
-            let result = run_method_chains(
-                req,
-                fixed,
-                deadline,
-                two_phase,
-                domain,
-                objective,
-                singleton_chains,
-                &background,
-                &mut with_job,
-                &mut scratch.engine,
-            );
+            let result =
+                run_method_chains(req, pass, &background, &mut with_job, &mut scratch.engine);
             // Drain before recycling: `reset_to` zeroes undrained stats.
             let probe_stats = background
                 .take_index_stats()
@@ -260,7 +244,7 @@ impl<'p> PlanningSession<'p> {
         fixed: &HashMap<TaskId, Placement>,
         deadline: SimTime,
     ) -> Result<Distribution, ScheduleError> {
-        self.run(req, fixed, deadline, true, None, Objective::MinCost, false)
+        self.run(req, &Pass::new(fixed, deadline))
     }
 
     /// Session form of [`crate::method::reschedule_with_objective`]:
@@ -278,12 +262,13 @@ impl<'p> PlanningSession<'p> {
         deadline: SimTime,
         objective: Objective,
     ) -> Result<Distribution, ScheduleError> {
-        match self.run(req, fixed, deadline, true, None, objective, false) {
+        let paper = Pass::new(fixed, deadline);
+        match self.run(req, &Pass { objective, ..paper }) {
             Ok(d) => Ok(d),
             Err(e) if objective == Objective::MinCost => Err(e),
             Err(_) => {
                 self.telemetry.incr(Counter::ObjectiveFallbacks);
-                self.run(req, fixed, deadline, true, None, Objective::MinCost, false)
+                self.run(req, &paper)
             }
         }
     }
@@ -313,7 +298,13 @@ impl<'p> PlanningSession<'p> {
         deadline: SimTime,
         objective: Objective,
     ) -> Result<Distribution, ScheduleError> {
-        self.run(req, &HashMap::new(), deadline, true, None, objective, false)
+        self.run(
+            req,
+            &Pass {
+                objective,
+                ..Pass::new(&HashMap::new(), deadline)
+            },
+        )
     }
 
     /// Session form of [`crate::method::build_distribution_direct`] (the
@@ -330,12 +321,10 @@ impl<'p> PlanningSession<'p> {
         let deadline = req.release.saturating_add(req.job.deadline());
         self.run(
             req,
-            &HashMap::new(),
-            deadline,
-            false,
-            None,
-            Objective::MinCost,
-            false,
+            &Pass {
+                two_phase: false,
+                ..Pass::new(&HashMap::new(), deadline)
+            },
         )
     }
 
@@ -361,12 +350,10 @@ impl<'p> PlanningSession<'p> {
         let deadline = req.release.saturating_add(req.job.deadline());
         self.run(
             req,
-            &HashMap::new(),
-            deadline,
-            true,
-            Some(domain),
-            Objective::MinCost,
-            false,
+            &Pass {
+                domain: Some(domain),
+                ..Pass::new(&HashMap::new(), deadline)
+            },
         )
     }
 
@@ -384,7 +371,9 @@ impl<'p> PlanningSession<'p> {
         objective: Objective,
     ) -> Result<Distribution, ScheduleError> {
         let deadline = req.release.saturating_add(req.job.deadline());
-        let aggressive = self.run(req, &HashMap::new(), deadline, true, None, objective, false);
+        let no_fixed = HashMap::new();
+        let paper = Pass::new(&no_fixed, deadline);
+        let aggressive = self.run(req, &Pass { objective, ..paper });
         match (aggressive, objective) {
             (Ok(d), _) => Ok(d),
             (Err(e), Objective::MinCost) => Err(e),
@@ -394,15 +383,7 @@ impl<'p> PlanningSession<'p> {
             // the scenario.
             (Err(_), _) => {
                 self.telemetry.incr(Counter::ObjectiveFallbacks);
-                self.run(
-                    req,
-                    &HashMap::new(),
-                    deadline,
-                    true,
-                    None,
-                    Objective::MinCost,
-                    false,
-                )
+                self.run(req, &paper)
             }
         }
     }
@@ -420,24 +401,16 @@ impl<'p> PlanningSession<'p> {
         req: &ScheduleRequest<'_>,
     ) -> Result<Distribution, ScheduleError> {
         let deadline = req.release.saturating_add(req.job.deadline());
-        match self.run(
-            req,
-            &HashMap::new(),
-            deadline,
-            true,
-            None,
-            Objective::MinCost,
-            false,
-        ) {
+        let no_fixed = HashMap::new();
+        let paper = Pass::new(&no_fixed, deadline);
+        match self.run(req, &paper) {
             Ok(d) => Ok(d),
             Err(_) => self.run(
                 req,
-                &HashMap::new(),
-                deadline,
-                true,
-                None,
-                Objective::MinCost,
-                true,
+                &Pass {
+                    singleton_chains: true,
+                    ..paper
+                },
             ),
         }
     }
@@ -447,6 +420,7 @@ impl<'p> PlanningSession<'p> {
 mod tests {
     use super::*;
     use gridsched_data::policy::DataPolicy;
+    use gridsched_model::availability::ProbeConfig;
     use gridsched_model::estimate::EstimateScenario;
     use gridsched_model::fixtures::{fig2_job_with_deadline, pipeline_job};
     use gridsched_model::ids::{DomainId, JobId, NodeId};
@@ -536,12 +510,14 @@ mod tests {
 
     #[test]
     fn index_counters_flow_through_session_runs() {
-        // Fixture calendars are tiny; drop the engagement floor so the
-        // indexed path (and its counters) actually runs. The guard restores
-        // every probe knob on drop, and paths are bit-identical either way.
-        let _knobs = gridsched_model::availability::ProbeIndexGuard::with_floor(0);
         let job = fig2_job_with_deadline(SimDuration::from_ticks(60));
         let mut pool = fig2_pool();
+        // Fixture calendars are tiny; drop this pool's engagement floor so
+        // the indexed path (and its counters) actually runs.
+        pool.set_probe_config(ProbeConfig {
+            index_floor: 0,
+            ..ProbeConfig::default()
+        });
         for i in 0..pool.len() {
             pool.timetable_mut(NodeId::new(i as u32))
                 .reserve(

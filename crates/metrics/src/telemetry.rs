@@ -149,13 +149,12 @@ pub enum Counter {
     /// so this counts distinct node calendars actually probed cold.
     IndexRebuilds,
     /// Cold probes that took the linear merged walk instead of the gap
-    /// index: every cold probe on a node calendar below the engagement
-    /// floor (`DEFAULT_PROBE_INDEX_MIN_WINDOWS` base windows), plus every
-    /// cold probe while the index is switched off (chaos axis, benches).
-    /// With the index on, a run whose calendars all stay below the floor
-    /// shows only bypasses and zero seeks; that is the expected shape
-    /// for sparse pools, not a disabled index. Answers are bit-identical
-    /// either way.
+    /// index: every cold probe on a node calendar below the pool's
+    /// engagement floor (`ProbeConfig::index_floor`, 1k base windows by
+    /// default; `usize::MAX` bypasses every probe). A run whose calendars
+    /// all stay below the floor shows only bypasses and zero seeks; that
+    /// is the expected shape for sparse pools, not a disabled index.
+    /// Answers are bit-identical either way.
     IndexBypasses,
     /// Snapshot captures of a node answered by the pool's cross-snapshot
     /// calendar cache (frozen windows + gap index reused, nothing

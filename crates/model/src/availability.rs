@@ -49,15 +49,14 @@
 //! and re-seed the probe; with no tentative windows on the node the
 //! index answers outright. Answers are bit-identical to the linear walk
 //! — see DESIGN.md §9 and `crates/model/tests/prop_gap_index.rs` — so
-//! the [`set_probe_index_enabled`] switch (chaos axis, benches) can flip
-//! the path at any time without observable effect beyond the
-//! [`IndexStats`] counters.
+//! the path a pool's [`ProbeConfig`] picks has no observable effect
+//! beyond the [`IndexStats`] counters.
 //!
 //! The index only engages for calendars of at least
-//! [`DEFAULT_PROBE_INDEX_MIN_WINDOWS`] base windows
-//! ([`set_probe_index_min_windows`] overrides the floor): below that,
-//! deadline-clipped probes finish the linear walk faster than the build
-//! amortizes even across captures.
+//! [`ProbeConfig::index_floor`] base windows ([`DEFAULT_INDEX_FLOOR`]
+//! unless the pool's config moves it): below that, deadline-clipped
+//! probes finish the linear walk faster than the build amortizes even
+//! across captures.
 //!
 //! # Cross-snapshot calendar sharing
 //!
@@ -72,40 +71,19 @@
 
 use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use gridsched_sim::time::{SimDuration, SimTime};
 
 use crate::gap_index::GapIndex;
 use crate::ids::NodeId;
-use crate::index_cache::{index_cache_enabled, set_index_cache_enabled, NodeCalendar};
+use crate::index_cache::NodeCalendar;
 use crate::node::ResourcePool;
 use crate::timetable::{ReservationOwner, Timetable};
 use crate::window::TimeWindow;
 
-/// Process-global switch for the gap-indexed cold-probe path (default
-/// **on**). Exists for the chaos differential axis and the probe-scaling
-/// bench: both paths return bit-identical answers (the DESIGN.md §9
-/// determinism contract), so flipping this at any point is safe — only
-/// the [`IndexStats`] telemetry counters observe the difference.
-static PROBE_INDEX_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Switches the gap-indexed cold-probe path on or off process-wide.
-pub fn set_probe_index_enabled(enabled: bool) {
-    PROBE_INDEX_ENABLED.store(enabled, Ordering::SeqCst);
-}
-
-/// Whether cold `earliest_fit` probes currently go through the snapshot
-/// gap index.
-#[must_use]
-pub fn probe_index_enabled() -> bool {
-    PROBE_INDEX_ENABLED.load(Ordering::SeqCst)
-}
-
-/// Default for [`set_probe_index_min_windows`]: nodes with fewer base
-/// windows than this answer cold probes linearly even when the index is
-/// enabled.
+/// Default [`ProbeConfig::index_floor`]: nodes with fewer base windows
+/// than this answer cold probes linearly.
 ///
 /// The index trades an O(R) build per (calendar, revision) for O(log R)
 /// probes, so it only pays where calendars are large enough that the
@@ -121,100 +99,50 @@ pub fn probe_index_enabled() -> bool {
 /// a (tiny) build. The warm-capture shape of `BENCH_probe_scaling.json`
 /// justifies the number; the strategy-sweep gate (`bench_check
 /// --require-pooled`) pins that generation did not regress.
-pub const DEFAULT_PROBE_INDEX_MIN_WINDOWS: usize = 1_000;
+pub const DEFAULT_INDEX_FLOOR: usize = 1_000;
 
-/// Per-node engagement floor for the gap index, in base windows. Like
-/// [`set_probe_index_enabled`], safe to change at any time: the paths
-/// are bit-identical, so the floor only moves work between
-/// `index_seeks` and `index_bypasses`. Tests and the chaos `probe-index`
-/// axis force `0` to exercise the indexed path on small calendars.
-static PROBE_INDEX_MIN_WINDOWS: AtomicUsize = AtomicUsize::new(DEFAULT_PROBE_INDEX_MIN_WINDOWS);
-
-/// Sets the minimum base-window count at which cold probes engage the
-/// gap index, process-wide.
-pub fn set_probe_index_min_windows(min: usize) {
-    PROBE_INDEX_MIN_WINDOWS.store(min, Ordering::SeqCst);
-}
-
-/// The current gap-index engagement floor, in base windows per node.
-#[must_use]
-pub fn probe_index_min_windows() -> usize {
-    PROBE_INDEX_MIN_WINDOWS.load(Ordering::SeqCst)
-}
-
-/// RAII guard for the process-global probe knobs: captures the current
-/// [`set_probe_index_enabled`] / [`set_probe_index_min_windows`] /
-/// [`set_index_cache_enabled`] values on construction and restores them
-/// on drop, so tests and chaos axes can force a configuration without
-/// leaking it into the rest of the process.
+/// How a pool's planning probes run: which cold-probe path an
+/// `earliest_fit` takes and whether snapshot captures reuse cached
+/// calendars.
 ///
-/// The guard also holds a process-wide lock while alive: concurrent test
-/// threads forcing different configurations serialize instead of racing
-/// each other's restores. Hold at most one guard per thread (a second
-/// would self-deadlock).
+/// Every choice here is unobservable in the answers (the DESIGN.md §9
+/// contract): the gap-indexed and linear cold probes are bit-identical,
+/// and a cached calendar equals a freshly frozen one. Only the
+/// [`IndexStats`] and [`crate::index_cache::IndexCacheStats`] counters
+/// see the difference. The value lives on the [`ResourcePool`]
+/// ([`ResourcePool::set_probe_config`]) and is fixed into each
+/// [`AvailabilitySnapshot`] at capture, so pools with different configs
+/// can plan side by side on different threads.
 ///
 /// ```
-/// use gridsched_model::availability::{probe_index_min_windows, ProbeIndexGuard};
+/// use gridsched_model::availability::{ProbeConfig, DEFAULT_INDEX_FLOOR};
 ///
-/// let before = probe_index_min_windows();
-/// {
-///     let _guard = ProbeIndexGuard::with_floor(0);
-///     assert_eq!(probe_index_min_windows(), 0);
-/// }
-/// assert_eq!(probe_index_min_windows(), before);
+/// let default = ProbeConfig::default();
+/// assert_eq!(default.index_floor, DEFAULT_INDEX_FLOOR);
+/// assert!(default.calendar_cache);
+/// // Gap index on every calendar / never engaged.
+/// let forced = ProbeConfig { index_floor: 0, ..default };
+/// let linear = ProbeConfig { index_floor: usize::MAX, ..default };
+/// assert_ne!(forced, linear);
 /// ```
-#[derive(Debug)]
-pub struct ProbeIndexGuard {
-    index_enabled: bool,
-    min_windows: usize,
-    cache_enabled: bool,
-    _serial: std::sync::MutexGuard<'static, ()>,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ProbeConfig {
+    /// Minimum base-window count at which a node's cold probes engage the
+    /// gap index. `0` engages it on every calendar (tests and the chaos
+    /// `probe-index` axis); `usize::MAX` never engages it.
+    pub index_floor: usize,
+    /// Whether [`AvailabilitySnapshot::capture`] consults the pool's
+    /// cross-snapshot calendar cache. Off, every capture refreezes every
+    /// node and nothing becomes resident.
+    pub calendar_cache: bool,
 }
 
-/// Serializes [`ProbeIndexGuard`] holders (see its docs).
-static KNOB_SERIAL: Mutex<()> = Mutex::new(());
-
-impl ProbeIndexGuard {
-    /// Captures the current knob values without changing anything.
-    #[must_use]
-    pub fn capture() -> Self {
-        // A holder that panicked mid-test poisons the lock; the saved
-        // values it restored on unwind are still coherent, so recover.
-        let serial = KNOB_SERIAL
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        ProbeIndexGuard {
-            index_enabled: probe_index_enabled(),
-            min_windows: probe_index_min_windows(),
-            cache_enabled: index_cache_enabled(),
-            _serial: serial,
+impl Default for ProbeConfig {
+    fn default() -> Self {
+        ProbeConfig {
+            index_floor: DEFAULT_INDEX_FLOOR,
+            calendar_cache: true,
         }
-    }
-
-    /// Captures the knobs, then forces the engagement floor to
-    /// `min_windows` (the common test shape: `with_floor(0)` exercises
-    /// the indexed path on tiny calendars).
-    #[must_use]
-    pub fn with_floor(min_windows: usize) -> Self {
-        let guard = ProbeIndexGuard::capture();
-        set_probe_index_min_windows(min_windows);
-        guard
-    }
-
-    /// Captures the knobs, then switches the indexed path on or off.
-    #[must_use]
-    pub fn with_enabled(enabled: bool) -> Self {
-        let guard = ProbeIndexGuard::capture();
-        set_probe_index_enabled(enabled);
-        guard
-    }
-}
-
-impl Drop for ProbeIndexGuard {
-    fn drop(&mut self) {
-        set_probe_index_enabled(self.index_enabled);
-        set_probe_index_min_windows(self.min_windows);
-        set_index_cache_enabled(self.cache_enabled);
     }
 }
 
@@ -229,12 +157,11 @@ pub struct IndexStats {
     /// index (at most once per node per snapshot, `OnceLock`-enforced).
     pub builds: u64,
     /// Cold probes that took the linear merged walk: every cold probe on
-    /// a node whose calendar is below the engagement floor
-    /// ([`DEFAULT_PROBE_INDEX_MIN_WINDOWS`] unless
-    /// [`set_probe_index_min_windows`] moved it), and every cold probe
-    /// while the index is switched off ([`set_probe_index_enabled`]).
-    /// With the index on, sparse pools whose calendars all stay below the
-    /// floor record only bypasses and zero seeks.
+    /// a node whose calendar is below the snapshot's
+    /// [`ProbeConfig::index_floor`] ([`DEFAULT_INDEX_FLOOR`] by default;
+    /// `usize::MAX` sends every cold probe here). Sparse pools whose
+    /// calendars all stay below the floor record only bypasses and zero
+    /// seeks.
     pub bypasses: u64,
 }
 
@@ -399,20 +326,27 @@ struct SnapshotInner {
     /// pool mutations retag the timetable revision and only become
     /// visible through a new capture freezing a new calendar.
     nodes: Box<[Arc<NodeCalendar>]>,
+    /// The pool's [`ProbeConfig::index_floor`] at capture: overlays on
+    /// this snapshot engage the gap index for nodes with at least this
+    /// many base windows.
+    index_floor: usize,
 }
 
 impl AvailabilitySnapshot {
-    /// Captures the current reservations of every node in `pool`.
+    /// Captures the current reservations of every node in `pool`, under
+    /// the pool's [`ProbeConfig`].
     ///
-    /// Consults the pool's [`crate::index_cache::IndexCache`] first
-    /// (unless [`set_index_cache_enabled`] switched it off): a node whose
-    /// timetable revision matches its cached calendar is reused by `Arc`
-    /// bump — no window copy, no index rebuild — and only changed nodes
-    /// freeze fresh calendars (which warm the cache for the next
-    /// capture).
+    /// With [`ProbeConfig::calendar_cache`] on, consults the pool's
+    /// [`crate::index_cache::IndexCache`] first: a node whose timetable
+    /// revision matches its cached calendar is reused by `Arc` bump — no
+    /// window copy, no index rebuild — and only changed nodes freeze
+    /// fresh calendars (which warm the cache for the next capture). The
+    /// config's [`ProbeConfig::index_floor`] is fixed into the snapshot
+    /// and decides the cold-probe path of every overlay on it.
     #[must_use]
     pub fn capture(pool: &ResourcePool) -> Self {
-        let use_cache = index_cache_enabled();
+        let probe = pool.probe_config();
+        let use_cache = probe.calendar_cache;
         let cache = pool.index_cache();
         let freeze = |n: &crate::node::Node| -> Arc<NodeCalendar> {
             let timetable = pool.timetable(n.id());
@@ -434,7 +368,10 @@ impl AvailabilitySnapshot {
         };
         let nodes: Box<[Arc<NodeCalendar>]> = pool.nodes().map(freeze).collect();
         AvailabilitySnapshot {
-            inner: Arc::new(SnapshotInner { nodes }),
+            inner: Arc::new(SnapshotInner {
+                nodes,
+                index_floor: probe.index_floor,
+            }),
         }
     }
 
@@ -842,8 +779,9 @@ impl TimetableOverlay {
     }
 
     /// The cold path behind [`TimetableOverlay::earliest_fit`]: the
-    /// snapshot's gap index when enabled, the linear merged walk
-    /// otherwise. Both return bit-identical answers (DESIGN.md §9).
+    /// snapshot's gap index for nodes at or above its engagement floor,
+    /// the linear merged walk otherwise. Both return bit-identical
+    /// answers (DESIGN.md §9).
     fn earliest_fit_uncached(
         &self,
         node: NodeId,
@@ -851,7 +789,7 @@ impl TimetableOverlay {
         duration: SimDuration,
         deadline: SimTime,
     ) -> Option<SimTime> {
-        if probe_index_enabled() && self.base.windows(node).len() >= probe_index_min_windows() {
+        if self.base.windows(node).len() >= self.base.inner.index_floor {
             self.earliest_fit_indexed(node, not_before, duration, deadline)
         } else {
             let mut stats = self.index_stats.get();
@@ -898,8 +836,8 @@ impl TimetableOverlay {
     }
 
     /// The linear cold path: the pre-index merged base + tentative walk,
-    /// kept as the differential reference and the
-    /// [`set_probe_index_enabled`]`(false)` fallback.
+    /// kept as the differential reference and the path of every node
+    /// below the snapshot's engagement floor.
     fn earliest_fit_linear(
         &self,
         node: NodeId,
@@ -1071,6 +1009,18 @@ mod tests {
         pool
     }
 
+    /// `pool_with_windows` with the engagement floor dropped to zero:
+    /// tiny calendars sit under the default floor, so without this the
+    /// indexed path never runs.
+    fn indexed_pool_with_windows(windows: &[TimeWindow]) -> ResourcePool {
+        let mut pool = pool_with_windows(windows);
+        pool.set_probe_config(ProbeConfig {
+            index_floor: 0,
+            ..ProbeConfig::default()
+        });
+        pool
+    }
+
     #[test]
     fn snapshot_captures_windows_in_order() {
         let pool = pool_with_windows(&[w(5, 10), w(0, 3), w(12, 14)]);
@@ -1155,13 +1105,7 @@ mod tests {
 
     #[test]
     fn index_stats_count_seeks_and_one_shared_build() {
-        // Tiny calendars sit under the default engagement floor; drop it
-        // so the indexed path actually runs. The guard restores the
-        // global on exit; concurrent tests stay safe because the paths
-        // are bit-identical and only the stats tests read the counters
-        // (each through its own overlay's cells).
-        let _knobs = ProbeIndexGuard::with_floor(0);
-        let pool = pool_with_windows(&[w(0, 4), w(10, 12)]);
+        let pool = indexed_pool_with_windows(&[w(0, 4), w(10, 12)]);
         let node = NodeId::new(0);
         let snap = pool.snapshot();
         let a = TimetableOverlay::new(snap.clone());
@@ -1182,8 +1126,7 @@ mod tests {
 
     #[test]
     fn reset_to_rebases_onto_a_fresh_index_epoch() {
-        let _knobs = ProbeIndexGuard::with_floor(0);
-        let mut pool = pool_with_windows(&[w(0, 4)]);
+        let mut pool = indexed_pool_with_windows(&[w(0, 4)]);
         let node = NodeId::new(0);
         let mut overlay = TimetableOverlay::new(pool.snapshot());
         assert_eq!(

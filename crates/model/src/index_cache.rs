@@ -27,30 +27,10 @@
 //!
 //! [`AvailabilitySnapshot`]: crate::availability::AvailabilitySnapshot
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::gap_index::GapIndex;
 use crate::window::TimeWindow;
-
-/// Process-global switch for the cross-snapshot index cache (default
-/// **on**). Exists for the chaos differential `index-cache` axis and the
-/// warm-capture bench: a cached calendar is bit-identical to a freshly
-/// captured one, so flipping this at any time only moves work between
-/// cache hits and rebuilds — the [`IndexCacheStats`] counters are the
-/// only observers.
-static INDEX_CACHE_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Switches the cross-snapshot index cache on or off process-wide.
-pub fn set_index_cache_enabled(enabled: bool) {
-    INDEX_CACHE_ENABLED.store(enabled, Ordering::SeqCst);
-}
-
-/// Whether snapshot captures currently consult the cross-snapshot cache.
-#[must_use]
-pub fn index_cache_enabled() -> bool {
-    INDEX_CACHE_ENABLED.load(Ordering::SeqCst)
-}
 
 /// Default byte budget for resident cached calendars: generous enough for
 /// the §4 reference scale (64 nodes × ~143k windows ≈ 150 MiB of windows

@@ -46,7 +46,7 @@ pub mod volume;
 pub mod window;
 
 pub use availability::{
-    Availability, AvailabilitySnapshot, PlanConflict, ProbeIndexGuard, TimetableOverlay,
+    Availability, AvailabilitySnapshot, PlanConflict, ProbeConfig, TimetableOverlay,
 };
 pub use estimate::{EstimateScenario, ScenarioSweep};
 pub use gap_index::GapIndex;

@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use crate::availability::ProbeConfig;
 use crate::ids::{DomainId, NodeId};
 use crate::index_cache::IndexCache;
 use crate::perf::{Perf, PerfGroup};
@@ -88,6 +89,9 @@ pub struct ResourcePool {
     /// with a fresh empty cache (the `IndexCache` `Clone` impl), so the
     /// derived pool `Clone` stays a deep, independent copy.
     index_cache: IndexCache,
+    /// How snapshots of this pool probe: fixed into every capture, copied
+    /// by `Clone` next to the fresh cache.
+    probe: ProbeConfig,
 }
 
 impl ResourcePool {
@@ -169,6 +173,18 @@ impl ResourcePool {
     #[must_use]
     pub fn index_cache(&self) -> &IndexCache {
         &self.index_cache
+    }
+
+    /// The probe configuration every capture of this pool is taken under.
+    #[must_use]
+    pub fn probe_config(&self) -> ProbeConfig {
+        self.probe
+    }
+
+    /// Sets the probe configuration for later captures; snapshots already
+    /// taken keep the one they were captured with.
+    pub fn set_probe_config(&mut self, probe: ProbeConfig) {
+        self.probe = probe;
     }
 
     /// Iterates over the nodes of one domain.

@@ -8,9 +8,9 @@
 //! shapes (empty calendars, fully packed touching windows, zero
 //! durations, clipped deadlines) where off-by-one descent bugs live.
 
-use gridsched_model::availability::{set_probe_index_enabled, ProbeIndexGuard, TimetableOverlay};
+use gridsched_model::availability::{ProbeConfig, TimetableOverlay};
 use gridsched_model::gap_index::GapIndex;
-use gridsched_model::ids::DomainId;
+use gridsched_model::ids::{DomainId, NodeId};
 use gridsched_model::node::ResourcePool;
 use gridsched_model::perf::Perf;
 use gridsched_model::timetable::{ReservationOwner, Timetable};
@@ -34,6 +34,18 @@ fn gen_timetable(g: &mut Gen, max_attempts: usize) -> Timetable {
         let _ = tt.reserve(w, ReservationOwner::Background(i as u64));
     }
     tt
+}
+
+/// A one-node pool holding `timetable`, probing under `index_floor`.
+fn one_node_pool(timetable: Timetable, index_floor: usize) -> (ResourcePool, NodeId) {
+    let mut pool = ResourcePool::new();
+    pool.set_probe_config(ProbeConfig {
+        index_floor,
+        ..ProbeConfig::default()
+    });
+    let node = pool.add_node(DomainId::new(0), Perf::FULL);
+    *pool.timetable_mut(node) = timetable;
+    (pool, node)
 }
 
 /// A probe drawn to hit every regime: zero durations, starts beyond the
@@ -106,15 +118,11 @@ fn indexed_free_windows_match_materialized_reference() {
 /// equals a materialized timetable holding the union of both layers.
 #[test]
 fn overlay_hybrid_probes_match_materialized_union() {
-    // The generated calendars are far below the default engagement
-    // floor; force the indexed path so the differential bites. The guard
-    // serializes knob-forcing tests and restores the floor on drop.
-    let _knobs = ProbeIndexGuard::with_floor(0);
     check(512, |g| {
         let base = gen_timetable(g, 39);
-        let mut pool = ResourcePool::new();
-        let node = pool.add_node(DomainId::new(0), Perf::FULL);
-        *pool.timetable_mut(node) = base.clone();
+        // The generated calendars are far below the default engagement
+        // floor; force the indexed path so the differential bites.
+        let (pool, node) = one_node_pool(base.clone(), 0);
         let mut overlay = TimetableOverlay::new(pool.snapshot());
         let mut union = base;
         for w in g.vec_of(0, 9, gen_window) {
@@ -139,11 +147,8 @@ fn overlay_hybrid_probes_match_materialized_union() {
 /// through a *new* snapshot (and a new index).
 #[test]
 fn index_survives_reserve_release_and_reset_epochs() {
-    let _knobs = ProbeIndexGuard::with_floor(0);
     check(256, |g| {
-        let mut pool = ResourcePool::new();
-        let node = pool.add_node(DomainId::new(0), Perf::FULL);
-        *pool.timetable_mut(node) = gen_timetable(g, 29);
+        let (mut pool, node) = one_node_pool(gen_timetable(g, 29), 0);
         let mut overlay = TimetableOverlay::new(pool.snapshot());
         let mut held: Vec<TimeWindow> = Vec::new();
         for _ in 0..12 {
@@ -199,36 +204,37 @@ fn index_survives_reserve_release_and_reset_epochs() {
     });
 }
 
-/// Flipping the process-global switch never changes an answer — only
-/// which internal path produced it.
+/// The engagement floor never changes an answer — only which internal
+/// path produced it. Two equal pools, one indexing every calendar and one
+/// never indexing, accept the same tentative windows and answer every
+/// probe alike.
 #[test]
 fn toggle_off_is_observationally_identical() {
-    // The guard serializes with other knob-forcing tests, so the inner
-    // enabled-off window cannot leak into a concurrent test thread.
-    let _knobs = ProbeIndexGuard::with_floor(0);
     check(128, |g| {
-        let mut pool = ResourcePool::new();
-        let node = pool.add_node(DomainId::new(0), Perf::FULL);
-        *pool.timetable_mut(node) = gen_timetable(g, 39);
-        let mut overlay = TimetableOverlay::new(pool.snapshot());
+        let timetable = gen_timetable(g, 39);
+        let (on_pool, node) = one_node_pool(timetable.clone(), 0);
+        let (off_pool, _) = one_node_pool(timetable, usize::MAX);
+        let mut on = TimetableOverlay::new(on_pool.snapshot());
+        let mut off = TimetableOverlay::new(off_pool.snapshot());
         for w in g.vec_of(0, 5, gen_window) {
-            let _ = overlay.reserve_window(node, w);
+            assert_eq!(
+                on.reserve_window(node, w).is_ok(),
+                off.reserve_window(node, w).is_ok(),
+                "accept/reject parity for {w}"
+            );
         }
         let probes: Vec<_> = (0..6).map(|_| gen_probe(g)).collect();
-        let on: Vec<_> = probes
+        let on_answers: Vec<_> = probes
             .iter()
-            .map(|&(nb, d, dl)| overlay.earliest_fit(node, nb, d, dl))
+            .map(|&(nb, d, dl)| on.earliest_fit(node, nb, d, dl))
             .collect();
-        // Cloned overlay for the off run: same base and tentative set;
-        // the probes are distinct, so the clone's cold path (now the
-        // linear walk) actually runs.
-        let off_overlay = overlay.clone();
-        set_probe_index_enabled(false);
-        let off: Vec<_> = probes
+        let off_answers: Vec<_> = probes
             .iter()
-            .map(|&(nb, d, dl)| off_overlay.earliest_fit(node, nb, d, dl))
+            .map(|&(nb, d, dl)| off.earliest_fit(node, nb, d, dl))
             .collect();
-        set_probe_index_enabled(true);
-        assert_eq!(on, off);
+        assert_eq!(on_answers, off_answers, "probes={probes:?}");
+        // Each snapshot kept the path its pool picked.
+        assert_eq!(on.take_index_stats().bypasses, 0, "floor 0 always seeks");
+        assert_eq!(off.take_index_stats().seeks, 0, "floor MAX never seeks");
     });
 }

@@ -11,9 +11,8 @@
 
 use std::sync::Arc;
 
-use gridsched_model::availability::{ProbeIndexGuard, TimetableOverlay};
+use gridsched_model::availability::{ProbeConfig, TimetableOverlay};
 use gridsched_model::ids::{DomainId, GlobalTaskId, JobId, NodeId, TaskId};
-use gridsched_model::index_cache::set_index_cache_enabled;
 use gridsched_model::node::ResourcePool;
 use gridsched_model::perf::Perf;
 use gridsched_model::timetable::{ReservationOwner, Timetable, EMPTY_REVISION};
@@ -49,6 +48,17 @@ fn gen_probe(g: &mut Gen) -> (SimTime, SimDuration, SimTime) {
         SimTime::from_ticks(g.u64_in(0, 500))
     };
     (not_before, duration, deadline)
+}
+
+/// An empty pool that engages the gap index on every calendar, with the
+/// calendar cache on or off.
+fn indexed_pool(calendar_cache: bool) -> ResourcePool {
+    let mut pool = ResourcePool::new();
+    pool.set_probe_config(ProbeConfig {
+        index_floor: 0,
+        calendar_cache,
+    });
+    pool
 }
 
 fn win(a: u64, b: u64) -> TimeWindow {
@@ -177,9 +187,7 @@ fn clone_shares_revision_until_either_side_mutates() {
 /// untouched neighbours keep sharing.
 #[test]
 fn warm_capture_shares_calendars_and_builds_once() {
-    let _knobs = ProbeIndexGuard::with_floor(0);
-    set_index_cache_enabled(true);
-    let mut pool = ResourcePool::new();
+    let mut pool = indexed_pool(true);
     let hot = pool.add_node(DomainId::new(0), Perf::FULL);
     let still = pool.add_node(DomainId::new(0), Perf::FULL);
     for i in 0..40u64 {
@@ -246,10 +254,8 @@ fn warm_capture_shares_calendars_and_builds_once() {
 /// stale window set or index.
 #[test]
 fn capture_through_cache_never_serves_stale_state() {
-    let _knobs = ProbeIndexGuard::with_floor(0);
-    set_index_cache_enabled(true);
     check(96, |g| {
-        let mut pool = ResourcePool::new();
+        let mut pool = indexed_pool(true);
         let n = g.u64_in(1, 4) as usize;
         let nodes: Vec<NodeId> = (0..n)
             .map(|_| pool.add_node(DomainId::new(0), Perf::FULL))
@@ -311,9 +317,7 @@ fn capture_through_cache_never_serves_stale_state() {
 /// resident — but answers are identical (the cache is pure reuse).
 #[test]
 fn disabled_cache_shares_nothing_and_changes_nothing() {
-    let _knobs = ProbeIndexGuard::with_floor(0);
-    set_index_cache_enabled(false);
-    let mut pool = ResourcePool::new();
+    let mut pool = indexed_pool(false);
     let node = pool.add_node(DomainId::new(0), Perf::FULL);
     for i in 0..20u64 {
         pool.timetable_mut(node)

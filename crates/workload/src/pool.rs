@@ -7,6 +7,7 @@
 //! conformed to a job structure, i.e. a task parallelism degree, and was
 //! varied from 20 to 30."
 
+use gridsched_model::availability::ProbeConfig;
 use gridsched_model::ids::DomainId;
 use gridsched_model::node::ResourcePool;
 use gridsched_model::perf::{Perf, PerfGroup};
@@ -23,6 +24,10 @@ pub struct PoolConfig {
     pub domains: u32,
     /// Share of each group `(fast, medium, slow)`; must sum to ~1.
     pub group_shares: (f64, f64, f64),
+    /// How the generated pool's snapshots probe (gap-index floor,
+    /// calendar cache). Never changes a decision, only which internal
+    /// path reaches it.
+    pub probe: ProbeConfig,
 }
 
 impl Default for PoolConfig {
@@ -32,6 +37,7 @@ impl Default for PoolConfig {
             nodes_max: 30,
             domains: 3,
             group_shares: (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0),
+            probe: ProbeConfig::default(),
         }
     }
 }
@@ -62,6 +68,7 @@ impl PoolConfig {
 /// Generates a pool per `config`, drawing performances from each group's
 /// §4 band. Nodes are dealt to domains round-robin so every domain holds a
 /// mix of speeds.
+/// Its snapshots probe under `config.probe`.
 #[must_use]
 pub fn generate_pool(config: &PoolConfig, rng: &mut SimRng) -> ResourcePool {
     config.validate();
@@ -88,6 +95,7 @@ pub fn generate_pool(config: &PoolConfig, rng: &mut SimRng) -> ResourcePool {
     rng.shuffle(&mut perfs);
 
     let mut pool = ResourcePool::new();
+    pool.set_probe_config(config.probe);
     for (i, perf) in perfs.into_iter().enumerate() {
         let domain = DomainId::new((i as u32) % config.domains);
         pool.add_node(domain, perf);
