@@ -22,13 +22,12 @@ use std::fmt;
 
 use gridsched_sim::time::{SimDuration, SimTime};
 
-use gridsched_data::policy::DataPolicy;
+use gridsched_data::policy::{ArcTimes, DataPolicy};
 use gridsched_model::availability::Availability;
 use gridsched_model::estimate::EstimateScenario;
 use gridsched_model::ids::{NodeId, TaskId};
 use gridsched_model::job::Job;
 use gridsched_model::node::ResourcePool;
-use gridsched_model::volume::Volume;
 use gridsched_model::window::TimeWindow;
 
 use crate::cost::{task_cost, Cost};
@@ -122,12 +121,13 @@ struct State {
 
 /// Per-class constants of one DP step (rule 1 in DESIGN §4): the input
 /// stall, reserved wall time and step cost shared by every predecessor
-/// of one class.
+/// of one class. The cost is filled when a first state of the class
+/// gets past the finish-bound test.
 #[derive(Debug, Clone, Copy)]
 struct ClassStep {
     stall: SimDuration,
     dur: SimDuration,
-    cost: Cost,
+    cost: Option<Cost>,
 }
 
 /// What placed neighbours impose on one `(task, node)`, whatever the DP
@@ -145,14 +145,39 @@ struct NodeStep {
     finish_bound: SimTime,
 }
 
+/// A placed neighbour of the task being stepped: the instant it bounds
+/// (a producer's end, a consumer's start), its node and the arc's
+/// transfer times.
+#[derive(Debug, Clone, Copy)]
+struct Neighbour {
+    at: SimTime,
+    node: NodeId,
+    arc: ArcTimes,
+}
+
+/// One chain position of the Pareto DP.
+#[derive(Debug, Default)]
+struct Level {
+    /// `states[node index]` -> Pareto states.
+    states: Vec<Vec<State>>,
+    /// The node indices whose frontier is non-empty, ascending (rule 6 in
+    /// DESIGN §4).
+    occupied: Vec<usize>,
+}
+
+/// A pass-1 fit candidate: `ready + dur`, the least finish any fit from
+/// it can reach, then the fit's ready time and wall time.
+type Candidate = (SimTime, SimTime, SimDuration);
+
 /// Reusable buffers for the co-allocation dynamic program.
 ///
 /// One scheduling pass allocates several chains against the same
 /// [`AllocationContext`]; the downstream-slack table (`rem`), the node
-/// list and each node's domain class are invariant across those chains.
-/// An `AllocScratch` computes the invariants once per pass
-/// ([`Self::begin_pass`]) and recycles the frontier levels across chains
-/// so steady-state planning performs no per-chain heap allocation.
+/// list, each node's domain class and each job arc's transfer times are
+/// invariant across those chains. An `AllocScratch` computes the
+/// invariants once per pass ([`Self::begin_pass`]) and recycles the
+/// frontier levels across chains so steady-state planning performs no
+/// per-chain heap allocation.
 #[derive(Debug, Default)]
 pub struct AllocScratch {
     rem: Vec<SimDuration>,
@@ -160,23 +185,34 @@ pub struct AllocScratch {
     /// `node_class[node index]` = the position of the node's domain in
     /// the pool's domain registry.
     node_class: Vec<usize>,
+    /// `arcs[edge index]`: the transfer times of each job arc (rule 5 in
+    /// DESIGN §4).
+    arcs: Vec<ArcTimes>,
+    /// `steps[position * nodes + node index]`: the chain's placed-neighbour
+    /// constraints, `None` where the DP does not consider the node (rule
+    /// 5). Both passes read it.
+    steps: Vec<Option<NodeStep>>,
+    /// The placed producers and consumers of the task being stepped.
+    producers: Vec<Neighbour>,
+    consumers: Vec<Neighbour>,
     /// Lazily filled per-class step constants of the current
     /// `(position, node)`: one slot per domain, then one for the node
     /// itself.
     classes: Vec<Option<ClassStep>>,
-    /// `frontiers[position][node index] -> Pareto states`. Levels beyond
-    /// the current chain length are stale leftovers from longer chains and
-    /// are ignored.
-    frontiers: Vec<Vec<Vec<State>>>,
-    /// Earliest-finish pass (rule 4 in DESIGN §4): the earliest finish of
-    /// any state at the current and the previous position, per node
-    /// index (`None`: no state).
+    /// `levels[position]`. Levels beyond the current chain length are
+    /// stale leftovers from longer chains and are ignored.
+    levels: Vec<Level>,
+    /// Earliest-finish pass (rule 4 in DESIGN §4):
+    /// `earliest[position * nodes + node index]` is the earliest finish of
+    /// any state there (`None`: no state).
     earliest: Vec<Option<SimTime>>,
-    earliest_prev: Vec<Option<SimTime>>,
     /// Per domain, the two earliest previous-position finishes and the
     /// node indices they belong to (the second stands in for the domain
     /// when the first is the target node itself).
     domain_earliest: Vec<[Option<(SimTime, usize)>; 2]>,
+    /// The fit candidates of one earliest-finish `(position, node)`, at
+    /// most one per domain plus the node itself (rule 7).
+    candidates: Vec<Candidate>,
     /// `tail[position]`: the least execution time of the chain after
     /// `position`.
     tail: Vec<SimDuration>,
@@ -184,7 +220,7 @@ pub struct AllocScratch {
 
 impl AllocScratch {
     /// Prepares the pass-invariant tables (`rem`, `nodes`, domain
-    /// classes) for `ctx`.
+    /// classes, arc transfer times) for `ctx`.
     ///
     /// Must be called once before the first [`allocate_chain_into`] of a
     /// pass and again whenever the context changes (different scenario,
@@ -200,10 +236,89 @@ impl AllocScratch {
                 .binary_search(&n.domain())
                 .expect("every node's domain is registered")
         }));
+        self.arcs.clear();
+        self.arcs.extend(
+            ctx.job
+                .edges()
+                .iter()
+                .map(|e| ctx.policy.arc_times(e.volume())),
+        );
         self.classes.clear();
         self.classes.resize(domains.len() + 1, None);
         self.domain_earliest.clear();
         self.domain_earliest.resize(domains.len(), [None; 2]);
+        self.candidates.clear();
+        self.candidates.reserve(domains.len() + 1);
+    }
+
+    /// Fills `steps` for `chain`: one [`NodeStep`] per `(position, node)`,
+    /// with each placed neighbour looked up once per position.
+    fn fill_steps(
+        &mut self,
+        ctx: &AllocationContext<'_>,
+        chain: &[TaskId],
+        placed: &HashMap<TaskId, Placement>,
+    ) {
+        let AllocScratch {
+            rem,
+            nodes,
+            arcs,
+            steps,
+            producers,
+            consumers,
+            ..
+        } = self;
+        let edges = ctx.job.edges();
+        steps.clear();
+        for &task_id in chain {
+            let task = ctx.job.task(task_id);
+            producers.clear();
+            for &ei in ctx.job.incoming_indices(task_id) {
+                if let Some(p) = placed.get(&edges[ei].from()) {
+                    producers.push(Neighbour {
+                        at: p.window.end(),
+                        node: p.node,
+                        arc: arcs[ei],
+                    });
+                }
+            }
+            consumers.clear();
+            for &ei in ctx.job.outgoing_indices(task_id) {
+                if let Some(p) = placed.get(&edges[ei].to()) {
+                    consumers.push(Neighbour {
+                        at: p.window.start(),
+                        node: p.node,
+                        arc: arcs[ei],
+                    });
+                }
+            }
+            let deadline_bound = saturating_deadline(ctx.deadline, rem[task_id.index()]);
+            steps.extend(nodes.iter().map(|&node_id| {
+                let node = ctx.pool.node(node_id);
+                if ctx.domain.is_some_and(|domain| node.domain() != domain)
+                    || !task.runs_on(node.perf())
+                {
+                    return None;
+                }
+                let mut ready = ctx.release;
+                let mut stall = SimDuration::ZERO;
+                for p in producers.iter() {
+                    ready = ready.max_of(p.at);
+                    stall = stall.max(ctx.policy.delay_from(p.arc, p.node, node_id, ctx.pool));
+                }
+                let mut finish_bound = deadline_bound;
+                for c in consumers.iter() {
+                    let d = ctx.policy.delay_from(c.arc, node_id, c.node, ctx.pool);
+                    finish_bound = finish_bound.min(saturating_deadline(c.at, d));
+                }
+                Some(NodeStep {
+                    exec: ctx.scenario.duration(task, node.perf()),
+                    ready,
+                    stall,
+                    finish_bound,
+                })
+            }));
+        }
     }
 }
 
@@ -275,70 +390,75 @@ pub fn allocate_chain_into<A: Availability>(
         "availability view must cover every node"
     );
     out.clear();
+    scratch.fill_steps(ctx, chain, placed);
     let fastest_finish = if ctx.objective == Objective::FASTEST {
-        Some(earliest_finish_pass(
-            ctx,
-            chain,
-            placed,
-            availability,
-            scratch,
-        )?)
+        Some(earliest_finish_pass(ctx, chain, availability, scratch)?)
     } else {
         None
     };
     let AllocScratch {
-        rem,
         nodes,
         node_class,
+        arcs,
+        steps,
+        earliest,
         classes,
-        frontiers,
+        levels,
         tail,
         ..
     } = scratch;
-    let rem: &[SimDuration] = rem;
     let nodes: &[NodeId] = nodes;
     let node_class: &[usize] = node_class;
     let self_class = classes.len() - 1;
-    // Recycle frontier levels: make sure there are enough, clear the ones
-    // this chain will use (keeping inner capacity), leave the rest stale.
-    if frontiers.len() < chain.len() {
-        frontiers.resize_with(chain.len(), Vec::new);
+    // Recycle levels: make sure there are enough, clear the ones this
+    // chain will use (keeping inner capacity), leave the rest stale.
+    if levels.len() < chain.len() {
+        levels.resize_with(chain.len(), Level::default);
     }
-    for level in frontiers.iter_mut().take(chain.len()) {
-        for states in level.iter_mut() {
+    for level in levels.iter_mut().take(chain.len()) {
+        for states in &mut level.states {
             states.clear();
         }
-        if level.len() != nodes.len() {
-            level.resize_with(nodes.len(), Vec::new);
+        if level.states.len() != nodes.len() {
+            level.states.resize_with(nodes.len(), Vec::new);
         }
+        level.occupied.clear();
     }
 
     for (pos, &task_id) in chain.iter().enumerate() {
         let task = ctx.job.task(task_id);
         // Split so the previous level stays readable while this one fills.
-        let (done, rest) = frontiers.split_at_mut(pos);
+        let (done, rest) = levels.split_at_mut(pos);
         let level = &mut rest[0];
-        // The previous level and the volume of the arc connecting the
-        // previous chain element to this one.
+        // The previous level and the transfer times of the arc connecting
+        // the previous chain element to this one.
         let chain_step = done
             .last()
-            .map(|prev_level| (prev_level, chain_volume(ctx.job, chain[pos - 1], task_id)));
+            .map(|prev| (prev, chain_arc(ctx.job, arcs, chain[pos - 1], task_id)));
         // A state finishing after `F* - S(pos)` cannot be on the path to
         // `F*`: the tasks after it need at least `S(pos)`.
         let reach_bound = fastest_finish.map(|f| saturating_deadline(f, tail[pos]));
+        let row = &steps[pos * nodes.len()..][..nodes.len()];
         for (ni, &node_id) in nodes.iter().enumerate() {
+            if let Some(bound) = reach_bound {
+                // No state here finishes before the first pass's earliest
+                // finish, so none would survive the bound (rule 6).
+                if earliest[pos * nodes.len() + ni].is_none_or(|e| e > bound) {
+                    continue;
+                }
+            }
             let Some(NodeStep {
                 exec,
                 ready: ready_placed,
                 stall: stall_placed,
                 finish_bound,
-            }) = node_step(ctx, rem, placed, task_id, node_id)
+            }) = row[ni]
             else {
                 continue;
             };
             let finish_bound = reach_bound.map_or(finish_bound, |b| finish_bound.min(b));
-            let frontier = &mut level[ni];
-            let Some((prev_level, volume)) = chain_step else {
+            let frontier = &mut level.states[ni];
+            let Some((prev, arc)) = chain_step else {
                 let dur = stall_placed + exec;
                 if let Some(state) = fit_state(
                     availability,
@@ -359,38 +479,35 @@ pub fn allocate_chain_into<A: Availability>(
             // documented invariant), so each class's step is computed
             // once, from its first predecessor.
             classes.fill(None);
-            for (pni, prev_states) in prev_level.iter().enumerate() {
-                if prev_states.is_empty() {
-                    continue;
-                }
+            for &pni in &prev.occupied {
                 let class = if pni == ni {
                     self_class
                 } else {
                     node_class[pni]
                 };
-                let step = *classes[class].get_or_insert_with(|| {
-                    let chain_stall = ctx
-                        .policy
-                        .consumer_delay(volume, nodes[pni], node_id, ctx.pool);
+                let step = classes[class].get_or_insert_with(|| {
+                    let chain_stall = ctx.policy.delay_from(arc, nodes[pni], node_id, ctx.pool);
                     let stall = stall_placed.max(chain_stall);
-                    let dur = stall + exec;
                     ClassStep {
                         stall,
-                        dur,
-                        cost: task_cost(task.volume(), dur),
+                        dur: stall + exec,
+                        cost: None,
                     }
                 });
-                for (si, prev) in prev_states.iter().enumerate() {
-                    let ready = ready_placed.max_of(prev.finish);
+                for (si, prev_state) in prev.states[pni].iter().enumerate() {
+                    let ready = ready_placed.max_of(prev_state.finish);
                     // No fit finishes before `earliest_finish` (`dur` is
-                    // positive: `task_cost` rejects zero wall time).
+                    // positive: execution takes at least one tick).
                     let earliest_finish = ready.saturating_add(step.dur);
                     if earliest_finish > finish_bound {
                         // The fit would fail, and so would every later
                         // state: they are sorted by finish.
                         break;
                     }
-                    let cost = prev.cost + step.cost;
+                    let step_cost = *step
+                        .cost
+                        .get_or_insert_with(|| task_cost(task.volume(), step.dur));
+                    let cost = prev_state.cost + step_cost;
                     if covered(frontier, earliest_finish, cost) {
                         // Whatever the fit returned, a kept state would
                         // dominate it.
@@ -411,7 +528,15 @@ pub fn allocate_chain_into<A: Availability>(
                 }
             }
         }
-        if level.iter().all(Vec::is_empty) {
+        level.occupied.extend(
+            level
+                .states
+                .iter()
+                .enumerate()
+                .filter(|(_, states)| !states.is_empty())
+                .map(|(ni, _)| ni),
+        );
+        if level.occupied.is_empty() {
             return Err(AllocateError { task: task_id });
         }
     }
@@ -419,17 +544,17 @@ pub fn allocate_chain_into<A: Availability>(
     // Pick the best final state under the objective (ties: smaller node
     // index, for determinism). A MinTime budget filters the frontier; if
     // nothing fits the budget the cheapest state is the fallback.
-    let last = &frontiers[chain.len() - 1];
+    let last = &levels[chain.len() - 1];
     let mut best: Option<(usize, usize)> = None;
     let mut cheapest: Option<(usize, usize)> = None;
-    for (ni, states) in last.iter().enumerate() {
-        for (si, s) in states.iter().enumerate() {
+    for &ni in &last.occupied {
+        for (si, s) in last.states[ni].iter().enumerate() {
             let key = (s.finish.ticks(), s.cost);
             if ctx.objective.admits(s.cost) {
                 let better = match best {
                     None => true,
                     Some((bni, bsi)) => {
-                        let b = &last[bni][bsi];
+                        let b = &last.states[bni][bsi];
                         let bkey = (b.finish.ticks(), b.cost);
                         ctx.objective.prefers(key, bkey) || (key == bkey && ni < bni)
                     }
@@ -441,7 +566,7 @@ pub fn allocate_chain_into<A: Availability>(
             let cheaper = match cheapest {
                 None => true,
                 Some((bni, bsi)) => {
-                    let b = &last[bni][bsi];
+                    let b = &last.states[bni][bsi];
                     (s.cost, s.finish, ni) < (b.cost, b.finish, bni)
                 }
             };
@@ -454,10 +579,10 @@ pub fn allocate_chain_into<A: Availability>(
 
     // Backtrack into the caller's buffer.
     for pos in (0..chain.len()).rev() {
-        let state = frontiers[pos][ni][si];
+        let state = levels[pos].states[ni][si];
         let prev_cost = state
             .parent
-            .map(|(pni, psi)| frontiers[pos - 1][pni][psi].cost)
+            .map(|(pni, psi)| levels[pos - 1].states[pni][psi].cost)
             .unwrap_or(0);
         out.push(Placement {
             task: chain[pos],
@@ -485,12 +610,16 @@ pub fn allocate_chain_into<A: Availability>(
 /// chain stall depends on the predecessor only through its class (rule
 /// 1). So of all predecessor states only each class's earliest-finishing
 /// one matters: at most one fit per class, where the Pareto pass makes
-/// one per predecessor state. A class whose `ready + dur` cannot beat the
-/// best finish found so far needs no fit at all.
+/// one per predecessor state. The classes are tried in order of
+/// `ready + dur`, the least finish a fit from them can reach, and the
+/// first that cannot beat the best finish found so far ends the search
+/// (rule 7).
 ///
-/// Returns `F*`, the chain's earliest final finish, and fills
+/// Returns `F*`, the chain's earliest final finish, fills
+/// `scratch.earliest` with every `(position, node)`'s earliest finish and
 /// `scratch.tail[pos]` with `S(pos)`, the least execution time of the
-/// tasks after `pos` over the nodes the DP considers for them.
+/// tasks after `pos` over the nodes the DP considers for them. Reads the
+/// step table [`AllocScratch::fill_steps`] filled.
 ///
 /// # Errors
 ///
@@ -499,26 +628,29 @@ pub fn allocate_chain_into<A: Availability>(
 fn earliest_finish_pass<A: Availability>(
     ctx: &AllocationContext<'_>,
     chain: &[TaskId],
-    placed: &HashMap<TaskId, Placement>,
     availability: &A,
     scratch: &mut AllocScratch,
 ) -> Result<SimTime, AllocateError> {
     let AllocScratch {
-        rem,
         nodes,
         node_class,
+        arcs,
+        steps,
         earliest,
-        earliest_prev,
         domain_earliest,
+        candidates,
         tail,
         ..
     } = scratch;
+    let n = nodes.len();
+    earliest.clear();
+    earliest.resize(chain.len() * n, None);
     tail.clear();
     for (pos, &task_id) in chain.iter().enumerate() {
-        std::mem::swap(earliest, earliest_prev);
-        earliest.clear();
-        earliest.resize(nodes.len(), None);
-        let volume = (pos > 0).then(|| chain_volume(ctx.job, chain[pos - 1], task_id));
+        let (before, rest) = earliest.split_at_mut(pos * n);
+        let earliest_prev = &before[before.len().saturating_sub(n)..];
+        let earliest = &mut rest[..n];
+        let arc = (pos > 0).then(|| chain_arc(ctx.job, arcs, chain[pos - 1], task_id));
         if pos > 0 {
             domain_earliest.fill([None; 2]);
             for (pni, &finish) in earliest_prev.iter().enumerate() {
@@ -534,34 +666,47 @@ fn earliest_finish_pass<A: Availability>(
                 }
             }
         }
+        let row = &steps[pos * n..][..n];
         let mut least_exec: Option<SimDuration> = None;
         for (ni, &node_id) in nodes.iter().enumerate() {
-            let Some(step) = node_step(ctx, rem, placed, task_id, node_id) else {
+            let Some(step) = row[ni] else {
                 continue;
             };
             least_exec = Some(least_exec.map_or(step.exec, |e| e.min(step.exec)));
-            let Some(volume) = volume else {
-                let dur = step.stall + step.exec;
-                earliest[ni] = availability
-                    .earliest_fit(node_id, step.ready, dur, step.finish_bound)
-                    .map(|start| start + dur);
-                continue;
+            candidates.clear();
+            let mut push = |ready: SimTime, dur: SimDuration| {
+                let reach = ready.saturating_add(dur);
+                // A fit from past the finish bound fails; the rest stay
+                // sorted by `reach`.
+                if reach <= step.finish_bound {
+                    let at = candidates.partition_point(|&(r, ..)| r <= reach);
+                    candidates.insert(at, (reach, ready, dur));
+                }
             };
-            // The node itself, then each domain's earliest other node.
-            let own = earliest_prev[ni].map(|finish| (finish, ni));
-            let others = domain_earliest.iter().filter_map(|top| match top[0] {
-                Some((_, pni)) if pni == ni => top[1],
-                first => first,
-            });
-            for (finish, pni) in own.into_iter().chain(others) {
-                let chain_stall = ctx
-                    .policy
-                    .consumer_delay(volume, nodes[pni], node_id, ctx.pool);
-                let dur = step.stall.max(chain_stall) + step.exec;
-                let ready = step.ready.max_of(finish);
-                if earliest[ni].is_some_and(|e| ready.saturating_add(dur) >= e) {
-                    // No fit from here finishes earlier than one found.
-                    continue;
+            match arc {
+                None => push(step.ready, step.stall + step.exec),
+                Some(arc) => {
+                    // The node itself, then each domain's earliest other
+                    // node.
+                    let own = earliest_prev[ni].map(|finish| (finish, ni));
+                    let others = domain_earliest.iter().filter_map(|top| match top[0] {
+                        Some((_, pni)) if pni == ni => top[1],
+                        first => first,
+                    });
+                    for (finish, pni) in own.into_iter().chain(others) {
+                        let chain_stall = ctx.policy.delay_from(arc, nodes[pni], node_id, ctx.pool);
+                        push(
+                            step.ready.max_of(finish),
+                            step.stall.max(chain_stall) + step.exec,
+                        );
+                    }
+                }
+            }
+            for &(reach, ready, dur) in candidates.iter() {
+                if earliest[ni].is_some_and(|e| reach >= e) {
+                    // Neither this fit nor any later one finishes earlier
+                    // than one found.
+                    break;
                 }
                 if let Some(start) =
                     availability.earliest_fit(node_id, ready, dur, step.finish_bound)
@@ -585,7 +730,7 @@ fn earliest_finish_pass<A: Availability>(
         let own = std::mem::replace(slot, after);
         after += own;
     }
-    Ok(earliest
+    Ok(earliest[(chain.len() - 1) * n..]
         .iter()
         .flatten()
         .copied()
@@ -593,58 +738,16 @@ fn earliest_finish_pass<A: Availability>(
         .expect("the last level is non-empty"))
 }
 
-/// The constraints placed neighbours put on `task_id` at `node_id`, or
-/// `None` when the DP does not consider the node: it lies outside
-/// `ctx.domain`, or is too slow for the task.
-fn node_step(
-    ctx: &AllocationContext<'_>,
-    rem: &[SimDuration],
-    placed: &HashMap<TaskId, Placement>,
-    task_id: TaskId,
-    node_id: NodeId,
-) -> Option<NodeStep> {
-    let node = ctx.pool.node(node_id);
-    if ctx.domain.is_some_and(|domain| node.domain() != domain) {
-        return None;
-    }
-    let task = ctx.job.task(task_id);
-    if !task.runs_on(node.perf()) {
-        return None;
-    }
-    let mut ready = ctx.release;
-    let mut stall = SimDuration::ZERO;
-    for e in ctx.job.incoming(task_id) {
-        if let Some(p) = placed.get(&e.from()) {
-            ready = ready.max_of(p.window.end());
-            stall = stall.max(
-                ctx.policy
-                    .consumer_delay(e.volume(), p.node, node_id, ctx.pool),
-            );
-        }
-    }
-    let mut finish_bound = saturating_deadline(ctx.deadline, rem[task_id.index()]);
-    for e in ctx.job.outgoing(task_id) {
-        if let Some(p) = placed.get(&e.to()) {
-            let d = ctx
-                .policy
-                .consumer_delay(e.volume(), node_id, p.node, ctx.pool);
-            finish_bound = finish_bound.min(saturating_deadline(p.window.start(), d));
-        }
-    }
-    Some(NodeStep {
-        exec: ctx.scenario.duration(task, node.perf()),
-        ready,
-        stall,
-        finish_bound,
-    })
-}
-
-/// The volume of the arc from `prev` to `task`, consecutive chain tasks.
-fn chain_volume(job: &Job, prev: TaskId, task: TaskId) -> Volume {
-    job.incoming(task)
-        .find(|e| e.from() == prev)
-        .expect("consecutive chain tasks are connected")
-        .volume()
+/// The transfer times of the arc from `prev` to `task`, consecutive chain
+/// tasks.
+fn chain_arc(job: &Job, arcs: &[ArcTimes], prev: TaskId, task: TaskId) -> ArcTimes {
+    let edges = job.edges();
+    let ei = *job
+        .incoming_indices(task)
+        .iter()
+        .find(|&&ei| edges[ei].from() == prev)
+        .expect("consecutive chain tasks are connected");
+    arcs[ei]
 }
 
 /// `deadline - slack`, clamped at the epoch.
@@ -718,6 +821,7 @@ mod tests {
     use gridsched_model::job::JobBuilder;
     use gridsched_model::perf::Perf;
     use gridsched_model::timetable::{ReservationOwner, Timetable};
+    use gridsched_model::volume::Volume;
     use gridsched_sim::check::{check, Gen};
 
     /// The reference prune [`insert_pareto`] must agree with: push every
@@ -977,18 +1081,20 @@ mod tests {
     /// `MinTime { budget: Some(Cost::MAX) }` picks. That objective prefers
     /// the same states but runs the plain Pareto pass, so it is the
     /// unbounded reference. Both must give identical placements or fail on
-    /// the same task. Inputs: multi-domain pools under background load,
-    /// tasks with `min_perf`, a chain cut from a pipeline whose tasks
-    /// before and after it are placed, extra placed producers and
-    /// consumers on random chain tasks, both scenarios, all three data
+    /// the same task. Inputs: pools of one to nine domains under
+    /// background load, tasks with `min_perf`, a chain cut from a pipeline
+    /// whose tasks before and after it are placed, extra placed producers
+    /// and consumers on random chain tasks, both scenarios, all three data
     /// policies, VO-wide and single-domain contexts.
     #[test]
     fn fastest_matches_the_unbounded_pareto_pass() {
         check(512, |g| {
-            let domains = g.u64_in(1, 3);
+            // Up to nine domains: the earliest-finish pass tries up to
+            // `#domains + 1` candidates per `(position, node)`.
+            let domains = g.u64_in(1, 9);
             let mut pool = ResourcePool::new();
             let mut owner = 0;
-            for _ in 0..g.usize_in(2, 7) {
+            for _ in 0..g.usize_in(2, 4 + domains as usize) {
                 let domain = DomainId::new(g.u64_in(0, domains - 1) as u32);
                 let node = pool.add_node(domain, perf(g, &[0.25, 0.5, 0.75, 1.0]));
                 let mut t = g.u64_in(0, 8);

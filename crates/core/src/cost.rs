@@ -9,7 +9,7 @@
 //! "user should pay additional cost in order to use more powerful resource
 //! or to start the task faster".
 
-use gridsched_sim::time::SimDuration;
+use gridsched_sim::time::{ceil_u64, SimDuration};
 
 use gridsched_model::volume::Volume;
 
@@ -30,7 +30,7 @@ pub fn task_cost(volume: Volume, wall_time: SimDuration) -> Cost {
         "task wall time must be positive for cost evaluation"
     );
     let ratio = volume.units() / wall_time.ticks() as f64;
-    (ratio - 1e-9).ceil().max(0.0) as Cost
+    ceil_u64(ratio - 1e-9)
 }
 
 #[cfg(test)]

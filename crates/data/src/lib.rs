@@ -33,4 +33,4 @@ pub mod policy;
 
 pub use catalog::ReplicaCatalog;
 pub use network::TransferModel;
-pub use policy::{DataPolicy, DataPolicyKind};
+pub use policy::{ArcTimes, DataPolicy, DataPolicyKind};

@@ -1,6 +1,6 @@
 //! Point-to-point data transfer timing.
 
-use gridsched_sim::time::SimDuration;
+use gridsched_sim::time::{ceil_u64, SimDuration};
 
 use gridsched_model::node::Node;
 use gridsched_model::volume::Volume;
@@ -62,7 +62,7 @@ impl TransferModel {
             return SimDuration::ZERO;
         }
         let raw = volume.units() / speed;
-        SimDuration::from_ticks(((raw - 1e-9).ceil().max(0.0) as u64).max(1))
+        SimDuration::from_ticks(ceil_u64(raw - 1e-9).max(1))
     }
 
     /// The fixed latency of inter-domain links.

@@ -44,6 +44,25 @@ impl fmt::Display for DataPolicyKind {
     }
 }
 
+/// The transfer times of one data arc under a [`TransferModel`], from
+/// [`DataPolicy::arc_times`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ArcTimes {
+    /// Time to move the arc's data between two nodes of one domain.
+    pub intra: SimDuration,
+    /// Time to move it across domains, link latency included.
+    pub inter: SimDuration,
+}
+
+impl ArcTimes {
+    /// Whether the arc carries no data. A non-empty transfer takes at
+    /// least one tick, so `intra` is zero exactly for an empty arc.
+    #[must_use]
+    pub fn is_empty(self) -> bool {
+        self.intra.is_zero()
+    }
+}
+
 /// A data policy bound to a transfer model and (for static storage) a
 /// storage node.
 ///
@@ -143,6 +162,9 @@ impl DataPolicy {
     /// co-allocation DP relies on this to compute one step per
     /// predecessor class instead of one per predecessor node (DESIGN §4);
     /// every policy kind must keep it.
+    ///
+    /// Equal to `delay_from(arc_times(volume), from, to, pool)`; callers
+    /// asking about one arc many times compute its [`ArcTimes`] once.
     #[must_use]
     pub fn consumer_delay(
         &self,
@@ -151,26 +173,57 @@ impl DataPolicy {
         to: NodeId,
         pool: &ResourcePool,
     ) -> SimDuration {
-        if from == to || volume.is_zero() {
+        self.delay_from(self.arc_times(volume), from, to, pool)
+    }
+
+    /// The transfer times of an arc carrying `volume`: the only
+    /// floating-point work in a consumer's delay.
+    #[must_use]
+    pub fn arc_times(&self, volume: Volume) -> ArcTimes {
+        ArcTimes {
+            intra: self.model.intra_domain_time(volume),
+            inter: self.model.inter_domain_time(volume),
+        }
+    }
+
+    /// [`Self::consumer_delay`] of the arc whose transfer times are `arc`
+    /// (from [`Self::arc_times`]), in integer arithmetic only.
+    #[must_use]
+    #[inline]
+    pub fn delay_from(
+        &self,
+        arc: ArcTimes,
+        from: NodeId,
+        to: NodeId,
+        pool: &ResourcePool,
+    ) -> SimDuration {
+        if from == to || arc.is_empty() {
             return SimDuration::ZERO;
         }
+        let same_domain = |a: NodeId, b: NodeId| pool.node(a).domain() == pool.node(b).domain();
+        // The point-to-point time between two nodes.
+        let hop = |a: NodeId, b: NodeId| {
+            if a == b {
+                SimDuration::ZERO
+            } else if same_domain(a, b) {
+                arc.intra
+            } else {
+                arc.inter
+            }
+        };
         match self.kind {
             // A replica is pushed into the consumer's domain as the
             // producer finishes; a cross-domain consumer waits one link
             // latency for the push to land, then reads at the intra-domain
             // price.
             DataPolicyKind::ActiveReplication => {
-                let read = self.model.intra_domain_time(volume);
-                if pool.node(from).domain() == pool.node(to).domain() {
-                    read
+                if same_domain(from, to) {
+                    arc.intra
                 } else {
-                    read + self.model.inter_latency()
+                    arc.intra + self.model.inter_latency()
                 }
             }
-            DataPolicyKind::RemoteAccess => {
-                self.model
-                    .point_to_point(volume, pool.node(from), pool.node(to))
-            }
+            DataPolicyKind::RemoteAccess => hop(from, to),
             DataPolicyKind::StaticStorage => {
                 // The producer's write-back to the storage node mostly
                 // overlaps with its own wall time; the consumer pays the
@@ -180,10 +233,8 @@ impl DataPolicy {
                 let storage = self
                     .storage_node
                     .expect("static-storage policy constructed without a storage node");
-                let read = self
-                    .model
-                    .point_to_point(volume, pool.node(storage), pool.node(to));
-                if pool.node(from).domain() == pool.node(storage).domain() {
+                let read = hop(storage, to);
+                if same_domain(from, storage) {
                     read
                 } else {
                     read + self.model.inter_latency()

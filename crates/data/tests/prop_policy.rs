@@ -1,7 +1,7 @@
 //! Property tests: data-policy delay structure.
 
 use gridsched_data::network::TransferModel;
-use gridsched_data::policy::DataPolicy;
+use gridsched_data::policy::{DataPolicy, DataPolicyKind};
 use gridsched_model::ids::{DomainId, NodeId};
 use gridsched_model::node::ResourcePool;
 use gridsched_model::perf::Perf;
@@ -145,6 +145,95 @@ fn traffic_accounting_is_sane() {
             assert!(t.units() >= 0.0);
             let z = policy.network_traffic(Volume::ZERO, from, to, &pool);
             assert!(z.is_zero());
+        }
+    });
+}
+
+/// `consumer_delay` as one float computation per call: the body
+/// `DataPolicy::consumer_delay` had before the arc's transfer times were
+/// split out (`arc_times`, then the integer-only `delay_from`). Kept as
+/// the reference the split must agree with.
+fn reference_delay(
+    policy: &DataPolicy,
+    volume: Volume,
+    from: NodeId,
+    to: NodeId,
+    pool: &ResourcePool,
+) -> SimDuration {
+    if from == to || volume.is_zero() {
+        return SimDuration::ZERO;
+    }
+    let model = policy.transfer_model();
+    match policy.kind() {
+        DataPolicyKind::ActiveReplication => {
+            let read = model.intra_domain_time(volume);
+            if pool.node(from).domain() == pool.node(to).domain() {
+                read
+            } else {
+                read + model.inter_latency()
+            }
+        }
+        DataPolicyKind::RemoteAccess => {
+            model.point_to_point(volume, pool.node(from), pool.node(to))
+        }
+        DataPolicyKind::StaticStorage => {
+            let storage = policy.storage_node().expect("static storage has a node");
+            let read = model.point_to_point(volume, pool.node(storage), pool.node(to));
+            if pool.node(from).domain() == pool.node(storage).domain() {
+                read
+            } else {
+                read + model.inter_latency()
+            }
+        }
+    }
+}
+
+/// `delay_from(arc_times(v), ..)` (and so `consumer_delay`) equals the
+/// per-call float reference for every ordered node pair: all three policy
+/// kinds, any storage node (the storage node as consumer included), zero
+/// and non-zero volumes, same-domain and cross-domain pairs, random
+/// transfer models.
+#[test]
+fn split_delay_matches_the_float_reference() {
+    check(256, |g| {
+        // Two fixed domains guarantee both same- and cross-domain pairs.
+        let mut domains = vec![0, 0, 1];
+        domains.extend(gen_domains(g, 0, 6));
+        let pool = pool_with(&domains);
+        let volume = if g.chance(0.2) {
+            Volume::ZERO
+        } else {
+            Volume::new(g.f64_in(0.0, 50.0))
+        };
+        let model = TransferModel::new(
+            g.f64_in(0.5, 10.0),
+            g.f64_in(0.5, 10.0),
+            SimDuration::from_ticks(g.u64_in(0, 3)),
+        );
+        let storage = NodeId::new(g.usize_in(0, domains.len() - 1) as u32);
+        for policy in [
+            DataPolicy::active_replication(),
+            DataPolicy::remote_access(),
+            DataPolicy::static_storage(storage),
+        ] {
+            let policy = policy.with_transfer_model(model.clone());
+            let arc = policy.arc_times(volume);
+            for from in pool.nodes() {
+                for to in pool.nodes() {
+                    let expected = reference_delay(&policy, volume, from.id(), to.id(), &pool);
+                    assert_eq!(
+                        policy.delay_from(arc, from.id(), to.id(), &pool),
+                        expected,
+                        "{policy}: {volume:?} from {} to {}",
+                        from.id(),
+                        to.id()
+                    );
+                    assert_eq!(
+                        policy.consumer_delay(volume, from.id(), to.id(), &pool),
+                        expected
+                    );
+                }
+            }
         }
     });
 }

@@ -26,7 +26,7 @@ use gridsched_model::ids::{DomainId, NodeId, TaskId};
 use gridsched_model::job::Job;
 use gridsched_model::node::ResourcePool;
 use gridsched_model::timetable::ReservationId;
-use gridsched_sim::time::SimTime;
+use gridsched_sim::time::{SimDuration, SimTime};
 
 /// One job's live state inside a domain's job manager.
 ///
@@ -73,6 +73,13 @@ pub(crate) struct Queued {
     /// queue's FIFO order).
     pub(crate) arrival_seq: u64,
     pub(crate) job: Job,
+    /// The job the admission probe plans: the coarsened job when the
+    /// strategy coarsens (S3), `None` to plan `job` itself. Built once on
+    /// arrival; every re-probe reuses it.
+    pub(crate) planning: Option<Job>,
+    /// `job.critical_path(Perf::FULL)`: the lower bound a failed probe's
+    /// reject test compares against the deadline.
+    pub(crate) critical_path: SimDuration,
     pub(crate) kind: StrategyKind,
     pub(crate) record: usize,
     pub(crate) arrival: SimTime,

@@ -389,6 +389,10 @@ impl Online<'_> {
         // Tentative home until activation: the least-loaded manager
         // queues the arrival (ties to the lowest domain id).
         let home = self.campaign.meta.least_loaded();
+        let planning = StrategyConfig::for_kind(kind, &self.campaign.pool)
+            .coarse_grain()
+            .then(|| coarsen(&job).job);
+        let critical_path = job.critical_path(Perf::FULL);
         self.campaign
             .meta
             .manager_mut(home)
@@ -396,6 +400,8 @@ impl Online<'_> {
             .push_back(Queued {
                 arrival_seq,
                 job,
+                planning,
+                critical_path,
                 kind,
                 record,
                 arrival: at,
@@ -501,13 +507,7 @@ impl Online<'_> {
             .clone()
             .with_transfer_model(self.campaign.config.transfer_model.clone());
         // Probe the job the strategy would actually plan: S3 coarsens.
-        let coarsened;
-        let planning_job = if config.coarse_grain() {
-            coarsened = coarsen(&entry.job).job;
-            &coarsened
-        } else {
-            &entry.job
-        };
+        let planning_job = entry.planning.as_ref().unwrap_or(&entry.job);
         let session = PlanningSession::open_instrumented(
             &self.campaign.pool,
             &self.campaign.telemetry,
@@ -535,7 +535,7 @@ impl Online<'_> {
         // A failed probe defers — today's congestion may clear — unless
         // even a perfect node could no longer fit the critical path before
         // the deadline, in which case no amount of waiting helps.
-        let lower_bound = now.saturating_add(entry.job.critical_path(Perf::FULL));
+        let lower_bound = now.saturating_add(entry.critical_path);
         if lower_bound > entry.deadline_abs {
             Decision::Reject
         } else {

@@ -60,6 +60,7 @@ impl EstimateScenario {
     /// Estimated duration of `task` on a node of performance `perf` under
     /// this scenario.
     #[must_use]
+    #[inline]
     pub fn duration(self, task: &Task, perf: Perf) -> SimDuration {
         task.duration_on(perf).scale_ceil(self.multiplier)
     }

@@ -284,6 +284,20 @@ impl Job {
         self.out_edges[task.index()].iter().map(|&i| &self.edges[i])
     }
 
+    /// Positions in [`Self::edges`] of the arcs entering `task`, in
+    /// [`Self::incoming`] order: a key for per-arc tables.
+    #[must_use]
+    pub fn incoming_indices(&self, task: TaskId) -> &[usize] {
+        &self.in_edges[task.index()]
+    }
+
+    /// Positions in [`Self::edges`] of the arcs leaving `task`, in
+    /// [`Self::outgoing`] order.
+    #[must_use]
+    pub fn outgoing_indices(&self, task: TaskId) -> &[usize] {
+        &self.out_edges[task.index()]
+    }
+
     /// Direct predecessors of `task`.
     pub fn predecessors(&self, task: TaskId) -> impl Iterator<Item = TaskId> + '_ {
         self.incoming(task).map(DataEdge::from)

@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use gridsched_sim::time::SimDuration;
+use gridsched_sim::time::{ceil_u64, SimDuration};
 
 use crate::volume::Volume;
 
@@ -56,12 +56,12 @@ impl Perf {
     /// A zero-volume task still takes one tick: the model has no
     /// instantaneous computations, which keeps schedules well-ordered.
     #[must_use]
+    #[inline]
     pub fn exec_duration(self, volume: Volume) -> SimDuration {
         let raw = volume.units() / (self.0 * BASE_SPEED);
         // Guard against floating-point dust (e.g. 20 / ((1/3)·10) evaluating
         // to 6.000000000000001) pushing an exact quotient up a whole tick.
-        let ticks = (raw - 1e-9).ceil().max(0.0) as u64;
-        SimDuration::from_ticks(ticks.max(1))
+        SimDuration::from_ticks(ceil_u64(raw - 1e-9).max(1))
     }
 }
 

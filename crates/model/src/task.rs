@@ -50,6 +50,7 @@ impl Task {
     /// Whether a node of performance `perf` satisfies the task's resource
     /// requirement.
     #[must_use]
+    #[inline]
     pub fn runs_on(&self, perf: Perf) -> bool {
         self.min_perf.is_none_or(|min| perf >= min)
     }
@@ -57,6 +58,7 @@ impl Task {
     /// Execution time on a node of performance `perf` (the user estimation
     /// `T_ij` of §3 for the base scenario).
     #[must_use]
+    #[inline]
     pub fn duration_on(&self, perf: Perf) -> SimDuration {
         perf.exec_duration(self.volume)
     }

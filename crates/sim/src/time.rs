@@ -79,12 +79,14 @@ impl SimTime {
 
     /// Adds a duration, saturating at [`SimTime::MAX`].
     #[must_use]
+    #[inline]
     pub fn saturating_add(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(d.0))
     }
 
     /// Returns the later of two instants.
     #[must_use]
+    #[inline]
     pub fn max_of(self, other: SimTime) -> SimTime {
         if self >= other {
             self
@@ -134,13 +136,13 @@ impl SimDuration {
     ///
     /// Panics if `factor` is negative, NaN or infinite.
     #[must_use]
+    #[inline]
     pub fn scale_ceil(self, factor: f64) -> SimDuration {
         assert!(
             factor.is_finite() && factor >= 0.0,
             "scale_ceil: factor must be finite and non-negative, got {factor}"
         );
-        let scaled = (self.0 as f64 * factor).ceil();
-        SimDuration(scaled as u64)
+        SimDuration(ceil_u64(self.0 as f64 * factor))
     }
 
     /// Returns the ratio of two durations as `f64`.
@@ -156,9 +158,31 @@ impl SimDuration {
     }
 }
 
+/// `x.ceil() as u64`, without the floating-point `ceil`.
+///
+/// Baseline x86-64 has no rounding instruction, so `f64::ceil` is a
+/// library call; the derived-time and cost roundings sit on the
+/// scheduler's hottest path. The truncating cast saturates exactly as the
+/// `as` cast of the ceiling does (NaN and negatives to 0, anything at or
+/// above 2^64 to `u64::MAX`), and it loses no fraction above 2^53, where
+/// every `f64` is an integer. So adding one exactly when the
+/// truncation fell short of `x` reproduces `x.ceil() as u64` for every
+/// `f64`.
+#[must_use]
+#[inline]
+pub fn ceil_u64(x: f64) -> u64 {
+    let t = x as u64;
+    if (t as f64) < x {
+        t.saturating_add(1)
+    } else {
+        t
+    }
+}
+
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
 
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(
             self.0
@@ -177,6 +201,7 @@ impl AddAssign<SimDuration> for SimTime {
 impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
 
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimTime {
         SimTime(
             self.0
@@ -189,6 +214,7 @@ impl Sub<SimDuration> for SimTime {
 impl Add for SimDuration {
     type Output = SimDuration;
 
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(
             self.0
@@ -207,6 +233,7 @@ impl AddAssign for SimDuration {
 impl Sub for SimDuration {
     type Output = SimDuration;
 
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(
             self.0
