@@ -1,9 +1,11 @@
 //! Bench: the critical works method itself.
 //!
-//! Measures `build_distribution` on the paper's Fig. 2 job and on random
-//! jobs of growing size, on a 25-node pool.
+//! Measures a one-off planning session (open, then one
+//! `build_distribution`) on the paper's Fig. 2 job and on random jobs of
+//! growing size, on a 25-node pool.
 
-use gridsched::core::method::{build_distribution, build_distribution_recovering, ScheduleRequest};
+use gridsched::core::method::ScheduleRequest;
+use gridsched::core::session::PlanningSession;
 use gridsched::data::policy::DataPolicy;
 use gridsched::model::estimate::EstimateScenario;
 use gridsched::model::fixtures::fig2_job;
@@ -53,14 +55,15 @@ fn main() {
     let fig2 = fig2_job();
     let pool4 = fig2_pool();
     group.bench("fig2_job_4_nodes", || {
-        build_distribution(&ScheduleRequest {
-            job: &fig2,
-            pool: &pool4,
-            policy: &policy,
-            scenario: EstimateScenario::BEST,
-            release: SimTime::ZERO,
-        })
-        .expect("feasible")
+        PlanningSession::open(&pool4)
+            .build_distribution(&ScheduleRequest {
+                job: &fig2,
+                pool: &pool4,
+                policy: &policy,
+                scenario: EstimateScenario::BEST,
+                release: SimTime::ZERO,
+            })
+            .expect("feasible")
     });
 
     let pool = generate_pool(&PoolConfig::default(), &mut SimRng::seed_from(1));
@@ -68,14 +71,15 @@ fn main() {
         let job = sized_job(layers, layers as u64);
         let label = format!("random_job_tasks/{}", job.task_count());
         group.bench(&label, || {
-            build_distribution_recovering(&ScheduleRequest {
-                job: &job,
-                pool: &pool,
-                policy: &policy,
-                scenario: EstimateScenario::BEST,
-                release: SimTime::ZERO,
-            })
-            .expect("feasible with recovery")
+            PlanningSession::open(&pool)
+                .build_distribution_recovering(&ScheduleRequest {
+                    job: &job,
+                    pool: &pool,
+                    policy: &policy,
+                    scenario: EstimateScenario::BEST,
+                    release: SimTime::ZERO,
+                })
+                .expect("feasible with recovery")
         });
     }
 }

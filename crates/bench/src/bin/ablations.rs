@@ -13,9 +13,8 @@
 //! Run with: `cargo run --release -p gridsched-bench --bin ablations`
 //! Knobs: `--jobs N --seed N --load F`
 
-use gridsched::core::method::{
-    build_distribution, build_distribution_direct, build_distribution_in_domain, ScheduleRequest,
-};
+use gridsched::core::method::ScheduleRequest;
+use gridsched::core::session::PlanningSession;
 use gridsched::core::strategy::{StrategyConfig, StrategyKind};
 use gridsched::metrics::summary::Summary;
 use gridsched::metrics::table::{pct, ratio, Table};
@@ -76,8 +75,9 @@ fn main() {
             scenario: gridsched::model::estimate::EstimateScenario::BEST,
             release: SimTime::ZERO,
         };
+        let session = PlanningSession::open(&pool);
 
-        if let Ok(d) = build_distribution(&req) {
+        if let Ok(d) = session.build_distribution(&req) {
             tp_ok += 1;
             tp_cost.record(d.cost() as f64);
             tp_makespan.record(d.makespan().ticks() as f64);
@@ -85,7 +85,7 @@ fn main() {
             vo_ok += 1;
             vo_cost.record(d.cost() as f64);
         }
-        if let Ok(d) = build_distribution_direct(&req) {
+        if let Ok(d) = session.build_distribution_direct(&req) {
             di_ok += 1;
             di_cost.record(d.cost() as f64);
             di_makespan.record(d.makespan().ticks() as f64);
@@ -99,7 +99,7 @@ fn main() {
             gridsched::sim::time::SimDuration::from_ticks(200),
         );
         for (attempt, domain) in domains.into_iter().enumerate() {
-            if let Ok(d) = build_distribution_in_domain(&req, domain) {
+            if let Ok(d) = session.build_distribution_in_domain(&req, domain) {
                 if attempt == 0 {
                     dom_first_ok += 1;
                 } else {

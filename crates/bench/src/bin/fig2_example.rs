@@ -10,7 +10,8 @@
 //! Run with: `cargo run --release -p gridsched-bench --bin fig2_example`
 
 use gridsched::core::chains::ranked_maximal_paths;
-use gridsched::core::method::{build_distribution, ScheduleRequest};
+use gridsched::core::method::ScheduleRequest;
+use gridsched::core::session::PlanningSession;
 use gridsched::core::strategy::{Strategy, StrategyConfig, StrategyKind};
 use gridsched::data::policy::DataPolicy;
 use gridsched::metrics::table::Table;
@@ -91,15 +92,17 @@ fn main() {
 
     // Cost ordering under deadline pressure.
     let policy = DataPolicy::remote_access();
+    let session = PlanningSession::open(&pool);
     let cost_at = |deadline: u64| {
-        build_distribution(&ScheduleRequest {
-            job: &fig2_job_with_deadline(SimDuration::from_ticks(deadline)),
-            pool: &pool,
-            policy: &policy,
-            scenario: EstimateScenario::BEST,
-            release: SimTime::ZERO,
-        })
-        .map(|d| d.cost())
+        session
+            .build_distribution(&ScheduleRequest {
+                job: &fig2_job_with_deadline(SimDuration::from_ticks(deadline)),
+                pool: &pool,
+                policy: &policy,
+                scenario: EstimateScenario::BEST,
+                release: SimTime::ZERO,
+            })
+            .map(|d| d.cost())
     };
     let tight = cost_at(14).expect("deadline 14 feasible");
     let loose = cost_at(40).expect("deadline 40 feasible");
@@ -113,14 +116,15 @@ fn main() {
     let mut scarce = ResourcePool::new();
     scarce.add_node(DomainId::new(0), Perf::FULL);
     scarce.add_node(DomainId::new(0), Perf::FULL);
-    let dist = build_distribution(&ScheduleRequest {
-        job: &fig2_job_with_deadline(SimDuration::from_ticks(40)),
-        pool: &scarce,
-        policy: &policy,
-        scenario: EstimateScenario::BEST,
-        release: SimTime::ZERO,
-    })
-    .expect("feasible on two nodes");
+    let dist = PlanningSession::open(&scarce)
+        .build_distribution(&ScheduleRequest {
+            job: &fig2_job_with_deadline(SimDuration::from_ticks(40)),
+            pool: &scarce,
+            policy: &policy,
+            scenario: EstimateScenario::BEST,
+            release: SimTime::ZERO,
+        })
+        .expect("feasible on two nodes");
     for c in dist.collisions() {
         println!("collision: {c}");
     }

@@ -1,5 +1,5 @@
 //! Full-sweep strategy generation: planning sessions vs. the
-//! pre-refactor clone-per-scenario path.
+//! clone-per-scenario reference path.
 //!
 //! Generates the paper's §4 random pool (20–30 nodes across three speed
 //! groups), paints a *long* dense background calendar onto every node —
@@ -8,9 +8,9 @@
 //! scans the slice below its deadline — and then times full S1/S2/S3/MS1
 //! strategy generation three ways:
 //!
-//! * `cloning`    — the pre-refactor baseline: every scenario of the sweep
-//!   materializes two full `Vec<Timetable>` copies of the pool
-//!   ([`Strategy::generate_cloning`]).
+//! * `cloning`    — the reference baseline: every scenario of the sweep
+//!   clones the pool, captures a cold snapshot of the clone and plans on
+//!   two fresh overlays with fresh scratch ([`Strategy::generate_cloning`]).
 //! * `sequential` — one shared [`AvailabilitySnapshot`] per generation,
 //!   copy-on-write overlays per scenario, scenarios swept in order
 //!   ([`Strategy::generate_sequential`]).
@@ -177,7 +177,7 @@ fn main() {
             );
         }
 
-        let cloning = group.bench(&format!("{kind} cloning (pre-refactor)"), || {
+        let cloning = group.bench(&format!("{kind} cloning (reference)"), || {
             Strategy::generate_cloning(&job, &pool, &config, SimTime::ZERO)
         });
         let sequential = group.bench(&format!("{kind} session, sequential"), || {

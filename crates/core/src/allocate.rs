@@ -23,7 +23,7 @@ use std::fmt;
 use gridsched_sim::time::{SimDuration, SimTime};
 
 use gridsched_data::policy::{ArcTimes, DataPolicy};
-use gridsched_model::availability::Availability;
+use gridsched_model::availability::TimetableOverlay;
 use gridsched_model::estimate::EstimateScenario;
 use gridsched_model::ids::{NodeId, TaskId};
 use gridsched_model::job::Job;
@@ -322,10 +322,9 @@ impl AllocScratch {
     }
 }
 
-/// Allocates `chain` onto `availability` (any [`Availability`] view —
-/// a planning-session [`gridsched_model::availability::TimetableOverlay`]
-/// or materialized `Vec<Timetable>` clones), minimizing accumulated cost
-/// subject to the deadline.
+/// Allocates `chain` onto `availability` (a planning-session
+/// [`TimetableOverlay`]), minimizing accumulated cost subject to the
+/// deadline.
 ///
 /// `placed` holds placements committed by earlier critical works of the
 /// same job; their times constrain this chain.
@@ -342,11 +341,11 @@ impl AllocScratch {
 /// Hot paths should prefer [`allocate_chain_into`], which reuses a
 /// caller-owned [`AllocScratch`] and output vector; this wrapper allocates
 /// fresh ones per call and is kept for tests and one-shot callers.
-pub fn allocate_chain<A: Availability>(
+pub fn allocate_chain(
     ctx: &AllocationContext<'_>,
     chain: &[TaskId],
     placed: &HashMap<TaskId, Placement>,
-    availability: &A,
+    availability: &TimetableOverlay,
 ) -> Result<Vec<Placement>, AllocateError> {
     let mut scratch = AllocScratch::default();
     scratch.begin_pass(ctx);
@@ -375,11 +374,11 @@ pub fn allocate_chain<A: Availability>(
 /// # Panics
 ///
 /// Panics if `chain` is empty or `availability.node_count() != pool.len()`.
-pub fn allocate_chain_into<A: Availability>(
+pub fn allocate_chain_into(
     ctx: &AllocationContext<'_>,
     chain: &[TaskId],
     placed: &HashMap<TaskId, Placement>,
-    availability: &A,
+    availability: &TimetableOverlay,
     scratch: &mut AllocScratch,
     out: &mut Vec<Placement>,
 ) -> Result<(), AllocateError> {
@@ -625,10 +624,10 @@ pub fn allocate_chain_into<A: Availability>(
 ///
 /// A level is empty here exactly when it is empty in the Pareto pass, so
 /// the error names the same task.
-fn earliest_finish_pass<A: Availability>(
+fn earliest_finish_pass(
     ctx: &AllocationContext<'_>,
     chain: &[TaskId],
-    availability: &A,
+    availability: &TimetableOverlay,
     scratch: &mut AllocScratch,
 ) -> Result<SimTime, AllocateError> {
     let AllocScratch {
@@ -756,8 +755,8 @@ fn saturating_deadline(deadline: SimTime, slack: SimDuration) -> SimTime {
 }
 
 #[allow(clippy::too_many_arguments)]
-fn fit_state<A: Availability>(
-    availability: &A,
+fn fit_state(
+    availability: &TimetableOverlay,
     node: NodeId,
     ready: SimTime,
     duration: SimDuration,
@@ -815,12 +814,11 @@ fn insert_pareto(frontier: &mut Vec<State>, cand: State) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gridsched_model::availability::TimetableOverlay;
     use gridsched_model::fixtures::pipeline_job;
     use gridsched_model::ids::{DomainId, JobId};
     use gridsched_model::job::JobBuilder;
     use gridsched_model::perf::Perf;
-    use gridsched_model::timetable::{ReservationOwner, Timetable};
+    use gridsched_model::timetable::ReservationOwner;
     use gridsched_model::volume::Volume;
     use gridsched_sim::check::{check, Gen};
 
@@ -871,8 +869,8 @@ mod tests {
         let pool = pool_two_nodes();
         let policy = DataPolicy::remote_access();
         let c = ctx(&job, &pool, &policy, 100);
-        let tts: Vec<Timetable> = (0..pool.len()).map(|_| Timetable::new()).collect();
-        let ps = allocate_chain(&c, &[TaskId::new(0)], &HashMap::new(), &tts).unwrap();
+        let view = TimetableOverlay::new(pool.snapshot());
+        let ps = allocate_chain(&c, &[TaskId::new(0)], &HashMap::new(), &view).unwrap();
         // N1 (perf 0.5): dur 4, cost ceil(20/4)=5 < N0: dur 2, cost 10.
         assert_eq!(ps[0].node, NodeId::new(1));
         assert_eq!(ps[0].cost, 5);
@@ -885,8 +883,8 @@ mod tests {
         let pool = pool_two_nodes();
         let policy = DataPolicy::remote_access();
         let c = ctx(&job, &pool, &policy, 3);
-        let tts: Vec<Timetable> = (0..pool.len()).map(|_| Timetable::new()).collect();
-        let ps = allocate_chain(&c, &[TaskId::new(0)], &HashMap::new(), &tts).unwrap();
+        let view = TimetableOverlay::new(pool.snapshot());
+        let ps = allocate_chain(&c, &[TaskId::new(0)], &HashMap::new(), &view).unwrap();
         assert_eq!(ps[0].node, NodeId::new(0));
         assert_eq!(ps[0].cost, 10);
     }
@@ -897,8 +895,8 @@ mod tests {
         let pool = pool_two_nodes();
         let policy = DataPolicy::remote_access();
         let c = ctx(&job, &pool, &policy, 1);
-        let tts: Vec<Timetable> = (0..pool.len()).map(|_| Timetable::new()).collect();
-        let err = allocate_chain(&c, &[TaskId::new(0)], &HashMap::new(), &tts).unwrap_err();
+        let view = TimetableOverlay::new(pool.snapshot());
+        let err = allocate_chain(&c, &[TaskId::new(0)], &HashMap::new(), &view).unwrap_err();
         assert_eq!(err.task, TaskId::new(0));
         assert!(err.to_string().contains("P0"));
     }
@@ -909,9 +907,9 @@ mod tests {
         let pool = pool_two_nodes();
         let policy = DataPolicy::remote_access();
         let c = ctx(&job, &pool, &policy, 100);
-        let tts: Vec<Timetable> = (0..pool.len()).map(|_| Timetable::new()).collect();
+        let view = TimetableOverlay::new(pool.snapshot());
         let chain = [TaskId::new(0), TaskId::new(1)];
-        let ps = allocate_chain(&c, &chain, &HashMap::new(), &tts).unwrap();
+        let ps = allocate_chain(&c, &chain, &HashMap::new(), &view).unwrap();
         assert!(ps[1].window.start() >= ps[0].window.end());
         if ps[0].node != ps[1].node {
             // Cross-node hop pays a staging stall inside the second window.
@@ -922,24 +920,24 @@ mod tests {
     #[test]
     fn busy_timetable_delays_start() {
         let job = pipeline_job(JobId::new(0), &[20.0], SimDuration::from_ticks(10));
-        let pool = pool_two_nodes();
+        let mut pool = pool_two_nodes();
         let policy = DataPolicy::remote_access();
-        let c = ctx(&job, &pool, &policy, 10);
-        let mut tts: Vec<Timetable> = (0..pool.len()).map(|_| Timetable::new()).collect();
         // Block the slow node entirely and the fast node until t3.
-        tts[1]
+        pool.timetable_mut(NodeId::new(1))
             .reserve(
                 TimeWindow::new(SimTime::ZERO, SimTime::from_ticks(10)).unwrap(),
                 ReservationOwner::Background(0),
             )
             .unwrap();
-        tts[0]
+        pool.timetable_mut(NodeId::new(0))
             .reserve(
                 TimeWindow::new(SimTime::ZERO, SimTime::from_ticks(3)).unwrap(),
                 ReservationOwner::Background(1),
             )
             .unwrap();
-        let ps = allocate_chain(&c, &[TaskId::new(0)], &HashMap::new(), &tts).unwrap();
+        let c = ctx(&job, &pool, &policy, 10);
+        let view = TimetableOverlay::new(pool.snapshot());
+        let ps = allocate_chain(&c, &[TaskId::new(0)], &HashMap::new(), &view).unwrap();
         assert_eq!(ps[0].node, NodeId::new(0));
         assert_eq!(ps[0].window.start(), SimTime::from_ticks(3));
     }
@@ -950,7 +948,7 @@ mod tests {
         let pool = pool_two_nodes();
         let policy = DataPolicy::remote_access();
         let c = ctx(&job, &pool, &policy, 100);
-        let tts: Vec<Timetable> = (0..pool.len()).map(|_| Timetable::new()).collect();
+        let view = TimetableOverlay::new(pool.snapshot());
         let mut placed = HashMap::new();
         placed.insert(
             TaskId::new(0),
@@ -962,7 +960,7 @@ mod tests {
                 cost: 10,
             },
         );
-        let ps = allocate_chain(&c, &[TaskId::new(1)], &placed, &tts).unwrap();
+        let ps = allocate_chain(&c, &[TaskId::new(1)], &placed, &view).unwrap();
         assert!(ps[0].window.start() >= SimTime::from_ticks(7));
     }
 
@@ -972,7 +970,7 @@ mod tests {
         let pool = pool_two_nodes();
         let policy = DataPolicy::remote_access();
         let c = ctx(&job, &pool, &policy, 100);
-        let tts: Vec<Timetable> = (0..pool.len()).map(|_| Timetable::new()).collect();
+        let view = TimetableOverlay::new(pool.snapshot());
         let mut placed = HashMap::new();
         // Successor starts at t4 on N0: producer must finish by then
         // (minus the transfer if cross-node).
@@ -986,7 +984,7 @@ mod tests {
                 cost: 10,
             },
         );
-        let ps = allocate_chain(&c, &[TaskId::new(0)], &placed, &tts).unwrap();
+        let ps = allocate_chain(&c, &[TaskId::new(0)], &placed, &view).unwrap();
         assert!(ps[0].window.end() <= SimTime::from_ticks(4));
         // Only the fast node can run 20 units in ≤4 ticks from t0 — well,
         // the slow node needs 4 ticks exactly, but then the cross-node

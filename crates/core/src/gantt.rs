@@ -16,7 +16,8 @@ use crate::distribution::Distribution;
 ///
 /// ```
 /// use gridsched_core::gantt::render_gantt;
-/// use gridsched_core::method::{build_distribution, ScheduleRequest};
+/// use gridsched_core::method::ScheduleRequest;
+/// use gridsched_core::session::PlanningSession;
 /// use gridsched_data::policy::DataPolicy;
 /// use gridsched_model::estimate::EstimateScenario;
 /// use gridsched_model::fixtures::fig2_job;
@@ -32,7 +33,8 @@ use crate::distribution::Distribution;
 ///     pool.add_node(DomainId::new(0), Perf::new(1.0 / f64::from(j))?);
 /// }
 /// let policy = DataPolicy::remote_access();
-/// let dist = build_distribution(&ScheduleRequest {
+/// let session = PlanningSession::open(&pool);
+/// let dist = session.build_distribution(&ScheduleRequest {
 ///     job: &job,
 ///     pool: &pool,
 ///     policy: &policy,
@@ -102,7 +104,8 @@ fn task_glyph(raw: u32) -> char {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::method::{build_distribution, ScheduleRequest};
+    use crate::method::ScheduleRequest;
+    use crate::session::PlanningSession;
     use gridsched_data::policy::DataPolicy;
     use gridsched_model::estimate::EstimateScenario;
     use gridsched_model::fixtures::fig2_job;
@@ -117,14 +120,15 @@ mod tests {
             pool.add_node(DomainId::new(0), Perf::new(1.0 / f64::from(j)).unwrap());
         }
         let policy = DataPolicy::remote_access();
-        let dist = build_distribution(&ScheduleRequest {
-            job: &job,
-            pool: &pool,
-            policy: &policy,
-            scenario: EstimateScenario::BEST,
-            release: SimTime::ZERO,
-        })
-        .unwrap();
+        let dist = PlanningSession::open(&pool)
+            .build_distribution(&ScheduleRequest {
+                job: &job,
+                pool: &pool,
+                policy: &policy,
+                scenario: EstimateScenario::BEST,
+                release: SimTime::ZERO,
+            })
+            .unwrap();
         (render_gantt(&dist, &pool), dist, pool)
     }
 

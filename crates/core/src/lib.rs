@@ -13,7 +13,7 @@
 //!    paper's cost function `CF = Σ ceil(V_i / T_i)` subject to the job
 //!    deadline ([`allocate`], [`cost`]);
 //! 3. detecting and resolving *collisions* between works competing for the
-//!    same node ([`method`]);
+//!    same node ([`method`], entered through a [`session`]);
 //! 4. sweeping estimation scenarios and data policies to produce a
 //!    **strategy**: a set of supporting schedules the job-flow layer can
 //!    switch between at run time ([`strategy`], [`distribution`]).
@@ -24,7 +24,8 @@
 //! resulting supporting schedule:
 //!
 //! ```
-//! use gridsched_core::method::{build_distribution, ScheduleRequest};
+//! use gridsched_core::method::ScheduleRequest;
+//! use gridsched_core::session::PlanningSession;
 //! use gridsched_data::policy::DataPolicy;
 //! use gridsched_model::estimate::EstimateScenario;
 //! use gridsched_model::fixtures::fig2_job;
@@ -40,7 +41,8 @@
 //!     pool.add_node(DomainId::new(0), Perf::new(1.0 / f64::from(j))?);
 //! }
 //! let policy = DataPolicy::remote_access();
-//! let dist = build_distribution(&ScheduleRequest {
+//! let session = PlanningSession::open(&pool);
+//! let dist = session.build_distribution(&ScheduleRequest {
 //!     job: &job,
 //!     pool: &pool,
 //!     policy: &policy,
@@ -84,12 +86,7 @@ pub use cost::{task_cost, Cost};
 pub use distribution::{CollisionRecord, Distribution, DistributionError, Placement};
 pub use gantt::render_gantt;
 pub use granularity::{coarsen, CoarsenedJob};
-pub use method::{
-    build_distribution, build_distribution_cloning, build_distribution_direct,
-    build_distribution_in_domain, build_distribution_recovering, build_distribution_with_objective,
-    reschedule, reschedule_with_deadline, reschedule_with_objective, ScheduleError,
-    ScheduleRequest,
-};
+pub use method::{build_distribution_cloning, ScheduleError, ScheduleRequest};
 pub use objective::Objective;
 pub use scratch::{EngineScratch, Scratch};
 pub use session::PlanningSession;

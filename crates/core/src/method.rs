@@ -19,12 +19,14 @@
 //!    availability;
 //! 4. commit the work's reservations and continue.
 //!
-//! All schedule construction flows through the planning-session layer
-//! ([`crate::session::PlanningSession`]): the free functions here are thin
-//! wrappers that open a session (one availability snapshot) and run the
-//! method against copy-on-write overlay views. The pre-refactor
-//! clone-per-run path survives as [`build_distribution_cloning`] for
-//! differential tests and benchmarks.
+//! This module holds the engine proper ([`ScheduleRequest`] in,
+//! [`Distribution`] out). Callers reach it through a [`PlanningSession`],
+//! which captures one availability snapshot and runs the method against
+//! copy-on-write overlay views of it. The one other way in is
+//! [`build_distribution_cloning`], the clone-per-scenario reference kept
+//! for differential tests and benchmarks.
+//!
+//! [`PlanningSession`]: crate::session::PlanningSession
 
 use std::collections::HashMap;
 use std::fmt;
@@ -32,18 +34,16 @@ use std::fmt;
 use gridsched_sim::time::SimTime;
 
 use gridsched_data::policy::DataPolicy;
-use gridsched_model::availability::Availability;
+use gridsched_model::availability::TimetableOverlay;
 use gridsched_model::estimate::EstimateScenario;
-use gridsched_model::ids::{GlobalTaskId, TaskId};
+use gridsched_model::ids::TaskId;
 use gridsched_model::job::Job;
 use gridsched_model::node::ResourcePool;
-use gridsched_model::timetable::{ReservationOwner, Timetable};
 
 use crate::allocate::{allocate_chain_into, AllocationContext};
 use crate::chains::{next_critical_work_into, CriticalWork};
 use crate::distribution::{CollisionRecord, Distribution, Placement};
 use crate::scratch::EngineScratch;
-use crate::session::PlanningSession;
 
 /// Vertex-disjoint critical works over the not-yet-placed tasks only,
 /// written into `scratch.works` (task vectors recycled from
@@ -83,7 +83,11 @@ fn decompose_remaining(
 ///
 /// The allocator optimizes [`crate::objective::Objective::MinCost`] —
 /// the paper's default criterion. Use
-/// [`build_distribution_with_objective`] for the multicriteria variants.
+/// [`PlanningSession::build_distribution_with_objective`] for the
+/// multicriteria variants.
+///
+/// [`PlanningSession::build_distribution_with_objective`]:
+///     crate::session::PlanningSession::build_distribution_with_objective
 #[derive(Debug)]
 pub struct ScheduleRequest<'a> {
     /// The compound job.
@@ -123,179 +127,40 @@ impl fmt::Display for ScheduleError {
 
 impl std::error::Error for ScheduleError {}
 
-/// Builds one supporting schedule ([`Distribution`]) with the critical
-/// works method.
-///
-/// The pool's timetables are *read* as the background availability; no
-/// reservation is committed to them — the job-flow layer decides whether
-/// to activate the schedule (and then reserves).
-///
-/// # Errors
-///
-/// Returns [`ScheduleError`] if some task cannot be placed within the
-/// job's deadline on the available windows.
-pub fn build_distribution(req: &ScheduleRequest<'_>) -> Result<Distribution, ScheduleError> {
-    PlanningSession::open(req.pool).build_distribution(req)
-}
-
-/// The pre-refactor clone-per-run baseline of [`build_distribution`]: both
-/// availability views are materialized `Vec<Timetable>` clones of the
-/// pool's calendars instead of copy-on-write overlays over a shared
-/// snapshot.
+/// The clone-per-scenario reference for
+/// [`PlanningSession::build_distribution`]: deep-clones the pool, captures
+/// a cold snapshot of the clone and plans on two fresh overlays with a
+/// fresh [`EngineScratch`], so every call pays a full calendar copy and
+/// shares nothing with earlier runs.
 ///
 /// Kept (and exercised by the differential/determinism suites and the
-/// `strategy_sweep` bench) to pin the overlay path's bit-identical output
-/// and to quantify what the share-don't-copy design saves.
+/// `strategy_sweep` bench) to pin that the session's shared snapshot,
+/// calendar cache and recycled scratch leave the output bit-identical, and
+/// to quantify what the share-don't-copy design saves.
 ///
 /// # Errors
 ///
-/// Returns [`ScheduleError`] exactly when [`build_distribution`] does.
+/// Returns [`ScheduleError`] exactly when
+/// [`PlanningSession::build_distribution`] does.
+///
+/// [`PlanningSession::build_distribution`]:
+///     crate::session::PlanningSession::build_distribution
 pub fn build_distribution_cloning(
     req: &ScheduleRequest<'_>,
 ) -> Result<Distribution, ScheduleError> {
     let deadline = req.release.saturating_add(req.job.deadline());
-    let background: Vec<Timetable> = req
-        .pool
-        .nodes()
-        .map(|n| req.pool.timetable(n.id()).clone())
-        .collect();
-    let mut with_job = background.clone();
+    // A cloned pool starts with an empty calendar cache, so this capture
+    // freezes every node afresh.
+    let snapshot = req.pool.clone().snapshot();
+    let background = TimetableOverlay::new(snapshot.clone());
+    let mut with_job = TimetableOverlay::new(snapshot);
     run_method_chains(
         req,
         &Pass::new(&HashMap::new(), deadline),
         &background,
         &mut with_job,
-        // The baseline deliberately pays for a fresh working set per run,
-        // like the pre-refactor code did.
         &mut EngineScratch::default(),
     )
-}
-
-/// Rebuilds the schedule for the tasks *not* in `fixed`, keeping the fixed
-/// placements (typically tasks that already started) untouched.
-///
-/// This is the dynamic reallocation mechanism of §2: when resource dynamics
-/// invalidate an active supporting schedule mid-flight, the job manager
-/// replans the remaining tasks from the current instant (`req.release`)
-/// around the work already done.
-///
-/// The fixed placements' deadlines still apply: the job keeps its original
-/// absolute deadline, computed here as `req.release + job.deadline()` — so
-/// callers replanning at time `τ` should pass the *remaining* deadline
-/// budget via a job whose deadline is absolute-deadline − τ, or simply keep
-/// using the original release through [`build_distribution`]. The flow
-/// layer uses [`reschedule_with_deadline`] to pin the absolute deadline
-/// explicitly.
-///
-/// # Errors
-///
-/// Returns [`ScheduleError`] if some remaining task cannot be placed.
-pub fn reschedule(
-    req: &ScheduleRequest<'_>,
-    fixed: &HashMap<TaskId, Placement>,
-) -> Result<Distribution, ScheduleError> {
-    PlanningSession::open(req.pool).reschedule(req, fixed)
-}
-
-/// [`reschedule`] with an explicit absolute deadline (used when replanning
-/// mid-flight, where the deadline was fixed at the original release).
-///
-/// # Errors
-///
-/// Returns [`ScheduleError`] if some remaining task cannot be placed.
-pub fn reschedule_with_deadline(
-    req: &ScheduleRequest<'_>,
-    fixed: &HashMap<TaskId, Placement>,
-    deadline: SimTime,
-) -> Result<Distribution, ScheduleError> {
-    PlanningSession::open(req.pool).reschedule_with_deadline(req, fixed, deadline)
-}
-
-/// [`reschedule_with_deadline`] under an explicit optimization criterion —
-/// the §5 "dynamic priority change": a job manager replanning a job whose
-/// deadline is endangered can pay more quota for speed. Falls back to
-/// `MinCost` if the aggressive criterion strands a critical work.
-///
-/// # Errors
-///
-/// Returns [`ScheduleError`] if some remaining task cannot be placed even
-/// under `MinCost`.
-pub fn reschedule_with_objective(
-    req: &ScheduleRequest<'_>,
-    fixed: &HashMap<TaskId, Placement>,
-    deadline: SimTime,
-    objective: crate::objective::Objective,
-) -> Result<Distribution, ScheduleError> {
-    PlanningSession::open(req.pool).reschedule_with_objective(req, fixed, deadline, objective)
-}
-
-/// Single-phase ablation of the critical works method: every chain is
-/// allocated directly against the availability *including* sibling-chain
-/// reservations, so collisions never occur (and are never recorded).
-///
-/// Used by the ablation bench to quantify what the paper's two-phase
-/// "ideal allocation, then collision resolution" buys; not part of the
-/// paper's method itself.
-///
-/// # Errors
-///
-/// Returns [`ScheduleError`] if some task cannot be placed within the
-/// job's deadline.
-pub fn build_distribution_direct(req: &ScheduleRequest<'_>) -> Result<Distribution, ScheduleError> {
-    PlanningSession::open(req.pool).build_distribution_direct(req)
-}
-
-/// [`build_distribution`], but restricted to the nodes of one domain —
-/// the view of a single job manager in the Fig. 1 hierarchy. The
-/// metascheduler can retry another domain on failure (inter-domain job
-/// reallocation).
-///
-/// # Errors
-///
-/// Returns [`ScheduleError`] if some task cannot be placed inside the
-/// domain within the job's deadline.
-pub fn build_distribution_in_domain(
-    req: &ScheduleRequest<'_>,
-    domain: gridsched_model::ids::DomainId,
-) -> Result<Distribution, ScheduleError> {
-    PlanningSession::open(req.pool).build_distribution_in_domain(req, domain)
-}
-
-/// [`build_distribution`] under an explicit optimization criterion: the
-/// paper's default minimizes cost; `MinTime` buys speed, optionally capped
-/// by a per-critical-work quota budget ("user should pay additional cost
-/// in order to … start the task faster", §3).
-///
-/// # Errors
-///
-/// Returns [`ScheduleError`] if some task cannot be placed within the
-/// job's deadline.
-pub fn build_distribution_with_objective(
-    req: &ScheduleRequest<'_>,
-    objective: crate::objective::Objective,
-) -> Result<Distribution, ScheduleError> {
-    PlanningSession::open(req.pool).build_distribution_with_objective(req, objective)
-}
-
-/// [`build_distribution`] with list-scheduling recovery: if the sequential
-/// critical-works pass strands a later chain (densely packed earlier
-/// chains can leave no gap for a task with both a placed producer and a
-/// placed consumer), retry with singleton chains in topological order,
-/// whose constraints only flow forward and therefore always compose.
-///
-/// Kept separate from [`build_distribution`] because the paper's
-/// admissibility statistics (Fig. 3a) are defined by the critical-works
-/// pass alone; recovery admits marginal schedules the method proper would
-/// reject.
-///
-/// # Errors
-///
-/// Returns [`ScheduleError`] if even the recovery pass cannot place some
-/// task within the deadline.
-pub fn build_distribution_recovering(
-    req: &ScheduleRequest<'_>,
-) -> Result<Distribution, ScheduleError> {
-    PlanningSession::open(req.pool).build_distribution_recovering(req)
 }
 
 /// What one critical-works pass plans beyond its [`ScheduleRequest`]: the
@@ -336,23 +201,23 @@ impl<'a> Pass<'a> {
     }
 }
 
-/// The critical-works engine proper, generic over the availability view.
+/// The critical-works engine proper.
 ///
 /// `background` and `with_job` must start as equal views of the pool's
 /// current availability: phase 1 allocates against `background` only,
 /// phase 2 and the commits run against `with_job`. The planning session
-/// passes two fresh [`gridsched_model::availability::TimetableOverlay`]s
-/// over one shared snapshot; [`build_distribution_cloning`] passes two
-/// materialized `Vec<Timetable>` clones.
+/// passes two overlays over its shared snapshot;
+/// [`build_distribution_cloning`] passes two over a cold snapshot of a
+/// cloned pool.
 ///
 /// All working buffers live in `scratch` and are reused across passes
 /// (cleared before use, so a fresh [`EngineScratch`] behaves identically
 /// to a recycled one); only the returned [`Distribution`] is allocated.
-pub(crate) fn run_method_chains<A: Availability>(
+pub(crate) fn run_method_chains(
     req: &ScheduleRequest<'_>,
     pass: &Pass<'_>,
-    background: &A,
-    with_job: &mut A,
+    background: &TimetableOverlay,
+    with_job: &mut TimetableOverlay,
     scratch: &mut EngineScratch,
 ) -> Result<Distribution, ScheduleError> {
     let ctx = AllocationContext {
@@ -465,14 +330,7 @@ pub(crate) fn run_method_chains<A: Availability>(
         })?;
         for &p in placements {
             with_job
-                .reserve(
-                    p.node,
-                    p.window,
-                    ReservationOwner::Task(GlobalTaskId {
-                        job: req.job.id(),
-                        task: p.task,
-                    }),
-                )
+                .reserve_window(p.node, p.window)
                 .expect("allocation chose a free window");
             scratch.placed.insert(p.task, p);
         }
@@ -486,9 +344,11 @@ pub(crate) fn run_method_chains<A: Availability>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::PlanningSession;
     use gridsched_model::fixtures::{fig2_job, fig2_job_with_deadline};
     use gridsched_model::ids::{DomainId, NodeId};
     use gridsched_model::perf::Perf;
+    use gridsched_model::timetable::ReservationOwner;
     use gridsched_model::window::TimeWindow;
     use gridsched_sim::time::SimDuration;
 
@@ -520,7 +380,10 @@ mod tests {
         let job = fig2_job();
         let pool = fig2_pool();
         let policy = DataPolicy::remote_access();
-        let dist = build_distribution(&request(&job, &pool, &policy)).unwrap();
+        let session = PlanningSession::open(&pool);
+        let dist = session
+            .build_distribution(&request(&job, &pool, &policy))
+            .unwrap();
         assert_eq!(dist.validate(&job, &pool), Ok(()));
         assert!(dist.meets_deadline(SimTime::from_ticks(20)), "{dist}");
         assert!(dist.cost() > 0);
@@ -532,10 +395,15 @@ mod tests {
         // to … start the task faster."
         let pool = fig2_pool();
         let policy = DataPolicy::remote_access();
+        let session = PlanningSession::open(&pool);
         let relaxed_job = fig2_job_with_deadline(SimDuration::from_ticks(60));
         let tight_job = fig2_job_with_deadline(SimDuration::from_ticks(14));
-        let relaxed = build_distribution(&request(&relaxed_job, &pool, &policy)).unwrap();
-        let tight = build_distribution(&request(&tight_job, &pool, &policy)).unwrap();
+        let relaxed = session
+            .build_distribution(&request(&relaxed_job, &pool, &policy))
+            .unwrap();
+        let tight = session
+            .build_distribution(&request(&tight_job, &pool, &policy))
+            .unwrap();
         assert!(
             tight.cost() > relaxed.cost(),
             "tight {} vs relaxed {}",
@@ -550,7 +418,10 @@ mod tests {
         let job = fig2_job_with_deadline(SimDuration::from_ticks(5));
         let pool = fig2_pool();
         let policy = DataPolicy::remote_access();
-        let err = build_distribution(&request(&job, &pool, &policy)).unwrap_err();
+        let session = PlanningSession::open(&pool);
+        let err = session
+            .build_distribution(&request(&job, &pool, &policy))
+            .unwrap_err();
         assert_eq!(err.scenario, EstimateScenario::BEST);
     }
 
@@ -563,7 +434,10 @@ mod tests {
         pool.add_node(DomainId::new(0), Perf::FULL);
         let job = fig2_job_with_deadline(SimDuration::from_ticks(40));
         let policy = DataPolicy::remote_access();
-        let dist = build_distribution(&request(&job, &pool, &policy)).unwrap();
+        let session = PlanningSession::open(&pool);
+        let dist = session
+            .build_distribution(&request(&job, &pool, &policy))
+            .unwrap();
         assert!(
             !dist.collisions().is_empty(),
             "sibling chains on two identical nodes must collide"
@@ -576,7 +450,9 @@ mod tests {
         let job = fig2_job_with_deadline(SimDuration::from_ticks(60));
         let mut pool = fig2_pool();
         let policy = DataPolicy::remote_access();
-        let free = build_distribution(&request(&job, &pool, &policy)).unwrap();
+        let free = PlanningSession::open(&pool)
+            .build_distribution(&request(&job, &pool, &policy))
+            .unwrap();
         // Occupy every node until t10.
         for i in 0..pool.len() {
             let id = NodeId::new(i as u32);
@@ -587,7 +463,9 @@ mod tests {
                 )
                 .unwrap();
         }
-        let loaded = build_distribution(&request(&job, &pool, &policy)).unwrap();
+        let loaded = PlanningSession::open(&pool)
+            .build_distribution(&request(&job, &pool, &policy))
+            .unwrap();
         assert!(loaded.makespan() > free.makespan());
         for p in loaded.placements() {
             assert!(p.window.start() >= SimTime::from_ticks(10));
@@ -599,10 +477,11 @@ mod tests {
         let job = fig2_job_with_deadline(SimDuration::from_ticks(100));
         let pool = fig2_pool();
         let policy = DataPolicy::remote_access();
+        let session = PlanningSession::open(&pool);
         let mut req = request(&job, &pool, &policy);
-        let best = build_distribution(&req).unwrap();
+        let best = session.build_distribution(&req).unwrap();
         req.scenario = EstimateScenario::WORST;
-        let worst = build_distribution(&req).unwrap();
+        let worst = session.build_distribution(&req).unwrap();
         assert!(worst.makespan() > best.makespan());
     }
 
@@ -611,9 +490,10 @@ mod tests {
         let job = fig2_job();
         let pool = fig2_pool();
         let policy = DataPolicy::remote_access();
+        let session = PlanningSession::open(&pool);
         let mut req = request(&job, &pool, &policy);
         req.release = SimTime::from_ticks(100);
-        let dist = build_distribution(&req).unwrap();
+        let dist = session.build_distribution(&req).unwrap();
         for p in dist.placements() {
             assert!(p.window.start() >= SimTime::from_ticks(100));
         }
@@ -625,7 +505,10 @@ mod tests {
         let job = fig2_job_with_deadline(SimDuration::from_ticks(60));
         let pool = fig2_pool();
         let policy = DataPolicy::remote_access();
-        let original = build_distribution(&request(&job, &pool, &policy)).unwrap();
+        let session = PlanningSession::open(&pool);
+        let original = session
+            .build_distribution(&request(&job, &pool, &policy))
+            .unwrap();
 
         // Pretend P1 already started exactly as planned; replan the rest
         // from t3 with the original absolute deadline.
@@ -635,7 +518,14 @@ mod tests {
             .collect();
         let mut req = request(&job, &pool, &policy);
         req.release = SimTime::from_ticks(3);
-        let replanned = reschedule_with_deadline(&req, &fixed, SimTime::from_ticks(60)).unwrap();
+        let replanned = session
+            .reschedule_with_objective(
+                &req,
+                &fixed,
+                SimTime::from_ticks(60),
+                crate::objective::Objective::MinCost,
+            )
+            .unwrap();
         assert_eq!(
             replanned.placement(TaskId::new(0)),
             original.placement(TaskId::new(0))
@@ -655,15 +545,16 @@ mod tests {
         pool.add_node(DomainId::new(0), Perf::FULL);
         let job = fig2_job_with_deadline(SimDuration::from_ticks(40));
         let policy = DataPolicy::remote_access();
+        let session = PlanningSession::open(&pool);
         let req = request(&job, &pool, &policy);
-        let direct = build_distribution_direct(&req).unwrap();
+        let direct = session.build_distribution_direct(&req).unwrap();
         assert!(
             direct.collisions().is_empty(),
             "single-phase never collides"
         );
         assert_eq!(direct.validate(&job, &pool), Ok(()));
         // The two-phase variant on the same input does record collisions.
-        let two_phase = build_distribution(&req).unwrap();
+        let two_phase = session.build_distribution(&req).unwrap();
         assert!(!two_phase.collisions().is_empty());
     }
 
@@ -676,9 +567,12 @@ mod tests {
         pool.add_node(DomainId::new(1), Perf::new(0.33).unwrap());
         let job = fig2_job_with_deadline(SimDuration::from_ticks(60));
         let policy = DataPolicy::remote_access();
+        let session = PlanningSession::open(&pool);
         let req = request(&job, &pool, &policy);
         let slow_domain = DomainId::new(1);
-        let dist = build_distribution_in_domain(&req, slow_domain).unwrap();
+        let dist = session
+            .build_distribution_in_domain(&req, slow_domain)
+            .unwrap();
         for p in dist.placements() {
             assert_eq!(pool.node(p.node).domain(), slow_domain, "{p}");
         }
@@ -688,8 +582,10 @@ mod tests {
         // metascheduler reallocates the job to another domain.
         let tight = fig2_job_with_deadline(SimDuration::from_ticks(20));
         let tight_req = request(&tight, &pool, &policy);
-        assert!(build_distribution(&tight_req).is_ok());
-        assert!(build_distribution_in_domain(&tight_req, slow_domain).is_err());
+        assert!(session.build_distribution(&tight_req).is_ok());
+        assert!(session
+            .build_distribution_in_domain(&tight_req, slow_domain)
+            .is_err());
     }
 
     #[test]
@@ -698,8 +594,9 @@ mod tests {
         let pool = fig2_pool();
         let job = fig2_job();
         let policy = DataPolicy::remote_access();
+        let session = PlanningSession::open(&pool);
         let req = request(&job, &pool, &policy);
-        let _ = build_distribution_in_domain(&req, DomainId::new(9));
+        let _ = session.build_distribution_in_domain(&req, DomainId::new(9));
     }
 
     #[test]
@@ -715,9 +612,12 @@ mod tests {
         );
         let pool = fig2_pool();
         let policy = DataPolicy::remote_access();
+        let session = PlanningSession::open(&pool);
         let req = request(&job, &pool, &policy);
-        let cheap = build_distribution(&req).unwrap();
-        let fast = build_distribution_with_objective(&req, Objective::FASTEST).unwrap();
+        let cheap = session.build_distribution(&req).unwrap();
+        let fast = session
+            .build_distribution_with_objective(&req, Objective::FASTEST)
+            .unwrap();
         assert!(
             fast.makespan() < cheap.makespan(),
             "fast {fast} vs cheap {cheap}"
@@ -737,16 +637,20 @@ mod tests {
         );
         let pool = fig2_pool();
         let policy = DataPolicy::remote_access();
+        let session = PlanningSession::open(&pool);
         let req = request(&job, &pool, &policy);
-        let cheap = build_distribution(&req).unwrap();
-        let unlimited = build_distribution_with_objective(&req, Objective::FASTEST).unwrap();
-        let capped = build_distribution_with_objective(
-            &req,
-            Objective::MinTime {
-                budget: Some((cheap.cost() + unlimited.cost()) / 2),
-            },
-        )
-        .unwrap();
+        let cheap = session.build_distribution(&req).unwrap();
+        let unlimited = session
+            .build_distribution_with_objective(&req, Objective::FASTEST)
+            .unwrap();
+        let capped = session
+            .build_distribution_with_objective(
+                &req,
+                Objective::MinTime {
+                    budget: Some((cheap.cost() + unlimited.cost()) / 2),
+                },
+            )
+            .unwrap();
         // A mid budget lands between the two extremes.
         assert!(capped.cost() <= (cheap.cost() + unlimited.cost()) / 2);
         assert!(capped.makespan() >= unlimited.makespan());
@@ -763,9 +667,12 @@ mod tests {
         let job = fig2_job_with_deadline(SimDuration::from_ticks(60));
         let pool = fig2_pool();
         let policy = DataPolicy::remote_access();
+        let session = PlanningSession::open(&pool);
         let req = request(&job, &pool, &policy);
-        let cheap = build_distribution(&req).unwrap();
-        let fast = build_distribution_with_objective(&req, Objective::FASTEST).unwrap();
+        let cheap = session.build_distribution(&req).unwrap();
+        let fast = session
+            .build_distribution_with_objective(&req, Objective::FASTEST)
+            .unwrap();
         assert_eq!(
             fast.cost(),
             cheap.cost(),
@@ -783,6 +690,7 @@ mod tests {
             &mut gridsched_sim::rng::SimRng::seed_from(1),
         );
         let policy = DataPolicy::remote_access();
+        let session = PlanningSession::open(&pool);
         // A deep fork-join where the packed critical-works pass strands a
         // cross task; recovery list-schedules it. The exact shape depends
         // on the PRNG stream, so scan a deterministic seed range for the
@@ -803,15 +711,15 @@ mod tests {
         };
         let stranded = (0..500u64).map(make).find(|job| {
             let req = request(job, &pool, &policy);
-            build_distribution(&req).is_err()
+            session.build_distribution(&req).is_err()
         });
         let job = stranded.expect("some deep fork-join strands the chains-only pass");
         let req = request(&job, &pool, &policy);
         assert!(
-            build_distribution(&req).is_err(),
+            session.build_distribution(&req).is_err(),
             "chains alone strand this job"
         );
-        let recovered = build_distribution_recovering(&req).unwrap();
+        let recovered = session.build_distribution_recovering(&req).unwrap();
         assert_eq!(recovered.validate(&job, &pool), Ok(()));
         assert!(recovered.meets_deadline(job.absolute_deadline()));
     }
@@ -822,7 +730,10 @@ mod tests {
         let job = fig2_job_with_deadline(SimDuration::from_ticks(80));
         let pool = fig2_pool();
         let policy = DataPolicy::remote_access();
-        let original = build_distribution(&request(&job, &pool, &policy)).unwrap();
+        let session = PlanningSession::open(&pool);
+        let original = session
+            .build_distribution(&request(&job, &pool, &policy))
+            .unwrap();
         let fixed: HashMap<TaskId, crate::distribution::Placement> = [TaskId::new(0)]
             .into_iter()
             .map(|t| (t, *original.placement(t)))
@@ -830,14 +741,17 @@ mod tests {
         let mut req = request(&job, &pool, &policy);
         req.release = SimTime::from_ticks(3);
         let deadline = SimTime::from_ticks(80);
-        let cheap = reschedule_with_objective(&req, &fixed, deadline, Objective::MinCost).unwrap();
+        let cheap = session
+            .reschedule_with_objective(&req, &fixed, deadline, Objective::MinCost)
+            .unwrap();
         let req2 = {
             let mut r = request(&job, &pool, &policy);
             r.release = SimTime::from_ticks(3);
             r
         };
-        let urgent =
-            reschedule_with_objective(&req2, &fixed, deadline, Objective::FASTEST).unwrap();
+        let urgent = session
+            .reschedule_with_objective(&req2, &fixed, deadline, Objective::FASTEST)
+            .unwrap();
         assert!(urgent.makespan() <= cheap.makespan());
         assert!(urgent.cost() >= cheap.cost());
         assert_eq!(urgent.validate(&job, &pool), Ok(()));
@@ -848,7 +762,10 @@ mod tests {
         let job = fig2_job();
         let pool = fig2_pool();
         let policy = DataPolicy::remote_access();
-        let _ = build_distribution(&request(&job, &pool, &policy)).unwrap();
+        let session = PlanningSession::open(&pool);
+        let _ = session
+            .build_distribution(&request(&job, &pool, &policy))
+            .unwrap();
         for node in pool.nodes() {
             assert!(pool.timetable(node.id()).is_empty());
         }

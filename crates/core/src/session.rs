@@ -13,10 +13,10 @@
 //! the share-don't-copy primitive that hierarchical bulk schedulers treat
 //! as the core of scalable what-if planning.
 //!
-//! The session's entry points mirror the free functions of
-//! [`crate::method`] one-for-one (those free functions now simply open a
-//! throwaway session). Callers that plan repeatedly against the same pool
-//! state — [`crate::strategy::Strategy`] sweeps, the job-flow layer's
+//! A session is the one way into the critical-works engine
+//! ([`crate::method`]): a one-off schedule opens a session and calls one
+//! entry point; callers that plan repeatedly against the same pool state
+//! — [`crate::strategy::Strategy`] sweeps, the job-flow layer's
 //! fault-driven replans — open one session and reuse it.
 
 use std::collections::HashMap;
@@ -206,7 +206,12 @@ impl<'p> PlanningSession<'p> {
         result
     }
 
-    /// Session form of [`crate::method::build_distribution`].
+    /// Builds one supporting schedule ([`Distribution`]) with the critical
+    /// works method, under the paper's default `MinCost` criterion.
+    ///
+    /// The pool's timetables are *read* as the background availability; no
+    /// reservation is committed to them — the job-flow layer decides
+    /// whether to activate the schedule (and then reserves).
     ///
     /// # Errors
     ///
@@ -216,40 +221,22 @@ impl<'p> PlanningSession<'p> {
         &self,
         req: &ScheduleRequest<'_>,
     ) -> Result<Distribution, ScheduleError> {
-        self.reschedule(req, &HashMap::new())
-    }
-
-    /// Session form of [`crate::method::reschedule`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScheduleError`] if some remaining task cannot be placed.
-    pub fn reschedule(
-        &self,
-        req: &ScheduleRequest<'_>,
-        fixed: &HashMap<TaskId, Placement>,
-    ) -> Result<Distribution, ScheduleError> {
         let deadline = req.release.saturating_add(req.job.deadline());
-        self.reschedule_with_deadline(req, fixed, deadline)
+        self.run(req, &Pass::new(&HashMap::new(), deadline))
     }
 
-    /// Session form of [`crate::method::reschedule_with_deadline`].
+    /// Rebuilds the schedule for the tasks *not* in `fixed`, keeping the
+    /// fixed placements (typically tasks that already started) untouched —
+    /// the dynamic reallocation mechanism of §2, replanning the remaining
+    /// tasks from `req.release` against the absolute `deadline` fixed at
+    /// the original release.
     ///
-    /// # Errors
-    ///
-    /// Returns [`ScheduleError`] if some remaining task cannot be placed.
-    pub fn reschedule_with_deadline(
-        &self,
-        req: &ScheduleRequest<'_>,
-        fixed: &HashMap<TaskId, Placement>,
-        deadline: SimTime,
-    ) -> Result<Distribution, ScheduleError> {
-        self.run(req, &Pass::new(fixed, deadline))
-    }
-
-    /// Session form of [`crate::method::reschedule_with_objective`]:
-    /// replans under an aggressive criterion, degrading to `MinCost` if
-    /// the aggressive pass strands a critical work.
+    /// `objective` is the §5 "dynamic priority change": a job manager
+    /// replanning a job whose deadline is endangered can pay more quota
+    /// for speed. If the aggressive criterion strands a critical work
+    /// (the sequential chain heuristic can, when earlier works are packed
+    /// with zero slack), the pass degrades to `MinCost` rather than fail
+    /// ([`Counter::ObjectiveFallbacks`]). Under `MinCost` it is one pass.
     ///
     /// # Errors
     ///
@@ -307,8 +294,14 @@ impl<'p> PlanningSession<'p> {
         )
     }
 
-    /// Session form of [`crate::method::build_distribution_direct`] (the
-    /// single-phase ablation).
+    /// Single-phase ablation of the critical works method: every chain is
+    /// allocated directly against the availability *including*
+    /// sibling-chain reservations, so collisions never occur (and are never
+    /// recorded).
+    ///
+    /// Used by the ablation bench to quantify what the paper's two-phase
+    /// "ideal allocation, then collision resolution" buys; not part of the
+    /// paper's method itself.
     ///
     /// # Errors
     ///
@@ -328,7 +321,10 @@ impl<'p> PlanningSession<'p> {
         )
     }
 
-    /// Session form of [`crate::method::build_distribution_in_domain`].
+    /// [`PlanningSession::build_distribution`], but restricted to the
+    /// nodes of one domain — the view of a single job manager in the Fig. 1
+    /// hierarchy. The metascheduler can retry another domain on failure
+    /// (inter-domain job reallocation).
     ///
     /// # Errors
     ///
@@ -357,9 +353,12 @@ impl<'p> PlanningSession<'p> {
         )
     }
 
-    /// Session form of [`crate::method::build_distribution_with_objective`]:
-    /// falls back to `MinCost` when the aggressive criterion strands a
-    /// critical work.
+    /// [`PlanningSession::build_distribution`] under an explicit
+    /// optimization criterion: the paper's default minimizes cost;
+    /// `MinTime` buys speed, optionally capped by a per-critical-work quota
+    /// budget ("user should pay additional cost in order to … start the
+    /// task faster", §3). The `MinCost` fallback is
+    /// [`PlanningSession::reschedule_with_objective`]'s, with nothing fixed.
     ///
     /// # Errors
     ///
@@ -371,26 +370,20 @@ impl<'p> PlanningSession<'p> {
         objective: Objective,
     ) -> Result<Distribution, ScheduleError> {
         let deadline = req.release.saturating_add(req.job.deadline());
-        let no_fixed = HashMap::new();
-        let paper = Pass::new(&no_fixed, deadline);
-        let aggressive = self.run(req, &Pass { objective, ..paper });
-        match (aggressive, objective) {
-            (Ok(d), _) => Ok(d),
-            (Err(e), Objective::MinCost) => Err(e),
-            // The sequential chain heuristic can strand later critical
-            // works when earlier ones are packed with zero slack; degrade
-            // gracefully to the conservative criterion rather than fail
-            // the scenario.
-            (Err(_), _) => {
-                self.telemetry.incr(Counter::ObjectiveFallbacks);
-                self.run(req, &paper)
-            }
-        }
+        self.reschedule_with_objective(req, &HashMap::new(), deadline, objective)
     }
 
-    /// Session form of [`crate::method::build_distribution_recovering`]:
-    /// retries with singleton chains when the critical-works pass strands
-    /// a later chain.
+    /// [`PlanningSession::build_distribution`] with list-scheduling
+    /// recovery: if the sequential critical-works pass strands a later
+    /// chain (densely packed earlier chains can leave no gap for a task
+    /// with both a placed producer and a placed consumer), retry with
+    /// singleton chains in topological order, whose constraints only flow
+    /// forward and therefore always compose.
+    ///
+    /// Kept separate from [`PlanningSession::build_distribution`] because
+    /// the paper's admissibility statistics (Fig. 3a) are defined by the
+    /// critical-works pass alone; recovery admits marginal schedules the
+    /// method proper would reject.
     ///
     /// # Errors
     ///
@@ -437,10 +430,58 @@ mod tests {
         pool
     }
 
+    /// The session entry points the arena test runs, by name.
+    const ENTRY_POINTS: [&str; 7] = [
+        "build_distribution",
+        "with_objective FASTEST",
+        "with_objective budget",
+        "in_domain",
+        "direct",
+        "recovering",
+        "reschedule_with_objective",
+    ];
+
+    /// Runs the entry point `name` on `session`; the reschedule keeps
+    /// `fixed` and replans the rest from t3.
+    fn run_entry_point(
+        name: &str,
+        session: &PlanningSession<'_>,
+        req: &ScheduleRequest<'_>,
+        fixed: &HashMap<TaskId, Placement>,
+    ) -> Result<Distribution, ScheduleError> {
+        match name {
+            "build_distribution" => session.build_distribution(req),
+            "with_objective FASTEST" => {
+                session.build_distribution_with_objective(req, Objective::FASTEST)
+            }
+            "with_objective budget" => session
+                .build_distribution_with_objective(req, Objective::MinTime { budget: Some(60) }),
+            "in_domain" => session.build_distribution_in_domain(req, DomainId::new(1)),
+            "direct" => session.build_distribution_direct(req),
+            "recovering" => session.build_distribution_recovering(req),
+            "reschedule_with_objective" => {
+                let replan = ScheduleRequest {
+                    release: SimTime::from_ticks(3),
+                    ..*req
+                };
+                let deadline = req.release.saturating_add(req.job.deadline());
+                session.reschedule_with_objective(&replan, fixed, deadline, Objective::FASTEST)
+            }
+            _ => unreachable!("unknown entry point {name}"),
+        }
+    }
+
+    /// Every session entry point, run back to back on one thread whose
+    /// scratch arena each pass recycles, gives exactly what the same call
+    /// gives on a freshly spawned thread, whose arena is fresh; the
+    /// `MinCost` fallbacks they record agree too. The plain pass also
+    /// matches the clone-per-scenario reference.
     #[test]
-    fn session_matches_free_function_and_cloning_baseline() {
+    fn recycled_arena_matches_a_fresh_thread_on_every_entry_point() {
         let job = fig2_job_with_deadline(SimDuration::from_ticks(60));
         let mut pool = fig2_pool();
+        pool.add_node(DomainId::new(1), Perf::FULL);
+        pool.add_node(DomainId::new(1), Perf::new(0.5).unwrap());
         // Non-trivial background load so overlay merging actually runs.
         for i in 0..pool.len() {
             pool.timetable_mut(NodeId::new(i as u32))
@@ -455,21 +496,53 @@ mod tests {
                 .unwrap();
         }
         let policy = DataPolicy::remote_access();
-        let session = PlanningSession::open(&pool);
+        let request = |scenario| ScheduleRequest {
+            job: &job,
+            pool: &pool,
+            policy: &policy,
+            scenario,
+            release: SimTime::ZERO,
+        };
+        let plan = PlanningSession::open(&pool)
+            .build_distribution(&request(EstimateScenario::BEST))
+            .unwrap();
+        let fixed: HashMap<TaskId, Placement> =
+            [(TaskId::new(0), *plan.placement(TaskId::new(0)))].into();
+
+        let telemetry = Telemetry::new();
+        let session = PlanningSession::open_instrumented(&pool, &telemetry, None);
+        let mut fallbacks_by_name: HashMap<&str, u64> = HashMap::new();
         for scenario in [EstimateScenario::BEST, EstimateScenario::WORST] {
-            let req = ScheduleRequest {
-                job: &job,
-                pool: &pool,
-                policy: &policy,
-                scenario,
-                release: SimTime::ZERO,
-            };
-            let via_session = session.build_distribution(&req).unwrap();
-            let via_free = crate::method::build_distribution(&req).unwrap();
-            let via_cloning = crate::method::build_distribution_cloning(&req).unwrap();
-            assert_eq!(via_session.placements(), via_free.placements());
-            assert_eq!(via_session.placements(), via_cloning.placements());
-            assert_eq!(via_session.collisions(), via_cloning.collisions());
+            let req = request(scenario);
+            for name in ENTRY_POINTS {
+                let before = telemetry.counter(Counter::ObjectiveFallbacks);
+                let recycled = run_entry_point(name, &session, &req, &fixed);
+                let fallbacks = telemetry.counter(Counter::ObjectiveFallbacks) - before;
+                *fallbacks_by_name.entry(name).or_default() += fallbacks;
+                let (fresh, fresh_fallbacks) = std::thread::scope(|s| {
+                    s.spawn(|| {
+                        let telemetry = Telemetry::new();
+                        let session = PlanningSession::open_instrumented(&pool, &telemetry, None);
+                        let result = run_entry_point(name, &session, &req, &fixed);
+                        (result, telemetry.counter(Counter::ObjectiveFallbacks))
+                    })
+                    .join()
+                    .unwrap()
+                });
+                assert_eq!(recycled, fresh, "{name} under {scenario}");
+                assert_eq!(fallbacks, fresh_fallbacks, "{name} under {scenario}");
+            }
+            assert_eq!(
+                session.build_distribution(&req),
+                crate::method::build_distribution_cloning(&req),
+                "cloning reference under {scenario}"
+            );
+        }
+        // The zero-slack FASTEST chains strand the Fig. 2 fork-join, so
+        // that case exercises the fallback; the others never take it.
+        assert!(fallbacks_by_name["with_objective FASTEST"] > 0);
+        for name in ["build_distribution", "in_domain", "direct", "recovering"] {
+            assert_eq!(fallbacks_by_name[name], 0, "{name}");
         }
     }
 

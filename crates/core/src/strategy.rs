@@ -380,9 +380,10 @@ impl Strategy {
         Strategy::generate_with(Cow::Borrowed(job), pool, config, release, opts)
     }
 
-    /// The pre-refactor baseline sweep: sequential, with every scenario
-    /// materializing two full `Vec<Timetable>` clones of the pool
-    /// ([`build_distribution_cloning`]) instead of sharing one snapshot.
+    /// The clone-per-scenario reference sweep: sequential, with every
+    /// scenario cloning the pool and planning on a cold snapshot of the
+    /// clone ([`build_distribution_cloning`]) instead of sharing one
+    /// session snapshot.
     ///
     /// Kept for the determinism suite and the `strategy_sweep` bench; it
     /// must produce bit-identical strategies to [`Strategy::generate`].

@@ -2,7 +2,8 @@
 
 use gridsched_core::gantt::render_gantt;
 use gridsched_core::granularity::coarsen;
-use gridsched_core::method::{build_distribution, ScheduleRequest};
+use gridsched_core::method::ScheduleRequest;
+use gridsched_core::session::PlanningSession;
 use gridsched_data::policy::DataPolicy;
 use gridsched_model::estimate::EstimateScenario;
 use gridsched_model::ids::JobId;
@@ -93,7 +94,7 @@ fn gantt_paints_exactly_the_wall_time() {
             &mut rng,
         );
         let policy = DataPolicy::remote_access();
-        let Ok(dist) = build_distribution(&ScheduleRequest {
+        let Ok(dist) = PlanningSession::open(&pool).build_distribution(&ScheduleRequest {
             job: &job,
             pool: &pool,
             policy: &policy,

@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 
 use gridsched_core::distribution::Placement;
-use gridsched_core::method::{build_distribution, reschedule_with_objective, ScheduleRequest};
+use gridsched_core::method::ScheduleRequest;
 use gridsched_core::objective::Objective;
 use gridsched_core::session::PlanningSession;
 use gridsched_core::strategy::{Strategy as SchedulingStrategy, StrategyConfig, StrategyKind};
@@ -53,7 +53,7 @@ fn schedules_are_feasible() {
             &mut rng,
         );
         let policy = DataPolicy::remote_access();
-        let result = build_distribution(&ScheduleRequest {
+        let result = PlanningSession::open(&pool).build_distribution(&ScheduleRequest {
             job: &job,
             pool: &pool,
             policy: &policy,
@@ -98,7 +98,7 @@ fn cost_is_monotone_in_deadline() {
                 SimTime::ZERO,
                 &mut jrng,
             );
-            let result = build_distribution(&ScheduleRequest {
+            let result = PlanningSession::open(&pool).build_distribution(&ScheduleRequest {
                 job: &job,
                 pool: &pool,
                 policy: &policy,
@@ -186,7 +186,7 @@ fn scheduling_never_mutates_the_pool() {
             &mut rng,
         );
         let policy = DataPolicy::active_replication();
-        let _ = build_distribution(&ScheduleRequest {
+        let _ = PlanningSession::open(&pool).build_distribution(&ScheduleRequest {
             job: &job,
             pool: &pool,
             policy: &policy,
@@ -378,7 +378,7 @@ fn min_time_replans_and_budget_probes_match_frozen_fingerprints() {
 
         // The original plan is a best-case one; the replan runs under the
         // seed's scenario.
-        let planned = build_distribution(&ScheduleRequest {
+        let planned = PlanningSession::open(&pool).build_distribution(&ScheduleRequest {
             scenario: EstimateScenario::BEST,
             ..req
         });
@@ -406,8 +406,12 @@ fn min_time_replans_and_budget_probes_match_frozen_fingerprints() {
                         release: SimTime::from_ticks(release),
                         ..req
                     };
-                    let result =
-                        reschedule_with_objective(&req, &fixed, deadline, Objective::FASTEST);
+                    let result = PlanningSession::open(&replan_pool).reschedule_with_objective(
+                        &req,
+                        &fixed,
+                        deadline,
+                        Objective::FASTEST,
+                    );
                     hash_result(
                         &mut replanned,
                         result.as_ref().map(|d| d.placements()).map_err(|e| e.task),

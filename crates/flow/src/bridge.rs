@@ -21,7 +21,8 @@ use gridsched_model::node::ResourcePool;
 /// # Examples
 ///
 /// ```
-/// use gridsched_core::method::{build_distribution, ScheduleRequest};
+/// use gridsched_core::method::ScheduleRequest;
+/// use gridsched_core::session::PlanningSession;
 /// use gridsched_data::policy::DataPolicy;
 /// use gridsched_flow::bridge::domain_reservations;
 /// use gridsched_model::estimate::EstimateScenario;
@@ -38,7 +39,8 @@ use gridsched_model::node::ResourcePool;
 ///     pool.add_node(DomainId::new(0), Perf::new(1.0 / f64::from(j))?);
 /// }
 /// let policy = DataPolicy::remote_access();
-/// let dist = build_distribution(&ScheduleRequest {
+/// let session = PlanningSession::open(&pool);
+/// let dist = session.build_distribution(&ScheduleRequest {
 ///     job: &job,
 ///     pool: &pool,
 ///     policy: &policy,
@@ -78,7 +80,8 @@ pub fn domain_reserved_ticks(dist: &Distribution, pool: &ResourcePool, domain: D
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gridsched_core::method::{build_distribution, ScheduleRequest};
+    use gridsched_core::method::ScheduleRequest;
+    use gridsched_core::session::PlanningSession;
     use gridsched_data::policy::DataPolicy;
     use gridsched_model::estimate::EstimateScenario;
     use gridsched_model::fixtures::fig2_job_with_deadline;
@@ -93,14 +96,15 @@ mod tests {
         pool.add_node(DomainId::new(1), Perf::new(0.8).unwrap());
         pool.add_node(DomainId::new(1), Perf::new(0.33).unwrap());
         let policy = DataPolicy::remote_access();
-        let dist = build_distribution(&ScheduleRequest {
-            job: &job,
-            pool: &pool,
-            policy: &policy,
-            scenario: EstimateScenario::BEST,
-            release: SimTime::ZERO,
-        })
-        .unwrap();
+        let dist = PlanningSession::open(&pool)
+            .build_distribution(&ScheduleRequest {
+                job: &job,
+                pool: &pool,
+                policy: &policy,
+                scenario: EstimateScenario::BEST,
+                release: SimTime::ZERO,
+            })
+            .unwrap();
         (pool, dist)
     }
 

@@ -11,11 +11,16 @@
 //! ([`std::sync::Arc`]-backed, so sharing across scenario threads is a
 //! pointer copy), while each scenario records its tentative reservations in
 //! a private [`TimetableOverlay`] on top of the shared snapshot.
+//! The overlay is the one availability view the critical-works engine
+//! plans against; even the clone-per-scenario reference baseline builds
+//! overlays, over a cold snapshot of a cloned pool.
 //!
 //! Overlay queries answer exactly as a materialized [`Timetable`] holding
 //! the union of base and tentative reservations would — the differential
 //! property suite (`crates/model/tests/prop_overlay.rs`) pins this
 //! equivalence on random reservation sets.
+//!
+//! [`Timetable`]: crate::timetable::Timetable
 //!
 //! # Query caching
 //!
@@ -79,7 +84,6 @@ use crate::gap_index::GapIndex;
 use crate::ids::NodeId;
 use crate::index_cache::NodeCalendar;
 use crate::node::ResourcePool;
-use crate::timetable::{ReservationOwner, Timetable};
 use crate::window::TimeWindow;
 
 /// Default [`ProbeConfig::index_floor`]: nodes with fewer base windows
@@ -199,86 +203,14 @@ impl fmt::Display for PlanConflict {
 
 impl std::error::Error for PlanConflict {}
 
-/// Node-indexed availability that schedule construction can query and
-/// tentatively reserve against.
-///
-/// Two implementations exist: [`TimetableOverlay`] (the planning-session
-/// path: shared snapshot + copy-on-write tentative windows) and
-/// `Vec<Timetable>` (materialized per-scenario clones — the pre-refactor
-/// baseline, kept for differential tests and benchmarks).
-pub trait Availability {
-    /// Number of nodes covered (must equal the pool's node count).
-    fn node_count(&self) -> usize;
-
-    /// Whether `window` is completely free on `node`.
-    fn is_free(&self, node: NodeId, window: TimeWindow) -> bool;
-
-    /// Earliest start `s >= not_before` on `node` such that
-    /// `[s, s + duration)` is free and ends no later than `deadline`.
-    fn earliest_fit(
-        &self,
-        node: NodeId,
-        not_before: SimTime,
-        duration: SimDuration,
-        deadline: SimTime,
-    ) -> Option<SimTime>;
-
-    /// Tentatively reserves `window` on `node` for `owner`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanConflict`] if the window is not free.
-    fn reserve(
-        &mut self,
-        node: NodeId,
-        window: TimeWindow,
-        owner: ReservationOwner,
-    ) -> Result<(), PlanConflict>;
-}
-
-impl Availability for Vec<Timetable> {
-    fn node_count(&self) -> usize {
-        self.len()
-    }
-
-    fn is_free(&self, node: NodeId, window: TimeWindow) -> bool {
-        self[node.index()].is_free(window)
-    }
-
-    fn earliest_fit(
-        &self,
-        node: NodeId,
-        not_before: SimTime,
-        duration: SimDuration,
-        deadline: SimTime,
-    ) -> Option<SimTime> {
-        self[node.index()].earliest_fit(not_before, duration, deadline)
-    }
-
-    fn reserve(
-        &mut self,
-        node: NodeId,
-        window: TimeWindow,
-        owner: ReservationOwner,
-    ) -> Result<(), PlanConflict> {
-        self[node.index()]
-            .reserve(window, owner)
-            .map(|_| ())
-            .map_err(|e| PlanConflict {
-                requested: e.requested(),
-                existing: e.existing(),
-            })
-    }
-}
-
 /// An immutable, cheaply shareable capture of every node's reserved
 /// windows at one instant.
 ///
 /// Cloning a snapshot is an [`Arc`] bump: sharing it across the scenario
 /// threads of a strategy sweep costs nothing. Windows are stored exactly
 /// as the timetables held them (same order, adjacent windows *not*
-/// merged), so overlay queries reproduce [`Timetable`] answers bit for
-/// bit.
+/// merged), so overlay queries reproduce
+/// [`Timetable`](crate::timetable::Timetable) answers bit for bit.
 ///
 /// # Examples
 ///
@@ -431,7 +363,8 @@ impl AvailabilitySnapshot {
 /// Creating an overlay never copies base windows; tentative reservations
 /// are the only per-scenario allocation (one short sorted `Vec` per node,
 /// populated lazily). All queries answer over the *union* of base and
-/// tentative windows with the exact algorithms of [`Timetable`].
+/// tentative windows with the exact algorithms of
+/// [`Timetable`](crate::timetable::Timetable).
 #[derive(Debug, Clone)]
 pub struct TimetableOverlay {
     base: AvailabilitySnapshot,
@@ -520,7 +453,8 @@ fn first_ending_after_from(ws: &[TimeWindow], from: usize, t: SimTime) -> usize 
 /// Both inputs are sorted by start and pairwise non-overlapping, and the
 /// union is non-overlapping too (reservations check conflicts against
 /// both lists), so merging by start yields a sequence with non-decreasing
-/// ends — the same shape a materialized [`Timetable`] would have.
+/// ends — the same shape a materialized
+/// [`Timetable`](crate::timetable::Timetable) would have.
 struct MergedWindows<'a> {
     base: &'a [TimeWindow],
     extra: &'a [TimeWindow],
@@ -663,6 +597,12 @@ impl TimetableOverlay {
         &self.base
     }
 
+    /// Number of nodes this view covers (the snapshot's node count).
+    #[must_use]
+    pub fn node_count(&self) -> usize {
+        self.base.node_count()
+    }
+
     /// Number of tentative reservations recorded on `node`.
     #[must_use]
     pub fn tentative_count(&self, node: NodeId) -> usize {
@@ -729,8 +669,9 @@ impl TimetableOverlay {
     /// Finds the earliest start `s >= not_before` on `node` such that
     /// `[s, s + duration)` is free and ends no later than `deadline`.
     ///
-    /// Same candidate/jump algorithm as [`Timetable::earliest_fit`], run
-    /// over the merged base + tentative sequence — with an epoch-tagged
+    /// Same candidate/jump algorithm as
+    /// [`Timetable::earliest_fit`](crate::timetable::Timetable::earliest_fit),
+    /// run over the merged base + tentative sequence — with an epoch-tagged
     /// per-node memo in front: a repeat probe with the same duration and
     /// deadline whose `not_before` falls in the window the last answer
     /// covers (the internal `FitMemo`) is answered without touching the lists at
@@ -864,7 +805,9 @@ impl TimetableOverlay {
     }
 
     /// Free windows of `node` inside `range`, in time order — the cursor
-    /// walk of [`Timetable::free_windows`] over the merged sequence.
+    /// walk of
+    /// [`Timetable::free_windows`](crate::timetable::Timetable::free_windows)
+    /// over the merged sequence.
     ///
     /// Allocates a fresh `Vec` per call; hot paths should prefer
     /// [`TimetableOverlay::free_windows_into`] with a reused buffer. This
@@ -948,43 +891,12 @@ impl TimetableOverlay {
     }
 }
 
-impl Availability for TimetableOverlay {
-    fn node_count(&self) -> usize {
-        self.base.node_count()
-    }
-
-    fn is_free(&self, node: NodeId, window: TimeWindow) -> bool {
-        TimetableOverlay::is_free(self, node, window)
-    }
-
-    fn earliest_fit(
-        &self,
-        node: NodeId,
-        not_before: SimTime,
-        duration: SimDuration,
-        deadline: SimTime,
-    ) -> Option<SimTime> {
-        TimetableOverlay::earliest_fit(self, node, not_before, duration, deadline)
-    }
-
-    fn reserve(
-        &mut self,
-        node: NodeId,
-        window: TimeWindow,
-        _owner: ReservationOwner,
-    ) -> Result<(), PlanConflict> {
-        // Planning views never need owner attribution: tentative windows
-        // are discarded with the overlay, and activation re-reserves on
-        // the live pool with the proper owner.
-        self.reserve_window(node, window)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ids::DomainId;
     use crate::perf::Perf;
+    use crate::timetable::ReservationOwner;
 
     fn w(a: u64, b: u64) -> TimeWindow {
         TimeWindow::new(SimTime::from_ticks(a), SimTime::from_ticks(b)).unwrap()
@@ -1146,22 +1058,5 @@ mod tests {
         );
         let s = overlay.take_index_stats();
         assert_eq!((s.seeks, s.builds), (1, 1));
-    }
-
-    #[test]
-    fn vec_timetable_availability_matches_direct_calls() {
-        let mut tts = vec![Timetable::new(), Timetable::new()];
-        let n1 = NodeId::new(1);
-        Availability::reserve(&mut tts, n1, w(2, 5), ReservationOwner::Background(0)).unwrap();
-        assert_eq!(tts.node_count(), 2);
-        assert!(!Availability::is_free(&tts, n1, w(3, 4)));
-        assert!(Availability::is_free(&tts, NodeId::new(0), w(3, 4)));
-        assert_eq!(
-            Availability::earliest_fit(&tts, n1, t(0), d(3), SimTime::MAX),
-            Some(t(5))
-        );
-        let err = Availability::reserve(&mut tts, n1, w(4, 6), ReservationOwner::Background(1))
-            .unwrap_err();
-        assert_eq!(err.existing, w(2, 5));
     }
 }

@@ -11,7 +11,9 @@
 use std::collections::HashMap;
 
 use gridsched::core::gantt::render_gantt;
-use gridsched::core::method::{build_distribution, reschedule_with_deadline, ScheduleRequest};
+use gridsched::core::method::ScheduleRequest;
+use gridsched::core::objective::Objective;
+use gridsched::core::session::PlanningSession;
 use gridsched::data::policy::DataPolicy;
 use gridsched::model::estimate::EstimateScenario;
 use gridsched::model::fixtures::fig2_job_with_deadline;
@@ -31,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let policy = DataPolicy::remote_access();
 
     // 1. Plan and activate.
-    let plan = build_distribution(&ScheduleRequest {
+    let plan = PlanningSession::open(&pool).build_distribution(&ScheduleRequest {
         job: &job,
         pool: &pool,
         policy: &policy,
@@ -92,8 +94,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 3. Replan the remaining tasks from the break instant, keeping the
-    //    original absolute deadline.
-    let replanned = reschedule_with_deadline(
+    //    original absolute deadline, under the paper's default criterion.
+    let replanned = PlanningSession::open(&pool).reschedule_with_objective(
         &ScheduleRequest {
             job: &job,
             pool: &pool,
@@ -103,6 +105,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         &fixed,
         SimTime::ZERO.saturating_add(job.deadline()),
+        Objective::MinCost,
     )?;
     println!(
         "\nreplanned schedule (CF = {}, makespan {}):",

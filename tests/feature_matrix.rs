@@ -1,11 +1,9 @@
 //! Integration test: the scheduling variants compose — objectives ×
 //! domains × recovery × strategies on shared workloads.
 
-use gridsched::core::method::{
-    build_distribution, build_distribution_direct, build_distribution_in_domain,
-    build_distribution_recovering, build_distribution_with_objective, ScheduleRequest,
-};
+use gridsched::core::method::ScheduleRequest;
 use gridsched::core::objective::Objective;
+use gridsched::core::session::PlanningSession;
 use gridsched::core::strategy::{Strategy, StrategyConfig, StrategyKind};
 use gridsched::data::policy::DataPolicy;
 use gridsched::model::estimate::EstimateScenario;
@@ -45,18 +43,22 @@ fn every_scheduling_variant_yields_valid_schedules() {
         );
         let policy = DataPolicy::remote_access();
         let req = request(&job, &pool, &policy);
+        let session = PlanningSession::open(&pool);
 
         let variants: Vec<(&str, Result<_, _>)> = vec![
-            ("default", build_distribution(&req)),
-            ("direct", build_distribution_direct(&req)),
-            ("recovering", build_distribution_recovering(&req)),
+            ("default", session.build_distribution(&req)),
+            ("direct", session.build_distribution_direct(&req)),
+            ("recovering", session.build_distribution_recovering(&req)),
             (
                 "min-time",
-                build_distribution_with_objective(&req, Objective::FASTEST),
+                session.build_distribution_with_objective(&req, Objective::FASTEST),
             ),
             (
                 "budgeted",
-                build_distribution_with_objective(&req, Objective::MinTime { budget: Some(50) }),
+                session.build_distribution_with_objective(
+                    &req,
+                    Objective::MinTime { budget: Some(50) },
+                ),
             ),
         ];
         for (name, result) in variants {
@@ -70,7 +72,7 @@ fn every_scheduling_variant_yields_valid_schedules() {
         }
         // Domain-restricted variants per existing domain.
         for domain in pool.domains() {
-            if let Ok(d) = build_distribution_in_domain(&req, domain) {
+            if let Ok(d) = session.build_distribution_in_domain(&req, domain) {
                 assert_eq!(d.validate(&job, &pool), Ok(()), "seed {seed}, {domain}");
                 for p in d.placements() {
                     assert_eq!(pool.node(p.node).domain(), domain);
@@ -98,8 +100,9 @@ fn recovery_never_loses_a_chains_solvable_job() {
         );
         let policy = DataPolicy::active_replication();
         let req = request(&job, &pool, &policy);
-        let plain = build_distribution(&req);
-        let recovering = build_distribution_recovering(&req);
+        let session = PlanningSession::open(&pool);
+        let plain = session.build_distribution(&req);
+        let recovering = session.build_distribution_recovering(&req);
         if let Ok(p) = &plain {
             let r = recovering.as_ref().expect("recovery is a superset");
             assert_eq!(p.cost(), r.cost(), "seed {seed}: first pass identical");
@@ -123,12 +126,17 @@ fn strategies_and_objectives_do_not_interfere() {
         &mut rng,
     );
     let policy = DataPolicy::remote_access();
-    let before = build_distribution(&request(&job, &pool, &policy)).map(|d| d.cost());
+    let before = PlanningSession::open(&pool)
+        .build_distribution(&request(&job, &pool, &policy))
+        .map(|d| d.cost());
     for kind in StrategyKind::ALL {
         let config = StrategyConfig::for_kind(kind, &pool);
         let _ = Strategy::generate(&job, &pool, &config, SimTime::ZERO);
     }
-    let _ = build_distribution_with_objective(&request(&job, &pool, &policy), Objective::FASTEST);
-    let after = build_distribution(&request(&job, &pool, &policy)).map(|d| d.cost());
+    let _ = PlanningSession::open(&pool)
+        .build_distribution_with_objective(&request(&job, &pool, &policy), Objective::FASTEST);
+    let after = PlanningSession::open(&pool)
+        .build_distribution(&request(&job, &pool, &policy))
+        .map(|d| d.cost());
     assert_eq!(before.ok(), after.ok(), "pool state leaked between calls");
 }

@@ -1,7 +1,8 @@
 //! Integration test: the paper's Fig. 2 worked example, end to end.
 
 use gridsched::core::chains::{chain_decomposition, ranked_maximal_paths};
-use gridsched::core::method::{build_distribution, ScheduleRequest};
+use gridsched::core::method::ScheduleRequest;
+use gridsched::core::session::PlanningSession;
 use gridsched::core::strategy::{Strategy, StrategyConfig, StrategyKind};
 use gridsched::data::policy::DataPolicy;
 use gridsched::model::estimate::EstimateScenario;
@@ -81,14 +82,15 @@ fn schedules_fit_the_papers_time_axis() {
     let job = fig2_job();
     let pool = fig2_pool();
     let policy = DataPolicy::remote_access();
-    let dist = build_distribution(&ScheduleRequest {
-        job: &job,
-        pool: &pool,
-        policy: &policy,
-        scenario: EstimateScenario::BEST,
-        release: SimTime::ZERO,
-    })
-    .unwrap();
+    let dist = PlanningSession::open(&pool)
+        .build_distribution(&ScheduleRequest {
+            job: &job,
+            pool: &pool,
+            policy: &policy,
+            scenario: EstimateScenario::BEST,
+            release: SimTime::ZERO,
+        })
+        .unwrap();
     assert!(dist.makespan() <= SimTime::from_ticks(20));
     assert_eq!(dist.validate(&job, &pool), Ok(()));
 }
@@ -104,14 +106,15 @@ fn cheaper_schedules_use_slower_nodes() {
     let mut costs = Vec::new();
     for deadline in [14u64, 16, 24, 48] {
         let job = fig2_job_with_deadline(SimDuration::from_ticks(deadline));
-        let dist = build_distribution(&ScheduleRequest {
-            job: &job,
-            pool: &pool,
-            policy: &policy,
-            scenario: EstimateScenario::BEST,
-            release: SimTime::ZERO,
-        })
-        .unwrap();
+        let dist = PlanningSession::open(&pool)
+            .build_distribution(&ScheduleRequest {
+                job: &job,
+                pool: &pool,
+                policy: &policy,
+                scenario: EstimateScenario::BEST,
+                release: SimTime::ZERO,
+            })
+            .unwrap();
         costs.push(dist.cost());
     }
     for pair in costs.windows(2) {
@@ -129,14 +132,15 @@ fn collision_is_detected_and_resolved_on_scarce_nodes() {
     pool.add_node(DomainId::new(0), Perf::FULL);
     let job = fig2_job_with_deadline(SimDuration::from_ticks(40));
     let policy = DataPolicy::remote_access();
-    let dist = build_distribution(&ScheduleRequest {
-        job: &job,
-        pool: &pool,
-        policy: &policy,
-        scenario: EstimateScenario::BEST,
-        release: SimTime::ZERO,
-    })
-    .unwrap();
+    let dist = PlanningSession::open(&pool)
+        .build_distribution(&ScheduleRequest {
+            job: &job,
+            pool: &pool,
+            policy: &policy,
+            scenario: EstimateScenario::BEST,
+            release: SimTime::ZERO,
+        })
+        .unwrap();
     assert!(!dist.collisions().is_empty());
     // Resolution kept the schedule valid (no self-overlaps).
     assert_eq!(dist.validate(&job, &pool), Ok(()));
