@@ -20,17 +20,6 @@
 //! QoS counters must reconcile, and every arrival must be accounted for
 //! (`jobs_arrived == jobs_admitted + jobs_rejected + jobs_deferred`).
 //!
-//! With `--domains FILE` the gate compares a fresh *hierarchical*
-//! `online_throughput` result (flow layer sharded over ≥ 2 job managers)
-//! against a fresh *monolithic* one (`--mono FILE`, default
-//! `BENCH_online_mono.json` — the collapsed single-manager flow layer on
-//! the same pool, which makes bit-identical campaign decisions; produce
-//! both files in one paired `online_throughput --mono-out` invocation so
-//! the two runs are interleaved and machine drift cancels out of their
-//! ratio): sharding is pure bookkeeping, so hierarchical sustained
-//! throughput must stay within `--min-domain-ratio` (default 0.95) of
-//! the monolithic run.
-//!
 //! With `--probe-index FILE` the gate checks a fresh `probe_scaling`
 //! result: the gap-indexed cold probe must beat the linear jump-walk by
 //! `--min-probe-speedup` (default 1.0; the reference box clears 5×, and
@@ -49,9 +38,7 @@
 //! `cargo run --release -p gridsched-bench --bin bench_check -- \
 //!    --fresh BENCH_fresh.json --baseline BENCH_strategy_sweep.json --min-speedup 2.0`
 
-use gridsched_bench::{
-    bench_gate, domain_gate, index_cache_gate, json_number, keys, probe_gate, Args,
-};
+use gridsched_bench::{bench_gate, index_cache_gate, json_number, keys, probe_gate, Args};
 
 fn read(path: &str) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"))
@@ -109,11 +96,6 @@ fn main() {
     let online_path: Option<String> = args
         .has("online")
         .then(|| args.get("online", "BENCH_online_throughput.json".to_owned()));
-    let domains_path: Option<String> = args
-        .has("domains")
-        .then(|| args.get("domains", "BENCH_online_domains.json".to_owned()));
-    let mono_path: String = args.get("mono", "BENCH_online_mono.json".to_owned());
-    let min_domain_ratio: f64 = args.get("min-domain-ratio", 0.95);
     let probe_path: Option<String> = args
         .has("probe-index")
         .then(|| args.get("probe-index", "BENCH_probe_scaling.json".to_owned()));
@@ -144,23 +126,6 @@ fn main() {
     if let Some(online_path) = online_path {
         println!("bench_check: online serving floor ({online_path})");
         pass &= online_gate(&read(&online_path));
-    }
-    if let Some(domains_path) = domains_path {
-        println!(
-            "bench_check: hierarchical vs monolithic ({domains_path} vs {mono_path}, floor {min_domain_ratio:.2}x)"
-        );
-        let (lines, ok) = domain_gate(&read(&domains_path), &read(&mono_path), min_domain_ratio);
-        for line in &lines {
-            let fmt = |v: Option<f64>| v.map_or("missing".to_owned(), |v| format!("{v:.2}"));
-            println!(
-                "  [{}] {:<28} fresh {:>9}   required {:>9}",
-                if line.pass { "OK  " } else { "FAIL" },
-                line.key,
-                fmt(line.fresh),
-                fmt(line.baseline),
-            );
-        }
-        pass &= ok;
     }
     if let Some(probe_path) = probe_path {
         println!(

@@ -24,23 +24,10 @@
 //! `bench_check -- --online ...`: sustained throughput must be nonzero
 //! and the oracle must report zero violations.
 //!
-//! `--domains N` shards the pool into `N` node domains; `--flat`
-//! collapses the flow layer to a single job manager over the *same* pool
-//! — the monolithic baseline. A flat run makes bit-identical campaign
-//! decisions (cross-domain scans order by global activation sequence), so
-//! the sustained-throughput ratio between a sharded and a flat run
-//! isolates exactly the hierarchy's bookkeeping cost; `bench_check --
-//! --domains ...` gates on it. The JSON carries `domains` (the flow-layer
-//! manager count: 1 for `--flat`) plus per-domain
-//! activation/break/migration counts.
-//!
-//! `--mono-out PATH` additionally runs the collapsed (single-manager)
-//! variant of the same campaign and writes its JSON to `PATH`. The two
-//! variants run **interleaved inside this one process** — each repeat
-//! times the sharded loop then the flat loop back to back — so slow
-//! machine-level drift (CPU frequency, co-tenants) hits both equally and
-//! the sharded/flat throughput ratio stays meaningful on noisy runners.
-//! This is what CI feeds the `bench_check --domains/--mono` gate.
+//! `--domains N` shards the pool into `N` node domains. The JSON carries
+//! `domains` (the pool's domain count) plus per-domain
+//! activation/break/migration counts, attributed to each job's home
+//! domain.
 //!
 //! `--repeat N` reruns the serving loop N times and takes the fastest
 //! wall clock (best-of-N, the usual de-noising for sub-100ms runs);
@@ -48,7 +35,7 @@
 //!
 //! Run with: `cargo run --release -p gridsched-bench --bin online_throughput`
 //! Knobs: `--jobs N --seed N --rate F --queue N --perturbations N --domains N
-//! --flat --repeat N --out PATH --mono-out PATH`
+//! --repeat N --out PATH`
 
 use std::time::{Duration, Instant};
 
@@ -88,7 +75,7 @@ fn run_once(cfg: &OnlineConfig) -> Measured {
     }
 }
 
-/// The knobs shared by every variant of one invocation.
+/// The knobs of one invocation.
 struct Workload {
     seed: u64,
     rate: f64,
@@ -97,9 +84,8 @@ struct Workload {
     repeat: usize,
 }
 
-/// Prints the human-readable block and writes the JSON for one measured
-/// variant; returns whether it is healthy (counters reconcile, oracle
-/// clean).
+/// Prints the human-readable block and writes the JSON for the measured
+/// run; returns whether it is healthy (counters reconcile, oracle clean).
 fn emit(m: &Measured, w: &Workload, domains: u32, out: &str) -> bool {
     let s = m.report.summary;
     let wall_secs = m.wall.as_secs_f64().max(1e-9);
@@ -156,7 +142,7 @@ fn emit(m: &Measured, w: &Workload, domains: u32, out: &str) -> bool {
     let reconciled = m.report.counters_reconcile();
 
     println!(
-        "online_throughput: seed {}, rate {}, queue {}, {domains} domain manager(s), {} offered jobs",
+        "online_throughput: seed {}, rate {}, queue {}, {domains} domain(s), {} offered jobs",
         w.seed, w.rate, w.queue, w.jobs
     );
     println!(
@@ -270,29 +256,17 @@ fn main() {
     let rate: f64 = args.get("rate", 0.15);
     let queue: usize = args.get("queue", 16);
     let perturbations: usize = args.get("perturbations", 40);
-    let pool_domains: u32 = args.get("domains", PoolConfig::default().domains);
-    let flat: bool = args.get("flat", false);
-    // The flow-layer manager count — what the JSON reports and the
-    // hierarchy gate compares on.
-    let domains: u32 = if flat { 1 } else { pool_domains };
+    let domains: u32 = args.get("domains", PoolConfig::default().domains);
     let out: String = args.get("out", "BENCH_online_throughput.json".to_owned());
-    let mono_out: Option<String> = args
-        .has("mono-out")
-        .then(|| args.get("mono-out", "BENCH_online_mono.json".to_owned()));
-    assert!(
-        !(flat && mono_out.is_some()),
-        "--mono-out pairs a sharded run with its collapsed baseline; drop --flat"
-    );
 
     let cfg = OnlineConfig {
         base: CampaignConfig {
             jobs,
             perturbations,
             pool_config: PoolConfig {
-                domains: pool_domains,
+                domains,
                 ..PoolConfig::default()
             },
-            single_manager: flat,
             faults: FaultConfig {
                 outages: 3,
                 degradations: 2,
@@ -308,22 +282,6 @@ fn main() {
         ..OnlineConfig::default()
     };
 
-    // The variants this invocation measures: the requested run, plus —
-    // under --mono-out — the same campaign with the flow layer collapsed
-    // to one job manager (bit-identical decisions, the monolithic
-    // reference of the hierarchy gate).
-    let mut variants: Vec<(OnlineConfig, u32, String)> = vec![(cfg.clone(), domains, out)];
-    if let Some(mono_out) = mono_out {
-        let mono_cfg = OnlineConfig {
-            base: CampaignConfig {
-                single_manager: true,
-                ..cfg.base.clone()
-            },
-            ..cfg
-        };
-        variants.push((mono_cfg, 1, mono_out));
-    }
-
     let repeat: usize = args.get("repeat", 1).max(1);
     let workload = Workload {
         seed,
@@ -333,27 +291,18 @@ fn main() {
         repeat,
     };
 
-    // Best-of-N wall clock per variant; every repeat runs the same
-    // deterministic campaign, so keeping the fastest run's report and
-    // telemetry loses nothing. Variants are interleaved within each
-    // repeat so machine-level drift cancels out of their ratio.
-    let mut measured: Vec<Option<Measured>> = variants.iter().map(|_| None).collect();
-    for _ in 0..repeat {
-        for (slot, (cfg, _, _)) in measured.iter_mut().zip(&variants) {
-            let run = run_once(cfg);
-            match slot {
-                Some(best) if best.wall <= run.wall => {}
-                _ => *slot = Some(run),
-            }
+    // Best-of-N wall clock; every repeat runs the same deterministic
+    // campaign, so keeping the fastest run's report and telemetry loses
+    // nothing.
+    let mut best = run_once(&cfg);
+    for _ in 1..repeat {
+        let run = run_once(&cfg);
+        if run.wall < best.wall {
+            best = run;
         }
     }
 
-    let mut healthy = true;
-    for ((_, domains, out), m) in variants.iter().zip(&measured) {
-        let m = m.as_ref().expect("at least one repeat runs");
-        healthy &= emit(m, &workload, *domains, out);
-    }
-    if !healthy {
+    if !emit(&best, &workload, domains, &out) {
         std::process::exit(1);
     }
 }

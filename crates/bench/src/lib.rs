@@ -36,9 +36,6 @@ pub mod keys {
         "min-speedup",
         "require-pooled",
         "online",
-        "domains",
-        "mono",
-        "min-domain-ratio",
         "probe-index",
         "min-probe-speedup",
         "index-cache",
@@ -69,9 +66,7 @@ pub mod keys {
         "queue",
         "perturbations",
         "domains",
-        "flat",
         "out",
-        "mono-out",
         "repeat",
     ];
     /// `probe_scaling` binary.
@@ -339,53 +334,6 @@ pub fn bench_gate(
     (lines, pass)
 }
 
-/// Compares a fresh *hierarchical* `online_throughput` result (flow layer
-/// sharded over ≥ 2 job managers) against a fresh *monolithic* one (the
-/// `--flat` collapsed flow layer on the same pool and workload): a flat
-/// run makes bit-identical campaign decisions, so the hierarchy is pure
-/// bookkeeping and its sustained throughput must stay within `min_ratio`
-/// (e.g. 0.95) of the monolithic run's. Also requires the hierarchical
-/// run to be genuinely sharded (≥ 2 managers), the monolithic reference
-/// to really be monolithic, and the hierarchical run to be oracle-clean.
-#[must_use]
-pub fn domain_gate(hier: &str, mono: &str, min_ratio: f64) -> (Vec<GateLine>, bool) {
-    let hier_domains = json_number(hier, "domains");
-    let mono_domains = json_number(mono, "domains");
-    let hier_sustained = json_number(hier, "sustained_jobs_per_sec");
-    let mono_sustained = json_number(mono, "sustained_jobs_per_sec");
-    let lines = vec![
-        GateLine {
-            key: "hierarchical_domains_ge_2",
-            fresh: hier_domains,
-            baseline: Some(2.0),
-            pass: hier_domains.is_some_and(|d| d >= 2.0),
-        },
-        GateLine {
-            key: "monolithic_domains_eq_1",
-            fresh: mono_domains,
-            baseline: Some(1.0),
-            pass: mono_domains == Some(1.0),
-        },
-        GateLine {
-            key: "sustained_vs_monolithic",
-            fresh: hier_sustained,
-            baseline: mono_sustained.map(|m| m * min_ratio),
-            pass: match (hier_sustained, mono_sustained) {
-                (Some(h), Some(m)) => m > 0.0 && h >= m * min_ratio,
-                _ => false,
-            },
-        },
-        GateLine {
-            key: "hierarchical_oracle_clean",
-            fresh: json_number(hier, "oracle_violations"),
-            baseline: Some(0.0),
-            pass: json_number(hier, "oracle_violations") == Some(0.0),
-        },
-    ];
-    let pass = lines.iter().all(|l| l.pass);
-    (lines, pass)
-}
-
 /// Gates a fresh `probe_scaling` result: the gap-indexed cold probe must
 /// be at least `min_speedup`× the linear jump-walk at the benchmark's
 /// largest pool, and that pool must be big enough for the comparison to
@@ -536,9 +484,10 @@ mod tests {
                     "60",
                     "--rate",
                     "0.15",
-                    "--flat",
-                    "--mono-out",
-                    "m.json",
+                    "--domains",
+                    "3",
+                    "--out",
+                    "o.json",
                 ],
                 "--rat",
             ),
@@ -552,7 +501,7 @@ mod tests {
                     "--budget-ms",
                     "0",
                     "--inject",
-                    "collapse",
+                    "executors",
                 ],
                 "--cmapaigns",
             ),
@@ -639,33 +588,6 @@ mod tests {
         assert!(!pass);
         assert_eq!(lines.len(), 3);
         assert!(lines.iter().all(|l| l.fresh.is_none() && !l.pass));
-    }
-
-    #[test]
-    fn domain_gate_checks_ratio_and_sharding() {
-        let hier = "{\"domains\": 3, \"sustained_jobs_per_sec\": 96.0, \"oracle_violations\": 0}";
-        let mono = "{\"domains\": 1, \"sustained_jobs_per_sec\": 100.0}";
-        let (lines, pass) = domain_gate(hier, mono, 0.95);
-        assert!(pass);
-        assert_eq!(lines.len(), 4);
-
-        // Hierarchical run slower than the floor fails.
-        let slow = "{\"domains\": 3, \"sustained_jobs_per_sec\": 90.0, \"oracle_violations\": 0}";
-        let (lines, pass) = domain_gate(slow, mono, 0.95);
-        assert!(!pass);
-        assert!(!lines[2].pass);
-
-        // A "hierarchical" run that is not actually sharded fails.
-        let unsharded =
-            "{\"domains\": 1, \"sustained_jobs_per_sec\": 96.0, \"oracle_violations\": 0}";
-        assert!(!domain_gate(unsharded, mono, 0.95).1);
-
-        // A monolithic reference that is sharded fails.
-        let sharded_mono = "{\"domains\": 2, \"sustained_jobs_per_sec\": 100.0}";
-        assert!(!domain_gate(hier, sharded_mono, 0.95).1);
-
-        // Missing keys fail.
-        assert!(!domain_gate("{}", "{}", 0.95).1);
     }
 
     #[test]

@@ -1,12 +1,10 @@
 //! The differential axes: configurations of one campaign that must agree.
 //!
-//! Six axes, each a bit-identity contract the test suite pins with
+//! Five axes, each a bit-identity contract the test suite pins with
 //! hand-picked seeds and this module fuzzes with generated ones:
 //!
 //! * [`Axis::Executors`] — the `Sequential` and the pooled `Auto`
 //!   scenario-sweep executors plan identically.
-//! * [`Axis::Collapse`] — collapsing the domain-sharded flow layer to a
-//!   single job manager (`single_manager`) changes nothing observable.
 //! * [`Axis::Telemetry`] — attaching a live telemetry recorder is
 //!   strictly observational.
 //! * [`Axis::ProbeIndex`] — forcing the snapshot gap index onto every
@@ -46,8 +44,6 @@ pub const INJECTION_MASK: u64 = 0xd1ff_d1ff_d1ff_d1ff;
 pub enum Axis {
     /// Sequential vs pooled sweep executors.
     Executors,
-    /// Sharded vs `single_manager` flow layer.
-    Collapse,
     /// Telemetry-off vs telemetry-on.
     Telemetry,
     /// Gap-indexed vs linear cold `earliest_fit` probes.
@@ -60,9 +56,8 @@ pub enum Axis {
 
 impl Axis {
     /// Every axis, in execution order.
-    pub const ALL: [Axis; 6] = [
+    pub const ALL: [Axis; 5] = [
         Axis::Executors,
-        Axis::Collapse,
         Axis::Telemetry,
         Axis::ProbeIndex,
         Axis::IndexCache,
@@ -74,7 +69,6 @@ impl Axis {
     pub fn name(self) -> &'static str {
         match self {
             Axis::Executors => "executors",
-            Axis::Collapse => "collapse",
             Axis::Telemetry => "telemetry",
             Axis::ProbeIndex => "probe-index",
             Axis::IndexCache => "index-cache",
@@ -231,30 +225,7 @@ pub fn run_axes(campaign: &ChaosCampaign, inject: Option<Axis>) -> AxisReport {
         }
     }
 
-    // Axis 2: flow-layer collapse.
-    {
-        let config = CampaignConfig {
-            single_manager: true,
-            ..base_config.clone()
-        };
-        let mut fp = match audited(&config, "collapsed") {
-            Ok(report) => report_fingerprint(&report),
-            Err(failure) => return failed(failure),
-        };
-        if inject == Some(Axis::Collapse) {
-            fp ^= INJECTION_MASK;
-        }
-        if fp != base {
-            return failed(ChaosFailure::Divergence {
-                axis: Axis::Collapse,
-                variant: "collapsed",
-                expected: base,
-                actual: fp,
-            });
-        }
-    }
-
-    // Axis 3: telemetry bit-identity.
+    // Axis 2: telemetry bit-identity.
     {
         let telemetry = Telemetry::new();
         let report = run_campaign_instrumented(&base_config, &telemetry);
@@ -275,7 +246,7 @@ pub fn run_axes(campaign: &ChaosCampaign, inject: Option<Axis>) -> AxisReport {
         }
     }
 
-    // Axis 4: gap-indexed vs linear cold probes. Campaign calendars sit
+    // Axis 3: gap-indexed vs linear cold probes. Campaign calendars sit
     // below the default engagement floor, so the base run probes
     // linearly; this variant replays the whole campaign on a pool whose
     // floor is zero, forcing every cold probe through the gap index.
@@ -297,7 +268,7 @@ pub fn run_axes(campaign: &ChaosCampaign, inject: Option<Axis>) -> AxisReport {
         }
     }
 
-    // Axis 5: the cross-snapshot calendar cache. Replay once with the
+    // Axis 4: the cross-snapshot calendar cache. Replay once with the
     // cache on and the engagement floor at zero (every capture consults
     // the cache and cached gap indexes actually answer probes), then once
     // with the cache disabled outright; both must match the base
@@ -335,7 +306,7 @@ pub fn run_axes(campaign: &ChaosCampaign, inject: Option<Axis>) -> AxisReport {
         }
     }
 
-    // Axis 6: batch vs online on degenerate zero-gap arrivals.
+    // Axis 5: batch vs online on degenerate zero-gap arrivals.
     let batch = match audited(&campaign.zero_gap_config(), "batch-zero-gap") {
         Ok(report) => report,
         Err(failure) => return failed(failure),
@@ -396,8 +367,8 @@ mod tests {
             actual: 4,
         };
         let c = ChaosFailure::Divergence {
-            axis: Axis::Collapse,
-            variant: "collapsed",
+            axis: Axis::Telemetry,
+            variant: "instrumented",
             expected: 1,
             actual: 2,
         };

@@ -261,11 +261,11 @@ mod tests {
                 task_jitter: 0.07,
                 urgency_slack: 0.0,
             },
-            axis: Axis::Collapse,
-            variant: "collapsed".to_owned(),
+            axis: Axis::Telemetry,
+            variant: "instrumented".to_owned(),
             expected: u64::MAX,
             actual: 0x1234,
-            message: "axis collapse: variant \"collapsed\" diverged".to_owned(),
+            message: "axis telemetry: variant \"instrumented\" diverged".to_owned(),
             injected: true,
             shrink_attempts: 17,
         }

@@ -6,8 +6,9 @@ use gridsched::metrics::telemetry::{Counter, Telemetry};
 use gridsched_chaos::{run_axes, run_sweep, ChaosCampaign, SweepConfig};
 
 /// A handful of fixed generator seeds must run the full differential
-/// clean: executors, collapse, telemetry and (where comparable)
-/// batch-vs-online all agree, and every trace passes the oracle.
+/// clean: executors, telemetry, probe-index, index-cache and (where
+/// comparable) batch-vs-online all agree, and every trace passes the
+/// oracle.
 #[test]
 fn fixed_seeds_run_the_full_differential_clean() {
     for generator_seed in [0, 1, 2, 3, 4, 1_000_003, 0xfeed_f00d] {

@@ -6,12 +6,8 @@
 //! paper's experiments.
 //!
 //! - [`metascheduler`]: the top-tier dispatcher — flow assignment rules
-//!   (single flow, round-robin, by job size), domain selection for
-//!   activated schedules, and inter-domain migration across the
-//!   per-domain job managers it owns;
-//! - `job_manager` (crate-private): the middle tier — one manager per
-//!   processor-node domain holding its admission queue and active
-//!   supporting schedules;
+//!   (single flow, round-robin, by job size) and home-domain selection
+//!   for activated schedules;
 //! - `driver` (crate-private): the shared event machine both campaign
 //!   flavours run on, over the [`gridsched_sim::engine::Engine`] kernel
 //!   with an event-budget runaway guard;
@@ -56,7 +52,6 @@
 pub mod bridge;
 mod driver;
 pub mod faults;
-mod job_manager;
 pub mod metascheduler;
 pub mod online;
 pub mod oracle;

@@ -4,27 +4,24 @@
 //! job-flows between processor node domains according to the selected
 //! scheduling and resource co-allocation strategy Si, Sj or Sk."
 //!
-//! The metascheduler performs three dispatch duties:
+//! The metascheduler performs two dispatch duties:
 //!
 //! 1. **Flow assignment** ([`Metascheduler::assign`]): which strategy
 //!    flow a submitted job joins;
 //! 2. **Domain selection** (`select_domain`, crate-private): which
-//!    domain's `JobManager` homes an activated supporting schedule — the
-//!    domain holding the majority of its reserved ticks;
-//! 3. **Inter-domain migration** (`Metascheduler::rehome`,
-//!    crate-private): when a reallocation re-places a job's schedule so
-//!    its tick majority moves, the job is handed off between managers.
+//!    domain homes an activated supporting schedule — the domain holding
+//!    the majority of its reserved ticks. When a reallocation re-places a
+//!    job's schedule so its tick majority moves, the campaign re-selects
+//!    the home and traces the inter-domain migration.
 
 use std::collections::HashMap;
 
 use gridsched_core::distribution::Placement;
 use gridsched_core::strategy::StrategyKind;
 use gridsched_metrics::telemetry::{Counter, Telemetry};
-use gridsched_model::ids::{DomainId, JobId};
+use gridsched_model::ids::DomainId;
 use gridsched_model::job::Job;
 use gridsched_model::node::ResourcePool;
-
-use crate::job_manager::{ActiveJob, JobHandle, JobManager};
 
 /// How the metascheduler assigns incoming jobs to strategy flows.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,13 +66,6 @@ pub struct Metascheduler {
     next_flow: usize,
     counts: HashMap<StrategyKind, usize>,
     telemetry: Telemetry,
-    /// One job manager per domain, ascending by domain id (the order of
-    /// [`ResourcePool::domain_registry`]).
-    managers: Vec<JobManager>,
-    /// Global activation counter: every admitted job gets the next value,
-    /// giving cross-domain scans a total order identical to the
-    /// pre-hierarchy flat job vector.
-    next_seq: u64,
 }
 
 impl Metascheduler {
@@ -105,130 +95,7 @@ impl Metascheduler {
             next_flow: 0,
             counts: HashMap::new(),
             telemetry: telemetry.clone(),
-            managers: Vec::new(),
-            next_seq: 0,
         }
-    }
-
-    /// Builds one job manager per domain of the pool's registry
-    /// (ascending). An empty registry (empty pool) still gets a single
-    /// domain-0 manager so the dispatcher always has somewhere to send
-    /// work.
-    pub(crate) fn init_domains(&mut self, domains: &[DomainId]) {
-        self.managers = if domains.is_empty() {
-            vec![JobManager::new(DomainId::new(0))]
-        } else {
-            domains.iter().copied().map(JobManager::new).collect()
-        };
-    }
-
-    /// The per-domain managers, ascending by domain id.
-    pub(crate) fn managers(&self) -> &[JobManager] {
-        &self.managers
-    }
-
-    /// Mutable access to one manager.
-    pub(crate) fn manager_mut(&mut self, index: usize) -> &mut JobManager {
-        &mut self.managers[index]
-    }
-
-    /// Index of the manager owning `domain`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no manager schedules that domain.
-    pub(crate) fn manager_index(&self, domain: DomainId) -> usize {
-        // A collapsed (single-manager) flow layer serves every domain from
-        // manager 0 — the monolithic baseline of the hierarchy benches.
-        if self.managers.len() == 1 {
-            return 0;
-        }
-        self.managers
-            .iter()
-            .position(|m| m.domain() == domain)
-            .expect("every pool domain has a job manager")
-    }
-
-    /// Hands an activated job to its home domain's manager, stamping the
-    /// global activation sequence number.
-    pub(crate) fn admit_active(&mut self, home: DomainId, mut job: ActiveJob) -> JobHandle {
-        job.seq = self.next_seq;
-        self.next_seq += 1;
-        let manager = self.manager_index(home);
-        self.managers[manager].active.push(job);
-        JobHandle {
-            manager,
-            slot: self.managers[manager].active.len() - 1,
-        }
-    }
-
-    /// The job a handle addresses.
-    pub(crate) fn job(&self, h: JobHandle) -> &ActiveJob {
-        &self.managers[h.manager].active[h.slot]
-    }
-
-    /// Mutable access to the job a handle addresses.
-    pub(crate) fn job_mut(&mut self, h: JobHandle) -> &mut ActiveJob {
-        &mut self.managers[h.manager].active[h.slot]
-    }
-
-    /// Finds the live (not dropped) job with this id, if any.
-    pub(crate) fn find_live(&self, id: JobId) -> Option<JobHandle> {
-        self.jobs()
-            .find(|(_, a)| a.job.id() == id && !a.dropped)
-            .map(|(h, _)| h)
-    }
-
-    /// Iterates every job across all managers (dropped included), in
-    /// manager/slot storage order — NOT the deterministic global order;
-    /// use [`Metascheduler::handles_by_seq`] when order matters.
-    pub(crate) fn jobs(&self) -> impl Iterator<Item = (JobHandle, &ActiveJob)> {
-        self.managers.iter().enumerate().flat_map(|(m, mgr)| {
-            mgr.active
-                .iter()
-                .enumerate()
-                .map(move |(slot, a)| (JobHandle { manager: m, slot }, a))
-        })
-    }
-
-    /// Every job's handle in global activation order — the deterministic
-    /// scan order of the pre-hierarchy flat job vector.
-    pub(crate) fn handles_by_seq(&self) -> Vec<JobHandle> {
-        let mut handles: Vec<(u64, JobHandle)> = self.jobs().map(|(h, a)| (a.seq, h)).collect();
-        handles.sort_unstable_by_key(|&(seq, _)| seq);
-        handles.into_iter().map(|(_, h)| h).collect()
-    }
-
-    /// Migrates a job between managers after a reallocation moved its
-    /// tick majority. Returns the job's new handle; every other handle
-    /// into the source manager may be invalidated (`swap_remove`).
-    pub(crate) fn rehome(&mut self, h: JobHandle, to: DomainId) -> JobHandle {
-        let target = self.manager_index(to);
-        if target == h.manager {
-            return h;
-        }
-        let job = self.managers[h.manager].active.swap_remove(h.slot);
-        self.managers[target].active.push(job);
-        JobHandle {
-            manager: target,
-            slot: self.managers[target].active.len() - 1,
-        }
-    }
-
-    /// Total arrivals queued across every domain's admission queue.
-    pub(crate) fn total_queued(&self) -> usize {
-        self.managers.iter().map(|m| m.queue.len()).sum()
-    }
-
-    /// The manager a fresh arrival should queue under: the least loaded,
-    /// ties to the lowest domain id (managers are stored ascending).
-    pub(crate) fn least_loaded(&self) -> usize {
-        self.managers
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, m)| m.load())
-            .map(|(i, _)| i)
-            .expect("init_domains always installs at least one manager")
     }
 
     /// Assigns `job` to a flow and returns the flow's strategy kind.
@@ -266,8 +133,7 @@ impl Metascheduler {
 
 /// The metascheduler's domain-selection rule: the home domain of a set of
 /// placements is the domain holding the most reserved ticks, ties
-/// resolved to the lowest domain id. The job manager of this domain owns
-/// the job's supporting schedule.
+/// resolved to the lowest domain id.
 pub(crate) fn select_domain<'p>(
     placements: impl Iterator<Item = &'p Placement>,
     pool: &ResourcePool,
@@ -322,89 +188,5 @@ mod tests {
     #[should_panic(expected = "at least one flow")]
     fn empty_round_robin_rejected() {
         let _ = Metascheduler::new(FlowAssignment::RoundRobin(Vec::new()));
-    }
-
-    fn dummy_active(record: usize) -> ActiveJob {
-        use gridsched_data::network::TransferModel;
-        use gridsched_data::policy::{DataPolicy, DataPolicyKind};
-        use gridsched_model::estimate::EstimateScenario;
-        use gridsched_sim::time::SimTime;
-        ActiveJob {
-            seq: 0,
-            record,
-            job: fig2_job(),
-            policy: DataPolicy::new(DataPolicyKind::RemoteAccess, TransferModel::default(), None),
-            scenario: EstimateScenario::BEST,
-            activation: SimTime::ZERO,
-            deadline_abs: SimTime::from_ticks(100),
-            current: HashMap::new(),
-            reservations: HashMap::new(),
-            task_factors: Vec::new(),
-            alternatives: Vec::new(),
-            reference_starts: Vec::new(),
-            reference_runtime: 0.0,
-            pending_overrun: None,
-            first_break: None,
-            dropped: false,
-            completed: None,
-        }
-    }
-
-    #[test]
-    fn empty_registry_still_gets_one_manager() {
-        let mut meta = Metascheduler::new(FlowAssignment::Single(StrategyKind::S1));
-        meta.init_domains(&[]);
-        assert_eq!(meta.managers().len(), 1);
-        assert_eq!(meta.managers()[0].domain(), DomainId::new(0));
-        assert_eq!(meta.least_loaded(), 0);
-    }
-
-    #[test]
-    fn admit_stamps_global_sequence_and_rehome_migrates() {
-        let mut meta = Metascheduler::new(FlowAssignment::Single(StrategyKind::S1));
-        meta.init_domains(&[DomainId::new(0), DomainId::new(1)]);
-
-        let h0 = meta.admit_active(DomainId::new(1), dummy_active(0));
-        let h1 = meta.admit_active(DomainId::new(0), dummy_active(1));
-        let h2 = meta.admit_active(DomainId::new(1), dummy_active(2));
-        assert_eq!(meta.job(h0).seq, 0);
-        assert_eq!(meta.job(h1).seq, 1);
-        assert_eq!(meta.job(h2).seq, 2);
-        // Global scan order is activation order regardless of sharding.
-        let seqs: Vec<u64> = meta
-            .handles_by_seq()
-            .into_iter()
-            .map(|h| meta.job(h).seq)
-            .collect();
-        assert_eq!(seqs, vec![0, 1, 2]);
-
-        // Rehoming to the same domain is a no-op; to another it moves the
-        // job and yields a fresh handle.
-        assert_eq!(meta.rehome(h1, DomainId::new(0)), h1);
-        let moved = meta.rehome(h0, DomainId::new(0));
-        assert_eq!(moved.manager, meta.manager_index(DomainId::new(0)));
-        assert_eq!(meta.job(moved).seq, 0);
-        assert_eq!(
-            meta.managers()[meta.manager_index(DomainId::new(1))].load(),
-            1
-        );
-        // The scan order survives the migration.
-        let seqs: Vec<u64> = meta
-            .handles_by_seq()
-            .into_iter()
-            .map(|h| meta.job(h).seq)
-            .collect();
-        assert_eq!(seqs, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn find_live_skips_dropped_jobs() {
-        let mut meta = Metascheduler::new(FlowAssignment::Single(StrategyKind::S1));
-        meta.init_domains(&[DomainId::new(0)]);
-        let h = meta.admit_active(DomainId::new(0), dummy_active(0));
-        let id = meta.job(h).job.id();
-        assert_eq!(meta.find_live(id), Some(h));
-        meta.job_mut(h).dropped = true;
-        assert_eq!(meta.find_live(id), None);
     }
 }

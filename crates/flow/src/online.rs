@@ -41,13 +41,14 @@
 //! are sim-time; wall-clock timings live only in telemetry spans.
 
 use std::borrow::Cow;
+use std::collections::VecDeque;
 
 use gridsched_core::cost::Cost;
 use gridsched_core::granularity::coarsen;
 use gridsched_core::method::ScheduleRequest;
 use gridsched_core::objective::Objective;
 use gridsched_core::session::PlanningSession;
-use gridsched_core::strategy::{GenerateOptions, Strategy, StrategyConfig};
+use gridsched_core::strategy::{GenerateOptions, Strategy, StrategyConfig, StrategyKind};
 use gridsched_metrics::histogram::Histogram;
 use gridsched_metrics::telemetry::{Counter, Telemetry};
 use gridsched_model::estimate::EstimateScenario;
@@ -60,9 +61,8 @@ use gridsched_workload::arrivals::{generate_arrivals, ArrivalProcess};
 
 use crate::driver::{drive, flow_event_budget, FlowEvent, FlowMachine};
 use crate::faults::Fault;
-use crate::job_manager::Queued;
 use crate::report::{JobRecord, VoReport};
-use crate::simulation::{Campaign, CampaignConfig};
+use crate::simulation::{collision_tally, Campaign, CampaignConfig};
 use crate::trace::{CampaignEvent, RejectReason};
 
 /// Configuration of one online serving run.
@@ -177,6 +177,24 @@ impl OnlineReport {
     }
 }
 
+/// One queued arrival awaiting admission.
+#[derive(Debug, Clone)]
+struct Queued {
+    job: Job,
+    /// The job the admission probe plans: the coarsened job when the
+    /// strategy coarsens (S3), `None` to plan `job` itself. Built once on
+    /// arrival; every re-probe reuses it.
+    planning: Option<Job>,
+    /// `job.critical_path(Perf::FULL)`: the lower bound a failed probe's
+    /// reject test compares against the deadline.
+    critical_path: SimDuration,
+    kind: StrategyKind,
+    record: usize,
+    arrival: SimTime,
+    deadline_abs: SimTime,
+    probes: usize,
+}
+
 /// What one admission probe decided.
 enum Decision {
     Admit,
@@ -232,9 +250,9 @@ pub fn run_online_instrumented(config: &OnlineConfig, telemetry: &Telemetry) -> 
         campaign,
         config,
         admission: Vec::new(),
+        queue: VecDeque::new(),
         queue_waits: Vec::new(),
         queue_peak: 0,
-        next_arrival_seq: 0,
     };
     // The same event kernel as the batch campaign drives the serving
     // loop; only the machine plugged into it differs.
@@ -252,13 +270,11 @@ struct Online<'a> {
     config: &'a OnlineConfig,
     /// Parallel to `campaign.records`, in arrival order.
     admission: Vec<AdmissionRecord>,
+    /// The admission queue, in arrival order.
+    queue: VecDeque<Queued>,
     /// Queue waits of admitted jobs, in ticks.
     queue_waits: Vec<u64>,
     queue_peak: usize,
-    /// Global arrival counter; stamps [`Queued::arrival_seq`] so the
-    /// admission pass can merge the per-domain queues back into one
-    /// deterministic FIFO order.
-    next_arrival_seq: u64,
 }
 
 impl FlowMachine for Online<'_> {
@@ -286,46 +302,38 @@ impl FlowMachine for Online<'_> {
 }
 
 impl Online<'_> {
-    /// Settles every due overrun *and* completion up to `now`, in global
-    /// time order (an overrun at the same instant goes first — it extends
+    /// Settles every due overrun *and* completion up to `now`, in time
+    /// order (an overrun at the same instant goes first — it extends
     /// windows and can push the completion later; ties within a kind fall
-    /// back to the global activation sequence). The batch campaign settles
-    /// overruns only; observing completions online is what lets terminal
-    /// events carry their realized instant.
+    /// back to activation order). The batch campaign settles overruns
+    /// only; observing completions online is what lets terminal events
+    /// carry their realized instant.
     fn settle_due(&mut self, now: SimTime) {
         loop {
-            let overrun = self
-                .campaign
-                .meta
-                .jobs()
-                .filter(|(_, a)| !a.dropped)
-                .filter_map(|(h, a)| a.pending_overrun.map(|(t, task)| (t, a.seq, task, h)))
-                .filter(|&(t, _, _, _)| t <= now)
-                .min_by_key(|&(t, seq, task, _)| (t, seq, task));
+            let overrun = self.campaign.due_overrun(now);
             let completion = self
                 .campaign
-                .meta
-                .jobs()
+                .active
+                .iter()
+                .enumerate()
                 .filter(|(_, a)| !a.dropped && a.completed.is_none() && a.pending_overrun.is_none())
-                .filter_map(|(h, a)| {
+                .filter_map(|(j, a)| {
                     let end = a
                         .current
                         .values()
                         .map(|p| p.window.end())
                         .max()
                         .unwrap_or(a.activation);
-                    (end <= now).then_some((end, a.seq, h))
+                    (end <= now).then_some((end, j))
                 })
-                .min_by_key(|&(end, seq, _)| (end, seq));
+                .min();
             match (overrun, completion) {
-                (Some((t, _, task, h)), completion)
-                    if completion.is_none_or(|(end, _, _)| t <= end) =>
-                {
-                    self.campaign.handle_overrun(h, t, task);
+                (Some((t, j, task)), completion) if completion.is_none_or(|(end, _)| t <= end) => {
+                    self.campaign.handle_overrun(j, t, task);
                 }
-                (_, Some((end, _, h))) => {
-                    let job = self.campaign.meta.job(h).job.id();
-                    self.campaign.meta.job_mut(h).completed = Some(end);
+                (_, Some((end, j))) => {
+                    let job = self.campaign.active[j].job.id();
+                    self.campaign.active[j].completed = Some(end);
                     self.campaign
                         .record_event(end, CampaignEvent::Completed { job, end });
                 }
@@ -377,38 +385,27 @@ impl Online<'_> {
             outcome: AdmissionOutcome::Deferred,
             probes: 0,
         });
-        // The queue bound is a system-wide admission capacity, shared
-        // across every domain's manager.
-        if self.campaign.meta.total_queued() >= self.config.queue_capacity {
+        // The queue bound is a system-wide admission capacity.
+        if self.queue.len() >= self.config.queue_capacity {
             self.reject(record, at, RejectReason::QueueFull);
             return;
         }
         let deadline_abs = at.saturating_add(job.deadline());
-        let arrival_seq = self.next_arrival_seq;
-        self.next_arrival_seq += 1;
-        // Tentative home until activation: the least-loaded manager
-        // queues the arrival (ties to the lowest domain id).
-        let home = self.campaign.meta.least_loaded();
         let planning = StrategyConfig::for_kind(kind, &self.campaign.pool)
             .coarse_grain()
             .then(|| coarsen(&job).job);
         let critical_path = job.critical_path(Perf::FULL);
-        self.campaign
-            .meta
-            .manager_mut(home)
-            .queue
-            .push_back(Queued {
-                arrival_seq,
-                job,
-                planning,
-                critical_path,
-                kind,
-                record,
-                arrival: at,
-                deadline_abs,
-                probes: 0,
-            });
-        let depth = self.campaign.meta.total_queued();
+        self.queue.push_back(Queued {
+            job,
+            planning,
+            critical_path,
+            kind,
+            record,
+            arrival: at,
+            deadline_abs,
+            probes: 0,
+        });
+        let depth = self.queue.len();
         self.queue_peak = self.queue_peak.max(depth);
         self.campaign
             .telemetry
@@ -428,56 +425,30 @@ impl Online<'_> {
         self.admission[record].outcome = AdmissionOutcome::Rejected { at, reason };
     }
 
-    /// Probes every queued job once, oldest first (arrival order, merged
-    /// across all domains' queues), admitting and rejecting in place.
-    /// Jobs admitted earlier in the pass shrink availability for later
-    /// ones — each probe opens a fresh session snapshot.
+    /// Probes every queued job once, oldest first, admitting and
+    /// rejecting in place. Jobs admitted earlier in the pass shrink
+    /// availability for later ones — each probe opens a fresh session
+    /// snapshot.
     fn drain_queue(&mut self, now: SimTime) {
-        // Snapshot the merged queue membership up front: admissions never
-        // enqueue, so each snapshotted arrival is decided exactly once.
-        let mut snapshot: Vec<(u64, usize)> = self
-            .campaign
-            .meta
-            .managers()
-            .iter()
-            .enumerate()
-            .flat_map(|(m, mgr)| mgr.queue.iter().map(move |q| (q.arrival_seq, m)))
-            .collect();
-        snapshot.sort_unstable();
-        for (arrival_seq, m) in snapshot {
-            let Some(pos) = self.campaign.meta.managers()[m]
-                .queue
-                .iter()
-                .position(|q| q.arrival_seq == arrival_seq)
-            else {
-                continue;
-            };
-            match self.decide(m, pos, now) {
+        // Admissions never enqueue, and the walk advances past every entry
+        // that stays queued, so each queued arrival is decided exactly once.
+        let mut pos = 0;
+        while pos < self.queue.len() {
+            match self.decide(pos, now) {
                 Decision::Admit => {
-                    let entry = self
-                        .campaign
-                        .meta
-                        .manager_mut(m)
-                        .queue
-                        .remove(pos)
-                        .expect("index in bounds");
+                    let entry = self.queue.remove(pos).expect("index in bounds");
                     if let Some(entry) = self.admit(entry, now) {
                         // The full sweep disagreed with the probe; the
                         // job stays queued for the next event.
-                        self.campaign.meta.manager_mut(m).queue.insert(pos, entry);
+                        self.queue.insert(pos, entry);
+                        pos += 1;
                     }
                 }
                 Decision::Reject => {
-                    let entry = self
-                        .campaign
-                        .meta
-                        .manager_mut(m)
-                        .queue
-                        .remove(pos)
-                        .expect("index in bounds");
+                    let entry = self.queue.remove(pos).expect("index in bounds");
                     self.reject(entry.record, now, RejectReason::Unmeetable);
                 }
-                Decision::Defer => {}
+                Decision::Defer => pos += 1,
             }
         }
     }
@@ -485,27 +456,21 @@ impl Online<'_> {
     /// The deadline/budget admission probe: one single-pass best-case
     /// (MS1-style) planning attempt under `MinTime { budget }` against the
     /// job's absolute deadline.
-    fn decide(&mut self, m: usize, pos: usize, now: SimTime) -> Decision {
-        let probes = {
-            let entry = &mut self.campaign.meta.manager_mut(m).queue[pos];
-            entry.probes += 1;
-            entry.probes
-        };
+    fn decide(&mut self, pos: usize, now: SimTime) -> Decision {
+        let entry = &mut self.queue[pos];
+        entry.probes += 1;
+        let probes = entry.probes;
         self.campaign.telemetry.incr(Counter::AdmissionProbes);
         if probes > 1 {
             self.campaign.telemetry.incr(Counter::IncrementalReplans);
         }
-        let entry = &self.campaign.meta.managers()[m].queue[pos];
+        let entry = &self.queue[pos];
         self.admission[entry.record].probes = probes;
         let span = self
             .campaign
             .telemetry
             .span_under("admission_probe", self.campaign.root);
-        let config = StrategyConfig::for_kind(entry.kind, &self.campaign.pool);
-        let policy = config
-            .policy()
-            .clone()
-            .with_transfer_model(self.campaign.config.transfer_model.clone());
+        let config = self.campaign.strategy_config(entry.kind);
         // Probe the job the strategy would actually plan: S3 coarsens.
         let planning_job = entry.planning.as_ref().unwrap_or(&entry.job);
         let session = PlanningSession::open_instrumented(
@@ -516,7 +481,7 @@ impl Online<'_> {
         let req = ScheduleRequest {
             job: planning_job,
             pool: &self.campaign.pool,
-            policy: &policy,
+            policy: config.policy(),
             scenario: EstimateScenario::BEST,
             release: now,
         };
@@ -568,12 +533,7 @@ impl Online<'_> {
             entry.job.clone()
         };
         let job_id = job.id();
-        let config = StrategyConfig::for_kind(entry.kind, &self.campaign.pool);
-        let policy = config
-            .policy()
-            .clone()
-            .with_transfer_model(self.campaign.config.transfer_model.clone());
-        let config = config.with_policy(policy);
+        let config = self.campaign.strategy_config(entry.kind);
         let opts = GenerateOptions {
             executor: self.campaign.config.executor.executor(),
             telemetry: &self.campaign.telemetry,
@@ -589,15 +549,7 @@ impl Online<'_> {
         // Admission *is* the online release to the metascheduler; keep the
         // batch-level counter consistent.
         self.campaign.telemetry.incr(Counter::JobsReleased);
-        let mut fast = 0;
-        let mut slow = 0;
-        for c in strategy.collisions() {
-            if c.group.is_fast() {
-                fast += 1;
-            } else {
-                slow += 1;
-            }
-        }
+        let (fast, slow) = collision_tally(&strategy);
         {
             let r = &mut self.campaign.records[record];
             r.release = now;
@@ -625,17 +577,15 @@ impl Online<'_> {
         let Online {
             campaign,
             mut admission,
+            queue,
             queue_waits,
             queue_peak,
             ..
         } = self;
         // Whatever is still queued at the horizon stayed deferred.
         debug_assert!(
-            campaign
-                .meta
-                .managers()
+            queue
                 .iter()
-                .flat_map(|m| m.queue.iter())
                 .all(|q| admission[q.record].outcome == AdmissionOutcome::Deferred),
             "queued entries carry the Deferred outcome"
         );

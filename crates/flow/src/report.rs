@@ -50,12 +50,11 @@ pub struct JobRecord {
     /// (perturbation hit or overrun); the full planned runtime if it never
     /// broke.
     pub time_to_live: Option<SimDuration>,
-    /// Domain of the job manager that owns the job: the domain holding
-    /// the majority of the activated schedule's reserved ticks (ties to
+    /// The job's home domain: the domain holding the majority of the activated schedule's reserved ticks (ties to
     /// the lowest domain id), re-homed whenever the job migrates across
     /// domains. `None` if the job was never activated.
     pub home_domain: Option<DomainId>,
-    /// Times the job manager had to switch schedules or replan.
+    /// Times the job's active schedule broke.
     pub breaks: usize,
     /// How many of those breaks were resolved by switching to another
     /// precomputed supporting schedule (no replanning needed).
@@ -194,9 +193,9 @@ impl VoReport {
         self.records.iter().map(|r| r.migrations).sum()
     }
 
-    /// Per-domain aggregates over the jobs each job manager ended up
-    /// owning (by final home domain), ascending by domain id. Jobs that
-    /// never activated have no home and appear in no slice.
+    /// Per-domain aggregates over the activated jobs, each counted under
+    /// its final home domain, ascending by domain id. Jobs that never
+    /// activated have no home and appear in no slice.
     #[must_use]
     pub fn domain_summary(&self) -> Vec<DomainStat> {
         let mut stats: BTreeMap<DomainId, DomainStat> = BTreeMap::new();
@@ -233,8 +232,8 @@ impl VoReport {
     }
 }
 
-/// Aggregates over the jobs one domain's job manager owned at the end of
-/// a campaign (see [`VoReport::domain_summary`]).
+/// Aggregates over the jobs whose final home domain is one domain (see
+/// [`VoReport::domain_summary`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DomainStat {
     /// The domain.

@@ -15,13 +15,13 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 
-use gridsched_core::distribution::Placement;
+use gridsched_core::distribution::{Distribution, Placement};
 use gridsched_core::method::ScheduleRequest;
 use gridsched_core::session::PlanningSession;
 use gridsched_core::strategy::{
     GenerateOptions, Strategy, StrategyConfig, StrategyKind, SweepExecutorKind,
 };
-use gridsched_data::policy::DataPolicyKind;
+use gridsched_data::policy::{DataPolicy, DataPolicyKind};
 use gridsched_metrics::load::GroupLoad;
 use gridsched_metrics::telemetry::{Counter, SpanId, Telemetry};
 use gridsched_model::estimate::EstimateScenario;
@@ -29,7 +29,7 @@ use gridsched_model::ids::{GlobalTaskId, JobId, NodeId, TaskId};
 use gridsched_model::job::Job;
 use gridsched_model::node::ResourcePool;
 use gridsched_model::perf::{Perf, PerfGroup};
-use gridsched_model::timetable::ReservationOwner;
+use gridsched_model::timetable::{ReservationId, ReservationOwner};
 use gridsched_model::window::TimeWindow;
 use gridsched_sim::rng::SimRng;
 use gridsched_sim::time::{SimDuration, SimTime};
@@ -39,7 +39,6 @@ use gridsched_workload::pool::{generate_pool, PoolConfig};
 
 use crate::driver::{drive, flow_event_budget, FlowEvent, FlowMachine};
 use crate::faults::{Fault, FaultConfig, FaultKind, FaultPlan, FaultSummary};
-use crate::job_manager::{transfer_exposed, ActiveJob, JobHandle};
 use crate::metascheduler::{select_domain, FlowAssignment, Metascheduler};
 use crate::report::{JobRecord, VoReport};
 use crate::trace::BreakKind;
@@ -89,14 +88,6 @@ pub struct CampaignConfig {
     /// asserts the trace fingerprints agree; the determinism suite pins
     /// `Sequential` as the campaign-level baseline.
     pub executor: SweepExecutorKind,
-    /// Collapse the flow layer to a single job manager serving every pool
-    /// domain (the pre-hierarchy monolithic dispatcher). The campaign must
-    /// be bit-identical either way — cross-domain scans order by global
-    /// activation sequence, so sharding is pure bookkeeping (the
-    /// determinism suite pins this); the flag exists so the hierarchy
-    /// benches can measure that bookkeeping against a true monolithic
-    /// baseline on the *same* pool and workload.
-    pub single_manager: bool,
     /// Urgency escalation (§5's dynamic priority change): when a broken
     /// job's remaining slack falls below this multiple of its optimistic
     /// remaining work, it replans for speed (`MinTime`) instead of cost.
@@ -124,7 +115,6 @@ impl Default for CampaignConfig {
             task_jitter: 0.15,
             collect_trace: false,
             executor: SweepExecutorKind::default(),
-            single_manager: false,
             urgency_slack_factor: Some(1.5),
             seed: 0x9d5c,
         }
@@ -160,15 +150,53 @@ pub fn run_campaign_instrumented(config: &CampaignConfig, telemetry: &Telemetry)
     campaign.run()
 }
 
+/// One activated job's live state.
+///
+/// `pub(crate)` (with its fields) so the [`crate::simulation`] dynamics
+/// engine and the [`crate::online`] serving loop drive the same state.
+#[derive(Debug, Clone)]
+pub(crate) struct ActiveJob {
+    pub(crate) record: usize,
+    pub(crate) job: Job,
+    pub(crate) policy: DataPolicy,
+    pub(crate) scenario: EstimateScenario,
+    pub(crate) activation: SimTime,
+    pub(crate) deadline_abs: SimTime,
+    pub(crate) current: HashMap<TaskId, Placement>,
+    pub(crate) reservations: HashMap<TaskId, ReservationId>,
+    pub(crate) task_factors: Vec<f64>,
+    /// The strategy's other supporting schedules, available for switching
+    /// while no task has started yet.
+    pub(crate) alternatives: Vec<Distribution>,
+    /// Start times of the user's optimistic forecast (the best-case
+    /// supporting schedule), per task.
+    pub(crate) reference_starts: Vec<SimTime>,
+    /// Planned runtime of that forecast, in ticks.
+    pub(crate) reference_runtime: f64,
+    /// `(break time, overrunning task)` of the earliest pending overrun.
+    pub(crate) pending_overrun: Option<(SimTime, TaskId)>,
+    pub(crate) first_break: Option<SimTime>,
+    pub(crate) dropped: bool,
+    /// Realized completion instant, once the online loop observes every
+    /// window closed. Batch campaigns never set it: completion facts are
+    /// only known at the horizon there, and the campaign finalizer stamps
+    /// them for every surviving job whose completion was not yet recorded.
+    pub(crate) completed: Option<SimTime>,
+}
+
 /// The campaign dynamics engine: pool state, active schedules, break
 /// handling and finalization. `pub(crate)` so [`crate::online`] can drive
 /// the exact same machinery from a streaming event loop.
 pub(crate) struct Campaign<'a> {
     pub(crate) config: &'a CampaignConfig,
     pub(crate) pool: ResourcePool,
-    /// The top-tier dispatcher; its per-domain job managers hold every
-    /// active job's live state.
+    /// The top-tier dispatcher: assigns each job its strategy flow.
     pub(crate) meta: Metascheduler,
+    /// Every activated job in activation order, dropped ones included
+    /// (their records still finalize). The index is the job's handle and
+    /// the tie-break of every scan over live jobs; a job's domain is an
+    /// attribute of its record (`home_domain`), not where it is stored.
+    pub(crate) active: Vec<ActiveJob>,
     pub(crate) records: Vec<JobRecord>,
     pub(crate) horizon_end: SimTime,
     pub(crate) activation_rng: SimRng,
@@ -224,16 +252,12 @@ impl<'a> Campaign<'a> {
         // sweep of the campaign doesn't pay the one-off thread spawn; every
         // later sweep reuses the same pool.
         let _ = gridsched_core::pool::WorkerPool::global();
-        let mut meta = Metascheduler::with_telemetry(config.assignment.clone(), telemetry);
-        if config.single_manager {
-            meta.init_domains(&[]);
-        } else {
-            meta.init_domains(pool.domain_registry());
-        }
+        let meta = Metascheduler::with_telemetry(config.assignment.clone(), telemetry);
         Campaign {
             config,
             pool,
             meta,
+            active: Vec::new(),
             records: Vec::with_capacity(config.jobs),
             horizon_end: SimTime::ZERO + config.horizon,
             activation_rng,
@@ -314,12 +338,7 @@ impl<'a> Campaign<'a> {
         let release_span = self.telemetry.span_under("release", self.root);
         self.telemetry.incr(Counter::JobsReleased);
         let kind = self.meta.assign(&job);
-        let config = StrategyConfig::for_kind(kind, &self.pool);
-        let policy = config
-            .policy()
-            .clone()
-            .with_transfer_model(self.config.transfer_model.clone());
-        let config = config.with_policy(policy);
+        let config = self.strategy_config(kind);
         // The job is handed off to the strategy whole: an owned job
         // avoids the planning clone for fine-grain strategies.
         let job_id = job.id();
@@ -330,15 +349,7 @@ impl<'a> Campaign<'a> {
             parent: release_span.id(),
         };
         let strategy = Strategy::generate_with(Cow::Owned(job), &self.pool, &config, release, opts);
-        let mut fast = 0;
-        let mut slow = 0;
-        for c in strategy.collisions() {
-            if c.group.is_fast() {
-                fast += 1;
-            } else {
-                slow += 1;
-            }
-        }
+        let (fast, slow) = collision_tally(&strategy);
         let record = JobRecord {
             job_id,
             strategy: kind,
@@ -375,6 +386,17 @@ impl<'a> Campaign<'a> {
             return;
         }
         self.activate(strategy, config, record_idx, release, release_span.id());
+    }
+
+    /// The strategy configuration `kind` plans with in this campaign: the
+    /// kind's defaults with the campaign's network model on its policy.
+    pub(crate) fn strategy_config(&self, kind: StrategyKind) -> StrategyConfig {
+        let config = StrategyConfig::for_kind(kind, &self.pool);
+        let policy = config
+            .policy()
+            .clone()
+            .with_transfer_model(self.config.transfer_model.clone());
+        config.with_policy(policy)
     }
 
     /// Activates the supporting schedule matching the observed conditions:
@@ -456,8 +478,8 @@ impl<'a> Campaign<'a> {
         let deadline_abs = release.saturating_add(planning_job.deadline());
         let current: HashMap<TaskId, Placement> =
             chosen.placements().iter().map(|p| (p.task, *p)).collect();
-        // Top-tier domain selection: the manager of the domain holding the
-        // majority of the schedule's reserved ticks homes the job.
+        // Top-tier domain selection: the domain holding the majority of
+        // the schedule's reserved ticks homes the job.
         let home = select_domain(current.values(), &self.pool);
         self.records[record_idx].home_domain = Some(home);
         self.telemetry
@@ -470,7 +492,6 @@ impl<'a> Campaign<'a> {
             },
         );
         let mut active = ActiveJob {
-            seq: 0, // stamped by the metascheduler on admission
             record: record_idx,
             job: planning_job,
             policy: config.policy().clone(),
@@ -489,7 +510,14 @@ impl<'a> Campaign<'a> {
             completed: None,
         };
         active.pending_overrun = next_overrun(&active, &self.pool, release);
-        self.meta.admit_active(home, active);
+        self.active.push(active);
+    }
+
+    /// The live (not dropped) job with this id, if any.
+    fn find_live(&self, id: JobId) -> Option<usize> {
+        self.active
+            .iter()
+            .position(|a| a.job.id() == id && !a.dropped)
     }
 
     /// Handles one external perturbation: an independent local job seizing
@@ -511,34 +539,35 @@ impl<'a> Campaign<'a> {
             }
         }
         if victims.is_empty() {
-            if self.pool.timetable(node).is_free(window) {
-                let tag = self.next_background_tag;
-                self.next_background_tag += 1;
-                self.pool
-                    .timetable_mut(node)
-                    .reserve(window, ReservationOwner::Background(tag))
-                    .expect("checked free");
-                self.telemetry.incr(Counter::Perturbations);
-            }
+            self.reserve_background_if_free(node, window);
             return;
         }
         victims.sort_unstable();
         victims.dedup();
         for (job_id, tau) in victims {
-            if let Some(h) = self.meta.find_live(job_id) {
-                self.break_job(h, tau, BreakKind::Perturbation, &[], tau);
+            if let Some(j) = self.find_live(job_id) {
+                self.break_job(j, tau, BreakKind::Perturbation, &[], tau);
             }
         }
-        if self.pool.timetable(node).is_free(window) {
-            let tag = self.next_background_tag;
-            self.next_background_tag += 1;
-            self.pool
-                .timetable_mut(node)
-                .reserve(window, ReservationOwner::Background(tag))
-                .expect("checked free");
-            self.telemetry.incr(Counter::Perturbations);
+        if self.reserve_background_if_free(node, window) {
             self.record_event(at, crate::trace::CampaignEvent::Perturbation { node });
         }
+    }
+
+    /// Reserves a perturbation's window on `node` as background load if it
+    /// is still free; returns whether it did.
+    fn reserve_background_if_free(&mut self, node: NodeId, window: TimeWindow) -> bool {
+        if !self.pool.timetable(node).is_free(window) {
+            return false;
+        }
+        let tag = self.next_background_tag;
+        self.next_background_tag += 1;
+        self.pool
+            .timetable_mut(node)
+            .reserve(window, ReservationOwner::Background(tag))
+            .expect("checked free");
+        self.telemetry.incr(Counter::Perturbations);
+        true
     }
 
     /// Dispatches one injected fault.
@@ -613,18 +642,18 @@ impl<'a> Campaign<'a> {
             }
         }
         for (job_id, forced) in victims {
-            let Some(h) = self.meta.find_live(job_id) else {
+            let Some(j) = self.find_live(job_id) else {
                 continue;
             };
             // Drop the stale reservation handles the outage voided.
             for r in &voided {
                 if let ReservationOwner::Task(gid) = r.owner() {
                     if gid.job == job_id {
-                        self.meta.job_mut(h).reservations.remove(&gid.task);
+                        self.active[j].reservations.remove(&gid.task);
                     }
                 }
             }
-            self.break_job(h, at, BreakKind::Outage, &forced, at);
+            self.break_job(j, at, BreakKind::Outage, &forced, at);
         }
     }
 
@@ -641,10 +670,7 @@ impl<'a> Campaign<'a> {
         self.record_event(at, crate::trace::CampaignEvent::Degraded { node });
         // Remaining runtimes on the node just grew: refresh the earliest
         // pending overrun of every job with a future placement there.
-        // Each job's refresh is independent, but the scan keeps the global
-        // activation order for determinism's sake.
-        for h in self.meta.handles_by_seq() {
-            let a = self.meta.job(h);
+        for a in &mut self.active {
             if a.dropped {
                 continue;
             }
@@ -653,8 +679,7 @@ impl<'a> Campaign<'a> {
                 .values()
                 .any(|p| p.node == node && p.window.start() > at);
             if affected {
-                let next = next_overrun(self.meta.job(h), &self.pool, at);
-                self.meta.job_mut(h).pending_overrun = next;
+                a.pending_overrun = next_overrun(a, &self.pool, at);
             }
         }
     }
@@ -670,12 +695,10 @@ impl<'a> Campaign<'a> {
             at,
             crate::trace::CampaignEvent::TransferFaultInjected { node },
         );
-        // Scan in global activation order; [`transfer_exposed`] is the
-        // shared inter-domain exposure test of both flow drivers.
+        // Scan in activation order.
         let mut absorbed: Vec<JobId> = Vec::new();
-        let mut victims: Vec<JobId> = Vec::new();
-        for h in self.meta.handles_by_seq() {
-            let a = self.meta.job(h);
+        let mut victims: Vec<usize> = Vec::new();
+        for (j, a) in self.active.iter().enumerate() {
             if a.dropped {
                 continue;
             }
@@ -685,7 +708,7 @@ impl<'a> Campaign<'a> {
             if a.policy.kind() == DataPolicyKind::ActiveReplication {
                 absorbed.push(a.job.id());
             } else {
-                victims.push(a.job.id());
+                victims.push(j);
             }
         }
         for job in absorbed {
@@ -693,41 +716,40 @@ impl<'a> Campaign<'a> {
             self.telemetry.incr(Counter::TransferFaultsAbsorbed);
             self.record_event(at, crate::trace::CampaignEvent::TransferAbsorbed { job });
         }
-        for job_id in victims {
-            // Re-resolve per victim: an earlier break's migration may have
-            // shuffled handles between managers.
-            let Some(h) = self.meta.find_live(job_id) else {
-                continue;
-            };
+        // A break touches only its own job, so every victim is still live.
+        for j in victims {
             let earliest = at + retry;
-            self.break_job(h, at, BreakKind::TransferFault, &[], earliest);
+            self.break_job(j, at, BreakKind::TransferFault, &[], earliest);
         }
     }
 
-    /// Processes every due overrun, earliest first; ties on the global
-    /// activation sequence (the pre-hierarchy flat-vector index order).
-    pub(crate) fn settle_overruns(&mut self, now: SimTime) {
-        loop {
-            let due = self
-                .meta
-                .jobs()
-                .filter(|(_, a)| !a.dropped)
-                .filter_map(|(h, a)| a.pending_overrun.map(|(t, task)| (t, a.seq, task, h)))
-                .filter(|&(t, _, _, _)| t <= now)
-                .min_by_key(|&(t, seq, task, _)| (t, seq, task));
-            let Some((t, _, task, h)) = due else {
-                return;
-            };
-            self.handle_overrun(h, t, task);
+    /// Processes every due overrun, earliest first; ties on activation
+    /// order.
+    fn settle_overruns(&mut self, now: SimTime) {
+        while let Some((t, j, task)) = self.due_overrun(now) {
+            self.handle_overrun(j, t, task);
         }
+    }
+
+    /// The earliest pending overrun of a live job due by `now`, as
+    /// `(break time, job index, task)`; ties go to the earlier-activated
+    /// job, then the lower task id.
+    pub(crate) fn due_overrun(&self, now: SimTime) -> Option<(SimTime, usize, TaskId)> {
+        self.active
+            .iter()
+            .enumerate()
+            .filter(|(_, a)| !a.dropped)
+            .filter_map(|(j, a)| a.pending_overrun.map(|(t, task)| (t, j, task)))
+            .filter(|&(t, _, _)| t <= now)
+            .min()
     }
 
     /// A task ran past its reserved window: extend it (best effort) and
     /// replan everything downstream.
-    pub(crate) fn handle_overrun(&mut self, h: JobHandle, at: SimTime, task: TaskId) {
+    pub(crate) fn handle_overrun(&mut self, j: usize, at: SimTime, task: TaskId) {
         // Extend the overrunning task's placement to its actual finish.
         let (old, actual_end) = {
-            let a = self.meta.job(h);
+            let a = &self.active[j];
             let p = a.current[&task];
             let actual = actual_exec(&a.job, &self.pool, &p, a.task_factors[task.index()]);
             (p, p.window.start() + p.stall + actual)
@@ -738,17 +760,17 @@ impl<'a> Campaign<'a> {
         if extended.end() > old.window.end() {
             if let Ok(tail) = TimeWindow::new(old.window.end(), extended.end()) {
                 let owner = ReservationOwner::Task(GlobalTaskId {
-                    job: self.meta.job(h).job.id(),
+                    job: self.active[j].job.id(),
                     task,
                 });
                 let _ = self.pool.timetable_mut(old.node).reserve(tail, owner);
             }
         }
-        let a = self.meta.job_mut(h);
+        let a = &mut self.active[j];
         let entry = a.current.get_mut(&task).expect("task is placed");
         entry.window = extended;
         a.pending_overrun = None;
-        self.break_job(h, at, BreakKind::Overrun, &[], at);
+        self.break_job(j, at, BreakKind::Overrun, &[], at);
     }
 
     /// Attempts to activate another supporting schedule of the job's
@@ -759,9 +781,9 @@ impl<'a> Campaign<'a> {
     /// shift preserves precedence, so the switch succeeds iff every
     /// shifted window is free on the current timetables and the shifted
     /// makespan still meets the deadline. Returns `true` on success.
-    fn try_switch(&mut self, h: JobHandle, tau: SimTime, earliest: SimTime) -> bool {
+    fn try_switch(&mut self, j: usize, tau: SimTime, earliest: SimTime) -> bool {
         let found = {
-            let a = self.meta.job(h);
+            let a = &self.active[j];
             // A read-only what-if view over one snapshot: every candidate
             // alternative is probed against the same captured availability
             // (the planning-session discipline; bit-identical to reading
@@ -784,14 +806,15 @@ impl<'a> Campaign<'a> {
         let Some((pos, delta)) = found else {
             return false;
         };
-        let dist = self.meta.job_mut(h).alternatives.remove(pos);
+        let a = &mut self.active[j];
+        let dist = a.alternatives.remove(pos);
         for p in dist.placements() {
             let shifted = Placement {
                 window: shift_window(p.window, delta),
                 ..*p
             };
             let owner = ReservationOwner::Task(GlobalTaskId {
-                job: self.meta.job(h).job.id(),
+                job: a.job.id(),
                 task: p.task,
             });
             let rid = self
@@ -799,17 +822,12 @@ impl<'a> Campaign<'a> {
                 .timetable_mut(p.node)
                 .reserve(shifted.window, owner)
                 .expect("switch candidate windows were checked free");
-            let a = self.meta.job_mut(h);
             a.reservations.insert(p.task, rid);
             a.current.insert(p.task, shifted);
         }
-        let a = self.meta.job_mut(h);
         a.scenario = dist.scenario();
-        a.pending_overrun = None;
-        let next = next_overrun(self.meta.job(h), &self.pool, tau);
-        self.meta.job_mut(h).pending_overrun = next;
-        let record_idx = self.meta.job(h).record;
-        self.records[record_idx].switches += 1;
+        a.pending_overrun = next_overrun(a, &self.pool, tau);
+        self.records[a.record].switches += 1;
         true
     }
 
@@ -822,16 +840,14 @@ impl<'a> Campaign<'a> {
     /// benign breaks, `tau + retry` for transfer faults).
     fn break_job(
         &mut self,
-        h: JobHandle,
+        j: usize,
         tau: SimTime,
         kind: BreakKind,
         forced: &[TaskId],
         earliest: SimTime,
     ) {
-        let record_idx = self.meta.job(h).record;
-        // Domain attribution for labeled telemetry comes from the record
-        // (valid even under a collapsed single-manager flow layer, where
-        // every manager-held job reports domain 0).
+        let record_idx = self.active[j].record;
+        // Domain attribution for labeled telemetry comes from the record.
         let home = self.records[record_idx]
             .home_domain
             .expect("activated jobs have a home domain");
@@ -839,8 +855,8 @@ impl<'a> Campaign<'a> {
         self.telemetry.incr(Counter::ScheduleBreaks);
         self.telemetry
             .incr_domain(Counter::ScheduleBreaks, u64::from(home.raw()));
-        self.meta.job_mut(h).first_break.get_or_insert(tau);
-        let job_id = self.meta.job(h).job.id();
+        self.active[j].first_break.get_or_insert(tau);
+        let job_id = self.active[j].job.id();
         self.record_event(
             tau,
             crate::trace::CampaignEvent::Broken { job: job_id, kind },
@@ -854,9 +870,7 @@ impl<'a> Campaign<'a> {
 
         // Split into started (fixed) and pending tasks; forced tasks are
         // pending again even though they started.
-        let mut pending: Vec<TaskId> = self
-            .meta
-            .job(h)
+        let mut pending: Vec<TaskId> = self.active[j]
             .current
             .iter()
             .filter(|(_, p)| p.window.start() > tau)
@@ -868,19 +882,17 @@ impl<'a> Campaign<'a> {
             }
         }
         if pending.is_empty() {
-            self.meta.job_mut(h).pending_overrun = None;
+            self.active[j].pending_overrun = None;
             return;
         }
         for t in &pending {
-            let a = self.meta.job_mut(h);
+            let a = &mut self.active[j];
             if let Some(rid) = a.reservations.remove(t) {
                 let p = a.current[t];
                 self.pool.timetable_mut(p.node).release(rid);
             }
         }
-        let fixed: HashMap<TaskId, Placement> = self
-            .meta
-            .job(h)
+        let fixed: HashMap<TaskId, Placement> = self.active[j]
             .current
             .iter()
             .filter(|(t, _)| !pending.contains(t))
@@ -893,7 +905,7 @@ impl<'a> Campaign<'a> {
         // schedule. Only possible while no task has started (a started task
         // pins its placement, which other schedules will not match) and
         // nothing was killed mid-execution.
-        if fixed.is_empty() && forced.is_empty() && self.try_switch(h, tau, earliest) {
+        if fixed.is_empty() && forced.is_empty() && self.try_switch(j, tau, earliest) {
             self.faults.switches += 1;
             self.telemetry.incr(Counter::ScheduleSwitches);
             self.telemetry
@@ -904,7 +916,7 @@ impl<'a> Campaign<'a> {
 
         let replan_span = self.telemetry.span_under("replan", self.root);
         let result = {
-            let a = self.meta.job(h);
+            let a = &self.active[j];
             // One planning session per replan: the snapshot is taken after
             // the pending reservations were released above, so overlay
             // views see exactly the availability the replan may use.
@@ -960,12 +972,12 @@ impl<'a> Campaign<'a> {
                         .timetable_mut(p.node)
                         .reserve(p.window, owner)
                         .expect("replanned against current availability");
-                    let a = self.meta.job_mut(h);
+                    let a = &mut self.active[j];
                     a.reservations.insert(*t, rid);
                     a.current.insert(*t, p);
                 }
-                let next = next_overrun(self.meta.job(h), &self.pool, tau);
-                self.meta.job_mut(h).pending_overrun = next;
+                let a = &mut self.active[j];
+                a.pending_overrun = next_overrun(a, &self.pool, tau);
                 if forced.is_empty() {
                     self.faults.replans += 1;
                     self.telemetry.incr(Counter::Replans);
@@ -980,12 +992,11 @@ impl<'a> Campaign<'a> {
                     self.records[record_idx].migrations += 1;
                     // The inter-domain hand-off of the paper's hierarchy:
                     // the job re-homes to wherever the majority of its
-                    // re-placed schedule now lives, and the metascheduler
-                    // moves it between the two domains' job managers.
+                    // re-placed schedule now lives.
                     let from = self.records[record_idx]
                         .home_domain
                         .expect("activated jobs have a home domain");
-                    let to = select_domain(self.meta.job(h).current.values(), &self.pool);
+                    let to = select_domain(self.active[j].current.values(), &self.pool);
                     self.records[record_idx].home_domain = Some(to);
                     self.record_event(
                         tau,
@@ -995,13 +1006,10 @@ impl<'a> Campaign<'a> {
                             to,
                         },
                     );
-                    // Invalidates `h` (and any other handle into the
-                    // source manager) — must stay the last use of it.
-                    let _ = self.meta.rehome(h, to);
                 }
             }
             Err(_) => {
-                let a = self.meta.job_mut(h);
+                let a = &mut self.active[j];
                 a.dropped = true;
                 a.pending_overrun = None;
                 self.records[record_idx].dropped = true;
@@ -1015,8 +1023,7 @@ impl<'a> Campaign<'a> {
     }
 
     pub(crate) fn finalize(mut self) -> VoReport {
-        for h in self.meta.handles_by_seq() {
-            let a = self.meta.job(h);
+        for a in &self.active {
             let record = &mut self.records[a.record];
             let mut cost_total: u64 = 0;
             let mut window_sum: u64 = 0;
@@ -1075,12 +1082,10 @@ impl<'a> Campaign<'a> {
         // events are stamped at the horizon and carry the realized end.
         // Jobs whose completion the online loop already observed (and
         // traced at its realized instant) are skipped. Events land in
-        // global activation order — the pre-hierarchy trace order.
+        // activation order.
         let completions: Vec<(JobId, SimTime)> = self
-            .meta
-            .handles_by_seq()
-            .into_iter()
-            .map(|h| self.meta.job(h))
+            .active
+            .iter()
             .filter(|a| !a.dropped && a.completed.is_none())
             .map(|a| {
                 let end = a
@@ -1133,10 +1138,8 @@ impl<'a> Campaign<'a> {
             panic!("campaign trace failed the oracle: {violation}");
         }
         let states: Vec<crate::oracle::FinalJobState<'_>> = self
-            .meta
-            .handles_by_seq()
-            .into_iter()
-            .map(|h| self.meta.job(h))
+            .active
+            .iter()
             .map(|a| {
                 let rec = report
                     .records
@@ -1155,6 +1158,36 @@ impl<'a> Campaign<'a> {
             panic!("campaign final state failed the oracle: {violation}");
         }
     }
+}
+
+/// Whether `a` has a pending inter-node data transfer exposed to an
+/// incident at `node` at time `at`.
+///
+/// A transfer is in flight while its consumer has not started; same-node
+/// exchanges never touch the network. Static storage stages every
+/// cross-node exchange through the storage node, so it is exposed to
+/// incidents there as well as at either endpoint; every other policy
+/// moves data directly and only inter-domain transfers traverse the
+/// faulted backbone link.
+fn transfer_exposed(a: &ActiveJob, node: NodeId, at: SimTime, pool: &ResourcePool) -> bool {
+    a.job.edges().iter().any(|e| {
+        let from = &a.current[&e.from()];
+        let to = &a.current[&e.to()];
+        if to.window.start() <= at || from.node == to.node {
+            return false;
+        }
+        let touches = from.node == node || to.node == node;
+        match a.policy.kind() {
+            DataPolicyKind::StaticStorage => touches || a.policy.storage_node() == Some(node),
+            _ => touches && pool.node(from.node).domain() != pool.node(to.node).domain(),
+        }
+    })
+}
+
+/// How many of a strategy's collisions fell on fast and on slow nodes.
+pub(crate) fn collision_tally(strategy: &Strategy) -> (usize, usize) {
+    let fast = strategy.collisions().filter(|c| c.group.is_fast()).count();
+    (fast, strategy.collisions().count() - fast)
 }
 
 /// Shifts a window uniformly forward by `delta`, preserving its length.
@@ -1221,6 +1254,43 @@ fn measure_task_load(pool: &ResourcePool, horizon: SimTime) -> GroupLoad {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn find_live_skips_dropped_jobs() {
+        let cfg = CampaignConfig {
+            jobs: 1,
+            perturbations: 0,
+            ..CampaignConfig::default()
+        };
+        let mut campaign = Campaign::new(&cfg, &Telemetry::disabled(), None);
+        let job = gridsched_model::fixtures::fig2_job();
+        let id = job.id();
+        campaign.active.push(ActiveJob {
+            record: 0,
+            job,
+            policy: DataPolicy::new(
+                DataPolicyKind::RemoteAccess,
+                gridsched_data::network::TransferModel::default(),
+                None,
+            ),
+            scenario: EstimateScenario::BEST,
+            activation: SimTime::ZERO,
+            deadline_abs: SimTime::from_ticks(100),
+            current: HashMap::new(),
+            reservations: HashMap::new(),
+            task_factors: Vec::new(),
+            alternatives: Vec::new(),
+            reference_starts: Vec::new(),
+            reference_runtime: 0.0,
+            pending_overrun: None,
+            first_break: None,
+            dropped: false,
+            completed: None,
+        });
+        assert_eq!(campaign.find_live(id), Some(0));
+        campaign.active[0].dropped = true;
+        assert_eq!(campaign.find_live(id), None);
+    }
 
     #[test]
     fn campaign_is_deterministic() {

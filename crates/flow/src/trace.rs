@@ -94,7 +94,13 @@ pub enum CampaignEvent {
         /// Cost of the activated schedule.
         cost: u64,
     },
-    /// An independent local job reserved node time.
+    /// An independent local job reserved node time, displacing pending
+    /// application-level reservations.
+    ///
+    /// Traced only when the perturbation broke at least one job's pending
+    /// tasks and its window was still free afterwards; a perturbation that
+    /// hit no pending task still reserves its window as background load
+    /// (and counts in the `perturbations` counter) but leaves no event.
     Perturbation {
         /// The seized node.
         node: NodeId,
@@ -119,10 +125,10 @@ pub enum CampaignEvent {
     /// The break was resolved by restarting already-started tasks on
     /// other nodes (their original node died) and replanning the rest.
     ///
-    /// `from`/`to` record the inter-domain hand-off: the job-manager
-    /// domain that owned the job before the break and the domain holding
-    /// the majority of the re-placed schedule's reserved ticks. Equal
-    /// domains mean the restart stayed under the same job manager.
+    /// `from`/`to` record the inter-domain hand-off: the job's home
+    /// domain before the break and the domain holding the majority of the
+    /// re-placed schedule's reserved ticks. Equal domains mean the restart
+    /// stayed in the same domain.
     Migrated {
         /// The job.
         job: JobId,

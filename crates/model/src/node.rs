@@ -80,8 +80,8 @@ pub struct ResourcePool {
     nodes: Vec<Node>,
     timetables: Vec<Timetable>,
     /// Distinct domain ids present, ascending — maintained on insertion so
-    /// the hierarchy layer can enumerate job-manager domains without a
-    /// per-call scan.
+    /// per-domain allocation can enumerate domains without a per-call
+    /// scan.
     domains: Vec<DomainId>,
     /// Cross-snapshot calendar cache keyed by `(node, revision)`:
     /// [`ResourcePool::snapshot`] reuses frozen window slices and gap

@@ -1,12 +1,12 @@
 //! The hierarchy at work (§2, Fig. 1): a metascheduler over three node
-//! domains, each with its own job manager, and a job-flow campaign whose
-//! dynamics force an inter-domain migration.
+//! domains and a job-flow campaign whose dynamics force an inter-domain
+//! migration.
 //!
 //! An outage-heavy fault plan kills nodes with started tasks; the
 //! reallocation mechanism restarts those tasks elsewhere, and when the
 //! re-placed schedule's reserved ticks land mostly in another domain the
-//! metascheduler re-homes the job — a `Migrated { from, to }` trace event
-//! and a hand-off between the two domains' job managers.
+//! campaign re-homes the job — a `Migrated { from, to }` trace event and
+//! a new home domain on its record.
 //!
 //! Run with: `cargo run --example multi_domain`
 
@@ -64,7 +64,7 @@ fn main() {
             } else {
                 cross_domain += 1;
                 println!(
-                    "  t{:>4}  {job} re-homed {from} -> {to} (manager hand-off)",
+                    "  t{:>4}  {job} re-homed {from} -> {to} (domain hand-off)",
                     at.ticks()
                 );
             }

@@ -10,13 +10,16 @@
 //! Also holds the cross-domain migration lifecycle property test:
 //! a migrated job's trace obeys (Arrived →) Released → Activated →
 //! (breaks/resolutions) → Migrated → terminal ordering, with chaining
-//! `from`/`to` domains and a matching final `home_domain` record.
+//! `from`/`to` domains and a matching final `home_domain` record — and
+//! the domain-attribution check: the per-domain telemetry series sum to
+//! their global counters.
 
 use gridsched::flow::faults::FaultConfig;
-use gridsched::flow::online::{run_online, OnlineConfig};
-use gridsched::flow::simulation::{run_campaign, CampaignConfig};
+use gridsched::flow::online::{run_online, run_online_instrumented, OnlineConfig};
+use gridsched::flow::simulation::{run_campaign, run_campaign_instrumented, CampaignConfig};
 use gridsched::flow::trace::{CampaignEvent, CampaignTrace};
 use gridsched::flow::VoReport;
+use gridsched::metrics::telemetry::{Counter, Telemetry};
 use gridsched::workload::arrivals::ArrivalProcess;
 
 /// FNV-1a 64-bit: tiny, dependency-free, stable across platforms.
@@ -145,40 +148,6 @@ fn online_trace_matches_monolithic_baseline() {
     );
 }
 
-#[test]
-fn collapsed_flow_layer_is_bit_identical() {
-    // `single_manager` collapses the per-domain job managers into one
-    // while keeping the pool's domains: every cross-manager scan orders
-    // by global activation sequence, so the campaign must not notice.
-    // This is the guarantee that makes the `--flat` bench baseline a fair
-    // monolithic reference.
-    for cfg in [faulted_cfg(4242, 6, 4, 6), migration_cfg()] {
-        let flat = CampaignConfig {
-            single_manager: true,
-            ..cfg.clone()
-        };
-        assert_eq!(
-            fingerprint(&run_campaign(&cfg)),
-            fingerprint(&run_campaign(&flat)),
-            "collapsing the flow layer changed observable behaviour"
-        );
-    }
-    let online_flat = OnlineConfig {
-        base: CampaignConfig {
-            single_manager: true,
-            ..online_cfg().base
-        },
-        ..online_cfg()
-    };
-    let sharded = run_online(&online_cfg());
-    let flat = run_online(&online_flat);
-    assert_eq!(
-        format!("{:?}", (&sharded.report.records, &sharded.report.trace)),
-        format!("{:?}", (&flat.report.records, &flat.report.trace)),
-        "collapsing the flow layer changed the online serving behaviour"
-    );
-}
-
 /// Checks every migrated job in a trace for lawful lifecycle ordering and
 /// domain chaining; returns how many migrated jobs it saw.
 fn check_migration_ordering(report: &VoReport, trace: &CampaignTrace) -> usize {
@@ -271,4 +240,59 @@ fn migrated_jobs_obey_lifecycle_ordering() {
     let online = run_online(&online_cfg());
     let trace = online.report.trace.as_ref().expect("trace collected");
     check_migration_ordering(&online.report, trace);
+}
+
+/// Checks that every domain-labelled counter series sums to its global
+/// counter, and that the run spread its activations over ≥ 2 domains.
+fn check_domain_attribution(telemetry: &Telemetry, run: &str) {
+    let snapshot = telemetry.snapshot();
+    for counter in [
+        Counter::JobsActivated,
+        Counter::ScheduleBreaks,
+        Counter::ScheduleSwitches,
+        Counter::Replans,
+        Counter::Migrations,
+        Counter::Drops,
+    ] {
+        let per_domain: u64 = snapshot
+            .domains()
+            .keys()
+            .map(|&d| snapshot.domain_counter(d, counter.name()))
+            .sum();
+        assert_eq!(
+            per_domain,
+            telemetry.counter(counter),
+            "{run}: per-domain {} must sum to the global counter",
+            counter.name()
+        );
+    }
+    let active_domains = snapshot
+        .domains()
+        .keys()
+        .filter(|&&d| snapshot.domain_counter(d, "jobs_activated") > 0)
+        .count();
+    assert!(
+        active_domains >= 2,
+        "{run}: activations must span at least two domains, saw {active_domains}"
+    );
+}
+
+#[test]
+fn per_domain_counters_sum_to_global_counters() {
+    let telemetry = Telemetry::new();
+    let report = run_campaign_instrumented(&migration_cfg(), &telemetry);
+    assert!(
+        telemetry.counter(Counter::Migrations) > 0,
+        "the migration config must still migrate"
+    );
+    assert_eq!(
+        telemetry.counter(Counter::Migrations),
+        report.migration_count() as u64
+    );
+    check_domain_attribution(&telemetry, "migration campaign");
+
+    let telemetry = Telemetry::new();
+    let _ = run_online_instrumented(&online_cfg(), &telemetry);
+    assert!(telemetry.counter(Counter::JobsActivated) > 0);
+    check_domain_attribution(&telemetry, "online run");
 }
