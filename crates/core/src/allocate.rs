@@ -216,11 +216,37 @@ pub struct AllocScratch {
     /// `tail[position]`: the least execution time of the chain after
     /// `position`.
     tail: Vec<SimDuration>,
+    /// Cost-to-go bound (rule 9 in DESIGN §4):
+    /// `ctg[position * nodes + node index]` is the least cost of the chain
+    /// after `position` from that node, availability windows ignored
+    /// (`None`: the DP does not consider the node there, or no node
+    /// continues the chain from it).
+    ctg: Vec<Option<Cost>>,
+    /// Per domain, the two least `step cost + ctg` over the next
+    /// position's nodes for a predecessor in that domain, and the node
+    /// indices they belong to (the second stands in when the first is the
+    /// predecessor itself).
+    domain_cheapest: Vec<[Option<(Cost, usize)>; 2]>,
+    /// Per domain, its first two node indices: one of them other than the
+    /// target stands for every predecessor node of the domain (rule 1).
+    domain_reps: Vec<[Option<usize>; 2]>,
+    /// How the cost-to-go bound fared since the last drain.
+    cost_bound: CostBoundStats,
+}
+
+/// How often the cost-to-go bound (rule 9 in DESIGN §4) decided a
+/// `MinCost` chain allocation on its own (`held`), and how often the
+/// unbounded Pareto pass had to run after it (`fallbacks`). Each
+/// `MinCost` chain allocation counts once.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct CostBoundStats {
+    pub(crate) held: u64,
+    pub(crate) fallbacks: u64,
 }
 
 impl AllocScratch {
     /// Prepares the pass-invariant tables (`rem`, `nodes`, domain
-    /// classes, arc transfer times) for `ctx`.
+    /// classes and their representatives, arc transfer times) for `ctx`.
     ///
     /// Must be called once before the first [`allocate_chain_into`] of a
     /// pass and again whenever the context changes (different scenario,
@@ -247,6 +273,16 @@ impl AllocScratch {
         self.classes.resize(domains.len() + 1, None);
         self.domain_earliest.clear();
         self.domain_earliest.resize(domains.len(), [None; 2]);
+        self.domain_cheapest.clear();
+        self.domain_cheapest.resize(domains.len(), [None; 2]);
+        self.domain_reps.clear();
+        self.domain_reps.resize(domains.len(), [None; 2]);
+        for (ni, &class) in self.node_class.iter().enumerate() {
+            let reps = &mut self.domain_reps[class];
+            if let Some(slot) = reps.iter_mut().find(|r| r.is_none()) {
+                *slot = Some(ni);
+            }
+        }
         self.candidates.clear();
         self.candidates.reserve(domains.len() + 1);
     }
@@ -320,6 +356,105 @@ impl AllocScratch {
             }));
         }
     }
+
+    /// Rule 9 (DESIGN §4): fills `ctg` for `chain` from the step table and
+    /// returns `C_lb`, the least cost of the whole chain with availability
+    /// windows and finish bounds ignored (`None`: no sequence of
+    /// considered nodes spans the chain).
+    ///
+    /// A step is charged what the Pareto pass charges it:
+    /// `task_cost(V, max(placed stall, chain stall) + exec)`. The chain
+    /// stall depends on the predecessor only through its class (rule 1),
+    /// so each domain's cheapest continuation is found once per position
+    /// from a per-domain top two, and a node takes the better of staying
+    /// put and its domain's cheapest other node.
+    fn fill_cost_to_go(&mut self, ctx: &AllocationContext<'_>, chain: &[TaskId]) -> Option<Cost> {
+        let AllocScratch {
+            nodes,
+            node_class,
+            arcs,
+            steps,
+            ctg,
+            domain_cheapest,
+            domain_reps,
+            ..
+        } = self;
+        let n = nodes.len();
+        let step_cost = |task: TaskId, step: NodeStep, stall: SimDuration| {
+            task_cost(
+                ctx.job.task(task).volume(),
+                step.stall.max(stall) + step.exec,
+            )
+        };
+        ctg.clear();
+        ctg.resize(chain.len() * n, None);
+        let last = (chain.len() - 1) * n;
+        for (rest, step) in ctg[last..].iter_mut().zip(&steps[last..]) {
+            if step.is_some() {
+                *rest = Some(0);
+            }
+        }
+        for pos in (0..chain.len() - 1).rev() {
+            let next_task = chain[pos + 1];
+            let arc = chain_arc(ctx.job, arcs, chain[pos], next_task);
+            let (here, next) = ctg[pos * n..].split_at_mut(n);
+            let next = &next[..n];
+            let next_steps = &steps[(pos + 1) * n..][..n];
+            domain_cheapest.fill([None; 2]);
+            for (nj, (&step, &rest)) in next_steps.iter().zip(next).enumerate() {
+                let (Some(step), Some(rest)) = (step, rest) else {
+                    continue;
+                };
+                for (top, reps) in domain_cheapest.iter_mut().zip(domain_reps.iter()) {
+                    let Some(rep) = reps.iter().flatten().copied().find(|&r| r != nj) else {
+                        // The domain has no node but `nj`: no predecessor
+                        // of it moves to `nj`.
+                        continue;
+                    };
+                    let chain_stall = ctx.policy.delay_from(arc, nodes[rep], nodes[nj], ctx.pool);
+                    let total = step_cost(next_task, step, chain_stall) + rest;
+                    if top[0].is_none_or(|(c, _)| total < c) {
+                        top[1] = top[0];
+                        top[0] = Some((total, nj));
+                    } else if top[1].is_none_or(|(c, _)| total < c) {
+                        top[1] = Some((total, nj));
+                    }
+                }
+            }
+            let row = &steps[pos * n..][..n];
+            for (ni, rest) in here.iter_mut().enumerate() {
+                if row[ni].is_none() {
+                    continue;
+                }
+                // Staying on the node pays no chain stall.
+                let stay = next_steps[ni]
+                    .zip(next[ni])
+                    .map(|(step, rest)| step_cost(next_task, step, SimDuration::ZERO) + rest);
+                let top = &domain_cheapest[node_class[ni]];
+                let moved = match top[0] {
+                    Some((_, nj)) if nj == ni => top[1],
+                    first => first,
+                }
+                .map(|(c, _)| c);
+                *rest = match (stay, moved) {
+                    (Some(a), Some(b)) => Some(a.min(b)),
+                    (a, b) => a.or(b),
+                };
+            }
+        }
+        steps[..n]
+            .iter()
+            .zip(&ctg[..n])
+            .filter_map(|(&step, &rest)| {
+                Some(step_cost(chain[0], step?, SimDuration::ZERO) + rest?)
+            })
+            .min()
+    }
+
+    /// Drains the cost-to-go bound's tallies.
+    pub(crate) fn take_cost_bound_stats(&mut self) -> CostBoundStats {
+        std::mem::take(&mut self.cost_bound)
+    }
 }
 
 /// Allocates `chain` onto `availability` (a planning-session
@@ -363,8 +498,12 @@ pub fn allocate_chain(
 ///
 /// Under [`Objective::FASTEST`] a cheap earliest-finish pass first fixes
 /// the chain's earliest final finish `F*`, and the Pareto pass then keeps
-/// only states that can still reach it (rule 4 in DESIGN §4). The
-/// placements and errors are those of the Pareto pass alone.
+/// only states that can still reach it (rule 4 in DESIGN §4). Under
+/// [`Objective::MinCost`] the Pareto pass first runs with every state that
+/// cannot reach the availability-free least chain cost `C_lb` left out,
+/// and runs again unbounded only when that leaves the last position empty
+/// (rule 9). The placements and errors are those of the unbounded Pareto
+/// pass alone.
 ///
 /// # Errors
 ///
@@ -390,11 +529,50 @@ pub fn allocate_chain_into(
     );
     out.clear();
     scratch.fill_steps(ctx, chain, placed);
-    let fastest_finish = if ctx.objective == Objective::FASTEST {
-        Some(earliest_finish_pass(ctx, chain, availability, scratch)?)
-    } else {
-        None
-    };
+    match ctx.objective {
+        Objective::MinCost => {
+            let held = scratch.fill_cost_to_go(ctx, chain).is_some_and(|bound| {
+                pareto_pass::<true>(ctx, chain, availability, scratch, None, bound).is_ok()
+            });
+            if held {
+                scratch.cost_bound.held += 1;
+            } else {
+                scratch.cost_bound.fallbacks += 1;
+                pareto_pass::<false>(ctx, chain, availability, scratch, None, 0)?;
+            }
+        }
+        Objective::MinTime { budget: None } => {
+            let fastest_finish = earliest_finish_pass(ctx, chain, availability, scratch)?;
+            pareto_pass::<false>(ctx, chain, availability, scratch, Some(fastest_finish), 0)?;
+        }
+        Objective::MinTime { budget: Some(_) } => {
+            pareto_pass::<false>(ctx, chain, availability, scratch, None, 0)?;
+        }
+    }
+    pick_into(ctx, chain, scratch, out);
+    Ok(())
+}
+
+/// The Pareto DP over `chain`, filling `scratch.levels`.
+///
+/// With `fastest_finish` (`F*` of the earliest-finish pass) every finish
+/// bound at position `k` is tightened to `F* - S(k)` (rule 4). With
+/// `COST_BOUND` every candidate whose cost plus `ctg` at its
+/// `(position, node)` exceeds `cost_bound` is skipped before its fit
+/// (rule 9); without it `cost_bound` is unused, and the instance has no
+/// cost test in its inner loop.
+///
+/// # Errors
+///
+/// Names the task of the first position left with no state.
+fn pareto_pass<const COST_BOUND: bool>(
+    ctx: &AllocationContext<'_>,
+    chain: &[TaskId],
+    availability: &TimetableOverlay,
+    scratch: &mut AllocScratch,
+    fastest_finish: Option<SimTime>,
+    cost_bound: Cost,
+) -> Result<(), AllocateError> {
     let AllocScratch {
         nodes,
         node_class,
@@ -404,6 +582,7 @@ pub fn allocate_chain_into(
         classes,
         levels,
         tail,
+        ctg,
         ..
     } = scratch;
     let nodes: &[NodeId] = nodes;
@@ -446,6 +625,15 @@ pub fn allocate_chain_into(
                     continue;
                 }
             }
+            // The most a state here may cost and still reach `C_lb`.
+            let max_cost = if COST_BOUND {
+                match ctg[pos * nodes.len() + ni].and_then(|rest| cost_bound.checked_sub(rest)) {
+                    Some(max_cost) => max_cost,
+                    None => continue,
+                }
+            } else {
+                Cost::MAX
+            };
             let Some(NodeStep {
                 exec,
                 ready: ready_placed,
@@ -459,6 +647,10 @@ pub fn allocate_chain_into(
             let frontier = &mut level.states[ni];
             let Some((prev, arc)) = chain_step else {
                 let dur = stall_placed + exec;
+                let cost = task_cost(task.volume(), dur);
+                if COST_BOUND && cost > max_cost {
+                    continue;
+                }
                 if let Some(state) = fit_state(
                     availability,
                     node_id,
@@ -466,7 +658,7 @@ pub fn allocate_chain_into(
                     dur,
                     stall_placed,
                     finish_bound,
-                    task_cost(task.volume(), dur),
+                    cost,
                     None,
                 ) {
                     frontier.push(state);
@@ -507,6 +699,11 @@ pub fn allocate_chain_into(
                         .cost
                         .get_or_insert_with(|| task_cost(task.volume(), step.dur));
                     let cost = prev_state.cost + step_cost;
+                    if COST_BOUND && cost > max_cost {
+                        // Every completion from here costs more than
+                        // `C_lb`.
+                        continue;
+                    }
                     if covered(frontier, earliest_finish, cost) {
                         // Whatever the fit returned, a kept state would
                         // dominate it.
@@ -539,10 +736,20 @@ pub fn allocate_chain_into(
             return Err(AllocateError { task: task_id });
         }
     }
+    Ok(())
+}
 
-    // Pick the best final state under the objective (ties: smaller node
-    // index, for determinism). A MinTime budget filters the frontier; if
-    // nothing fits the budget the cheapest state is the fallback.
+/// Picks the best final state of the Pareto pass under the objective
+/// (ties: smaller node index, for determinism) and backtracks its
+/// placements into `out`. A MinTime budget filters the frontier; if
+/// nothing fits the budget the cheapest state is the fallback.
+fn pick_into(
+    ctx: &AllocationContext<'_>,
+    chain: &[TaskId],
+    scratch: &AllocScratch,
+    out: &mut Vec<Placement>,
+) {
+    let AllocScratch { nodes, levels, .. } = scratch;
     let last = &levels[chain.len() - 1];
     let mut best: Option<(usize, usize)> = None;
     let mut cheapest: Option<(usize, usize)> = None;
@@ -576,7 +783,6 @@ pub fn allocate_chain_into(
     }
     let (mut ni, mut si) = best.or(cheapest).expect("non-empty final frontier");
 
-    // Backtrack into the caller's buffer.
     for pos in (0..chain.len()).rev() {
         let state = levels[pos].states[ni][si];
         let prev_cost = state
@@ -597,7 +803,6 @@ pub fn allocate_chain_into(
         }
     }
     out.reverse();
-    Ok(())
 }
 
 /// Rule 4 (DESIGN §4), the earliest-finish pass of a [`Objective::FASTEST`]
@@ -1074,21 +1279,27 @@ mod tests {
         }
     }
 
-    /// Rule 4 is exact: `FASTEST` (the earliest-finish pass, then the
-    /// Pareto pass bounded by `F* - S(k)`) picks exactly what
-    /// `MinTime { budget: Some(Cost::MAX) }` picks. That objective prefers
-    /// the same states but runs the plain Pareto pass, so it is the
-    /// unbounded reference. Both must give identical placements or fail on
-    /// the same task. Inputs: pools of one to nine domains under
+    /// A random chain allocation: pools of one to nine domains under
     /// background load, tasks with `min_perf`, a chain cut from a pipeline
     /// whose tasks before and after it are placed, extra placed producers
     /// and consumers on random chain tasks, both scenarios, all three data
     /// policies, VO-wide and single-domain contexts.
-    #[test]
-    fn fastest_matches_the_unbounded_pareto_pass() {
-        check(512, |g| {
+    struct ChainCase {
+        pool: ResourcePool,
+        job: Job,
+        chain: Vec<TaskId>,
+        placed: HashMap<TaskId, Placement>,
+        policy: DataPolicy,
+        scenario: EstimateScenario,
+        release: SimTime,
+        domain: Option<DomainId>,
+    }
+
+    impl ChainCase {
+        fn generate(g: &mut Gen) -> Self {
             // Up to nine domains: the earliest-finish pass tries up to
-            // `#domains + 1` candidates per `(position, node)`.
+            // `#domains + 1` candidates per `(position, node)`, the
+            // cost-to-go table keeps a top two per domain.
             let domains = g.u64_in(1, 9);
             let mut pool = ResourcePool::new();
             let mut owner = 0;
@@ -1119,16 +1330,16 @@ mod tests {
             for w in pipeline.windows(2) {
                 b.add_edge(w[0], w[1], Volume::new(g.f64_in(0.0, 30.0)));
             }
-            // Mostly long chains: the bound bites from the second task on.
+            // Mostly long chains: the bounds bite from the second task on.
             let first = g.usize_in(0, 1).min(pipeline.len() - 1);
             let end = pipeline.len() - g.usize_in(0, 1).min(pipeline.len() - first - 1);
-            let chain = &pipeline[first..end];
+            let chain = pipeline[first..end].to_vec();
             // Placed producers finish early, placed consumers start late.
             let mut producers: Vec<TaskId> = pipeline[..first].to_vec();
             let mut consumers: Vec<TaskId> = pipeline[end..].to_vec();
             for _ in 0..g.usize_in(0, 2) {
                 let side = b.add_task(Volume::new(10.0));
-                let on = *g.pick(chain);
+                let on = *g.pick(&chain);
                 let volume = Volume::new(g.f64_in(0.0, 30.0));
                 if g.chance(0.5) {
                     b.add_edge(side, on, volume);
@@ -1154,30 +1365,197 @@ mod tests {
                 _ => DataPolicy::static_storage(NodeId::new(0)),
             };
             let release = SimTime::from_ticks(g.u64_in(0, 20));
-            let reference = AllocationContext {
-                job: &job,
-                pool: &pool,
-                policy: &policy,
-                scenario: *g.pick(&[EstimateScenario::BEST, EstimateScenario::WORST]),
+            let scenario = *g.pick(&[EstimateScenario::BEST, EstimateScenario::WORST]);
+            let domain = g
+                .chance(0.5)
+                .then(|| DomainId::new(g.u64_in(0, domains - 1) as u32));
+            ChainCase {
+                pool,
+                job,
+                chain,
+                placed,
+                policy,
+                scenario,
                 release,
-                deadline: release + job.deadline(),
-                domain: g
-                    .chance(0.5)
-                    .then(|| DomainId::new(g.u64_in(0, domains - 1) as u32)),
-                objective: Objective::MinTime {
-                    budget: Some(Cost::MAX),
-                },
-            };
-            let fastest = AllocationContext {
-                objective: Objective::FASTEST,
-                ..reference
-            };
-            let view = TimetableOverlay::new(pool.snapshot());
+                domain,
+            }
+        }
+
+        fn ctx(&self, objective: Objective) -> AllocationContext<'_> {
+            AllocationContext {
+                job: &self.job,
+                pool: &self.pool,
+                policy: &self.policy,
+                scenario: self.scenario,
+                release: self.release,
+                deadline: self.release + self.job.deadline(),
+                domain: self.domain,
+                objective,
+            }
+        }
+    }
+
+    /// Rule 4 is exact: `FASTEST` (the earliest-finish pass, then the
+    /// Pareto pass bounded by `F* - S(k)`) picks exactly what
+    /// `MinTime { budget: Some(Cost::MAX) }` picks. That objective prefers
+    /// the same states but runs the plain Pareto pass, so it is the
+    /// unbounded reference. Both must give identical placements or fail on
+    /// the same task, on every [`ChainCase`].
+    #[test]
+    fn fastest_matches_the_unbounded_pareto_pass() {
+        check(512, |g| {
+            let case = ChainCase::generate(g);
+            let reference = case.ctx(Objective::MinTime {
+                budget: Some(Cost::MAX),
+            });
+            let fastest = case.ctx(Objective::FASTEST);
+            let view = TimetableOverlay::new(case.pool.snapshot());
             assert_eq!(
-                allocate_chain(&fastest, chain, &placed, &view),
-                allocate_chain(&reference, chain, &placed, &view),
-                "chain {chain:?}, placed {placed:?}"
+                allocate_chain(&fastest, &case.chain, &case.placed, &view),
+                allocate_chain(&reference, &case.chain, &case.placed, &view),
+                "chain {:?}, placed {:?}",
+                case.chain,
+                case.placed
             );
         });
+    }
+
+    /// The unbounded Pareto pass and pick, as before rule 9.
+    fn unbounded_pareto(
+        ctx: &AllocationContext<'_>,
+        chain: &[TaskId],
+        placed: &HashMap<TaskId, Placement>,
+        view: &TimetableOverlay,
+    ) -> Result<Vec<Placement>, AllocateError> {
+        let mut scratch = AllocScratch::default();
+        scratch.begin_pass(ctx);
+        scratch.fill_steps(ctx, chain, placed);
+        pareto_pass::<false>(ctx, chain, view, &mut scratch, None, 0)?;
+        let mut out = Vec::new();
+        pick_into(ctx, chain, &scratch, &mut out);
+        Ok(out)
+    }
+
+    /// The least cost of `chain` with availability windows and finish
+    /// bounds ignored, by brute force over every pair of consecutive
+    /// nodes, straight from the job, the placed map and the policy.
+    fn reference_least_cost(
+        ctx: &AllocationContext<'_>,
+        chain: &[TaskId],
+        placed: &HashMap<TaskId, Placement>,
+    ) -> Option<Cost> {
+        let nodes: Vec<NodeId> = ctx.pool.nodes().map(|n| n.id()).collect();
+        let charge = |task_id: TaskId, node_id: NodeId, chain_stall: SimDuration| {
+            let task = ctx.job.task(task_id);
+            let node = ctx.pool.node(node_id);
+            if ctx.domain.is_some_and(|d| node.domain() != d) || !task.runs_on(node.perf()) {
+                return None;
+            }
+            let placed_stall = ctx
+                .job
+                .incoming(task_id)
+                .filter_map(|e| {
+                    let p = placed.get(&e.from())?;
+                    Some(
+                        ctx.policy
+                            .consumer_delay(e.volume(), p.node, node_id, ctx.pool),
+                    )
+                })
+                .max()
+                .unwrap_or(SimDuration::ZERO);
+            let wall = placed_stall.max(chain_stall) + ctx.scenario.duration(task, node.perf());
+            Some(task_cost(task.volume(), wall))
+        };
+        let mut least: Vec<Option<Cost>> = nodes
+            .iter()
+            .map(|&n| charge(chain[0], n, SimDuration::ZERO))
+            .collect();
+        for w in chain.windows(2) {
+            let volume = ctx
+                .job
+                .incoming(w[1])
+                .find(|e| e.from() == w[0])
+                .unwrap()
+                .volume();
+            least = nodes
+                .iter()
+                .map(|&to| {
+                    nodes
+                        .iter()
+                        .zip(&least)
+                        .filter_map(|(&from, &so_far)| {
+                            let stall = ctx.policy.consumer_delay(volume, from, to, ctx.pool);
+                            Some(so_far? + charge(w[1], to, stall)?)
+                        })
+                        .min()
+                })
+                .collect();
+        }
+        least.into_iter().flatten().min()
+    }
+
+    /// Rule 9 is exact and engages exactly when it can: a `MinCost`
+    /// allocation (the cost-bounded pass, then the unbounded one if that
+    /// kept no final state) gives bit for bit the placements or the error
+    /// of the unbounded pass alone, on every [`ChainCase`]. The bounded
+    /// pass decides the chain on its own exactly when the chain's least
+    /// cost equals the availability-free least cost `C_lb`, which a brute
+    /// force over node pairs recomputes independently of the cost-to-go
+    /// table; it is never above the least cost.
+    #[test]
+    fn min_cost_bound_matches_the_unbounded_pareto_pass() {
+        // Held; fell back and placed; failed.
+        let outcomes = std::cell::Cell::new([0u32; 3]);
+        check(512, |g| {
+            let case = ChainCase::generate(g);
+            let ctx = case.ctx(Objective::MinCost);
+            let view = TimetableOverlay::new(case.pool.snapshot());
+            let mut scratch = AllocScratch::default();
+            scratch.begin_pass(&ctx);
+            let mut out = Vec::new();
+            let bounded = allocate_chain_into(
+                &ctx,
+                &case.chain,
+                &case.placed,
+                &view,
+                &mut scratch,
+                &mut out,
+            )
+            .map(|()| out);
+            let unbounded = unbounded_pareto(&ctx, &case.chain, &case.placed, &view);
+            assert_eq!(
+                bounded, unbounded,
+                "chain {:?}, placed {:?}",
+                case.chain, case.placed
+            );
+            let stats = scratch.take_cost_bound_stats();
+            assert_eq!(stats.held + stats.fallbacks, 1);
+            let least = reference_least_cost(&ctx, &case.chain, &case.placed);
+            let cost = unbounded
+                .as_ref()
+                .ok()
+                .map(|ps| ps.iter().map(|p| p.cost).sum::<Cost>());
+            if let Some(cost) = cost {
+                assert!(
+                    least.is_some_and(|l| l <= cost),
+                    "C_lb {least:?} > cost {cost}"
+                );
+            }
+            assert_eq!(
+                stats.held == 1,
+                cost.is_some() && cost == least,
+                "held {}, cost {cost:?}, C_lb {least:?}",
+                stats.held
+            );
+            let mut tally = outcomes.get();
+            tally[match (stats.held, &unbounded) {
+                (1, _) => 0,
+                (_, Ok(_)) => 1,
+                (_, Err(_)) => 2,
+            }] += 1;
+            outcomes.set(tally);
+        });
+        let tally = outcomes.get();
+        assert!(tally.iter().all(|&n| n > 0), "outcomes {tally:?}");
     }
 }

@@ -172,7 +172,7 @@ impl<'p> PlanningSession<'p> {
             .telemetry
             .span_under("critical_works_pass", self.span_parent);
         self.telemetry.incr(Counter::CriticalWorksPasses);
-        let (result, probe_stats) = Scratch::with(|scratch| {
+        let (result, probe_stats, bound_stats) = Scratch::with(|scratch| {
             // Overlays come from the thread's arena (rebased on this
             // session's snapshot); the counter keeps its pre-arena meaning
             // of "overlay views handed out".
@@ -188,13 +188,17 @@ impl<'p> PlanningSession<'p> {
                 .merged(with_job.take_index_stats());
             scratch.recycle_overlay(background);
             scratch.recycle_overlay(with_job);
-            (result, probe_stats)
+            let bound_stats = scratch.engine.alloc.take_cost_bound_stats();
+            (result, probe_stats, bound_stats)
         });
         self.telemetry.add(Counter::IndexSeeks, probe_stats.seeks);
         self.telemetry
             .add(Counter::IndexRebuilds, probe_stats.builds);
         self.telemetry
             .add(Counter::IndexBypasses, probe_stats.bypasses);
+        self.telemetry.add(Counter::CostBoundHeld, bound_stats.held);
+        self.telemetry
+            .add(Counter::CostBoundFallbacks, bound_stats.fallbacks);
         // Plan conflicts are observed either way: a successful pass records
         // the collisions it routed around, a failed pass the ones that
         // stranded it.
@@ -620,6 +624,61 @@ mod tests {
             "at most one build per (snapshot, node), got {rebuilds}"
         );
         assert_eq!(telemetry.counter(Counter::IndexBypasses), 0);
+    }
+
+    /// Every `MinCost` chain allocation of a session run is tallied once,
+    /// as held or as a fallback of the cost-to-go bound; `MinTime` runs
+    /// tally nothing, and instrumented runs stay bit-identical to plain
+    /// ones. A pipeline is one critical work, so one chain allocation per
+    /// pass.
+    #[test]
+    fn cost_bound_counters_flow_through_session_runs() {
+        let job = pipeline_job(
+            JobId::new(0),
+            &[20.0, 30.0, 20.0],
+            SimDuration::from_ticks(60),
+        );
+        let pool = fig2_pool();
+        let policy = DataPolicy::remote_access();
+        let telemetry = Telemetry::new();
+        let instrumented = PlanningSession::open_instrumented(&pool, &telemetry, None);
+        let plain = PlanningSession::open(&pool);
+        let req = ScheduleRequest {
+            job: &job,
+            pool: &pool,
+            policy: &policy,
+            scenario: EstimateScenario::BEST,
+            release: SimTime::ZERO,
+        };
+        let deadline = job.absolute_deadline();
+        let tallies = || {
+            (
+                telemetry.counter(Counter::CostBoundHeld),
+                telemetry.counter(Counter::CostBoundFallbacks),
+            )
+        };
+        assert_eq!(
+            instrumented.build_distribution(&req),
+            plain.build_distribution(&req)
+        );
+        // An idle pool: the availability-free cheapest schedule is
+        // feasible, so the bound decides the chain on its own.
+        assert_eq!(tallies(), (1, 0));
+        for objective in [Objective::FASTEST, Objective::MinTime { budget: Some(5) }] {
+            assert_eq!(
+                instrumented.probe(&req, deadline, objective),
+                plain.probe(&req, deadline, objective)
+            );
+        }
+        assert_eq!(tallies(), (1, 0));
+        // A deadline the chain cannot meet: the bounded pass keeps nothing
+        // and the unbounded one reports the failure.
+        let tight = SimTime::from_ticks(3);
+        assert_eq!(
+            instrumented.probe(&req, tight, Objective::MinCost),
+            plain.probe(&req, tight, Objective::MinCost)
+        );
+        assert_eq!(tallies(), (1, 1));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use gridsched_model::ids::{GlobalTaskId, JobId, TaskId};
 use gridsched_model::timetable::ReservationOwner;
 use gridsched_sim::check::{check, Gen};
 use gridsched_sim::rng::SimRng;
-use gridsched_sim::time::SimTime;
+use gridsched_sim::time::{SimDuration, SimTime};
 use gridsched_workload::background::{apply_background_load, BackgroundConfig};
 use gridsched_workload::jobs::{generate_job, JobConfig};
 use gridsched_workload::pool::{generate_pool, PoolConfig};
@@ -445,5 +445,117 @@ fn min_time_replans_and_budget_probes_match_frozen_fingerprints() {
         "MinTime output moved: replan {:#018x}, budget probe {:#018x}",
         replanned.0,
         budgeted.0
+    );
+}
+
+/// The job-flow layer's default replan, frozen like
+/// [`dp_decisions_match_frozen_fingerprints`]:
+/// `reschedule_with_objective(.., MinCost)` with a topological prefix of
+/// the tasks already fixed (started, and reserved), replanning the rest
+/// from the last fixed start onwards. The replanned chains meet placed
+/// producers. Two prefix lengths and two release instants per job, both
+/// scenarios, all four strategy kinds' data policies, pipelines and
+/// fork-joins on loaded 3-domain pools.
+#[test]
+fn min_cost_replans_match_frozen_fingerprints() {
+    let mut replanned = Fnv::new();
+    for seed in 0..16u64 {
+        let mut rng = SimRng::seed_from(11_000 + seed);
+        let mut pool = generate_pool(&PoolConfig::default(), &mut rng);
+        apply_background_load(
+            &mut pool,
+            &BackgroundConfig {
+                load: 0.1 + 0.05 * (seed % 8) as f64,
+                ..BackgroundConfig::default()
+            },
+            &mut rng,
+        );
+        let job = generate_job(
+            &JobConfig {
+                deadline_factor: 2.0 + (seed % 4) as f64,
+                width_max: if seed % 2 == 0 { 1 } else { 3 },
+                ..JobConfig::default()
+            },
+            JobId::new(seed),
+            SimTime::ZERO,
+            &mut rng,
+        );
+        let config = StrategyConfig::for_kind(StrategyKind::ALL[(seed % 4) as usize], &pool);
+        let scenario = if seed % 3 == 0 {
+            EstimateScenario::WORST
+        } else {
+            EstimateScenario::BEST
+        };
+        let req = ScheduleRequest {
+            job: &job,
+            pool: &pool,
+            policy: config.policy(),
+            scenario,
+            release: SimTime::ZERO,
+        };
+        let deadline = job.absolute_deadline();
+        let planned = PlanningSession::open(&pool).build_distribution(&ScheduleRequest {
+            scenario: EstimateScenario::BEST,
+            ..req
+        });
+        let plan = match planned {
+            Ok(plan) => plan,
+            Err(e) => {
+                replanned.word(2);
+                replanned.word(e.task.index() as u64);
+                continue;
+            }
+        };
+        let topo = job.topo_order();
+        for prefix in [topo.len() / 3, topo.len() / 2] {
+            let mut fixed = HashMap::new();
+            let mut replan_pool = pool.clone();
+            for &t in &topo[..prefix] {
+                let p = *plan.placement(t);
+                replan_pool
+                    .timetable_mut(p.node)
+                    .reserve(
+                        p.window,
+                        ReservationOwner::Task(GlobalTaskId {
+                            job: job.id(),
+                            task: t,
+                        }),
+                    )
+                    .expect("a plan's windows are free");
+                fixed.insert(t, p);
+            }
+            let last_start = fixed
+                .values()
+                .map(|p| p.window.start())
+                .max()
+                .unwrap_or(SimTime::ZERO);
+            for delay in [0u64, 5] {
+                let req = ScheduleRequest {
+                    pool: &replan_pool,
+                    release: last_start.saturating_add(SimDuration::from_ticks(delay)),
+                    ..req
+                };
+                match PlanningSession::open(&replan_pool).reschedule_with_objective(
+                    &req,
+                    &fixed,
+                    deadline,
+                    Objective::MinCost,
+                ) {
+                    Ok(d) => {
+                        replanned.word(1);
+                        replanned.placements(d.placements());
+                    }
+                    Err(e) => {
+                        replanned.word(0);
+                        replanned.word(e.task.index() as u64);
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(
+        replanned.0, 0x9efc_9d36_3628_e0a6,
+        "MinCost replan output moved: {:#018x}",
+        replanned.0
     );
 }

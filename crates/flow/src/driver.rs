@@ -63,8 +63,9 @@ pub(crate) trait FlowMachine {
     fn on_perturbation(&mut self, at: SimTime, node: NodeId, len: SimDuration);
     /// An injected fault fired.
     fn on_fault(&mut self, fault: Fault);
-    /// Runs after every handled event (the online machine drains its
-    /// admission queues here — every event can change feasibility).
+    /// Runs after every handled event — an arrival, a perturbation or a
+    /// fault (the online machine drains its admission queue here — every
+    /// event can change feasibility).
     fn after_event(&mut self, _now: SimTime) {}
 }
 

@@ -19,10 +19,11 @@
 //!    full strategy sweep runs (reusing the persistent `gridsched-exec`
 //!    worker pool) and the matching supporting schedule activates. A
 //!    failed probe defers the job — it is re-probed after every subsequent
-//!    arrival/completion/fault event (*incremental replanning*, rather
-//!    than re-running whole-batch generation) — unless its remaining
-//!    critical path can no longer fit before the deadline even on a
-//!    perfect node, in which case it is rejected for good.
+//!    arrival, perturbation or fault event (*incremental replanning*,
+//!    rather than re-running whole-batch generation; completions are not
+//!    events of their own, they are settled before each event) — unless
+//!    its remaining critical path can no longer fit before the deadline
+//!    even on a perfect node, in which case it is rejected for good.
 //!
 //! Completions are observed *online*: when the last reserved window of an
 //! active job closes, a terminal `Completed` event is traced at its

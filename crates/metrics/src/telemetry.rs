@@ -134,8 +134,9 @@ pub enum Counter {
     /// High-water mark of the admission queue depth (recorded with
     /// [`Telemetry::record_max`], not incremented).
     QueuePeakDepth,
-    /// Re-probes of deferred arrivals triggered by completion/fault
-    /// events — the online loop's incremental replanning work.
+    /// Re-probes of deferred arrivals triggered by later arrival,
+    /// perturbation or fault events — the online loop's incremental
+    /// replanning work.
     IncrementalReplans,
     /// Differential chaos campaigns executed by the chaos harness.
     ChaosCampaigns,
@@ -162,11 +163,18 @@ pub enum Counter {
     IndexCacheHits,
     /// Cached calendars dropped to respect the cache's byte budget.
     IndexCacheEvictions,
+    /// `MinCost` chain allocations decided by the cost-to-go-bounded
+    /// Pareto pass alone (DESIGN §4 rule 9).
+    CostBoundHeld,
+    /// `MinCost` chain allocations where the bounded pass kept no final
+    /// state and the unbounded Pareto pass ran after it. Held plus
+    /// fallbacks is the number of `MinCost` chain allocations.
+    CostBoundFallbacks,
 }
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 39] = [
+    pub const ALL: [Counter; 41] = [
         Counter::JobsReleased,
         Counter::JobsActivated,
         Counter::FlowAssignments,
@@ -206,6 +214,8 @@ impl Counter {
         Counter::IndexBypasses,
         Counter::IndexCacheHits,
         Counter::IndexCacheEvictions,
+        Counter::CostBoundHeld,
+        Counter::CostBoundFallbacks,
     ];
 
     const COUNT: usize = Counter::ALL.len();
@@ -253,6 +263,8 @@ impl Counter {
             Counter::IndexBypasses => "index_bypasses",
             Counter::IndexCacheHits => "index_cache_hits",
             Counter::IndexCacheEvictions => "index_cache_evictions",
+            Counter::CostBoundHeld => "cost_bound_held",
+            Counter::CostBoundFallbacks => "cost_bound_fallbacks",
         }
     }
 }
