@@ -71,15 +71,15 @@ fn main() {
         let job = sized_job(layers, layers as u64);
         let label = format!("random_job_tasks/{}", job.task_count());
         group.bench(&label, || {
-            PlanningSession::open(&pool)
-                .build_distribution_recovering(&ScheduleRequest {
-                    job: &job,
-                    pool: &pool,
-                    policy: &policy,
-                    scenario: EstimateScenario::BEST,
-                    release: SimTime::ZERO,
-                })
-                .expect("feasible with recovery")
+            // A stranded pass is timed too: the bench measures the pass,
+            // not whether its deadline holds.
+            PlanningSession::open(&pool).build_distribution(&ScheduleRequest {
+                job: &job,
+                pool: &pool,
+                policy: &policy,
+                scenario: EstimateScenario::BEST,
+                release: SimTime::ZERO,
+            })
         });
     }
 }

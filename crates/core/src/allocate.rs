@@ -169,6 +169,10 @@ struct Level {
 /// it can reach, then the fit's ready time and wall time.
 type Candidate = (SimTime, SimTime, SimDuration);
 
+/// A fit candidate of the incumbent dive: `ready + dur`, the node index,
+/// the fit's ready time, wall time and finish bound.
+type DiveCandidate = (SimTime, usize, SimTime, SimDuration, SimTime);
+
 /// Reusable buffers for the co-allocation dynamic program.
 ///
 /// One scheduling pass allocates several chains against the same
@@ -213,9 +217,12 @@ pub struct AllocScratch {
     /// The fit candidates of one earliest-finish `(position, node)`, at
     /// most one per domain plus the node itself (rule 7).
     candidates: Vec<Candidate>,
-    /// `tail[position]`: the least execution time of the chain after
-    /// `position`.
+    /// `tail[position]`: `S(position)`, the least execution time of the
+    /// chain after `position`.
     tail: Vec<SimDuration>,
+    /// The fit candidates of one incumbent-dive position, one per node
+    /// (rule 10).
+    dive: Vec<DiveCandidate>,
     /// Cost-to-go bound (rule 9 in DESIGN §4):
     /// `ctg[position * nodes + node index]` is the least cost of the chain
     /// after `position` from that node, availability windows ignored
@@ -230,18 +237,33 @@ pub struct AllocScratch {
     /// Per domain, its first two node indices: one of them other than the
     /// target stands for every predecessor node of the domain (rule 1).
     domain_reps: Vec<[Option<usize>; 2]>,
-    /// How the cost-to-go bound fared since the last drain.
-    cost_bound: CostBoundStats,
+    /// `C_lb` of the prepared `MinCost` chain (rule 9).
+    cost_lb: Option<Cost>,
+    /// The DP's work tallies since the last drain.
+    stats: AllocStats,
 }
 
-/// How often the cost-to-go bound (rule 9 in DESIGN §4) decided a
-/// `MinCost` chain allocation on its own (`held`), and how often the
-/// unbounded Pareto pass had to run after it (`fallbacks`). Each
-/// `MinCost` chain allocation counts once.
+/// Work tallies of the co-allocation DP, drained per planning-session
+/// run.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct CostBoundStats {
-    pub(crate) held: u64,
-    pub(crate) fallbacks: u64,
+pub(crate) struct AllocStats {
+    /// `MinCost` chain allocations the cost-to-go bound (rule 9 in
+    /// DESIGN §4) decided on its own.
+    pub(crate) cost_bound_held: u64,
+    /// `MinCost` chain allocations where the unbounded Pareto pass ran
+    /// after the bounded one. Held plus fallbacks is the number of
+    /// `MinCost` chain allocations.
+    pub(crate) cost_bound_fallbacks: u64,
+    /// `FASTEST` chain allocations whose incumbent dive completed, so the
+    /// earliest-finish pass ran capped (rule 10).
+    pub(crate) fastest_capped: u64,
+    /// `FASTEST` chain allocations whose dive failed, so the
+    /// earliest-finish pass ran uncapped. Capped plus uncapped is the
+    /// number of `FASTEST` chain allocations.
+    pub(crate) fastest_uncapped: u64,
+    /// `earliest_fit` calls made by the earliest-finish pass (rule 4),
+    /// the dive's own not included.
+    pub(crate) first_pass_fits: u64,
 }
 
 impl AllocScratch {
@@ -285,6 +307,26 @@ impl AllocScratch {
         }
         self.candidates.clear();
         self.candidates.reserve(domains.len() + 1);
+    }
+
+    /// Fills the availability-free tables of `chain` under `placed`: the
+    /// step table, then `tail` for [`Objective::FASTEST`] or `ctg` and
+    /// `C_lb` for [`Objective::MinCost`]. They stay valid for every
+    /// [`allocate_prepared`] of the same chain and placed map, whatever
+    /// the availability.
+    pub(crate) fn prepare_chain(
+        &mut self,
+        ctx: &AllocationContext<'_>,
+        chain: &[TaskId],
+        placed: &HashMap<TaskId, Placement>,
+    ) {
+        assert!(!chain.is_empty(), "cannot allocate an empty chain");
+        self.fill_steps(ctx, chain, placed);
+        match ctx.objective {
+            Objective::MinCost => self.cost_lb = self.fill_cost_to_go(ctx, chain),
+            Objective::FASTEST => self.fill_tail(chain.len()),
+            Objective::MinTime { budget: Some(_) } => {}
+        }
     }
 
     /// Fills `steps` for `chain`: one [`NodeStep`] per `(position, node)`,
@@ -451,9 +493,29 @@ impl AllocScratch {
             .min()
     }
 
-    /// Drains the cost-to-go bound's tallies.
-    pub(crate) fn take_cost_bound_stats(&mut self) -> CostBoundStats {
-        std::mem::take(&mut self.cost_bound)
+    /// Fills `tail[pos]` with `S(pos)`, the least execution time of the
+    /// tasks after `pos` over the nodes the DP considers for them.
+    fn fill_tail(&mut self, len: usize) {
+        let n = self.nodes.len();
+        self.tail.clear();
+        self.tail.resize(len, SimDuration::ZERO);
+        let mut after = SimDuration::ZERO;
+        for pos in (0..len).rev() {
+            self.tail[pos] = after;
+            // A position no node can run empties its level in both passes
+            // and in the dive, so no tail before it is read.
+            after += self.steps[pos * n..][..n]
+                .iter()
+                .flatten()
+                .map(|step| step.exec)
+                .min()
+                .unwrap_or(SimDuration::ZERO);
+        }
+    }
+
+    /// Drains the DP's work tallies.
+    pub(crate) fn take_stats(&mut self) -> AllocStats {
+        std::mem::take(&mut self.stats)
     }
 }
 
@@ -498,12 +560,13 @@ pub fn allocate_chain(
 ///
 /// Under [`Objective::FASTEST`] a cheap earliest-finish pass first fixes
 /// the chain's earliest final finish `F*`, and the Pareto pass then keeps
-/// only states that can still reach it (rule 4 in DESIGN §4). Under
-/// [`Objective::MinCost`] the Pareto pass first runs with every state that
-/// cannot reach the availability-free least chain cost `C_lb` left out,
-/// and runs again unbounded only when that leaves the last position empty
-/// (rule 9). The placements and errors are those of the unbounded Pareto
-/// pass alone.
+/// only states that can still reach it (rule 4 in DESIGN §4); a one-path
+/// dive caps that first pass by a finish the chain can reach (rule 10).
+/// Under [`Objective::MinCost`] the Pareto pass first runs with every
+/// state that cannot reach the availability-free least chain cost `C_lb`
+/// left out, and runs again unbounded only when that leaves the last
+/// position empty (rule 9). The placements and errors are those of the
+/// unbounded Pareto pass alone.
 ///
 /// # Errors
 ///
@@ -521,28 +584,47 @@ pub fn allocate_chain_into(
     scratch: &mut AllocScratch,
     out: &mut Vec<Placement>,
 ) -> Result<(), AllocateError> {
-    assert!(!chain.is_empty(), "cannot allocate an empty chain");
+    scratch.prepare_chain(ctx, chain, placed);
+    allocate_prepared(ctx, chain, availability, scratch, out)
+}
+
+/// [`allocate_chain_into`] on the tables [`AllocScratch::prepare_chain`]
+/// filled for this `ctx`, `chain` and placed map: phase 2 of the
+/// critical-works method re-allocates a collided chain against another
+/// availability view without refilling them.
+pub(crate) fn allocate_prepared(
+    ctx: &AllocationContext<'_>,
+    chain: &[TaskId],
+    availability: &TimetableOverlay,
+    scratch: &mut AllocScratch,
+    out: &mut Vec<Placement>,
+) -> Result<(), AllocateError> {
     assert_eq!(
         availability.node_count(),
         ctx.pool.len(),
         "availability view must cover every node"
     );
     out.clear();
-    scratch.fill_steps(ctx, chain, placed);
     match ctx.objective {
         Objective::MinCost => {
-            let held = scratch.fill_cost_to_go(ctx, chain).is_some_and(|bound| {
+            let held = scratch.cost_lb.is_some_and(|bound| {
                 pareto_pass::<true>(ctx, chain, availability, scratch, None, bound).is_ok()
             });
             if held {
-                scratch.cost_bound.held += 1;
+                scratch.stats.cost_bound_held += 1;
             } else {
-                scratch.cost_bound.fallbacks += 1;
+                scratch.stats.cost_bound_fallbacks += 1;
                 pareto_pass::<false>(ctx, chain, availability, scratch, None, 0)?;
             }
         }
-        Objective::MinTime { budget: None } => {
-            let fastest_finish = earliest_finish_pass(ctx, chain, availability, scratch)?;
+        Objective::FASTEST => {
+            let cap = incumbent_dive(ctx, chain, availability, scratch);
+            if cap.is_some() {
+                scratch.stats.fastest_capped += 1;
+            } else {
+                scratch.stats.fastest_uncapped += 1;
+            }
+            let fastest_finish = earliest_finish_pass(ctx, chain, availability, scratch, cap)?;
             pareto_pass::<false>(ctx, chain, availability, scratch, Some(fastest_finish), 0)?;
         }
         Objective::MinTime { budget: Some(_) } => {
@@ -819,21 +901,27 @@ fn pick_into(
 /// first that cannot beat the best finish found so far ends the search
 /// (rule 7).
 ///
-/// Returns `F*`, the chain's earliest final finish, fills
-/// `scratch.earliest` with every `(position, node)`'s earliest finish and
-/// `scratch.tail[pos]` with `S(pos)`, the least execution time of the
-/// tasks after `pos` over the nodes the DP considers for them. Reads the
-/// step table [`AllocScratch::fill_steps`] filled.
+/// With `cap` (the final finish `U` of a completed [`incumbent_dive`])
+/// every finish bound at `pos` is tightened to `U - S(pos)` (rule 10).
+/// `U ≥ F*`, so every state on a path to `F*` still fits, and a
+/// `(position, node)` keeps its uncapped earliest finish when that is
+/// within the cap and is left empty otherwise.
+///
+/// Returns `F*`, the chain's earliest final finish, and fills
+/// `scratch.earliest` with every `(position, node)`'s earliest finish.
+/// Reads the step table and `tail` [`AllocScratch::prepare_chain`]
+/// filled.
 ///
 /// # Errors
 ///
 /// A level is empty here exactly when it is empty in the Pareto pass, so
-/// the error names the same task.
+/// the error names the same task. A completed dive leaves no level empty.
 fn earliest_finish_pass(
     ctx: &AllocationContext<'_>,
     chain: &[TaskId],
     availability: &TimetableOverlay,
     scratch: &mut AllocScratch,
+    cap: Option<SimTime>,
 ) -> Result<SimTime, AllocateError> {
     let AllocScratch {
         nodes,
@@ -844,23 +932,27 @@ fn earliest_finish_pass(
         domain_earliest,
         candidates,
         tail,
+        stats,
         ..
     } = scratch;
     let n = nodes.len();
     earliest.clear();
     earliest.resize(chain.len() * n, None);
-    tail.clear();
     for (pos, &task_id) in chain.iter().enumerate() {
         let (before, rest) = earliest.split_at_mut(pos * n);
         let earliest_prev = &before[before.len().saturating_sub(n)..];
         let earliest = &mut rest[..n];
         let arc = (pos > 0).then(|| chain_arc(ctx.job, arcs, chain[pos - 1], task_id));
+        // The earliest previous finish: no candidate is ready before it.
+        let mut least_prev = SimTime::ZERO;
         if pos > 0 {
+            least_prev = SimTime::MAX;
             domain_earliest.fill([None; 2]);
             for (pni, &finish) in earliest_prev.iter().enumerate() {
                 let Some(finish) = finish else {
                     continue;
                 };
+                least_prev = least_prev.min(finish);
                 let top = &mut domain_earliest[node_class[pni]];
                 if top[0].is_none_or(|(f, _)| finish < f) {
                     top[1] = top[0];
@@ -871,18 +963,26 @@ fn earliest_finish_pass(
             }
         }
         let row = &steps[pos * n..][..n];
-        let mut least_exec: Option<SimDuration> = None;
+        let reach_cap = cap.map(|u| saturating_deadline(u, tail[pos]));
         for (ni, &node_id) in nodes.iter().enumerate() {
             let Some(step) = row[ni] else {
                 continue;
             };
-            least_exec = Some(least_exec.map_or(step.exec, |e| e.min(step.exec)));
+            let finish_bound = reach_cap.map_or(step.finish_bound, |c| step.finish_bound.min(c));
+            // No candidate's `ready + dur` is below this.
+            let least_reach = step
+                .ready
+                .max_of(least_prev)
+                .saturating_add(step.stall + step.exec);
+            if least_reach > finish_bound {
+                continue;
+            }
             candidates.clear();
             let mut push = |ready: SimTime, dur: SimDuration| {
                 let reach = ready.saturating_add(dur);
                 // A fit from past the finish bound fails; the rest stay
                 // sorted by `reach`.
-                if reach <= step.finish_bound {
+                if reach <= finish_bound {
                     let at = candidates.partition_point(|&(r, ..)| r <= reach);
                     candidates.insert(at, (reach, ready, dur));
                 }
@@ -912,9 +1012,8 @@ fn earliest_finish_pass(
                     // than one found.
                     break;
                 }
-                if let Some(start) =
-                    availability.earliest_fit(node_id, ready, dur, step.finish_bound)
-                {
+                stats.first_pass_fits += 1;
+                if let Some(start) = availability.earliest_fit(node_id, ready, dur, finish_bound) {
                     let finish = start + dur;
                     if earliest[ni].is_none_or(|e| finish < e) {
                         earliest[ni] = Some(finish);
@@ -925,14 +1024,6 @@ fn earliest_finish_pass(
         if earliest.iter().all(Option::is_none) {
             return Err(AllocateError { task: task_id });
         }
-        tail.push(least_exec.expect("a non-empty level considered some node"));
-    }
-    // Each slot holds its own position's least execution time; turn them
-    // into sums over the positions after it.
-    let mut after = SimDuration::ZERO;
-    for slot in tail.iter_mut().rev() {
-        let own = std::mem::replace(slot, after);
-        after += own;
     }
     Ok(earliest[(chain.len() - 1) * n..]
         .iter()
@@ -940,6 +1031,84 @@ fn earliest_finish_pass(
         .copied()
         .min()
         .expect("the last level is non-empty"))
+}
+
+/// Rule 10 (DESIGN §4), the incumbent dive of a [`Objective::FASTEST`]
+/// chain: one path through the chain under the earliest-finish pass's own
+/// transition, greedily earliest-finishing at each position.
+///
+/// From the current node and finish, every node the DP considers at the
+/// next position is a candidate with ready time
+/// `max(step ready, current finish)`, wall time
+/// `max(placed stall, chain stall) + exec` and its step's finish bound.
+/// Candidates are tried in `(ready + dur, node index)` order until one
+/// cannot beat the best finish found, and the path continues from the
+/// earliest finish (ties: the first found).
+///
+/// Returns the final finish `U`, or `None` when some position has no
+/// candidate that fits. The path is a sequence of states the Pareto pass
+/// can reach (or beat, by monotonicity of `earliest_fit` in its ready
+/// time), so `U ≥ F*`.
+fn incumbent_dive(
+    ctx: &AllocationContext<'_>,
+    chain: &[TaskId],
+    availability: &TimetableOverlay,
+    scratch: &mut AllocScratch,
+) -> Option<SimTime> {
+    let AllocScratch {
+        nodes,
+        arcs,
+        steps,
+        dive,
+        ..
+    } = scratch;
+    let n = nodes.len();
+    // The path's last `(finish, node index)`.
+    let mut at: Option<(SimTime, usize)> = None;
+    for (pos, &task_id) in chain.iter().enumerate() {
+        let from = at.map(|(finish, ni)| {
+            let arc = chain_arc(ctx.job, arcs, chain[pos - 1], task_id);
+            (finish, nodes[ni], arc)
+        });
+        dive.clear();
+        for (ni, step) in steps[pos * n..][..n].iter().enumerate() {
+            let Some(step) = step else {
+                continue;
+            };
+            let ready = from.map_or(step.ready, |(finish, ..)| step.ready.max_of(finish));
+            if ready.saturating_add(step.stall + step.exec) > step.finish_bound {
+                // No chain stall makes the fit fit.
+                continue;
+            }
+            let stall = from.map_or(step.stall, |(_, prev_node, arc)| {
+                step.stall
+                    .max(ctx.policy.delay_from(arc, prev_node, nodes[ni], ctx.pool))
+            });
+            let dur = stall + step.exec;
+            let reach = ready.saturating_add(dur);
+            if reach <= step.finish_bound {
+                dive.push((reach, ni, ready, dur, step.finish_bound));
+            }
+        }
+        let mut best: Option<(SimTime, usize)> = None;
+        // Take the candidates in `(reach, node index)` order by selection:
+        // few are tried before the scan stops.
+        while let Some(i) = (0..dive.len()).min_by_key(|&i| (dive[i].0, dive[i].1)) {
+            let (reach, ni, ready, dur, finish_bound) = dive.swap_remove(i);
+            if best.is_some_and(|(finish, _)| reach >= finish) {
+                // Neither this fit nor any later one finishes earlier.
+                break;
+            }
+            if let Some(start) = availability.earliest_fit(nodes[ni], ready, dur, finish_bound) {
+                let finish = start + dur;
+                if best.is_none_or(|(f, _)| finish < f) {
+                    best = Some((finish, ni));
+                }
+            }
+        }
+        at = Some(best?);
+    }
+    at.map(|(finish, _)| finish)
 }
 
 /// The transfer times of the arc from `prev` to `task`, consecutive chain
@@ -1420,6 +1589,58 @@ mod tests {
         });
     }
 
+    /// Rule 10 is exact: whenever the incumbent dive completes, its finish
+    /// `U` is at least the uncapped first pass's `F*`, and the capped first
+    /// pass returns the same `F*`. At every `(pos, node)` it keeps the
+    /// uncapped earliest finish where that is within `U - S(pos)` (so at
+    /// every one within `F* - S(pos)`) and leaves the rest empty. A dive
+    /// that fails leaves the uncapped pass to decide, success or error.
+    #[test]
+    fn fastest_cap_matches_the_uncapped_first_pass() {
+        // Dive completed; dive failed, pass placed; pass failed.
+        let outcomes = std::cell::Cell::new([0u32; 3]);
+        check(512, |g| {
+            let case = ChainCase::generate(g);
+            let ctx = case.ctx(Objective::FASTEST);
+            let view = TimetableOverlay::new(case.pool.snapshot());
+            let mut scratch = AllocScratch::default();
+            scratch.begin_pass(&ctx);
+            scratch.prepare_chain(&ctx, &case.chain, &case.placed);
+            let uncapped = earliest_finish_pass(&ctx, &case.chain, &view, &mut scratch, None);
+            let uncapped_earliest = scratch.earliest.clone();
+            let dive = incumbent_dive(&ctx, &case.chain, &view, &mut scratch);
+            let mut tally = outcomes.get();
+            tally[match (dive, &uncapped) {
+                (Some(_), _) => 0,
+                (None, Ok(_)) => 1,
+                (None, Err(_)) => 2,
+            }] += 1;
+            outcomes.set(tally);
+            let Some(u) = dive else {
+                return;
+            };
+            let fastest = uncapped.expect("a completed dive is a schedule");
+            assert!(u >= fastest, "U {u} < F* {fastest}");
+            let capped = earliest_finish_pass(&ctx, &case.chain, &view, &mut scratch, Some(u));
+            assert_eq!(capped, Ok(fastest), "chain {:?}", case.chain);
+            let n = scratch.nodes.len();
+            for (i, (&capped, &uncapped)) in
+                scratch.earliest.iter().zip(&uncapped_earliest).enumerate()
+            {
+                let pos = i / n;
+                let within = |bound: SimTime| {
+                    uncapped.filter(|&e| e <= saturating_deadline(bound, scratch.tail[pos]))
+                };
+                assert_eq!(capped, within(u), "pos {pos}, node {}", i % n);
+                if within(fastest).is_some() {
+                    assert_eq!(capped, uncapped, "pos {pos}, node {}", i % n);
+                }
+            }
+        });
+        let tally = outcomes.get();
+        assert!(tally.iter().all(|&n| n > 0), "outcomes {tally:?}");
+    }
+
     /// The unbounded Pareto pass and pick, as before rule 9.
     fn unbounded_pareto(
         ctx: &AllocationContext<'_>,
@@ -1528,8 +1749,8 @@ mod tests {
                 "chain {:?}, placed {:?}",
                 case.chain, case.placed
             );
-            let stats = scratch.take_cost_bound_stats();
-            assert_eq!(stats.held + stats.fallbacks, 1);
+            let stats = scratch.take_stats();
+            assert_eq!(stats.cost_bound_held + stats.cost_bound_fallbacks, 1);
             let least = reference_least_cost(&ctx, &case.chain, &case.placed);
             let cost = unbounded
                 .as_ref()
@@ -1542,13 +1763,13 @@ mod tests {
                 );
             }
             assert_eq!(
-                stats.held == 1,
+                stats.cost_bound_held == 1,
                 cost.is_some() && cost == least,
                 "held {}, cost {cost:?}, C_lb {least:?}",
-                stats.held
+                stats.cost_bound_held
             );
             let mut tally = outcomes.get();
-            tally[match (stats.held, &unbounded) {
+            tally[match (stats.cost_bound_held, &unbounded) {
                 (1, _) => 0,
                 (_, Ok(_)) => 1,
                 (_, Err(_)) => 2,

@@ -40,7 +40,7 @@ use gridsched_model::ids::TaskId;
 use gridsched_model::job::Job;
 use gridsched_model::node::ResourcePool;
 
-use crate::allocate::{allocate_chain_into, AllocationContext};
+use crate::allocate::{allocate_prepared, AllocationContext};
 use crate::chains::{next_critical_work_into, CriticalWork};
 use crate::distribution::{CollisionRecord, Distribution, Placement};
 use crate::scratch::EngineScratch;
@@ -181,9 +181,6 @@ pub(crate) struct Pass<'a> {
     pub(crate) domain: Option<gridsched_model::ids::DomainId>,
     /// The criterion each chain's schedule is picked under.
     pub(crate) objective: crate::objective::Objective,
-    /// One chain per task in topological order (the recovery pass)
-    /// instead of critical works.
-    pub(crate) singleton_chains: bool,
 }
 
 impl<'a> Pass<'a> {
@@ -196,7 +193,6 @@ impl<'a> Pass<'a> {
             two_phase: true,
             domain: None,
             objective: crate::objective::Objective::MinCost,
-            singleton_chains: false,
         }
     }
 }
@@ -248,21 +244,7 @@ pub(crate) fn run_method_chains(
         tasks.clear();
         scratch.spare_tasks.push(tasks);
     }
-    if pass.singleton_chains {
-        for &t in req.job.topo_order() {
-            if !scratch.unassigned.contains(&t) {
-                continue;
-            }
-            let mut tasks = scratch.spare_tasks.pop().unwrap_or_default();
-            tasks.push(t);
-            scratch.works.push(CriticalWork {
-                tasks,
-                length: req.scenario.duration(req.job.task(t), fastest),
-            });
-        }
-    } else {
-        decompose_remaining(req, fastest, scratch);
-    }
+    decompose_remaining(req, fastest, scratch);
 
     scratch.placed.clear();
     scratch
@@ -272,27 +254,25 @@ pub(crate) fn run_method_chains(
     let mut collisions: Vec<CollisionRecord> = Vec::new();
 
     for work in &scratch.works {
+        // Both phases allocate the same chain under the same placements,
+        // so they share its availability-free tables.
+        scratch
+            .alloc
+            .prepare_chain(&ctx, &work.tasks, &scratch.placed);
         // Phase 1: ideal allocation against the background only (the
         // single-phase ablation skips straight to the true availability).
-        let ideal = if pass.two_phase {
-            allocate_chain_into(
-                &ctx,
-                &work.tasks,
-                &scratch.placed,
-                background,
-                &mut scratch.alloc,
-                &mut scratch.ideal,
-            )
+        let view = if pass.two_phase {
+            background
         } else {
-            allocate_chain_into(
-                &ctx,
-                &work.tasks,
-                &scratch.placed,
-                &*with_job,
-                &mut scratch.alloc,
-                &mut scratch.ideal,
-            )
+            &*with_job
         };
+        let ideal = allocate_prepared(
+            &ctx,
+            &work.tasks,
+            view,
+            &mut scratch.alloc,
+            &mut scratch.ideal,
+        );
         let chosen: Result<&[Placement], crate::allocate::AllocateError> = match ideal {
             Ok(()) => {
                 let mut any_conflict = false;
@@ -310,10 +290,9 @@ pub(crate) fn run_method_chains(
                 if !any_conflict {
                     Ok(&scratch.ideal)
                 } else {
-                    allocate_chain_into(
+                    allocate_prepared(
                         &ctx,
                         &work.tasks,
-                        &scratch.placed,
                         &*with_job,
                         &mut scratch.alloc,
                         &mut scratch.resolved,
@@ -679,49 +658,6 @@ mod tests {
             "fallback produced the MinCost schedule"
         );
         assert_eq!(fast.validate(&job, &pool), Ok(()));
-    }
-
-    #[test]
-    fn recovery_variant_schedules_what_chains_alone_cannot() {
-        use gridsched_workload::jobs::{generate_job, JobConfig};
-        use gridsched_workload::pool::{generate_pool, PoolConfig};
-        let pool = generate_pool(
-            &PoolConfig::default(),
-            &mut gridsched_sim::rng::SimRng::seed_from(1),
-        );
-        let policy = DataPolicy::remote_access();
-        let session = PlanningSession::open(&pool);
-        // A deep fork-join where the packed critical-works pass strands a
-        // cross task; recovery list-schedules it. The exact shape depends
-        // on the PRNG stream, so scan a deterministic seed range for the
-        // first stranding instance instead of pinning one seed.
-        let make = |seed: u64| {
-            generate_job(
-                &JobConfig {
-                    layers_min: 10,
-                    layers_max: 10,
-                    width_max: 3,
-                    deadline_factor: 20.0,
-                    ..JobConfig::default()
-                },
-                gridsched_model::ids::JobId::new(seed),
-                SimTime::ZERO,
-                &mut gridsched_sim::rng::SimRng::seed_from(seed),
-            )
-        };
-        let stranded = (0..500u64).map(make).find(|job| {
-            let req = request(job, &pool, &policy);
-            session.build_distribution(&req).is_err()
-        });
-        let job = stranded.expect("some deep fork-join strands the chains-only pass");
-        let req = request(&job, &pool, &policy);
-        assert!(
-            session.build_distribution(&req).is_err(),
-            "chains alone strand this job"
-        );
-        let recovered = session.build_distribution_recovering(&req).unwrap();
-        assert_eq!(recovered.validate(&job, &pool), Ok(()));
-        assert!(recovered.meets_deadline(job.absolute_deadline()));
     }
 
     #[test]

@@ -172,7 +172,7 @@ impl<'p> PlanningSession<'p> {
             .telemetry
             .span_under("critical_works_pass", self.span_parent);
         self.telemetry.incr(Counter::CriticalWorksPasses);
-        let (result, probe_stats, bound_stats) = Scratch::with(|scratch| {
+        let (result, probe_stats, alloc_stats) = Scratch::with(|scratch| {
             // Overlays come from the thread's arena (rebased on this
             // session's snapshot); the counter keeps its pre-arena meaning
             // of "overlay views handed out".
@@ -188,17 +188,26 @@ impl<'p> PlanningSession<'p> {
                 .merged(with_job.take_index_stats());
             scratch.recycle_overlay(background);
             scratch.recycle_overlay(with_job);
-            let bound_stats = scratch.engine.alloc.take_cost_bound_stats();
-            (result, probe_stats, bound_stats)
+            let alloc_stats = scratch.engine.alloc.take_stats();
+            (result, probe_stats, alloc_stats)
         });
         self.telemetry.add(Counter::IndexSeeks, probe_stats.seeks);
         self.telemetry
             .add(Counter::IndexRebuilds, probe_stats.builds);
         self.telemetry
             .add(Counter::IndexBypasses, probe_stats.bypasses);
-        self.telemetry.add(Counter::CostBoundHeld, bound_stats.held);
-        self.telemetry
-            .add(Counter::CostBoundFallbacks, bound_stats.fallbacks);
+        for (counter, value) in [
+            (Counter::CostBoundHeld, alloc_stats.cost_bound_held),
+            (
+                Counter::CostBoundFallbacks,
+                alloc_stats.cost_bound_fallbacks,
+            ),
+            (Counter::FastestCapped, alloc_stats.fastest_capped),
+            (Counter::FastestUncapped, alloc_stats.fastest_uncapped),
+            (Counter::FirstPassFits, alloc_stats.first_pass_fits),
+        ] {
+            self.telemetry.add(counter, value);
+        }
         // Plan conflicts are observed either way: a successful pass records
         // the collisions it routed around, a failed pass the ones that
         // stranded it.
@@ -376,41 +385,6 @@ impl<'p> PlanningSession<'p> {
         let deadline = req.release.saturating_add(req.job.deadline());
         self.reschedule_with_objective(req, &HashMap::new(), deadline, objective)
     }
-
-    /// [`PlanningSession::build_distribution`] with list-scheduling
-    /// recovery: if the sequential critical-works pass strands a later
-    /// chain (densely packed earlier chains can leave no gap for a task
-    /// with both a placed producer and a placed consumer), retry with
-    /// singleton chains in topological order, whose constraints only flow
-    /// forward and therefore always compose.
-    ///
-    /// Kept separate from [`PlanningSession::build_distribution`] because
-    /// the paper's admissibility statistics (Fig. 3a) are defined by the
-    /// critical-works pass alone; recovery admits marginal schedules the
-    /// method proper would reject.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScheduleError`] if even the recovery pass cannot place
-    /// some task within the deadline.
-    pub fn build_distribution_recovering(
-        &self,
-        req: &ScheduleRequest<'_>,
-    ) -> Result<Distribution, ScheduleError> {
-        let deadline = req.release.saturating_add(req.job.deadline());
-        let no_fixed = HashMap::new();
-        let paper = Pass::new(&no_fixed, deadline);
-        match self.run(req, &paper) {
-            Ok(d) => Ok(d),
-            Err(_) => self.run(
-                req,
-                &Pass {
-                    singleton_chains: true,
-                    ..paper
-                },
-            ),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -435,13 +409,12 @@ mod tests {
     }
 
     /// The session entry points the arena test runs, by name.
-    const ENTRY_POINTS: [&str; 7] = [
+    const ENTRY_POINTS: [&str; 6] = [
         "build_distribution",
         "with_objective FASTEST",
         "with_objective budget",
         "in_domain",
         "direct",
-        "recovering",
         "reschedule_with_objective",
     ];
 
@@ -462,7 +435,6 @@ mod tests {
                 .build_distribution_with_objective(req, Objective::MinTime { budget: Some(60) }),
             "in_domain" => session.build_distribution_in_domain(req, DomainId::new(1)),
             "direct" => session.build_distribution_direct(req),
-            "recovering" => session.build_distribution_recovering(req),
             "reschedule_with_objective" => {
                 let replan = ScheduleRequest {
                     release: SimTime::from_ticks(3),
@@ -545,7 +517,7 @@ mod tests {
         // The zero-slack FASTEST chains strand the Fig. 2 fork-join, so
         // that case exercises the fallback; the others never take it.
         assert!(fallbacks_by_name["with_objective FASTEST"] > 0);
-        for name in ["build_distribution", "in_domain", "direct", "recovering"] {
+        for name in ["build_distribution", "in_domain", "direct"] {
             assert_eq!(fallbacks_by_name[name], 0, "{name}");
         }
     }
@@ -679,6 +651,63 @@ mod tests {
             plain.probe(&req, tight, Objective::MinCost)
         );
         assert_eq!(tallies(), (1, 1));
+    }
+
+    /// Every `FASTEST` chain allocation of a session run is tallied once,
+    /// as capped (its incumbent dive completed) or uncapped, and adds its
+    /// earliest-finish fits; `MinCost` runs tally none of these, and
+    /// instrumented runs stay bit-identical to plain ones. A pipeline is
+    /// one critical work, so one chain allocation per pass.
+    #[test]
+    fn fastest_cap_counters_flow_through_session_runs() {
+        let job = pipeline_job(
+            JobId::new(0),
+            &[20.0, 30.0, 20.0],
+            SimDuration::from_ticks(60),
+        );
+        let pool = fig2_pool();
+        let policy = DataPolicy::remote_access();
+        let telemetry = Telemetry::new();
+        let instrumented = PlanningSession::open_instrumented(&pool, &telemetry, None);
+        let plain = PlanningSession::open(&pool);
+        let req = ScheduleRequest {
+            job: &job,
+            pool: &pool,
+            policy: &policy,
+            scenario: EstimateScenario::BEST,
+            release: SimTime::ZERO,
+        };
+        let tallies = || {
+            (
+                telemetry.counter(Counter::FastestCapped),
+                telemetry.counter(Counter::FastestUncapped),
+                telemetry.counter(Counter::FirstPassFits),
+            )
+        };
+        let deadline = job.absolute_deadline();
+        assert_eq!(
+            instrumented.probe(&req, deadline, Objective::MinCost),
+            plain.probe(&req, deadline, Objective::MinCost)
+        );
+        assert_eq!(tallies(), (0, 0, 0));
+        // An idle pool: the dive completes.
+        assert_eq!(
+            instrumented.probe(&req, deadline, Objective::FASTEST),
+            plain.probe(&req, deadline, Objective::FASTEST)
+        );
+        let (capped, uncapped, fits) = tallies();
+        assert_eq!((capped, uncapped), (1, 0));
+        assert!(fits > 0);
+        // A deadline the chain cannot meet: the dive fails, and so does
+        // the uncapped pass.
+        let tight = SimTime::from_ticks(3);
+        assert!(plain.probe(&req, tight, Objective::FASTEST).is_err());
+        assert_eq!(
+            instrumented.probe(&req, tight, Objective::FASTEST),
+            plain.probe(&req, tight, Objective::FASTEST)
+        );
+        let (capped, uncapped, _) = tallies();
+        assert_eq!((capped, uncapped), (1, 1));
     }
 
     #[test]

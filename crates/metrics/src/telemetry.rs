@@ -170,11 +170,22 @@ pub enum Counter {
     /// state and the unbounded Pareto pass ran after it. Held plus
     /// fallbacks is the number of `MinCost` chain allocations.
     CostBoundFallbacks,
+    /// `FASTEST` chain allocations whose one-path incumbent dive
+    /// completed, so the earliest-finish pass ran capped by its finish
+    /// (DESIGN §4 rule 10).
+    FastestCapped,
+    /// `FASTEST` chain allocations whose dive failed, so the
+    /// earliest-finish pass ran uncapped. Capped plus uncapped is the
+    /// number of `FASTEST` chain allocations.
+    FastestUncapped,
+    /// `earliest_fit` calls made by the earliest-finish pass of
+    /// `FASTEST` chains (DESIGN §4 rule 4), the dive's own not included.
+    FirstPassFits,
 }
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 41] = [
+    pub const ALL: [Counter; 44] = [
         Counter::JobsReleased,
         Counter::JobsActivated,
         Counter::FlowAssignments,
@@ -216,6 +227,9 @@ impl Counter {
         Counter::IndexCacheEvictions,
         Counter::CostBoundHeld,
         Counter::CostBoundFallbacks,
+        Counter::FastestCapped,
+        Counter::FastestUncapped,
+        Counter::FirstPassFits,
     ];
 
     const COUNT: usize = Counter::ALL.len();
@@ -265,6 +279,9 @@ impl Counter {
             Counter::IndexCacheEvictions => "index_cache_evictions",
             Counter::CostBoundHeld => "cost_bound_held",
             Counter::CostBoundFallbacks => "cost_bound_fallbacks",
+            Counter::FastestCapped => "fastest_capped",
+            Counter::FastestUncapped => "fastest_uncapped",
+            Counter::FirstPassFits => "first_pass_fits",
         }
     }
 }

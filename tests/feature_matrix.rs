@@ -1,5 +1,5 @@
 //! Integration test: the scheduling variants compose — objectives ×
-//! domains × recovery × strategies on shared workloads.
+//! domains × strategies on shared workloads.
 
 use gridsched::core::method::ScheduleRequest;
 use gridsched::core::objective::Objective;
@@ -48,7 +48,6 @@ fn every_scheduling_variant_yields_valid_schedules() {
         let variants: Vec<(&str, Result<_, _>)> = vec![
             ("default", session.build_distribution(&req)),
             ("direct", session.build_distribution_direct(&req)),
-            ("recovering", session.build_distribution_recovering(&req)),
             (
                 "min-time",
                 session.build_distribution_with_objective(&req, Objective::FASTEST),
@@ -78,34 +77,6 @@ fn every_scheduling_variant_yields_valid_schedules() {
                     assert_eq!(pool.node(p.node).domain(), domain);
                 }
             }
-        }
-    }
-}
-
-#[test]
-fn recovery_never_loses_a_chains_solvable_job() {
-    // If the plain method schedules a job, the recovering variant must too
-    // (it runs the same pass first).
-    for seed in 100..130u64 {
-        let mut rng = SimRng::seed_from(seed);
-        let pool = generate_pool(&PoolConfig::default(), &mut rng);
-        let job = generate_job(
-            &JobConfig {
-                deadline_factor: 3.0,
-                ..JobConfig::default()
-            },
-            JobId::new(seed),
-            SimTime::ZERO,
-            &mut rng,
-        );
-        let policy = DataPolicy::active_replication();
-        let req = request(&job, &pool, &policy);
-        let session = PlanningSession::open(&pool);
-        let plain = session.build_distribution(&req);
-        let recovering = session.build_distribution_recovering(&req);
-        if let Ok(p) = &plain {
-            let r = recovering.as_ref().expect("recovery is a superset");
-            assert_eq!(p.cost(), r.cost(), "seed {seed}: first pass identical");
         }
     }
 }
