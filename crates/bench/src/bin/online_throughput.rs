@@ -95,8 +95,10 @@ fn emit(m: &Measured, w: &Workload, domains: u32, out: &str) -> bool {
     let probe_throughput = s.probes as f64 / wall_secs;
 
     // Time-to-plan: every `admit` span is one full sweep + activation.
-    // Every `admission_probe` span is one admission test.
+    // Every `admission_probe` span is one probe run: a consumed admission
+    // test or one an admission round ran ahead and discarded.
     let snapshot = m.telemetry.snapshot();
+    let discarded = snapshot.counter("admission_probes_discarded");
     let span_ns = |name: &str| {
         let mut ns: Vec<u64> = snapshot
             .spans()
@@ -150,7 +152,7 @@ fn emit(m: &Measured, w: &Workload, domains: u32, out: &str) -> bool {
         s.arrived, s.admitted, s.rejected, s.rejected_queue_full, s.rejected_unmeetable, s.deferred
     );
     println!(
-        "  probes {}  incremental replans {}  queue peak {}",
+        "  probes {} (+{discarded} discarded)  incremental replans {}  queue peak {}",
         s.probes, s.incremental_replans, s.queue_peak
     );
     println!(
@@ -203,6 +205,7 @@ fn emit(m: &Measured, w: &Workload, domains: u32, out: &str) -> bool {
             "  \"jobs_rejected\": {rejected},\n",
             "  \"jobs_deferred\": {deferred},\n",
             "  \"admission_probes\": {probes},\n",
+            "  \"admission_probes_discarded\": {discarded},\n",
             "  \"incremental_replans\": {replans},\n",
             "  \"queue_peak_depth\": {peak},\n",
             "  \"wall_ms\": {wall_ms:.3},\n",
@@ -229,6 +232,7 @@ fn emit(m: &Measured, w: &Workload, domains: u32, out: &str) -> bool {
         rejected = s.rejected,
         deferred = s.deferred,
         probes = s.probes,
+        discarded = discarded,
         replans = s.incremental_replans,
         peak = s.queue_peak,
         wall_ms = m.wall.as_secs_f64() * 1e3,

@@ -4,7 +4,10 @@
 //! hand-picked seeds and this module fuzzes with generated ones:
 //!
 //! * [`Axis::Executors`] — the `Sequential` and the pooled `Auto`
-//!   scenario-sweep executors plan identically.
+//!   executors plan identically: the batch campaign's scenario sweeps,
+//!   and the zero-gap online run's admission rounds (one big round when
+//!   the whole burst arrives at once), whose admission records must
+//!   agree too.
 //! * [`Axis::Telemetry`] — attaching a live telemetry recorder is
 //!   strictly observational.
 //! * [`Axis::ProbeIndex`] — forcing the snapshot gap index onto every
@@ -26,13 +29,15 @@
 //! oracle violation fails the campaign even if all fingerprints agree.
 
 use gridsched::core::strategy::SweepExecutorKind;
-use gridsched::flow::online::run_online;
+use gridsched::flow::online::{run_online, OnlineConfig};
 use gridsched::flow::oracle;
 use gridsched::flow::simulation::{run_campaign, run_campaign_instrumented, CampaignConfig};
 use gridsched::flow::VoReport;
 use gridsched::metrics::telemetry::Telemetry;
 
-use crate::fingerprint::{normalized_fingerprint, online_comparable, report_fingerprint};
+use crate::fingerprint::{
+    normalized_fingerprint, online_comparable, online_fingerprint, report_fingerprint,
+};
 use crate::space::ChaosCampaign;
 
 /// The mask the test-only injection hook XORs into a variant's
@@ -42,7 +47,7 @@ pub const INJECTION_MASK: u64 = 0xd1ff_d1ff_d1ff_d1ff;
 /// One differential axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Axis {
-    /// Sequential vs pooled sweep executors.
+    /// Sequential vs pooled executors (sweeps and admission rounds).
     Executors,
     /// Telemetry-off vs telemetry-on.
     Telemetry,
@@ -202,19 +207,19 @@ pub fn run_axes(campaign: &ChaosCampaign, inject: Option<Axis>) -> AxisReport {
         Err(failure) => return failed(failure),
     };
 
-    // Axis 1: sweep executors (the base run is pooled).
-    {
+    // Axis 1: executors (the base runs are pooled): the batch campaign's
+    // sweeps, then the zero-gap online run's admission rounds. The online
+    // run is kept for axis 5.
+    let online_config = campaign.online_config();
+    let online = {
         let config = CampaignConfig {
             executor: SweepExecutorKind::Sequential,
             ..base_config.clone()
         };
-        let mut fp = match audited(&config, "sequential") {
+        let fp = match audited(&config, "sequential") {
             Ok(report) => report_fingerprint(&report),
             Err(failure) => return failed(failure),
         };
-        if inject == Some(Axis::Executors) {
-            fp ^= INJECTION_MASK;
-        }
         if fp != base {
             return failed(ChaosFailure::Divergence {
                 axis: Axis::Executors,
@@ -223,7 +228,35 @@ pub fn run_axes(campaign: &ChaosCampaign, inject: Option<Axis>) -> AxisReport {
                 actual: fp,
             });
         }
-    }
+        let online = run_online(&online_config);
+        if let Err(failure) = audit(&online.report, "online-zero-gap") {
+            return failed(failure);
+        }
+        let sequential = run_online(&OnlineConfig {
+            base: CampaignConfig {
+                executor: SweepExecutorKind::Sequential,
+                ..online_config.base.clone()
+            },
+            ..online_config.clone()
+        });
+        if let Err(failure) = audit(&sequential.report, "online-sequential") {
+            return failed(failure);
+        }
+        let expected = online_fingerprint(&online);
+        let mut actual = online_fingerprint(&sequential);
+        if inject == Some(Axis::Executors) {
+            actual ^= INJECTION_MASK;
+        }
+        if actual != expected {
+            return failed(ChaosFailure::Divergence {
+                axis: Axis::Executors,
+                variant: "online-sequential",
+                expected,
+                actual,
+            });
+        }
+        online
+    };
 
     // Axis 2: telemetry bit-identity.
     {
@@ -311,10 +344,6 @@ pub fn run_axes(campaign: &ChaosCampaign, inject: Option<Axis>) -> AxisReport {
         Ok(report) => report,
         Err(failure) => return failed(failure),
     };
-    let online = run_online(&campaign.online_config());
-    if let Err(failure) = audit(&online.report, "online-zero-gap") {
-        return failed(failure);
-    }
     let comparable = online_comparable(&online);
     if comparable || inject == Some(Axis::BatchOnline) {
         let expected = normalized_fingerprint(&batch);

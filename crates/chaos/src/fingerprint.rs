@@ -30,6 +30,26 @@ pub fn report_fingerprint(report: &VoReport) -> u64 {
     fnv1a64(format!("{:?}", (&report.records, &report.faults, &report.trace)).as_bytes())
 }
 
+/// Fingerprint of an online serving run: its report, as
+/// [`report_fingerprint`] reads it, together with every arrival's
+/// admission record.
+#[must_use]
+pub fn online_fingerprint(online: &OnlineReport) -> u64 {
+    let report = &online.report;
+    fnv1a64(
+        format!(
+            "{:?}",
+            (
+                &report.records,
+                &report.faults,
+                &report.trace,
+                &online.admission
+            )
+        )
+        .as_bytes(),
+    )
+}
+
 /// Whether an online run is *comparable* to its batch twin: every arrival
 /// was admitted on its first probe at its arrival instant. Under the
 /// degenerate zero-gap stream that means the online loop made exactly the

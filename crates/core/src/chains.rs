@@ -43,20 +43,27 @@ pub struct ChainScratch {
 /// Returns `None` when `unassigned` is empty. Ties break deterministically
 /// towards smaller task ids.
 ///
-/// Hot paths should prefer [`next_critical_work_into`], which reuses
-/// caller-owned buffers; this wrapper allocates fresh ones per call and is
-/// kept for tests and one-shot callers.
+/// Hot paths should prefer [`next_critical_work_into`], which takes a
+/// task-indexed membership mask and reuses caller-owned buffers; this
+/// wrapper builds the mask and fresh buffers per call and is kept for tests
+/// and one-shot callers.
 pub fn next_critical_work(
     job: &Job,
     unassigned: &HashSet<TaskId>,
     task_weight: impl FnMut(TaskId) -> SimDuration,
     edge_weight: impl FnMut(&DataEdge) -> SimDuration,
 ) -> Option<CriticalWork> {
+    let mut mask = vec![false; job.task_count()];
+    for t in unassigned {
+        if let Some(slot) = mask.get_mut(t.index()) {
+            *slot = true;
+        }
+    }
     let mut scratch = ChainScratch::default();
     let mut tasks = Vec::new();
     let length = next_critical_work_into(
         job,
-        unassigned,
+        &mask,
         task_weight,
         edge_weight,
         &mut scratch,
@@ -67,22 +74,22 @@ pub fn next_critical_work(
 
 /// Allocation-free variant of [`next_critical_work`].
 ///
-/// Fills `tasks` (cleared first) with the chain in precedence order and
-/// returns its length, reusing the DP buffers in `scratch`. Produces
+/// `unassigned[t.index()]` says whether task `t` is still unassigned (the
+/// mask has one entry per task of `job`). Fills `tasks` (cleared first)
+/// with the chain in precedence order and returns its length, reusing the
+/// DP buffers in `scratch`; `None` when no task is unassigned. Produces
 /// bit-identical results to the allocating wrapper.
 pub fn next_critical_work_into(
     job: &Job,
-    unassigned: &HashSet<TaskId>,
+    unassigned: &[bool],
     mut task_weight: impl FnMut(TaskId) -> SimDuration,
     mut edge_weight: impl FnMut(&DataEdge) -> SimDuration,
     scratch: &mut ChainScratch,
     tasks: &mut Vec<TaskId>,
 ) -> Option<SimDuration> {
     tasks.clear();
-    if unassigned.is_empty() {
-        return None;
-    }
     let n = job.task_count();
+    debug_assert_eq!(unassigned.len(), n, "one mask entry per task");
     scratch.finish.clear();
     scratch.finish.resize(n, SimDuration::ZERO);
     scratch.pred.clear();
@@ -92,13 +99,13 @@ pub fn next_critical_work_into(
     let mut best_end: Option<TaskId> = None;
     let mut best_len = SimDuration::ZERO;
     for &t in job.topo_order() {
-        if !unassigned.contains(&t) {
+        if !unassigned[t.index()] {
             continue;
         }
         let mut start = SimDuration::ZERO;
         let mut via = None;
         for e in job.incoming(t) {
-            if !unassigned.contains(&e.from()) {
+            if !unassigned[e.from().index()] {
                 continue;
             }
             let candidate = finish[e.from().index()] + edge_weight(e);
@@ -135,16 +142,26 @@ pub fn chain_decomposition(
     mut task_weight: impl FnMut(TaskId) -> SimDuration,
     mut edge_weight: impl FnMut(&DataEdge) -> SimDuration,
 ) -> Vec<CriticalWork> {
-    let mut unassigned: HashSet<TaskId> = job.tasks().iter().map(|t| t.id()).collect();
+    let mut unassigned = vec![true; job.task_count()];
+    let mut scratch = ChainScratch::default();
     let mut works = Vec::new();
-    while let Some(work) = next_critical_work(job, &unassigned, &mut task_weight, &mut edge_weight)
-    {
-        for t in &work.tasks {
-            unassigned.remove(t);
+    loop {
+        let mut tasks = Vec::new();
+        let Some(length) = next_critical_work_into(
+            job,
+            &unassigned,
+            &mut task_weight,
+            &mut edge_weight,
+            &mut scratch,
+            &mut tasks,
+        ) else {
+            return works;
+        };
+        for t in &tasks {
+            unassigned[t.index()] = false;
         }
-        works.push(work);
+        works.push(CriticalWork { tasks, length });
     }
-    works
 }
 
 /// Enumerates every maximal source→sink path with its length, sorted

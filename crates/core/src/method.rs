@@ -67,7 +67,7 @@ fn decompose_remaining(
         match length {
             Some(length) => {
                 for t in &tasks {
-                    scratch.remaining.remove(t);
+                    scratch.remaining[t.index()] = false;
                 }
                 scratch.works.push(CriticalWork { tasks, length });
             }
@@ -234,8 +234,7 @@ pub(crate) fn run_method_chains(
         req.job
             .tasks()
             .iter()
-            .map(|t| t.id())
-            .filter(|t| !pass.fixed.contains_key(t)),
+            .map(|t| !pass.fixed.contains_key(&t.id())),
     );
     // Retire the previous pass's critical works, keeping their task
     // vectors' capacity for this pass.

@@ -18,7 +18,7 @@
 //! the allocating baselines.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use gridsched_model::availability::{AvailabilitySnapshot, TimetableOverlay};
 use gridsched_model::ids::TaskId;
@@ -34,10 +34,10 @@ use crate::distribution::Placement;
 /// default-constructed value and a recycled one behave identically.
 #[derive(Debug, Default)]
 pub struct EngineScratch {
-    /// Tasks not fixed by the caller.
-    pub(crate) unassigned: HashSet<TaskId>,
+    /// Tasks not fixed by the caller, indexed by task index.
+    pub(crate) unassigned: Vec<bool>,
     /// Working copy of `unassigned` consumed by chain decomposition.
-    pub(crate) remaining: HashSet<TaskId>,
+    pub(crate) remaining: Vec<bool>,
     /// The pass's critical works (task vectors recycled via `spare_tasks`).
     pub(crate) works: Vec<CriticalWork>,
     /// Retired task vectors awaiting reuse by the next decomposition.

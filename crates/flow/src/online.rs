@@ -15,6 +15,10 @@
 //!    schedule can still meet the job's absolute deadline under
 //!    [`Objective::MinTime`] with the configured budget — the
 //!    deadline/budget admission test of Buyya et al.'s DBC algorithm.
+//!    Probes run in **admission rounds**: one session snapshot per round,
+//!    the queued jobs probed against it in parallel on the sweep worker
+//!    pool, the results consumed in queue order up to the first
+//!    admission (which moves the calendar and ends the round).
 //! 3. **Admit / defer / reject.** A successful probe admits the job: its
 //!    full strategy sweep runs (reusing the persistent `gridsched-exec`
 //!    worker pool) and the matching supporting schedule activates. A
@@ -37,19 +41,26 @@
 //! One seed fixes everything: the arrival stream, every admission
 //! decision, the full event order and the resulting [`OnlineReport`] are
 //! bit-identical across runs, with telemetry on or off, and across
-//! `Sequential`/`Pooled` sweep executors (`tests/determinism.rs` and
-//! `crates/flow/tests/prop_online.rs` pin this). All report-side latencies
-//! are sim-time; wall-clock timings live only in telemetry spans.
+//! `Sequential`/`Pooled` executors (`tests/determinism.rs` and
+//! `crates/flow/tests/prop_online.rs` pin this). A pooled admission round
+//! consumes only results computed on the state a one-probe-at-a-time walk
+//! would have probed; how many probes it runs ahead and discards
+//! (`admission_probes_discarded`) depends on thread timing and shows in
+//! telemetry only. All report-side latencies are sim-time; wall-clock
+//! timings live only in telemetry spans.
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use gridsched_core::cost::Cost;
 use gridsched_core::granularity::coarsen;
 use gridsched_core::method::ScheduleRequest;
 use gridsched_core::objective::Objective;
 use gridsched_core::session::PlanningSession;
-use gridsched_core::strategy::{GenerateOptions, Strategy, StrategyConfig, StrategyKind};
+use gridsched_core::strategy::{
+    GenerateOptions, Strategy, StrategyConfig, StrategyKind, SweepExecutor,
+};
 use gridsched_metrics::histogram::Histogram;
 use gridsched_metrics::telemetry::{Counter, Telemetry};
 use gridsched_model::estimate::EstimateScenario;
@@ -144,7 +155,8 @@ pub struct AdmissionSummary {
     /// Jobs still queued at the horizon. Always
     /// `arrived == admitted + rejected + deferred`.
     pub deferred: usize,
-    /// Admission probes run (`admission_probes`).
+    /// Admission probes consumed as decisions (`admission_probes`); the
+    /// probes an admission round discarded are not among them.
     pub probes: usize,
     /// Re-probes of deferred jobs (`incremental_replans`):
     /// `probes - jobs probed at least once`.
@@ -196,7 +208,39 @@ struct Queued {
     probes: usize,
 }
 
-/// What one admission probe decided.
+impl Queued {
+    /// The deadline/budget admission probe: one single-pass best-case
+    /// (MS1-style) planning attempt under `MinTime { budget }` against the
+    /// job's absolute deadline, on `session`'s snapshot at `now`. Records
+    /// one `admission_probe` span; otherwise pure, so a round can run its
+    /// probes on any thread.
+    fn probe(
+        &self,
+        campaign: &Campaign<'_>,
+        session: &PlanningSession<'_>,
+        now: SimTime,
+        budget: Option<Cost>,
+    ) -> bool {
+        let span = campaign
+            .telemetry
+            .span_under("admission_probe", campaign.root);
+        let config = campaign.strategy_config(self.kind);
+        let req = ScheduleRequest {
+            // Probe the job the strategy would actually plan: S3 coarsens.
+            job: self.planning.as_ref().unwrap_or(&self.job),
+            pool: &campaign.pool,
+            policy: config.policy(),
+            scenario: EstimateScenario::BEST,
+            release: now,
+        };
+        session
+            .scoped_under(span.id())
+            .probe(&req, self.deadline_abs, Objective::MinTime { budget })
+            .is_ok()
+    }
+}
+
+/// What one consumed admission probe decided.
 enum Decision {
     Admit,
     Reject,
@@ -215,11 +259,13 @@ pub fn run_online(config: &OnlineConfig) -> OnlineReport {
 /// [`run_online`] with a telemetry recorder attached.
 ///
 /// The run executes under an `online_campaign` root span with `setup`,
-/// per-arrival `arrival`, per-probe `admission_probe`, per-admission
-/// `admit` (nesting the strategy sweep's own spans), `replan` and
-/// `finalize` children. QoS events land in the online counters
-/// (`jobs_arrived`, `jobs_admitted`, `jobs_rejected`, `admission_probes`,
-/// `queue_peak_depth`, `incremental_replans`) on top of the batch set.
+/// per-arrival `arrival`, per-round `session_open`, per-probe
+/// `admission_probe` (consumed or discarded), per-admission `admit`
+/// (nesting the strategy sweep's own spans), `replan` and `finalize`
+/// children. QoS events land in the online counters (`jobs_arrived`,
+/// `jobs_admitted`, `jobs_rejected`, `admission_probes`,
+/// `admission_probes_discarded`, `queue_peak_depth`,
+/// `incremental_replans`) on top of the batch set.
 /// Instrumentation is strictly observational: the report is bit-identical
 /// to [`run_online`] on the same config.
 #[must_use]
@@ -426,38 +472,99 @@ impl Online<'_> {
         self.admission[record].outcome = AdmissionOutcome::Rejected { at, reason };
     }
 
-    /// Probes every queued job once, oldest first, admitting and
-    /// rejecting in place. Jobs admitted earlier in the pass shrink
-    /// availability for later ones — each probe opens a fresh session
+    /// Decides every queued job once, oldest first, admitting and
+    /// rejecting in place, in **admission rounds**.
+    ///
+    /// A round opens one planning session and probes the queue from the
+    /// current position against its snapshot ([`Online::probe_round`]),
+    /// then consumes the results strictly in queue order. Within a round
+    /// the calendar and `now` change only through a successful admission,
+    /// so every result consumed before it was computed on exactly the
+    /// state a one-probe-at-a-time walk would have probed; a failed
+    /// admission reserves nothing and leaves the later results valid. The
+    /// round therefore ends at the first successful admission (the
+    /// results after it are discarded) or at the first entry the round
+    /// skipped, and the next round re-probes the rest against a fresh
     /// snapshot.
     fn drain_queue(&mut self, now: SimTime) {
         // Admissions never enqueue, and the walk advances past every entry
         // that stays queued, so each queued arrival is decided exactly once.
         let mut pos = 0;
         while pos < self.queue.len() {
-            match self.decide(pos, now) {
-                Decision::Admit => {
-                    let entry = self.queue.remove(pos).expect("index in bounds");
-                    if let Some(entry) = self.admit(entry, now) {
-                        // The full sweep disagreed with the probe; the
-                        // job stays queued for the next event.
-                        self.queue.insert(pos, entry);
-                        pos += 1;
+            let mut results = self.probe_round(pos, now).into_iter();
+            for result in results.by_ref() {
+                // Skipped past an earlier feasible entry: the next round
+                // probes it.
+                let Some(feasible) = result else { break };
+                match self.decide(pos, now, feasible) {
+                    Decision::Admit => {
+                        let entry = self.queue.remove(pos).expect("index in bounds");
+                        match self.admit(entry, now) {
+                            // The calendar moved: the rest of the round
+                            // probed a stale snapshot.
+                            None => break,
+                            Some(entry) => {
+                                // The full sweep disagreed with the probe;
+                                // the job stays queued for the next event.
+                                self.queue.insert(pos, entry);
+                                pos += 1;
+                            }
+                        }
                     }
+                    Decision::Reject => {
+                        let entry = self.queue.remove(pos).expect("index in bounds");
+                        self.reject(entry.record, now, RejectReason::Unmeetable);
+                    }
+                    Decision::Defer => pos += 1,
                 }
-                Decision::Reject => {
-                    let entry = self.queue.remove(pos).expect("index in bounds");
-                    self.reject(entry.record, now, RejectReason::Unmeetable);
-                }
-                Decision::Defer => pos += 1,
             }
+            let discarded = results.flatten().count();
+            self.campaign
+                .telemetry
+                .add(Counter::AdmissionProbesDiscarded, discarded as u64);
         }
     }
 
-    /// The deadline/budget admission probe: one single-pass best-case
-    /// (MS1-style) planning attempt under `MinTime { budget }` against the
-    /// job's absolute deadline.
-    fn decide(&mut self, pos: usize, now: SimTime) -> Decision {
+    /// One admission round's probes: every queued entry from `from` on,
+    /// against one session snapshot opened at `now`, each result at its
+    /// offset from `from`.
+    ///
+    /// The campaign's sweep executor runs the probes — the persistent
+    /// worker pool drains them in queue order, a sequential executor (or a
+    /// zero-worker pool) loops over them in order. A shared cut-off keeps
+    /// any probe from starting past the first feasible entry found: such
+    /// entries come back `None`. Sequentially that stops the round at its
+    /// first feasible entry, which is exactly the probes a
+    /// one-at-a-time walk runs.
+    fn probe_round(&self, from: usize, now: SimTime) -> Vec<Option<bool>> {
+        let campaign = &self.campaign;
+        let queue = &self.queue;
+        let budget = self.config.probe_budget;
+        let session =
+            PlanningSession::open_instrumented(&campaign.pool, &campaign.telemetry, campaign.root);
+        let len = queue.len() - from;
+        // Relaxed is enough: the cut-off only saves work. A stale read runs
+        // one more probe, and the round discards or consumes it as usual.
+        let cutoff = AtomicUsize::new(len);
+        let probe = |i: usize| {
+            if i > cutoff.load(Ordering::Relaxed) {
+                return None;
+            }
+            let feasible = queue[from + i].probe(campaign, &session, now, budget);
+            if feasible {
+                cutoff.fetch_min(i, Ordering::Relaxed);
+            }
+            Some(feasible)
+        };
+        match campaign.config.executor.executor() {
+            SweepExecutor::Pooled(pool) if pool.workers() > 0 => pool.scatter(len, probe),
+            _ => (0..len).map(probe).collect(),
+        }
+    }
+
+    /// Consumes one admission probe result for the queued entry at `pos`:
+    /// counts the probe, then turns it into a decision.
+    fn decide(&mut self, pos: usize, now: SimTime, feasible: bool) -> Decision {
         let entry = &mut self.queue[pos];
         entry.probes += 1;
         let probes = entry.probes;
@@ -467,34 +574,6 @@ impl Online<'_> {
         }
         let entry = &self.queue[pos];
         self.admission[entry.record].probes = probes;
-        let span = self
-            .campaign
-            .telemetry
-            .span_under("admission_probe", self.campaign.root);
-        let config = self.campaign.strategy_config(entry.kind);
-        // Probe the job the strategy would actually plan: S3 coarsens.
-        let planning_job = entry.planning.as_ref().unwrap_or(&entry.job);
-        let session = PlanningSession::open_instrumented(
-            &self.campaign.pool,
-            &self.campaign.telemetry,
-            span.id(),
-        );
-        let req = ScheduleRequest {
-            job: planning_job,
-            pool: &self.campaign.pool,
-            policy: config.policy(),
-            scenario: EstimateScenario::BEST,
-            release: now,
-        };
-        let feasible = session
-            .probe(
-                &req,
-                entry.deadline_abs,
-                Objective::MinTime {
-                    budget: self.config.probe_budget,
-                },
-            )
-            .is_ok();
         if feasible {
             return Decision::Admit;
         }

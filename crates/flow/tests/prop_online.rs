@@ -2,10 +2,13 @@
 //! arrival processes and queue bounds, the admission-control invariants
 //! must hold on every run, and the trace-invariant oracle must stay green.
 
-use gridsched_flow::online::{run_online, AdmissionOutcome, OnlineConfig};
+use gridsched_core::pool::WorkerPool;
+use gridsched_core::strategy::SweepExecutorKind;
+use gridsched_flow::online::{run_online, run_online_instrumented, AdmissionOutcome, OnlineConfig};
 use gridsched_flow::oracle::audit;
 use gridsched_flow::simulation::CampaignConfig;
 use gridsched_flow::trace::{CampaignEvent, RejectReason};
+use gridsched_metrics::telemetry::{Counter, Telemetry};
 use gridsched_workload::arrivals::ArrivalProcess;
 
 fn configs() -> Vec<OnlineConfig> {
@@ -36,6 +39,66 @@ fn configs() -> Vec<OnlineConfig> {
         }
     }
     out
+}
+
+/// Admission rounds are exact: the pooled executor (a round's probes run
+/// in parallel against one snapshot) decides every arrival exactly as the
+/// sequential executor (in-order probes, each round stopping at its first
+/// feasible entry) on every config. The rate-0.3 / queue-3 and zero-gap
+/// burst configs admit in mid-round, so rounds there can run probes ahead
+/// of an admission; with pool workers some run must discard one, or the
+/// invalidation path went unexercised.
+#[test]
+fn pooled_admission_rounds_decide_like_the_sequential_walk() {
+    let runs: Vec<_> = configs()
+        .into_iter()
+        .map(|cfg| {
+            assert_eq!(cfg.base.executor, SweepExecutorKind::Auto);
+            let telemetry = Telemetry::new();
+            let sequential = run_online_instrumented(
+                &OnlineConfig {
+                    base: CampaignConfig {
+                        executor: SweepExecutorKind::Sequential,
+                        ..cfg.base.clone()
+                    },
+                    ..cfg.clone()
+                },
+                &telemetry,
+            );
+            assert_eq!(
+                telemetry.counter(Counter::AdmissionProbesDiscarded),
+                0,
+                "seed {}: a sequential round never probes past its first feasible entry",
+                cfg.base.seed
+            );
+            (cfg, sequential)
+        })
+        .collect();
+    let pooled = WorkerPool::global().workers() > 0;
+    // Whether a worker is still probing past the entry its round admits
+    // is a matter of thread timing, so the pooled runs (each one checked)
+    // repeat until one has discarded a probe.
+    let mut discarded = 0;
+    for _ in 0..8 {
+        for (cfg, sequential) in &runs {
+            let telemetry = Telemetry::new();
+            let report = run_online_instrumented(cfg, &telemetry);
+            let seed = cfg.base.seed;
+            assert_eq!(report.admission, sequential.admission, "seed {seed}");
+            assert_eq!(
+                report.report.records, sequential.report.records,
+                "seed {seed}"
+            );
+            assert_eq!(report.report.trace, sequential.report.trace, "seed {seed}");
+            discarded += telemetry.counter(Counter::AdmissionProbesDiscarded);
+        }
+        if discarded > 0 || !pooled {
+            break;
+        }
+    }
+    if pooled {
+        assert!(discarded > 0, "no pooled round discarded a probe");
+    }
 }
 
 /// The bounded queue is actually bounded: the observed high-water mark

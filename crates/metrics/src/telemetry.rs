@@ -128,9 +128,13 @@ pub enum Counter {
     JobsAdmitted,
     /// Arrivals rejected (queue overflow or unmeetable deadline).
     JobsRejected,
-    /// Admission probes run against the planning session (first-chance
-    /// and re-probe alike).
+    /// Admission probes whose result the serving loop consumed as a
+    /// decision (first-chance and re-probe alike).
     AdmissionProbes,
+    /// Admission probes an admission round ran ahead of a successful
+    /// admission and threw away: the admission moved the calendar they
+    /// probed. Never counted in `AdmissionProbes`.
+    AdmissionProbesDiscarded,
     /// High-water mark of the admission queue depth (recorded with
     /// [`Telemetry::record_max`], not incremented).
     QueuePeakDepth,
@@ -185,7 +189,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 44] = [
+    pub const ALL: [Counter; 45] = [
         Counter::JobsReleased,
         Counter::JobsActivated,
         Counter::FlowAssignments,
@@ -216,6 +220,7 @@ impl Counter {
         Counter::JobsAdmitted,
         Counter::JobsRejected,
         Counter::AdmissionProbes,
+        Counter::AdmissionProbesDiscarded,
         Counter::QueuePeakDepth,
         Counter::IncrementalReplans,
         Counter::ChaosCampaigns,
@@ -268,6 +273,7 @@ impl Counter {
             Counter::JobsAdmitted => "jobs_admitted",
             Counter::JobsRejected => "jobs_rejected",
             Counter::AdmissionProbes => "admission_probes",
+            Counter::AdmissionProbesDiscarded => "admission_probes_discarded",
             Counter::QueuePeakDepth => "queue_peak_depth",
             Counter::IncrementalReplans => "incremental_replans",
             Counter::ChaosCampaigns => "chaos_campaigns",

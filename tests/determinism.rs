@@ -483,6 +483,17 @@ fn online_telemetry_counters_reconcile_with_the_summary() {
         assert_eq!(count("jobs_admitted"), s.admitted, "seed {seed}");
         assert_eq!(count("jobs_rejected"), s.rejected, "seed {seed}");
         assert_eq!(count("admission_probes"), s.probes, "seed {seed}");
+        // Every probe run records one span, consumed or discarded.
+        let probe_spans = snapshot
+            .spans()
+            .iter()
+            .filter(|span| span.name == "admission_probe")
+            .count();
+        assert_eq!(
+            probe_spans,
+            s.probes + count("admission_probes_discarded"),
+            "seed {seed}"
+        );
         assert_eq!(
             count("incremental_replans"),
             s.incremental_replans,

@@ -13,7 +13,13 @@
 //! `from`/`to` domains and a matching final `home_domain` record — and
 //! the domain-attribution check: the per-domain telemetry series sum to
 //! their global counters.
+//!
+//! One more online fingerprint was recorded on the one-probe-at-a-time
+//! admission walk, on a 25-node pool where an admission often changes
+//! the verdict of a job queued behind it: admission rounds that consumed
+//! a probe computed before an admission would move it.
 
+use gridsched::core::strategy::SweepExecutorKind;
 use gridsched::flow::faults::FaultConfig;
 use gridsched::flow::online::{run_online, run_online_instrumented, OnlineConfig};
 use gridsched::flow::simulation::{run_campaign, run_campaign_instrumented, CampaignConfig};
@@ -21,6 +27,7 @@ use gridsched::flow::trace::{CampaignEvent, CampaignTrace};
 use gridsched::flow::VoReport;
 use gridsched::metrics::telemetry::{Counter, Telemetry};
 use gridsched::workload::arrivals::ArrivalProcess;
+use gridsched::workload::pool::PoolConfig;
 
 /// FNV-1a 64-bit: tiny, dependency-free, stable across platforms.
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -146,6 +153,60 @@ fn online_trace_matches_monolithic_baseline() {
         fp, 0x0fa8_7098_7342_a145,
         "online serving diverged from the pre-refactor monolithic driver"
     );
+}
+
+/// The `online_throughput` shape on a fixed 25-node pool, seed 1: probe
+/// verdicts there depend on the admissions made earlier in the same
+/// drain of the queue.
+fn dense_online_cfg(executor: SweepExecutorKind) -> OnlineConfig {
+    OnlineConfig {
+        base: CampaignConfig {
+            jobs: 60,
+            perturbations: 40,
+            faults: FaultConfig {
+                outages: 3,
+                degradations: 2,
+                transfer_faults: 3,
+                ..FaultConfig::none()
+            },
+            pool_config: PoolConfig {
+                nodes_min: 25,
+                nodes_max: 25,
+                ..PoolConfig::default()
+            },
+            collect_trace: true,
+            seed: 1,
+            executor,
+            ..CampaignConfig::default()
+        },
+        arrivals: ArrivalProcess::Poisson { rate: 0.15 },
+        queue_capacity: 16,
+        ..OnlineConfig::default()
+    }
+}
+
+#[test]
+fn online_admission_rounds_match_the_one_probe_walk_baseline() {
+    for executor in [SweepExecutorKind::Auto, SweepExecutorKind::Sequential] {
+        let online = run_online(&dense_online_cfg(executor));
+        let fp = fnv1a64(
+            format!(
+                "{:?}",
+                (
+                    &online.report.records,
+                    &online.report.faults,
+                    &online.report.trace,
+                    &online.admission,
+                    &online.summary,
+                )
+            )
+            .as_bytes(),
+        );
+        assert_eq!(
+            fp, 0x382e_1892_4d1b_46e9,
+            "{executor:?}: admission rounds diverged from the one-probe-at-a-time walk"
+        );
+    }
 }
 
 /// Checks every migrated job in a trace for lawful lifecycle ordering and
