@@ -1,18 +1,15 @@
-//! CI gate for the `strategy_sweep` benchmark.
+//! CI gate: checks fresh benchmark output against committed baselines and
+//! floors, and exits with status 1 when any check fails.
 //!
-//! Reads a freshly produced sweep result plus the committed baseline and
-//! fails (exit code 1) when the measured mean speedup of planning-session
-//! sweeps over the clone-per-scenario baseline drops below the committed
-//! threshold. This is the regression tripwire behind the repo's headline
-//! performance claim (planning sessions ≥ 2× faster, see ROADMAP.md and
-//! `BENCH_strategy_sweep.json`).
-//!
-//! On machines with ≥ 2 cores (or when `--require-pooled true` is forced)
-//! an extra line gates the persistent-pool sweep against the sequential
-//! sweep: `overall_speedup_pooled` must be at least
-//! `overall_speedup_sequential`, the tripwire for pool hand-off overhead.
-//! On single-core runners the pooled sweep falls back to the sequential
-//! one, so the comparison is skipped unless forced.
+//! With `--fresh RUN --baseline BASE` the gate compares the standard
+//! output of a fresh traced perfbench run (`--trace 1`) with a committed
+//! one of the same seed and cycle count, workload by workload: every
+//! `count`-unit per-layer metric (span counts, index seeks and bypasses,
+//! cache hits, ...) must stay within [`COUNT_TOLERANCE`] of its baseline,
+//! and each failing line names `<workload>/<metric>`, so a layer that does
+//! more (or less) work than it did when the baseline was committed fails
+//! on any machine. `exec.workers` and `exec.pooled_sweeps` follow the
+//! core count and are not compared. Wall time is not gated here.
 //!
 //! With `--online FILE` the gate additionally checks a fresh
 //! `online_throughput` result: sustained admitted-jobs/sec must be
@@ -34,11 +31,14 @@
 //! faster than the cache-disabled capture, with **zero** index rebuilds
 //! and at least one recorded cache hit.
 //!
+//! `--fresh` and `--baseline` are required; the other checks are opt-in.
 //! Run with:
 //! `cargo run --release -p gridsched-bench --bin bench_check -- \
-//!    --fresh BENCH_fresh.json --baseline BENCH_strategy_sweep.json --min-speedup 2.0`
+//!    --fresh perfbench_2009.txt --baseline BENCH_perfbench_2009.txt`
 
-use gridsched_bench::{bench_gate, index_cache_gate, json_number, keys, probe_gate, Args};
+use gridsched_bench::{
+    count_gate, index_cache_gate, json_number, keys, probe_gate, Args, COUNT_TOLERANCE,
+};
 
 fn read(path: &str) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"))
@@ -87,12 +87,15 @@ fn online_gate(json: &str) -> bool {
 
 fn main() {
     let args = Args::capture_validated(keys::BENCH_CHECK);
-    let fresh_path: String = args.get("fresh", "BENCH_fresh.json".to_owned());
-    let baseline_path: String = args.get("baseline", "BENCH_strategy_sweep.json".to_owned());
-    let min_speedup: f64 = args.get("min-speedup", 2.0);
-    let multi_core = std::thread::available_parallelism().is_ok_and(|n| n.get() >= 2);
-    let require_pooled: bool = args.get("require-pooled", multi_core);
-
+    let required = |key: &str| -> String {
+        if !args.has(key) {
+            eprintln!("error: --{key} FILE is required");
+            std::process::exit(2);
+        }
+        args.get(key, String::new())
+    };
+    let fresh_path = required("fresh");
+    let baseline_path = required("baseline");
     let online_path: Option<String> = args
         .has("online")
         .then(|| args.get("online", "BENCH_online_throughput.json".to_owned()));
@@ -104,19 +107,19 @@ fn main() {
         .has("index-cache")
         .then(|| args.get("index-cache", "BENCH_probe_scaling.json".to_owned()));
     let min_cache_speedup: f64 = args.get("min-cache-speedup", 10.0);
-
-    let fresh = read(&fresh_path);
-    let baseline = read(&baseline_path);
-    let (lines, mut pass) = bench_gate(&fresh, &baseline, min_speedup, require_pooled);
-
     println!(
-        "bench_check: {fresh_path} vs {baseline_path} (floor {min_speedup:.2}x, pooled gate {})",
-        if require_pooled { "on" } else { "off" }
+        "bench_check: perfbench work counts, {fresh_path} vs {baseline_path} (tolerance {:.0}%)",
+        COUNT_TOLERANCE * 100.0
     );
+    let (lines, mut pass) = count_gate(&read(&fresh_path), &read(&baseline_path));
     for line in &lines {
-        let fmt = |v: Option<f64>| v.map_or("missing".to_owned(), |v| format!("{v:.2}x"));
+        let fmt = |v: Option<f64>| v.map_or("missing".to_owned(), |v| v.to_string());
+        let moved = match (line.fresh, line.baseline) {
+            (Some(f), Some(b)) if b != 0.0 => format!("{:+.2}%", (f / b - 1.0) * 100.0),
+            _ => String::new(),
+        };
         println!(
-            "  [{}] {:<28} fresh {:>9}   committed baseline {:>9}",
+            "  [{}] {:<52} fresh {:>12}   baseline {:>12} {moved}",
             if line.pass { "OK  " } else { "FAIL" },
             line.key,
             fmt(line.fresh),
@@ -164,7 +167,7 @@ fn main() {
     if pass {
         println!("bench_check: PASS");
     } else {
-        println!("bench_check: FAIL — a gated metric fell below its committed floor");
+        println!("bench_check: FAIL — a gated metric left its committed baseline or floor");
         std::process::exit(1);
     }
 }

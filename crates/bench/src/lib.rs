@@ -33,8 +33,6 @@ pub mod keys {
     pub const BENCH_CHECK: &[&str] = &[
         "fresh",
         "baseline",
-        "min-speedup",
-        "require-pooled",
         "online",
         "probe-index",
         "min-probe-speedup",
@@ -73,9 +71,6 @@ pub mod keys {
     pub const PROBE_SCALING: &[&str] = &["seed", "budget-ms", "probes", "max-reservations", "out"];
     /// `sec5_queue_policies` binary.
     pub const SEC5_QUEUE_POLICIES: &[&str] = &["jobs", "capacity", "seed"];
-    /// `strategy_sweep` binary.
-    pub const STRATEGY_SWEEP: &[&str] =
-        &["seed", "load", "horizon", "budget-ms", "out", "telemetry"];
     /// `chaos_run` binary.
     pub const CHAOS_RUN: &[&str] = &[
         "seed",
@@ -275,59 +270,125 @@ pub fn json_number(json: &str, key: &str) -> Option<f64> {
 /// One checked metric of a bench-gate comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GateLine {
-    /// The JSON key that was checked.
-    pub key: &'static str,
+    /// What was checked: a JSON key, or `<workload>/<metric>` for the
+    /// work-count gate.
+    pub key: String,
     /// The freshly measured value, if the key was present.
     pub fresh: Option<f64>,
-    /// The committed baseline value, if the key was present.
+    /// The committed baseline value (or the required floor), if present.
     pub baseline: Option<f64>,
-    /// Whether the fresh value clears the threshold.
+    /// Whether the fresh value clears the check.
     pub pass: bool,
 }
 
-/// Compares a fresh `strategy_sweep` result against the committed
-/// baseline: all overall speedups must be present and at or above
-/// `min_speedup` (the paper-claim floor — absolute, not relative to the
-/// baseline, because CI machines are slower and noisier than the one
-/// that produced the committed numbers). Returns the per-metric lines
-/// and the overall verdict.
+/// How far a work count may move from its committed baseline, relative
+/// to the baseline. Work counts are deterministic per seed except where
+/// pooled admission rounds probe ahead of the first admission and discard
+/// the extra results: on `online_admission` that moves the probe, pass,
+/// session and index counts by well under 1% between a pooled and a
+/// one-core run. A doubled layer moves its counts by 100%.
+pub const COUNT_TOLERANCE: f64 = 0.05;
+
+/// `count` metrics the work-count gate skips: both follow the machine's
+/// core count (a one-core machine has no sweep workers and pools no
+/// sweep).
+const CORE_DEPENDENT_COUNTS: [&str; 2] = ["exec.workers", "exec.pooled_sweeps"];
+
+/// One workload of a perfbench run: its name and its `count` metrics, in
+/// report order.
+type WorkloadCounts = (String, Vec<(String, f64)>);
+
+/// Reads the `count`-unit metrics of every workload in perfbench's
+/// standard output.
 ///
-/// When `require_pooled_ge_sequential` is set (CI passes it on runners
-/// with ≥ 2 cores; meaningless on single-core machines where the pooled
-/// sweep falls back to the sequential one), an extra line checks that the
-/// persistent-pool sweep's overall speedup is at least the sequential
-/// sweep's — the regression tripwire for pool hand-off overhead.
+/// perfbench prints one `<workload>: seed …` header per workload, then
+/// indented metric lines, then one JSON line whose `metrics` object maps
+/// each metric name to `{"value": V, "unit": "U"}`. A JSON line is
+/// credited to the header above it; a workload without one has no counts.
+fn perfbench_counts(stdout: &str) -> Vec<WorkloadCounts> {
+    let mut workloads: Vec<WorkloadCounts> = Vec::new();
+    for line in stdout.lines() {
+        let header = line
+            .split_once(": seed ")
+            .filter(|_| !line.starts_with(' '));
+        if let Some((workload, _)) = header {
+            workloads.push((workload.to_owned(), Vec::new()));
+        } else if let (Some((_, metrics)), Some((_, counts))) =
+            (line.split_once("\"metrics\": {"), workloads.last_mut())
+        {
+            // Entries are `"name": {"value": V, "unit": "U"`, split on
+            // the `}, ` that closes each one.
+            for entry in metrics.split("}, ") {
+                let Some((name, rest)) = entry
+                    .strip_prefix('"')
+                    .and_then(|entry| entry.split_once('"'))
+                else {
+                    continue;
+                };
+                if rest.contains("\"unit\": \"count\"") {
+                    if let Some(value) = json_number(rest, "value") {
+                        counts.push((name.to_owned(), value));
+                    }
+                }
+            }
+        }
+    }
+    workloads
+}
+
+/// The work-count gate: compares the `count` metrics of a fresh traced
+/// perfbench run (`--trace 1`, standard output) with a committed run of
+/// the same seed and cycle count, workload by workload.
+///
+/// One line per `<workload>/<metric>` found in either file (baseline
+/// order first). A line fails when either side lacks it or when the fresh
+/// count moves from the baseline by more than [`COUNT_TOLERANCE`] of the
+/// baseline (a zero baseline therefore needs a zero count). The
+/// core-count-dependent `exec.workers` and `exec.pooled_sweeps` are
+/// skipped. A baseline without any workload fails as a whole. Wall time
+/// is not compared: deterministic counts catch a layer that does more
+/// work on any machine, where timings on a shared runner cannot.
 #[must_use]
-pub fn bench_gate(
-    fresh: &str,
-    baseline: &str,
-    min_speedup: f64,
-    require_pooled_ge_sequential: bool,
-) -> (Vec<GateLine>, bool) {
-    let keys = ["overall_speedup_sequential", "overall_speedup_pooled"];
+pub fn count_gate(fresh: &str, baseline: &str) -> (Vec<GateLine>, bool) {
+    let fresh = perfbench_counts(fresh);
+    let baseline = perfbench_counts(baseline);
+    let find = |runs: &[WorkloadCounts], workload: &str, metric: &str| {
+        runs.iter()
+            .find(|(w, _)| w == workload)
+            .and_then(|(_, counts)| counts.iter().find(|(m, _)| m == metric))
+            .map(|&(_, v)| v)
+    };
+    let mut keys: Vec<(&str, &str)> = Vec::new();
+    for (workload, counts) in baseline.iter().chain(&fresh) {
+        for (metric, _) in counts {
+            let key = (workload.as_str(), metric.as_str());
+            if !CORE_DEPENDENT_COUNTS.contains(&key.1) && !keys.contains(&key) {
+                keys.push(key);
+            }
+        }
+    }
     let mut lines: Vec<GateLine> = keys
-        .iter()
-        .map(|key| {
-            let fresh_value = json_number(fresh, key);
+        .into_iter()
+        .map(|(workload, metric)| {
+            let f = find(&fresh, workload, metric);
+            let b = find(&baseline, workload, metric);
             GateLine {
-                key,
-                fresh: fresh_value,
-                baseline: json_number(baseline, key),
-                pass: fresh_value.is_some_and(|v| v >= min_speedup),
+                key: format!("{workload}/{metric}"),
+                fresh: f,
+                baseline: b,
+                pass: match (f, b) {
+                    (Some(f), Some(b)) => (f - b).abs() <= COUNT_TOLERANCE * b.abs(),
+                    _ => false,
+                },
             }
         })
         .collect();
-    if require_pooled_ge_sequential {
-        let sequential = json_number(fresh, "overall_speedup_sequential");
-        let pooled = json_number(fresh, "overall_speedup_pooled");
+    if baseline.is_empty() {
         lines.push(GateLine {
-            key: "pooled_ge_sequential",
-            fresh: pooled,
-            baseline: sequential,
-            pass: match (pooled, sequential) {
-                (Some(p), Some(s)) => p >= s,
-                _ => false,
-            },
+            key: "baseline has workloads".to_owned(),
+            fresh: None,
+            baseline: None,
+            pass: false,
         });
     }
     let pass = lines.iter().all(|l| l.pass);
@@ -339,22 +400,21 @@ pub fn bench_gate(
 /// largest pool, and that pool must be big enough for the comparison to
 /// mean anything (≥ 100k reservations — below that both paths finish in
 /// nanoseconds and the ratio is noise). The threshold is absolute, not
-/// relative to a committed baseline, for the same reason as
-/// [`bench_gate`]: CI machines are slower and noisier than the box that
-/// produced the committed numbers.
+/// relative to a committed baseline: CI machines are slower and noisier
+/// than the box that produced the committed numbers.
 #[must_use]
 pub fn probe_gate(fresh: &str, min_speedup: f64) -> (Vec<GateLine>, bool) {
     let cold = json_number(fresh, "probe_index_speedup_cold");
     let reservations = json_number(fresh, "max_reservations");
     let lines = vec![
         GateLine {
-            key: "probe_index_speedup_cold",
+            key: "probe_index_speedup_cold".to_owned(),
             fresh: cold,
             baseline: Some(min_speedup),
             pass: cold.is_some_and(|v| v >= min_speedup),
         },
         GateLine {
-            key: "max_reservations_ge_100k",
+            key: "max_reservations_ge_100k".to_owned(),
             fresh: reservations,
             baseline: Some(100_000.0),
             pass: reservations.is_some_and(|r| r >= 100_000.0),
@@ -371,7 +431,7 @@ pub fn probe_gate(fresh: &str, min_speedup: f64) -> (Vec<GateLine>, bool) {
 /// ratio to mean anything, the warm capture must have rebuilt **zero**
 /// indexes, and it must have registered at least one cache hit (proof
 /// the cached path — not a lucky allocator — produced the speedup). The
-/// threshold is absolute for the same reason as [`bench_gate`].
+/// threshold is absolute for the same reason as [`probe_gate`].
 ///
 /// [`AvailabilitySnapshot`]: gridsched::model::availability::AvailabilitySnapshot
 #[must_use]
@@ -382,25 +442,25 @@ pub fn index_cache_gate(fresh: &str, min_speedup: f64) -> (Vec<GateLine>, bool) 
     let hits = json_number(fresh, "index_cache_warm_hits");
     let lines = vec![
         GateLine {
-            key: "index_cache_warm_speedup",
+            key: "index_cache_warm_speedup".to_owned(),
             fresh: warm,
             baseline: Some(min_speedup),
             pass: warm.is_some_and(|v| v >= min_speedup),
         },
         GateLine {
-            key: "index_cache_windows_ge_100k",
+            key: "index_cache_windows_ge_100k".to_owned(),
             fresh: windows,
             baseline: Some(100_000.0),
             pass: windows.is_some_and(|w| w >= 100_000.0),
         },
         GateLine {
-            key: "index_cache_warm_rebuilds",
+            key: "index_cache_warm_rebuilds".to_owned(),
             fresh: rebuilds,
             baseline: Some(0.0),
             pass: rebuilds == Some(0.0),
         },
         GateLine {
-            key: "index_cache_warm_hits",
+            key: "index_cache_warm_hits".to_owned(),
             fresh: hits,
             baseline: Some(1.0),
             pass: hits.is_some_and(|h| h >= 1.0),
@@ -465,17 +525,15 @@ mod tests {
                 keys::BENCH_CHECK,
                 &[
                     "--fresh",
-                    "f.json",
-                    "--min-speedup",
-                    "2.0",
-                    "--require-pooled",
+                    "f.txt",
+                    "--baseline",
+                    "b.txt",
+                    "--probe-index",
+                    "p.json",
+                    "--min-probe-speedup",
+                    "5.0",
                 ],
                 "--min-sppedup",
-            ),
-            (
-                keys::STRATEGY_SWEEP,
-                &["--seed", "2009", "--budget-ms", "400", "--telemetry"],
-                "--sede",
             ),
             (
                 keys::ONLINE_THROUGHPUT,
@@ -548,46 +606,106 @@ mod tests {
         assert_eq!(json_number("{\"a\": \"text\"}", "a"), None);
     }
 
-    #[test]
-    fn bench_gate_passes_and_fails_on_threshold() {
-        let fresh = "{\"overall_speedup_sequential\": 5.0, \"overall_speedup_pooled\": 6.0}";
-        let baseline = "{\"overall_speedup_sequential\": 34.1, \"overall_speedup_pooled\": 35.2}";
-        let (lines, pass) = bench_gate(fresh, baseline, 2.0, false);
-        assert!(pass);
-        assert_eq!(lines.len(), 2);
-        assert_eq!(lines[0].fresh, Some(5.0));
-        assert_eq!(lines[0].baseline, Some(34.1));
-
-        let (lines, pass) = bench_gate(fresh, baseline, 5.5, false);
-        assert!(!pass, "sequential speedup 5.0 is below 5.5");
-        assert!(!lines[0].pass);
-        assert!(lines[1].pass);
+    /// A two-workload perfbench transcript in the shape the binary prints.
+    fn transcript(probes: u64, workers: u64) -> String {
+        format!(
+            "online_admission: seed 2009, 0.001 s, trace 1\n  \
+             flow.admission_probe.count {probes} count (lower is better)\n  \
+             error_share 0 (0 failed of 80 run(s))\n\
+             {{\"correct\": true, \"attempted\": 80, \"failed\": 0, \"metrics\": {{\
+             \"flow.admission_probe.count\": {{\"value\": {probes}, \"unit\": \"count\"}}, \
+             \"flow.admission_probe.total_ms\": {{\"value\": 1264.1, \"unit\": \"ms\"}}, \
+             \"exec.workers\": {{\"value\": {workers}, \"unit\": \"count\"}}, \
+             \"metrics.span_records\": {{\"value\": 3032.45, \"unit\": \"count\"}}}}}}\n\
+             dense_calendar: seed 2009, 0.001 s, trace 1\n\
+             {{\"correct\": true, \"attempted\": 13, \"failed\": 0, \"metrics\": {{\
+             \"model.index_seeks\": {{\"value\": 2002147, \"unit\": \"count\"}}, \
+             \"model.index_rebuilds\": {{\"value\": 0, \"unit\": \"count\"}}}}}}\n"
+        )
     }
 
     #[test]
-    fn bench_gate_pooled_vs_sequential_line() {
-        let ahead = "{\"overall_speedup_sequential\": 5.0, \"overall_speedup_pooled\": 6.0}";
-        let (lines, pass) = bench_gate(ahead, ahead, 2.0, true);
-        assert!(pass);
-        assert_eq!(lines.len(), 3);
-        let gate = &lines[2];
-        assert_eq!(gate.key, "pooled_ge_sequential");
-        assert_eq!(gate.fresh, Some(6.0));
-        assert_eq!(gate.baseline, Some(5.0));
-        assert!(gate.pass);
-
-        let behind = "{\"overall_speedup_sequential\": 5.0, \"overall_speedup_pooled\": 4.9}";
-        let (lines, pass) = bench_gate(behind, behind, 2.0, true);
-        assert!(!pass, "pooled 4.9 is behind sequential 5.0");
-        assert!(!lines[2].pass);
+    fn perfbench_counts_reads_every_workload() {
+        let runs = perfbench_counts(&transcript(42_439, 1));
+        let names: Vec<&str> = runs.iter().map(|(w, _)| w.as_str()).collect();
+        assert_eq!(names, ["online_admission", "dense_calendar"]);
+        assert_eq!(
+            runs[0].1,
+            [
+                ("flow.admission_probe.count".to_owned(), 42_439.0),
+                ("exec.workers".to_owned(), 1.0),
+                ("metrics.span_records".to_owned(), 3032.45),
+            ]
+        );
+        assert_eq!(runs[1].1.len(), 2);
     }
 
     #[test]
-    fn bench_gate_fails_on_missing_keys() {
-        let (lines, pass) = bench_gate("{}", "{}", 2.0, true);
+    fn count_gate_passes_identical_runs() {
+        let run = transcript(42_439, 1);
+        let (lines, pass) = count_gate(&run, &run);
+        assert!(pass);
+        // Two counts on each workload; `exec.workers` is skipped.
+        assert_eq!(lines.len(), 4);
+        assert_eq!(lines[0].key, "online_admission/flow.admission_probe.count");
+        assert_eq!(lines[0].fresh, Some(42_439.0));
+    }
+
+    #[test]
+    fn count_gate_fails_past_the_tolerance_and_names_the_layer() {
+        let baseline = transcript(40_000, 1);
+        let within = 40_000.0 * (1.0 + COUNT_TOLERANCE);
+        assert!(count_gate(&transcript(within as u64, 1), &baseline).1);
+        assert!(count_gate(&transcript(40_000 - 40, 1), &baseline).1);
+
+        for moved in [within as u64 + 1, 80_000, 20_000] {
+            let (lines, pass) = count_gate(&transcript(moved, 1), &baseline);
+            assert!(!pass, "{moved}");
+            let failed: Vec<&str> = lines
+                .iter()
+                .filter(|l| !l.pass)
+                .map(|l| l.key.as_str())
+                .collect();
+            assert_eq!(failed, ["online_admission/flow.admission_probe.count"]);
+        }
+    }
+
+    #[test]
+    fn count_gate_fails_on_missing_workloads_and_metrics() {
+        let full = transcript(42_439, 1);
+        // A fresh run that stopped after its first workload.
+        let cut = &full[..full.find("dense_calendar").unwrap()];
+        let (lines, pass) = count_gate(cut, &full);
         assert!(!pass);
-        assert_eq!(lines.len(), 3);
-        assert!(lines.iter().all(|l| l.fresh.is_none() && !l.pass));
+        assert!(lines
+            .iter()
+            .filter(|l| !l.pass)
+            .all(|l| l.key.starts_with("dense_calendar/") && l.fresh.is_none()));
+
+        // A count the baseline lacks fails too: the baseline is stale.
+        let renamed = full.replace("model.index_rebuilds", "model.index_refreezes");
+        let (lines, pass) = count_gate(&renamed, &full);
+        assert!(!pass);
+        let failed: Vec<&str> = lines
+            .iter()
+            .filter(|l| !l.pass)
+            .map(|l| l.key.as_str())
+            .collect();
+        assert_eq!(
+            failed,
+            [
+                "dense_calendar/model.index_rebuilds",
+                "dense_calendar/model.index_refreezes"
+            ]
+        );
+
+        // An empty or unreadable baseline gates nothing, so it fails.
+        assert!(!count_gate(&full, "").1);
+    }
+
+    #[test]
+    fn count_gate_ignores_core_dependent_counts() {
+        assert!(count_gate(&transcript(42_439, 0), &transcript(42_439, 3)).1);
     }
 
     #[test]

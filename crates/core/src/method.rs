@@ -24,7 +24,7 @@
 //! which captures one availability snapshot and runs the method against
 //! copy-on-write overlay views of it. The one other way in is
 //! [`build_distribution_cloning`], the clone-per-scenario reference kept
-//! for differential tests and benchmarks.
+//! as the oracle of the differential tests.
 //!
 //! [`PlanningSession`]: crate::session::PlanningSession
 
@@ -133,10 +133,9 @@ impl std::error::Error for ScheduleError {}
 /// fresh [`EngineScratch`], so every call pays a full calendar copy and
 /// shares nothing with earlier runs.
 ///
-/// Kept (and exercised by the differential/determinism suites and the
-/// `strategy_sweep` bench) to pin that the session's shared snapshot,
-/// calendar cache and recycled scratch leave the output bit-identical, and
-/// to quantify what the share-don't-copy design saves.
+/// Kept as the oracle of the differential/determinism suites, to pin that
+/// the session's shared snapshot, calendar cache and recycled scratch
+/// leave the output bit-identical.
 ///
 /// # Errors
 ///

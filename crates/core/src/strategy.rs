@@ -321,7 +321,8 @@ impl Strategy {
     }
 
     /// The one generation entry point: takes the job borrowed or owned
-    /// and the executor and telemetry choices in `opts`.
+    /// and the executor and telemetry choices in `opts`, and sweeps the
+    /// scenarios of `config` over one planning session.
     ///
     /// S3's coarsening happens here, once. [`Strategy::generate`],
     /// [`Strategy::generate_instrumented`] and
@@ -331,8 +332,8 @@ impl Strategy {
     /// whole sweep runs under a `strategy_generation` span (parented under
     /// `opts.parent`), each scenario under its own `scenario` span, and
     /// [`Counter::ScenariosPlanned`] / [`Counter::ScenariosFailed`] tally
-    /// the sweep outcome. Schedules are bit-identical whatever `opts`
-    /// holds.
+    /// the sweep outcome. Whatever the executor, results are collected in
+    /// sweep order, so schedules are bit-identical whatever `opts` holds.
     #[must_use]
     pub fn generate_with(
         job: Cow<'_, Job>,
@@ -342,107 +343,6 @@ impl Strategy {
         opts: GenerateOptions<'_>,
     ) -> Strategy {
         let planning_job = Self::planning_job(job, config);
-        Strategy::generate_prepared(planning_job, pool, config, release, opts)
-    }
-
-    /// [`Strategy::generate`] with a telemetry recorder attached; see
-    /// [`Strategy::generate_with`] for the spans and counters recorded.
-    #[must_use]
-    pub fn generate_instrumented(
-        job: &Job,
-        pool: &ResourcePool,
-        config: &StrategyConfig,
-        release: SimTime,
-        telemetry: &Telemetry,
-        parent: Option<SpanId>,
-    ) -> Strategy {
-        let opts = GenerateOptions {
-            executor: SweepExecutor::auto(),
-            telemetry,
-            parent,
-        };
-        Strategy::generate_with(Cow::Borrowed(job), pool, config, release, opts)
-    }
-
-    /// [`Strategy::generate`] with the scenario sweep forced sequential —
-    /// the determinism baseline the parallel sweep is checked against.
-    #[must_use]
-    pub fn generate_sequential(
-        job: &Job,
-        pool: &ResourcePool,
-        config: &StrategyConfig,
-        release: SimTime,
-    ) -> Strategy {
-        let opts = GenerateOptions {
-            executor: SweepExecutor::Sequential,
-            ..GenerateOptions::default()
-        };
-        Strategy::generate_with(Cow::Borrowed(job), pool, config, release, opts)
-    }
-
-    /// The clone-per-scenario reference sweep: sequential, with every
-    /// scenario cloning the pool and planning on a cold snapshot of the
-    /// clone ([`build_distribution_cloning`]) instead of sharing one
-    /// session snapshot.
-    ///
-    /// Kept for the determinism suite and the `strategy_sweep` bench; it
-    /// must produce bit-identical strategies to [`Strategy::generate`].
-    #[must_use]
-    pub fn generate_cloning(
-        job: &Job,
-        pool: &ResourcePool,
-        config: &StrategyConfig,
-        release: SimTime,
-    ) -> Strategy {
-        let planning_job = Self::planning_job(Cow::Borrowed(job), config);
-        let mut distributions = Vec::new();
-        let mut failures = Vec::new();
-        for &scenario in config.sweep.scenarios() {
-            let req = ScheduleRequest {
-                job: &planning_job,
-                pool,
-                policy: &config.policy,
-                scenario,
-                release,
-            };
-            match build_distribution_cloning(&req) {
-                Ok(d) => distributions.push(d),
-                Err(e) => failures.push(e),
-            }
-        }
-        Strategy {
-            kind: config.kind,
-            config: config.clone(),
-            job: planning_job.into_owned(),
-            distributions,
-            failures,
-        }
-    }
-
-    /// The job actually planned: the caller's job as handed over for
-    /// fine-grain strategies, an owned coarsened copy for S3. Only the
-    /// coarse path pays an allocation.
-    fn planning_job<'j>(job: Cow<'j, Job>, config: &StrategyConfig) -> Cow<'j, Job> {
-        if config.coarse_grain {
-            Cow::Owned(coarsen(&job).job)
-        } else {
-            job
-        }
-    }
-
-    /// Sweeps the scenarios of `config` over one planning session.
-    ///
-    /// `planning_job` must already be in planning granularity (coarsened
-    /// for S3) — this is what lets [`Strategy::refresh`] reuse its stored
-    /// job without re-coarsening. Whatever the executor, results are
-    /// collected in sweep order, so output is bit-identical across both.
-    fn generate_prepared(
-        planning_job: Cow<'_, Job>,
-        pool: &ResourcePool,
-        config: &StrategyConfig,
-        release: SimTime,
-        opts: GenerateOptions<'_>,
-    ) -> Strategy {
         let GenerateOptions {
             executor,
             telemetry,
@@ -500,29 +400,14 @@ impl Strategy {
         }
     }
 
-    /// Regenerates the strategy against the pool's *current* availability,
-    /// planning from `now` — the "supporting and updating strategies based
-    /// on cooperation with local managers" of §2. The original
-    /// configuration (policy, sweep, granularity) is reused.
-    ///
-    /// The stored planning job is reused **as-is**: for S3 it is already
-    /// coarsened, and running it through [`Strategy::generate`] (which
-    /// coarsens again when `coarse_grain` is set) would both redo the
-    /// grouping work and rely on coarsening being idempotent. The
-    /// `refresh_matches_fresh_s3_strategy` regression test pins the
-    /// equivalence with a freshly generated strategy.
+    /// [`Strategy::generate`] with a telemetry recorder attached; see
+    /// [`Strategy::generate_with`] for the spans and counters recorded.
     #[must_use]
-    pub fn refresh(&self, pool: &ResourcePool, now: SimTime) -> Strategy {
-        self.refresh_instrumented(pool, now, &Telemetry::disabled(), None)
-    }
-
-    /// [`Strategy::refresh`] with a telemetry recorder attached — the
-    /// fault-driven replan path of the job-flow layer.
-    #[must_use]
-    pub fn refresh_instrumented(
-        &self,
+    pub fn generate_instrumented(
+        job: &Job,
         pool: &ResourcePool,
-        now: SimTime,
+        config: &StrategyConfig,
+        release: SimTime,
         telemetry: &Telemetry,
         parent: Option<SpanId>,
     ) -> Strategy {
@@ -531,7 +416,73 @@ impl Strategy {
             telemetry,
             parent,
         };
-        Strategy::generate_prepared(Cow::Borrowed(&self.job), pool, &self.config, now, opts)
+        Strategy::generate_with(Cow::Borrowed(job), pool, config, release, opts)
+    }
+
+    /// [`Strategy::generate`] with the scenario sweep forced sequential —
+    /// the determinism baseline the parallel sweep is checked against.
+    #[must_use]
+    pub fn generate_sequential(
+        job: &Job,
+        pool: &ResourcePool,
+        config: &StrategyConfig,
+        release: SimTime,
+    ) -> Strategy {
+        let opts = GenerateOptions {
+            executor: SweepExecutor::Sequential,
+            ..GenerateOptions::default()
+        };
+        Strategy::generate_with(Cow::Borrowed(job), pool, config, release, opts)
+    }
+
+    /// The clone-per-scenario reference sweep: sequential, with every
+    /// scenario cloning the pool and planning on a cold snapshot of the
+    /// clone ([`build_distribution_cloning`]) instead of sharing one
+    /// session snapshot.
+    ///
+    /// Kept as the test oracle: the determinism suite checks that it
+    /// produces bit-identical strategies to [`Strategy::generate`].
+    #[must_use]
+    pub fn generate_cloning(
+        job: &Job,
+        pool: &ResourcePool,
+        config: &StrategyConfig,
+        release: SimTime,
+    ) -> Strategy {
+        let planning_job = Self::planning_job(Cow::Borrowed(job), config);
+        let mut distributions = Vec::new();
+        let mut failures = Vec::new();
+        for &scenario in config.sweep.scenarios() {
+            let req = ScheduleRequest {
+                job: &planning_job,
+                pool,
+                policy: &config.policy,
+                scenario,
+                release,
+            };
+            match build_distribution_cloning(&req) {
+                Ok(d) => distributions.push(d),
+                Err(e) => failures.push(e),
+            }
+        }
+        Strategy {
+            kind: config.kind,
+            config: config.clone(),
+            job: planning_job.into_owned(),
+            distributions,
+            failures,
+        }
+    }
+
+    /// The job actually planned: the caller's job as handed over for
+    /// fine-grain strategies, an owned coarsened copy for S3. Only the
+    /// coarse path pays an allocation.
+    fn planning_job<'j>(job: Cow<'j, Job>, config: &StrategyConfig) -> Cow<'j, Job> {
+        if config.coarse_grain {
+            Cow::Owned(coarsen(&job).job)
+        } else {
+            job
+        }
     }
 
     /// The configuration this strategy was generated with.
@@ -741,36 +692,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn refresh_replans_against_current_availability() {
-        use gridsched_model::timetable::ReservationOwner;
-        use gridsched_model::window::TimeWindow;
-
-        let job = fig2_job_with_deadline(SimDuration::from_ticks(200));
-        let mut pool = pool();
-        let cfg = StrategyConfig::for_kind(StrategyKind::S2, &pool);
-        let original = Strategy::generate(&job, &pool, &cfg, SimTime::ZERO);
-        assert!(original.is_admissible());
-        // The environment moves on: every node is busy until t30.
-        for i in 0..pool.len() {
-            let id = gridsched_model::ids::NodeId::new(i as u32);
-            pool.timetable_mut(id)
-                .reserve(
-                    TimeWindow::new(SimTime::ZERO, SimTime::from_ticks(30)).unwrap(),
-                    ReservationOwner::Background(0),
-                )
-                .unwrap();
-        }
-        let refreshed = original.refresh(&pool, SimTime::from_ticks(10));
-        assert_eq!(refreshed.kind(), original.kind());
-        assert!(refreshed.is_admissible());
-        for d in refreshed.distributions() {
-            for p in d.placements() {
-                assert!(p.window.start() >= SimTime::from_ticks(30));
-            }
-        }
-    }
-
     /// Everything observable about a strategy, for bit-exact comparisons.
     fn fingerprint(s: &Strategy) -> impl PartialEq + std::fmt::Debug {
         (
@@ -826,37 +747,6 @@ mod tests {
             assert_eq!(fingerprint(&par), fingerprint(&cloning), "{kind}");
             assert_eq!(fingerprint(&par), fingerprint(&owned), "{kind}");
         }
-    }
-
-    #[test]
-    fn refresh_matches_fresh_s3_strategy() {
-        use gridsched_model::timetable::ReservationOwner;
-        use gridsched_model::window::TimeWindow;
-
-        // Regression for the double-coarsening bug: refresh used to route
-        // the *already coarsened* S3 planning job back through
-        // `Strategy::generate`, whose `coarse_grain` config coarsened it a
-        // second time. Refresh must reuse the planning job as-is and match
-        // a freshly generated strategy on the same pool state exactly.
-        let job = fig2_job_with_deadline(SimDuration::from_ticks(200));
-        let mut pool = pool();
-        let cfg = StrategyConfig::for_kind(StrategyKind::S3, &pool);
-        let original = Strategy::generate(&job, &pool, &cfg, SimTime::ZERO);
-        for i in 0..pool.len() {
-            let id = gridsched_model::ids::NodeId::new(i as u32);
-            pool.timetable_mut(id)
-                .reserve(
-                    TimeWindow::new(SimTime::ZERO, SimTime::from_ticks(25)).unwrap(),
-                    ReservationOwner::Background(7),
-                )
-                .unwrap();
-        }
-        let refreshed = original.refresh(&pool, SimTime::from_ticks(10));
-        let fresh = Strategy::generate(&job, &pool, &cfg, SimTime::from_ticks(10));
-        assert_eq!(fingerprint(&refreshed), fingerprint(&fresh));
-        // The planning job is passed through untouched — same task count,
-        // no re-coarsening artifacts.
-        assert_eq!(refreshed.job().task_count(), original.job().task_count());
     }
 
     #[test]

@@ -46,8 +46,13 @@
 //! consumes only results computed on the state a one-probe-at-a-time walk
 //! would have probed; how many probes it runs ahead and discards
 //! (`admission_probes_discarded`) depends on thread timing and shows in
-//! telemetry only. All report-side latencies are sim-time; wall-clock
-//! timings live only in telemetry spans.
+//! telemetry only. So does the number of rounds, and with it of
+//! `session_open` spans and `sessions_opened`: a round also ends at the
+//! first entry its cut-off skipped (reached when the feasible entry before
+//! it was not admitted), and the next round opens a new session there. A
+//! sequential executor skips every entry past the first feasible one, so
+//! it opens the most sessions. All report-side latencies are sim-time;
+//! wall-clock timings live only in telemetry spans.
 
 use std::borrow::Cow;
 use std::collections::VecDeque;

@@ -101,8 +101,10 @@ use crate::window::TimeWindow;
 /// little: probes bisect a few hundred windows in a handful of hops
 /// either way, and the first capture after every mutation would still pay
 /// a (tiny) build. The warm-capture shape of `BENCH_probe_scaling.json`
-/// justifies the number; the strategy-sweep gate (`bench_check
-/// --require-pooled`) pins that generation did not regress.
+/// justifies the number; the work-count gate on the traced perfbench
+/// ledger (`bench_check --fresh --baseline`, `model.index_seeks` and
+/// `model.index_bypasses` on `dense_calendar`) pins which probes it
+/// routes through the index.
 pub const DEFAULT_INDEX_FLOOR: usize = 1_000;
 
 /// How a pool's planning probes run: which cold-probe path an
