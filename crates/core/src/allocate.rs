@@ -109,7 +109,7 @@ impl fmt::Display for AllocateError {
 
 impl std::error::Error for AllocateError {}
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct State {
     start: SimTime,
     finish: SimTime,
@@ -119,15 +119,97 @@ struct State {
     parent: Option<(usize, usize)>,
 }
 
-/// Per-class constants of one DP step (rule 1 in DESIGN §4): the input
-/// stall, reserved wall time and step cost shared by every predecessor
-/// of one class. The cost is filled when a first state of the class
-/// gets past the finish-bound test.
+/// Per-class constants and fits of one DP step (rules 1 and 11 in
+/// DESIGN §4): the input stall, reserved wall time and step cost shared
+/// by every predecessor of one class, and what the class's fits so far
+/// say about the fits still to come. The cost is filled when a first
+/// state of the class gets past the finish-bound test.
+///
+/// Every fit of one class is on the same node, with the same wall time
+/// and finish bound, so they differ only in their ready time, in which
+/// `earliest_fit` is monotone: `None` from `r` means `None` from every
+/// later ready, and a start `s` from `r` is the start from every ready
+/// in `[r, s]`.
 #[derive(Debug, Clone, Copy)]
 struct ClassStep {
     stall: SimDuration,
     dur: SimDuration,
     cost: Option<Cost>,
+    /// The up-front fit at the class's least ready time.
+    base: BaseFit,
+    /// The least ready time a fit of the class failed from (`MAX`:
+    /// none has): every fit from it on fails.
+    fail_at: SimTime,
+    /// `(ready, start)` of the class's last fit that succeeded.
+    last: Option<(SimTime, SimTime)>,
+}
+
+/// The up-front fit of a [`ClassStep`] (rule 11).
+#[derive(Debug, Clone, Copy)]
+enum BaseFit {
+    /// Not made: fewer than two of the class's predecessor nodes are
+    /// occupied, so the first state's own fit is as good.
+    Skipped,
+    /// To be made at this ready time, the least of the class, before
+    /// the class's first fit.
+    Pending(SimTime),
+    /// Made, and found this start: it answers every ready of the class
+    /// up to it.
+    Fits(SimTime),
+}
+
+impl ClassStep {
+    fn new(stall: SimDuration, exec: SimDuration, least_ready: Option<SimTime>) -> Self {
+        ClassStep {
+            stall,
+            dur: stall + exec,
+            cost: None,
+            base: least_ready.map_or(BaseFit::Skipped, BaseFit::Pending),
+            fail_at: SimTime::MAX,
+            last: None,
+        }
+    }
+
+    /// The start of this class's fit on `node` from `ready`, answered
+    /// from the class's earlier fits where they decide it (rule 11).
+    fn fit(
+        &mut self,
+        availability: &TimetableOverlay,
+        node: NodeId,
+        ready: SimTime,
+        finish_bound: SimTime,
+    ) -> Option<SimTime> {
+        if ready >= self.fail_at {
+            return None;
+        }
+        if let BaseFit::Pending(least) = self.base {
+            debug_assert!(least <= ready, "no ready of the class is below its least");
+            match availability.earliest_fit(node, least, self.dur, finish_bound) {
+                Some(start) => self.base = BaseFit::Fits(start),
+                None => {
+                    self.base = BaseFit::Skipped;
+                    self.fail_at = least;
+                    return None;
+                }
+            }
+        }
+        if let BaseFit::Fits(start) = self.base {
+            if ready <= start {
+                return Some(start);
+            }
+        }
+        if let Some((from, start)) = self.last {
+            if from <= ready && ready <= start {
+                return Some(start);
+            }
+        }
+        let start = availability.earliest_fit(node, ready, self.dur, finish_bound);
+        match start {
+            Some(start) => self.last = Some((ready, start)),
+            None => self.fail_at = ready,
+        }
+        start
+    }
 }
 
 /// What placed neighbours impose on one `(task, node)`, whatever the DP
@@ -163,6 +245,15 @@ struct Level {
     /// The node indices whose frontier is non-empty, ascending (rule 6 in
     /// DESIGN §4).
     occupied: Vec<usize>,
+}
+
+/// One domain's nodes in a DP level (rule 11): how many are occupied,
+/// and the two least first finishes of their frontiers with the node
+/// indices they belong to.
+#[derive(Debug, Clone, Copy, Default)]
+struct DomainFirsts {
+    occupied: usize,
+    top: [Option<(SimTime, usize)>; 2],
 }
 
 /// A pass-1 fit candidate: `ready + dur`, the least finish any fit from
@@ -214,6 +305,10 @@ pub struct AllocScratch {
     /// node indices they belong to (the second stands in for the domain
     /// when the first is the target node itself).
     domain_earliest: Vec<[Option<(SimTime, usize)>; 2]>,
+    /// Per domain, the previous level's occupied nodes and their least
+    /// frontier-first finishes, for the class fits of both DP passes
+    /// (rule 11).
+    domain_firsts: Vec<DomainFirsts>,
     /// The fit candidates of one earliest-finish `(position, node)`, at
     /// most one per domain plus the node itself (rule 7).
     candidates: Vec<Candidate>,
@@ -295,6 +390,9 @@ impl AllocScratch {
         self.classes.resize(domains.len() + 1, None);
         self.domain_earliest.clear();
         self.domain_earliest.resize(domains.len(), [None; 2]);
+        self.domain_firsts.clear();
+        self.domain_firsts
+            .resize(domains.len(), DomainFirsts::default());
         self.domain_cheapest.clear();
         self.domain_cheapest.resize(domains.len(), [None; 2]);
         self.domain_reps.clear();
@@ -454,13 +552,7 @@ impl AllocScratch {
                         continue;
                     };
                     let chain_stall = ctx.policy.delay_from(arc, nodes[rep], nodes[nj], ctx.pool);
-                    let total = step_cost(next_task, step, chain_stall) + rest;
-                    if top[0].is_none_or(|(c, _)| total < c) {
-                        top[1] = top[0];
-                        top[0] = Some((total, nj));
-                    } else if top[1].is_none_or(|(c, _)| total < c) {
-                        top[1] = Some((total, nj));
-                    }
+                    push_top_two(top, step_cost(next_task, step, chain_stall) + rest, nj);
                 }
             }
             let row = &steps[pos * n..][..n];
@@ -472,12 +564,7 @@ impl AllocScratch {
                 let stay = next_steps[ni]
                     .zip(next[ni])
                     .map(|(step, rest)| step_cost(next_task, step, SimDuration::ZERO) + rest);
-                let top = &domain_cheapest[node_class[ni]];
-                let moved = match top[0] {
-                    Some((_, nj)) if nj == ni => top[1],
-                    first => first,
-                }
-                .map(|(c, _)| c);
+                let moved = other_than(&domain_cheapest[node_class[ni]], ni).map(|(c, _)| c);
                 *rest = match (stay, moved) {
                     (Some(a), Some(b)) => Some(a.min(b)),
                     (a, b) => a.or(b),
@@ -607,14 +694,14 @@ pub(crate) fn allocate_prepared(
     out.clear();
     match ctx.objective {
         Objective::MinCost => {
-            let held = scratch.cost_lb.is_some_and(|bound| {
-                pareto_pass::<true>(ctx, chain, availability, scratch, None, bound).is_ok()
-            });
+            let held = scratch
+                .cost_lb
+                .is_some_and(|bound| tight_pass(ctx, chain, availability, scratch, bound).is_ok());
             if held {
                 scratch.stats.cost_bound_held += 1;
             } else {
                 scratch.stats.cost_bound_fallbacks += 1;
-                pareto_pass::<false>(ctx, chain, availability, scratch, None, 0)?;
+                pareto_pass(ctx, chain, availability, scratch, None)?;
             }
         }
         Objective::FASTEST => {
@@ -625,10 +712,10 @@ pub(crate) fn allocate_prepared(
                 scratch.stats.fastest_uncapped += 1;
             }
             let fastest_finish = earliest_finish_pass(ctx, chain, availability, scratch, cap)?;
-            pareto_pass::<false>(ctx, chain, availability, scratch, Some(fastest_finish), 0)?;
+            pareto_pass(ctx, chain, availability, scratch, Some(fastest_finish))?;
         }
         Objective::MinTime { budget: Some(_) } => {
-            pareto_pass::<false>(ctx, chain, availability, scratch, None, 0)?;
+            pareto_pass(ctx, chain, availability, scratch, None)?;
         }
     }
     pick_into(ctx, chain, scratch, out);
@@ -638,22 +725,18 @@ pub(crate) fn allocate_prepared(
 /// The Pareto DP over `chain`, filling `scratch.levels`.
 ///
 /// With `fastest_finish` (`F*` of the earliest-finish pass) every finish
-/// bound at position `k` is tightened to `F* - S(k)` (rule 4). With
-/// `COST_BOUND` every candidate whose cost plus `ctg` at its
-/// `(position, node)` exceeds `cost_bound` is skipped before its fit
-/// (rule 9); without it `cost_bound` is unused, and the instance has no
-/// cost test in its inner loop.
+/// bound at position `k` is tightened to `F* - S(k)` (rule 4). Each fit
+/// goes through its predecessor class's [`ClassStep::fit`] (rule 11).
 ///
 /// # Errors
 ///
 /// Names the task of the first position left with no state.
-fn pareto_pass<const COST_BOUND: bool>(
+fn pareto_pass(
     ctx: &AllocationContext<'_>,
     chain: &[TaskId],
     availability: &TimetableOverlay,
     scratch: &mut AllocScratch,
     fastest_finish: Option<SimTime>,
-    cost_bound: Cost,
 ) -> Result<(), AllocateError> {
     let AllocScratch {
         nodes,
@@ -661,30 +744,16 @@ fn pareto_pass<const COST_BOUND: bool>(
         arcs,
         steps,
         earliest,
+        domain_firsts,
         classes,
         levels,
         tail,
-        ctg,
         ..
     } = scratch;
     let nodes: &[NodeId] = nodes;
-    let node_class: &[usize] = node_class;
+    let n = nodes.len();
     let self_class = classes.len() - 1;
-    // Recycle levels: make sure there are enough, clear the ones this
-    // chain will use (keeping inner capacity), leave the rest stale.
-    if levels.len() < chain.len() {
-        levels.resize_with(chain.len(), Level::default);
-    }
-    for level in levels.iter_mut().take(chain.len()) {
-        for states in &mut level.states {
-            states.clear();
-        }
-        if level.states.len() != nodes.len() {
-            level.states.resize_with(nodes.len(), Vec::new);
-        }
-        level.occupied.clear();
-    }
-
+    recycle_levels(levels, chain.len(), n);
     for (pos, &task_id) in chain.iter().enumerate() {
         let task = ctx.job.task(task_id);
         // Split so the previous level stays readable while this one fills.
@@ -695,27 +764,21 @@ fn pareto_pass<const COST_BOUND: bool>(
         let chain_step = done
             .last()
             .map(|prev| (prev, chain_arc(ctx.job, arcs, chain[pos - 1], task_id)));
+        if let Some((prev, _)) = chain_step {
+            fill_domain_firsts(prev, node_class, domain_firsts);
+        }
         // A state finishing after `F* - S(pos)` cannot be on the path to
         // `F*`: the tasks after it need at least `S(pos)`.
         let reach_bound = fastest_finish.map(|f| saturating_deadline(f, tail[pos]));
-        let row = &steps[pos * nodes.len()..][..nodes.len()];
+        let row = &steps[pos * n..][..n];
         for (ni, &node_id) in nodes.iter().enumerate() {
             if let Some(bound) = reach_bound {
                 // No state here finishes before the first pass's earliest
                 // finish, so none would survive the bound (rule 6).
-                if earliest[pos * nodes.len() + ni].is_none_or(|e| e > bound) {
+                if earliest[pos * n + ni].is_none_or(|e| e > bound) {
                     continue;
                 }
             }
-            // The most a state here may cost and still reach `C_lb`.
-            let max_cost = if COST_BOUND {
-                match ctg[pos * nodes.len() + ni].and_then(|rest| cost_bound.checked_sub(rest)) {
-                    Some(max_cost) => max_cost,
-                    None => continue,
-                }
-            } else {
-                Cost::MAX
-            };
             let Some(NodeStep {
                 exec,
                 ready: ready_placed,
@@ -729,10 +792,6 @@ fn pareto_pass<const COST_BOUND: bool>(
             let frontier = &mut level.states[ni];
             let Some((prev, arc)) = chain_step else {
                 let dur = stall_placed + exec;
-                let cost = task_cost(task.volume(), dur);
-                if COST_BOUND && cost > max_cost {
-                    continue;
-                }
                 if let Some(state) = fit_state(
                     availability,
                     node_id,
@@ -740,7 +799,7 @@ fn pareto_pass<const COST_BOUND: bool>(
                     dur,
                     stall_placed,
                     finish_bound,
-                    cost,
+                    task_cost(task.volume(), dur),
                     None,
                 ) {
                     frontier.push(state);
@@ -760,12 +819,11 @@ fn pareto_pass<const COST_BOUND: bool>(
                 };
                 let step = classes[class].get_or_insert_with(|| {
                     let chain_stall = ctx.policy.delay_from(arc, nodes[pni], node_id, ctx.pool);
-                    let stall = stall_placed.max(chain_stall);
-                    ClassStep {
-                        stall,
-                        dur: stall + exec,
-                        cost: None,
-                    }
+                    ClassStep::new(
+                        stall_placed.max(chain_stall),
+                        exec,
+                        least_ready(domain_firsts, prev, node_class, class, ni, ready_placed),
+                    )
                 });
                 for (si, prev_state) in prev.states[pni].iter().enumerate() {
                     let ready = ready_placed.max_of(prev_state.finish);
@@ -781,44 +839,259 @@ fn pareto_pass<const COST_BOUND: bool>(
                         .cost
                         .get_or_insert_with(|| task_cost(task.volume(), step.dur));
                     let cost = prev_state.cost + step_cost;
-                    if COST_BOUND && cost > max_cost {
-                        // Every completion from here costs more than
-                        // `C_lb`.
-                        continue;
-                    }
                     if covered(frontier, earliest_finish, cost) {
                         // Whatever the fit returned, a kept state would
                         // dominate it.
                         continue;
                     }
-                    if let Some(state) = fit_state(
-                        availability,
-                        node_id,
-                        ready,
-                        step.dur,
-                        step.stall,
-                        finish_bound,
-                        cost,
-                        Some((pni, si)),
-                    ) {
-                        insert_pareto(frontier, state);
-                    }
+                    let Some(start) = step.fit(availability, node_id, ready, finish_bound) else {
+                        // Every later state is ready no earlier, so its
+                        // fit fails too.
+                        break;
+                    };
+                    insert_pareto(
+                        frontier,
+                        State {
+                            start,
+                            finish: start + step.dur,
+                            stall: step.stall,
+                            cost,
+                            parent: Some((pni, si)),
+                        },
+                    );
                 }
             }
         }
-        level.occupied.extend(
-            level
-                .states
-                .iter()
-                .enumerate()
-                .filter(|(_, states)| !states.is_empty())
-                .map(|(ni, _)| ni),
-        );
-        if level.occupied.is_empty() {
-            return Err(AllocateError { task: task_id });
-        }
+        close_level(level, task_id)?;
     }
     Ok(())
+}
+
+/// Rule 9 (DESIGN §4), the cost-bounded pass of a [`Objective::MinCost`]
+/// chain: the DP over `chain` with every state that cannot reach `C_lb`
+/// (`cost_lb`) left out, filling `scratch.levels`.
+///
+/// Every prefix the DP builds at `(pos, node)` has `cost + ctg ≥ C_lb`
+/// (`ctg` is the least cost of any completion from there, each step
+/// charged what the DP charges it), and the bound admits `cost + ctg ≤
+/// C_lb`. So every admitted state costs exactly `C_lb − ctg(pos, node)`,
+/// and a frontier of equal costs holds one state: the earliest finish,
+/// ties going to the first predecessor in node order, which is what
+/// [`insert_pareto`] keeps. The pass keeps just that state, with no
+/// frontier to search. Its fits go through [`ClassStep::fit`] (rule 11).
+///
+/// # Errors
+///
+/// Names the task of the first position left with no state.
+fn tight_pass(
+    ctx: &AllocationContext<'_>,
+    chain: &[TaskId],
+    availability: &TimetableOverlay,
+    scratch: &mut AllocScratch,
+    cost_lb: Cost,
+) -> Result<(), AllocateError> {
+    let AllocScratch {
+        nodes,
+        node_class,
+        arcs,
+        steps,
+        domain_firsts,
+        classes,
+        levels,
+        ctg,
+        ..
+    } = scratch;
+    let nodes: &[NodeId] = nodes;
+    let n = nodes.len();
+    let self_class = classes.len() - 1;
+    recycle_levels(levels, chain.len(), n);
+    for (pos, &task_id) in chain.iter().enumerate() {
+        let task = ctx.job.task(task_id);
+        let (done, rest) = levels.split_at_mut(pos);
+        let level = &mut rest[0];
+        let chain_step = done
+            .last()
+            .map(|prev| (prev, chain_arc(ctx.job, arcs, chain[pos - 1], task_id)));
+        if let Some((prev, _)) = chain_step {
+            fill_domain_firsts(prev, node_class, domain_firsts);
+        }
+        let row = &steps[pos * n..][..n];
+        for (ni, &node_id) in nodes.iter().enumerate() {
+            // The cost of every state here.
+            let Some(target) = ctg[pos * n + ni].and_then(|rest| cost_lb.checked_sub(rest)) else {
+                continue;
+            };
+            let Some(NodeStep {
+                exec,
+                ready: ready_placed,
+                stall: stall_placed,
+                finish_bound,
+            }) = row[ni]
+            else {
+                continue;
+            };
+            let Some((prev, arc)) = chain_step else {
+                let dur = stall_placed + exec;
+                let cost = task_cost(task.volume(), dur);
+                debug_assert!(cost >= target, "C_lb is the least chain cost");
+                if cost > target {
+                    continue;
+                }
+                level.states[ni].extend(fit_state(
+                    availability,
+                    node_id,
+                    ready_placed,
+                    dur,
+                    stall_placed,
+                    finish_bound,
+                    cost,
+                    None,
+                ));
+                continue;
+            };
+            // One class step per predecessor class, as in the Pareto pass.
+            classes.fill(None);
+            let mut best: Option<State> = None;
+            for &pni in &prev.occupied {
+                let class = if pni == ni {
+                    self_class
+                } else {
+                    node_class[pni]
+                };
+                let step = classes[class].get_or_insert_with(|| {
+                    let chain_stall = ctx.policy.delay_from(arc, nodes[pni], node_id, ctx.pool);
+                    ClassStep::new(
+                        stall_placed.max(chain_stall),
+                        exec,
+                        least_ready(domain_firsts, prev, node_class, class, ni, ready_placed),
+                    )
+                });
+                let prev_state = prev.states[pni][0];
+                let ready = ready_placed.max_of(prev_state.finish);
+                let earliest_finish = ready.saturating_add(step.dur);
+                if earliest_finish > finish_bound
+                    || best.is_some_and(|b| b.finish <= earliest_finish)
+                {
+                    // The fit fails, or cannot beat the kept state (a tie
+                    // keeps the earlier predecessor).
+                    continue;
+                }
+                let step_cost = *step
+                    .cost
+                    .get_or_insert_with(|| task_cost(task.volume(), step.dur));
+                let cost = prev_state.cost + step_cost;
+                debug_assert!(cost >= target, "C_lb is the least chain cost");
+                if cost > target {
+                    continue;
+                }
+                let Some(start) = step.fit(availability, node_id, ready, finish_bound) else {
+                    continue;
+                };
+                let finish = start + step.dur;
+                if best.is_none_or(|b| finish < b.finish) {
+                    best = Some(State {
+                        start,
+                        finish,
+                        stall: step.stall,
+                        cost,
+                        parent: Some((pni, 0)),
+                    });
+                }
+            }
+            level.states[ni].extend(best);
+        }
+        close_level(level, task_id)?;
+    }
+    Ok(())
+}
+
+/// Makes sure `levels` holds `len` levels of `n` frontiers and clears
+/// them, keeping their capacity; levels past `len` are left stale.
+fn recycle_levels(levels: &mut Vec<Level>, len: usize, n: usize) {
+    if levels.len() < len {
+        levels.resize_with(len, Level::default);
+    }
+    for level in levels.iter_mut().take(len) {
+        for states in &mut level.states {
+            states.clear();
+        }
+        if level.states.len() != n {
+            level.states.resize_with(n, Vec::new);
+        }
+        level.occupied.clear();
+    }
+}
+
+/// Lists a filled level's non-empty frontiers (rule 6).
+///
+/// # Errors
+///
+/// Names `task` when the level is empty.
+fn close_level(level: &mut Level, task: TaskId) -> Result<(), AllocateError> {
+    level.occupied.extend(
+        level
+            .states
+            .iter()
+            .enumerate()
+            .filter(|(_, states)| !states.is_empty())
+            .map(|(ni, _)| ni),
+    );
+    if level.occupied.is_empty() {
+        return Err(AllocateError { task });
+    }
+    Ok(())
+}
+
+/// Fills `firsts` from `level`: per domain, its number of occupied nodes
+/// and the two least first finishes of their frontiers (rule 11).
+fn fill_domain_firsts(level: &Level, node_class: &[usize], firsts: &mut [DomainFirsts]) {
+    firsts.fill(DomainFirsts::default());
+    for &ni in &level.occupied {
+        let first = &mut firsts[node_class[ni]];
+        first.occupied += 1;
+        push_top_two(&mut first.top, level.states[ni][0].finish, ni);
+    }
+}
+
+/// The least ready time of class `class`'s predecessors of the target
+/// node `ni` (rule 11): the target's placed ready time or the least
+/// frontier-first finish of the domain's occupied nodes other than `ni`,
+/// whichever is later. `None` when fewer than two of those nodes are
+/// occupied, and for the self class, which has no domain slot.
+fn least_ready(
+    firsts: &[DomainFirsts],
+    prev: &Level,
+    node_class: &[usize],
+    class: usize,
+    ni: usize,
+    ready_placed: SimTime,
+) -> Option<SimTime> {
+    let first = firsts.get(class)?;
+    let own = node_class[ni] == class && !prev.states[ni].is_empty();
+    if first.occupied - usize::from(own) < 2 {
+        return None;
+    }
+    other_than(&first.top, ni).map(|(finish, _)| ready_placed.max_of(finish))
+}
+
+/// Keeps `top` the two least `(value, node index)` pairs pushed, least
+/// first; a tie keeps the pair pushed first.
+fn push_top_two<T: PartialOrd + Copy>(top: &mut [Option<(T, usize)>; 2], value: T, ni: usize) {
+    if top[0].is_none_or(|(v, _)| value < v) {
+        top[1] = top[0];
+        top[0] = Some((value, ni));
+    } else if top[1].is_none_or(|(v, _)| value < v) {
+        top[1] = Some((value, ni));
+    }
+}
+
+/// The least pair of `top` whose node is not `ni`: the second stands in
+/// when the first is `ni` itself.
+fn other_than<T: Copy>(top: &[Option<(T, usize)>; 2], ni: usize) -> Option<(T, usize)> {
+    match top[0] {
+        Some((_, first)) if first == ni => top[1],
+        first => first,
+    }
 }
 
 /// Picks the best final state of the Pareto pass under the objective
@@ -953,13 +1226,7 @@ fn earliest_finish_pass(
                     continue;
                 };
                 least_prev = least_prev.min(finish);
-                let top = &mut domain_earliest[node_class[pni]];
-                if top[0].is_none_or(|(f, _)| finish < f) {
-                    top[1] = top[0];
-                    top[0] = Some((finish, pni));
-                } else if top[1].is_none_or(|(f, _)| finish < f) {
-                    top[1] = Some((finish, pni));
-                }
+                push_top_two(&mut domain_earliest[node_class[pni]], finish, pni);
             }
         }
         let row = &steps[pos * n..][..n];
@@ -993,10 +1260,7 @@ fn earliest_finish_pass(
                     // The node itself, then each domain's earliest other
                     // node.
                     let own = earliest_prev[ni].map(|finish| (finish, ni));
-                    let others = domain_earliest.iter().filter_map(|top| match top[0] {
-                        Some((_, pni)) if pni == ni => top[1],
-                        first => first,
-                    });
+                    let others = domain_earliest.iter().filter_map(|top| other_than(top, ni));
                     for (finish, pni) in own.into_iter().chain(others) {
                         let chain_stall = ctx.policy.delay_from(arc, nodes[pni], node_id, ctx.pool);
                         push(
@@ -1452,7 +1716,8 @@ mod tests {
     /// background load, tasks with `min_perf`, a chain cut from a pipeline
     /// whose tasks before and after it are placed, extra placed producers
     /// and consumers on random chain tasks, both scenarios, all three data
-    /// policies, VO-wide and single-domain contexts.
+    /// policies, VO-wide and single-domain contexts. [`Self::crowded`]
+    /// draws busier calendars with several nodes per domain.
     struct ChainCase {
         pool: ResourcePool,
         job: Job,
@@ -1469,10 +1734,30 @@ mod tests {
             // Up to nine domains: the earliest-finish pass tries up to
             // `#domains + 1` candidates per `(position, node)`, the
             // cost-to-go table keeps a top two per domain.
-            let domains = g.u64_in(1, 9);
+            Self::generate_with(g, 9, 1, 12)
+        }
+
+        /// Up to three domains of up to four nodes each on average, and
+        /// gaps of at most four ticks between background windows: the
+        /// class fits of rule 11 see several predecessors per domain and
+        /// fits that fail.
+        fn crowded(g: &mut Gen) -> Self {
+            Self::generate_with(g, 3, 4, 4)
+        }
+
+        /// A case on up to `max_domains` domains and
+        /// `4 + domains × nodes_per_domain` nodes, with background
+        /// windows at most `max_gap` ticks apart.
+        fn generate_with(
+            g: &mut Gen,
+            max_domains: u64,
+            nodes_per_domain: usize,
+            max_gap: u64,
+        ) -> Self {
+            let domains = g.u64_in(1, max_domains);
             let mut pool = ResourcePool::new();
             let mut owner = 0;
-            for _ in 0..g.usize_in(2, 4 + domains as usize) {
+            for _ in 0..g.usize_in(2, 4 + domains as usize * nodes_per_domain) {
                 let domain = DomainId::new(g.u64_in(0, domains - 1) as u32);
                 let node = pool.add_node(domain, perf(g, &[0.25, 0.5, 0.75, 1.0]));
                 let mut t = g.u64_in(0, 8);
@@ -1485,7 +1770,7 @@ mod tests {
                         .reserve(window, ReservationOwner::Background(owner))
                         .unwrap();
                     owner += 1;
-                    t += len + g.u64_in(1, 12);
+                    t += len + g.u64_in(1, max_gap);
                 }
             }
 
@@ -1641,6 +1926,181 @@ mod tests {
         assert!(tally.iter().all(|&n| n > 0), "outcomes {tally:?}");
     }
 
+    /// The Pareto DP as it was before rule 9's tight pass and rule 11:
+    /// one `earliest_fit` per predecessor state, and with `COST_BOUND`
+    /// every candidate whose cost plus `ctg` exceeds `cost_bound` skipped
+    /// before its fit. The reference [`pareto_pass`] and [`tight_pass`]
+    /// must agree with.
+    fn reference_pass<const COST_BOUND: bool>(
+        ctx: &AllocationContext<'_>,
+        chain: &[TaskId],
+        availability: &TimetableOverlay,
+        scratch: &mut AllocScratch,
+        fastest_finish: Option<SimTime>,
+        cost_bound: Cost,
+    ) -> Result<(), AllocateError> {
+        let AllocScratch {
+            nodes,
+            node_class,
+            arcs,
+            steps,
+            earliest,
+            classes,
+            levels,
+            tail,
+            ctg,
+            ..
+        } = scratch;
+        let nodes: &[NodeId] = nodes;
+        let node_class: &[usize] = node_class;
+        let self_class = classes.len() - 1;
+        // Recycle levels: make sure there are enough, clear the ones this
+        // chain will use (keeping inner capacity), leave the rest stale.
+        if levels.len() < chain.len() {
+            levels.resize_with(chain.len(), Level::default);
+        }
+        for level in levels.iter_mut().take(chain.len()) {
+            for states in &mut level.states {
+                states.clear();
+            }
+            if level.states.len() != nodes.len() {
+                level.states.resize_with(nodes.len(), Vec::new);
+            }
+            level.occupied.clear();
+        }
+
+        for (pos, &task_id) in chain.iter().enumerate() {
+            let task = ctx.job.task(task_id);
+            // Split so the previous level stays readable while this one fills.
+            let (done, rest) = levels.split_at_mut(pos);
+            let level = &mut rest[0];
+            // The previous level and the transfer times of the arc connecting
+            // the previous chain element to this one.
+            let chain_step = done
+                .last()
+                .map(|prev| (prev, chain_arc(ctx.job, arcs, chain[pos - 1], task_id)));
+            // A state finishing after `F* - S(pos)` cannot be on the path to
+            // `F*`: the tasks after it need at least `S(pos)`.
+            let reach_bound = fastest_finish.map(|f| saturating_deadline(f, tail[pos]));
+            let row = &steps[pos * nodes.len()..][..nodes.len()];
+            for (ni, &node_id) in nodes.iter().enumerate() {
+                if let Some(bound) = reach_bound {
+                    // No state here finishes before the first pass's earliest
+                    // finish, so none would survive the bound (rule 6).
+                    if earliest[pos * nodes.len() + ni].is_none_or(|e| e > bound) {
+                        continue;
+                    }
+                }
+                // The most a state here may cost and still reach `C_lb`.
+                let max_cost = if COST_BOUND {
+                    match ctg[pos * nodes.len() + ni].and_then(|rest| cost_bound.checked_sub(rest))
+                    {
+                        Some(max_cost) => max_cost,
+                        None => continue,
+                    }
+                } else {
+                    Cost::MAX
+                };
+                let Some(NodeStep {
+                    exec,
+                    ready: ready_placed,
+                    stall: stall_placed,
+                    finish_bound,
+                }) = row[ni]
+                else {
+                    continue;
+                };
+                let finish_bound = reach_bound.map_or(finish_bound, |b| finish_bound.min(b));
+                let frontier = &mut level.states[ni];
+                let Some((prev, arc)) = chain_step else {
+                    let dur = stall_placed + exec;
+                    let cost = task_cost(task.volume(), dur);
+                    if COST_BOUND && cost > max_cost {
+                        continue;
+                    }
+                    if let Some(state) = fit_state(
+                        availability,
+                        node_id,
+                        ready_placed,
+                        dur,
+                        stall_placed,
+                        finish_bound,
+                        cost,
+                        None,
+                    ) {
+                        frontier.push(state);
+                    }
+                    continue;
+                };
+                // The chain stall depends on the predecessor's node only
+                // through "same node" and its domain (`consumer_delay`'s
+                // documented invariant), so each class's step is computed
+                // once, from its first predecessor.
+                classes.fill(None);
+                for &pni in &prev.occupied {
+                    let class = if pni == ni {
+                        self_class
+                    } else {
+                        node_class[pni]
+                    };
+                    let step = classes[class].get_or_insert_with(|| {
+                        let chain_stall = ctx.policy.delay_from(arc, nodes[pni], node_id, ctx.pool);
+                        ClassStep::new(stall_placed.max(chain_stall), exec, None)
+                    });
+                    for (si, prev_state) in prev.states[pni].iter().enumerate() {
+                        let ready = ready_placed.max_of(prev_state.finish);
+                        // No fit finishes before `earliest_finish` (`dur` is
+                        // positive: execution takes at least one tick).
+                        let earliest_finish = ready.saturating_add(step.dur);
+                        if earliest_finish > finish_bound {
+                            // The fit would fail, and so would every later
+                            // state: they are sorted by finish.
+                            break;
+                        }
+                        let step_cost = *step
+                            .cost
+                            .get_or_insert_with(|| task_cost(task.volume(), step.dur));
+                        let cost = prev_state.cost + step_cost;
+                        if COST_BOUND && cost > max_cost {
+                            // Every completion from here costs more than
+                            // `C_lb`.
+                            continue;
+                        }
+                        if covered(frontier, earliest_finish, cost) {
+                            // Whatever the fit returned, a kept state would
+                            // dominate it.
+                            continue;
+                        }
+                        if let Some(state) = fit_state(
+                            availability,
+                            node_id,
+                            ready,
+                            step.dur,
+                            step.stall,
+                            finish_bound,
+                            cost,
+                            Some((pni, si)),
+                        ) {
+                            insert_pareto(frontier, state);
+                        }
+                    }
+                }
+            }
+            level.occupied.extend(
+                level
+                    .states
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, states)| !states.is_empty())
+                    .map(|(ni, _)| ni),
+            );
+            if level.occupied.is_empty() {
+                return Err(AllocateError { task: task_id });
+            }
+        }
+        Ok(())
+    }
+
     /// The unbounded Pareto pass and pick, as before rule 9.
     fn unbounded_pareto(
         ctx: &AllocationContext<'_>,
@@ -1651,7 +2111,7 @@ mod tests {
         let mut scratch = AllocScratch::default();
         scratch.begin_pass(ctx);
         scratch.fill_steps(ctx, chain, placed);
-        pareto_pass::<false>(ctx, chain, view, &mut scratch, None, 0)?;
+        reference_pass::<false>(ctx, chain, view, &mut scratch, None, 0)?;
         let mut out = Vec::new();
         pick_into(ctx, chain, &scratch, &mut out);
         Ok(out)
@@ -1774,6 +2234,137 @@ mod tests {
                 (_, Ok(_)) => 1,
                 (_, Err(_)) => 2,
             }] += 1;
+            outcomes.set(tally);
+        });
+        let tally = outcomes.get();
+        assert!(tally.iter().all(|&n| n > 0), "outcomes {tally:?}");
+    }
+
+    /// The first `len` levels of the DP: every frontier, in order and
+    /// with its parents, and the occupied list.
+    fn levels_of(scratch: &AllocScratch, len: usize) -> Vec<(Vec<Vec<State>>, Vec<usize>)> {
+        scratch.levels[..len]
+            .iter()
+            .map(|level| (level.states.clone(), level.occupied.clone()))
+            .collect()
+    }
+
+    /// Either generator, half the time each.
+    fn any_case(g: &mut Gen) -> ChainCase {
+        if g.chance(0.5) {
+            ChainCase::generate(g)
+        } else {
+            ChainCase::crowded(g)
+        }
+    }
+
+    /// Rule 11 is exact: the Pareto pass, with each fit answered through
+    /// its predecessor class, fills the same levels (every frontier in the
+    /// same order with the same parents) and fails on the same task as
+    /// the per-state fit loop, on `MinCost`, capped `FASTEST` and
+    /// `MinTime { budget }`.
+    #[test]
+    fn pareto_pass_matches_the_per_state_fit_loop() {
+        // Per objective: placed, failed.
+        let outcomes = std::cell::Cell::new([[0u32; 2]; 3]);
+        check(512, |g| {
+            let case = any_case(g);
+            let (which, objective) = match g.usize_in(0, 2) {
+                0 => (0, Objective::MinCost),
+                1 => (1, Objective::FASTEST),
+                _ => (
+                    2,
+                    Objective::MinTime {
+                        budget: Some(g.u64_in(0, 400)),
+                    },
+                ),
+            };
+            let ctx = case.ctx(objective);
+            let view = TimetableOverlay::new(case.pool.snapshot());
+            let mut scratch = AllocScratch::default();
+            scratch.begin_pass(&ctx);
+            scratch.prepare_chain(&ctx, &case.chain, &case.placed);
+            let fastest = if objective == Objective::FASTEST {
+                let cap = incumbent_dive(&ctx, &case.chain, &view, &mut scratch);
+                match earliest_finish_pass(&ctx, &case.chain, &view, &mut scratch, cap) {
+                    Ok(fastest) => Some(fastest),
+                    // The Pareto pass does not run.
+                    Err(_) => return,
+                }
+            } else {
+                None
+            };
+            let reference =
+                reference_pass::<false>(&ctx, &case.chain, &view, &mut scratch, fastest, 0);
+            let expected = levels_of(&scratch, case.chain.len());
+            let result = pareto_pass(&ctx, &case.chain, &view, &mut scratch, fastest);
+            assert_eq!(result, reference, "chain {:?}", case.chain);
+            assert_eq!(
+                levels_of(&scratch, case.chain.len()),
+                expected,
+                "chain {:?}, placed {:?}",
+                case.chain,
+                case.placed
+            );
+            let mut tally = outcomes.get();
+            tally[which][usize::from(result.is_err())] += 1;
+            outcomes.set(tally);
+        });
+        // A `FASTEST` Pareto pass never fails once its first pass placed
+        // the chain (rule 4).
+        let tally = outcomes.get();
+        assert!(
+            tally.iter().all(|t| t[0] > 0) && tally[0][1] > 0 && tally[2][1] > 0,
+            "outcomes {tally:?}"
+        );
+    }
+
+    /// Rule 9's pass is tight and exact: every state the cost-bounded
+    /// per-state loop admits costs exactly `C_lb − ctg(pos, node)`, so
+    /// each of its frontiers holds at most one state; and the tight pass
+    /// holds exactly when that loop does, with the same levels (the same
+    /// parents: a tie keeps the earlier predecessor).
+    #[test]
+    fn tight_pass_matches_the_cost_bounded_loop() {
+        // Held; emptied a level.
+        let outcomes = std::cell::Cell::new([0u32; 2]);
+        check(512, |g| {
+            let case = any_case(g);
+            let ctx = case.ctx(Objective::MinCost);
+            let view = TimetableOverlay::new(case.pool.snapshot());
+            let mut scratch = AllocScratch::default();
+            scratch.begin_pass(&ctx);
+            scratch.prepare_chain(&ctx, &case.chain, &case.placed);
+            let Some(bound) = scratch.cost_lb else {
+                return;
+            };
+            let reference =
+                reference_pass::<true>(&ctx, &case.chain, &view, &mut scratch, None, bound);
+            let expected = levels_of(&scratch, case.chain.len());
+            let n = scratch.nodes.len();
+            for (pos, (states, _)) in expected.iter().enumerate() {
+                for (ni, frontier) in states.iter().enumerate() {
+                    assert!(frontier.len() <= 1, "pos {pos}, node {ni}: {frontier:?}");
+                    for state in frontier {
+                        assert_eq!(
+                            scratch.ctg[pos * n + ni].map(|rest| state.cost + rest),
+                            Some(bound),
+                            "pos {pos}, node {ni}"
+                        );
+                    }
+                }
+            }
+            let result = tight_pass(&ctx, &case.chain, &view, &mut scratch, bound);
+            assert_eq!(result, reference, "chain {:?}", case.chain);
+            assert_eq!(
+                levels_of(&scratch, case.chain.len()),
+                expected,
+                "chain {:?}, placed {:?}",
+                case.chain,
+                case.placed
+            );
+            let mut tally = outcomes.get();
+            tally[usize::from(result.is_err())] += 1;
             outcomes.set(tally);
         });
         let tally = outcomes.get();

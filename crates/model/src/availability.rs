@@ -52,10 +52,12 @@
 //! immutable). The cold path asks the index for the earliest **base**
 //! fit in O(log R) and lets the scenario's few tentative windows veto
 //! and re-seed the probe; with no tentative windows on the node the
-//! index answers outright. Answers are bit-identical to the linear walk
-//! — see DESIGN.md §9 and `crates/model/tests/prop_gap_index.rs` — so
-//! the path a pool's [`ProbeConfig`] picks has no observable effect
-//! beyond the [`IndexStats`] counters.
+//! index answers outright. Its seek into the window lists resumes from
+//! the merged cursor, as the linear walk's does. Answers are
+//! bit-identical to the linear walk — see DESIGN.md §9 and
+//! `crates/model/tests/prop_gap_index.rs` — so the path a pool's
+//! [`ProbeConfig`] picks has no observable effect beyond the
+//! [`IndexStats`] counters.
 //!
 //! The index only engages for calendars of at least
 //! [`ProbeConfig::index_floor`] base windows ([`DEFAULT_INDEX_FLOOR`]
@@ -394,12 +396,11 @@ struct NodeCache {
     fit: Option<FitMemo>,
 }
 
-/// Where the last merged walk over a node stood: `i`/`j` are the first
-/// base/tentative indices whose windows end after `after`.
+/// Where the last query on a node stood: `i`/`j` are the first
+/// base/tentative indices whose windows end after its time.
 #[derive(Debug, Clone, Copy)]
 struct CursorMemo {
     epoch: u64,
-    after: SimTime,
     i: usize,
     j: usize,
 }
@@ -448,6 +449,29 @@ fn first_ending_after_from(ws: &[TimeWindow], from: usize, t: SimTime) -> usize 
     let upper = (prev + step).min(n);
     let within = tail[prev + 1..upper].partition_point(|w| w.end() <= t);
     from + prev + 1 + within
+}
+
+/// First index whose window ends after `t`, searched outward from the
+/// hint `near`: galloping forward when the window at `near` ends at or
+/// before `t`, backward otherwise. A planning pass's probes on a node
+/// mostly step a little forward, and a little back when the DP turns to
+/// the next predecessor, so the answer is usually a step or two from the
+/// last one either way.
+fn first_ending_after_near(ws: &[TimeWindow], near: usize, t: SimTime) -> usize {
+    if ws.get(near).is_some_and(|w| w.end() <= t) {
+        return first_ending_after_from(ws, near + 1, t);
+    }
+    // `ws[hi]` ends after `t` (or `hi` is the end): the answer is at or
+    // before it.
+    let mut hi = near.min(ws.len());
+    let mut step = 1usize;
+    while hi >= step && ws[hi - step].end() > t {
+        hi -= step;
+        step *= 2;
+    }
+    // `ws[lo]` ends at or before `t`, unless `lo` is 0.
+    let lo = hi.saturating_sub(step);
+    lo + ws[lo..hi].partition_point(|w| w.end() <= t)
 }
 
 /// Two-pointer merge over a node's base and tentative windows.
@@ -502,18 +526,22 @@ impl<'a> MergedWindows<'a> {
 /// cells. Returns the answer plus whether *this call* built the gap
 /// index (see [`NodeCalendar::gap_index_tracked`]).
 ///
-/// Each round asks the index for the earliest **base-only** fit `s` at
-/// or after the candidate — every start below `s` is blocked by the base
-/// alone, so none can be the merged answer. If no tentative window
-/// intersects `[s, s + duration)`, `s` *is* the merged answer. Otherwise
-/// the first tentative window `w` ending after `s` blocks every start in
-/// `[s, w.end())`, so the candidate jumps to `w.end()` — exactly where
-/// the linear walk lands when it hops `w`. Each round retires one
+/// `(i, j)` are the first base and tentative indices whose windows end
+/// after `not_before` (the node's cursor). Each round asks the index for
+/// the earliest **base-only** fit `s` at or after the candidate — every
+/// start below `s` is blocked by the base alone, so none can be the
+/// merged answer. If no tentative window intersects `[s, s + duration)`,
+/// `s` *is* the merged answer. Otherwise the first tentative window `w`
+/// ending after `s` blocks every start in `[s, w.end())`, so the
+/// candidate jumps to `w.end()` — exactly where the linear walk lands
+/// when it hops `w`. Candidates only move forward, so both indices
+/// gallop on from where the last round left them. Each round retires one
 /// tentative window, so the loop runs at most `tentative + 1` rounds of
 /// O(log B + log T).
 fn indexed_probe(
     calendar: &NodeCalendar,
     tentative: &[TimeWindow],
+    (mut i, mut j): (usize, usize),
     not_before: SimTime,
     duration: SimDuration,
     deadline: SimTime,
@@ -521,28 +549,21 @@ fn indexed_probe(
     let mut built = false;
     let gap = calendar.gap_index_tracked(&mut built);
     let base = calendar.windows();
-    if tentative.is_empty() {
-        return (
-            gap.earliest_fit(base, not_before, duration, deadline),
-            built,
-        );
-    }
     let mut candidate = not_before;
     loop {
-        // Unbounded-deadline base probe (always `Some`: the trailing gap
-        // is infinite); the caller's deadline is applied to each proposal
-        // below, which matches the linear walk's early exit because
-        // candidates only move forward.
-        let Some(s) = gap.earliest_fit(base, candidate, duration, SimTime::MAX) else {
+        // A base-only start past the deadline ends the probe: the merged
+        // answer is no earlier, which matches the linear walk's early
+        // exit because candidates only move forward.
+        let Some(s) = gap.earliest_fit_at(base, i, candidate, duration, deadline) else {
             return (None, built);
         };
         let end = s.saturating_add(duration);
-        if end > deadline {
-            return (None, built);
-        }
-        let j = tentative.partition_point(|w| w.end() <= s);
+        j = first_ending_after_from(tentative, j, s);
         match tentative.get(j) {
-            Some(w) if w.start() < end => candidate = w.end(),
+            Some(w) if w.start() < end => {
+                candidate = w.end();
+                i = first_ending_after_from(base, i, candidate);
+            }
             _ => return (Some(s), built),
         }
     }
@@ -612,19 +633,30 @@ impl TimetableOverlay {
     }
 
     /// Merged base + tentative walk starting at the first windows ending
-    /// after `t`, resuming from the node's cached cursor when the query
-    /// moved forward in time (the common case inside a planning pass) and
-    /// re-bisecting from scratch otherwise. The refreshed cursor is stored
-    /// back for the next query.
+    /// after `t` (see [`TimetableOverlay::cursor_at`]).
     fn merged_after(&self, node: NodeId, t: SimTime) -> MergedWindows<'_> {
+        let (i, j) = self.cursor_at(node, t);
+        MergedWindows {
+            base: self.base.windows(node),
+            extra: &self.tentative[node.index()],
+            i,
+            j,
+        }
+    }
+
+    /// The first base and tentative indices whose windows end after `t`,
+    /// galloping from the node's cached cursor, forward or backward, and
+    /// bisecting from scratch only when the node has none. The refreshed
+    /// cursor is stored back for the next query.
+    fn cursor_at(&self, node: NodeId, t: SimTime) -> (usize, usize) {
         let idx = node.index();
         let base = self.base.windows(node);
         let extra = self.tentative[idx].as_slice();
         let mut cache = self.cache[idx].get();
         let (i, j) = match cache.cursor {
-            Some(c) if c.epoch == cache.epoch && t >= c.after => (
-                first_ending_after_from(base, c.i, t),
-                first_ending_after_from(extra, c.j, t),
+            Some(c) if c.epoch == cache.epoch => (
+                first_ending_after_near(base, c.i, t),
+                first_ending_after_near(extra, c.j, t),
             ),
             _ => (
                 base.partition_point(|w| w.end() <= t),
@@ -633,12 +665,11 @@ impl TimetableOverlay {
         };
         cache.cursor = Some(CursorMemo {
             epoch: cache.epoch,
-            after: t,
             i,
             j,
         });
         self.cache[idx].set(cache);
-        MergedWindows { base, extra, i, j }
+        (i, j)
     }
 
     /// Bumps the node's epoch, killing its cursor and fit memos.
@@ -744,7 +775,10 @@ impl TimetableOverlay {
 
     /// The indexed cold path: the base layer answers through the
     /// snapshot's [`GapIndex`] in O(log B); the scenario's tentative
-    /// windows (none or a handful) veto and re-seed the probe.
+    /// windows (none or a handful) veto and re-seed the probe. The seek
+    /// into both lists resumes from the node's cursor, as the linear
+    /// walk's does, so a probe just after the last one gallops a step or
+    /// two instead of bisecting every base window.
     ///
     /// Each round asks the index for the earliest **base-only** fit `s`
     /// at or after the candidate — every start below `s` is blocked by
@@ -767,6 +801,7 @@ impl TimetableOverlay {
         let (result, built) = indexed_probe(
             self.base.calendar(node),
             &self.tentative[node.index()],
+            self.cursor_at(node, not_before),
             not_before,
             duration,
             deadline,
@@ -933,6 +968,28 @@ mod tests {
             ..ProbeConfig::default()
         });
         pool
+    }
+
+    /// The cursor search lands where a bisect of the whole list does,
+    /// from any hint, on either side of the answer.
+    #[test]
+    fn first_ending_after_near_matches_a_bisect_from_any_hint() {
+        gridsched_sim::check::check(512, |g| {
+            let mut ws = Vec::new();
+            let mut at = g.u64_in(0, 5);
+            for _ in 0..g.usize_in(0, 40) {
+                let len = g.u64_in(1, 6);
+                ws.push(w(at, at + len));
+                at += len + g.u64_in(0, 4);
+            }
+            let t = t(g.u64_in(0, at + 5));
+            let near = g.usize_in(0, ws.len());
+            assert_eq!(
+                first_ending_after_near(&ws, near, t),
+                ws.partition_point(|w| w.end() <= t),
+                "windows {ws:?}, near {near}, t {t}"
+            );
+        });
     }
 
     #[test]

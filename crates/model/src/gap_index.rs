@@ -86,12 +86,23 @@ impl GapIndex {
     }
 
     /// Smallest gap position `k >= lo` whose capacity is at least `need`
-    /// ticks, or `None` if no interior gap qualifies.
+    /// ticks, or `None` if no interior gap qualifies or the search reached
+    /// positions `k` whose `past(k)` holds.
+    ///
+    /// `past` must be monotone in `k` (false, then true): the climb stops
+    /// at the first subtree whose leftmost position is past, so a probe
+    /// whose deadline falls a few windows on costs a few steps instead of
+    /// a climb to the first wide gap, however far that is.
     ///
     /// One O(log R) climb to the first subtree right of `lo` whose max
     /// reaches `need`, then one O(log R) descent to its leftmost
     /// qualifying leaf.
-    fn first_gap_at_least(&self, lo: usize, need: u64) -> Option<usize> {
+    fn first_gap_at_least(
+        &self,
+        lo: usize,
+        need: u64,
+        past: impl Fn(usize) -> bool,
+    ) -> Option<usize> {
         let gaps = self.gap_count();
         if lo >= gaps || need == 0 {
             // need == 0 never reaches here from `earliest_fit` (zero
@@ -99,7 +110,12 @@ impl GapIndex {
             // refuse rather than report a phantom gap.
             return (need == 0 && lo < gaps).then_some(lo);
         }
+        if past(lo) {
+            return None;
+        }
         let mut n = self.leaves + lo;
+        // The height of `n` above the leaves.
+        let mut height = 0;
         loop {
             if self.tree[n] >= need {
                 // Descend to the leftmost qualifying leaf of this subtree.
@@ -124,6 +140,11 @@ impl GapIndex {
                     break;
                 }
                 n /= 2;
+                height += 1;
+            }
+            let first = (n << height) - self.leaves;
+            if first >= gaps || past(first) {
+                return None;
             }
         }
     }
@@ -140,7 +161,9 @@ impl GapIndex {
     /// `duration`, or the end of the last window. The walk's per-step
     /// deadline early-exit is equivalent to one final check because
     /// candidates only move forward: if any intermediate candidate
-    /// overshoots `deadline`, the final one does too.
+    /// overshoots `deadline`, the final one does too. For the same reason
+    /// the tree search stops as soon as every position left ends too late
+    /// for the deadline: the final check would refuse whatever it found.
     ///
     /// [`Timetable::earliest_fit`]: crate::timetable::Timetable::earliest_fit
     #[must_use]
@@ -151,15 +174,43 @@ impl GapIndex {
         duration: SimDuration,
         deadline: SimTime,
     ) -> Option<SimTime> {
+        self.earliest_fit_at(
+            windows,
+            self.first_ending_after(windows, not_before),
+            not_before,
+            duration,
+            deadline,
+        )
+    }
+
+    /// [`GapIndex::earliest_fit`] with the seek already done: `i` must be
+    /// the index of the first window ending after `not_before`, what
+    /// [`GapIndex::first_ending_after`] returns. A caller that keeps a
+    /// cursor into `windows` across probes finds it by galloping from
+    /// where its last probe stood instead of bisecting every window.
+    #[must_use]
+    pub fn earliest_fit_at(
+        &self,
+        windows: &[TimeWindow],
+        i: usize,
+        not_before: SimTime,
+        duration: SimDuration,
+        deadline: SimTime,
+    ) -> Option<SimTime> {
         debug_assert_eq!(
             windows.len(),
             self.window_count,
             "index used with a different window set than it was built over"
         );
+        // Ends strictly increase, so checking both neighbours pins `i`.
+        debug_assert!(
+            (i == 0 || windows[i - 1].end() <= not_before)
+                && windows.get(i).is_none_or(|w| w.end() > not_before),
+            "`i` is not the first window ending after `not_before`"
+        );
         if duration.is_zero() {
             return Some(not_before);
         }
-        let i = windows.partition_point(|w| w.end() <= not_before);
         let candidate = if i == windows.len() {
             // Past every reservation: the trailing gap is unbounded.
             not_before
@@ -167,9 +218,13 @@ impl GapIndex {
             // The (possibly truncated) gap before window `i` already fits.
             not_before
         } else {
-            match self.first_gap_at_least(i, duration.ticks()) {
+            // A start from window `k` on that ends past the deadline
+            // fails, and so does every later one: window ends increase.
+            let past = |k: usize| windows[k].end().saturating_add(duration) > deadline;
+            match self.first_gap_at_least(i, duration.ticks(), past) {
                 Some(k) => windows[k].end(),
-                // No interior gap fits: the answer is the trailing gap.
+                // No interior gap fits before the deadline: the answer is
+                // the trailing gap, or past the deadline.
                 None => windows[windows.len() - 1].end(),
             }
         };
@@ -258,6 +313,16 @@ mod tests {
             idx.earliest_fit(&ws, t(3), SimDuration::ZERO, t(0)),
             Some(t(3))
         );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "first window ending after")]
+    fn earliest_fit_at_rejects_a_wrong_seek() {
+        let ws = [w(0, 4), w(5, 7)];
+        let idx = GapIndex::build(&ws);
+        // The first window ending after t6 is `ws[1]`, not `ws[0]`.
+        let _ = idx.earliest_fit_at(&ws, 0, t(6), d(1), SimTime::MAX);
     }
 
     #[test]

@@ -238,3 +238,85 @@ fn toggle_off_is_observationally_identical() {
         assert_eq!(off.take_index_stats().seeks, 0, "floor MAX never seeks");
     });
 }
+
+/// The indexed cold probe resumes its seek from the node's cursor. On
+/// query sequences whose `not_before` moves forward and backward,
+/// interleaved with tentative reserves and releases, every answer of a
+/// warm indexed overlay equals the linear merged walk of a warm overlay
+/// that never indexes, and a cold `GapIndex::earliest_fit` over the
+/// materialized union of base and tentative windows.
+#[test]
+fn cursor_resumed_probes_match_linear_walk_and_cold_index() {
+    check(256, |g| {
+        let base = gen_timetable(g, 39);
+        let (indexed_pool, node) = one_node_pool(base.clone(), 0);
+        let (linear_pool, _) = one_node_pool(base.clone(), usize::MAX);
+        let mut indexed = TimetableOverlay::new(indexed_pool.snapshot());
+        let mut linear = TimetableOverlay::new(linear_pool.snapshot());
+        let mut union = base;
+        let mut held: Vec<TimeWindow> = Vec::new();
+        let mut not_before = g.u64_in(0, 300);
+        for _ in 0..24 {
+            match g.usize_in(0, 5) {
+                0 => {
+                    let w = gen_window(g);
+                    let ok = indexed.reserve_window(node, w).is_ok();
+                    assert_eq!(ok, linear.reserve_window(node, w).is_ok(), "reserve {w}");
+                    if ok {
+                        union
+                            .reserve(w, ReservationOwner::Background(1_000))
+                            .expect("the overlay accepted it");
+                        held.push(w);
+                    }
+                }
+                1 if !held.is_empty() => {
+                    let w = held.swap_remove(g.usize_in(0, held.len() - 1));
+                    assert!(indexed.release_window(node, w));
+                    assert!(linear.release_window(node, w));
+                    let id = union
+                        .iter()
+                        .find(|r| r.window() == w)
+                        .map(|r| r.id())
+                        .expect("held windows are in the union");
+                    union.release(id);
+                }
+                _ => {
+                    // Mostly small steps forward, sometimes a jump back.
+                    not_before = if g.chance(0.25) {
+                        not_before.saturating_sub(g.u64_in(0, 120))
+                    } else {
+                        not_before + g.u64_in(0, 30)
+                    };
+                    let not_before = SimTime::from_ticks(not_before);
+                    let duration = SimDuration::from_ticks(g.u64_in(1, 20));
+                    let deadline = if g.chance(0.3) {
+                        SimTime::MAX
+                    } else {
+                        not_before.saturating_add(SimDuration::from_ticks(g.u64_in(0, 200)))
+                    };
+                    let windows: Vec<TimeWindow> = union.iter().map(|r| r.window()).collect();
+                    let cold = GapIndex::build(&windows)
+                        .earliest_fit(&windows, not_before, duration, deadline);
+                    let probe =
+                        format!("probe=({not_before}, {duration}, {deadline}) held={held:?}");
+                    assert_eq!(
+                        indexed.earliest_fit(node, not_before, duration, deadline),
+                        cold,
+                        "indexed vs cold index, {probe}"
+                    );
+                    assert_eq!(
+                        linear.earliest_fit(node, not_before, duration, deadline),
+                        cold,
+                        "linear vs cold index, {probe}"
+                    );
+                }
+            }
+        }
+        assert_eq!(
+            indexed.take_index_stats().bypasses,
+            0,
+            "floor 0 always seeks"
+        );
+        assert_eq!(linear.take_index_stats().seeks, 0, "floor MAX never seeks");
+    });
+}

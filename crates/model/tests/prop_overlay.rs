@@ -7,7 +7,7 @@
 //! clones; it now plans against copy-on-write overlays, and bit-identical
 //! strategies require bit-identical availability answers.
 
-use gridsched_model::availability::TimetableOverlay;
+use gridsched_model::availability::{ProbeConfig, TimetableOverlay};
 use gridsched_model::ids::{DomainId, NodeId};
 use gridsched_model::node::ResourcePool;
 use gridsched_model::perf::Perf;
@@ -191,6 +191,82 @@ fn free_windows_match_materialized_clone() {
                 f.clone.free_windows(range),
                 "free_windows diverged on {range}"
             );
+        }
+    });
+}
+
+/// The node cursor both cold paths resume from is invisible: with the
+/// gap index engaged on every calendar and with it never engaged, a warm
+/// overlay answers `earliest_fit` and `first_conflict` exactly like the
+/// materialized clone, on query sequences whose `not_before` moves
+/// forward and backward, interleaved with `reserve_window` /
+/// `release_window`.
+#[test]
+fn cursor_survives_backward_queries_and_mutations_on_both_paths() {
+    check(128, |g| {
+        for index_floor in [0, usize::MAX] {
+            let mut pool = ResourcePool::new();
+            pool.set_probe_config(ProbeConfig {
+                index_floor,
+                ..ProbeConfig::default()
+            });
+            let node = pool.add_node(DomainId::new(0), Perf::FULL);
+            for (i, w) in g.vec_of(0, 14, gen_window).into_iter().enumerate() {
+                let _ = pool
+                    .timetable_mut(node)
+                    .reserve(w, ReservationOwner::Background(i as u64));
+            }
+            let mut clone = pool.timetable(node).clone();
+            let mut overlay = TimetableOverlay::new(pool.snapshot());
+            let mut held: Vec<TimeWindow> = Vec::new();
+            let mut from = g.u64_in(0, 200);
+            for step in 0..30 {
+                match g.usize_in(0, 5) {
+                    0 => {
+                        let w = gen_window(g);
+                        let ok = overlay.reserve_window(node, w).is_ok();
+                        let clone_ok = clone
+                            .reserve(w, ReservationOwner::Background(100 + step))
+                            .is_ok();
+                        assert_eq!(ok, clone_ok, "reserve acceptance diverged on {w}");
+                        if ok {
+                            held.push(w);
+                        }
+                    }
+                    1 if !held.is_empty() => {
+                        let w = held.swap_remove(g.usize_in(0, held.len() - 1));
+                        assert!(overlay.release_window(node, w), "release of a live window");
+                        let id = clone
+                            .iter()
+                            .find(|r| r.window() == w)
+                            .map(|r| r.id())
+                            .expect("held windows are in the clone");
+                        clone.release(id);
+                    }
+                    _ => {
+                        from = if g.chance(0.3) {
+                            from.saturating_sub(g.u64_in(0, 80))
+                        } else {
+                            from + g.u64_in(0, 25)
+                        };
+                        let f = SimTime::from_ticks(from);
+                        let duration = SimDuration::from_ticks(g.u64_in(0, 25));
+                        let deadline = SimTime::from_ticks(g.u64_in(0, 400));
+                        assert_eq!(
+                            overlay.earliest_fit(node, f, duration, deadline),
+                            clone.earliest_fit(f, duration, deadline),
+                            "floor {index_floor}: earliest_fit diverged \
+                             from={f} dur={duration} dl={deadline}"
+                        );
+                        let probe = gen_window(g);
+                        assert_eq!(
+                            overlay.first_conflict(node, probe),
+                            clone.first_conflict(probe).map(|r| r.window()),
+                            "floor {index_floor}: first_conflict diverged on {probe}"
+                        );
+                    }
+                }
+            }
         }
     });
 }
