@@ -16,11 +16,11 @@
 //!
 //! * `cold/hard`    — probes whose duration exceeds every interior gap,
 //!   the worst case: the walk scans the whole calendar, the index proves
-//!   "no interior gap fits" in O(log R). This ratio is the gated
-//!   `probe_index_speedup_cold`.
+//!   "no interior gap fits" in O(log R). The ratio at the largest pool
+//!   is reported as `probe_index_speedup_cold`.
 //! * `cold/typical` — short slots from random positions, the common case:
 //!   the walk usually stops after a few windows, so the index roughly
-//!   ties (reported as `probe_index_speedup_typical`, not gated).
+//!   ties (reported as `probe_index_speedup_typical`).
 //! * `warm/memo`    — a repeated overlay probe served by the `FitMemo`,
 //!   for scale: both cold paths sit above this floor.
 //! * `index build`  — the one-off O(R) cost a snapshot pays on its first
@@ -29,15 +29,17 @@
 //!   the calendar cache disabled (every capture refreezes the window
 //!   slice, O(R)) vs. enabled and primed (the capture reuses the frozen
 //!   calendar and its already-built index by `Arc`). The ratio at the
-//!   largest pool is the gated `index_cache_warm_speedup`, and the shape
-//!   also proves the warm capture serves probes with **zero** rebuilds.
+//!   largest pool is reported as `index_cache_warm_speedup`, and the
+//!   shape also asserts that the warm capture serves probes with **zero**
+//!   rebuilds.
 //!
 //! Results land in `BENCH_probe_scaling.json` (override with `--out`).
-//! CI reruns a reduced version and gates it via
-//! `bench_check --probe-index` ([`probe_gate`]): cold speedup at the
-//! largest pool must clear the floor, and that pool must hold ≥ 100k
-//! reservations. `bench_check --index-cache` gates the same file's
-//! warm-capture keys ([`index_cache_gate`]).
+//! This is a manual tool; CI does not run it, because wall-time ratios
+//! on a shared runner are noise. The properties behind the ratios are
+//! tested deterministically instead: the index search's O(log R) step
+//! bound (`gap_index`'s unit tests), indexed == linear at ≥ 100k windows
+//! (`crates/model/tests/prop_gap_index.rs`) and a warm capture's zero
+//! rebuilds and cache hits (`crates/model/tests/prop_index_cache.rs`).
 //!
 //! Run with: `cargo bench-probe` (alias for
 //! `cargo run --release -p gridsched-bench --bin probe_scaling`).
@@ -47,8 +49,6 @@
 //! [`AvailabilitySnapshot`]: gridsched::model::availability::AvailabilitySnapshot
 //! [`GapIndex`]: gridsched::model::gap_index::GapIndex
 //! [`Timetable::from_sorted`]: gridsched::model::timetable::Timetable::from_sorted
-//! [`probe_gate`]: gridsched_bench::probe_gate
-//! [`index_cache_gate`]: gridsched_bench::index_cache_gate
 
 use std::time::{Duration, Instant};
 
@@ -170,7 +170,7 @@ fn main() {
 
     let mut results: Vec<SizeResult> = Vec::new();
     // Cache counters from the *largest* size's warm-capture shape; the
-    // gate keys below report these.
+    // headline keys below report these.
     let mut warm_capture_hits = 0u64;
     let mut warm_capture_rebuilds = 0u64;
     for (idx, &n) in sizes.iter().enumerate() {
@@ -330,8 +330,7 @@ fn main() {
         .map(json_line)
         .collect::<Vec<_>>()
         .join(",\n");
-    // Gate keys first: `json_number` reads the first occurrence, and the
-    // per-size records below repeat none of these names.
+    // Headline keys first, then the per-size records.
     let json = format!(
         concat!(
             "{{\n",

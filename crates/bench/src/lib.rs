@@ -30,15 +30,7 @@ pub mod keys {
     /// `ablations` binary.
     pub const ABLATIONS: &[&str] = &["jobs", "load", "seed", "deadline-factor"];
     /// `bench_check` binary.
-    pub const BENCH_CHECK: &[&str] = &[
-        "fresh",
-        "baseline",
-        "online",
-        "probe-index",
-        "min-probe-speedup",
-        "index-cache",
-        "min-cache-speedup",
-    ];
+    pub const BENCH_CHECK: &[&str] = &["fresh", "baseline"];
     /// `coordination_bridge` binary.
     pub const COORDINATION_BRIDGE: &[&str] = &["jobs", "local-jobs", "seed"];
     /// `fig3_admissible` binary.
@@ -55,17 +47,6 @@ pub mod keys {
         "seed",
         "deadline-factor",
         "repeats",
-    ];
-    /// `online_throughput` binary.
-    pub const ONLINE_THROUGHPUT: &[&str] = &[
-        "jobs",
-        "seed",
-        "rate",
-        "queue",
-        "perturbations",
-        "domains",
-        "out",
-        "repeat",
     ];
     /// `probe_scaling` binary.
     pub const PROBE_SCALING: &[&str] = &["seed", "budget-ms", "probes", "max-reservations", "out"];
@@ -251,12 +232,10 @@ pub fn normalize(values: &[f64]) -> Vec<f64> {
 
 /// Extracts the numeric value following `"key":` in a JSON document.
 ///
-/// This is deliberately tiny — just enough to read back the flat
-/// `BENCH_*.json` files this crate writes (first occurrence of the key
-/// wins; nested objects with colliding key names are not a concern for
-/// those files).
-#[must_use]
-pub fn json_number(json: &str, key: &str) -> Option<f64> {
+/// This is deliberately tiny — just enough to read the `"value"` of one
+/// metric entry on a perfbench JSON line (first occurrence of the key
+/// wins).
+fn json_number(json: &str, key: &str) -> Option<f64> {
     let pat = format!("\"{key}\"");
     let idx = json.find(&pat)?;
     let rest = json[idx + pat.len()..].trim_start().strip_prefix(':')?;
@@ -267,15 +246,14 @@ pub fn json_number(json: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// One checked metric of a bench-gate comparison.
+/// One checked metric of a work-count gate comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GateLine {
-    /// What was checked: a JSON key, or `<workload>/<metric>` for the
-    /// work-count gate.
+    /// What was checked: `<workload>/<metric>`.
     pub key: String,
-    /// The freshly measured value, if the key was present.
+    /// The freshly measured value, if the metric was present.
     pub fresh: Option<f64>,
-    /// The committed baseline value (or the required floor), if present.
+    /// The committed baseline value, if present.
     pub baseline: Option<f64>,
     /// Whether the fresh value clears the check.
     pub pass: bool,
@@ -395,81 +373,6 @@ pub fn count_gate(fresh: &str, baseline: &str) -> (Vec<GateLine>, bool) {
     (lines, pass)
 }
 
-/// Gates a fresh `probe_scaling` result: the gap-indexed cold probe must
-/// be at least `min_speedup`× the linear jump-walk at the benchmark's
-/// largest pool, and that pool must be big enough for the comparison to
-/// mean anything (≥ 100k reservations — below that both paths finish in
-/// nanoseconds and the ratio is noise). The threshold is absolute, not
-/// relative to a committed baseline: CI machines are slower and noisier
-/// than the box that produced the committed numbers.
-#[must_use]
-pub fn probe_gate(fresh: &str, min_speedup: f64) -> (Vec<GateLine>, bool) {
-    let cold = json_number(fresh, "probe_index_speedup_cold");
-    let reservations = json_number(fresh, "max_reservations");
-    let lines = vec![
-        GateLine {
-            key: "probe_index_speedup_cold".to_owned(),
-            fresh: cold,
-            baseline: Some(min_speedup),
-            pass: cold.is_some_and(|v| v >= min_speedup),
-        },
-        GateLine {
-            key: "max_reservations_ge_100k".to_owned(),
-            fresh: reservations,
-            baseline: Some(100_000.0),
-            pass: reservations.is_some_and(|r| r >= 100_000.0),
-        },
-    ];
-    let pass = lines.iter().all(|l| l.pass);
-    (lines, pass)
-}
-
-/// Gates the warm-capture keys of a fresh `probe_scaling` result: a warm
-/// [`AvailabilitySnapshot`] capture of an unchanged pool must be at
-/// least `min_speedup`× the cold (cache-disabled) capture at the
-/// benchmark's largest pool, that pool must hold ≥ 100k windows for the
-/// ratio to mean anything, the warm capture must have rebuilt **zero**
-/// indexes, and it must have registered at least one cache hit (proof
-/// the cached path — not a lucky allocator — produced the speedup). The
-/// threshold is absolute for the same reason as [`probe_gate`].
-///
-/// [`AvailabilitySnapshot`]: gridsched::model::availability::AvailabilitySnapshot
-#[must_use]
-pub fn index_cache_gate(fresh: &str, min_speedup: f64) -> (Vec<GateLine>, bool) {
-    let warm = json_number(fresh, "index_cache_warm_speedup");
-    let windows = json_number(fresh, "index_cache_windows");
-    let rebuilds = json_number(fresh, "index_cache_warm_rebuilds");
-    let hits = json_number(fresh, "index_cache_warm_hits");
-    let lines = vec![
-        GateLine {
-            key: "index_cache_warm_speedup".to_owned(),
-            fresh: warm,
-            baseline: Some(min_speedup),
-            pass: warm.is_some_and(|v| v >= min_speedup),
-        },
-        GateLine {
-            key: "index_cache_windows_ge_100k".to_owned(),
-            fresh: windows,
-            baseline: Some(100_000.0),
-            pass: windows.is_some_and(|w| w >= 100_000.0),
-        },
-        GateLine {
-            key: "index_cache_warm_rebuilds".to_owned(),
-            fresh: rebuilds,
-            baseline: Some(0.0),
-            pass: rebuilds == Some(0.0),
-        },
-        GateLine {
-            key: "index_cache_warm_hits".to_owned(),
-            fresh: hits,
-            baseline: Some(1.0),
-            pass: hits.is_some_and(|h| h >= 1.0),
-        },
-    ];
-    let pass = lines.iter().all(|l| l.pass);
-    (lines, pass)
-}
-
 /// Prints a HOLDS/DIFFERS verdict line for a paper-claim check.
 pub fn verdict(label: &str, holds: bool) {
     let mark = if holds { "HOLDS" } else { "DIFFERS" };
@@ -523,31 +426,14 @@ mod tests {
         let cases: &[(&[&str], &[&str], &str)] = &[
             (
                 keys::BENCH_CHECK,
-                &[
-                    "--fresh",
-                    "f.txt",
-                    "--baseline",
-                    "b.txt",
-                    "--probe-index",
-                    "p.json",
-                    "--min-probe-speedup",
-                    "5.0",
-                ],
-                "--min-sppedup",
+                &["--fresh", "f.txt", "--baseline", "b.txt"],
+                // A removed gate's flag is rejected like a typo.
+                "--probe-index",
             ),
             (
-                keys::ONLINE_THROUGHPUT,
-                &[
-                    "--jobs",
-                    "60",
-                    "--rate",
-                    "0.15",
-                    "--domains",
-                    "3",
-                    "--out",
-                    "o.json",
-                ],
-                "--rat",
+                keys::PROBE_SCALING,
+                &["--budget-ms", "40", "--out", "p.json"],
+                "--budget",
             ),
             (
                 keys::CHAOS_RUN,
@@ -706,74 +592,6 @@ mod tests {
     #[test]
     fn count_gate_ignores_core_dependent_counts() {
         assert!(count_gate(&transcript(42_439, 0), &transcript(42_439, 3)).1);
-    }
-
-    #[test]
-    fn probe_gate_checks_speedup_and_scale() {
-        let good = "{\"probe_index_speedup_cold\": 12.4, \"probe_index_speedup_typical\": 1.1, \
-                    \"max_reservations\": 200000}";
-        let (lines, pass) = probe_gate(good, 5.0);
-        assert!(pass);
-        assert_eq!(lines.len(), 2);
-        assert_eq!(lines[0].fresh, Some(12.4));
-        assert_eq!(lines[0].baseline, Some(5.0));
-
-        // Below the speedup floor fails.
-        assert!(!probe_gate(good, 20.0).1);
-
-        // A toy-sized run fails even with a huge ratio.
-        let tiny = "{\"probe_index_speedup_cold\": 50.0, \"max_reservations\": 10000}";
-        let (lines, pass) = probe_gate(tiny, 5.0);
-        assert!(!pass);
-        assert!(lines[0].pass);
-        assert!(!lines[1].pass);
-
-        // Missing keys fail.
-        assert!(!probe_gate("{}", 1.0).1);
-    }
-
-    #[test]
-    fn index_cache_gate_checks_speedup_scale_and_rebuilds() {
-        let good = "{\"index_cache_warm_speedup\": 42.7, \
-                    \"index_cache_windows\": 200000, \
-                    \"index_cache_warm_rebuilds\": 0, \
-                    \"index_cache_warm_hits\": 37}";
-        let (lines, pass) = index_cache_gate(good, 10.0);
-        assert!(pass);
-        assert_eq!(lines.len(), 4);
-        assert_eq!(lines[0].fresh, Some(42.7));
-        assert_eq!(lines[0].baseline, Some(10.0));
-
-        // Below the warm-capture floor fails.
-        assert!(!index_cache_gate(good, 100.0).1);
-
-        // A toy-sized pool fails even with a huge ratio.
-        let tiny = "{\"index_cache_warm_speedup\": 80.0, \
-                    \"index_cache_windows\": 5000, \
-                    \"index_cache_warm_rebuilds\": 0, \
-                    \"index_cache_warm_hits\": 4}";
-        let (lines, pass) = index_cache_gate(tiny, 10.0);
-        assert!(!pass);
-        assert!(lines[0].pass);
-        assert!(!lines[1].pass);
-
-        // Any rebuild on the warm path fails: the cache went stale or
-        // was bypassed, so the speedup measured something else.
-        let rebuilt = "{\"index_cache_warm_speedup\": 42.7, \
-                       \"index_cache_windows\": 200000, \
-                       \"index_cache_warm_rebuilds\": 1, \
-                       \"index_cache_warm_hits\": 37}";
-        assert!(!index_cache_gate(rebuilt, 10.0).1);
-
-        // Zero recorded hits fails: nothing proves the cache served.
-        let cold = "{\"index_cache_warm_speedup\": 42.7, \
-                    \"index_cache_windows\": 200000, \
-                    \"index_cache_warm_rebuilds\": 0, \
-                    \"index_cache_warm_hits\": 0}";
-        assert!(!index_cache_gate(cold, 10.0).1);
-
-        // Missing keys fail.
-        assert!(!index_cache_gate("{}", 1.0).1);
     }
 
     #[test]

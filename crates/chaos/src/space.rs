@@ -227,16 +227,14 @@ impl ChaosCampaign {
     }
 
     /// The online serving run the zero-gap batch campaign must match: an
-    /// all-zero arrival trace (same jobs, same instants), a queue wide
-    /// enough that no arrival is rejected for capacity, and a probe on
-    /// deadline alone.
+    /// all-zero arrival trace (same jobs, same instants) and a queue wide
+    /// enough that no arrival is rejected for capacity.
     #[must_use]
     pub fn online_config(&self) -> OnlineConfig {
         OnlineConfig {
             base: self.zero_gap_config(),
             arrivals: ArrivalProcess::Trace { gaps: vec![0] },
             queue_capacity: self.jobs as usize,
-            probe_budget: None,
         }
     }
 }

@@ -21,7 +21,7 @@
 //!   by active replication);
 //! - [`online`]: the online serving layer — streaming arrivals from a
 //!   seeded [`gridsched_workload::arrivals::ArrivalProcess`], a bounded
-//!   admission queue with deadline/budget probes, and incremental
+//!   admission queue with deadline probes, and incremental
 //!   replanning on arrival/completion/fault events;
 //! - [`trace`]: the chronological campaign event log;
 //! - [`oracle`]: the trace-invariant oracle that replays a trace against

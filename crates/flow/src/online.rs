@@ -13,8 +13,8 @@
 //! 2. **Admission probe.** A cheap single-pass MS1-style probe via the
 //!    existing [`PlanningSession`] asks whether *any* best-case supporting
 //!    schedule can still meet the job's absolute deadline under
-//!    [`Objective::MinTime`] with the configured budget — the
-//!    deadline/budget admission test of Buyya et al.'s DBC algorithm.
+//!    [`Objective::FASTEST`] — the deadline admission test of Buyya et
+//!    al.'s DBC algorithm, with no budget.
 //!    Probes run in **admission rounds**: one session snapshot per round,
 //!    the queued jobs probed against it in parallel on the sweep worker
 //!    pool, the results consumed in queue order up to the first
@@ -58,7 +58,6 @@ use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use gridsched_core::cost::Cost;
 use gridsched_core::granularity::coarsen;
 use gridsched_core::method::ScheduleRequest;
 use gridsched_core::objective::Objective;
@@ -95,9 +94,6 @@ pub struct OnlineConfig {
     /// rejected immediately (the newest arrival is the deterministic
     /// drop).
     pub queue_capacity: usize,
-    /// Budget of the `MinTime { budget }` admission probe; `None` admits
-    /// on deadline alone.
-    pub probe_budget: Option<Cost>,
 }
 
 impl Default for OnlineConfig {
@@ -106,7 +102,6 @@ impl Default for OnlineConfig {
             base: CampaignConfig::default(),
             arrivals: ArrivalProcess::Poisson { rate: 0.15 },
             queue_capacity: 16,
-            probe_budget: None,
         }
     }
 }
@@ -214,18 +209,12 @@ struct Queued {
 }
 
 impl Queued {
-    /// The deadline/budget admission probe: one single-pass best-case
-    /// (MS1-style) planning attempt under `MinTime { budget }` against the
+    /// The deadline admission probe: one single-pass best-case
+    /// (MS1-style) planning attempt under [`Objective::FASTEST`] against the
     /// job's absolute deadline, on `session`'s snapshot at `now`. Records
     /// one `admission_probe` span; otherwise pure, so a round can run its
     /// probes on any thread.
-    fn probe(
-        &self,
-        campaign: &Campaign<'_>,
-        session: &PlanningSession<'_>,
-        now: SimTime,
-        budget: Option<Cost>,
-    ) -> bool {
+    fn probe(&self, campaign: &Campaign<'_>, session: &PlanningSession<'_>, now: SimTime) -> bool {
         let span = campaign
             .telemetry
             .span_under("admission_probe", campaign.root);
@@ -240,7 +229,7 @@ impl Queued {
         };
         session
             .scoped_under(span.id())
-            .probe(&req, self.deadline_abs, Objective::MinTime { budget })
+            .probe(&req, self.deadline_abs, Objective::FASTEST)
             .is_ok()
     }
 }
@@ -496,38 +485,52 @@ impl Online<'_> {
         // that stays queued, so each queued arrival is decided exactly once.
         let mut pos = 0;
         while pos < self.queue.len() {
-            let mut results = self.probe_round(pos, now).into_iter();
-            for result in results.by_ref() {
-                // Skipped past an earlier feasible entry: the next round
-                // probes it.
-                let Some(feasible) = result else { break };
-                match self.decide(pos, now, feasible) {
-                    Decision::Admit => {
-                        let entry = self.queue.remove(pos).expect("index in bounds");
-                        match self.admit(entry, now) {
-                            // The calendar moved: the rest of the round
-                            // probed a stale snapshot.
-                            None => break,
-                            Some(entry) => {
-                                // The full sweep disagreed with the probe;
-                                // the job stays queued for the next event.
-                                self.queue.insert(pos, entry);
-                                pos += 1;
-                            }
+            let results = self.probe_round(pos, now);
+            pos = self.consume_round(pos, now, results);
+        }
+    }
+
+    /// Consumes one admission round's `results` (offsets from `pos`, as
+    /// [`Online::probe_round`] returns them) strictly in queue order, and
+    /// returns the position the next round starts from.
+    ///
+    /// The round ends at its first `None` (an entry the cut-off skipped)
+    /// or at its first successful admission; every `Some` after an
+    /// admission was probed on a stale snapshot and is counted in
+    /// `admission_probes_discarded`.
+    fn consume_round(&mut self, mut pos: usize, now: SimTime, results: Vec<Option<bool>>) -> usize {
+        let mut results = results.into_iter();
+        for result in results.by_ref() {
+            // Skipped past an earlier feasible entry: the next round
+            // probes it.
+            let Some(feasible) = result else { break };
+            match self.decide(pos, now, feasible) {
+                Decision::Admit => {
+                    let entry = self.queue.remove(pos).expect("index in bounds");
+                    match self.admit(entry, now) {
+                        // The calendar moved: the rest of the round
+                        // probed a stale snapshot.
+                        None => break,
+                        Some(entry) => {
+                            // The full sweep disagreed with the probe;
+                            // the job stays queued for the next event.
+                            self.queue.insert(pos, entry);
+                            pos += 1;
                         }
                     }
-                    Decision::Reject => {
-                        let entry = self.queue.remove(pos).expect("index in bounds");
-                        self.reject(entry.record, now, RejectReason::Unmeetable);
-                    }
-                    Decision::Defer => pos += 1,
                 }
+                Decision::Reject => {
+                    let entry = self.queue.remove(pos).expect("index in bounds");
+                    self.reject(entry.record, now, RejectReason::Unmeetable);
+                }
+                Decision::Defer => pos += 1,
             }
-            let discarded = results.flatten().count();
-            self.campaign
-                .telemetry
-                .add(Counter::AdmissionProbesDiscarded, discarded as u64);
         }
+        let discarded = results.flatten().count();
+        self.campaign
+            .telemetry
+            .add(Counter::AdmissionProbesDiscarded, discarded as u64);
+        pos
     }
 
     /// One admission round's probes: every queued entry from `from` on,
@@ -544,7 +547,6 @@ impl Online<'_> {
     fn probe_round(&self, from: usize, now: SimTime) -> Vec<Option<bool>> {
         let campaign = &self.campaign;
         let queue = &self.queue;
-        let budget = self.config.probe_budget;
         let session =
             PlanningSession::open_instrumented(&campaign.pool, &campaign.telemetry, campaign.root);
         let len = queue.len() - from;
@@ -555,7 +557,7 @@ impl Online<'_> {
             if i > cutoff.load(Ordering::Relaxed) {
                 return None;
             }
-            let feasible = queue[from + i].probe(campaign, &session, now, budget);
+            let feasible = queue[from + i].probe(campaign, &session, now);
             if feasible {
                 cutoff.fetch_min(i, Ordering::Relaxed);
             }
@@ -735,6 +737,68 @@ mod tests {
             arrivals: ArrivalProcess::Poisson { rate: 0.1 },
             ..OnlineConfig::default()
         }
+    }
+
+    /// An `Online` machine with `jobs` arrivals queued at time zero, each
+    /// given the whole horizon as its deadline.
+    fn queued_machine<'a>(
+        config: &'a OnlineConfig,
+        telemetry: &'a Telemetry,
+        jobs: usize,
+    ) -> Online<'a> {
+        let root = telemetry.span("online_campaign").id();
+        let mut online = Online {
+            campaign: Campaign::new(&config.base, telemetry, root),
+            config,
+            admission: Vec::new(),
+            queue: VecDeque::new(),
+            queue_waits: Vec::new(),
+            queue_peak: 0,
+        };
+        let horizon_end = online.campaign.horizon_end;
+        let arrivals = generate_arrivals(
+            &config.base.job_config,
+            jobs,
+            &ArrivalProcess::Trace { gaps: vec![0] },
+            horizon_end,
+            &mut SimRng::seed_from(config.base.seed),
+        );
+        for job in arrivals {
+            online.on_arrival(job.with_timing(SimTime::ZERO, config.base.horizon));
+        }
+        online
+    }
+
+    /// A pooled round can return probes past the entry it admits. They
+    /// ran on a snapshot the admission made stale, so the round counts
+    /// them as discarded and consumes none. The round's results are fixed
+    /// here, so the discard path runs whatever the thread timing.
+    #[test]
+    fn a_round_discards_the_probes_past_its_admission() {
+        let config = small_config();
+        let telemetry = Telemetry::new();
+        let mut online = queued_machine(&config, &telemetry, 5);
+        let round = vec![Some(false), Some(true), Some(true), None, Some(false)];
+        // Entry 0 defers and entry 1 is admitted, so the next round
+        // starts at 1; the two `Some`s after the admission are discarded.
+        assert_eq!(online.consume_round(0, SimTime::ZERO, round), 1);
+        assert_eq!(online.queue.len(), 4);
+        assert_eq!(online.admission[0].outcome, AdmissionOutcome::Deferred);
+        assert_eq!(
+            online.admission[1].outcome,
+            AdmissionOutcome::Admitted { at: SimTime::ZERO }
+        );
+        assert_eq!(telemetry.counter(Counter::AdmissionProbes), 2);
+        assert_eq!(telemetry.counter(Counter::AdmissionProbesDiscarded), 2);
+
+        // A round the cut-off ended (what a sequential round returns)
+        // consumes up to the skipped entry and discards nothing.
+        assert_eq!(
+            online.consume_round(1, SimTime::ZERO, vec![Some(false), None]),
+            2
+        );
+        assert_eq!(telemetry.counter(Counter::AdmissionProbes), 3);
+        assert_eq!(telemetry.counter(Counter::AdmissionProbesDiscarded), 2);
     }
 
     #[test]

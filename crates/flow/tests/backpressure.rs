@@ -23,7 +23,6 @@ fn burst_config() -> OnlineConfig {
             gaps: vec![0, 0, 0, 0, 0, 120],
         },
         queue_capacity: 2,
-        ..OnlineConfig::default()
     }
 }
 

@@ -124,7 +124,7 @@ pub enum Counter {
     PooledSweeps,
     /// Jobs that entered the online serving loop (arrival events).
     JobsArrived,
-    /// Arrivals admitted past the deadline/budget probe.
+    /// Arrivals admitted past the deadline probe.
     JobsAdmitted,
     /// Arrivals rejected (queue overflow or unmeetable deadline).
     JobsRejected,

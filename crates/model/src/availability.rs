@@ -103,7 +103,8 @@ use crate::window::TimeWindow;
 /// little: probes bisect a few hundred windows in a handful of hops
 /// either way, and the first capture after every mutation would still pay
 /// a (tiny) build. The warm-capture shape of `BENCH_probe_scaling.json`
-/// justifies the number; the work-count gate on the traced perfbench
+/// (the manual `probe_scaling` tool, which CI does not run) justifies
+/// the number; the work-count gate on the traced perfbench
 /// ledger (`bench_check --fresh --baseline`, `model.index_seeks` and
 /// `model.index_bypasses` on `dense_calendar`) pins which probes it
 /// routes through the index.

@@ -325,6 +325,54 @@ mod tests {
         let _ = idx.earliest_fit_at(&ws, 0, t(6), d(1), SimTime::MAX);
     }
 
+    /// The search calls `past` once for `lo` and once per subtree it steps
+    /// right to, and those subtrees grow strictly in height, so a search
+    /// makes at most ⌈log2 R⌉ + 1 calls however far the first wide-enough
+    /// gap lies: O(log R), never a walk over the gaps in between.
+    #[test]
+    fn search_steps_are_logarithmic_in_the_window_count() {
+        let mut rng = gridsched_sim::rng::SimRng::seed_from(2009);
+        for r in [2usize, 3, 5, 17, 64, 1_000, 4_097, 100_001, 131_073] {
+            for wide_share in [0.0, 0.001, 0.1] {
+                // Mostly narrow gaps with a few wide ones, so the first
+                // gap that fits a wide probe usually lies far from `lo`.
+                let mut windows = Vec::with_capacity(r);
+                let mut end = 0;
+                for _ in 0..r {
+                    let start = end
+                        + if rng.chance(wide_share) {
+                            rng.uniform_u64(10, 100)
+                        } else {
+                            rng.uniform_u64(0, 3)
+                        };
+                    end = start + rng.uniform_u64(1, 5);
+                    windows.push(w(start, end));
+                }
+                let gaps: Vec<u64> = windows
+                    .windows(2)
+                    .map(|p| p[1].start().ticks() - p[0].end().ticks())
+                    .collect();
+                let idx = GapIndex::build(&windows);
+                let bound = r.next_power_of_two().trailing_zeros() as usize + 1;
+                for _ in 0..32 {
+                    let lo = rng.index(gaps.len());
+                    let need = [1, 3, 10, 60, 101][rng.index(5)];
+                    let calls = std::cell::Cell::new(0);
+                    let found = idx.first_gap_at_least(lo, need, |_| {
+                        calls.set(calls.get() + 1);
+                        false
+                    });
+                    assert_eq!(found, (lo..gaps.len()).find(|&k| gaps[k] >= need));
+                    assert!(
+                        calls.get() <= bound,
+                        "{} steps > {bound} at R = {r}, lo = {lo}, need = {need}",
+                        calls.get()
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn fully_packed_prefix_skips_to_the_tail() {
         // Touching windows: every interior gap is zero.

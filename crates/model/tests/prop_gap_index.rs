@@ -85,6 +85,60 @@ fn indexed_earliest_fit_matches_linear_walk() {
     });
 }
 
+/// The same differential at the scale the index is for: calendars of
+/// 100k+ windows (the §4 reference calendar holds ~143k), probed with
+/// slots wider than every interior gap from early starts (the walk scans
+/// to the trailing gap), short slots from anywhere, and clipped deadlines.
+#[test]
+fn indexed_earliest_fit_matches_linear_walk_at_100k_windows() {
+    check(2, |g| {
+        let count = g.usize_in(100_000, 143_000);
+        let mut windows = Vec::with_capacity(count);
+        let mut end = 0;
+        let mut max_gap = 0;
+        for i in 0..count {
+            let gap = g.u64_in(0, 10);
+            if i > 0 {
+                max_gap = max_gap.max(gap);
+            }
+            let start = end + gap;
+            end = start + g.u64_in(3, 12);
+            windows.push(
+                TimeWindow::new(SimTime::from_ticks(start), SimTime::from_ticks(end))
+                    .expect("len >= 3"),
+            );
+        }
+        let tt = Timetable::from_sorted(
+            windows
+                .iter()
+                .enumerate()
+                .map(|(i, &w)| (w, ReservationOwner::Background(i as u64))),
+        );
+        let index = GapIndex::build(&windows);
+        for _ in 0..32 {
+            let (not_before, duration) = if g.chance(0.5) {
+                (g.u64_in(0, end / 50), max_gap + 1)
+            } else {
+                (g.u64_in(0, end), g.u64_in(1, 16))
+            };
+            let (not_before, duration) = (
+                SimTime::from_ticks(not_before),
+                SimDuration::from_ticks(duration),
+            );
+            let deadline = if g.chance(0.5) {
+                SimTime::MAX
+            } else {
+                SimTime::from_ticks(g.u64_in(0, end + 100))
+            };
+            assert_eq!(
+                index.earliest_fit(&windows, not_before, duration, deadline),
+                tt.earliest_fit(not_before, duration, deadline),
+                "{count} windows, probe=({not_before}, {duration}, {deadline})"
+            );
+        }
+    });
+}
+
 /// The seek primitive agrees with the linear reference, and an indexed
 /// overlay's `free_windows` equals the materialized timetable's.
 #[test]

@@ -25,7 +25,6 @@ fn main() {
         },
         arrivals: ArrivalProcess::Poisson { rate: 0.1 },
         queue_capacity: 6,
-        ..OnlineConfig::default()
     };
     let telemetry = Telemetry::new();
     let report = run_online_instrumented(&config, &telemetry);

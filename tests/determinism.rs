@@ -472,7 +472,6 @@ fn online_telemetry_counters_reconcile_with_the_summary() {
             },
             arrivals: ArrivalProcess::Poisson { rate: 0.12 },
             queue_capacity: 4,
-            ..OnlineConfig::default()
         };
         let telemetry = Telemetry::new();
         let report = run_online_instrumented(&cfg, &telemetry);

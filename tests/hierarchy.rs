@@ -155,9 +155,10 @@ fn online_trace_matches_monolithic_baseline() {
     );
 }
 
-/// The `online_throughput` shape on a fixed 25-node pool, seed 1: probe
-/// verdicts there depend on the admissions made earlier in the same
-/// drain of the queue.
+/// The serving shape of perfbench's `online_admission` (Poisson rate
+/// 0.15, queue 16, the same faults and perturbations on a fixed 25-node
+/// pool), capped at 60 jobs, seed 1: probe verdicts there depend on the
+/// admissions made earlier in the same drain of the queue.
 fn dense_online_cfg(executor: SweepExecutorKind) -> OnlineConfig {
     OnlineConfig {
         base: CampaignConfig {
@@ -181,7 +182,6 @@ fn dense_online_cfg(executor: SweepExecutorKind) -> OnlineConfig {
         },
         arrivals: ArrivalProcess::Poisson { rate: 0.15 },
         queue_capacity: 16,
-        ..OnlineConfig::default()
     }
 }
 
