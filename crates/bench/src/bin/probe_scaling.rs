@@ -21,8 +21,6 @@
 //! * `cold/typical` — short slots from random positions, the common case:
 //!   the walk usually stops after a few windows, so the index roughly
 //!   ties (reported as `probe_index_speedup_typical`).
-//! * `warm/memo`    — a repeated overlay probe served by the `FitMemo`,
-//!   for scale: both cold paths sit above this floor.
 //! * `index build`  — the one-off O(R) cost a snapshot pays on its first
 //!   probe of a node, amortized over every session sharing the snapshot.
 //! * `cold/warm capture` — a full [`AvailabilitySnapshot`] capture with
@@ -109,7 +107,6 @@ struct SizeResult {
     indexed_hard_ns: u128,
     linear_typical_ns: u128,
     indexed_typical_ns: u128,
-    warm_memo_ns: u128,
     index_build_ns: u128,
     capture_cold_ns: u128,
     capture_warm_ns: u128,
@@ -124,7 +121,7 @@ fn json_line(r: &SizeResult) -> String {
             "    {{\"reservations\": {}, ",
             "\"linear_hard_ns\": {}, \"indexed_hard_ns\": {}, ",
             "\"linear_typical_ns\": {}, \"indexed_typical_ns\": {}, ",
-            "\"warm_memo_ns\": {}, \"index_build_ns\": {}, ",
+            "\"index_build_ns\": {}, ",
             "\"capture_cold_ns\": {}, \"capture_warm_ns\": {}, ",
             "\"speedup_hard\": {:.3}, \"speedup_typical\": {:.3}, ",
             "\"speedup_capture\": {:.3}}}"
@@ -134,7 +131,6 @@ fn json_line(r: &SizeResult) -> String {
         r.indexed_hard_ns,
         r.linear_typical_ns,
         r.indexed_typical_ns,
-        r.warm_memo_ns,
         r.index_build_ns,
         r.capture_cold_ns,
         r.capture_warm_ns,
@@ -251,14 +247,6 @@ fn main() {
             cursor += 1;
             index.earliest_fit(&cal.windows, nb, d, SimTime::MAX)
         });
-        // Warm floor: one overlay probe repeated, served by the FitMemo
-        // after its first (cold, indexed) answer.
-        let overlay = TimetableOverlay::new(pool.snapshot());
-        let (warm_nb, warm_d) = typical[0];
-        let warm = group.bench("warm repeat probe, overlay memo", || {
-            overlay.earliest_fit(node, warm_nb, warm_d, SimTime::MAX)
-        });
-
         // Capture shapes: a full snapshot with the pool's calendar cache
         // disabled (every capture refreezes the window slice, O(R)) vs.
         // enabled and primed (the capture reuses the frozen calendar —
@@ -314,7 +302,6 @@ fn main() {
             indexed_hard_ns: indexed_hard.mean.as_nanos(),
             linear_typical_ns: linear_typical.mean.as_nanos(),
             indexed_typical_ns: indexed_typical.mean.as_nanos(),
-            warm_memo_ns: warm.mean.as_nanos(),
             index_build_ns: index_build.as_nanos(),
             capture_cold_ns: capture_cold.mean.as_nanos(),
             capture_warm_ns: capture_warm.mean.as_nanos(),

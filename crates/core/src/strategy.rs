@@ -260,13 +260,6 @@ impl StrategyConfig {
         self.coarse_grain
     }
 
-    /// Overrides the scenario sweep (for ablations).
-    #[must_use]
-    pub fn with_sweep(mut self, sweep: ScenarioSweep) -> Self {
-        self.sweep = sweep;
-        self
-    }
-
     /// Overrides the data policy (for ablations).
     #[must_use]
     pub fn with_policy(mut self, policy: DataPolicy) -> Self {
@@ -279,7 +272,6 @@ impl StrategyConfig {
 /// the scenarios that admitted none.
 #[derive(Debug, Clone)]
 pub struct Strategy {
-    kind: StrategyKind,
     config: StrategyConfig,
     /// The job the schedules refer to (coarsened for S3).
     job: Job,
@@ -392,7 +384,6 @@ impl Strategy {
         telemetry.add(Counter::ScenariosPlanned, distributions.len() as u64);
         telemetry.add(Counter::ScenariosFailed, failures.len() as u64);
         Strategy {
-            kind: config.kind,
             config: config.clone(),
             job: planning_job.into_owned(),
             distributions,
@@ -466,7 +457,6 @@ impl Strategy {
             }
         }
         Strategy {
-            kind: config.kind,
             config: config.clone(),
             job: planning_job.into_owned(),
             distributions,
@@ -494,7 +484,7 @@ impl Strategy {
     /// The strategy's kind.
     #[must_use]
     pub fn kind(&self) -> StrategyKind {
-        self.kind
+        self.config.kind()
     }
 
     /// The job the supporting schedules place (coarsened for S3).
@@ -566,7 +556,7 @@ impl fmt::Display for Strategy {
         write!(
             f,
             "{}[{} schedules, {} failures]",
-            self.kind,
+            self.kind(),
             self.distributions.len(),
             self.failures.len()
         )

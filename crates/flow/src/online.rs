@@ -359,12 +359,7 @@ impl Online<'_> {
                 .enumerate()
                 .filter(|(_, a)| !a.dropped && a.completed.is_none() && a.pending_overrun.is_none())
                 .filter_map(|(j, a)| {
-                    let end = a
-                        .current
-                        .values()
-                        .map(|p| p.window.end())
-                        .max()
-                        .unwrap_or(a.activation);
+                    let end = a.realized_end();
                     (end <= now).then_some((end, j))
                 })
                 .min();
@@ -398,28 +393,9 @@ impl Online<'_> {
             .record_event(at, CampaignEvent::Arrived { job: job_id });
         let kind = self.campaign.meta.assign(&job);
         let record = self.campaign.records.len();
-        self.campaign.records.push(JobRecord {
-            job_id,
-            strategy: kind,
-            release: at,
-            admissible: false,
-            collisions_fast: 0,
-            collisions_slow: 0,
-            schedules: 0,
-            scenario_multiplier: None,
-            cost: None,
-            mean_task_window: None,
-            planned_makespan: None,
-            start_deviation_ratio: None,
-            time_to_live: None,
-            data_traffic: None,
-            nodes_used: None,
-            home_domain: None,
-            breaks: 0,
-            switches: 0,
-            migrations: 0,
-            dropped: false,
-        });
+        self.campaign
+            .records
+            .push(JobRecord::fresh(job_id, kind, at));
         self.admission.push(AdmissionRecord {
             job_id,
             arrival: at,

@@ -66,6 +66,35 @@ pub struct JobRecord {
     pub dropped: bool,
 }
 
+impl JobRecord {
+    /// The record of a job just released under `strategy`: nothing
+    /// generated, activated or broken yet.
+    pub(crate) fn fresh(job_id: JobId, strategy: StrategyKind, release: SimTime) -> Self {
+        JobRecord {
+            job_id,
+            strategy,
+            release,
+            admissible: false,
+            collisions_fast: 0,
+            collisions_slow: 0,
+            schedules: 0,
+            scenario_multiplier: None,
+            cost: None,
+            mean_task_window: None,
+            planned_makespan: None,
+            start_deviation_ratio: None,
+            time_to_live: None,
+            data_traffic: None,
+            nodes_used: None,
+            home_domain: None,
+            breaks: 0,
+            switches: 0,
+            migrations: 0,
+            dropped: false,
+        }
+    }
+}
+
 /// Aggregated result of one campaign run.
 #[derive(Debug, Clone)]
 pub struct VoReport {
@@ -180,13 +209,6 @@ impl VoReport {
         self.task_load.level(group)
     }
 
-    /// Total schedule breaks caused by injected faults (outages and
-    /// transfer faults), as opposed to benign dynamics.
-    #[must_use]
-    pub fn fault_breaks(&self) -> usize {
-        self.faults.breaks_by_outage + self.faults.breaks_by_transfer_fault
-    }
-
     /// Total task migrations (started tasks restarted off dead nodes).
     #[must_use]
     pub fn migration_count(&self) -> usize {
@@ -256,9 +278,6 @@ mod tests {
 
     fn record(admissible: bool, fast: usize, slow: usize, cost: Option<u64>) -> JobRecord {
         JobRecord {
-            job_id: JobId::new(0),
-            strategy: StrategyKind::S1,
-            release: SimTime::ZERO,
             admissible,
             collisions_fast: fast,
             collisions_slow: slow,
@@ -272,10 +291,7 @@ mod tests {
             start_deviation_ratio: cost.map(|_| 0.1),
             time_to_live: cost.map(|_| SimDuration::from_ticks(8)),
             home_domain: cost.map(|_| DomainId::new(0)),
-            breaks: 0,
-            switches: 0,
-            migrations: 0,
-            dropped: false,
+            ..JobRecord::fresh(JobId::new(0), StrategyKind::S1, SimTime::ZERO)
         }
     }
 

@@ -184,6 +184,18 @@ pub(crate) struct ActiveJob {
     pub(crate) completed: Option<SimTime>,
 }
 
+impl ActiveJob {
+    /// When the job's current placements end: the latest window end, or
+    /// its activation instant if it holds none.
+    pub(crate) fn realized_end(&self) -> SimTime {
+        self.current
+            .values()
+            .map(|p| p.window.end())
+            .max()
+            .unwrap_or(self.activation)
+    }
+}
+
 /// The campaign dynamics engine: pool state, active schedules, break
 /// handling and finalization. `pub(crate)` so [`crate::online`] can drive
 /// the exact same machinery from a streaming event loop.
@@ -351,26 +363,11 @@ impl<'a> Campaign<'a> {
         let strategy = Strategy::generate_with(Cow::Owned(job), &self.pool, &config, release, opts);
         let (fast, slow) = collision_tally(&strategy);
         let record = JobRecord {
-            job_id,
-            strategy: kind,
-            release,
             admissible: strategy.is_admissible(),
             collisions_fast: fast,
             collisions_slow: slow,
             schedules: strategy.distributions().len(),
-            scenario_multiplier: None,
-            cost: None,
-            mean_task_window: None,
-            planned_makespan: None,
-            start_deviation_ratio: None,
-            time_to_live: None,
-            data_traffic: None,
-            nodes_used: None,
-            home_domain: None,
-            breaks: 0,
-            switches: 0,
-            migrations: 0,
-            dropped: false,
+            ..JobRecord::fresh(job_id, kind, release)
         };
         let record_idx = self.records.len();
         let admissible = strategy.is_admissible();
@@ -1087,15 +1084,7 @@ impl<'a> Campaign<'a> {
             .active
             .iter()
             .filter(|a| !a.dropped && a.completed.is_none())
-            .map(|a| {
-                let end = a
-                    .current
-                    .values()
-                    .map(|p| p.window.end())
-                    .max()
-                    .unwrap_or(a.activation);
-                (a.job.id(), end)
-            })
+            .map(|a| (a.job.id(), a.realized_end()))
             .collect();
         let horizon_end = self.horizon_end;
         for (job, end) in completions {

@@ -265,15 +265,6 @@ impl CampaignTrace {
         self.events.push((at, event));
     }
 
-    /// Builds a trace from raw events, *without* the chronology check.
-    ///
-    /// Intended for tests that construct deliberately corrupt traces to
-    /// feed the [`crate::oracle`]; the oracle itself re-checks chronology.
-    #[must_use]
-    pub fn from_events(events: Vec<(SimTime, CampaignEvent)>) -> Self {
-        CampaignTrace { events }
-    }
-
     /// All events, in order.
     #[must_use]
     pub fn events(&self) -> &[(SimTime, CampaignEvent)] {

@@ -22,38 +22,39 @@
 //!
 //! [`Timetable`]: crate::timetable::Timetable
 //!
-//! # Query caching
+//! # Query cursor
 //!
-//! `earliest_fit` dominates the planning hot path: the Pareto allocator
-//! asks it once per (task position, node, predecessor state), and the
-//! probes within one pass are mostly monotone in time. The overlay
-//! therefore keeps a tiny per-node cache (interior-mutable, so reads stay
-//! `&self`): a **merged cursor** remembering where in the base/tentative
-//! lists the last query stood, advanced by galloping instead of
-//! re-bisecting from scratch, and an **epoch-tagged fit memo** that can
-//! answer repeat `earliest_fit` probes outright. Every tentative mutation
-//! (`reserve_window` / `release_window`) bumps the node's epoch, which
-//! invalidates its memos wholesale; a differential property test pins that
-//! cached answers equal a cold recompute after arbitrary reserve/release
-//! interleavings.
+//! `earliest_fit` dominates the planning hot path: the co-allocation DP
+//! asks it once per (task position, node, predecessor class), and the
+//! probes on one node mostly step a little forward, or a little back when
+//! the DP turns to its next predecessor. The overlay therefore keeps one
+//! **cursor** per node (interior-mutable, so reads stay `&self`): the
+//! base and tentative indices where the last query stood, from which the
+//! next query gallops instead of bisecting both lists. `reserve_window`
+//! clears the node's cursor, since inserting shifts the tentative
+//! indices; a differential property test pins that warm answers equal a
+//! cold recompute after arbitrary reserve/query interleavings. Reusing
+//! whole `earliest_fit` answers is the DP's job (`ClassStep` in
+//! `gridsched-core`'s `allocate.rs`), not the overlay's: every call here
+//! is one probe.
 //!
-//! The cache makes [`TimetableOverlay`] deliberately **not `Sync`**:
+//! The cursor makes [`TimetableOverlay`] deliberately **not `Sync`**:
 //! overlays are per-scenario scratch, owned and queried by a single
 //! planning thread, while the shared state ([`AvailabilitySnapshot`])
 //! stays immutable and freely shareable.
 //!
-//! # Gap-indexed cold probes
+//! # Gap-indexed probes
 //!
-//! Memos only help *repeat* probes; a cold `earliest_fit` still walked
-//! the merged base + tentative sequence linearly — O(R) against the §4
-//! background loads. Each snapshot therefore carries one lazily built
-//! [`GapIndex`] per node (built at most once per snapshot, race-free via
-//! [`std::sync::OnceLock`], never invalidated because snapshots are
-//! immutable). The cold path asks the index for the earliest **base**
-//! fit in O(log R) and lets the scenario's few tentative windows veto
-//! and re-seed the probe; with no tentative windows on the node the
-//! index answers outright. Its seek into the window lists resumes from
-//! the merged cursor, as the linear walk's does. Answers are
+//! A linear `earliest_fit` walks the merged base + tentative sequence —
+//! O(R) against the §4 background loads. Each snapshot therefore carries
+//! one lazily built [`GapIndex`] per node (built at most once per
+//! snapshot, race-free via [`std::sync::OnceLock`], never invalidated
+//! because snapshots are immutable). The indexed probe asks it for the
+//! earliest **base** fit in O(log R) and lets the scenario's few
+//! tentative windows veto and re-seed the probe; with no tentative
+//! windows on the node the index answers outright. Its seek into the
+//! window lists resumes from the node's cursor, as the linear walk's
+//! does. Answers are
 //! bit-identical to the linear walk — see DESIGN.md §9 and
 //! `crates/model/tests/prop_gap_index.rs` — so the path a pool's
 //! [`ProbeConfig`] picks has no observable effect beyond the
@@ -75,6 +76,8 @@
 //! index — which is what lets the engagement floor sit at 1k windows
 //! instead of 16k: the build amortizes over every capture of the
 //! unchanged node, not just one snapshot's lifetime.
+//!
+//! [`GapIndex`]: crate::gap_index::GapIndex
 
 use std::cell::Cell;
 use std::fmt;
@@ -82,14 +85,13 @@ use std::sync::Arc;
 
 use gridsched_sim::time::{SimDuration, SimTime};
 
-use crate::gap_index::GapIndex;
 use crate::ids::NodeId;
 use crate::index_cache::NodeCalendar;
 use crate::node::ResourcePool;
 use crate::window::TimeWindow;
 
 /// Default [`ProbeConfig::index_floor`]: nodes with fewer base windows
-/// than this answer cold probes linearly.
+/// than this answer probes linearly.
 ///
 /// The index trades an O(R) build per (calendar, revision) for O(log R)
 /// probes, so it only pays where calendars are large enough that the
@@ -110,12 +112,12 @@ use crate::window::TimeWindow;
 /// routes through the index.
 pub const DEFAULT_INDEX_FLOOR: usize = 1_000;
 
-/// How a pool's planning probes run: which cold-probe path an
+/// How a pool's planning probes run: which probe path an
 /// `earliest_fit` takes and whether snapshot captures reuse cached
 /// calendars.
 ///
 /// Every choice here is unobservable in the answers (the DESIGN.md §9
-/// contract): the gap-indexed and linear cold probes are bit-identical,
+/// contract): the gap-indexed and linear probes are bit-identical,
 /// and a cached calendar equals a freshly frozen one. Only the
 /// [`IndexStats`] and [`crate::index_cache::IndexCacheStats`] counters
 /// see the difference. The value lives on the [`ResourcePool`]
@@ -136,7 +138,7 @@ pub const DEFAULT_INDEX_FLOOR: usize = 1_000;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProbeConfig {
-    /// Minimum base-window count at which a node's cold probes engage the
+    /// Minimum base-window count at which a node's probes engage the
     /// gap index. `0` engages it on every calendar (tests and the chaos
     /// `probe-index` axis); `usize::MAX` never engages it.
     pub index_floor: usize,
@@ -160,15 +162,15 @@ impl Default for ProbeConfig {
 /// (`index_seeks` / `index_rebuilds` / `index_bypasses`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexStats {
-    /// Cold `earliest_fit` probes answered through the base gap index.
+    /// `earliest_fit` probes answered through the base gap index.
     pub seeks: u64,
     /// Probes that found their snapshot node unindexed and built the
     /// index (at most once per node per snapshot, `OnceLock`-enforced).
     pub builds: u64,
-    /// Cold probes that took the linear merged walk: every cold probe on
+    /// Probes that took the linear merged walk: every probe on
     /// a node whose calendar is below the snapshot's
     /// [`ProbeConfig::index_floor`] ([`DEFAULT_INDEX_FLOOR`] by default;
-    /// `usize::MAX` sends every cold probe here). Sparse pools whose
+    /// `usize::MAX` sends every probe here). Sparse pools whose
     /// calendars all stay below the floor record only bypasses and zero
     /// seeks.
     pub bypasses: u64,
@@ -279,7 +281,7 @@ impl AvailabilitySnapshot {
     /// window copy, no index rebuild — and only changed nodes freeze
     /// fresh calendars (which warm the cache for the next capture). The
     /// config's [`ProbeConfig::index_floor`] is fixed into the snapshot
-    /// and decides the cold-probe path of every overlay on it.
+    /// and decides the probe path of every overlay on it.
     #[must_use]
     pub fn capture(pool: &ResourcePool) -> Self {
         let probe = pool.probe_config();
@@ -338,28 +340,6 @@ impl AvailabilitySnapshot {
     pub fn windows(&self, node: NodeId) -> &[TimeWindow] {
         self.inner.nodes[node.index()].windows()
     }
-
-    /// The gap index of `node`, building it on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` was not part of the captured pool.
-    #[must_use]
-    pub fn gap_index(&self, node: NodeId) -> &GapIndex {
-        let mut built = false;
-        self.gap_index_tracked(node, &mut built)
-    }
-
-    /// [`AvailabilitySnapshot::gap_index`], additionally recording in
-    /// `built` whether *this call* performed the lazy build — across all
-    /// holders of the calendar (every snapshot and cache entry sharing
-    /// it) at most one call per calendar ever observes `true`, which is
-    /// what makes the `index_rebuilds` telemetry counter deterministic
-    /// and lets warm captures report zero rebuilds.
-    #[must_use]
-    pub fn gap_index_tracked(&self, node: NodeId, built: &mut bool) -> &GapIndex {
-        self.inner.nodes[node.index()].gap_index_tracked(built)
-    }
 }
 
 /// A copy-on-write view over an [`AvailabilitySnapshot`]: the shared base
@@ -378,51 +358,15 @@ pub struct TimetableOverlay {
     /// sorted **incrementally** on insert (binary-searched position), so
     /// queries never re-sort or re-merge.
     tentative: Vec<Vec<TimeWindow>>,
-    /// `cache[NodeId::index]` = that node's query cache (cursor + fit
-    /// memo), epoch-tagged against tentative mutations. `Cell` keeps query
-    /// methods `&self`; see the module docs for the `!Sync` trade.
-    cache: Vec<Cell<NodeCache>>,
-    /// Gap-index activity accumulated by this overlay's cold probes,
-    /// drained with [`TimetableOverlay::take_index_stats`].
+    /// `cursor[NodeId::index]` = where the last query on that node stood:
+    /// the first base and tentative indices whose windows end after its
+    /// time, `None` until the node's first query after a reserve or
+    /// [`TimetableOverlay::reset_to`]. `Cell` keeps queries `&self`; see
+    /// the module docs for the `!Sync` trade.
+    cursor: Vec<Cell<Option<(usize, usize)>>>,
+    /// Gap-index activity accumulated by this overlay's probes, drained
+    /// with [`TimetableOverlay::take_index_stats`].
     index_stats: Cell<IndexStats>,
-}
-
-/// Per-node query cache of a [`TimetableOverlay`].
-#[derive(Debug, Clone, Copy, Default)]
-struct NodeCache {
-    /// Epoch of the node's tentative list; bumped on every mutation.
-    /// Memos tagged with an older epoch are dead.
-    epoch: u64,
-    cursor: Option<CursorMemo>,
-    fit: Option<FitMemo>,
-}
-
-/// Where the last query on a node stood: `i`/`j` are the first
-/// base/tentative indices whose windows end after its time.
-#[derive(Debug, Clone, Copy)]
-struct CursorMemo {
-    epoch: u64,
-    i: usize,
-    j: usize,
-}
-
-/// The last `earliest_fit` probe on a node and its answer.
-///
-/// Reusable because a start's feasibility (`[s, s + duration)` free,
-/// `s + duration <= deadline`) does not depend on `not_before`:
-///
-/// * `result == Some(hit)`: for any `t` in `[not_before, hit]` the answer
-///   is still `hit` — no feasible start exists in `[not_before, hit)`, so
-///   none exists in `[t, hit)` either, and `hit` itself remains feasible.
-/// * `result == None`: for any `t >= not_before` the answer is still
-///   `None` — raising the lower bound only shrinks the feasible region.
-#[derive(Debug, Clone, Copy)]
-struct FitMemo {
-    epoch: u64,
-    not_before: SimTime,
-    duration: SimDuration,
-    deadline: SimTime,
-    result: Option<SimTime>,
 }
 
 /// First index at or after `from` whose window ends after `t`, given that
@@ -489,7 +433,7 @@ struct MergedWindows<'a> {
     j: usize,
 }
 
-impl<'a> MergedWindows<'a> {
+impl MergedWindows<'_> {
     fn peek(&self) -> Option<TimeWindow> {
         match (self.base.get(self.i), self.extra.get(self.j)) {
             (Some(&a), Some(&b)) => Some(if a.start() <= b.start() { a } else { b }),
@@ -513,61 +457,6 @@ impl<'a> MergedWindows<'a> {
             (None, None) => {}
         }
     }
-
-    fn next(&mut self) -> Option<TimeWindow> {
-        let w = self.peek()?;
-        self.advance();
-        Some(w)
-    }
-}
-
-/// The pure core of the indexed cold probe behind
-/// [`TimetableOverlay::earliest_fit`]: only reads the frozen calendar and
-/// the node's tentative slice, never the overlay's interior-mutable
-/// cells. Returns the answer plus whether *this call* built the gap
-/// index (see [`NodeCalendar::gap_index_tracked`]).
-///
-/// `(i, j)` are the first base and tentative indices whose windows end
-/// after `not_before` (the node's cursor). Each round asks the index for
-/// the earliest **base-only** fit `s` at or after the candidate — every
-/// start below `s` is blocked by the base alone, so none can be the
-/// merged answer. If no tentative window intersects `[s, s + duration)`,
-/// `s` *is* the merged answer. Otherwise the first tentative window `w`
-/// ending after `s` blocks every start in `[s, w.end())`, so the
-/// candidate jumps to `w.end()` — exactly where the linear walk lands
-/// when it hops `w`. Candidates only move forward, so both indices
-/// gallop on from where the last round left them. Each round retires one
-/// tentative window, so the loop runs at most `tentative + 1` rounds of
-/// O(log B + log T).
-fn indexed_probe(
-    calendar: &NodeCalendar,
-    tentative: &[TimeWindow],
-    (mut i, mut j): (usize, usize),
-    not_before: SimTime,
-    duration: SimDuration,
-    deadline: SimTime,
-) -> (Option<SimTime>, bool) {
-    let mut built = false;
-    let gap = calendar.gap_index_tracked(&mut built);
-    let base = calendar.windows();
-    let mut candidate = not_before;
-    loop {
-        // A base-only start past the deadline ends the probe: the merged
-        // answer is no earlier, which matches the linear walk's early
-        // exit because candidates only move forward.
-        let Some(s) = gap.earliest_fit_at(base, i, candidate, duration, deadline) else {
-            return (None, built);
-        };
-        let end = s.saturating_add(duration);
-        j = first_ending_after_from(tentative, j, s);
-        match tentative.get(j) {
-            Some(w) if w.start() < end => {
-                candidate = w.end();
-                i = first_ending_after_from(base, i, candidate);
-            }
-            _ => return (Some(s), built),
-        }
-    }
 }
 
 impl TimetableOverlay {
@@ -578,7 +467,7 @@ impl TimetableOverlay {
         TimetableOverlay {
             base,
             tentative: vec![Vec::new(); n],
-            cache: vec![Cell::new(NodeCache::default()); n],
+            cursor: vec![Cell::new(None); n],
             index_stats: Cell::new(IndexStats::default()),
         }
     }
@@ -595,14 +484,8 @@ impl TimetableOverlay {
         for list in &mut self.tentative {
             list.clear();
         }
-        self.cache.resize_with(n, Cell::default);
-        for cell in &self.cache {
-            let mut cache = cell.get();
-            cache.epoch += 1;
-            cache.cursor = None;
-            cache.fit = None;
-            cell.set(cache);
-        }
+        self.cursor.clear();
+        self.cursor.resize_with(n, Cell::default);
         // A recycled overlay starts with a clean slate: any stats the
         // previous tenant left undrained belong to no one.
         self.index_stats.set(IndexStats::default());
@@ -627,10 +510,26 @@ impl TimetableOverlay {
         self.base.node_count()
     }
 
-    /// Number of tentative reservations recorded on `node`.
-    #[must_use]
-    pub fn tentative_count(&self, node: NodeId) -> usize {
-        self.tentative[node.index()].len()
+    /// The first base and tentative indices whose windows end after `t`,
+    /// galloping from the node's cursor, forward or backward, and
+    /// bisecting from scratch only when the node has none. The refreshed
+    /// cursor is stored back for the next query.
+    fn cursor_at(&self, node: NodeId, t: SimTime) -> (usize, usize) {
+        let base = self.base.windows(node);
+        let extra = self.tentative[node.index()].as_slice();
+        let cell = &self.cursor[node.index()];
+        let at = match cell.get() {
+            Some((i, j)) => (
+                first_ending_after_near(base, i, t),
+                first_ending_after_near(extra, j, t),
+            ),
+            None => (
+                base.partition_point(|w| w.end() <= t),
+                extra.partition_point(|w| w.end() <= t),
+            ),
+        };
+        cell.set(Some(at));
+        at
     }
 
     /// Merged base + tentative walk starting at the first windows ending
@@ -645,44 +544,6 @@ impl TimetableOverlay {
         }
     }
 
-    /// The first base and tentative indices whose windows end after `t`,
-    /// galloping from the node's cached cursor, forward or backward, and
-    /// bisecting from scratch only when the node has none. The refreshed
-    /// cursor is stored back for the next query.
-    fn cursor_at(&self, node: NodeId, t: SimTime) -> (usize, usize) {
-        let idx = node.index();
-        let base = self.base.windows(node);
-        let extra = self.tentative[idx].as_slice();
-        let mut cache = self.cache[idx].get();
-        let (i, j) = match cache.cursor {
-            Some(c) if c.epoch == cache.epoch => (
-                first_ending_after_near(base, c.i, t),
-                first_ending_after_near(extra, c.j, t),
-            ),
-            _ => (
-                base.partition_point(|w| w.end() <= t),
-                extra.partition_point(|w| w.end() <= t),
-            ),
-        };
-        cache.cursor = Some(CursorMemo {
-            epoch: cache.epoch,
-            i,
-            j,
-        });
-        self.cache[idx].set(cache);
-        (i, j)
-    }
-
-    /// Bumps the node's epoch, killing its cursor and fit memos.
-    fn invalidate(&mut self, idx: usize) {
-        let cell = &self.cache[idx];
-        let mut cache = cell.get();
-        cache.epoch += 1;
-        cache.cursor = None;
-        cache.fit = None;
-        cell.set(cache);
-    }
-
     /// The first base or tentative window overlapping `window`, if any.
     #[must_use]
     pub fn first_conflict(&self, node: NodeId, window: TimeWindow) -> Option<TimeWindow> {
@@ -690,7 +551,7 @@ impl TimetableOverlay {
         // ending after `window.start()` can overlap — later ones start at
         // or after its end.
         self.merged_after(node, window.start())
-            .next()
+            .peek()
             .filter(|w| w.overlaps(window))
     }
 
@@ -703,15 +564,14 @@ impl TimetableOverlay {
     /// Finds the earliest start `s >= not_before` on `node` such that
     /// `[s, s + duration)` is free and ends no later than `deadline`.
     ///
-    /// Same candidate/jump algorithm as
-    /// [`Timetable::earliest_fit`](crate::timetable::Timetable::earliest_fit),
-    /// run over the merged base + tentative sequence — with an epoch-tagged
-    /// per-node memo in front: a repeat probe with the same duration and
-    /// deadline whose `not_before` falls in the window the last answer
-    /// covers (the internal `FitMemo`) is answered without touching the lists at
-    /// all. Any [`TimetableOverlay::reserve_window`] /
-    /// [`TimetableOverlay::release_window`] on the node invalidates the
-    /// memo.
+    /// Same answer as
+    /// [`Timetable::earliest_fit`](crate::timetable::Timetable::earliest_fit)
+    /// over the merged base + tentative sequence, by one of two
+    /// bit-identical paths (DESIGN.md §9): the snapshot's gap index for
+    /// nodes at or above its engagement floor, the linear merged walk
+    /// otherwise. Every call with a positive `duration` is one probe down
+    /// one of them and counts one seek or one bypass in the
+    /// [`IndexStats`].
     #[must_use]
     pub fn earliest_fit(
         &self,
@@ -723,47 +583,6 @@ impl TimetableOverlay {
         if duration.is_zero() {
             return Some(not_before);
         }
-        let idx = node.index();
-        let cache = self.cache[idx].get();
-        if let Some(memo) = cache.fit {
-            if memo.epoch == cache.epoch
-                && memo.duration == duration
-                && memo.deadline == deadline
-                && not_before >= memo.not_before
-            {
-                match memo.result {
-                    Some(hit) if not_before <= hit => return Some(hit),
-                    None => return None,
-                    _ => {}
-                }
-            }
-        }
-        let result = self.earliest_fit_uncached(node, not_before, duration, deadline);
-        // Re-read: a linear walk refreshed the cursor memo through the
-        // same cell.
-        let mut cache = self.cache[idx].get();
-        cache.fit = Some(FitMemo {
-            epoch: cache.epoch,
-            not_before,
-            duration,
-            deadline,
-            result,
-        });
-        self.cache[idx].set(cache);
-        result
-    }
-
-    /// The cold path behind [`TimetableOverlay::earliest_fit`]: the
-    /// snapshot's gap index for nodes at or above its engagement floor,
-    /// the linear merged walk otherwise. Both return bit-identical
-    /// answers (DESIGN.md §9).
-    fn earliest_fit_uncached(
-        &self,
-        node: NodeId,
-        not_before: SimTime,
-        duration: SimDuration,
-        deadline: SimTime,
-    ) -> Option<SimTime> {
         if self.base.windows(node).len() >= self.base.inner.index_floor {
             self.earliest_fit_indexed(node, not_before, duration, deadline)
         } else {
@@ -774,12 +593,12 @@ impl TimetableOverlay {
         }
     }
 
-    /// The indexed cold path: the base layer answers through the
-    /// snapshot's [`GapIndex`] in O(log B); the scenario's tentative
-    /// windows (none or a handful) veto and re-seed the probe. The seek
-    /// into both lists resumes from the node's cursor, as the linear
-    /// walk's does, so a probe just after the last one gallops a step or
-    /// two instead of bisecting every base window.
+    /// The indexed path: the base layer answers through the snapshot's
+    /// [`GapIndex`](crate::gap_index::GapIndex) in O(log B); the
+    /// scenario's tentative windows (none or a handful) veto and re-seed
+    /// the probe. The seek into both lists resumes from the node's
+    /// cursor, as the linear walk's does, so a probe just after the last
+    /// one gallops a step or two instead of bisecting every base window.
     ///
     /// Each round asks the index for the earliest **base-only** fit `s`
     /// at or after the candidate — every start below `s` is blocked by
@@ -788,9 +607,10 @@ impl TimetableOverlay {
     /// Otherwise the first tentative window `w` ending after `s` blocks
     /// every start in `[s, w.end())` (any such start keeps the interval
     /// overlapping `w`), so the candidate jumps to `w.end()` — exactly
-    /// where the linear walk lands when it hops `w`. Each round retires
-    /// one tentative window, so the loop runs at most `tentative + 1`
-    /// rounds of O(log B + log T).
+    /// where the linear walk lands when it hops `w`. Candidates only move
+    /// forward, so both indices gallop on from where the last round left
+    /// them. Each round retires one tentative window, so the loop runs at
+    /// most `tentative + 1` rounds of O(log B + log T).
     fn earliest_fit_indexed(
         &self,
         node: NodeId,
@@ -798,25 +618,37 @@ impl TimetableOverlay {
         duration: SimDuration,
         deadline: SimTime,
     ) -> Option<SimTime> {
-        debug_assert!(!duration.is_zero(), "zero durations short-circuit earlier");
-        let (result, built) = indexed_probe(
-            self.base.calendar(node),
-            &self.tentative[node.index()],
-            self.cursor_at(node, not_before),
-            not_before,
-            duration,
-            deadline,
-        );
+        let (mut i, mut j) = self.cursor_at(node, not_before);
+        let calendar = self.base.calendar(node);
+        let mut built = false;
+        let gap = calendar.gap_index_tracked(&mut built);
         let mut stats = self.index_stats.get();
         stats.seeks += 1;
         stats.builds += u64::from(built);
         self.index_stats.set(stats);
-        result
+        let base = calendar.windows();
+        let tentative = self.tentative[node.index()].as_slice();
+        let mut candidate = not_before;
+        loop {
+            // A base-only start past the deadline ends the probe: the
+            // merged answer is no earlier, which matches the linear
+            // walk's early exit because candidates only move forward.
+            let s = gap.earliest_fit_at(base, i, candidate, duration, deadline)?;
+            let end = s.saturating_add(duration);
+            j = first_ending_after_from(tentative, j, s);
+            match tentative.get(j) {
+                Some(w) if w.start() < end => {
+                    candidate = w.end();
+                    i = first_ending_after_from(base, i, candidate);
+                }
+                _ => return Some(s),
+            }
+        }
     }
 
-    /// The linear cold path: the pre-index merged base + tentative walk,
-    /// kept as the differential reference and the path of every node
-    /// below the snapshot's engagement floor.
+    /// The linear path: the pre-index merged base + tentative walk, kept
+    /// as the differential reference and the path of every node below
+    /// the snapshot's engagement floor.
     fn earliest_fit_linear(
         &self,
         node: NodeId,
@@ -842,50 +674,11 @@ impl TimetableOverlay {
         }
     }
 
-    /// Free windows of `node` inside `range`, in time order — the cursor
-    /// walk of
-    /// [`Timetable::free_windows`](crate::timetable::Timetable::free_windows)
-    /// over the merged sequence.
-    ///
-    /// Allocates a fresh `Vec` per call; hot paths should prefer
-    /// [`TimetableOverlay::free_windows_into`] with a reused buffer. This
-    /// signature is kept for tests and one-shot callers.
-    #[must_use]
-    pub fn free_windows(&self, node: NodeId, range: TimeWindow) -> Vec<TimeWindow> {
-        let mut out = Vec::new();
-        self.free_windows_into(node, range, &mut out);
-        out
-    }
-
-    /// Writes the free windows of `node` inside `range`, in time order,
-    /// into `out` (clearing it first) — the allocation-free variant of
-    /// [`TimetableOverlay::free_windows`].
-    pub fn free_windows_into(&self, node: NodeId, range: TimeWindow, out: &mut Vec<TimeWindow>) {
-        out.clear();
-        let mut cursor = range.start();
-        let mut merged = self.merged_after(node, range.start());
-        while let Some(w) = merged.next() {
-            if w.start() >= range.end() {
-                break;
-            }
-            if w.start() > cursor {
-                if let Ok(free) = TimeWindow::new(cursor, w.start()) {
-                    out.push(free);
-                }
-            }
-            cursor = cursor.max_of(w.end());
-        }
-        if cursor < range.end() {
-            if let Ok(free) = TimeWindow::new(cursor, range.end()) {
-                out.push(free);
-            }
-        }
-    }
-
     /// Tentatively reserves `window` on `node`.
     ///
     /// The reservation lives only in this overlay; the snapshot and the
-    /// pool it came from are never touched.
+    /// pool it came from are never touched. Clears the node's cursor: the
+    /// insert shifts the tentative indices after it.
     ///
     /// # Errors
     ///
@@ -898,34 +691,15 @@ impl TimetableOverlay {
                 existing,
             });
         }
-        let node_idx = node.index();
-        let list = &mut self.tentative[node_idx];
+        let list = &mut self.tentative[node.index()];
         let idx = list.partition_point(|w| w.start() < window.start());
         list.insert(idx, window);
         debug_assert!(
             list.windows(2).all(|p| p[0].end() <= p[1].start()),
             "tentative windows stay sorted and disjoint"
         );
-        self.invalidate(node_idx);
+        self.cursor[node.index()].set(None);
         Ok(())
-    }
-
-    /// Releases a tentative window previously granted by
-    /// [`TimetableOverlay::reserve_window`] — exact match only; base
-    /// windows belong to the snapshot and cannot be released. Returns
-    /// whether the window was found (and the node's query cache
-    /// invalidated).
-    pub fn release_window(&mut self, node: NodeId, window: TimeWindow) -> bool {
-        let node_idx = node.index();
-        let list = &mut self.tentative[node_idx];
-        match list.binary_search_by(|w| w.start().cmp(&window.start())) {
-            Ok(pos) if list[pos] == window => {
-                list.remove(pos);
-                self.invalidate(node_idx);
-                true
-            }
-            _ => false,
-        }
     }
 }
 
@@ -1022,12 +796,12 @@ mod tests {
         overlay.reserve_window(node, w(6, 8)).unwrap();
         assert!(!overlay.is_free(node, w(1, 2)), "base window blocks");
         assert!(!overlay.is_free(node, w(7, 9)), "tentative window blocks");
-        assert!(overlay.is_free(node, w(4, 6)));
-        assert_eq!(
-            overlay.free_windows(node, w(0, 14)),
-            vec![w(4, 6), w(8, 10), w(12, 14)]
-        );
-        assert_eq!(overlay.tentative_count(node), 1);
+        // The union leaves [4,6), [8,10) and [12,..) free.
+        for gap in [w(4, 6), w(8, 10), w(12, 14)] {
+            assert!(overlay.is_free(node, gap), "{gap} is free");
+        }
+        assert_eq!(overlay.first_conflict(node, w(5, 11)), Some(w(6, 8)));
+        assert_eq!(overlay.first_conflict(node, w(9, 11)), Some(w(10, 12)));
     }
 
     #[test]
@@ -1084,16 +858,62 @@ mod tests {
         let b = TimetableOverlay::new(snap);
         assert_eq!(a.take_index_stats(), IndexStats::default());
         let _ = a.earliest_fit(node, t(0), d(2), SimTime::MAX);
-        // Repeat probe: answered by the fit memo, no new seek.
+        // A repeat probe seeks again; only the first built the index.
         let _ = a.earliest_fit(node, t(0), d(2), SimTime::MAX);
         let sa = a.take_index_stats();
-        assert_eq!((sa.seeks, sa.builds, sa.bypasses), (1, 1, 0));
+        assert_eq!((sa.seeks, sa.builds, sa.bypasses), (2, 1, 0));
         // Sibling overlay on the same snapshot: the index is shared and
         // already built.
         let _ = b.earliest_fit(node, t(1), d(3), SimTime::MAX);
         let sb = b.take_index_stats();
         assert_eq!((sb.seeks, sb.builds, sb.bypasses), (1, 0, 0));
         assert_eq!(a.take_index_stats(), IndexStats::default(), "drained");
+    }
+
+    /// The overlay answers no `earliest_fit` from a memo: on both paths,
+    /// every call with a positive duration — repeats, probes inside an
+    /// earlier answer's range and probes between reserves included — is
+    /// one probe, counted as one seek or one bypass.
+    #[test]
+    fn every_positive_duration_call_is_one_probe() {
+        for index_floor in [0, usize::MAX] {
+            let mut pool = pool_with_windows(&[w(0, 4), w(6, 7), w(10, 12), w(20, 30)]);
+            pool.set_probe_config(ProbeConfig {
+                index_floor,
+                ..ProbeConfig::default()
+            });
+            let node = NodeId::new(0);
+            let mut overlay = TimetableOverlay::new(pool.snapshot());
+            let probes = [
+                (0, 2, SimTime::MAX),
+                (0, 2, SimTime::MAX),
+                (1, 2, SimTime::MAX),
+                (4, 2, SimTime::MAX),
+                (0, 9, t(25)),
+                (0, 9, t(25)),
+                (3, 9, t(25)),
+                (13, 1, t(14)),
+                (13, 1, t(14)),
+            ];
+            let mut calls = 0u64;
+            for round in 0..3 {
+                for &(nb, dur, dl) in &probes {
+                    let _ = overlay.earliest_fit(node, t(nb), d(dur), dl);
+                    calls += 1;
+                }
+                overlay
+                    .reserve_window(node, w(14 + round, 15 + round))
+                    .unwrap();
+            }
+            let s = overlay.take_index_stats();
+            assert_eq!(s.seeks + s.bypasses, calls, "floor {index_floor}: {s:?}");
+            let path = if index_floor == 0 {
+                s.seeks
+            } else {
+                s.bypasses
+            };
+            assert_eq!(path, calls, "floor {index_floor} keeps one path");
+        }
     }
 
     #[test]

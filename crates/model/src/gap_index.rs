@@ -79,12 +79,6 @@ impl GapIndex {
         self.window_count.saturating_sub(1)
     }
 
-    /// Approximate heap footprint of the tree, in bytes.
-    #[must_use]
-    pub fn tree_bytes(&self) -> usize {
-        self.tree.len() * std::mem::size_of::<u64>()
-    }
-
     /// Smallest gap position `k >= lo` whose capacity is at least `need`
     /// ticks, or `None` if no interior gap qualifies or the search reached
     /// positions `k` whose `past(k)` holds.

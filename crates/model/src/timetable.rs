@@ -480,14 +480,6 @@ impl Timetable {
         self.busy_within(range).ratio(range.duration())
     }
 
-    /// End of the last reservation, or `t0` if empty.
-    #[must_use]
-    pub fn horizon(&self) -> SimTime {
-        self.reservations
-            .last()
-            .map_or(SimTime::ZERO, |r| r.window.end())
-    }
-
     fn invariants_hold(&self) -> bool {
         self.reservations
             .windows(2)
@@ -719,11 +711,9 @@ mod tests {
     #[test]
     fn utilization_and_horizon() {
         let mut tt = Timetable::new();
-        assert_eq!(tt.horizon(), SimTime::ZERO);
         tt.reserve(w(0, 5), bg(0)).unwrap();
         tt.reserve(w(10, 15), bg(1)).unwrap();
         assert!((tt.utilization(w(0, 20)) - 0.5).abs() < 1e-12);
-        assert_eq!(tt.horizon(), SimTime::from_ticks(15));
         // Partial overlap accounting.
         assert_eq!(tt.busy_within(w(3, 12)).ticks(), 2 + 2);
     }

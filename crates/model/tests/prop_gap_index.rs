@@ -139,10 +139,9 @@ fn indexed_earliest_fit_matches_linear_walk_at_100k_windows() {
     });
 }
 
-/// The seek primitive agrees with the linear reference, and an indexed
-/// overlay's `free_windows` equals the materialized timetable's.
+/// The seek primitive agrees with the linear reference.
 #[test]
-fn indexed_free_windows_match_materialized_reference() {
+fn index_seek_matches_linear_reference() {
     check(256, |g| {
         let tt = gen_timetable(g, 39);
         let windows: Vec<TimeWindow> = tt.iter().map(|r| r.window()).collect();
@@ -153,18 +152,6 @@ fn indexed_free_windows_match_materialized_reference() {
             index.first_ending_after(&windows, t),
             linear_seek.unwrap_or(windows.len())
         );
-
-        let mut pool = ResourcePool::new();
-        let node = pool.add_node(DomainId::new(0), Perf::FULL);
-        *pool.timetable_mut(node) = tt.clone();
-        let overlay = TimetableOverlay::new(pool.snapshot());
-        let lo = g.u64_in(0, 300);
-        let range = TimeWindow::new(
-            SimTime::from_ticks(lo),
-            SimTime::from_ticks(lo + g.u64_in(1, 200)),
-        )
-        .expect("len >= 1");
-        assert_eq!(overlay.free_windows(node, range), tt.free_windows(range));
     });
 }
 
@@ -195,26 +182,22 @@ fn overlay_hybrid_probes_match_materialized_union() {
     });
 }
 
-/// Index answers survive `reserve_window` / `release_window` /
-/// `reset_to` epochs: warm overlay answers always equal a cold overlay
-/// over the same state, and a rebased overlay sees the mutated pool
-/// through a *new* snapshot (and a new index).
+/// Index answers survive `reserve_window` and `reset_to`: warm overlay
+/// answers always equal a cold overlay over the same state, and a
+/// rebased overlay sees the mutated pool through a *new* snapshot (and a
+/// new index).
 #[test]
-fn index_survives_reserve_release_and_reset_epochs() {
+fn index_survives_reserves_and_reset() {
     check(256, |g| {
         let (mut pool, node) = one_node_pool(gen_timetable(g, 29), 0);
         let mut overlay = TimetableOverlay::new(pool.snapshot());
         let mut held: Vec<TimeWindow> = Vec::new();
         for _ in 0..12 {
-            if g.chance(0.6) || held.is_empty() {
+            if g.chance(0.6) {
                 let w = gen_window(g);
                 if overlay.reserve_window(node, w).is_ok() {
                     held.push(w);
                 }
-            } else {
-                let victim = *g.pick(&held);
-                assert!(overlay.release_window(node, victim));
-                held.retain(|&w| w != victim);
             }
             let (not_before, duration, deadline) = gen_probe(g);
             // Cold reference: a fresh overlay with the same tentative set.
@@ -253,7 +236,7 @@ fn index_survives_reserve_release_and_reset_epochs() {
         assert_eq!(
             overlay.earliest_fit(node, not_before, duration, deadline),
             fresh.earliest_fit(node, not_before, duration, deadline),
-            "rebased overlay answers from the new epoch (extra={extra} applied={extra_applied})"
+            "rebased overlay answers from the new snapshot (extra={extra} applied={extra_applied})"
         );
     });
 }
@@ -293,9 +276,9 @@ fn toggle_off_is_observationally_identical() {
     });
 }
 
-/// The indexed cold probe resumes its seek from the node's cursor. On
+/// The indexed probe resumes its seek from the node's cursor. On
 /// query sequences whose `not_before` moves forward and backward,
-/// interleaved with tentative reserves and releases, every answer of a
+/// interleaved with tentative reserves, every answer of a
 /// warm indexed overlay equals the linear merged walk of a warm overlay
 /// that never indexes, and a cold `GapIndex::earliest_fit` over the
 /// materialized union of base and tentative windows.
@@ -312,7 +295,7 @@ fn cursor_resumed_probes_match_linear_walk_and_cold_index() {
         let mut not_before = g.u64_in(0, 300);
         for _ in 0..24 {
             match g.usize_in(0, 5) {
-                0 => {
+                0 | 1 => {
                     let w = gen_window(g);
                     let ok = indexed.reserve_window(node, w).is_ok();
                     assert_eq!(ok, linear.reserve_window(node, w).is_ok(), "reserve {w}");
@@ -322,17 +305,6 @@ fn cursor_resumed_probes_match_linear_walk_and_cold_index() {
                             .expect("the overlay accepted it");
                         held.push(w);
                     }
-                }
-                1 if !held.is_empty() => {
-                    let w = held.swap_remove(g.usize_in(0, held.len() - 1));
-                    assert!(indexed.release_window(node, w));
-                    assert!(linear.release_window(node, w));
-                    let id = union
-                        .iter()
-                        .find(|r| r.window() == w)
-                        .map(|r| r.id())
-                        .expect("held windows are in the union");
-                    union.release(id);
                 }
                 _ => {
                     // Mostly small steps forward, sometimes a jump back.

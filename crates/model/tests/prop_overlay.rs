@@ -100,13 +100,12 @@ fn earliest_fit_matches_materialized_clone() {
     });
 }
 
-/// The overlay's epoch-tagged query cache (merged-cursor memo + fit memo)
-/// must be invisible: a *warm* overlay — whose cache was populated by
-/// earlier queries — answers exactly like a freshly built overlay with the
-/// same tentative state and a stone-cold cache, across arbitrary
-/// interleavings of `reserve_window` / `release_window` and queries.
+/// The overlay's per-node cursor must be invisible: a *warm* overlay —
+/// whose cursors were moved by earlier queries — answers exactly like a
+/// freshly built overlay with the same tentative state and no cursor yet,
+/// across arbitrary interleavings of `reserve_window` and queries.
 #[test]
-fn cached_queries_match_cold_recompute_after_reserve_release_interleavings() {
+fn warm_queries_match_cold_recompute_after_reserve_interleavings() {
     check(128, |g| {
         let mut pool = ResourcePool::new();
         let node = pool.add_node(DomainId::new(0), Perf::FULL);
@@ -119,26 +118,15 @@ fn cached_queries_match_cold_recompute_after_reserve_release_interleavings() {
         let mut warm = TimetableOverlay::new(snapshot.clone());
         let mut committed: Vec<TimeWindow> = Vec::new();
         for _ in 0..25 {
-            // Mutate: a random reserve or release (releases pick one of the
-            // currently committed tentative windows, so the replay below
-            // stays conflict-free).
-            if committed.is_empty() || g.chance(0.7) {
-                let w = gen_window(g);
-                if warm.reserve_window(node, w).is_ok() {
-                    committed.push(w);
-                }
-            } else {
-                let i = g.usize_in(0, committed.len() - 1);
-                let w = committed.swap_remove(i);
-                assert!(warm.release_window(node, w), "release of a live window");
-                assert!(
-                    !warm.release_window(node, w),
-                    "double release must report false"
-                );
+            // Mutate: a random reserve attempt (most of a busy calendar's
+            // attempts conflict and must leave the cursor usable).
+            let w = gen_window(g);
+            if warm.reserve_window(node, w).is_ok() {
+                committed.push(w);
             }
             // Query with monotonically increasing `from` (the pattern the
-            // allocator's DP produces — what the cursor memo accelerates),
-            // then re-ask one query verbatim to exercise exact memo hits.
+            // allocator's DP produces — what the cursor accelerates),
+            // then re-ask one query verbatim.
             let mut cold = TimetableOverlay::new(snapshot.clone());
             for &w in &committed {
                 cold.reserve_window(node, w)
@@ -169,38 +157,18 @@ fn cached_queries_match_cold_recompute_after_reserve_release_interleavings() {
                 assert_eq!(
                     warm.earliest_fit(node, f, duration, deadline),
                     cold.earliest_fit(node, f, duration, deadline),
-                    "repeated query (exact memo hit) diverged"
+                    "repeated query diverged"
                 );
             }
         }
     });
 }
 
-#[test]
-fn free_windows_match_materialized_clone() {
-    check(256, |g| {
-        let f = build(g);
-        for _ in 0..10 {
-            let start = g.u64_in(0, 150);
-            let len = g.u64_in(1, 150);
-            let range =
-                TimeWindow::new(SimTime::from_ticks(start), SimTime::from_ticks(start + len))
-                    .expect("non-empty");
-            assert_eq!(
-                f.overlay.free_windows(f.node, range),
-                f.clone.free_windows(range),
-                "free_windows diverged on {range}"
-            );
-        }
-    });
-}
-
-/// The node cursor both cold paths resume from is invisible: with the
+/// The node cursor both probe paths resume from is invisible: with the
 /// gap index engaged on every calendar and with it never engaged, a warm
 /// overlay answers `earliest_fit` and `first_conflict` exactly like the
 /// materialized clone, on query sequences whose `not_before` moves
-/// forward and backward, interleaved with `reserve_window` /
-/// `release_window`.
+/// forward and backward, interleaved with `reserve_window`.
 #[test]
 fn cursor_survives_backward_queries_and_mutations_on_both_paths() {
     check(128, |g| {
@@ -218,30 +186,16 @@ fn cursor_survives_backward_queries_and_mutations_on_both_paths() {
             }
             let mut clone = pool.timetable(node).clone();
             let mut overlay = TimetableOverlay::new(pool.snapshot());
-            let mut held: Vec<TimeWindow> = Vec::new();
             let mut from = g.u64_in(0, 200);
             for step in 0..30 {
                 match g.usize_in(0, 5) {
-                    0 => {
+                    0 | 1 => {
                         let w = gen_window(g);
                         let ok = overlay.reserve_window(node, w).is_ok();
                         let clone_ok = clone
                             .reserve(w, ReservationOwner::Background(100 + step))
                             .is_ok();
                         assert_eq!(ok, clone_ok, "reserve acceptance diverged on {w}");
-                        if ok {
-                            held.push(w);
-                        }
-                    }
-                    1 if !held.is_empty() => {
-                        let w = held.swap_remove(g.usize_in(0, held.len() - 1));
-                        assert!(overlay.release_window(node, w), "release of a live window");
-                        let id = clone
-                            .iter()
-                            .find(|r| r.window() == w)
-                            .map(|r| r.id())
-                            .expect("held windows are in the clone");
-                        clone.release(id);
                     }
                     _ => {
                         from = if g.chance(0.3) {
