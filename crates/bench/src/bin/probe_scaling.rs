@@ -23,13 +23,15 @@
 //!   ties (reported as `probe_index_speedup_typical`).
 //! * `index build`  — the one-off O(R) cost a snapshot pays on its first
 //!   probe of a node, amortized over every session sharing the snapshot.
-//! * `cold/warm capture` — a full [`AvailabilitySnapshot`] capture with
-//!   the calendar cache disabled (every capture refreezes the window
-//!   slice, O(R)) vs. enabled and primed (the capture reuses the frozen
-//!   calendar and its already-built index by `Arc`). The ratio at the
-//!   largest pool is reported as `index_cache_warm_speedup`, and the
-//!   shape also asserts that the warm capture serves probes with **zero**
-//!   rebuilds.
+//! * `cold/warm capture` — a full [`AvailabilitySnapshot`] capture of a
+//!   freshly cloned pool (a clone holds no frozen calendar, so the
+//!   capture freezes the window slice, O(R); the clone's own time,
+//!   benched separately, is subtracted) vs. a capture of the primed pool
+//!   (the capture reuses the timetable's frozen calendar and its
+//!   already-built index by `Arc`). The ratio at the largest pool is
+//!   reported as `index_cache_warm_speedup`, and the shape also asserts
+//!   that every warm capture found the calendar frozen and serves probes
+//!   with **zero** rebuilds.
 //!
 //! Results land in `BENCH_probe_scaling.json` (override with `--out`).
 //! This is a manual tool; CI does not run it, because wall-time ratios
@@ -37,7 +39,7 @@
 //! tested deterministically instead: the index search's O(log R) step
 //! bound (`gap_index`'s unit tests), indexed == linear at ≥ 100k windows
 //! (`crates/model/tests/prop_gap_index.rs`) and a warm capture's zero
-//! rebuilds and cache hits (`crates/model/tests/prop_index_cache.rs`).
+//! rebuilds and shared calendars (`crates/model/tests/prop_index_cache.rs`).
 //!
 //! Run with: `cargo bench-probe` (alias for
 //! `cargo run --release -p gridsched-bench --bin probe_scaling`).
@@ -50,7 +52,7 @@
 
 use std::time::{Duration, Instant};
 
-use gridsched::model::availability::{ProbeConfig, TimetableOverlay};
+use gridsched::model::availability::TimetableOverlay;
 use gridsched::model::gap_index::GapIndex;
 use gridsched::model::ids::DomainId;
 use gridsched::model::node::ResourcePool;
@@ -59,7 +61,7 @@ use gridsched::model::timetable::{ReservationOwner, Timetable};
 use gridsched::model::window::TimeWindow;
 use gridsched::sim::rng::SimRng;
 use gridsched::sim::time::{SimDuration, SimTime};
-use gridsched_bench::timing::Group;
+use gridsched_bench::timing::{Group, Stats};
 use gridsched_bench::{keys, verdict, Args};
 
 /// Pool sizes swept, in reservations per node. 143k is the seed
@@ -165,8 +167,8 @@ fn main() {
     );
 
     let mut results: Vec<SizeResult> = Vec::new();
-    // Cache counters from the *largest* size's warm-capture shape; the
-    // headline keys below report these.
+    // Warm-capture counters from the *largest* size; the headline keys
+    // below report these.
     let mut warm_capture_hits = 0u64;
     let mut warm_capture_rebuilds = 0u64;
     for (idx, &n) in sizes.iter().enumerate() {
@@ -247,37 +249,38 @@ fn main() {
             cursor += 1;
             index.earliest_fit(&cal.windows, nb, d, SimTime::MAX)
         });
-        // Capture shapes: a full snapshot with the pool's calendar cache
-        // disabled (every capture refreezes the window slice, O(R)) vs.
-        // enabled and primed (the capture reuses the frozen calendar —
-        // and its already-built index — by `Arc`).
-        pool.set_probe_config(ProbeConfig {
-            calendar_cache: false,
-            ..ProbeConfig::default()
+        // Capture shapes: a full snapshot of a fresh clone (which holds no
+        // frozen calendar, so the capture freezes the window slice, O(R)),
+        // less the clone itself, vs. a snapshot of the primed pool (which
+        // reuses the frozen calendar — and its already-built index — by
+        // `Arc`).
+        let clone_only = group.bench("pool clone", || pool.clone().len());
+        let clone_capture = group.bench("pool clone + cold capture", || {
+            pool.clone().snapshot().windows(node).len()
         });
-        let capture_cold = group.bench("cold capture, cache disabled", || {
-            pool.snapshot().windows(node).len()
-        });
-        pool.set_probe_config(ProbeConfig::default());
-        // Prime: one capture inserts the frozen calendar, one cold probe
-        // builds its index inside the shared calendar.
+        let capture_cold = Stats {
+            mean: clone_capture.mean.saturating_sub(clone_only.mean),
+            ..clone_capture
+        };
+        // Prime: one capture freezes the calendar, one cold probe builds
+        // its index inside the shared calendar.
         let primed = TimetableOverlay::new(pool.snapshot());
         let _ = primed.earliest_fit(node, hard[0], hard_duration, SimTime::MAX);
         let _ = primed.take_index_stats();
-        let _ = pool.index_cache().take_stats();
-        let capture_warm = group.bench("warm capture, cache hit", || {
-            pool.snapshot().windows(node).len()
+        let mut warm_nodes = 0;
+        let capture_warm = group.bench("warm capture, frozen calendar", || {
+            let snapshot = pool.snapshot();
+            warm_nodes += snapshot.warm_nodes();
+            snapshot.windows(node).len()
         });
-        let cache_stats = pool.index_cache().take_stats();
-        assert!(
-            cache_stats.hits >= 1 && cache_stats.misses == 0,
-            "warm captures at {n} reservations must all hit the cache \
-             (hits {}, misses {})",
-            cache_stats.hits,
-            cache_stats.misses,
+        // The warm-up call is not in `iters`.
+        assert_eq!(
+            warm_nodes as u64,
+            capture_warm.iters + 1,
+            "every warm capture at {n} reservations must find the calendar frozen"
         );
         // A fresh overlay over a warm capture probes without rebuilding:
-        // the cached calendar carries its index across generations.
+        // the frozen calendar carries its index across generations.
         let warm_capture = TimetableOverlay::new(pool.snapshot());
         let _ = warm_capture.earliest_fit(node, hard[0], hard_duration, SimTime::MAX);
         let warm_stats = warm_capture.take_index_stats();
@@ -286,7 +289,7 @@ fn main() {
             "warm capture at {n} reservations rebuilt its index"
         );
         assert!(warm_stats.seeks >= 1, "warm probe must use the index");
-        warm_capture_hits = cache_stats.hits;
+        warm_capture_hits = warm_nodes as u64;
         warm_capture_rebuilds = warm_stats.builds;
 
         let speedup_hard = linear_hard.speedup_over(&indexed_hard);

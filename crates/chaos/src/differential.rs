@@ -1,6 +1,6 @@
 //! The differential axes: configurations of one campaign that must agree.
 //!
-//! Five axes, each a bit-identity contract the test suite pins with
+//! Four axes, each a bit-identity contract the test suite pins with
 //! hand-picked seeds and this module fuzzes with generated ones:
 //!
 //! * [`Axis::Executors`] — the `Sequential` and the pooled `Auto`
@@ -15,11 +15,6 @@
 //!   `earliest_fit` probes that would stay on the linear merged walk go
 //!   through the index instead) changes nothing observable: the two
 //!   probe paths are bit-identical by the DESIGN.md §9 contract.
-//! * [`Axis::IndexCache`] — the cross-snapshot calendar cache is a pure
-//!   reuse layer: forcing every capture through it (cache on with the
-//!   engagement floor at zero, so cached gap indexes actually serve
-//!   probes) and switching it off entirely both replay the campaign
-//!   bit-identically.
 //! * [`Axis::BatchOnline`] — a batch campaign over a degenerate zero-gap
 //!   release stream matches an online serving run over the same arrivals,
 //!   whenever admission control stayed out of the way (see
@@ -53,19 +48,16 @@ pub enum Axis {
     Telemetry,
     /// Gap-indexed vs linear cold `earliest_fit` probes.
     ProbeIndex,
-    /// Calendar-cache-forced vs calendar-cache-disabled captures.
-    IndexCache,
     /// Batch vs online on degenerate zero-gap arrivals.
     BatchOnline,
 }
 
 impl Axis {
     /// Every axis, in execution order.
-    pub const ALL: [Axis; 5] = [
+    pub const ALL: [Axis; 4] = [
         Axis::Executors,
         Axis::Telemetry,
         Axis::ProbeIndex,
-        Axis::IndexCache,
         Axis::BatchOnline,
     ];
 
@@ -76,7 +68,6 @@ impl Axis {
             Axis::Executors => "executors",
             Axis::Telemetry => "telemetry",
             Axis::ProbeIndex => "probe-index",
-            Axis::IndexCache => "index-cache",
             Axis::BatchOnline => "batch-online",
         }
     }
@@ -301,45 +292,7 @@ pub fn run_axes(campaign: &ChaosCampaign, inject: Option<Axis>) -> AxisReport {
         }
     }
 
-    // Axis 4: the cross-snapshot calendar cache. Replay once with the
-    // cache on and the engagement floor at zero (every capture consults
-    // the cache and cached gap indexes actually answer probes), then once
-    // with the cache disabled outright; both must match the base
-    // fingerprint bit for bit.
-    {
-        let fp = match audited(&campaign.probe_index_forced_config(), "index-cache-forced") {
-            Ok(report) => report_fingerprint(&report),
-            Err(failure) => return failed(failure),
-        };
-        if fp != base {
-            return failed(ChaosFailure::Divergence {
-                axis: Axis::IndexCache,
-                variant: "index-cache-forced",
-                expected: base,
-                actual: fp,
-            });
-        }
-        let mut fp = match audited(
-            &campaign.index_cache_disabled_config(),
-            "index-cache-disabled",
-        ) {
-            Ok(report) => report_fingerprint(&report),
-            Err(failure) => return failed(failure),
-        };
-        if inject == Some(Axis::IndexCache) {
-            fp ^= INJECTION_MASK;
-        }
-        if fp != base {
-            return failed(ChaosFailure::Divergence {
-                axis: Axis::IndexCache,
-                variant: "index-cache-disabled",
-                expected: base,
-                actual: fp,
-            });
-        }
-    }
-
-    // Axis 5: batch vs online on degenerate zero-gap arrivals.
+    // Axis 4: batch vs online on degenerate zero-gap arrivals.
     let batch = match audited(&campaign.zero_gap_config(), "batch-zero-gap") {
         Ok(report) => report,
         Err(failure) => return failed(failure),

@@ -183,34 +183,13 @@ impl ChaosCampaign {
     }
 
     /// [`ChaosCampaign::base_config`] with the gap index engaged on every
-    /// calendar (floor zero; calendar cache on, as by default). Campaign
-    /// calendars sit below the default floor, so the base run probes
-    /// linearly and this variant sends every cold probe through the
-    /// index. The `probe-index` axis runs it, and so does the
-    /// `index-cache` axis as its cache-forced variant: with the floor at
-    /// zero, cached gap indexes actually answer probes.
+    /// calendar (floor zero). Campaign calendars sit below the default
+    /// floor, so the base run probes linearly and this variant, which the
+    /// `probe-index` axis runs, sends every cold probe through the index.
     #[must_use]
     pub fn probe_index_forced_config(&self) -> CampaignConfig {
-        self.with_probe(ProbeConfig {
-            index_floor: 0,
-            calendar_cache: true,
-        })
-    }
-
-    /// [`ChaosCampaign::base_config`] with the calendar cache off: every
-    /// capture refreezes every node. The `index-cache` axis's second
-    /// variant.
-    #[must_use]
-    pub fn index_cache_disabled_config(&self) -> CampaignConfig {
-        self.with_probe(ProbeConfig {
-            calendar_cache: false,
-            ..ProbeConfig::default()
-        })
-    }
-
-    fn with_probe(&self, probe: ProbeConfig) -> CampaignConfig {
         let mut config = self.base_config();
-        config.pool_config.probe = probe;
+        config.pool_config.probe = ProbeConfig { index_floor: 0 };
         config
     }
 

@@ -50,24 +50,6 @@ fn injected_divergence_is_caught_and_shrunk() {
 }
 
 #[test]
-fn index_cache_axis_injection_is_caught() {
-    let outcome = run_sweep(
-        &SweepConfig {
-            master_seed: 0xBAD_5EED,
-            campaigns: 1,
-            inject: Some(Axis::IndexCache),
-            ..SweepConfig::default()
-        },
-        &Telemetry::disabled(),
-    );
-    let repro = outcome
-        .repro
-        .expect("injected index-cache divergence must be caught");
-    assert_eq!(repro.axis, Axis::IndexCache);
-    assert!(repro.injected);
-}
-
-#[test]
 fn shrinking_twice_with_the_same_seed_is_stable() {
     let a = run_injected().repro.expect("caught");
     let b = run_injected().repro.expect("caught");

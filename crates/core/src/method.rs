@@ -134,8 +134,8 @@ impl std::error::Error for ScheduleError {}
 /// shares nothing with earlier runs.
 ///
 /// Kept as the oracle of the differential/determinism suites, to pin that
-/// the session's shared snapshot, calendar cache and recycled scratch
-/// leave the output bit-identical.
+/// the session's shared snapshot, reused frozen calendars and recycled
+/// scratch leave the output bit-identical.
 ///
 /// # Errors
 ///
@@ -148,7 +148,7 @@ pub fn build_distribution_cloning(
     req: &ScheduleRequest<'_>,
 ) -> Result<Distribution, ScheduleError> {
     let deadline = req.release.saturating_add(req.job.deadline());
-    // A cloned pool starts with an empty calendar cache, so this capture
+    // A cloned timetable holds no frozen calendar, so this capture
     // freezes every node afresh.
     let snapshot = req.pool.clone().snapshot();
     let background = TimetableOverlay::new(snapshot.clone());

@@ -93,7 +93,8 @@ impl<'p> PlanningSession<'p> {
     /// [`PlanningSession::open`] with a telemetry recorder attached.
     ///
     /// The session counts the snapshot capture
-    /// ([`Counter::SessionsOpened`]), every overlay it hands out
+    /// ([`Counter::SessionsOpened`]) and the nodes it found already frozen
+    /// ([`Counter::IndexCacheHits`]), every overlay it hands out
     /// ([`Counter::OverlaysCreated`]) and every engine pass it runs
     /// ([`Counter::CriticalWorksPasses`], with `critical_works_pass` timing
     /// spans parented under `parent`). Instrumentation is strictly
@@ -109,11 +110,7 @@ impl<'p> PlanningSession<'p> {
         let span = telemetry.span_under("session_open", parent);
         let snapshot = pool.snapshot();
         drop(span);
-        // The capture consulted the pool's calendar cache; drain its stats
-        // here (they are deltas since the previous drain).
-        let cache_stats = pool.index_cache().take_stats();
-        telemetry.add(Counter::IndexCacheHits, cache_stats.hits);
-        telemetry.add(Counter::IndexCacheEvictions, cache_stats.evictions);
+        telemetry.add(Counter::IndexCacheHits, snapshot.warm_nodes() as u64);
         PlanningSession {
             pool,
             snapshot,
@@ -563,10 +560,7 @@ mod tests {
         let mut pool = fig2_pool();
         // Fixture calendars are tiny; drop this pool's engagement floor so
         // the indexed path (and its counters) actually runs.
-        pool.set_probe_config(ProbeConfig {
-            index_floor: 0,
-            ..ProbeConfig::default()
-        });
+        pool.set_probe_config(ProbeConfig { index_floor: 0 });
         for i in 0..pool.len() {
             pool.timetable_mut(NodeId::new(i as u32))
                 .reserve(
@@ -596,6 +590,22 @@ mod tests {
             "at most one build per (snapshot, node), got {rebuilds}"
         );
         assert_eq!(telemetry.counter(Counter::IndexBypasses), 0);
+    }
+
+    /// A session counts the warm nodes of its own capture only: bare
+    /// captures taken before it are credited to no one.
+    #[test]
+    fn bare_captures_are_not_credited_to_a_later_session() {
+        let pool = fig2_pool();
+        let _ = pool.snapshot();
+        let _ = pool.snapshot();
+        let telemetry = Telemetry::new();
+        let _session = PlanningSession::open_instrumented(&pool, &telemetry, None);
+        assert_eq!(
+            telemetry.counter(Counter::IndexCacheHits),
+            pool.len() as u64,
+            "one hit per node the session's capture found frozen"
+        );
     }
 
     /// Every `MinCost` chain allocation of a session run is tallied once,

@@ -161,12 +161,11 @@ pub enum Counter {
     /// is the expected shape for sparse pools, not a disabled index.
     /// Answers are bit-identical either way.
     IndexBypasses,
-    /// Snapshot captures of a node answered by the pool's cross-snapshot
-    /// calendar cache (frozen windows + gap index reused, nothing
-    /// copied or rebuilt).
+    /// Nodes whose calendar a planning session's snapshot capture reused
+    /// from the node's timetable, frozen by an earlier capture of the
+    /// unchanged windows (windows + gap index reused, nothing copied or
+    /// rebuilt). Counts the session's own capture only.
     IndexCacheHits,
-    /// Cached calendars dropped to respect the cache's byte budget.
-    IndexCacheEvictions,
     /// `MinCost` chain allocations decided by the cost-to-go-bounded
     /// Pareto pass alone (DESIGN §4 rule 9).
     CostBoundHeld,
@@ -189,7 +188,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 45] = [
+    pub const ALL: [Counter; 44] = [
         Counter::JobsReleased,
         Counter::JobsActivated,
         Counter::FlowAssignments,
@@ -229,7 +228,6 @@ impl Counter {
         Counter::IndexRebuilds,
         Counter::IndexBypasses,
         Counter::IndexCacheHits,
-        Counter::IndexCacheEvictions,
         Counter::CostBoundHeld,
         Counter::CostBoundFallbacks,
         Counter::FastestCapped,
@@ -282,7 +280,6 @@ impl Counter {
             Counter::IndexRebuilds => "index_rebuilds",
             Counter::IndexBypasses => "index_bypasses",
             Counter::IndexCacheHits => "index_cache_hits",
-            Counter::IndexCacheEvictions => "index_cache_evictions",
             Counter::CostBoundHeld => "cost_bound_held",
             Counter::CostBoundFallbacks => "cost_bound_fallbacks",
             Counter::FastestCapped => "fastest_capped",

@@ -68,14 +68,15 @@
 //!
 //! # Cross-snapshot calendar sharing
 //!
-//! `capture` does not copy or index from scratch every time: each node's
-//! frozen windows + index live in an [`crate::index_cache::NodeCalendar`]
-//! keyed by the timetable's revision in the pool's
-//! [`crate::index_cache::IndexCache`]. A capture of an *unchanged* node
-//! is an `Arc` bump reusing both the window slice and any already built
-//! index — which is what lets the engagement floor sit at 1k windows
-//! instead of 16k: the build amortizes over every capture of the
-//! unchanged node, not just one snapshot's lifetime.
+//! `capture` does not copy or index from scratch every time: each
+//! [`Timetable`] holds the [`NodeCalendar`] (frozen windows + lazily built
+//! index) its last capture froze, and every window-changing mutation
+//! drops it. A capture of an *unchanged* node is an `Arc` bump reusing
+//! both the window slice and any already built index — which is what
+//! lets the engagement floor sit at 1k windows instead of 16k: the build
+//! amortizes over every capture of the unchanged node, not just one
+//! snapshot's lifetime. A cloned timetable starts with no frozen
+//! calendar, so a capture of a cloned pool is cold.
 //!
 //! [`GapIndex`]: crate::gap_index::GapIndex
 
@@ -86,22 +87,22 @@ use std::sync::Arc;
 use gridsched_sim::time::{SimDuration, SimTime};
 
 use crate::ids::NodeId;
-use crate::index_cache::NodeCalendar;
 use crate::node::ResourcePool;
+use crate::timetable::NodeCalendar;
 use crate::window::TimeWindow;
 
 /// Default [`ProbeConfig::index_floor`]: nodes with fewer base windows
 /// than this answer probes linearly.
 ///
-/// The index trades an O(R) build per (calendar, revision) for O(log R)
+/// The index trades an O(R) build per frozen calendar for O(log R)
 /// probes, so it only pays where calendars are large enough that the
 /// amortized build beats deadline-clipped linear walks. The floor used to
 /// sit at 16k because every snapshot rebuilt from scratch and a snapshot
-/// often lives for a single job's generation; with the cross-snapshot
-/// [`crate::index_cache::IndexCache`] a build is paid once per timetable
-/// *revision* and reused by every later capture of the unchanged node, so
-/// the §4 sweep calendars (~6k windows/node) amortize it across the whole
-/// sweep and the floor drops to 1k. Below 1k even a cached index buys
+/// often lives for a single job's generation; since each timetable keeps
+/// its frozen calendar until its windows change, a build is paid once
+/// per mutation and reused by every later capture of the unchanged node,
+/// so the §4 sweep calendars (~6k windows/node) amortize it across the
+/// whole sweep and the floor drops to 1k. Below 1k even a cached index buys
 /// little: probes bisect a few hundred windows in a handful of hops
 /// either way, and the first capture after every mutation would still pay
 /// a (tiny) build. The warm-capture shape of `BENCH_probe_scaling.json`
@@ -113,14 +114,12 @@ use crate::window::TimeWindow;
 pub const DEFAULT_INDEX_FLOOR: usize = 1_000;
 
 /// How a pool's planning probes run: which probe path an
-/// `earliest_fit` takes and whether snapshot captures reuse cached
-/// calendars.
+/// `earliest_fit` takes.
 ///
-/// Every choice here is unobservable in the answers (the DESIGN.md §9
-/// contract): the gap-indexed and linear probes are bit-identical,
-/// and a cached calendar equals a freshly frozen one. Only the
-/// [`IndexStats`] and [`crate::index_cache::IndexCacheStats`] counters
-/// see the difference. The value lives on the [`ResourcePool`]
+/// The choice is unobservable in the answers (the DESIGN.md §9
+/// contract): the gap-indexed and linear probes are bit-identical, and
+/// only the [`IndexStats`] counters see the difference. The value lives
+/// on the [`ResourcePool`]
 /// ([`ResourcePool::set_probe_config`]) and is fixed into each
 /// [`AvailabilitySnapshot`] at capture, so pools with different configs
 /// can plan side by side on different threads.
@@ -128,12 +127,10 @@ pub const DEFAULT_INDEX_FLOOR: usize = 1_000;
 /// ```
 /// use gridsched_model::availability::{ProbeConfig, DEFAULT_INDEX_FLOOR};
 ///
-/// let default = ProbeConfig::default();
-/// assert_eq!(default.index_floor, DEFAULT_INDEX_FLOOR);
-/// assert!(default.calendar_cache);
+/// assert_eq!(ProbeConfig::default().index_floor, DEFAULT_INDEX_FLOOR);
 /// // Gap index on every calendar / never engaged.
-/// let forced = ProbeConfig { index_floor: 0, ..default };
-/// let linear = ProbeConfig { index_floor: usize::MAX, ..default };
+/// let forced = ProbeConfig { index_floor: 0 };
+/// let linear = ProbeConfig { index_floor: usize::MAX };
 /// assert_ne!(forced, linear);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,17 +139,12 @@ pub struct ProbeConfig {
     /// gap index. `0` engages it on every calendar (tests and the chaos
     /// `probe-index` axis); `usize::MAX` never engages it.
     pub index_floor: usize,
-    /// Whether [`AvailabilitySnapshot::capture`] consults the pool's
-    /// cross-snapshot calendar cache. Off, every capture refreezes every
-    /// node and nothing becomes resident.
-    pub calendar_cache: bool,
 }
 
 impl Default for ProbeConfig {
     fn default() -> Self {
         ProbeConfig {
             index_floor: DEFAULT_INDEX_FLOOR,
-            calendar_cache: true,
         }
     }
 }
@@ -258,13 +250,14 @@ pub struct AvailabilitySnapshot {
 struct SnapshotInner {
     /// `nodes[NodeId::index]` = that node's frozen calendar: reserved
     /// windows (sorted by start, pairwise non-overlapping) plus the
-    /// lazily built gap index over them. Calendars are shared with the
-    /// pool's cross-snapshot [`crate::index_cache::IndexCache`] when it
-    /// is warm, so an unchanged node's windows *and* its built index
+    /// lazily built gap index over them, shared with the timetable that
+    /// froze it, so an unchanged node's windows *and* its built index
     /// survive across captures. Snapshots stay immutable either way —
-    /// pool mutations retag the timetable revision and only become
-    /// visible through a new capture freezing a new calendar.
+    /// a pool mutation drops the timetable's frozen calendar and only
+    /// becomes visible through a new capture freezing a new one.
     nodes: Box<[Arc<NodeCalendar>]>,
+    /// How many of `nodes` the capture found already frozen.
+    warm_nodes: usize,
     /// The pool's [`ProbeConfig::index_floor`] at capture: overlays on
     /// this snapshot engage the gap index for nodes with at least this
     /// many base windows.
@@ -275,43 +268,38 @@ impl AvailabilitySnapshot {
     /// Captures the current reservations of every node in `pool`, under
     /// the pool's [`ProbeConfig`].
     ///
-    /// With [`ProbeConfig::calendar_cache`] on, consults the pool's
-    /// [`crate::index_cache::IndexCache`] first: a node whose timetable
-    /// revision matches its cached calendar is reused by `Arc` bump — no
-    /// window copy, no index rebuild — and only changed nodes freeze
-    /// fresh calendars (which warm the cache for the next capture). The
-    /// config's [`ProbeConfig::index_floor`] is fixed into the snapshot
-    /// and decides the probe path of every overlay on it.
+    /// A node whose timetable still holds the calendar an earlier capture
+    /// froze is reused by `Arc` bump — no window copy, no index rebuild —
+    /// and only nodes changed since freeze fresh calendars, which their
+    /// timetables keep for the next capture. The config's
+    /// [`ProbeConfig::index_floor`] is fixed into the snapshot and decides
+    /// the probe path of every overlay on it.
     #[must_use]
     pub fn capture(pool: &ResourcePool) -> Self {
-        let probe = pool.probe_config();
-        let use_cache = probe.calendar_cache;
-        let cache = pool.index_cache();
-        let freeze = |n: &crate::node::Node| -> Arc<NodeCalendar> {
-            let timetable = pool.timetable(n.id());
-            if use_cache {
-                let revision = timetable.revision();
-                if let Some(calendar) = cache.lookup(n.id().index(), revision) {
-                    return calendar;
-                }
-                let calendar = Arc::new(NodeCalendar::new(
-                    timetable.iter().map(|r| r.window()).collect(),
-                ));
-                cache.insert(n.id().index(), revision, Arc::clone(&calendar));
+        let mut warm_nodes = 0;
+        let nodes: Box<[Arc<NodeCalendar>]> = pool
+            .nodes()
+            .map(|n| {
+                let mut froze = false;
+                let calendar = Arc::clone(pool.timetable(n.id()).calendar_tracked(&mut froze));
+                warm_nodes += usize::from(!froze);
                 calendar
-            } else {
-                Arc::new(NodeCalendar::new(
-                    timetable.iter().map(|r| r.window()).collect(),
-                ))
-            }
-        };
-        let nodes: Box<[Arc<NodeCalendar>]> = pool.nodes().map(freeze).collect();
+            })
+            .collect();
         AvailabilitySnapshot {
             inner: Arc::new(SnapshotInner {
                 nodes,
-                index_floor: probe.index_floor,
+                warm_nodes,
+                index_floor: pool.probe_config().index_floor,
             }),
         }
+    }
+
+    /// How many nodes this capture reused a calendar an earlier capture
+    /// had frozen for (the `index_cache_hits` of the capture).
+    #[must_use]
+    pub fn warm_nodes(&self) -> usize {
+        self.inner.warm_nodes
     }
 
     /// Number of nodes captured.
@@ -320,8 +308,8 @@ impl AvailabilitySnapshot {
         self.inner.nodes.len()
     }
 
-    /// The frozen calendar of `node` (shared with the pool's cache and
-    /// any other snapshot of the same revision).
+    /// The frozen calendar of `node` (shared with its timetable and any
+    /// other capture of the same windows).
     ///
     /// # Panics
     ///
@@ -738,10 +726,7 @@ mod tests {
     /// indexed path never runs.
     fn indexed_pool_with_windows(windows: &[TimeWindow]) -> ResourcePool {
         let mut pool = pool_with_windows(windows);
-        pool.set_probe_config(ProbeConfig {
-            index_floor: 0,
-            ..ProbeConfig::default()
-        });
+        pool.set_probe_config(ProbeConfig { index_floor: 0 });
         pool
     }
 
@@ -878,10 +863,7 @@ mod tests {
     fn every_positive_duration_call_is_one_probe() {
         for index_floor in [0, usize::MAX] {
             let mut pool = pool_with_windows(&[w(0, 4), w(6, 7), w(10, 12), w(20, 30)]);
-            pool.set_probe_config(ProbeConfig {
-                index_floor,
-                ..ProbeConfig::default()
-            });
+            pool.set_probe_config(ProbeConfig { index_floor });
             let node = NodeId::new(0);
             let mut overlay = TimetableOverlay::new(pool.snapshot());
             let probes = [

@@ -36,7 +36,6 @@ pub mod estimate;
 pub mod fixtures;
 pub mod gap_index;
 pub mod ids;
-pub mod index_cache;
 pub mod job;
 pub mod node;
 pub mod perf;
@@ -49,11 +48,12 @@ pub use availability::{AvailabilitySnapshot, PlanConflict, ProbeConfig, Timetabl
 pub use estimate::{EstimateScenario, ScenarioSweep};
 pub use gap_index::GapIndex;
 pub use ids::{DataId, DomainId, GlobalTaskId, JobId, NodeId, TaskId};
-pub use index_cache::{IndexCache, IndexCacheStats, NodeCalendar};
 pub use job::{BuildJobError, DataEdge, Job, JobBuilder};
-pub use node::{Node, ResourcePool};
+pub use node::{FrozenCalendars, Node, ResourcePool};
 pub use perf::{Perf, PerfGroup};
 pub use task::Task;
-pub use timetable::{Reservation, ReservationId, ReservationOwner, ReserveConflict, Timetable};
+pub use timetable::{
+    NodeCalendar, Reservation, ReservationId, ReservationOwner, ReserveConflict, Timetable,
+};
 pub use volume::Volume;
 pub use window::TimeWindow;

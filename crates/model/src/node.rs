@@ -4,7 +4,6 @@ use std::fmt;
 
 use crate::availability::ProbeConfig;
 use crate::ids::{DomainId, NodeId};
-use crate::index_cache::IndexCache;
 use crate::perf::{Perf, PerfGroup};
 use crate::timetable::Timetable;
 
@@ -83,14 +82,8 @@ pub struct ResourcePool {
     /// per-domain allocation can enumerate domains without a per-call
     /// scan.
     domains: Vec<DomainId>,
-    /// Cross-snapshot calendar cache keyed by `(node, revision)`:
-    /// [`ResourcePool::snapshot`] reuses frozen window slices and gap
-    /// indexes of unchanged nodes across captures. Cloning a pool starts
-    /// with a fresh empty cache (the `IndexCache` `Clone` impl), so the
-    /// derived pool `Clone` stays a deep, independent copy.
-    index_cache: IndexCache,
     /// How snapshots of this pool probe: fixed into every capture, copied
-    /// by `Clone` next to the fresh cache.
+    /// by `Clone`.
     probe: ProbeConfig,
 }
 
@@ -163,16 +156,20 @@ impl ResourcePool {
     /// The snapshot is `Arc`-backed: cloning it is cheap, and any number of
     /// [`crate::availability::TimetableOverlay`] planning views may be
     /// layered on top of it concurrently without touching the pool again.
+    /// Each node's calendar is the one its timetable froze at the last
+    /// capture, unless the timetable has changed since.
     #[must_use]
     pub fn snapshot(&self) -> crate::availability::AvailabilitySnapshot {
         crate::availability::AvailabilitySnapshot::capture(self)
     }
 
-    /// The pool's cross-snapshot calendar cache (hit/eviction stats are
-    /// drained from here into the telemetry counters).
+    /// A read-only view of the calendars the pool's timetables hold
+    /// frozen.
     #[must_use]
-    pub fn index_cache(&self) -> &IndexCache {
-        &self.index_cache
+    pub fn index_cache(&self) -> FrozenCalendars<'_> {
+        FrozenCalendars {
+            timetables: &self.timetables,
+        }
     }
 
     /// The probe configuration every capture of this pool is taken under.
@@ -250,6 +247,28 @@ impl ResourcePool {
         for tt in &mut self.timetables {
             *tt = Timetable::new();
         }
+    }
+}
+
+/// The calendars a pool's timetables hold frozen
+/// ([`ResourcePool::index_cache`]): at most one per timetable, the one the
+/// last capture froze, until the timetable's windows change.
+#[derive(Debug)]
+pub struct FrozenCalendars<'a> {
+    timetables: &'a [Timetable],
+}
+
+impl FrozenCalendars<'_> {
+    /// Approximate bytes of the frozen calendars
+    /// ([`crate::timetable::NodeCalendar::approx_bytes`]), summed over
+    /// the timetables.
+    #[must_use]
+    pub fn resident_bytes(&self) -> usize {
+        self.timetables
+            .iter()
+            .filter_map(Timetable::frozen)
+            .map(|calendar| calendar.approx_bytes())
+            .sum()
     }
 }
 

@@ -7,31 +7,69 @@
 //! reservation time in the local batch-job management system").
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use gridsched_sim::time::{SimDuration, SimTime};
 
+use crate::gap_index::GapIndex;
 use crate::ids::GlobalTaskId;
 use crate::window::TimeWindow;
 
-/// Process-global revision allocator for [`Timetable`]s. Starts at 1:
-/// revision 0 is reserved for pristine empty timetables, so "same
-/// revision" always implies "same reserved windows" — a nonzero revision
-/// is handed out exactly once, and revision 0 only ever tags an empty
-/// calendar. That implication is what lets the cross-snapshot
-/// [`crate::index_cache::IndexCache`] key cached window slices and gap
-/// indexes by `(node, revision)` without any content comparison, and it
-/// survives wholesale replacement (`*timetable_mut(n) = Timetable::…`)
-/// because the replacement carries its own globally unique revision.
-static NEXT_REVISION: AtomicU64 = AtomicU64::new(1);
+/// One node's frozen calendar: a [`Timetable`]'s reserved windows at one
+/// instant, plus the lazily built gap index over them.
+///
+/// The timetable keeps the calendar it last froze until its windows
+/// change, so every snapshot capture of an unchanged node shares the
+/// same window slice and the same at-most-once index build
+/// ([`Timetable::calendar_tracked`]).
+#[derive(Debug)]
+pub struct NodeCalendar {
+    windows: Box<[TimeWindow]>,
+    index: OnceLock<GapIndex>,
+}
 
-/// Revision tag of a pristine empty [`Timetable`].
-pub const EMPTY_REVISION: u64 = 0;
+impl NodeCalendar {
+    /// Freezes a window slice (sorted by start, pairwise non-overlapping
+    /// — the invariant every `Timetable` maintains).
+    fn new(windows: Box<[TimeWindow]>) -> Self {
+        NodeCalendar {
+            windows,
+            index: OnceLock::new(),
+        }
+    }
 
-fn next_revision() -> u64 {
-    // Relaxed suffices: the value is an opaque unique tag, never used to
-    // order other memory operations.
-    NEXT_REVISION.fetch_add(1, Ordering::Relaxed)
+    /// The frozen windows, in start order.
+    #[must_use]
+    pub fn windows(&self) -> &[TimeWindow] {
+        &self.windows
+    }
+
+    /// The gap index over the frozen windows, building it on first use;
+    /// `built` records whether *this call* performed the build (across
+    /// all holders at most one call ever observes `true`).
+    #[must_use]
+    pub fn gap_index_tracked(&self, built: &mut bool) -> &GapIndex {
+        self.index.get_or_init(|| {
+            *built = true;
+            GapIndex::build(&self.windows)
+        })
+    }
+
+    /// Approximate heap footprint: the window slice plus the gap-index
+    /// tree (its eventual size if not yet built — the tree's shape is a
+    /// pure function of the window count, so the estimate is exact once
+    /// built).
+    #[must_use]
+    pub fn approx_bytes(&self) -> usize {
+        let windows = self.windows.len() * std::mem::size_of::<TimeWindow>();
+        let gaps = self.windows.len().saturating_sub(1);
+        let tree = if gaps == 0 {
+            0
+        } else {
+            2 * gaps.next_power_of_two() * std::mem::size_of::<u64>()
+        };
+        windows + tree
+    }
 }
 
 /// Identifier of one reservation inside one [`Timetable`].
@@ -152,16 +190,27 @@ impl std::error::Error for ReserveConflict {}
 /// assert_eq!(start, Some(SimTime::from_ticks(5)));
 /// # Ok::<(), gridsched_model::timetable::ReserveConflict>(())
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Timetable {
     /// Sorted by window start; pairwise non-overlapping.
     reservations: Vec<Reservation>,
     next_id: u64,
-    /// Monotonic content tag: [`EMPTY_REVISION`] while pristine, replaced
-    /// with a globally unique value by every mutation that changes the
-    /// reserved windows. Clones keep the tag (identical content); the
-    /// first mutation of either clone retags it.
-    revision: u64,
+    /// The calendar the last capture froze, if the windows have not
+    /// changed since: filled by [`Timetable::calendar_tracked`], emptied
+    /// by every window-changing mutation, empty in a clone.
+    frozen: OnceLock<Arc<NodeCalendar>>,
+}
+
+impl Clone for Timetable {
+    /// Copies the reservations; the copy starts with no frozen calendar,
+    /// so its first capture freezes its own.
+    fn clone(&self) -> Self {
+        Timetable {
+            reservations: self.reservations.clone(),
+            next_id: self.next_id,
+            frozen: OnceLock::new(),
+        }
+    }
 }
 
 impl Timetable {
@@ -171,19 +220,30 @@ impl Timetable {
         Timetable::default()
     }
 
-    /// The calendar's content revision: [`EMPTY_REVISION`] for a pristine
-    /// empty timetable, otherwise a process-globally unique tag assigned
-    /// by the last window-changing mutation. Equal revisions imply equal
-    /// reserved windows, which is the key contract of the cross-snapshot
-    /// [`crate::index_cache::IndexCache`].
+    /// The frozen calendar of the current windows, freezing it if no
+    /// capture has since the last window-changing mutation; `froze`
+    /// records whether *this call* froze it.
     #[must_use]
-    pub fn revision(&self) -> u64 {
-        self.revision
+    pub fn calendar_tracked(&self, froze: &mut bool) -> &Arc<NodeCalendar> {
+        self.frozen.get_or_init(|| {
+            *froze = true;
+            Arc::new(NodeCalendar::new(
+                self.reservations.iter().map(|r| r.window).collect(),
+            ))
+        })
     }
 
-    /// Retags the calendar after a window-changing mutation.
-    fn bump_revision(&mut self) {
-        self.revision = next_revision();
+    /// The frozen calendar, if a capture has frozen one since the last
+    /// window-changing mutation.
+    #[must_use]
+    pub fn frozen(&self) -> Option<&Arc<NodeCalendar>> {
+        self.frozen.get()
+    }
+
+    /// Drops the frozen calendar after a window-changing mutation.
+    /// Snapshots that share it keep it alive until they die.
+    fn thaw(&mut self) {
+        self.frozen.take();
     }
 
     /// Number of active reservations.
@@ -257,7 +317,7 @@ impl Timetable {
             .partition_point(|r| r.window.start() < window.start());
         self.reservations
             .insert(idx, Reservation { id, window, owner });
-        self.bump_revision();
+        self.thaw();
         debug_assert!(self.invariants_hold());
         Ok(id)
     }
@@ -326,7 +386,7 @@ impl Timetable {
             self.reservations = merged;
         }
         if self.reservations.len() != before {
-            self.bump_revision();
+            self.thaw();
         }
         debug_assert!(
             self.invariants_hold(),
@@ -338,7 +398,7 @@ impl Timetable {
     pub fn release(&mut self, id: ReservationId) -> Option<Reservation> {
         let idx = self.reservations.iter().position(|r| r.id == id)?;
         let released = self.reservations.remove(idx);
-        self.bump_revision();
+        self.thaw();
         Some(released)
     }
 
@@ -349,7 +409,7 @@ impl Timetable {
         self.reservations.retain(|r| r.owner != owner);
         let removed = before - self.reservations.len();
         if removed > 0 {
-            self.bump_revision();
+            self.thaw();
         }
         removed
     }
@@ -372,7 +432,7 @@ impl Timetable {
             !hit
         });
         if !voided.is_empty() {
-            self.bump_revision();
+            self.thaw();
         }
         debug_assert!(self.invariants_hold());
         voided
@@ -391,7 +451,7 @@ impl Timetable {
             !hit
         });
         if !removed.is_empty() {
-            self.bump_revision();
+            self.thaw();
         }
         removed
     }
@@ -426,23 +486,9 @@ impl Timetable {
         }
     }
 
-    /// Free windows inside `range`, in time order.
-    ///
-    /// Allocates a fresh `Vec` per call; hot paths (the job-flow outage
-    /// handler, planning loops) should prefer
-    /// [`Timetable::free_windows_into`] with a reused buffer. This
-    /// signature is kept for tests and one-shot callers.
-    #[must_use]
-    pub fn free_windows(&self, range: TimeWindow) -> Vec<TimeWindow> {
-        let mut out = Vec::new();
-        self.free_windows_into(range, &mut out);
-        out
-    }
-
     /// Writes the free windows inside `range`, in time order, into `out`
-    /// (clearing it first). The allocation-free variant of
-    /// [`Timetable::free_windows`]: steady-state callers reuse one buffer
-    /// across calls.
+    /// (clearing it first). Steady-state callers reuse one buffer across
+    /// calls.
     pub fn free_windows_into(&self, range: TimeWindow, out: &mut Vec<TimeWindow>) {
         out.clear();
         let mut cursor = range.start();
@@ -692,7 +738,8 @@ mod tests {
         let mut tt = Timetable::new();
         tt.reserve(w(5, 10), bg(0)).unwrap();
         tt.reserve(w(15, 18), bg(1)).unwrap();
-        let free = tt.free_windows(w(0, 20));
+        let mut free = Vec::new();
+        tt.free_windows_into(w(0, 20), &mut free);
         assert_eq!(free, vec![w(0, 5), w(10, 15), w(18, 20)]);
         // Busy + free covers the whole range.
         let busy = tt.busy_within(w(0, 20));
@@ -704,8 +751,27 @@ mod tests {
     fn free_windows_with_leading_reservation() {
         let mut tt = Timetable::new();
         tt.reserve(w(0, 7), bg(0)).unwrap();
-        assert_eq!(tt.free_windows(w(0, 10)), vec![w(7, 10)]);
-        assert_eq!(tt.free_windows(w(1, 6)), Vec::<TimeWindow>::new());
+        let mut free = Vec::new();
+        tt.free_windows_into(w(0, 10), &mut free);
+        assert_eq!(free, vec![w(7, 10)]);
+        tt.free_windows_into(w(1, 6), &mut free);
+        assert_eq!(
+            free,
+            Vec::<TimeWindow>::new(),
+            "the buffer is cleared first"
+        );
+    }
+
+    #[test]
+    fn calendar_builds_its_index_once() {
+        let cal = NodeCalendar::new(vec![w(0, 2), w(5, 7), w(9, 12)].into_boxed_slice());
+        let mut built = false;
+        let idx = cal.gap_index_tracked(&mut built);
+        assert!(built);
+        assert_eq!(idx.gap_count(), 2);
+        let mut again = false;
+        let _ = cal.gap_index_tracked(&mut again);
+        assert!(!again, "second call reuses the build");
     }
 
     #[test]

@@ -39,10 +39,7 @@ fn gen_timetable(g: &mut Gen, max_attempts: usize) -> Timetable {
 /// A one-node pool holding `timetable`, probing under `index_floor`.
 fn one_node_pool(timetable: Timetable, index_floor: usize) -> (ResourcePool, NodeId) {
     let mut pool = ResourcePool::new();
-    pool.set_probe_config(ProbeConfig {
-        index_floor,
-        ..ProbeConfig::default()
-    });
+    pool.set_probe_config(ProbeConfig { index_floor });
     let node = pool.add_node(DomainId::new(0), Perf::FULL);
     *pool.timetable_mut(node) = timetable;
     (pool, node)

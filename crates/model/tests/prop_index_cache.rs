@@ -1,13 +1,13 @@
-//! Property suite for the revision counter and the cross-snapshot
-//! calendar cache.
+//! Property suite for the frozen calendar each timetable keeps.
 //!
-//! The cache contract (DESIGN.md §9): a [`Timetable`]'s revision is
-//! retagged by every window-changing mutation and never by a no-op, so a
-//! `(node, revision)` cache key can only ever resolve to the exact window
-//! set it was inserted under. These tests pin both halves — the revision
-//! discipline on every mutating operation, and the end-to-end guarantee
-//! that a capture through the cache is indistinguishable from a fresh
-//! build on random mutate/capture interleavings.
+//! The contract (DESIGN.md §9): a [`Timetable`] holds the calendar its
+//! last capture froze until a window-changing mutation drops it, a no-op
+//! keeps it, and a clone starts without one. So a capture can only ever
+//! reuse a calendar frozen from the exact window set it captures. These
+//! tests pin both halves — the slot discipline on every mutating
+//! operation, and the end-to-end guarantee that a warm capture is
+//! indistinguishable from a cold capture of a clone on random
+//! mutate/capture interleavings.
 
 use std::sync::Arc;
 
@@ -15,7 +15,7 @@ use gridsched_model::availability::{ProbeConfig, TimetableOverlay};
 use gridsched_model::ids::{DomainId, GlobalTaskId, JobId, NodeId, TaskId};
 use gridsched_model::node::ResourcePool;
 use gridsched_model::perf::Perf;
-use gridsched_model::timetable::{ReservationOwner, Timetable, EMPTY_REVISION};
+use gridsched_model::timetable::{NodeCalendar, ReservationOwner, Timetable};
 use gridsched_model::window::TimeWindow;
 use gridsched_sim::check::{check, Gen};
 use gridsched_sim::time::{SimDuration, SimTime};
@@ -50,14 +50,10 @@ fn gen_probe(g: &mut Gen) -> (SimTime, SimDuration, SimTime) {
     (not_before, duration, deadline)
 }
 
-/// An empty pool that engages the gap index on every calendar, with the
-/// calendar cache on or off.
-fn indexed_pool(calendar_cache: bool) -> ResourcePool {
+/// An empty pool that engages the gap index on every calendar.
+fn indexed_pool() -> ResourcePool {
     let mut pool = ResourcePool::new();
-    pool.set_probe_config(ProbeConfig {
-        index_floor: 0,
-        calendar_cache,
-    });
+    pool.set_probe_config(ProbeConfig { index_floor: 0 });
     pool
 }
 
@@ -72,54 +68,63 @@ fn task_owner(job: u64, task: u32) -> ReservationOwner {
     })
 }
 
-/// Every window-changing mutation retags the calendar; the tags are
-/// process-globally unique, so equal revisions imply equal windows.
+/// Freezes `tt`'s calendar (as a capture would) and returns it.
+fn freeze(tt: &Timetable) -> Arc<NodeCalendar> {
+    let mut froze = false;
+    Arc::clone(tt.calendar_tracked(&mut froze))
+}
+
+/// Every window-changing mutation drops the frozen calendar, so the next
+/// capture freezes the new windows.
 #[test]
-fn every_window_changing_mutation_bumps_the_revision() {
+fn every_window_changing_mutation_thaws_the_calendar() {
     let mut tt = Timetable::new();
-    assert_eq!(tt.revision(), EMPTY_REVISION, "pristine empty calendar");
+    assert!(tt.frozen().is_none(), "a new timetable starts cold");
+    freeze(&tt);
+    assert!(tt.frozen().is_some(), "a capture freezes");
 
     let id = tt
         .reserve(win(0, 5), ReservationOwner::Background(0))
         .unwrap();
-    let r1 = tt.revision();
-    assert_ne!(r1, EMPTY_REVISION, "reserve retags");
+    assert!(tt.frozen().is_none(), "reserve thaws");
 
+    freeze(&tt);
     tt.extend_sorted([
         (win(10, 12), ReservationOwner::Background(1)),
         (win(20, 22), task_owner(7, 0)),
     ]);
-    let r2 = tt.revision();
-    assert_ne!(r2, r1, "extend_sorted retags");
+    assert!(tt.frozen().is_none(), "extend_sorted thaws");
 
+    freeze(&tt);
     tt.release(id).unwrap();
-    let r3 = tt.revision();
-    assert_ne!(r3, r2, "release retags");
+    assert!(tt.frozen().is_none(), "release thaws");
 
+    freeze(&tt);
     assert_eq!(tt.release_owned_by(ReservationOwner::Background(1)), 1);
-    let r4 = tt.revision();
-    assert_ne!(r4, r3, "release_owned_by retags");
+    assert!(tt.frozen().is_none(), "release_owned_by thaws");
 
     tt.reserve(win(30, 33), task_owner(8, 1)).unwrap();
-    let r5 = tt.revision();
+    freeze(&tt);
     assert_eq!(tt.void_tasks_within(win(29, 40)).len(), 1);
-    let r6 = tt.revision();
-    assert_ne!(r6, r5, "void_tasks_within retags");
+    assert!(tt.frozen().is_none(), "void_tasks_within thaws");
 
+    freeze(&tt);
     assert_eq!(tt.release_job(JobId::new(7)).len(), 1);
-    let r7 = tt.revision();
-    assert_ne!(r7, r6, "release_job retags");
+    assert!(tt.frozen().is_none(), "release_job thaws");
 
-    // Wholesale replacement and `from_sorted` carry their own tags.
+    // The next capture freezes exactly the live windows.
+    let live: Vec<TimeWindow> = tt.iter().map(|r| r.window()).collect();
+    assert_eq!(freeze(&tt).windows(), live.as_slice());
+
+    // `from_sorted` builds a timetable with nothing frozen.
     let rebuilt = Timetable::from_sorted([(win(0, 1), ReservationOwner::Background(9))]);
-    assert_ne!(rebuilt.revision(), EMPTY_REVISION);
-    assert_ne!(rebuilt.revision(), r7, "tags are never reused");
+    assert!(rebuilt.frozen().is_none());
 }
 
-/// Mutations that change nothing keep the revision: the cache entry for
-/// the unchanged window set stays valid.
+/// Mutations that change nothing keep the frozen calendar: the next
+/// capture still reuses it.
 #[test]
-fn noop_mutations_keep_the_revision() {
+fn noop_mutations_keep_the_frozen_calendar() {
     let mut tt = Timetable::new();
     let id = tt
         .reserve(win(0, 5), ReservationOwner::Background(0))
@@ -133,52 +138,57 @@ fn noop_mutations_keep_the_revision() {
     let foreign = other
         .reserve(win(2, 3), ReservationOwner::Background(1))
         .unwrap();
-    let r = tt.revision();
+    let frozen = freeze(&tt);
+    let kept = |tt: &Timetable| tt.frozen().is_some_and(|f| Arc::ptr_eq(f, &frozen));
 
     assert!(tt
         .reserve(win(2, 4), ReservationOwner::Background(2))
         .is_err());
-    assert_eq!(tt.revision(), r, "rejected reserve is a no-op");
+    assert!(kept(&tt), "rejected reserve is a no-op");
     tt.extend_sorted(std::iter::empty());
-    assert_eq!(tt.revision(), r, "empty extend is a no-op");
+    assert!(kept(&tt), "empty extend is a no-op");
     other.release(foreign);
     assert!(tt.release(foreign).is_none());
-    assert_eq!(tt.revision(), r, "release of an unknown id is a no-op");
+    assert!(kept(&tt), "release of an unknown id is a no-op");
     assert_eq!(tt.release_owned_by(ReservationOwner::Background(42)), 0);
-    assert_eq!(tt.revision(), r, "ownerless release is a no-op");
+    assert!(kept(&tt), "ownerless release is a no-op");
     assert!(tt.void_tasks_within(win(0, 100)).is_empty());
-    assert_eq!(tt.revision(), r, "voiding no tasks is a no-op");
+    assert!(kept(&tt), "voiding no tasks is a no-op");
     assert!(tt.release_job(JobId::new(3)).is_empty());
-    assert_eq!(tt.revision(), r, "releasing an absent job is a no-op");
+    assert!(kept(&tt), "releasing an absent job is a no-op");
+    let mut froze = false;
+    let again = tt.calendar_tracked(&mut froze);
+    assert!(
+        !froze && Arc::ptr_eq(again, &frozen),
+        "a warm capture reuses it"
+    );
     assert!(tt.release(id).is_some());
-    assert_ne!(tt.revision(), r);
+    assert!(tt.frozen().is_none());
 }
 
-/// A clone shares its source's tag (identical content) until either side
-/// mutates; both then retag to fresh, distinct revisions.
+/// A clone copies the reservations but not the frozen calendar: its first
+/// capture freezes its own, equal to the source's, and neither side's
+/// later mutations touch the other's.
 #[test]
-fn clone_shares_revision_until_either_side_mutates() {
+fn clone_starts_with_a_cold_calendar() {
     let mut a = Timetable::new();
     a.reserve(win(0, 5), ReservationOwner::Background(0))
         .unwrap();
+    let frozen_a = freeze(&a);
     let mut b = a.clone();
-    assert_eq!(a.revision(), b.revision(), "clone = identical content");
+    assert!(b.frozen().is_none(), "the clone starts cold");
+    let mut froze = false;
+    let frozen_b = Arc::clone(b.calendar_tracked(&mut froze));
+    assert!(froze, "the clone's first capture freezes");
+    assert!(!Arc::ptr_eq(&frozen_a, &frozen_b));
+    assert_eq!(frozen_a.windows(), frozen_b.windows(), "same windows");
 
-    a.reserve(win(10, 12), ReservationOwner::Background(1))
-        .unwrap();
     b.reserve(win(20, 22), ReservationOwner::Background(2))
         .unwrap();
-    assert_ne!(
-        a.revision(),
-        b.revision(),
-        "divergent content, divergent tags"
-    );
-    let old = b.revision();
-    b.release_owned_by(ReservationOwner::Background(2));
-    assert_ne!(
-        b.revision(),
-        old,
-        "returning to an earlier window set still retags (tags are never reused)"
+    assert!(b.frozen().is_none());
+    assert!(
+        a.frozen().is_some_and(|f| Arc::ptr_eq(f, &frozen_a)),
+        "the source keeps its own"
     );
 }
 
@@ -187,7 +197,7 @@ fn clone_shares_revision_until_either_side_mutates() {
 /// untouched neighbours keep sharing.
 #[test]
 fn warm_capture_shares_calendars_and_builds_once() {
-    let mut pool = indexed_pool(true);
+    let mut pool = indexed_pool();
     let hot = pool.add_node(DomainId::new(0), Perf::FULL);
     let still = pool.add_node(DomainId::new(0), Perf::FULL);
     for i in 0..40u64 {
@@ -199,7 +209,7 @@ fn warm_capture_shares_calendars_and_builds_once() {
             .unwrap();
     }
     let cold = pool.snapshot();
-    let _ = pool.index_cache().take_stats();
+    assert_eq!(cold.warm_nodes(), 0);
 
     // Build both indexes through a probing overlay on the cold snapshot.
     let overlay = TimetableOverlay::new(cold.clone());
@@ -215,13 +225,11 @@ fn warm_capture_shares_calendars_and_builds_once() {
     }
     assert!(overlay.take_index_stats().builds >= 1, "cold probes build");
 
-    // Warm capture: same Arcs, pure cache hits, zero rebuilds on probe.
+    // Warm capture: same Arcs, every node warm, zero rebuilds on probe.
     let warm = pool.snapshot();
     assert!(Arc::ptr_eq(cold.calendar(hot), warm.calendar(hot)));
     assert!(Arc::ptr_eq(cold.calendar(still), warm.calendar(still)));
-    let stats = pool.index_cache().take_stats();
-    assert_eq!(stats.hits, 2);
-    assert_eq!(stats.misses, 0);
+    assert_eq!(warm.warm_nodes(), 2);
     let warm_overlay = TimetableOverlay::new(warm.clone());
     for node in [hot, still] {
         warm_overlay
@@ -244,18 +252,54 @@ fn warm_capture_shares_calendars_and_builds_once() {
     let next = pool.snapshot();
     assert!(!Arc::ptr_eq(warm.calendar(hot), next.calendar(hot)));
     assert!(Arc::ptr_eq(warm.calendar(still), next.calendar(still)));
-    let stats = pool.index_cache().take_stats();
-    assert_eq!((stats.hits, stats.misses), (1, 1));
+    assert_eq!(next.warm_nodes(), 1);
 }
 
-/// Random mutate/capture interleavings: a capture through the cache
-/// always reflects the live pool exactly, and its probe answers match
-/// the linear per-timetable reference — the cache can never serve a
-/// stale window set or index.
+/// A mutation releases the node's frozen calendar from the pool at once:
+/// the resident bytes fall by that calendar, and once no snapshot holds
+/// it either, it is freed.
+#[test]
+fn a_mutation_releases_that_nodes_frozen_calendar() {
+    let mut pool = indexed_pool();
+    let hot = pool.add_node(DomainId::new(0), Perf::FULL);
+    let still = pool.add_node(DomainId::new(0), Perf::FULL);
+    for i in 0..30u64 {
+        for node in [hot, still] {
+            pool.timetable_mut(node)
+                .reserve(win(5 * i, 5 * i + 3), ReservationOwner::Background(i))
+                .unwrap();
+        }
+    }
+    let snap = pool.snapshot();
+    let before = pool.index_cache().resident_bytes();
+    let hot_bytes = snap.calendar(hot).approx_bytes();
+    assert_eq!(before, hot_bytes + snap.calendar(still).approx_bytes());
+    let stale = Arc::downgrade(snap.calendar(hot));
+
+    pool.timetable_mut(hot)
+        .reserve(win(500, 510), ReservationOwner::Background(99))
+        .unwrap();
+    assert_eq!(
+        pool.index_cache().resident_bytes(),
+        before - hot_bytes,
+        "the stale calendar is no longer resident in the pool"
+    );
+    assert!(
+        stale.upgrade().is_some(),
+        "the live snapshot still holds it"
+    );
+    drop(snap);
+    assert!(stale.upgrade().is_none(), "freed with its last snapshot");
+}
+
+/// Random mutate/capture interleavings: a warm capture always reflects
+/// the live pool exactly, shares every unchanged node's calendar with the
+/// previous capture, and equals a cold capture of a clone — windows and
+/// probe answers alike, both matching the live timetable.
 #[test]
 fn capture_through_cache_never_serves_stale_state() {
     check(96, |g| {
-        let mut pool = indexed_pool(true);
+        let mut pool = indexed_pool();
         let n = g.u64_in(1, 4) as usize;
         let nodes: Vec<NodeId> = (0..n)
             .map(|_| pool.add_node(DomainId::new(0), Perf::FULL))
@@ -265,86 +309,66 @@ fn capture_through_cache_never_serves_stale_state() {
         }
         let mut prev = pool.snapshot();
         for _ in 0..10 {
-            let mutated = match g.u64_in(0, 3) {
+            let mut changed = vec![false; n];
+            match g.u64_in(0, 3) {
                 0 => {
                     let node = *g.pick(&nodes);
-                    pool.timetable_mut(node)
+                    changed[node.index()] = pool
+                        .timetable_mut(node)
                         .reserve(gen_window(g), ReservationOwner::Background(777))
-                        .is_ok()
-                        .then_some(node)
+                        .is_ok();
                 }
                 1 => {
                     let node = *g.pick(&nodes);
                     let victim = pool.timetable(node).iter().map(|r| r.id()).next();
-                    victim.map(|id| {
+                    if let Some(id) = victim {
                         pool.timetable_mut(node).release(id);
-                        node
-                    })
+                        changed[node.index()] = true;
+                    }
                 }
                 2 => {
                     pool.reset_timetables();
-                    None // every node changed; checked via windows below
+                    changed.fill(true);
                 }
-                _ => None,
-            };
+                _ => {}
+            }
             let snap = pool.snapshot();
+            let cold = pool.clone().snapshot();
+            assert_eq!(cold.warm_nodes(), 0, "a cloned pool captures cold");
+            assert_eq!(
+                snap.warm_nodes(),
+                changed.iter().filter(|&&c| !c).count(),
+                "exactly the unchanged nodes are warm"
+            );
             for &node in &nodes {
                 let live: Vec<TimeWindow> =
                     pool.timetable(node).iter().map(|r| r.window()).collect();
                 assert_eq!(snap.windows(node), live.as_slice(), "capture is exact");
-                if mutated != Some(node) && prev.windows(node) == snap.windows(node) {
-                    // Note: after reset_timetables an empty calendar may
-                    // refreeze; sharing is only promised for cache hits.
-                    let _ = Arc::ptr_eq(prev.calendar(node), snap.calendar(node));
-                }
+                assert_eq!(cold.windows(node), live.as_slice(), "cold capture too");
+                assert_eq!(
+                    Arc::ptr_eq(prev.calendar(node), snap.calendar(node)),
+                    !changed[node.index()],
+                    "shared exactly when unchanged"
+                );
                 let overlay = TimetableOverlay::new(snap.clone());
+                let cold_overlay = TimetableOverlay::new(cold.clone());
                 for _ in 0..4 {
                     let (not_before, duration, deadline) = gen_probe(g);
+                    let answer = overlay.earliest_fit(node, not_before, duration, deadline);
                     assert_eq!(
-                        overlay.earliest_fit(node, not_before, duration, deadline),
+                        answer,
+                        cold_overlay.earliest_fit(node, not_before, duration, deadline),
+                        "warm capture answers like a cold one"
+                    );
+                    assert_eq!(
+                        answer,
                         pool.timetable(node)
                             .earliest_fit(not_before, duration, deadline),
-                        "cached capture answers like the live timetable"
+                        "warm capture answers like the live timetable"
                     );
                 }
             }
             prev = snap;
         }
     });
-}
-
-/// With the cache disabled every capture refreezes, and nothing becomes
-/// resident — but answers are identical (the cache is pure reuse).
-#[test]
-fn disabled_cache_shares_nothing_and_changes_nothing() {
-    let mut pool = indexed_pool(false);
-    let node = pool.add_node(DomainId::new(0), Perf::FULL);
-    for i in 0..20u64 {
-        pool.timetable_mut(node)
-            .reserve(win(5 * i, 5 * i + 3), ReservationOwner::Background(i))
-            .unwrap();
-    }
-    let a = pool.snapshot();
-    let b = pool.snapshot();
-    assert!(!Arc::ptr_eq(a.calendar(node), b.calendar(node)));
-    assert_eq!(pool.index_cache().resident_entries(), 0);
-    let stats = pool.index_cache().take_stats();
-    assert_eq!(
-        (stats.hits, stats.misses),
-        (0, 0),
-        "disabled = not consulted"
-    );
-    assert_eq!(a.windows(node), b.windows(node));
-    let (oa, ob) = (TimetableOverlay::new(a), TimetableOverlay::new(b));
-    for t in 0..30 {
-        let probe = (
-            SimTime::from_ticks(t * 3),
-            SimDuration::from_ticks(1 + t % 4),
-            SimTime::MAX,
-        );
-        assert_eq!(
-            oa.earliest_fit(node, probe.0, probe.1, probe.2),
-            ob.earliest_fit(node, probe.0, probe.1, probe.2)
-        );
-    }
 }

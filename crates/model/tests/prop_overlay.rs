@@ -174,10 +174,7 @@ fn cursor_survives_backward_queries_and_mutations_on_both_paths() {
     check(128, |g| {
         for index_floor in [0, usize::MAX] {
             let mut pool = ResourcePool::new();
-            pool.set_probe_config(ProbeConfig {
-                index_floor,
-                ..ProbeConfig::default()
-            });
+            pool.set_probe_config(ProbeConfig { index_floor });
             let node = pool.add_node(DomainId::new(0), Perf::FULL);
             for (i, w) in g.vec_of(0, 14, gen_window).into_iter().enumerate() {
                 let _ = pool

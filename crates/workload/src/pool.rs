@@ -24,9 +24,8 @@ pub struct PoolConfig {
     pub domains: u32,
     /// Share of each group `(fast, medium, slow)`; must sum to ~1.
     pub group_shares: (f64, f64, f64),
-    /// How the generated pool's snapshots probe (gap-index floor,
-    /// calendar cache). Never changes a decision, only which internal
-    /// path reaches it.
+    /// How the generated pool's snapshots probe (the gap-index floor).
+    /// Never changes a decision, only which internal path reaches it.
     pub probe: ProbeConfig,
 }
 
