@@ -4,11 +4,13 @@
 //! campaign: *earliest start ≥ t where a `duration`-long slot is free*.
 //! Before the gap index, a cold probe walked the node's reservation list
 //! from the first window ending after `t` — O(R) when the calendar is
-//! packed tighter than the slot being placed. The [`GapIndex`] built
-//! lazily per [`AvailabilitySnapshot`] answers the same question by
-//! descending a max-free-gap tree in O(log R), with **bit-identical**
-//! results (the contract pinned by `crates/model/tests/prop_gap_index.rs`
-//! and the `probe-index` chaos axis).
+//! packed tighter than the slot being placed. A frozen [`NodeCalendar`]
+//! answers the same question through its [`GapIndex`], one leaf per chunk
+//! of the timetable: a climb to the first chunk whose widest gap fits,
+//! then a scan of at most one or two chunks, with **bit-identical**
+//! results (the contract pinned by `crates/model/tests/prop_gap_index.rs`,
+//! `crates/model/tests/prop_chunked_timetable.rs` and the `probe-index`
+//! chaos axis).
 //!
 //! This binary makes the scaling claim measurable. For each pool size it
 //! synthesizes one dense calendar (committed with
@@ -16,30 +18,34 @@
 //!
 //! * `cold/hard`    — probes whose duration exceeds every interior gap,
 //!   the worst case: the walk scans the whole calendar, the index proves
-//!   "no interior gap fits" in O(log R). The ratio at the largest pool
+//!   "no interior gap fits" in one climb. The ratio at the largest pool
 //!   is reported as `probe_index_speedup_cold`.
 //! * `cold/typical` — short slots from random positions, the common case:
-//!   the walk usually stops after a few windows, so the index roughly
-//!   ties (reported as `probe_index_speedup_typical`).
-//! * `index build`  — the one-off O(R) cost a snapshot pays on its first
-//!   probe of a node, amortized over every session sharing the snapshot.
+//!   the walk usually stops after a few windows (reported as
+//!   `probe_index_speedup_typical`).
 //! * `cold/warm capture` — a full [`AvailabilitySnapshot`] capture of a
-//!   freshly cloned pool (a clone holds no frozen calendar, so the
-//!   capture freezes the window slice, O(R); the clone's own time,
-//!   benched separately, is subtracted) vs. a capture of the primed pool
-//!   (the capture reuses the timetable's frozen calendar and its
-//!   already-built index by `Arc`). The ratio at the largest pool is
-//!   reported as `index_cache_warm_speedup`, and the shape also asserts
-//!   that every warm capture found the calendar frozen and serves probes
-//!   with **zero** rebuilds.
+//!   freshly cloned pool (a clone shares the chunks but holds no frozen
+//!   calendar, so the capture freezes one: one pointer bump per chunk
+//!   and an index over one leaf per chunk; the clone's own time, benched
+//!   separately, is subtracted) vs. a capture of the primed pool (the
+//!   capture reuses the timetable's frozen calendar by `Arc`). The ratio
+//!   at the largest pool is reported as `index_cache_warm_speedup`, and
+//!   the shape also asserts that every warm capture found the calendar
+//!   frozen and shares it.
+//! * `write + refreeze` — one reservation in the middle of the calendar,
+//!   a capture that freezes the changed calendar, and the release of the
+//!   reservation: the steady-state cost of a written node, which copies
+//!   one chunk and no window outside it.
 //!
 //! Results land in `BENCH_probe_scaling.json` (override with `--out`).
 //! This is a manual tool; CI does not run it, because wall-time ratios
 //! on a shared runner are noise. The properties behind the ratios are
 //! tested deterministically instead: the index search's O(log R) step
 //! bound (`gap_index`'s unit tests), indexed == linear at ≥ 100k windows
-//! (`crates/model/tests/prop_gap_index.rs`) and a warm capture's zero
-//! rebuilds and shared calendars (`crates/model/tests/prop_index_cache.rs`).
+//! (`crates/model/tests/prop_chunked_timetable.rs`), a warm capture's
+//! shared calendars (`crates/model/tests/prop_index_cache.rs`) and a
+//! capture after one write sharing every untouched chunk
+//! (`crates/model/tests/prop_chunked_timetable.rs`).
 //!
 //! Run with: `cargo bench-probe` (alias for
 //! `cargo run --release -p gridsched-bench --bin probe_scaling`).
@@ -48,12 +54,13 @@
 //!
 //! [`AvailabilitySnapshot`]: gridsched::model::availability::AvailabilitySnapshot
 //! [`GapIndex`]: gridsched::model::gap_index::GapIndex
+//! [`NodeCalendar`]: gridsched::model::timetable::NodeCalendar
 //! [`Timetable::from_sorted`]: gridsched::model::timetable::Timetable::from_sorted
 
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 use gridsched::model::availability::TimetableOverlay;
-use gridsched::model::gap_index::GapIndex;
 use gridsched::model::ids::DomainId;
 use gridsched::model::node::ResourcePool;
 use gridsched::model::perf::Perf;
@@ -109,9 +116,9 @@ struct SizeResult {
     indexed_hard_ns: u128,
     linear_typical_ns: u128,
     indexed_typical_ns: u128,
-    index_build_ns: u128,
     capture_cold_ns: u128,
     capture_warm_ns: u128,
+    write_refreeze_ns: u128,
     speedup_hard: f64,
     speedup_typical: f64,
     speedup_capture: f64,
@@ -123,8 +130,8 @@ fn json_line(r: &SizeResult) -> String {
             "    {{\"reservations\": {}, ",
             "\"linear_hard_ns\": {}, \"indexed_hard_ns\": {}, ",
             "\"linear_typical_ns\": {}, \"indexed_typical_ns\": {}, ",
-            "\"index_build_ns\": {}, ",
             "\"capture_cold_ns\": {}, \"capture_warm_ns\": {}, ",
+            "\"write_refreeze_ns\": {}, ",
             "\"speedup_hard\": {:.3}, \"speedup_typical\": {:.3}, ",
             "\"speedup_capture\": {:.3}}}"
         ),
@@ -133,9 +140,9 @@ fn json_line(r: &SizeResult) -> String {
         r.indexed_hard_ns,
         r.linear_typical_ns,
         r.indexed_typical_ns,
-        r.index_build_ns,
         r.capture_cold_ns,
         r.capture_warm_ns,
+        r.write_refreeze_ns,
         r.speedup_hard,
         r.speedup_typical,
         r.speedup_capture,
@@ -193,7 +200,7 @@ fn main() {
             .collect();
 
         // Build the timetable through the bulk path (the same one
-        // `workload::background` uses) and time the one-off index build.
+        // `workload::background` uses) and freeze it.
         let mut pool = ResourcePool::new();
         let node = pool.add_node(DomainId::new(0), Perf::FULL);
         *pool.timetable_mut(node) = Timetable::from_sorted(
@@ -202,22 +209,21 @@ fn main() {
                 .enumerate()
                 .map(|(i, &w)| (w, ReservationOwner::Background(i as u64))),
         );
+        let frozen = pool.snapshot();
+        let calendar = Arc::clone(frozen.calendar(node));
         let tt = pool.timetable(node);
-        let build_started = Instant::now();
-        let index = GapIndex::build(&cal.windows);
-        let index_build = build_started.elapsed();
 
         // The timings below only mean anything if the two paths agree.
         for &nb in &hard {
             assert_eq!(
-                index.earliest_fit(&cal.windows, nb, hard_duration, SimTime::MAX),
+                calendar.earliest_fit(nb, hard_duration, SimTime::MAX),
                 tt.earliest_fit(nb, hard_duration, SimTime::MAX),
                 "hard probe diverged at {n} reservations"
             );
         }
         for &(nb, d) in &typical {
             assert_eq!(
-                index.earliest_fit(&cal.windows, nb, d, SimTime::MAX),
+                calendar.earliest_fit(nb, d, SimTime::MAX),
                 tt.earliest_fit(nb, d, SimTime::MAX),
                 "typical probe diverged at {n} reservations"
             );
@@ -235,7 +241,7 @@ fn main() {
         let indexed_hard = group.bench("cold hard probe, gap index", || {
             let nb = hard[cursor % hard.len()];
             cursor += 1;
-            index.earliest_fit(&cal.windows, nb, hard_duration, SimTime::MAX)
+            calendar.earliest_fit(nb, hard_duration, SimTime::MAX)
         });
         cursor = 0;
         let linear_typical = group.bench("cold typical probe, linear walk", || {
@@ -247,31 +253,25 @@ fn main() {
         let indexed_typical = group.bench("cold typical probe, gap index", || {
             let (nb, d) = typical[cursor % typical.len()];
             cursor += 1;
-            index.earliest_fit(&cal.windows, nb, d, SimTime::MAX)
+            calendar.earliest_fit(nb, d, SimTime::MAX)
         });
         // Capture shapes: a full snapshot of a fresh clone (which holds no
-        // frozen calendar, so the capture freezes the window slice, O(R)),
-        // less the clone itself, vs. a snapshot of the primed pool (which
-        // reuses the frozen calendar — and its already-built index — by
-        // `Arc`).
+        // frozen calendar, so the capture freezes the chunk list and builds
+        // its index), less the clone itself, vs. a snapshot of the primed
+        // pool (which reuses the frozen calendar by `Arc`).
         let clone_only = group.bench("pool clone", || pool.clone().len());
         let clone_capture = group.bench("pool clone + cold capture", || {
-            pool.clone().snapshot().windows(node).len()
+            pool.clone().snapshot().calendar(node).len()
         });
         let capture_cold = Stats {
             mean: clone_capture.mean.saturating_sub(clone_only.mean),
             ..clone_capture
         };
-        // Prime: one capture freezes the calendar, one cold probe builds
-        // its index inside the shared calendar.
-        let primed = TimetableOverlay::new(pool.snapshot());
-        let _ = primed.earliest_fit(node, hard[0], hard_duration, SimTime::MAX);
-        let _ = primed.take_index_stats();
         let mut warm_nodes = 0;
         let capture_warm = group.bench("warm capture, frozen calendar", || {
             let snapshot = pool.snapshot();
             warm_nodes += snapshot.warm_nodes();
-            snapshot.windows(node).len()
+            snapshot.calendar(node).len()
         });
         // The warm-up call is not in `iters`.
         assert_eq!(
@@ -279,25 +279,51 @@ fn main() {
             capture_warm.iters + 1,
             "every warm capture at {n} reservations must find the calendar frozen"
         );
-        // A fresh overlay over a warm capture probes without rebuilding:
-        // the frozen calendar carries its index across generations.
-        let warm_capture = TimetableOverlay::new(pool.snapshot());
-        let _ = warm_capture.earliest_fit(node, hard[0], hard_duration, SimTime::MAX);
-        let warm_stats = warm_capture.take_index_stats();
-        assert_eq!(
-            warm_stats.builds, 0,
-            "warm capture at {n} reservations rebuilt its index"
+        // A fresh overlay over a warm capture probes the calendar frozen
+        // before, index included, through the index.
+        let warm_snapshot = pool.snapshot();
+        assert!(
+            Arc::ptr_eq(warm_snapshot.calendar(node), &calendar),
+            "warm capture at {n} reservations refroze its calendar"
         );
-        assert!(warm_stats.seeks >= 1, "warm probe must use the index");
+        let warm_capture = TimetableOverlay::new(warm_snapshot.clone());
+        let _ = warm_capture.earliest_fit(node, hard[0], hard_duration, SimTime::MAX);
+        assert!(
+            warm_capture.take_index_stats().seeks >= 1,
+            "warm probe must use the index"
+        );
         warm_capture_hits = warm_nodes as u64;
-        warm_capture_rebuilds = warm_stats.builds;
+        warm_capture_rebuilds = (warm_snapshot.node_count() - warm_snapshot.warm_nodes()) as u64;
+        drop((frozen, warm_snapshot, warm_capture));
+
+        // One write in the middle of the calendar, the capture that
+        // refreezes it, and the release.
+        let slot = pool
+            .timetable(node)
+            .earliest_fit(
+                SimTime::from_ticks(cal.horizon / 2),
+                SimDuration::from_ticks(1),
+                SimTime::MAX,
+            )
+            .expect("the trailing gap is unbounded");
+        let slot = TimeWindow::starting_at(slot, SimDuration::from_ticks(1)).expect("one tick");
+        let write_refreeze = group.bench("write + refreeze + release", || {
+            let id = pool
+                .timetable_mut(node)
+                .reserve(slot, ReservationOwner::Background(u64::MAX))
+                .expect("the slot is free");
+            let refrozen = pool.snapshot().warm_nodes();
+            pool.timetable_mut(node).release(id);
+            refrozen
+        });
 
         let speedup_hard = linear_hard.speedup_over(&indexed_hard);
         let speedup_typical = linear_typical.speedup_over(&indexed_typical);
         let speedup_capture = capture_cold.speedup_over(&capture_warm);
         println!(
             "  -> hard {speedup_hard:.2}x, typical {speedup_typical:.2}x, \
-             warm capture {speedup_capture:.2}x, index built in {index_build:?}\n"
+             warm capture {speedup_capture:.2}x, write + refreeze {:?}\n",
+            write_refreeze.mean
         );
         results.push(SizeResult {
             reservations: n,
@@ -305,9 +331,9 @@ fn main() {
             indexed_hard_ns: indexed_hard.mean.as_nanos(),
             linear_typical_ns: linear_typical.mean.as_nanos(),
             indexed_typical_ns: indexed_typical.mean.as_nanos(),
-            index_build_ns: index_build.as_nanos(),
             capture_cold_ns: capture_cold.mean.as_nanos(),
             capture_warm_ns: capture_warm.mean.as_nanos(),
+            write_refreeze_ns: write_refreeze.mean.as_nanos(),
             speedup_hard,
             speedup_typical,
             speedup_capture,
@@ -368,7 +394,7 @@ fn main() {
         );
     }
     verdict(
-        "warm capture of the unchanged largest pool had zero index rebuilds",
+        "warm capture of the unchanged largest pool froze no calendar",
         warm_capture_rebuilds == 0 && warm_capture_hits >= 1,
     );
     if largest.reservations >= 100_000 {

@@ -93,8 +93,9 @@ impl<'p> PlanningSession<'p> {
     /// [`PlanningSession::open`] with a telemetry recorder attached.
     ///
     /// The session counts the snapshot capture
-    /// ([`Counter::SessionsOpened`]) and the nodes it found already frozen
-    /// ([`Counter::IndexCacheHits`]), every overlay it hands out
+    /// ([`Counter::SessionsOpened`]), the nodes it found already frozen
+    /// ([`Counter::IndexCacheHits`]) and the ones it froze, each with a new
+    /// gap index ([`Counter::IndexRebuilds`]), every overlay it hands out
     /// ([`Counter::OverlaysCreated`]) and every engine pass it runs
     /// ([`Counter::CriticalWorksPasses`], with `critical_works_pass` timing
     /// spans parented under `parent`). Instrumentation is strictly
@@ -110,7 +111,12 @@ impl<'p> PlanningSession<'p> {
         let span = telemetry.span_under("session_open", parent);
         let snapshot = pool.snapshot();
         drop(span);
-        telemetry.add(Counter::IndexCacheHits, snapshot.warm_nodes() as u64);
+        let warm = snapshot.warm_nodes();
+        telemetry.add(Counter::IndexCacheHits, warm as u64);
+        telemetry.add(
+            Counter::IndexRebuilds,
+            (snapshot.node_count() - warm) as u64,
+        );
         PlanningSession {
             pool,
             snapshot,
@@ -189,8 +195,6 @@ impl<'p> PlanningSession<'p> {
             (result, probe_stats, alloc_stats)
         });
         self.telemetry.add(Counter::IndexSeeks, probe_stats.seeks);
-        self.telemetry
-            .add(Counter::IndexRebuilds, probe_stats.builds);
         self.telemetry
             .add(Counter::IndexBypasses, probe_stats.bypasses);
         for (counter, value) in [
@@ -584,10 +588,10 @@ mod tests {
             telemetry.counter(Counter::IndexSeeks) > 0,
             "cold probes route through the gap index"
         );
-        let rebuilds = telemetry.counter(Counter::IndexRebuilds);
-        assert!(
-            rebuilds >= 1 && rebuilds <= pool.len() as u64,
-            "at most one build per (snapshot, node), got {rebuilds}"
+        assert_eq!(
+            telemetry.counter(Counter::IndexRebuilds),
+            pool.len() as u64,
+            "the capture froze every changed node, one index each"
         );
         assert_eq!(telemetry.counter(Counter::IndexBypasses), 0);
     }
@@ -605,6 +609,11 @@ mod tests {
             telemetry.counter(Counter::IndexCacheHits),
             pool.len() as u64,
             "one hit per node the session's capture found frozen"
+        );
+        assert_eq!(
+            telemetry.counter(Counter::IndexRebuilds),
+            0,
+            "nothing refrozen"
         );
     }
 

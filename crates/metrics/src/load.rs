@@ -138,7 +138,8 @@ mod tests {
             .reserve(w(0, 10), ReservationOwner::Background(0))
             .unwrap();
         let busy = GroupLoad::measure(&pool, w(0, 10));
-        pool.reset_timetables();
+        let mut pool = ResourcePool::new();
+        pool.add_node(DomainId::new(0), Perf::new(1.0).unwrap());
         let mut idle = GroupLoad::measure(&pool, w(0, 10));
         idle.average_with(&busy, 0.5);
         assert!((idle.level(PerfGroup::Fast) - 0.5).abs() < 1e-12);

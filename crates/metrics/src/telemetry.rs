@@ -150,8 +150,10 @@ pub enum Counter {
     /// Cold `earliest_fit` probes answered through a snapshot's gap
     /// index (the O(log R) base-layer descent).
     IndexSeeks,
-    /// Gap indexes lazily built — at most one per (snapshot, node) pair,
-    /// so this counts distinct node calendars actually probed cold.
+    /// Node calendars a planning session's snapshot capture froze, each
+    /// with a new gap index over one leaf per chunk: the nodes changed
+    /// since their last capture. Counts the session's own capture only;
+    /// with [`Counter::IndexCacheHits`] it sums to the nodes captured.
     IndexRebuilds,
     /// Cold probes that took the linear merged walk instead of the gap
     /// index: every cold probe on a node calendar below the pool's

@@ -30,10 +30,13 @@
 //! the DP turns to its next predecessor. The overlay therefore keeps one
 //! **cursor** per node (interior-mutable, so reads stay `&self`): the
 //! base and tentative indices where the last query stood, from which the
-//! next query gallops instead of bisecting both lists. `reserve_window`
-//! clears the node's cursor, since inserting shifts the tentative
-//! indices; a differential property test pins that warm answers equal a
-//! cold recompute after arbitrary reserve/query interleavings. Reusing
+//! next query gallops instead of bisecting both lists. A base index is a
+//! (chunk, offset) position in the frozen calendar. `reserve_window`
+//! keeps the node's cursor: it is only a search hint, and the gallop
+//! lands on the right index from any start in the list, even one the
+//! insert shifted. A differential property test pins that warm answers
+//! equal a cold recompute after arbitrary reserve/query interleavings.
+//! Reusing
 //! whole `earliest_fit` answers is the DP's job (`ClassStep` in
 //! `gridsched-core`'s `allocate.rs`), not the overlay's: every call here
 //! is one probe.
@@ -46,13 +49,14 @@
 //! # Gap-indexed probes
 //!
 //! A linear `earliest_fit` walks the merged base + tentative sequence —
-//! O(R) against the §4 background loads. Each snapshot therefore carries
-//! one lazily built [`GapIndex`] per node (built at most once per
-//! snapshot, race-free via [`std::sync::OnceLock`], never invalidated
-//! because snapshots are immutable). The indexed probe asks it for the
-//! earliest **base** fit in O(log R) and lets the scenario's few
+//! O(R) against the §4 background loads. Each frozen [`NodeCalendar`]
+//! therefore carries a [`GapIndex`] with one leaf per chunk, built when
+//! the calendar is frozen and never invalidated because frozen calendars
+//! are immutable. The indexed probe asks the calendar for the earliest
+//! **base** fit (an O(log(R/B)) climb to the first chunk whose leaf
+//! fits, then a scan of at most B windows) and lets the scenario's few
 //! tentative windows veto and re-seed the probe; with no tentative
-//! windows on the node the index answers outright. Its seek into the
+//! windows on the node the calendar answers outright. Its seek into the
 //! window lists resumes from the node's cursor, as the linear walk's
 //! does. Answers are
 //! bit-identical to the linear walk — see DESIGN.md §9 and
@@ -63,22 +67,22 @@
 //! The index only engages for calendars of at least
 //! [`ProbeConfig::index_floor`] base windows ([`DEFAULT_INDEX_FLOOR`]
 //! unless the pool's config moves it): below that, deadline-clipped
-//! probes finish the linear walk faster than the build amortizes even
-//! across captures.
+//! probes finish the linear walk at least as fast.
 //!
 //! # Cross-snapshot calendar sharing
 //!
-//! `capture` does not copy or index from scratch every time: each
-//! [`Timetable`] holds the [`NodeCalendar`] (frozen windows + lazily built
-//! index) its last capture froze, and every window-changing mutation
-//! drops it. A capture of an *unchanged* node is an `Arc` bump reusing
-//! both the window slice and any already built index — which is what
-//! lets the engagement floor sit at 1k windows instead of 16k: the build
-//! amortizes over every capture of the unchanged node, not just one
-//! snapshot's lifetime. A cloned timetable starts with no frozen
-//! calendar, so a capture of a cloned pool is cold.
+//! `capture` copies no window: each [`Timetable`] holds the
+//! [`NodeCalendar`] its last capture froze, and every window-changing
+//! mutation drops it. A capture of an *unchanged* node is one `Arc` bump
+//! reusing the calendar and its index. A capture of a changed node
+//! freezes a new calendar by cloning the timetable's chunk list, one
+//! pointer bump per chunk, and builds its index over one leaf per chunk,
+//! so it shares every chunk the mutation left alone with the calendars
+//! frozen before it. A cloned timetable shares its chunks but starts
+//! with no frozen calendar, so a capture of a cloned pool is cold.
 //!
 //! [`GapIndex`]: crate::gap_index::GapIndex
+//! [`NodeCalendar`]: crate::timetable::NodeCalendar
 
 use std::cell::Cell;
 use std::fmt;
@@ -88,24 +92,21 @@ use gridsched_sim::time::{SimDuration, SimTime};
 
 use crate::ids::NodeId;
 use crate::node::ResourcePool;
-use crate::timetable::NodeCalendar;
+use crate::timetable::{NodeCalendar, Pos, Walk};
 use crate::window::TimeWindow;
 
 /// Default [`ProbeConfig::index_floor`]: nodes with fewer base windows
 /// than this answer probes linearly.
 ///
-/// The index trades an O(R) build per frozen calendar for O(log R)
-/// probes, so it only pays where calendars are large enough that the
-/// amortized build beats deadline-clipped linear walks. The floor used to
-/// sit at 16k because every snapshot rebuilt from scratch and a snapshot
-/// often lives for a single job's generation; since each timetable keeps
-/// its frozen calendar until its windows change, a build is paid once
-/// per mutation and reused by every later capture of the unchanged node,
-/// so the §4 sweep calendars (~6k windows/node) amortize it across the
-/// whole sweep and the floor drops to 1k. Below 1k even a cached index buys
-/// little: probes bisect a few hundred windows in a handful of hops
-/// either way, and the first capture after every mutation would still pay
-/// a (tiny) build. The warm-capture shape of `BENCH_probe_scaling.json`
+/// The index trades a linear walk for a climb over chunk leaves plus at
+/// most two chunk scans, so it only pays where calendars are large
+/// enough that deadline-clipped linear walks cross many windows. The
+/// floor used to sit at 16k because every snapshot rebuilt an O(R) index
+/// from scratch; since each timetable keeps its frozen calendar until its
+/// windows change, and a refreeze now builds the index over one leaf per
+/// chunk, the floor sits at 1k. Below 1k an index buys little: probes
+/// bisect a few hundred windows in a handful of hops either way. The
+/// warm-capture shape of `BENCH_probe_scaling.json`
 /// (the manual `probe_scaling` tool, which CI does not run) justifies
 /// the number; the work-count gate on the traced perfbench
 /// ledger (`bench_check --fresh --baseline`, `model.index_seeks` and
@@ -151,14 +152,11 @@ impl Default for ProbeConfig {
 
 /// Gap-index activity of one [`TimetableOverlay`], drained by the
 /// planning session into the workspace telemetry counters
-/// (`index_seeks` / `index_rebuilds` / `index_bypasses`).
+/// (`index_seeks` / `index_bypasses`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexStats {
     /// `earliest_fit` probes answered through the base gap index.
     pub seeks: u64,
-    /// Probes that found their snapshot node unindexed and built the
-    /// index (at most once per node per snapshot, `OnceLock`-enforced).
-    pub builds: u64,
     /// Probes that took the linear merged walk: every probe on
     /// a node whose calendar is below the snapshot's
     /// [`ProbeConfig::index_floor`] ([`DEFAULT_INDEX_FLOOR`] by default;
@@ -174,7 +172,6 @@ impl IndexStats {
     pub fn merged(self, other: IndexStats) -> IndexStats {
         IndexStats {
             seeks: self.seeks + other.seeks,
-            builds: self.builds + other.builds,
             bypasses: self.bypasses + other.bypasses,
         }
     }
@@ -249,12 +246,13 @@ pub struct AvailabilitySnapshot {
 #[derive(Debug)]
 struct SnapshotInner {
     /// `nodes[NodeId::index]` = that node's frozen calendar: reserved
-    /// windows (sorted by start, pairwise non-overlapping) plus the
-    /// lazily built gap index over them, shared with the timetable that
-    /// froze it, so an unchanged node's windows *and* its built index
-    /// survive across captures. Snapshots stay immutable either way —
-    /// a pool mutation drops the timetable's frozen calendar and only
-    /// becomes visible through a new capture freezing a new one.
+    /// windows (sorted by start, pairwise non-overlapping) in shared
+    /// chunks plus the gap index over them, shared with the timetable
+    /// that froze it, so an unchanged node's calendar survives across
+    /// captures. Snapshots stay immutable either way — a pool mutation
+    /// copies the chunk it changes if a calendar still shares it, drops
+    /// the timetable's frozen calendar, and only becomes visible through
+    /// a new capture freezing a new one.
     nodes: Box<[Arc<NodeCalendar>]>,
     /// How many of `nodes` the capture found already frozen.
     warm_nodes: usize,
@@ -269,9 +267,9 @@ impl AvailabilitySnapshot {
     /// the pool's [`ProbeConfig`].
     ///
     /// A node whose timetable still holds the calendar an earlier capture
-    /// froze is reused by `Arc` bump — no window copy, no index rebuild —
-    /// and only nodes changed since freeze fresh calendars, which their
-    /// timetables keep for the next capture. The config's
+    /// froze is reused by `Arc` bump, and only nodes changed since freeze
+    /// fresh calendars (one pointer bump per chunk plus an index over one
+    /// leaf per chunk), which their timetables keep for the next capture. The config's
     /// [`ProbeConfig::index_floor`] is fixed into the snapshot and decides
     /// the probe path of every overlay on it.
     #[must_use]
@@ -319,14 +317,15 @@ impl AvailabilitySnapshot {
         &self.inner.nodes[node.index()]
     }
 
-    /// The captured reserved windows of `node`, in start order.
+    /// A copy of the captured reserved windows of `node`, in start order
+    /// (probes read the frozen chunks in place and never call this).
     ///
     /// # Panics
     ///
     /// Panics if `node` was not part of the captured pool.
     #[must_use]
-    pub fn windows(&self, node: NodeId) -> &[TimeWindow] {
-        self.inner.nodes[node.index()].windows()
+    pub fn windows(&self, node: NodeId) -> Vec<TimeWindow> {
+        self.inner.nodes[node.index()].windows().collect()
     }
 }
 
@@ -347,64 +346,80 @@ pub struct TimetableOverlay {
     /// queries never re-sort or re-merge.
     tentative: Vec<Vec<TimeWindow>>,
     /// `cursor[NodeId::index]` = where the last query on that node stood:
-    /// the first base and tentative indices whose windows end after its
-    /// time, `None` until the node's first query after a reserve or
+    /// the first base position and tentative index whose windows end
+    /// after its time, `None` until the node's first query after
     /// [`TimetableOverlay::reset_to`]. `Cell` keeps queries `&self`; see
     /// the module docs for the `!Sync` trade.
-    cursor: Vec<Cell<Option<(usize, usize)>>>,
+    cursor: Vec<Cell<Option<(Pos, usize)>>>,
     /// Gap-index activity accumulated by this overlay's probes, drained
     /// with [`TimetableOverlay::take_index_stats`].
     index_stats: Cell<IndexStats>,
 }
 
-/// First index at or after `from` whose window ends after `t`, given that
-/// every window before `from` ends at or before `t` (ends are strictly
-/// increasing in a sorted non-overlapping list).
+/// First index at or after `from` whose item ends after `t`, given that
+/// every item before `from` ends at or before `t`. `end` reads an item's
+/// end; ends must strictly increase, as window ends do in a sorted
+/// non-overlapping list (and chunk ends in a chunked one).
 ///
 /// Gallops from `from` before bisecting: within one planning pass the
 /// probes advance nearly monotonically, so the answer is usually within a
 /// step or two of the previous cursor and the whole-list
 /// `partition_point` is wasted work.
-fn first_ending_after_from(ws: &[TimeWindow], from: usize, t: SimTime) -> usize {
-    let tail = &ws[from..];
+pub(crate) fn first_ending_after_from<T>(
+    xs: &[T],
+    from: usize,
+    t: SimTime,
+    end: impl Fn(&T) -> SimTime,
+) -> usize {
+    let tail = &xs[from..];
     let n = tail.len();
-    if n == 0 || tail[0].end() > t {
+    if n == 0 || end(&tail[0]) > t {
         return from;
     }
     // tail[prev] is known to end at or before `t`.
     let mut prev = 0usize;
     let mut step = 1usize;
-    while prev + step < n && tail[prev + step].end() <= t {
+    while prev + step < n && end(&tail[prev + step]) <= t {
         prev += step;
         step *= 2;
     }
     // The answer is in (prev, min(prev + step, n)].
     let upper = (prev + step).min(n);
-    let within = tail[prev + 1..upper].partition_point(|w| w.end() <= t);
+    let within = tail[prev + 1..upper].partition_point(|x| end(x) <= t);
     from + prev + 1 + within
 }
 
-/// First index whose window ends after `t`, searched outward from the
-/// hint `near`: galloping forward when the window at `near` ends at or
-/// before `t`, backward otherwise. A planning pass's probes on a node
-/// mostly step a little forward, and a little back when the DP turns to
-/// the next predecessor, so the answer is usually a step or two from the
-/// last one either way.
-fn first_ending_after_near(ws: &[TimeWindow], near: usize, t: SimTime) -> usize {
-    if ws.get(near).is_some_and(|w| w.end() <= t) {
-        return first_ending_after_from(ws, near + 1, t);
+/// First index whose item ends after `t`, searched outward from the
+/// hint `near` (any index in `0..=xs.len()`): galloping forward when the
+/// item at `near` ends at or before `t`, backward otherwise. A planning
+/// pass's probes on a node mostly step a little forward, and a little
+/// back when the DP turns to the next predecessor, so the answer is
+/// usually a step or two from the last one either way.
+pub(crate) fn first_ending_after_near<T>(
+    xs: &[T],
+    near: usize,
+    t: SimTime,
+    end: impl Fn(&T) -> SimTime,
+) -> usize {
+    if xs.get(near).is_some_and(|x| end(x) <= t) {
+        return first_ending_after_from(xs, near + 1, t, end);
     }
-    // `ws[hi]` ends after `t` (or `hi` is the end): the answer is at or
+    // `xs[hi]` ends after `t` (or `hi` is the end): the answer is at or
     // before it.
-    let mut hi = near.min(ws.len());
+    let mut hi = near.min(xs.len());
     let mut step = 1usize;
-    while hi >= step && ws[hi - step].end() > t {
+    while hi >= step && end(&xs[hi - step]) > t {
         hi -= step;
         step *= 2;
     }
-    // `ws[lo]` ends at or before `t`, unless `lo` is 0.
+    // `xs[lo]` ends at or before `t`, unless `lo` is 0.
     let lo = hi.saturating_sub(step);
-    lo + ws[lo..hi].partition_point(|w| w.end() <= t)
+    lo + xs[lo..hi].partition_point(|x| end(x) <= t)
+}
+
+/// A window's end, the key the galloping searches read.
+fn window_end(w: &TimeWindow) -> SimTime {
+    w.end()
 }
 
 /// Two-pointer merge over a node's base and tentative windows.
@@ -415,32 +430,31 @@ fn first_ending_after_near(ws: &[TimeWindow], near: usize, t: SimTime) -> usize 
 /// ends — the same shape a materialized
 /// [`Timetable`](crate::timetable::Timetable) would have.
 struct MergedWindows<'a> {
-    base: &'a [TimeWindow],
+    base: Walk<'a>,
     extra: &'a [TimeWindow],
-    i: usize,
     j: usize,
 }
 
 impl MergedWindows<'_> {
     fn peek(&self) -> Option<TimeWindow> {
-        match (self.base.get(self.i), self.extra.get(self.j)) {
-            (Some(&a), Some(&b)) => Some(if a.start() <= b.start() { a } else { b }),
-            (Some(&a), None) => Some(a),
+        match (self.base.peek(), self.extra.get(self.j)) {
+            (Some(a), Some(&b)) => Some(if a.start() <= b.start() { a } else { b }),
+            (Some(a), None) => Some(a),
             (None, Some(&b)) => Some(b),
             (None, None) => None,
         }
     }
 
     fn advance(&mut self) {
-        match (self.base.get(self.i), self.extra.get(self.j)) {
+        match (self.base.peek(), self.extra.get(self.j)) {
             (Some(a), Some(b)) => {
                 if a.start() <= b.start() {
-                    self.i += 1;
+                    self.base.advance();
                 } else {
                     self.j += 1;
                 }
             }
-            (Some(_), None) => self.i += 1,
+            (Some(_), None) => self.base.advance(),
             (None, Some(_)) => self.j += 1,
             (None, None) => {}
         }
@@ -498,23 +512,19 @@ impl TimetableOverlay {
         self.base.node_count()
     }
 
-    /// The first base and tentative indices whose windows end after `t`,
-    /// galloping from the node's cursor, forward or backward, and
-    /// bisecting from scratch only when the node has none. The refreshed
-    /// cursor is stored back for the next query.
-    fn cursor_at(&self, node: NodeId, t: SimTime) -> (usize, usize) {
-        let base = self.base.windows(node);
+    /// The first base position and tentative index whose windows end
+    /// after `t`, galloping from the node's cursor, forward or backward,
+    /// and bisecting from scratch only when the node has none. The
+    /// refreshed cursor is stored back for the next query.
+    fn cursor_at(&self, node: NodeId, base: &NodeCalendar, t: SimTime) -> (Pos, usize) {
         let extra = self.tentative[node.index()].as_slice();
         let cell = &self.cursor[node.index()];
         let at = match cell.get() {
             Some((i, j)) => (
-                first_ending_after_near(base, i, t),
-                first_ending_after_near(extra, j, t),
+                base.seek_near(i, t),
+                first_ending_after_near(extra, j, t, window_end),
             ),
-            None => (
-                base.partition_point(|w| w.end() <= t),
-                extra.partition_point(|w| w.end() <= t),
-            ),
+            None => (base.seek(t), extra.partition_point(|w| w.end() <= t)),
         };
         cell.set(Some(at));
         at
@@ -522,12 +532,16 @@ impl TimetableOverlay {
 
     /// Merged base + tentative walk starting at the first windows ending
     /// after `t` (see [`TimetableOverlay::cursor_at`]).
-    fn merged_after(&self, node: NodeId, t: SimTime) -> MergedWindows<'_> {
-        let (i, j) = self.cursor_at(node, t);
+    fn merged_after<'a>(
+        &'a self,
+        node: NodeId,
+        base: &'a NodeCalendar,
+        t: SimTime,
+    ) -> MergedWindows<'a> {
+        let (i, j) = self.cursor_at(node, base, t);
         MergedWindows {
-            base: self.base.windows(node),
+            base: base.walk(i),
             extra: &self.tentative[node.index()],
-            i,
             j,
         }
     }
@@ -538,7 +552,7 @@ impl TimetableOverlay {
         // Mirrors `Timetable::first_conflict`: only the first reservation
         // ending after `window.start()` can overlap — later ones start at
         // or after its end.
-        self.merged_after(node, window.start())
+        self.merged_after(node, self.base.calendar(node), window.start())
             .peek()
             .filter(|w| w.overlaps(window))
     }
@@ -571,18 +585,19 @@ impl TimetableOverlay {
         if duration.is_zero() {
             return Some(not_before);
         }
-        if self.base.windows(node).len() >= self.base.inner.index_floor {
-            self.earliest_fit_indexed(node, not_before, duration, deadline)
+        let calendar = self.base.calendar(node);
+        if calendar.len() >= self.base.inner.index_floor {
+            self.earliest_fit_indexed(node, calendar, not_before, duration, deadline)
         } else {
             let mut stats = self.index_stats.get();
             stats.bypasses += 1;
             self.index_stats.set(stats);
-            self.earliest_fit_linear(node, not_before, duration, deadline)
+            self.earliest_fit_linear(node, calendar, not_before, duration, deadline)
         }
     }
 
-    /// The indexed path: the base layer answers through the snapshot's
-    /// [`GapIndex`](crate::gap_index::GapIndex) in O(log B); the
+    /// The indexed path: the base layer answers through the frozen
+    /// calendar's [`GapIndex`](crate::gap_index::GapIndex); the
     /// scenario's tentative windows (none or a handful) veto and re-seed
     /// the probe. The seek into both lists resumes from the node's
     /// cursor, as the linear walk's does, so a probe just after the last
@@ -598,36 +613,33 @@ impl TimetableOverlay {
     /// where the linear walk lands when it hops `w`. Candidates only move
     /// forward, so both indices gallop on from where the last round left
     /// them. Each round retires one tentative window, so the loop runs at
-    /// most `tentative + 1` rounds of O(log B + log T).
+    /// most `tentative + 1` rounds of O(log(R/B) + B + log T) for R base
+    /// windows in chunks of B.
     fn earliest_fit_indexed(
         &self,
         node: NodeId,
+        calendar: &NodeCalendar,
         not_before: SimTime,
         duration: SimDuration,
         deadline: SimTime,
     ) -> Option<SimTime> {
-        let (mut i, mut j) = self.cursor_at(node, not_before);
-        let calendar = self.base.calendar(node);
-        let mut built = false;
-        let gap = calendar.gap_index_tracked(&mut built);
+        let (mut i, mut j) = self.cursor_at(node, calendar, not_before);
         let mut stats = self.index_stats.get();
         stats.seeks += 1;
-        stats.builds += u64::from(built);
         self.index_stats.set(stats);
-        let base = calendar.windows();
         let tentative = self.tentative[node.index()].as_slice();
         let mut candidate = not_before;
         loop {
             // A base-only start past the deadline ends the probe: the
             // merged answer is no earlier, which matches the linear
             // walk's early exit because candidates only move forward.
-            let s = gap.earliest_fit_at(base, i, candidate, duration, deadline)?;
+            let s = calendar.earliest_fit_at(i, candidate, duration, deadline)?;
             let end = s.saturating_add(duration);
-            j = first_ending_after_from(tentative, j, s);
+            j = first_ending_after_from(tentative, j, s, window_end);
             match tentative.get(j) {
                 Some(w) if w.start() < end => {
                     candidate = w.end();
-                    i = first_ending_after_from(base, i, candidate);
+                    i = calendar.seek_near(i, candidate);
                 }
                 _ => return Some(s),
             }
@@ -640,11 +652,12 @@ impl TimetableOverlay {
     fn earliest_fit_linear(
         &self,
         node: NodeId,
+        calendar: &NodeCalendar,
         not_before: SimTime,
         duration: SimDuration,
         deadline: SimTime,
     ) -> Option<SimTime> {
-        let mut merged = self.merged_after(node, not_before);
+        let mut merged = self.merged_after(node, calendar, not_before);
         let mut candidate = not_before;
         loop {
             let end = candidate.saturating_add(duration);
@@ -665,8 +678,9 @@ impl TimetableOverlay {
     /// Tentatively reserves `window` on `node`.
     ///
     /// The reservation lives only in this overlay; the snapshot and the
-    /// pool it came from are never touched. Clears the node's cursor: the
-    /// insert shifts the tentative indices after it.
+    /// pool it came from are never touched. The node's cursor stays: the
+    /// insert may shift the tentative index it holds, but the next query
+    /// gallops to the right index from any start.
     ///
     /// # Errors
     ///
@@ -686,7 +700,6 @@ impl TimetableOverlay {
             list.windows(2).all(|p| p[0].end() <= p[1].start()),
             "tentative windows stay sorted and disjoint"
         );
-        self.cursor[node.index()].set(None);
         Ok(())
     }
 }
@@ -745,7 +758,7 @@ mod tests {
             let t = t(g.u64_in(0, at + 5));
             let near = g.usize_in(0, ws.len());
             assert_eq!(
-                first_ending_after_near(&ws, near, t),
+                first_ending_after_near(&ws, near, t, window_end),
                 ws.partition_point(|w| w.end() <= t),
                 "windows {ws:?}, near {near}, t {t}"
             );
@@ -843,15 +856,19 @@ mod tests {
         let b = TimetableOverlay::new(snap);
         assert_eq!(a.take_index_stats(), IndexStats::default());
         let _ = a.earliest_fit(node, t(0), d(2), SimTime::MAX);
-        // A repeat probe seeks again; only the first built the index.
+        // A repeat probe seeks again.
         let _ = a.earliest_fit(node, t(0), d(2), SimTime::MAX);
         let sa = a.take_index_stats();
-        assert_eq!((sa.seeks, sa.builds, sa.bypasses), (2, 1, 0));
-        // Sibling overlay on the same snapshot: the index is shared and
-        // already built.
+        assert_eq!((sa.seeks, sa.bypasses), (2, 0));
+        // Sibling overlay on the same snapshot: the one calendar, index
+        // built at freeze, is shared.
+        assert!(Arc::ptr_eq(
+            a.base().calendar(node),
+            b.base().calendar(node)
+        ));
         let _ = b.earliest_fit(node, t(1), d(3), SimTime::MAX);
         let sb = b.take_index_stats();
-        assert_eq!((sb.seeks, sb.builds, sb.bypasses), (1, 0, 0));
+        assert_eq!((sb.seeks, sb.bypasses), (1, 0));
         assert_eq!(a.take_index_stats(), IndexStats::default(), "drained");
     }
 
@@ -919,6 +936,6 @@ mod tests {
             Some(t(9))
         );
         let s = overlay.take_index_stats();
-        assert_eq!((s.seeks, s.builds), (1, 1));
+        assert_eq!((s.seeks, s.bypasses), (1, 0));
     }
 }

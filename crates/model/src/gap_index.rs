@@ -1,82 +1,105 @@
-//! Max-free-gap segment tree over an immutable reservation snapshot.
+//! Max-free-gap segment tree over an immutable list of gaps.
 //!
 //! `Timetable::earliest_fit` walks reservations one by one: from the first
 //! window ending after `not_before` it hops reservation-by-reservation
 //! until a gap wide enough for `duration` appears. Against the §4
 //! background workloads that walk crosses up to ~143k reservations per
-//! cold probe. A [`GapIndex`] precomputes, for the **gaps between
-//! consecutive windows** of a sorted non-overlapping list, a complete
-//! binary max-tree, so "first gap at or after position `i` with capacity
-//! ≥ `duration`" resolves by descending the tree in O(log R).
+//! cold probe. A [`GapIndex`] precomputes a complete binary max-tree over
+//! a list of gap capacities, so "first gap at or after position `i` with
+//! capacity ≥ `duration`" resolves by descending the tree in O(log R).
 //!
-//! The index is built once per [`AvailabilitySnapshot`] node (lazily, see
-//! `model::availability`) and never mutated: snapshots are immutable, so
-//! there is no invalidation protocol — a new snapshot simply gets a new
-//! index. Answers are **bit-identical** to the linear walk; the proof
-//! sketch lives with [`GapIndex::earliest_fit`] and the differential
-//! property suite in `crates/model/tests/prop_gap_index.rs` pins it on
-//! random inputs.
-//!
-//! [`AvailabilitySnapshot`]: crate::availability::AvailabilitySnapshot
+//! Two layouts use it. A frozen
+//! [`NodeCalendar`](crate::timetable::NodeCalendar) builds one at freeze
+//! over **one leaf per chunk** (the widest gap after any window of that
+//! chunk), so its search finds the first chunk worth scanning.
+//! [`GapIndex::build`] puts **one leaf per gap between consecutive
+//! windows** of a flat sorted list; [`GapIndex::earliest_fit`] over that
+//! layout is the cold reference the differential suites compare
+//! against. An index is never mutated: a calendar that changes is frozen
+//! again, with a new index. Answers are **bit-identical** to the linear
+//! walk; the proof sketch lives with [`GapIndex::earliest_fit`] and the
+//! differential property suites in `crates/model/tests/prop_gap_index.rs`
+//! and `crates/model/tests/prop_chunked_timetable.rs` pin it on random
+//! inputs.
 
 use gridsched_sim::time::{SimDuration, SimTime};
 
 use crate::window::TimeWindow;
 
-/// A static "first wide-enough gap" index over one node's sorted,
-/// non-overlapping reserved windows.
+/// A static "first wide-enough gap" index over a list of gap capacities.
 ///
-/// Leaf `k` of the tree holds the capacity (in ticks) of the gap between
-/// `windows[k]` and `windows[k + 1]`; internal nodes hold the max of
-/// their children. The trailing gap after the last window is unbounded
-/// and needs no leaf, and the leading gap before the first window is
-/// handled directly from `windows[0]` by the query.
+/// Leaf `k` of the tree holds the capacity (in ticks) of gap `k`;
+/// internal nodes hold the max of their children. Built by
+/// [`GapIndex::build`] over a window list, gap `k` lies between
+/// `windows[k]` and `windows[k + 1]`: the trailing gap after the last
+/// window is unbounded and needs no leaf, and the leading gap before the
+/// first window is handled directly from `windows[0]` by the query.
 #[derive(Debug, Clone)]
 pub struct GapIndex {
-    /// Number of windows the index was built over (leaves = windows - 1).
-    window_count: usize,
-    /// Leaf capacity of the tree: `gap_count` rounded up to a power of
-    /// two (zero when there are no interior gaps).
+    /// Number of gaps indexed.
+    gaps: usize,
+    /// Leaf capacity of the tree: `gaps` rounded up to a power of two
+    /// (zero when there are no gaps).
     leaves: usize,
     /// 1-indexed implicit max-tree (`tree[1]` is the root, children of
     /// `n` are `2n` / `2n + 1`); padding leaves hold capacity 0. Empty
-    /// when there are fewer than two windows.
+    /// when there are no gaps.
     tree: Box<[u64]>,
 }
 
 impl GapIndex {
-    /// Builds the index for `windows` (sorted by start, pairwise
-    /// non-overlapping — the invariant every `Timetable` maintains).
+    /// Builds the index for the interior gaps of `windows` (sorted by
+    /// start, pairwise non-overlapping — the invariant every `Timetable`
+    /// maintains).
     #[must_use]
     pub fn build(windows: &[TimeWindow]) -> Self {
-        let gap_count = windows.len().saturating_sub(1);
-        if gap_count == 0 {
+        // Sorted + non-overlapping: end(k) <= start(k+1), never wraps.
+        GapIndex::from_gaps(
+            windows
+                .windows(2)
+                .map(|pair| pair[1].start().ticks() - pair[0].end().ticks()),
+        )
+    }
+
+    /// Builds the index over `gaps`, leaf `k` holding `gaps[k]`.
+    pub(crate) fn from_gaps(gaps: impl ExactSizeIterator<Item = u64>) -> Self {
+        let count = gaps.len();
+        if count == 0 {
             return GapIndex {
-                window_count: windows.len(),
+                gaps: 0,
                 leaves: 0,
                 tree: Box::new([]),
             };
         }
-        let leaves = gap_count.next_power_of_two();
+        let leaves = count.next_power_of_two();
         let mut tree = vec![0u64; 2 * leaves];
-        for (k, pair) in windows.windows(2).enumerate() {
-            // Sorted + non-overlapping: end(k) <= start(k+1), never wraps.
-            tree[leaves + k] = pair[1].start().ticks() - pair[0].end().ticks();
+        for (leaf, gap) in tree[leaves..].iter_mut().zip(gaps) {
+            *leaf = gap;
         }
         for n in (1..leaves).rev() {
             tree[n] = tree[2 * n].max(tree[2 * n + 1]);
         }
         GapIndex {
-            window_count: windows.len(),
+            gaps: count,
             leaves,
             tree: tree.into_boxed_slice(),
         }
     }
 
-    /// Number of interior gaps the index covers.
+    /// Number of gaps the index covers.
     #[must_use]
     pub fn gap_count(&self) -> usize {
-        self.window_count.saturating_sub(1)
+        self.gaps
+    }
+
+    /// The capacity of gap `k`.
+    pub(crate) fn gap(&self, k: usize) -> u64 {
+        self.tree[self.leaves + k]
+    }
+
+    /// Heap bytes of the tree.
+    pub(crate) fn approx_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.tree)
     }
 
     /// Smallest gap position `k >= lo` whose capacity is at least `need`
@@ -91,7 +114,7 @@ impl GapIndex {
     /// One O(log R) climb to the first subtree right of `lo` whose max
     /// reaches `need`, then one O(log R) descent to its leftmost
     /// qualifying leaf.
-    fn first_gap_at_least(
+    pub(crate) fn first_gap_at_least(
         &self,
         lo: usize,
         need: u64,
@@ -192,8 +215,8 @@ impl GapIndex {
         deadline: SimTime,
     ) -> Option<SimTime> {
         debug_assert_eq!(
-            windows.len(),
-            self.window_count,
+            windows.len().saturating_sub(1),
+            self.gaps,
             "index used with a different window set than it was built over"
         );
         // Ends strictly increase, so checking both neighbours pins `i`.
@@ -236,7 +259,7 @@ impl GapIndex {
     /// [`Timetable::free_windows_into`]: crate::timetable::Timetable::free_windows_into
     #[must_use]
     pub fn first_ending_after(&self, windows: &[TimeWindow], t: SimTime) -> usize {
-        debug_assert_eq!(windows.len(), self.window_count);
+        debug_assert_eq!(windows.len().saturating_sub(1), self.gaps);
         windows.partition_point(|w| w.end() <= t)
     }
 }

@@ -240,14 +240,6 @@ impl ResourcePool {
     pub fn set_perf(&mut self, id: NodeId, perf: Perf) {
         self.nodes[id.index()].perf = perf;
     }
-
-    /// Clears every timetable, keeping the nodes. Used between experiment
-    /// repetitions.
-    pub fn reset_timetables(&mut self) {
-        for tt in &mut self.timetables {
-            *tt = Timetable::new();
-        }
-    }
 }
 
 /// The calendars a pool's timetables hold frozen
@@ -259,7 +251,8 @@ pub struct FrozenCalendars<'a> {
 }
 
 impl FrozenCalendars<'_> {
-    /// Approximate bytes of the frozen calendars
+    /// Approximate bytes the frozen calendars hold beyond the chunks
+    /// they share with the live timetables
     /// ([`crate::timetable::NodeCalendar::approx_bytes`]), summed over
     /// the timetables.
     #[must_use]
@@ -334,13 +327,18 @@ mod tests {
 
         let mut pool = pool_with(&[1.0, 0.5]);
         let w = TimeWindow::new(SimTime::ZERO, SimTime::from_ticks(5)).unwrap();
-        pool.timetable_mut(NodeId::new(0))
+        let id = pool
+            .timetable_mut(NodeId::new(0))
             .reserve(w, ReservationOwner::Background(0))
             .unwrap();
         assert!(!pool.timetable(NodeId::new(0)).is_free(w));
         assert!(pool.timetable(NodeId::new(1)).is_free(w));
-        pool.reset_timetables();
+        *pool.timetable_mut(NodeId::new(0)) = Timetable::new();
         assert!(pool.timetable(NodeId::new(0)).is_free(w));
+        assert!(
+            pool.timetable_mut(NodeId::new(0)).release(id).is_none(),
+            "a fresh timetable holds nothing"
+        );
     }
 
     #[test]

@@ -5,70 +5,510 @@
 //! advance reservations against these timetables (§3: the `[Start, End]`
 //! interval "is treated as so called wall time, defined at the resource
 //! reservation time in the local batch-job management system").
+//!
+//! # Chunked, copy-on-write storage
+//!
+//! A timetable stores its reservations in [`Chunk`]s of at most
+//! [`CHUNK_CAPACITY`] consecutive windows, each behind an [`Arc`]. A chunk
+//! keeps its windows contiguous (probes scan 16-byte [`TimeWindow`]s), the
+//! ids and owners beside them, its largest interior gap and its count of
+//! task-owned reservations. A write finds its chunk by binary search and
+//! changes only that chunk, through [`Arc::make_mut`]: in place unless a
+//! frozen calendar still shares it, else one chunk copy. A chunk splits
+//! when it overflows and is dropped when it empties. The bulk path
+//! ([`Timetable::extend_sorted`]) stays one linear pass that packs full
+//! chunks.
+//!
+//! A capture freezes a node into a [`NodeCalendar`] by cloning the chunk
+//! list, R/B pointer bumps for R windows in chunks of B, and builds the
+//! calendar's [`GapIndex`] at once over one leaf per chunk, in O(R/B).
+//! The timetable keeps that calendar until its windows change, so an
+//! unchanged node's next capture is one more pointer bump.
 
+use std::cmp::Ordering;
 use std::fmt;
+use std::ops::ControlFlow;
 use std::sync::{Arc, OnceLock};
 
 use gridsched_sim::time::{SimDuration, SimTime};
 
+use crate::availability::first_ending_after_near;
 use crate::gap_index::GapIndex;
-use crate::ids::GlobalTaskId;
+use crate::ids::{GlobalTaskId, JobId};
 use crate::window::TimeWindow;
 
-/// One node's frozen calendar: a [`Timetable`]'s reserved windows at one
-/// instant, plus the lazily built gap index over them.
+/// Most windows one [`Chunk`] holds. A write that would overflow a chunk
+/// splits it.
 ///
-/// The timetable keeps the calendar it last froze until its windows
-/// change, so every snapshot capture of an unchanged node shares the
-/// same window slice and the same at-most-once index build
-/// ([`Timetable::calendar_tracked`]).
-#[derive(Debug)]
-pub struct NodeCalendar {
-    windows: Box<[TimeWindow]>,
-    index: OnceLock<GapIndex>,
+/// A write copies at most one chunk and a refreeze does one pointer bump
+/// per chunk, so small chunks make writes cheap and large ones make
+/// captures cheap; an indexed probe cost the same from 16 to 128. At 64
+/// a cold capture of a 1k-window calendar takes ~0.45 µs (16: ~1.1–2.3,
+/// 128: ~0.3) and a write copies 3 KB (EXPERIMENTS.md has the sweep).
+pub const CHUNK_CAPACITY: usize = 64;
+
+/// A calendar position: chunk number and offset inside that chunk. The
+/// end of a calendar is `(chunk count, 0)`.
+pub(crate) type Pos = (usize, usize);
+
+/// The id and owner of one reservation, stored beside its window.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Tag {
+    id: ReservationId,
+    owner: ReservationOwner,
 }
 
-impl NodeCalendar {
-    /// Freezes a window slice (sorted by start, pairwise non-overlapping
-    /// — the invariant every `Timetable` maintains).
-    fn new(windows: Box<[TimeWindow]>) -> Self {
-        NodeCalendar {
-            windows,
-            index: OnceLock::new(),
+impl Tag {
+    fn is_task(&self) -> bool {
+        matches!(self.owner, ReservationOwner::Task(_))
+    }
+}
+
+/// Up to [`CHUNK_CAPACITY`] consecutive reservations of one
+/// [`Timetable`], shared by reference with the calendars frozen from it.
+#[derive(Debug)]
+pub struct Chunk {
+    /// Sorted by start, pairwise non-overlapping, never empty inside a
+    /// timetable.
+    windows: Vec<TimeWindow>,
+    /// `tags[k]` holds the id and owner of `windows[k]`.
+    tags: Vec<Tag>,
+    /// The largest gap between two consecutive windows, in ticks.
+    max_gap: u64,
+    /// How many of the reservations are task-owned.
+    tasks: usize,
+}
+
+impl Clone for Chunk {
+    /// Copies with room for one window past capacity, so a write to the
+    /// copy never reallocates before the chunk splits.
+    fn clone(&self) -> Self {
+        let mut copy = Chunk::new();
+        copy.windows.extend_from_slice(&self.windows);
+        copy.tags.extend_from_slice(&self.tags);
+        copy.max_gap = self.max_gap;
+        copy.tasks = self.tasks;
+        copy
+    }
+}
+
+/// The largest gap between consecutive windows of `ws`, 0 for fewer than
+/// two. Saturating, so an overlapping batch reaches the caller's debug
+/// check instead of an overflow.
+fn max_interior_gap(ws: &[TimeWindow]) -> u64 {
+    ws.windows(2)
+        .map(|p| p[1].start().ticks().saturating_sub(p[0].end().ticks()))
+        .max()
+        .unwrap_or(0)
+}
+
+impl Chunk {
+    fn new() -> Self {
+        Chunk {
+            windows: Vec::with_capacity(CHUNK_CAPACITY + 1),
+            tags: Vec::with_capacity(CHUNK_CAPACITY + 1),
+            max_gap: 0,
+            tasks: 0,
         }
     }
 
-    /// The frozen windows, in start order.
+    /// The chunk's windows, in start order.
     #[must_use]
     pub fn windows(&self) -> &[TimeWindow] {
         &self.windows
     }
 
-    /// The gap index over the frozen windows, building it on first use;
-    /// `built` records whether *this call* performed the build (across
-    /// all holders at most one call ever observes `true`).
-    #[must_use]
-    pub fn gap_index_tracked(&self, built: &mut bool) -> &GapIndex {
-        self.index.get_or_init(|| {
-            *built = true;
-            GapIndex::build(&self.windows)
-        })
+    fn last_end(&self) -> SimTime {
+        self.windows[self.windows.len() - 1].end()
     }
 
-    /// Approximate heap footprint: the window slice plus the gap-index
-    /// tree (its eventual size if not yet built — the tree's shape is a
-    /// pure function of the window count, so the estimate is exact once
-    /// built).
+    fn reservation(&self, k: usize) -> Reservation {
+        let tag = self.tags[k];
+        Reservation {
+            id: tag.id,
+            window: self.windows[k],
+            owner: tag.owner,
+        }
+    }
+
+    fn reservations(&self, from: usize) -> impl Iterator<Item = Reservation> + '_ {
+        (from..self.windows.len()).map(|k| self.reservation(k))
+    }
+
+    /// Appends a window that starts at or after the last one's end.
+    fn push(&mut self, window: TimeWindow, tag: Tag) {
+        if let Some(last) = self.windows.last() {
+            let gap = window.start().ticks().saturating_sub(last.end().ticks());
+            self.max_gap = self.max_gap.max(gap);
+        }
+        self.windows.push(window);
+        self.tags.push(tag);
+        self.tasks += usize::from(tag.is_task());
+    }
+
+    /// Removes the reservation at offset `k`.
+    fn remove(&mut self, k: usize) -> Reservation {
+        let removed = self.reservation(k);
+        self.windows.remove(k);
+        self.tags.remove(k);
+        self.refresh();
+        removed
+    }
+
+    /// Recomputes the cached gap and task count after an edit.
+    fn refresh(&mut self) {
+        self.max_gap = max_interior_gap(&self.windows);
+        self.tasks = self.tags.iter().filter(|t| t.is_task()).count();
+    }
+
+    /// Inserts at offset `k`. If that overflows the chunk, splits off and
+    /// returns the upper part: a chunk holding just the new window when it
+    /// was appended past the end of the calendar (`at_end`), so calendars
+    /// written in time order stay packed, else the upper half.
+    fn insert(&mut self, k: usize, window: TimeWindow, tag: Tag, at_end: bool) -> Option<Chunk> {
+        self.windows.insert(k, window);
+        self.tags.insert(k, tag);
+        if self.windows.len() <= CHUNK_CAPACITY {
+            self.refresh();
+            return None;
+        }
+        let at = if at_end {
+            CHUNK_CAPACITY
+        } else {
+            self.windows.len() / 2
+        };
+        let mut upper = Chunk::new();
+        for (w, t) in self.windows.drain(at..).zip(self.tags.drain(at..)) {
+            upper.push(w, t);
+        }
+        self.refresh();
+        Some(upper)
+    }
+
+    /// Removes the reservations `hit` selects, appending them to `out` in
+    /// start order.
+    fn remove_where(&mut self, hit: impl Fn(TimeWindow, Tag) -> bool, out: &mut Vec<Reservation>) {
+        let mut kept = 0;
+        for k in 0..self.windows.len() {
+            let (window, tag) = (self.windows[k], self.tags[k]);
+            if hit(window, tag) {
+                out.push(Reservation {
+                    id: tag.id,
+                    window,
+                    owner: tag.owner,
+                });
+            } else {
+                self.windows[kept] = window;
+                self.tags[kept] = tag;
+                kept += 1;
+            }
+        }
+        self.windows.truncate(kept);
+        self.tags.truncate(kept);
+        self.refresh();
+    }
+}
+
+/// The position of the first window ending after `t`.
+fn seek(chunks: &[Arc<Chunk>], t: SimTime) -> Pos {
+    let c = chunks.partition_point(|ch| ch.last_end() <= t);
+    match chunks.get(c) {
+        Some(ch) => (c, ch.windows.partition_point(|w| w.end() <= t)),
+        None => (c, 0),
+    }
+}
+
+/// The reservations from position `(c, k)` on, in start order.
+fn reservations_from(chunks: &[Arc<Chunk>], (c, k): Pos) -> impl Iterator<Item = Reservation> + '_ {
+    chunks
+        .get(c..)
+        .unwrap_or_default()
+        .iter()
+        .enumerate()
+        .flat_map(move |(n, ch)| ch.reservations(if n == 0 { k } else { 0 }))
+}
+
+/// A forward walk over a chunk list's windows: the current chunk's
+/// slice, the offset in it and the chunks after it. Stepping is a slice
+/// index, and crossing into the next chunk one compare more.
+#[derive(Debug, Clone)]
+pub(crate) struct Walk<'a> {
+    cur: &'a [TimeWindow],
+    at: usize,
+    rest: &'a [Arc<Chunk>],
+}
+
+impl<'a> Walk<'a> {
+    fn new(chunks: &'a [Arc<Chunk>], (c, k): Pos) -> Self {
+        match chunks.get(c) {
+            Some(ch) => Walk {
+                cur: &ch.windows,
+                at: k,
+                rest: &chunks[c + 1..],
+            },
+            None => Walk {
+                cur: &[],
+                at: 0,
+                rest: &[],
+            },
+        }
+    }
+
+    /// The window at the walk's position, if any is left.
+    pub(crate) fn peek(&self) -> Option<TimeWindow> {
+        self.cur.get(self.at).copied()
+    }
+
+    /// Steps past the current window.
+    pub(crate) fn advance(&mut self) {
+        self.at += 1;
+        if self.at == self.cur.len() {
+            if let Some((next, rest)) = self.rest.split_first() {
+                self.cur = &next.windows;
+                self.rest = rest;
+                self.at = 0;
+            }
+        }
+    }
+}
+
+impl Iterator for Walk<'_> {
+    type Item = TimeWindow;
+
+    fn next(&mut self) -> Option<TimeWindow> {
+        let w = self.peek()?;
+        self.advance();
+        Some(w)
+    }
+}
+
+/// One node's frozen calendar: a [`Timetable`]'s chunks at one instant,
+/// plus the gap index over them.
+///
+/// Freezing clones the timetable's chunk list, so the calendar shares
+/// every chunk with the timetable until a write copies one; the index is
+/// built right away, over one leaf per chunk. The timetable keeps the
+/// calendar it last froze until its windows change, so every snapshot
+/// capture of an unchanged node shares it ([`Timetable::calendar_tracked`]).
+#[derive(Debug)]
+pub struct NodeCalendar {
+    chunks: Box<[Arc<Chunk>]>,
+    /// `ends[c]` = the ends of chunk `c`'s first and last windows. Seeks
+    /// bisect the last ends; the index search stops at the first chunk
+    /// whose first end is too late for the deadline.
+    ends: Box<[(SimTime, SimTime)]>,
+    /// Leaf `c` is the widest gap after a window of chunk `c`: its
+    /// largest interior gap or the gap to chunk `c + 1`'s first window.
+    index: GapIndex,
+    len: usize,
+}
+
+impl NodeCalendar {
+    fn freeze(chunks: &[Arc<Chunk>], len: usize) -> Self {
+        let ends = chunks
+            .iter()
+            .map(|ch| (ch.windows[0].end(), ch.last_end()))
+            .collect();
+        let index = GapIndex::from_gaps(chunks.iter().enumerate().map(|(c, ch)| {
+            let to_next = chunks.get(c + 1).map_or(0, |next| {
+                next.windows[0].start().ticks() - ch.last_end().ticks()
+            });
+            ch.max_gap.max(to_next)
+        }));
+        NodeCalendar {
+            chunks: chunks.into(),
+            ends,
+            index,
+            len,
+        }
+    }
+
+    /// Number of frozen windows.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the calendar holds no window.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The frozen windows, in start order.
+    pub fn windows(&self) -> impl Iterator<Item = TimeWindow> + '_ {
+        self.walk((0, 0))
+    }
+
+    /// The frozen chunks, shared with the timetable and with every other
+    /// calendar frozen from the same chunk.
+    #[must_use]
+    pub fn chunks(&self) -> &[Arc<Chunk>] {
+        &self.chunks
+    }
+
+    /// Approximate heap bytes the calendar holds beyond the chunks it
+    /// shares with its timetable: the chunk list, the chunk ends and the
+    /// gap-index tree.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        let windows = self.windows.len() * std::mem::size_of::<TimeWindow>();
-        let gaps = self.windows.len().saturating_sub(1);
-        let tree = if gaps == 0 {
-            0
-        } else {
-            2 * gaps.next_power_of_two() * std::mem::size_of::<u64>()
+        self.chunks.len()
+            * (std::mem::size_of::<Arc<Chunk>>() + std::mem::size_of::<(SimTime, SimTime)>())
+            + self.index.approx_bytes()
+    }
+
+    /// The earliest start `s >= not_before` such that `[s, s + duration)`
+    /// avoids every frozen window and ends no later than `deadline`,
+    /// through the gap index: the same answer as
+    /// [`Timetable::earliest_fit`] on the timetable it was frozen from.
+    #[must_use]
+    pub fn earliest_fit(
+        &self,
+        not_before: SimTime,
+        duration: SimDuration,
+        deadline: SimTime,
+    ) -> Option<SimTime> {
+        self.earliest_fit_at(self.seek(not_before), not_before, duration, deadline)
+    }
+
+    /// The position of the first window ending after `t`, by bisection.
+    pub(crate) fn seek(&self, t: SimTime) -> Pos {
+        seek(&self.chunks, t)
+    }
+
+    /// [`NodeCalendar::seek`] searched outward from the position `near`
+    /// (any position of this calendar): galloping over the chunk ends,
+    /// then inside the chunk found, from `near`'s offset when it is the
+    /// same chunk and from the side `t` came from otherwise.
+    pub(crate) fn seek_near(&self, (c0, k0): Pos, t: SimTime) -> Pos {
+        // Most probes land in the chunk the last one did: every window
+        // before it ends at or before `t` and its last one after.
+        let stays =
+            self.ends.get(c0).is_some_and(|e| e.1 > t) && (c0 == 0 || self.ends[c0 - 1].1 <= t);
+        if stays {
+            let ws = &self.chunks[c0].windows;
+            return (c0, first_ending_after_near(ws, k0, t, |w| w.end()));
+        }
+        let c = first_ending_after_near(&self.ends, c0, t, |e| e.1);
+        let Some(ch) = self.chunks.get(c) else {
+            return (c, 0);
         };
-        windows + tree
+        let hint = match c.cmp(&c0) {
+            Ordering::Equal => k0,
+            Ordering::Greater => 0,
+            Ordering::Less => ch.windows.len(),
+        };
+        (
+            c,
+            first_ending_after_near(&ch.windows, hint, t, |w| w.end()),
+        )
+    }
+
+    /// A forward walk over the windows from `at` on.
+    pub(crate) fn walk(&self, at: Pos) -> Walk<'_> {
+        Walk::new(&self.chunks, at)
+    }
+
+    /// [`NodeCalendar::earliest_fit`] with the seek already done: `at`
+    /// must be the position of the first window ending after
+    /// `not_before`.
+    ///
+    /// Bit-identical to the linear jump-walk: the walk's answer is
+    /// `not_before` itself (when the first window ending after it starts
+    /// late enough), or the end of the first window at or after `at`
+    /// whose gap to the next window holds `duration`, or the end of the
+    /// last window. The walk's per-step deadline exit equals one final
+    /// check because candidates only move forward, so the search may also
+    /// stop as soon as a window ends too late for a start after it to
+    /// meet the deadline: the final check would refuse whatever it found.
+    pub(crate) fn earliest_fit_at(
+        &self,
+        at: Pos,
+        not_before: SimTime,
+        duration: SimDuration,
+        deadline: SimTime,
+    ) -> Option<SimTime> {
+        debug_assert_eq!(
+            at,
+            self.seek(not_before),
+            "`at` is not the first window ending after `not_before`"
+        );
+        if duration.is_zero() {
+            return Some(not_before);
+        }
+        let (c, k) = at;
+        let candidate = match self.chunks.get(c) {
+            None => not_before,
+            Some(ch) if ch.windows[k].start() >= not_before.saturating_add(duration) => not_before,
+            Some(_) => {
+                let past = |end: SimTime| end.saturating_add(duration) > deadline;
+                self.first_wide_gap(at, duration.ticks(), past)
+                    .unwrap_or_else(|| self.ends[self.ends.len() - 1].1)
+            }
+        };
+        let end = candidate.saturating_add(duration);
+        (end <= deadline).then_some(candidate)
+    }
+
+    /// The end of the first window at or after `(c, k)` whose gap to the
+    /// next window is at least `need` ticks. `None` if no such gap lies
+    /// before the trailing one or a window `past` holds for comes first.
+    ///
+    /// Scans the rest of chunk `c` if its leaf fits, then climbs the index
+    /// to the first later chunk whose leaf fits and scans that one: at
+    /// most two chunk scans and one O(log(R/B)) search.
+    fn first_wide_gap(
+        &self,
+        (c, k): Pos,
+        need: u64,
+        past: impl Fn(SimTime) -> bool,
+    ) -> Option<SimTime> {
+        if self.index.gap(c) >= need {
+            if let ControlFlow::Break(found) = self.scan(c, k, need, &past) {
+                return found;
+            }
+        }
+        let c = self
+            .index
+            .first_gap_at_least(c + 1, need, |c| past(self.ends[c].0))?;
+        // The leaf fits, so the scan from the chunk's start finds its gap
+        // unless the deadline stops it first.
+        self.scan(c, 0, need, &past).break_value().flatten()
+    }
+
+    /// Scans chunk `c` from offset `k`: breaks with the end of the first
+    /// window whose following gap holds `need` ticks, or with `None` at a
+    /// window `past` holds for or at the last window of the calendar;
+    /// continues if no gap after a window of this chunk fits.
+    fn scan(
+        &self,
+        c: usize,
+        k: usize,
+        need: u64,
+        past: impl Fn(SimTime) -> bool,
+    ) -> ControlFlow<Option<SimTime>> {
+        let ws = &self.chunks[c].windows[k..];
+        for pair in ws.windows(2) {
+            let end = pair[0].end();
+            if past(end) {
+                return ControlFlow::Break(None);
+            }
+            if pair[1].start().ticks() - end.ticks() >= need {
+                return ControlFlow::Break(Some(end));
+            }
+        }
+        let end = ws[ws.len() - 1].end();
+        if past(end) {
+            return ControlFlow::Break(None);
+        }
+        match self.chunks.get(c + 1) {
+            // The calendar's last window: only the trailing gap is left.
+            None => ControlFlow::Break(None),
+            Some(next) if next.windows[0].start().ticks() - end.ticks() >= need => {
+                ControlFlow::Break(Some(end))
+            }
+            Some(_) => ControlFlow::Continue(()),
+        }
     }
 }
 
@@ -192,8 +632,10 @@ impl std::error::Error for ReserveConflict {}
 /// ```
 #[derive(Debug, Default)]
 pub struct Timetable {
-    /// Sorted by window start; pairwise non-overlapping.
-    reservations: Vec<Reservation>,
+    /// Non-empty chunks in start order; the windows of all of them,
+    /// read in order, are sorted by start and pairwise non-overlapping.
+    chunks: Vec<Arc<Chunk>>,
+    len: usize,
     next_id: u64,
     /// The calendar the last capture froze, if the windows have not
     /// changed since: filled by [`Timetable::calendar_tracked`], emptied
@@ -202,11 +644,12 @@ pub struct Timetable {
 }
 
 impl Clone for Timetable {
-    /// Copies the reservations; the copy starts with no frozen calendar,
-    /// so its first capture freezes its own.
+    /// Shares the chunks, copy-on-write; the copy starts with no frozen
+    /// calendar, so its first capture freezes its own.
     fn clone(&self) -> Self {
         Timetable {
-            reservations: self.reservations.clone(),
+            chunks: self.chunks.clone(),
+            len: self.len,
             next_id: self.next_id,
             frozen: OnceLock::new(),
         }
@@ -227,9 +670,7 @@ impl Timetable {
     pub fn calendar_tracked(&self, froze: &mut bool) -> &Arc<NodeCalendar> {
         self.frozen.get_or_init(|| {
             *froze = true;
-            Arc::new(NodeCalendar::new(
-                self.reservations.iter().map(|r| r.window).collect(),
-            ))
+            Arc::new(NodeCalendar::freeze(&self.chunks, self.len))
         })
     }
 
@@ -240,8 +681,10 @@ impl Timetable {
         self.frozen.get()
     }
 
-    /// Drops the frozen calendar after a window-changing mutation.
-    /// Snapshots that share it keep it alive until they die.
+    /// Drops the frozen calendar before a window-changing mutation, so
+    /// the chunk about to change is shared only with live snapshots, if
+    /// any. Snapshots that share the calendar keep it alive until they
+    /// die.
     fn thaw(&mut self) {
         self.frozen.take();
     }
@@ -249,23 +692,18 @@ impl Timetable {
     /// Number of active reservations.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.reservations.len()
+        self.len
     }
 
     /// Whether there are no reservations.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.reservations.is_empty()
+        self.len == 0
     }
 
     /// Iterates over reservations in start-time order.
-    pub fn iter(&self) -> impl Iterator<Item = &Reservation> {
-        self.reservations.iter()
-    }
-
-    /// Index of the first reservation whose window ends after `t`.
-    fn first_ending_after(&self, t: SimTime) -> usize {
-        self.reservations.partition_point(|r| r.window.end() <= t)
+    pub fn iter(&self) -> impl Iterator<Item = Reservation> + '_ {
+        reservations_from(&self.chunks, (0, 0))
     }
 
     /// Whether `window` is completely free.
@@ -276,18 +714,17 @@ impl Timetable {
 
     /// The first reservation overlapping `window`, if any.
     #[must_use]
-    pub fn first_conflict(&self, window: TimeWindow) -> Option<&Reservation> {
-        let i = self.first_ending_after(window.start());
-        self.reservations
-            .get(i)
-            .filter(|r| r.window.overlaps(window))
+    pub fn first_conflict(&self, window: TimeWindow) -> Option<Reservation> {
+        // Only the first reservation ending after `window.start()` can
+        // overlap: later ones start at or after its end.
+        let (c, k) = seek(&self.chunks, window.start());
+        let first = self.chunks.get(c)?.reservation(k);
+        first.window.overlaps(window).then_some(first)
     }
 
     /// All reservations overlapping `window`, in start order.
-    pub fn conflicts_with(&self, window: TimeWindow) -> impl Iterator<Item = &Reservation> {
-        let i = self.first_ending_after(window.start());
-        self.reservations[i..]
-            .iter()
+    pub fn conflicts_with(&self, window: TimeWindow) -> impl Iterator<Item = Reservation> + '_ {
+        reservations_from(&self.chunks, seek(&self.chunks, window.start()))
             .take_while(move |r| r.window.start() < window.end())
             .filter(move |r| r.window.overlaps(window))
     }
@@ -303,7 +740,15 @@ impl Timetable {
         window: TimeWindow,
         owner: ReservationOwner,
     ) -> Result<ReservationId, ReserveConflict> {
-        if let Some(existing) = self.first_conflict(window) {
+        let (c, k) = seek(&self.chunks, window.start());
+        // Only the first reservation ending after `window.start()` can
+        // overlap: later ones start at or after its end.
+        if let Some(existing) = self
+            .chunks
+            .get(c)
+            .map(|ch| ch.reservation(k))
+            .filter(|r| r.window.overlaps(window))
+        {
             return Err(ReserveConflict {
                 requested: window,
                 existing: existing.window,
@@ -312,12 +757,25 @@ impl Timetable {
         }
         let id = ReservationId(self.next_id);
         self.next_id += 1;
-        let idx = self
-            .reservations
-            .partition_point(|r| r.window.start() < window.start());
-        self.reservations
-            .insert(idx, Reservation { id, window, owner });
         self.thaw();
+        // Every window before the seek position ends at or before
+        // `window.start()`, and the one at it starts at or after
+        // `window.end()`: the new window goes right there, or at the end
+        // of the last chunk when it is later than every window.
+        let (c, k) = match self.chunks.last() {
+            Some(last) if c == self.chunks.len() => (c - 1, last.windows.len()),
+            Some(_) => (c, k),
+            None => {
+                self.chunks.push(Arc::new(Chunk::new()));
+                (0, 0)
+            }
+        };
+        let at_end = c + 1 == self.chunks.len() && k == self.chunks[c].windows.len();
+        let upper = Arc::make_mut(&mut self.chunks[c]).insert(k, window, Tag { id, owner }, at_end);
+        if let Some(upper) = upper {
+            self.chunks.insert(c + 1, Arc::new(upper));
+        }
+        self.len += 1;
         debug_assert!(self.invariants_hold());
         Ok(id)
     }
@@ -343,10 +801,10 @@ impl Timetable {
 
     /// Bulk-merges a batch of windows, already sorted by start and known
     /// to be non-overlapping — pairwise *and* against the existing
-    /// reservations. One O(existing + batch) merge instead of one O(n)
-    /// `Vec::insert` per window: laying down the §4 background load
-    /// (~143k reservations per node at the reference scale) this turns an
-    /// O(n²) build into a linear one. Ids are assigned in batch order,
+    /// reservations. One O(existing + batch) pass that repacks the
+    /// calendar into full chunks, instead of one chunk insert per window:
+    /// laying down the §4 background load (~143k reservations per node at
+    /// the reference scale) stays linear. Ids are assigned in batch order,
     /// exactly as sequential [`Timetable::reserve`] calls would.
     ///
     /// # Panics
@@ -358,36 +816,26 @@ impl Timetable {
     where
         I: IntoIterator<Item = (TimeWindow, ReservationOwner)>,
     {
-        let batch = batch.into_iter();
-        let before = self.reservations.len();
-        if self.reservations.is_empty() {
-            self.reservations.reserve(batch.size_hint().0);
-            for (window, owner) in batch {
-                let id = ReservationId(self.next_id);
-                self.next_id += 1;
-                self.reservations.push(Reservation { id, window, owner });
-            }
-        } else {
-            let old = std::mem::take(&mut self.reservations);
-            let mut merged = Vec::with_capacity(old.len() + batch.size_hint().0);
-            let mut old_iter = old.into_iter().peekable();
-            for (window, owner) in batch {
-                while old_iter
-                    .peek()
-                    .is_some_and(|r| r.window.start() <= window.start())
-                {
-                    merged.push(old_iter.next().expect("peeked"));
-                }
-                let id = ReservationId(self.next_id);
-                self.next_id += 1;
-                merged.push(Reservation { id, window, owner });
-            }
-            merged.extend(old_iter);
-            self.reservations = merged;
+        let mut batch = batch.into_iter().peekable();
+        if batch.peek().is_none() {
+            return;
         }
-        if self.reservations.len() != before {
-            self.thaw();
+        self.thaw();
+        let old = std::mem::take(&mut self.chunks);
+        let mut old_iter = reservations_from(&old, (0, 0)).peekable();
+        let mut packed = Packer::default();
+        for (window, owner) in batch {
+            while let Some(r) = old_iter.next_if(|r| r.window.start() <= window.start()) {
+                packed.push(r);
+            }
+            let id = ReservationId(self.next_id);
+            self.next_id += 1;
+            packed.push(Reservation { id, window, owner });
         }
+        for r in old_iter {
+            packed.push(r);
+        }
+        (self.chunks, self.len) = packed.finish();
         debug_assert!(
             self.invariants_hold(),
             "extend_sorted batch must be sorted and non-overlapping"
@@ -396,22 +844,19 @@ impl Timetable {
 
     /// Releases a reservation, returning it if it existed.
     pub fn release(&mut self, id: ReservationId) -> Option<Reservation> {
-        let idx = self.reservations.iter().position(|r| r.id == id)?;
-        let released = self.reservations.remove(idx);
+        let (c, k) = self
+            .chunks
+            .iter()
+            .enumerate()
+            .find_map(|(c, ch)| ch.tags.iter().position(|t| t.id == id).map(|k| (c, k)))?;
         self.thaw();
-        Some(released)
-    }
-
-    /// Releases every reservation held by `owner`; returns how many were
-    /// removed.
-    pub fn release_owned_by(&mut self, owner: ReservationOwner) -> usize {
-        let before = self.reservations.len();
-        self.reservations.retain(|r| r.owner != owner);
-        let removed = before - self.reservations.len();
-        if removed > 0 {
-            self.thaw();
+        let chunk = Arc::make_mut(&mut self.chunks[c]);
+        let released = chunk.remove(k);
+        if chunk.windows.is_empty() {
+            self.chunks.remove(c);
         }
-        removed
+        self.len -= 1;
+        Some(released)
     }
 
     /// Voids every **task-owned** reservation overlapping `window`,
@@ -423,17 +868,16 @@ impl Timetable {
     /// transfer reservations (owned by independent flows) stay in place to
     /// keep the timetable's view of external load intact.
     pub fn void_tasks_within(&mut self, window: TimeWindow) -> Vec<Reservation> {
+        let (first, _) = seek(&self.chunks, window.start());
+        let last = self
+            .chunks
+            .partition_point(|ch| ch.windows[0].start() < window.end());
         let mut voided = Vec::new();
-        self.reservations.retain(|r| {
-            let hit = matches!(r.owner, ReservationOwner::Task(_)) && r.window.overlaps(window);
-            if hit {
-                voided.push(*r);
-            }
-            !hit
-        });
-        if !voided.is_empty() {
-            self.thaw();
-        }
+        self.remove_where(
+            first..last.max(first),
+            |w, _| w.overlaps(window),
+            &mut voided,
+        );
         debug_assert!(self.invariants_hold());
         voided
     }
@@ -441,19 +885,46 @@ impl Timetable {
     /// Releases every reservation held by any task of `job`; returns the
     /// removed reservations in start order. Used when a job is dropped so
     /// its entire footprint is guaranteed to leave the calendar.
-    pub fn release_job(&mut self, job: crate::ids::JobId) -> Vec<Reservation> {
+    pub fn release_job(&mut self, job: JobId) -> Vec<Reservation> {
         let mut removed = Vec::new();
-        self.reservations.retain(|r| {
-            let hit = matches!(r.owner, ReservationOwner::Task(gid) if gid.job == job);
-            if hit {
-                removed.push(*r);
-            }
-            !hit
-        });
-        if !removed.is_empty() {
-            self.thaw();
-        }
+        self.remove_where(
+            0..self.chunks.len(),
+            |_, t| matches!(t.owner, ReservationOwner::Task(GlobalTaskId { job: j, .. }) if j == job),
+            &mut removed,
+        );
         removed
+    }
+
+    /// Removes the task-owned reservations `hit` selects from the chunks
+    /// in `range`, appending them to `out` in start order. Only chunks
+    /// holding a hit change, after the calendar is thawed; chunks
+    /// left empty are dropped.
+    fn remove_where(
+        &mut self,
+        range: std::ops::Range<usize>,
+        hit: impl Fn(TimeWindow, Tag) -> bool,
+        out: &mut Vec<Reservation>,
+    ) {
+        let before = out.len();
+        for c in range {
+            let ch = &self.chunks[c];
+            let any = ch.tasks > 0
+                && ch
+                    .windows
+                    .iter()
+                    .zip(&ch.tags)
+                    .any(|(&w, &t)| t.is_task() && hit(w, t));
+            if !any {
+                continue;
+            }
+            self.thaw();
+            Arc::make_mut(&mut self.chunks[c]).remove_where(|w, t| t.is_task() && hit(w, t), out);
+        }
+        let removed = out.len() - before;
+        if removed > 0 {
+            self.len -= removed;
+            self.chunks.retain(|ch| !ch.windows.is_empty());
+        }
     }
 
     /// Finds the earliest start `s >= not_before` such that
@@ -469,18 +940,15 @@ impl Timetable {
             return Some(not_before);
         }
         let mut candidate = not_before;
-        let mut i = self.first_ending_after(not_before);
+        let mut windows = Walk::new(&self.chunks, seek(&self.chunks, not_before));
         loop {
             let end = candidate.saturating_add(duration);
             if end > deadline {
                 return None;
             }
-            match self.reservations.get(i) {
-                Some(r) if r.window.start() < end => {
-                    // Gap too small; jump past this reservation.
-                    candidate = candidate.max_of(r.window.end());
-                    i += 1;
-                }
+            match windows.next() {
+                // Gap too small; jump past this reservation.
+                Some(w) if w.start() < end => candidate = candidate.max_of(w.end()),
                 _ => return Some(candidate),
             }
         }
@@ -492,17 +960,16 @@ impl Timetable {
     pub fn free_windows_into(&self, range: TimeWindow, out: &mut Vec<TimeWindow>) {
         out.clear();
         let mut cursor = range.start();
-        let i = self.first_ending_after(range.start());
-        for r in &self.reservations[i..] {
-            if r.window.start() >= range.end() {
+        for w in Walk::new(&self.chunks, seek(&self.chunks, range.start())) {
+            if w.start() >= range.end() {
                 break;
             }
-            if r.window.start() > cursor {
-                if let Ok(w) = TimeWindow::new(cursor, r.window.start()) {
-                    out.push(w);
+            if w.start() > cursor {
+                if let Ok(free) = TimeWindow::new(cursor, w.start()) {
+                    out.push(free);
                 }
             }
-            cursor = cursor.max_of(r.window.end());
+            cursor = cursor.max_of(w.end());
         }
         if cursor < range.end() {
             if let Ok(w) = TimeWindow::new(cursor, range.end()) {
@@ -527,9 +994,52 @@ impl Timetable {
     }
 
     fn invariants_hold(&self) -> bool {
-        self.reservations
-            .windows(2)
-            .all(|pair| pair[0].window.end() <= pair[1].window.start())
+        let chunks_hold = self.chunks.iter().all(|ch| {
+            !ch.windows.is_empty()
+                && ch.windows.len() <= CHUNK_CAPACITY
+                && ch.windows.len() == ch.tags.len()
+                && ch.max_gap == max_interior_gap(&ch.windows)
+                && ch.tasks == ch.tags.iter().filter(|t| t.is_task()).count()
+        });
+        let windows = Walk::new(&self.chunks, (0, 0));
+        chunks_hold
+            && self.len == self.chunks.iter().map(|ch| ch.windows.len()).sum::<usize>()
+            && windows
+                .clone()
+                .zip(windows.skip(1))
+                .all(|(a, b)| a.end() <= b.start())
+    }
+}
+
+/// Packs reservations arriving in start order into full chunks: the
+/// bulk path's one linear pass.
+#[derive(Default)]
+struct Packer {
+    chunks: Vec<Arc<Chunk>>,
+    open: Option<Chunk>,
+    len: usize,
+}
+
+impl Packer {
+    fn push(&mut self, r: Reservation) {
+        let open = self.open.get_or_insert_with(Chunk::new);
+        open.push(
+            r.window,
+            Tag {
+                id: r.id,
+                owner: r.owner,
+            },
+        );
+        self.len += 1;
+        if open.windows.len() == CHUNK_CAPACITY {
+            self.chunks
+                .push(Arc::new(self.open.take().expect("just filled")));
+        }
+    }
+
+    fn finish(mut self) -> (Vec<Arc<Chunk>>, usize) {
+        self.chunks.extend(self.open.map(Arc::new));
+        (self.chunks, self.len)
     }
 }
 
@@ -623,20 +1133,6 @@ mod tests {
         assert_eq!(released.window(), w(0, 10));
         assert!(tt.is_free(w(2, 3)));
         assert!(tt.release(id).is_none(), "double release returns None");
-    }
-
-    #[test]
-    fn release_owned_by_task() {
-        let mut tt = Timetable::new();
-        let owner = ReservationOwner::Task(GlobalTaskId {
-            job: JobId::new(1),
-            task: TaskId::new(0),
-        });
-        tt.reserve(w(0, 2), owner).unwrap();
-        tt.reserve(w(4, 6), owner).unwrap();
-        tt.reserve(w(8, 9), bg(0)).unwrap();
-        assert_eq!(tt.release_owned_by(owner), 2);
-        assert_eq!(tt.len(), 1);
     }
 
     #[test]
@@ -764,14 +1260,18 @@ mod tests {
 
     #[test]
     fn calendar_builds_its_index_once() {
-        let cal = NodeCalendar::new(vec![w(0, 2), w(5, 7), w(9, 12)].into_boxed_slice());
-        let mut built = false;
-        let idx = cal.gap_index_tracked(&mut built);
-        assert!(built);
-        assert_eq!(idx.gap_count(), 2);
+        let tt = Timetable::from_sorted([(w(0, 2), bg(0)), (w(5, 7), bg(1)), (w(9, 12), bg(2))]);
+        let mut froze = false;
+        let cal = Arc::clone(tt.calendar_tracked(&mut froze));
+        assert!(froze);
+        assert_eq!(cal.index.gap_count(), 1, "one leaf per chunk");
+        assert_eq!(
+            cal.earliest_fit(SimTime::ZERO, SimDuration::from_ticks(3), SimTime::MAX),
+            Some(SimTime::from_ticks(2))
+        );
         let mut again = false;
-        let _ = cal.gap_index_tracked(&mut again);
-        assert!(!again, "second call reuses the build");
+        assert!(Arc::ptr_eq(tt.calendar_tracked(&mut again), &cal));
+        assert!(!again, "a second capture reuses the calendar and its index");
     }
 
     #[test]

@@ -1,0 +1,501 @@
+//! Differential property suite for the chunked, copy-on-write
+//! [`Timetable`].
+//!
+//! A timetable stores its windows in chunks of at most
+//! [`CHUNK_CAPACITY`], shared by reference with the calendars frozen from
+//! it. These tests run random mixes of every write (`reserve`, `release`,
+//! `release_job`, `void_tasks_within`, `extend_sorted`) against a flat
+//! sorted `Vec` reference, on calendars large enough that chunks split
+//! and are emptied. They check that:
+//! - every write returns what the reference returns and leaves the same
+//!   reservations, ids included;
+//! - calendars captured between writes keep their windows;
+//! - a capture after one `reserve` shares every chunk but the touched
+//!   one with the capture before it;
+//! - indexed probes equal the linear walk, on random calendars and at
+//!   1, B − 1, B, B + 1 and 100k windows.
+
+use std::cell::Cell;
+use std::sync::Arc;
+
+use gridsched_model::availability::{ProbeConfig, TimetableOverlay};
+use gridsched_model::gap_index::GapIndex;
+use gridsched_model::ids::{DomainId, GlobalTaskId, JobId, NodeId, TaskId};
+use gridsched_model::node::ResourcePool;
+use gridsched_model::perf::Perf;
+use gridsched_model::timetable::{NodeCalendar, ReservationOwner, Timetable, CHUNK_CAPACITY};
+use gridsched_model::window::TimeWindow;
+use gridsched_sim::check::{check, Gen};
+use gridsched_sim::time::{SimDuration, SimTime};
+
+/// The ticks the generated windows live in: wide enough for several
+/// hundred windows, so calendars span many chunks.
+const SPAN: u64 = 3_000;
+
+fn win(a: u64, b: u64) -> TimeWindow {
+    TimeWindow::new(SimTime::from_ticks(a), SimTime::from_ticks(b)).unwrap()
+}
+
+fn task(job: u64, t: u32) -> ReservationOwner {
+    ReservationOwner::Task(GlobalTaskId {
+        job: JobId::new(job),
+        task: TaskId::new(t),
+    })
+}
+
+fn gen_owner(g: &mut Gen) -> ReservationOwner {
+    match g.u64_in(0, 3) {
+        0 => ReservationOwner::Background(g.u64_in(0, 50)),
+        1 => ReservationOwner::Transfer(g.u64_in(0, 50)),
+        _ => task(g.u64_in(0, 3), g.u64_in(0, 9) as u32),
+    }
+}
+
+fn gen_window(g: &mut Gen) -> TimeWindow {
+    let start = g.u64_in(0, SPAN);
+    win(start, start + g.u64_in(1, 6))
+}
+
+fn gen_probe(g: &mut Gen) -> (SimTime, SimDuration, SimTime) {
+    let not_before = SimTime::from_ticks(g.u64_in(0, SPAN + 20));
+    let duration = SimDuration::from_ticks(if g.chance(0.1) { 0 } else { g.u64_in(1, 12) });
+    let deadline = if g.chance(0.3) {
+        SimTime::MAX
+    } else {
+        not_before.saturating_add(SimDuration::from_ticks(g.u64_in(0, 400)))
+    };
+    (not_before, duration, deadline)
+}
+
+/// One reservation of the flat reference: `(id, window, owner)`.
+type Row = (u64, TimeWindow, ReservationOwner);
+
+/// The flat reference: every reservation in one sorted `Vec`, each write
+/// a plain insert or retain.
+#[derive(Default)]
+struct Flat {
+    rows: Vec<Row>,
+    next_id: u64,
+}
+
+impl Flat {
+    fn windows(&self) -> Vec<TimeWindow> {
+        self.rows.iter().map(|r| r.1).collect()
+    }
+
+    fn reserve(&mut self, w: TimeWindow, owner: ReservationOwner) -> Option<u64> {
+        if self.rows.iter().any(|r| r.1.overlaps(w)) {
+            return None;
+        }
+        let id = self.next_id;
+        self.next_id += 1;
+        let at = self.rows.partition_point(|r| r.1.start() < w.start());
+        self.rows.insert(at, (id, w, owner));
+        Some(id)
+    }
+
+    fn remove_where(&mut self, hit: impl Fn(&Row) -> bool) -> Vec<Row> {
+        let (out, kept) = self.rows.iter().partition(|r| hit(r));
+        self.rows = kept;
+        out
+    }
+}
+
+fn rows(tt: &Timetable) -> Vec<Row> {
+    tt.iter()
+        .map(|r| (id_of(r.id()), r.window(), r.owner()))
+        .collect()
+}
+
+/// A reservation id's number, read through its `r{n}` display form.
+fn id_of(id: gridsched_model::timetable::ReservationId) -> u64 {
+    id.to_string()[1..].parse().expect("ids display as r<n>")
+}
+
+fn freeze(tt: &Timetable) -> Arc<NodeCalendar> {
+    let mut froze = false;
+    Arc::clone(tt.calendar_tracked(&mut froze))
+}
+
+/// How many of `after`'s chunks are shared, by pointer, with `before`.
+fn shared_chunks(before: &NodeCalendar, after: &NodeCalendar) -> usize {
+    after
+        .chunks()
+        .iter()
+        .filter(|a| before.chunks().iter().any(|b| Arc::ptr_eq(a, b)))
+        .count()
+}
+
+/// A batch of windows in start order that overlap neither each other nor
+/// `flat`, owned by one job so that releasing it can empty whole chunks.
+fn gen_batch(g: &mut Gen, flat: &Flat) -> Vec<(TimeWindow, ReservationOwner)> {
+    let job = g.u64_in(0, 3);
+    let mut at = g.u64_in(0, SPAN);
+    let mut batch = Vec::new();
+    for t in 0..g.usize_in(0, 2 * CHUNK_CAPACITY) {
+        let w = win(at, at + g.u64_in(1, 4));
+        at = w.end().ticks() + g.u64_in(0, 3);
+        if !flat.rows.iter().any(|r| r.1.overlaps(w)) {
+            let owner = if g.chance(0.8) {
+                task(job, t as u32)
+            } else {
+                ReservationOwner::Background(t as u64)
+            };
+            batch.push((w, owner));
+        }
+    }
+    batch
+}
+
+/// Random write mixes against the flat reference. Calendars hold up to
+/// several hundred windows, so chunks split, and whole-job releases and
+/// wide voids empty them; every capture taken on the way keeps its
+/// windows to the end.
+#[test]
+fn random_writes_match_a_flat_reference() {
+    let splits = Cell::new(0usize);
+    let emptied = Cell::new(0usize);
+    check(96, |g| {
+        let mut tt = Timetable::new();
+        let mut flat = Flat::default();
+        let mut captures: Vec<(Arc<NodeCalendar>, Vec<TimeWindow>)> = Vec::new();
+        for _ in 0..g.usize_in(10, 60) {
+            let chunks_before = freeze(&tt).chunks().len();
+            match g.u64_in(0, 9) {
+                0..=3 => {
+                    let w = gen_window(g);
+                    let owner = gen_owner(g);
+                    let got = tt.reserve(w, owner).ok().map(id_of);
+                    assert_eq!(got, flat.reserve(w, owner), "reserve {w}");
+                }
+                4 => {
+                    let id = if flat.rows.is_empty() || g.chance(0.1) {
+                        u64::MAX
+                    } else {
+                        g.pick(&flat.rows).0
+                    };
+                    let victim = tt.iter().find(|r| id_of(r.id()) == id).map(|r| r.id());
+                    let got = victim.and_then(|v| tt.release(v));
+                    let want = flat.remove_where(|r| r.0 == id);
+                    assert_eq!(
+                        got.map(|r| (id_of(r.id()), r.window(), r.owner())),
+                        want.first().copied(),
+                        "release {id}"
+                    );
+                }
+                5 | 6 => {
+                    let job = g.u64_in(0, 3);
+                    let got = tt.release_job(JobId::new(job));
+                    let want = flat.remove_where(|r| {
+                        matches!(r.2, ReservationOwner::Task(gid) if gid.job == JobId::new(job))
+                    });
+                    let got: Vec<Row> = got
+                        .iter()
+                        .map(|r| (id_of(r.id()), r.window(), r.owner()))
+                        .collect();
+                    assert_eq!(got, want, "release_job {job}");
+                }
+                7 => {
+                    let start = g.u64_in(0, SPAN);
+                    let w = win(start, start + g.u64_in(1, SPAN / 4));
+                    let got = tt.void_tasks_within(w);
+                    let want = flat.remove_where(|r| {
+                        matches!(r.2, ReservationOwner::Task(_)) && r.1.overlaps(w)
+                    });
+                    let got: Vec<Row> = got
+                        .iter()
+                        .map(|r| (id_of(r.id()), r.window(), r.owner()))
+                        .collect();
+                    assert_eq!(got, want, "void_tasks_within {w}");
+                }
+                _ => {
+                    let batch = gen_batch(g, &flat);
+                    for &(w, owner) in &batch {
+                        flat.reserve(w, owner).expect("the batch is free");
+                    }
+                    tt.extend_sorted(batch);
+                }
+            }
+            assert_eq!(rows(&tt), flat.rows, "same reservations, ids included");
+            assert_eq!(tt.len(), flat.rows.len());
+            let calendar = freeze(&tt);
+            assert!(calendar
+                .chunks()
+                .iter()
+                .all(|c| !c.windows().is_empty() && c.windows().len() <= CHUNK_CAPACITY));
+            let chunks_after = calendar.chunks().len();
+            splits.set(splits.get() + usize::from(chunks_after > chunks_before));
+            emptied.set(emptied.get() + usize::from(chunks_after < chunks_before));
+            if g.chance(0.3) {
+                captures.push((Arc::clone(&calendar), flat.windows()));
+            }
+            let reference = flat.windows();
+            let index = GapIndex::build(&reference);
+            for _ in 0..4 {
+                let (not_before, duration, deadline) = gen_probe(g);
+                let want = index.earliest_fit(&reference, not_before, duration, deadline);
+                assert_eq!(
+                    calendar.earliest_fit(not_before, duration, deadline),
+                    want,
+                    "indexed probe ({not_before}, {duration}, {deadline})"
+                );
+                assert_eq!(
+                    tt.earliest_fit(not_before, duration, deadline),
+                    want,
+                    "linear probe ({not_before}, {duration}, {deadline})"
+                );
+            }
+        }
+        for (calendar, windows) in &captures {
+            assert_eq!(
+                &calendar.windows().collect::<Vec<_>>(),
+                windows,
+                "a capture keeps its windows through later writes"
+            );
+        }
+    });
+    assert!(splits.get() > 0, "some write split a chunk");
+    assert!(emptied.get() > 0, "some write emptied a chunk");
+}
+
+/// A capture after one `reserve` shares every chunk but the one the
+/// reserve touched, which split or not; the capture before it keeps its
+/// own copy of that chunk.
+#[test]
+fn a_capture_after_one_reserve_shares_every_untouched_chunk() {
+    check(128, |g| {
+        let mut tt = Timetable::new();
+        let mut at = 0;
+        tt.extend_sorted((0..g.usize_in(1, 6 * CHUNK_CAPACITY)).map(|i| {
+            let w = win(at, at + g.u64_in(1, 3));
+            at = w.end().ticks() + g.u64_in(0, 3);
+            (w, ReservationOwner::Background(i as u64))
+        }));
+        for _ in 0..8 {
+            let before = freeze(&tt);
+            let before_windows: Vec<TimeWindow> = before.windows().collect();
+            let start = g.u64_in(0, at + 5);
+            let Ok(_) = tt.reserve(win(start, start + 1), task(1, 0)) else {
+                continue;
+            };
+            let after = freeze(&tt);
+            let shared = shared_chunks(&before, &after);
+            assert_eq!(
+                shared,
+                before.chunks().len() - 1,
+                "every chunk but the touched one is shared"
+            );
+            let fresh = after.chunks().len() - shared;
+            assert!(
+                fresh == 1 || fresh == 2,
+                "the touched chunk is one copy, or two after a split"
+            );
+            assert_eq!(
+                before.windows().collect::<Vec<_>>(),
+                before_windows,
+                "the earlier capture is unchanged"
+            );
+        }
+    });
+}
+
+/// A calendar of `n` windows built in time order through the bulk path:
+/// gaps of 0–10 ticks between windows of 3–12 ticks, so a slot wider than
+/// every gap crosses the whole calendar.
+fn packed(n: usize, g: &mut Gen) -> (Timetable, Vec<TimeWindow>, u64) {
+    let mut windows = Vec::with_capacity(n);
+    let mut end = 0;
+    for _ in 0..n {
+        let start = end + g.u64_in(0, 10);
+        end = start + g.u64_in(3, 12);
+        windows.push(win(start, end));
+    }
+    let tt = Timetable::from_sorted(
+        windows
+            .iter()
+            .enumerate()
+            .map(|(i, &w)| (w, ReservationOwner::Background(i as u64))),
+    );
+    (tt, windows, end)
+}
+
+/// Indexed probes — the frozen calendar on its own and through overlays
+/// with and without tentative windows — equal the linear walk at the
+/// chunk-boundary sizes 1, B − 1, B, B + 1, 2B + 1, for packed chunks
+/// (the bulk path) and for chunks left half full by splits (one reserve
+/// per window, in random order).
+#[test]
+fn indexed_probes_match_the_linear_walk_at_chunk_boundaries() {
+    let b = CHUNK_CAPACITY;
+    check(48, |g| {
+        for n in [1, b - 1, b, b + 1, 2 * b + 1] {
+            let (bulk, windows, end) = packed(n, g);
+            let mut order: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                order.swap(i, g.usize_in(0, i));
+            }
+            let mut split = Timetable::new();
+            for &i in &order {
+                split
+                    .reserve(windows[i], ReservationOwner::Background(i as u64))
+                    .expect("the windows are disjoint");
+            }
+            for tt in [bulk, split] {
+                let mut indexed = ResourcePool::new();
+                indexed.set_probe_config(ProbeConfig { index_floor: 0 });
+                let node = indexed.add_node(DomainId::new(0), Perf::FULL);
+                *indexed.timetable_mut(node) = tt.clone();
+                let mut linear = indexed.clone();
+                linear.set_probe_config(ProbeConfig {
+                    index_floor: usize::MAX,
+                });
+                let calendar = freeze(&tt);
+                let mut on = TimetableOverlay::new(indexed.snapshot());
+                let mut off = TimetableOverlay::new(linear.snapshot());
+                for _ in 0..3 {
+                    let start = g.u64_in(0, end + 5);
+                    let w = win(start, start + g.u64_in(1, 4));
+                    assert_eq!(on.reserve_window(node, w), off.reserve_window(node, w));
+                }
+                for _ in 0..24 {
+                    let not_before = SimTime::from_ticks(g.u64_in(0, end + 5));
+                    let duration = SimDuration::from_ticks(g.u64_in(1, 14));
+                    let deadline = if g.chance(0.3) {
+                        SimTime::MAX
+                    } else {
+                        not_before.saturating_add(SimDuration::from_ticks(g.u64_in(0, 300)))
+                    };
+                    let probe = format!("n={n} probe=({not_before}, {duration}, {deadline})");
+                    assert_eq!(
+                        calendar.earliest_fit(not_before, duration, deadline),
+                        tt.earliest_fit(not_before, duration, deadline),
+                        "{probe}"
+                    );
+                    assert_eq!(
+                        on.earliest_fit(node, not_before, duration, deadline),
+                        off.earliest_fit(node, not_before, duration, deadline),
+                        "{probe}"
+                    );
+                }
+                assert_eq!(on.take_index_stats().bypasses, 0);
+                assert_eq!(off.take_index_stats().seeks, 0);
+            }
+        }
+    });
+}
+
+/// The same differential at the scale the index is for: 100k windows,
+/// slots wider than every gap from early starts (the walk crosses the
+/// whole calendar), short slots from anywhere, and clipped deadlines.
+#[test]
+fn indexed_probes_match_the_linear_walk_at_100k_windows() {
+    check(2, |g| {
+        let (tt, windows, end) = packed(100_000, g);
+        let calendar = freeze(&tt);
+        assert_eq!(calendar.len(), windows.len());
+        let max_gap = windows
+            .windows(2)
+            .map(|p| p[1].start().ticks() - p[0].end().ticks())
+            .max()
+            .unwrap_or(0);
+        for _ in 0..64 {
+            let (not_before, duration) = if g.chance(0.5) {
+                (g.u64_in(0, end / 50), max_gap + 1)
+            } else {
+                (g.u64_in(0, end), g.u64_in(1, 16))
+            };
+            let (not_before, duration) = (
+                SimTime::from_ticks(not_before),
+                SimDuration::from_ticks(duration),
+            );
+            let deadline = if g.chance(0.5) {
+                SimTime::MAX
+            } else {
+                SimTime::from_ticks(g.u64_in(0, end + 100))
+            };
+            assert_eq!(
+                calendar.earliest_fit(not_before, duration, deadline),
+                tt.earliest_fit(not_before, duration, deadline),
+                "probe=({not_before}, {duration}, {deadline})"
+            );
+        }
+    });
+}
+
+/// Chunk sizes follow the two write paths: the bulk path packs full
+/// chunks, appends in time order keep them full, and a write into a full
+/// chunk in the middle splits it in half.
+#[test]
+fn chunks_pack_on_bulk_and_append_and_split_in_half_in_the_middle() {
+    let b = CHUNK_CAPACITY;
+    let windows: Vec<TimeWindow> = (0..2 * b as u64 + 1)
+        .map(|i| win(4 * i, 4 * i + 2))
+        .collect();
+    let sizes = |tt: &Timetable| -> Vec<usize> {
+        freeze(tt)
+            .chunks()
+            .iter()
+            .map(|c| c.windows().len())
+            .collect()
+    };
+    let bulk = Timetable::from_sorted(
+        windows
+            .iter()
+            .map(|&w| (w, ReservationOwner::Background(0))),
+    );
+    assert_eq!(sizes(&bulk), vec![b, b, 1]);
+    let mut appended = Timetable::new();
+    for &w in &windows {
+        appended
+            .reserve(w, ReservationOwner::Background(0))
+            .unwrap();
+    }
+    assert_eq!(sizes(&appended), vec![b, b, 1]);
+    let mut middle = bulk.clone();
+    middle.reserve(win(3, 4), task(0, 0)).unwrap();
+    // The overflowing chunk holds b + 1 windows and splits at its middle.
+    let overflowing = b + 1;
+    let lower = overflowing / 2;
+    let upper = overflowing - lower;
+    assert_eq!(sizes(&middle), vec![lower, upper, b, 1]);
+    assert_eq!(sizes(&bulk), vec![b, b, 1], "the clone's write is its own");
+    // Releasing the task shrinks the lower half; releasing the tail
+    // window drops its chunk.
+    assert_eq!(middle.release_job(JobId::new(0)).len(), 1);
+    let last = middle.iter().last().unwrap().id();
+    middle.release(last).unwrap();
+    assert_eq!(sizes(&middle), vec![lower - 1, upper, b]);
+}
+
+/// The two-way gallop used by the overlay cursor is also the chunk-level
+/// seek: from any hint position, forward or backward, the calendar seek
+/// lands where a cold seek does — checked through overlay probes whose
+/// `not_before` jumps both ways across chunk boundaries.
+#[test]
+fn cursor_seeks_cross_chunks_both_ways() {
+    check(64, |g| {
+        let (tt, _, end) = packed(g.usize_in(1, 5 * CHUNK_CAPACITY), g);
+        let mut pool = ResourcePool::new();
+        pool.set_probe_config(ProbeConfig { index_floor: 0 });
+        let node: NodeId = pool.add_node(DomainId::new(0), Perf::FULL);
+        *pool.timetable_mut(node) = tt;
+        let snapshot = pool.snapshot();
+        let warm = TimetableOverlay::new(snapshot.clone());
+        for _ in 0..32 {
+            let (not_before, duration, deadline) = (
+                SimTime::from_ticks(g.u64_in(0, end + 5)),
+                SimDuration::from_ticks(g.u64_in(1, 12)),
+                SimTime::MAX,
+            );
+            let cold = TimetableOverlay::new(snapshot.clone());
+            assert_eq!(
+                warm.earliest_fit(node, not_before, duration, deadline),
+                cold.earliest_fit(node, not_before, duration, deadline)
+            );
+            assert_eq!(
+                warm.first_conflict(node, win(not_before.ticks(), not_before.ticks() + 1)),
+                cold.first_conflict(node, win(not_before.ticks(), not_before.ticks() + 1))
+            );
+        }
+    });
+}

@@ -99,10 +99,6 @@ fn every_window_changing_mutation_thaws_the_calendar() {
     tt.release(id).unwrap();
     assert!(tt.frozen().is_none(), "release thaws");
 
-    freeze(&tt);
-    assert_eq!(tt.release_owned_by(ReservationOwner::Background(1)), 1);
-    assert!(tt.frozen().is_none(), "release_owned_by thaws");
-
     tt.reserve(win(30, 33), task_owner(8, 1)).unwrap();
     freeze(&tt);
     assert_eq!(tt.void_tasks_within(win(29, 40)).len(), 1);
@@ -114,7 +110,7 @@ fn every_window_changing_mutation_thaws_the_calendar() {
 
     // The next capture freezes exactly the live windows.
     let live: Vec<TimeWindow> = tt.iter().map(|r| r.window()).collect();
-    assert_eq!(freeze(&tt).windows(), live.as_slice());
+    assert_eq!(freeze(&tt).windows().collect::<Vec<_>>(), live);
 
     // `from_sorted` builds a timetable with nothing frozen.
     let rebuilt = Timetable::from_sorted([(win(0, 1), ReservationOwner::Background(9))]);
@@ -150,8 +146,6 @@ fn noop_mutations_keep_the_frozen_calendar() {
     other.release(foreign);
     assert!(tt.release(foreign).is_none());
     assert!(kept(&tt), "release of an unknown id is a no-op");
-    assert_eq!(tt.release_owned_by(ReservationOwner::Background(42)), 0);
-    assert!(kept(&tt), "ownerless release is a no-op");
     assert!(tt.void_tasks_within(win(0, 100)).is_empty());
     assert!(kept(&tt), "voiding no tasks is a no-op");
     assert!(tt.release_job(JobId::new(3)).is_empty());
@@ -181,7 +175,7 @@ fn clone_starts_with_a_cold_calendar() {
     let frozen_b = Arc::clone(b.calendar_tracked(&mut froze));
     assert!(froze, "the clone's first capture freezes");
     assert!(!Arc::ptr_eq(&frozen_a, &frozen_b));
-    assert_eq!(frozen_a.windows(), frozen_b.windows(), "same windows");
+    assert!(frozen_a.windows().eq(frozen_b.windows()), "same windows");
 
     b.reserve(win(20, 22), ReservationOwner::Background(2))
         .unwrap();
@@ -192,9 +186,9 @@ fn clone_starts_with_a_cold_calendar() {
     );
 }
 
-/// Warm captures of an unchanged pool share the frozen calendar (and its
-/// at-most-once gap index) by pointer; mutated nodes refreeze while
-/// untouched neighbours keep sharing.
+/// Warm captures of an unchanged pool share the frozen calendar (and the
+/// gap index built once, at freeze) by pointer; mutated nodes refreeze
+/// while untouched neighbours keep sharing.
 #[test]
 fn warm_capture_shares_calendars_and_builds_once() {
     let mut pool = indexed_pool();
@@ -223,7 +217,11 @@ fn warm_capture_shares_calendars_and_builds_once() {
             )
             .unwrap();
     }
-    assert!(overlay.take_index_stats().builds >= 1, "cold probes build");
+    assert_eq!(
+        overlay.take_index_stats().seeks,
+        2,
+        "cold probes seek the indexes built at freeze"
+    );
 
     // Warm capture: same Arcs, every node warm, zero rebuilds on probe.
     let warm = pool.snapshot();
@@ -241,9 +239,11 @@ fn warm_capture_shares_calendars_and_builds_once() {
             )
             .unwrap();
     }
-    let warm_stats = warm_overlay.take_index_stats();
-    assert_eq!(warm_stats.builds, 0, "shared calendars keep their index");
-    assert!(warm_stats.seeks >= 2);
+    assert_eq!(
+        warm_overlay.take_index_stats().seeks,
+        2,
+        "shared calendars keep their index"
+    );
 
     // Mutate one node: only it refreezes on the next capture.
     pool.timetable_mut(hot)
@@ -327,7 +327,9 @@ fn capture_through_cache_never_serves_stale_state() {
                     }
                 }
                 2 => {
-                    pool.reset_timetables();
+                    for &node in &nodes {
+                        *pool.timetable_mut(node) = Timetable::new();
+                    }
                     changed.fill(true);
                 }
                 _ => {}

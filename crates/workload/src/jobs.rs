@@ -92,33 +92,29 @@ pub fn generate_job(config: &JobConfig, id: JobId, release: SimTime, rng: &mut S
         let current: Vec<_> = (0..width)
             .map(|_| builder.add_task(random_volume(config.base_volume, rng)))
             .collect();
+        // `consumed[i]`: whether `previous_layer[i]` feeds a task yet.
+        let mut consumed = vec![false; previous_layer.len()];
         for &to in &current {
             // Wire to one random predecessor, then sprinkle extras.
-            let first = previous_layer[rng.index(previous_layer.len())];
-            builder.add_edge(first, to, random_volume(config.base_edge_volume, rng));
-            for &from in &previous_layer {
-                if from != first && rng.chance(0.4) {
+            let first = rng.index(previous_layer.len());
+            consumed[first] = true;
+            builder.add_edge(
+                previous_layer[first],
+                to,
+                random_volume(config.base_edge_volume, rng),
+            );
+            for (i, &from) in previous_layer.iter().enumerate() {
+                if i != first && rng.chance(0.4) {
+                    consumed[i] = true;
                     builder.add_edge(from, to, random_volume(config.base_edge_volume, rng));
                 }
             }
         }
         // Every previous-layer task needs at least one consumer; rewire
         // orphans to a random current task.
-        let consumed: std::collections::HashSet<_> = builder
-            .clone()
-            .build(id)
-            .map(|j| {
-                j.edges()
-                    .iter()
-                    .map(gridsched_model::job::DataEdge::from)
-                    .collect()
-            })
-            .unwrap_or_default();
-        for &from in &previous_layer {
-            if !consumed.contains(&from) {
-                let to = current[rng.index(current.len())];
-                builder.add_edge(from, to, random_volume(config.base_edge_volume, rng));
-            }
+        for (&from, _) in previous_layer.iter().zip(&consumed).filter(|(_, &c)| !c) {
+            let to = current[rng.index(current.len())];
+            builder.add_edge(from, to, random_volume(config.base_edge_volume, rng));
         }
         previous_layer = current;
     }

@@ -46,14 +46,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         plan.makespan()
     );
     print!("{}", render_gantt(&plan, &pool));
+    let mut reserved = HashMap::new();
     for p in plan.placements() {
-        pool.timetable_mut(p.node).reserve(
+        let id = pool.timetable_mut(p.node).reserve(
             p.window,
             ReservationOwner::Task(GlobalTaskId {
                 job: job.id(),
                 task: p.task,
             }),
         )?;
+        reserved.insert(p.task, id);
     }
 
     // 2. At t = 4, an independent local job seizes the node hosting the
@@ -75,11 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut fixed = HashMap::new();
     for p in plan.placements() {
         if p.window.start() > break_time {
-            pool.timetable_mut(p.node)
-                .release_owned_by(ReservationOwner::Task(GlobalTaskId {
-                    job: job.id(),
-                    task: p.task,
-                }));
+            pool.timetable_mut(p.node).release(reserved[&p.task]);
         } else {
             fixed.insert(p.task, *p);
         }
