@@ -6,7 +6,7 @@
 //! compare the standard output of a fresh traced perfbench run
 //! (`--trace 1`) with a committed one of the same seed and cycle count,
 //! workload by workload: every `count`-unit per-layer metric (span
-//! counts, index seeks and bypasses, cache hits, ...) must stay within
+//! counts, index seeks, cache hits, ...) must stay within
 //! [`COUNT_TOLERANCE`] of its baseline, and each failing line names
 //! `<workload>/<metric>`, so a layer that does more (or less) work than
 //! it did when the baseline was committed fails on any machine.

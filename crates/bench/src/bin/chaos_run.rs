@@ -1,7 +1,7 @@
 //! `chaos_run` — the differential chaos sweep as a CLI.
 //!
 //! Normal mode generates campaigns from a master seed and runs each one
-//! across all four differential axes (executors, telemetry, probe-index,
+//! across all three differential axes (executors, telemetry,
 //! batch-vs-online). A clean sweep exits 0; a divergence or
 //! oracle violation is shrunk to a minimal campaign, written as a
 //! self-contained `chaos-repro.json`, and the exact replay command is
@@ -21,7 +21,7 @@
 //!   (default `chaos-repro.json`).
 //! * `--out PATH` — also write a flat JSON sweep summary.
 //! * `--inject AXIS` — test-only divergence injection
-//!   (`executors|telemetry|probe-index|batch-online`);
+//!   (`executors|telemetry|batch-online`);
 //!   exercises the
 //!   catch → shrink → replay pipeline against a forced failure.
 //! * `--replay PATH` — replay a previously written artifact instead of

@@ -48,8 +48,6 @@ pub mod keys {
         "deadline-factor",
         "repeats",
     ];
-    /// `probe_scaling` binary.
-    pub const PROBE_SCALING: &[&str] = &["seed", "budget-ms", "probes", "max-reservations", "out"];
     /// `sec5_queue_policies` binary.
     pub const SEC5_QUEUE_POLICIES: &[&str] = &["jobs", "capacity", "seed"];
     /// `chaos_run` binary.
@@ -429,11 +427,6 @@ mod tests {
                 &["--fresh", "f.txt", "--baseline", "b.txt"],
                 // A removed gate's flag is rejected like a typo.
                 "--probe-index",
-            ),
-            (
-                keys::PROBE_SCALING,
-                &["--budget-ms", "40", "--out", "p.json"],
-                "--budget",
             ),
             (
                 keys::CHAOS_RUN,

@@ -1,6 +1,6 @@
 //! The differential axes: configurations of one campaign that must agree.
 //!
-//! Four axes, each a bit-identity contract the test suite pins with
+//! Three axes, each a bit-identity contract the test suite pins with
 //! hand-picked seeds and this module fuzzes with generated ones:
 //!
 //! * [`Axis::Executors`] — the `Sequential` and the pooled `Auto`
@@ -10,11 +10,6 @@
 //!   agree too.
 //! * [`Axis::Telemetry`] — attaching a live telemetry recorder is
 //!   strictly observational.
-//! * [`Axis::ProbeIndex`] — forcing the snapshot gap index onto every
-//!   calendar (dropping the engagement floor to zero, so cold
-//!   `earliest_fit` probes that would stay on the linear merged walk go
-//!   through the index instead) changes nothing observable: the two
-//!   probe paths are bit-identical by the DESIGN.md §9 contract.
 //! * [`Axis::BatchOnline`] — a batch campaign over a degenerate zero-gap
 //!   release stream matches an online serving run over the same arrivals,
 //!   whenever admission control stayed out of the way (see
@@ -46,20 +41,13 @@ pub enum Axis {
     Executors,
     /// Telemetry-off vs telemetry-on.
     Telemetry,
-    /// Gap-indexed vs linear cold `earliest_fit` probes.
-    ProbeIndex,
     /// Batch vs online on degenerate zero-gap arrivals.
     BatchOnline,
 }
 
 impl Axis {
     /// Every axis, in execution order.
-    pub const ALL: [Axis; 4] = [
-        Axis::Executors,
-        Axis::Telemetry,
-        Axis::ProbeIndex,
-        Axis::BatchOnline,
-    ];
+    pub const ALL: [Axis; 3] = [Axis::Executors, Axis::Telemetry, Axis::BatchOnline];
 
     /// Stable CLI/JSON name.
     #[must_use]
@@ -67,7 +55,6 @@ impl Axis {
         match self {
             Axis::Executors => "executors",
             Axis::Telemetry => "telemetry",
-            Axis::ProbeIndex => "probe-index",
             Axis::BatchOnline => "batch-online",
         }
     }
@@ -200,7 +187,7 @@ pub fn run_axes(campaign: &ChaosCampaign, inject: Option<Axis>) -> AxisReport {
 
     // Axis 1: executors (the base runs are pooled): the batch campaign's
     // sweeps, then the zero-gap online run's admission rounds. The online
-    // run is kept for axis 5.
+    // run is kept for axis 3.
     let online_config = campaign.online_config();
     let online = {
         let config = CampaignConfig {
@@ -270,29 +257,7 @@ pub fn run_axes(campaign: &ChaosCampaign, inject: Option<Axis>) -> AxisReport {
         }
     }
 
-    // Axis 3: gap-indexed vs linear cold probes. Campaign calendars sit
-    // below the default engagement floor, so the base run probes
-    // linearly; this variant replays the whole campaign on a pool whose
-    // floor is zero, forcing every cold probe through the gap index.
-    {
-        let mut fp = match audited(&campaign.probe_index_forced_config(), "probe-index-forced") {
-            Ok(report) => report_fingerprint(&report),
-            Err(failure) => return failed(failure),
-        };
-        if inject == Some(Axis::ProbeIndex) {
-            fp ^= INJECTION_MASK;
-        }
-        if fp != base {
-            return failed(ChaosFailure::Divergence {
-                axis: Axis::ProbeIndex,
-                variant: "probe-index-forced",
-                expected: base,
-                actual: fp,
-            });
-        }
-    }
-
-    // Axis 4: batch vs online on degenerate zero-gap arrivals.
+    // Axis 3: batch vs online on degenerate zero-gap arrivals.
     let batch = match audited(&campaign.zero_gap_config(), "batch-zero-gap") {
         Ok(report) => report,
         Err(failure) => return failed(failure),

@@ -3,12 +3,11 @@
 //!
 //! The workspace's QoS story rests on a pile of *bit-identity contracts*:
 //! the `Sequential` and pooled scenario-sweep executors must plan
-//! identically; telemetry must be strictly observational; a pool's probe
-//! configuration (gap-indexed or linear cold probes) must never change an
-//! answer; and a batch campaign over a
-//! degenerate zero-gap release stream must match an online serving run
-//! over the same arrivals. Each contract is pinned by hand-picked seeds in the test
-//! suite — this crate turns them into *continuously fuzzed invariants*:
+//! identically; telemetry must be strictly observational; and a batch
+//! campaign over a degenerate zero-gap release stream must match an
+//! online serving run over the same arrivals. Each contract is pinned by
+//! hand-picked seeds in the test suite — this crate turns them into
+//! *continuously fuzzed invariants*:
 //!
 //! 1. [`space::ChaosCampaign::generate`] forks an entire campaign
 //!    description — pool size, domain count, fault plan, perturbation

@@ -11,7 +11,6 @@ use gridsched::flow::faults::FaultConfig;
 use gridsched::flow::metascheduler::FlowAssignment;
 use gridsched::flow::online::OnlineConfig;
 use gridsched::flow::simulation::CampaignConfig;
-use gridsched::model::availability::ProbeConfig;
 use gridsched::sim::rng::SimRng;
 use gridsched::sim::time::SimDuration;
 use gridsched::workload::arrivals::ArrivalProcess;
@@ -180,17 +179,6 @@ impl ChaosCampaign {
             seed: self.seed,
             ..CampaignConfig::default()
         }
-    }
-
-    /// [`ChaosCampaign::base_config`] with the gap index engaged on every
-    /// calendar (floor zero). Campaign calendars sit below the default
-    /// floor, so the base run probes linearly and this variant, which the
-    /// `probe-index` axis runs, sends every cold probe through the index.
-    #[must_use]
-    pub fn probe_index_forced_config(&self) -> CampaignConfig {
-        let mut config = self.base_config();
-        config.pool_config.probe = ProbeConfig { index_floor: 0 };
-        config
     }
 
     /// [`ChaosCampaign::base_config`] with every release gap collapsed to

@@ -1,14 +1,13 @@
 //! Differential property tests: generated campaigns agree across every
 //! axis, and the sweep machinery is deterministic end to end.
 
-use gridsched::flow::simulation::{run_campaign_instrumented, CampaignConfig};
+use gridsched::flow::simulation::run_campaign_instrumented;
 use gridsched::metrics::telemetry::{Counter, Telemetry};
 use gridsched_chaos::{run_axes, run_sweep, ChaosCampaign, SweepConfig};
 
 /// A handful of fixed generator seeds must run the full differential
-/// clean: executors, telemetry, probe-index and (where
-/// comparable) batch-vs-online all agree, and every trace passes the
-/// oracle.
+/// clean: executors, telemetry and (where comparable) batch-vs-online
+/// all agree, and every trace passes the oracle.
 #[test]
 fn fixed_seeds_run_the_full_differential_clean() {
     for generator_seed in [0, 1, 2, 3, 4, 1_000_003, 0xfeed_f00d] {
@@ -22,34 +21,23 @@ fn fixed_seeds_run_the_full_differential_clean() {
     }
 }
 
-/// The probe-config variant the `probe-index` axis replays must actually
-/// reach the pool: forcing the floor to zero sends cold probes through
-/// the gap index. Without this, a variant that never reached the pool
-/// would compare the base run with itself.
+/// The campaign configuration the axes compare must actually reach the
+/// pool's probe path: with a single probe path, cold probes of the base
+/// run cross packed chunks through the gap index, and its captures reuse
+/// frozen calendars. Without this, the axes could compare runs that
+/// never exercise the indexed, warm-capture path.
 #[test]
 fn probe_config_variants_reach_the_pool() {
-    let counters = |config: &CampaignConfig| {
-        let telemetry = Telemetry::new();
-        let _ = run_campaign_instrumented(config, &telemetry);
-        (
-            telemetry.counter(Counter::IndexSeeks),
-            telemetry.counter(Counter::IndexCacheHits),
-        )
-    };
     for generator_seed in [0, 1, 2, 3] {
         let campaign = ChaosCampaign::generate(generator_seed);
-        let (base_seeks, base_hits) = counters(&campaign.base_config());
-        let (forced_seeks, _) = counters(&campaign.probe_index_forced_config());
-        assert_eq!(
-            base_seeks, 0,
-            "seed {generator_seed}: base calendars stay linear"
+        let telemetry = Telemetry::new();
+        let _ = run_campaign_instrumented(&campaign.base_config(), &telemetry);
+        assert!(
+            telemetry.counter(Counter::IndexSeeks) > 0,
+            "seed {generator_seed}: base probes never seek"
         );
         assert!(
-            forced_seeks > 0,
-            "seed {generator_seed}: probe-index-forced never seeks"
-        );
-        assert!(
-            base_hits > 0,
+            telemetry.counter(Counter::IndexCacheHits) > 0,
             "seed {generator_seed}: base captures reuse frozen calendars"
         );
     }

@@ -162,15 +162,6 @@ impl Distribution {
         self.makespan <= deadline
     }
 
-    /// Total time tasks spend executing (wall windows minus stalls).
-    #[must_use]
-    pub fn total_execution_time(&self) -> SimDuration {
-        self.placements
-            .iter()
-            .map(|p| p.window.duration() - p.stall)
-            .sum()
-    }
-
     /// Validates the schedule against its job and a resource pool:
     /// every task placed on an existing node it can run on, precedence
     /// respected (a consumer's window starts no earlier than each
@@ -444,13 +435,5 @@ mod tests {
             vec![placement(1, 0, 0, 2, 10)],
             Vec::new(),
         );
-    }
-
-    #[test]
-    fn execution_time_excludes_stall() {
-        let mut p = placement(0, 0, 0, 5, 4);
-        p.stall = SimDuration::from_ticks(2);
-        let d = Distribution::new(EstimateScenario::BEST, vec![p], Vec::new());
-        assert_eq!(d.total_execution_time().ticks(), 3);
     }
 }

@@ -47,20 +47,6 @@ impl ReplicaCatalog {
         inserted
     }
 
-    /// Removes a replica. Returns `true` if it existed.
-    pub fn unregister(&mut self, data: DataId, node: NodeId) -> bool {
-        match self.locations.get_mut(&data) {
-            Some(set) => {
-                let removed = set.remove(&node);
-                if set.is_empty() {
-                    self.locations.remove(&data);
-                }
-                removed
-            }
-            None => false,
-        }
-    }
-
     /// Whether `node` holds `data`.
     #[must_use]
     pub fn has_replica(&self, data: DataId, node: NodeId) -> bool {
@@ -142,16 +128,6 @@ mod tests {
             cat.holders(d).collect::<Vec<_>>(),
             vec![NodeId::new(0), NodeId::new(2)]
         );
-    }
-
-    #[test]
-    fn unregister_removes() {
-        let mut cat = ReplicaCatalog::new();
-        let d = DataId::new(1);
-        cat.register(d, NodeId::new(0));
-        assert!(cat.unregister(d, NodeId::new(0)));
-        assert!(!cat.unregister(d, NodeId::new(0)));
-        assert_eq!(cat.replica_count(d), 0);
     }
 
     #[test]

@@ -14,8 +14,6 @@
 //!    job's schedule so its tick majority moves, the campaign re-selects
 //!    the home and traces the inter-domain migration.
 
-use std::collections::HashMap;
-
 use gridsched_core::distribution::Placement;
 use gridsched_core::strategy::StrategyKind;
 use gridsched_metrics::telemetry::{Counter, Telemetry};
@@ -64,7 +62,6 @@ pub enum FlowAssignment {
 pub struct Metascheduler {
     assignment: FlowAssignment,
     next_flow: usize,
-    counts: HashMap<StrategyKind, usize>,
     telemetry: Telemetry,
 }
 
@@ -93,7 +90,6 @@ impl Metascheduler {
         Metascheduler {
             assignment,
             next_flow: 0,
-            counts: HashMap::new(),
             telemetry: telemetry.clone(),
         }
     }
@@ -101,7 +97,7 @@ impl Metascheduler {
     /// Assigns `job` to a flow and returns the flow's strategy kind.
     pub fn assign(&mut self, job: &Job) -> StrategyKind {
         self.telemetry.incr(Counter::FlowAssignments);
-        let kind = match &self.assignment {
+        match &self.assignment {
             FlowAssignment::Single(kind) => *kind,
             FlowAssignment::RoundRobin(kinds) => {
                 let kind = kinds[self.next_flow % kinds.len()];
@@ -119,15 +115,7 @@ impl Metascheduler {
                     *small
                 }
             }
-        };
-        *self.counts.entry(kind).or_insert(0) += 1;
-        kind
-    }
-
-    /// How many jobs each flow has received so far.
-    #[must_use]
-    pub fn flow_count(&self, kind: StrategyKind) -> usize {
-        self.counts.get(&kind).copied().unwrap_or(0)
+        }
     }
 }
 
@@ -167,8 +155,6 @@ mod tests {
         for _ in 0..5 {
             assert_eq!(meta.assign(&job), StrategyKind::S3);
         }
-        assert_eq!(meta.flow_count(StrategyKind::S3), 5);
-        assert_eq!(meta.flow_count(StrategyKind::S1), 0);
     }
 
     #[test]

@@ -67,12 +67,6 @@ impl LoadForecaster {
     pub fn level(&self) -> f64 {
         self.level.unwrap_or(0.0)
     }
-
-    /// Whether any observation has been fed yet.
-    #[must_use]
-    pub fn is_warm(&self) -> bool {
-        self.level.is_some()
-    }
 }
 
 /// Booked-ahead load of a domain: mean utilization of its nodes'
@@ -130,7 +124,7 @@ mod tests {
     #[test]
     fn smoothing_converges_to_constant_input() {
         let mut f = LoadForecaster::new(0.3);
-        assert!(!f.is_warm());
+        assert_eq!(f.level(), 0.0, "no observation yet");
         for _ in 0..200 {
             f.observe(0.7);
         }

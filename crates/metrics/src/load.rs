@@ -63,19 +63,6 @@ impl GroupLoad {
             .into_iter()
             .filter_map(|g| self.by_group.get(&g).map(|&v| (g, v)))
     }
-
-    /// Merges another measurement by averaging group-wise (for multi-run
-    /// experiments). Groups absent on either side keep the present value.
-    pub fn average_with(&mut self, other: &GroupLoad, self_weight: f64) {
-        assert!(
-            (0.0..=1.0).contains(&self_weight),
-            "self_weight must be in [0,1], got {self_weight}"
-        );
-        for (g, v) in &other.by_group {
-            let entry = self.by_group.entry(*g).or_insert(*v);
-            *entry = *entry * self_weight + v * (1.0 - self_weight);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -128,20 +115,5 @@ mod tests {
         let load = GroupLoad::measure(&pool, w(0, 1));
         let groups: Vec<PerfGroup> = load.iter().map(|(g, _)| g).collect();
         assert_eq!(groups, vec![PerfGroup::Fast, PerfGroup::Slow]);
-    }
-
-    #[test]
-    fn average_with_blends() {
-        let mut pool = ResourcePool::new();
-        let n = pool.add_node(DomainId::new(0), Perf::new(1.0).unwrap());
-        pool.timetable_mut(n)
-            .reserve(w(0, 10), ReservationOwner::Background(0))
-            .unwrap();
-        let busy = GroupLoad::measure(&pool, w(0, 10));
-        let mut pool = ResourcePool::new();
-        pool.add_node(DomainId::new(0), Perf::new(1.0).unwrap());
-        let mut idle = GroupLoad::measure(&pool, w(0, 10));
-        idle.average_with(&busy, 0.5);
-        assert!((idle.level(PerfGroup::Fast) - 0.5).abs() < 1e-12);
     }
 }

@@ -147,22 +147,15 @@ pub enum Counter {
     /// Chaos campaigns that diverged across configuration axes or failed
     /// the trace oracle (each one ships a shrunken repro artifact).
     ChaosDivergences,
-    /// Cold `earliest_fit` probes answered through a snapshot's gap
-    /// index (the O(log R) base-layer descent).
+    /// `earliest_fit` probes with a positive duration. Each walks the
+    /// merged base and tentative windows and crosses runs of base chunks
+    /// too packed for it through the calendar's gap index.
     IndexSeeks,
     /// Node calendars a planning session's snapshot capture froze, each
     /// with a new gap index over one leaf per chunk: the nodes changed
     /// since their last capture. Counts the session's own capture only;
     /// with [`Counter::IndexCacheHits`] it sums to the nodes captured.
     IndexRebuilds,
-    /// Cold probes that took the linear merged walk instead of the gap
-    /// index: every cold probe on a node calendar below the pool's
-    /// engagement floor (`ProbeConfig::index_floor`, 1k base windows by
-    /// default; `usize::MAX` bypasses every probe). A run whose calendars
-    /// all stay below the floor shows only bypasses and zero seeks; that
-    /// is the expected shape for sparse pools, not a disabled index.
-    /// Answers are bit-identical either way.
-    IndexBypasses,
     /// Nodes whose calendar a planning session's snapshot capture reused
     /// from the node's timetable, frozen by an earlier capture of the
     /// unchanged windows (windows + gap index reused, nothing copied or
@@ -190,7 +183,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 44] = [
+    pub const ALL: [Counter; 43] = [
         Counter::JobsReleased,
         Counter::JobsActivated,
         Counter::FlowAssignments,
@@ -228,7 +221,6 @@ impl Counter {
         Counter::ChaosDivergences,
         Counter::IndexSeeks,
         Counter::IndexRebuilds,
-        Counter::IndexBypasses,
         Counter::IndexCacheHits,
         Counter::CostBoundHeld,
         Counter::CostBoundFallbacks,
@@ -280,7 +272,6 @@ impl Counter {
             Counter::ChaosDivergences => "chaos_divergences",
             Counter::IndexSeeks => "index_seeks",
             Counter::IndexRebuilds => "index_rebuilds",
-            Counter::IndexBypasses => "index_bypasses",
             Counter::IndexCacheHits => "index_cache_hits",
             Counter::CostBoundHeld => "cost_bound_held",
             Counter::CostBoundFallbacks => "cost_bound_fallbacks",

@@ -46,28 +46,23 @@
 //! planning thread, while the shared state ([`AvailabilitySnapshot`])
 //! stays immutable and freely shareable.
 //!
-//! # Gap-indexed probes
+//! # One probe walk, with a chunk skip
 //!
-//! A linear `earliest_fit` walks the merged base + tentative sequence —
-//! O(R) against the §4 background loads. Each frozen [`NodeCalendar`]
-//! therefore carries a [`GapIndex`] with one leaf per chunk, built when
-//! the calendar is frozen and never invalidated because frozen calendars
-//! are immutable. The indexed probe asks the calendar for the earliest
-//! **base** fit (an O(log(R/B)) climb to the first chunk whose leaf
-//! fits, then a scan of at most B windows) and lets the scenario's few
-//! tentative windows veto and re-seed the probe; with no tentative
-//! windows on the node the calendar answers outright. Its seek into the
-//! window lists resumes from the node's cursor, as the linear walk's
-//! does. Answers are
-//! bit-identical to the linear walk — see DESIGN.md §9 and
-//! `crates/model/tests/prop_gap_index.rs` — so the path a pool's
-//! [`ProbeConfig`] picks has no observable effect beyond the
-//! [`IndexStats`] counters.
+//! `earliest_fit` walks the merged base + tentative sequence from the
+//! node's cursor, as [`Timetable::earliest_fit`] walks one list. Against
+//! the §4 background loads a window-by-window walk is O(R), so each
+//! frozen [`NodeCalendar`] carries a [`GapIndex`] with one leaf per
+//! chunk (the widest gap after any window of that chunk), built when the
+//! calendar is frozen and never invalidated because frozen calendars are
+//! immutable. When a base window blocks the probe and its chunk's leaf is
+//! narrower than the duration, no start before that chunk's end can fit,
+//! so the walk crosses every chunk as packed in one index search, clipped
+//! by the deadline, and gallops the tentative index after it. Calendars
+//! of one chunk mostly take the plain walk; dense ones take the skip.
+//! Answers equal the materialized walk: see DESIGN.md §9 and
+//! `crates/model/tests/prop_gap_index.rs`.
 //!
-//! The index only engages for calendars of at least
-//! [`ProbeConfig::index_floor`] base windows ([`DEFAULT_INDEX_FLOOR`]
-//! unless the pool's config moves it): below that, deadline-clipped
-//! probes finish the linear walk at least as fast.
+//! [`Timetable::earliest_fit`]: crate::timetable::Timetable::earliest_fit
 //!
 //! # Cross-snapshot calendar sharing
 //!
@@ -92,78 +87,15 @@ use gridsched_sim::time::{SimDuration, SimTime};
 
 use crate::ids::NodeId;
 use crate::node::ResourcePool;
-use crate::timetable::{NodeCalendar, Pos, Walk};
+use crate::timetable::{NodeCalendar, Pos};
 use crate::window::TimeWindow;
 
-/// Default [`ProbeConfig::index_floor`]: nodes with fewer base windows
-/// than this answer probes linearly.
-///
-/// The index trades a linear walk for a climb over chunk leaves plus at
-/// most two chunk scans, so it only pays where calendars are large
-/// enough that deadline-clipped linear walks cross many windows. The
-/// floor used to sit at 16k because every snapshot rebuilt an O(R) index
-/// from scratch; since each timetable keeps its frozen calendar until its
-/// windows change, and a refreeze now builds the index over one leaf per
-/// chunk, the floor sits at 1k. Below 1k an index buys little: probes
-/// bisect a few hundred windows in a handful of hops either way. The
-/// warm-capture shape of `BENCH_probe_scaling.json`
-/// (the manual `probe_scaling` tool, which CI does not run) justifies
-/// the number; the work-count gate on the traced perfbench
-/// ledger (`bench_check --fresh --baseline`, `model.index_seeks` and
-/// `model.index_bypasses` on `dense_calendar`) pins which probes it
-/// routes through the index.
-pub const DEFAULT_INDEX_FLOOR: usize = 1_000;
-
-/// How a pool's planning probes run: which probe path an
-/// `earliest_fit` takes.
-///
-/// The choice is unobservable in the answers (the DESIGN.md §9
-/// contract): the gap-indexed and linear probes are bit-identical, and
-/// only the [`IndexStats`] counters see the difference. The value lives
-/// on the [`ResourcePool`]
-/// ([`ResourcePool::set_probe_config`]) and is fixed into each
-/// [`AvailabilitySnapshot`] at capture, so pools with different configs
-/// can plan side by side on different threads.
-///
-/// ```
-/// use gridsched_model::availability::{ProbeConfig, DEFAULT_INDEX_FLOOR};
-///
-/// assert_eq!(ProbeConfig::default().index_floor, DEFAULT_INDEX_FLOOR);
-/// // Gap index on every calendar / never engaged.
-/// let forced = ProbeConfig { index_floor: 0 };
-/// let linear = ProbeConfig { index_floor: usize::MAX };
-/// assert_ne!(forced, linear);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProbeConfig {
-    /// Minimum base-window count at which a node's probes engage the
-    /// gap index. `0` engages it on every calendar (tests and the chaos
-    /// `probe-index` axis); `usize::MAX` never engages it.
-    pub index_floor: usize,
-}
-
-impl Default for ProbeConfig {
-    fn default() -> Self {
-        ProbeConfig {
-            index_floor: DEFAULT_INDEX_FLOOR,
-        }
-    }
-}
-
-/// Gap-index activity of one [`TimetableOverlay`], drained by the
-/// planning session into the workspace telemetry counters
-/// (`index_seeks` / `index_bypasses`).
+/// Probe activity of one [`TimetableOverlay`], drained by the planning
+/// session into the workspace telemetry counter `index_seeks`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexStats {
-    /// `earliest_fit` probes answered through the base gap index.
+    /// `earliest_fit` probes with a positive duration.
     pub seeks: u64,
-    /// Probes that took the linear merged walk: every probe on
-    /// a node whose calendar is below the snapshot's
-    /// [`ProbeConfig::index_floor`] ([`DEFAULT_INDEX_FLOOR`] by default;
-    /// `usize::MAX` sends every probe here). Sparse pools whose
-    /// calendars all stay below the floor record only bypasses and zero
-    /// seeks.
-    pub bypasses: u64,
 }
 
 impl IndexStats {
@@ -172,7 +104,6 @@ impl IndexStats {
     pub fn merged(self, other: IndexStats) -> IndexStats {
         IndexStats {
             seeks: self.seeks + other.seeks,
-            bypasses: self.bypasses + other.bypasses,
         }
     }
 }
@@ -256,22 +187,15 @@ struct SnapshotInner {
     nodes: Box<[Arc<NodeCalendar>]>,
     /// How many of `nodes` the capture found already frozen.
     warm_nodes: usize,
-    /// The pool's [`ProbeConfig::index_floor`] at capture: overlays on
-    /// this snapshot engage the gap index for nodes with at least this
-    /// many base windows.
-    index_floor: usize,
 }
 
 impl AvailabilitySnapshot {
-    /// Captures the current reservations of every node in `pool`, under
-    /// the pool's [`ProbeConfig`].
+    /// Captures the current reservations of every node in `pool`.
     ///
     /// A node whose timetable still holds the calendar an earlier capture
     /// froze is reused by `Arc` bump, and only nodes changed since freeze
     /// fresh calendars (one pointer bump per chunk plus an index over one
-    /// leaf per chunk), which their timetables keep for the next capture. The config's
-    /// [`ProbeConfig::index_floor`] is fixed into the snapshot and decides
-    /// the probe path of every overlay on it.
+    /// leaf per chunk), which their timetables keep for the next capture.
     #[must_use]
     pub fn capture(pool: &ResourcePool) -> Self {
         let mut warm_nodes = 0;
@@ -285,11 +209,7 @@ impl AvailabilitySnapshot {
             })
             .collect();
         AvailabilitySnapshot {
-            inner: Arc::new(SnapshotInner {
-                nodes,
-                warm_nodes,
-                index_floor: pool.probe_config().index_floor,
-            }),
+            inner: Arc::new(SnapshotInner { nodes, warm_nodes }),
         }
     }
 
@@ -422,45 +342,6 @@ fn window_end(w: &TimeWindow) -> SimTime {
     w.end()
 }
 
-/// Two-pointer merge over a node's base and tentative windows.
-///
-/// Both inputs are sorted by start and pairwise non-overlapping, and the
-/// union is non-overlapping too (reservations check conflicts against
-/// both lists), so merging by start yields a sequence with non-decreasing
-/// ends — the same shape a materialized
-/// [`Timetable`](crate::timetable::Timetable) would have.
-struct MergedWindows<'a> {
-    base: Walk<'a>,
-    extra: &'a [TimeWindow],
-    j: usize,
-}
-
-impl MergedWindows<'_> {
-    fn peek(&self) -> Option<TimeWindow> {
-        match (self.base.peek(), self.extra.get(self.j)) {
-            (Some(a), Some(&b)) => Some(if a.start() <= b.start() { a } else { b }),
-            (Some(a), None) => Some(a),
-            (None, Some(&b)) => Some(b),
-            (None, None) => None,
-        }
-    }
-
-    fn advance(&mut self) {
-        match (self.base.peek(), self.extra.get(self.j)) {
-            (Some(a), Some(b)) => {
-                if a.start() <= b.start() {
-                    self.base.advance();
-                } else {
-                    self.j += 1;
-                }
-            }
-            (Some(_), None) => self.base.advance(),
-            (None, Some(_)) => self.j += 1,
-            (None, None) => {}
-        }
-    }
-}
-
 impl TimetableOverlay {
     /// Creates an overlay with no tentative reservations over `base`.
     #[must_use]
@@ -530,31 +411,23 @@ impl TimetableOverlay {
         at
     }
 
-    /// Merged base + tentative walk starting at the first windows ending
-    /// after `t` (see [`TimetableOverlay::cursor_at`]).
-    fn merged_after<'a>(
-        &'a self,
-        node: NodeId,
-        base: &'a NodeCalendar,
-        t: SimTime,
-    ) -> MergedWindows<'a> {
-        let (i, j) = self.cursor_at(node, base, t);
-        MergedWindows {
-            base: base.walk(i),
-            extra: &self.tentative[node.index()],
-            j,
-        }
-    }
-
     /// The first base or tentative window overlapping `window`, if any.
     #[must_use]
     pub fn first_conflict(&self, node: NodeId, window: TimeWindow) -> Option<TimeWindow> {
         // Mirrors `Timetable::first_conflict`: only the first reservation
         // ending after `window.start()` can overlap — later ones start at
-        // or after its end.
-        self.merged_after(node, self.base.calendar(node), window.start())
-            .peek()
-            .filter(|w| w.overlaps(window))
+        // or after its end. Both lists' first such windows are found;
+        // the earlier of the two is the merged one.
+        let calendar = self.base.calendar(node);
+        let (at, j) = self.cursor_at(node, calendar, window.start());
+        let first = match (
+            calendar.walk(at).peek(),
+            self.tentative[node.index()].get(j),
+        ) {
+            (Some(a), Some(&b)) => Some(if a.start() <= b.start() { a } else { b }),
+            (a, b) => a.or(b.copied()),
+        };
+        first.filter(|w| w.overlaps(window))
     }
 
     /// Whether `window` is completely free on `node`.
@@ -568,12 +441,14 @@ impl TimetableOverlay {
     ///
     /// Same answer as
     /// [`Timetable::earliest_fit`](crate::timetable::Timetable::earliest_fit)
-    /// over the merged base + tentative sequence, by one of two
-    /// bit-identical paths (DESIGN.md §9): the snapshot's gap index for
-    /// nodes at or above its engagement floor, the linear merged walk
-    /// otherwise. Every call with a positive `duration` is one probe down
-    /// one of them and counts one seek or one bypass in the
-    /// [`IndexStats`].
+    /// over the merged base + tentative sequence (DESIGN.md §9): the same
+    /// jump-walk, resumed from the node's cursor, that crosses base chunks
+    /// too packed for `duration` in one gap-index search
+    /// (`NodeCalendar::skip_packed`). A skip lands where the walk would
+    /// have: every tentative window in the crossed span sits in a base
+    /// gap narrower than `duration`, so it blocks too, and the tentative
+    /// index gallops past them all. Every call with a positive `duration`
+    /// is one probe and counts one seek in the [`IndexStats`].
     #[must_use]
     pub fn earliest_fit(
         &self,
@@ -586,89 +461,37 @@ impl TimetableOverlay {
             return Some(not_before);
         }
         let calendar = self.base.calendar(node);
-        if calendar.len() >= self.base.inner.index_floor {
-            self.earliest_fit_indexed(node, calendar, not_before, duration, deadline)
-        } else {
-            let mut stats = self.index_stats.get();
-            stats.bypasses += 1;
-            self.index_stats.set(stats);
-            self.earliest_fit_linear(node, calendar, not_before, duration, deadline)
-        }
-    }
-
-    /// The indexed path: the base layer answers through the frozen
-    /// calendar's [`GapIndex`](crate::gap_index::GapIndex); the
-    /// scenario's tentative windows (none or a handful) veto and re-seed
-    /// the probe. The seek into both lists resumes from the node's
-    /// cursor, as the linear walk's does, so a probe just after the last
-    /// one gallops a step or two instead of bisecting every base window.
-    ///
-    /// Each round asks the index for the earliest **base-only** fit `s`
-    /// at or after the candidate — every start below `s` is blocked by
-    /// the base alone, so none can be the merged answer. If no tentative
-    /// window intersects `[s, s + duration)`, `s` *is* the merged answer.
-    /// Otherwise the first tentative window `w` ending after `s` blocks
-    /// every start in `[s, w.end())` (any such start keeps the interval
-    /// overlapping `w`), so the candidate jumps to `w.end()` — exactly
-    /// where the linear walk lands when it hops `w`. Candidates only move
-    /// forward, so both indices gallop on from where the last round left
-    /// them. Each round retires one tentative window, so the loop runs at
-    /// most `tentative + 1` rounds of O(log(R/B) + B + log T) for R base
-    /// windows in chunks of B.
-    fn earliest_fit_indexed(
-        &self,
-        node: NodeId,
-        calendar: &NodeCalendar,
-        not_before: SimTime,
-        duration: SimDuration,
-        deadline: SimTime,
-    ) -> Option<SimTime> {
-        let (mut i, mut j) = self.cursor_at(node, calendar, not_before);
+        let tentative = self.tentative[node.index()].as_slice();
+        let (at, mut j) = self.cursor_at(node, calendar, not_before);
+        let mut base = calendar.walk(at);
         let mut stats = self.index_stats.get();
         stats.seeks += 1;
         self.index_stats.set(stats);
-        let tentative = self.tentative[node.index()].as_slice();
-        let mut candidate = not_before;
-        loop {
-            // A base-only start past the deadline ends the probe: the
-            // merged answer is no earlier, which matches the linear
-            // walk's early exit because candidates only move forward.
-            let s = calendar.earliest_fit_at(i, candidate, duration, deadline)?;
-            let end = s.saturating_add(duration);
-            j = first_ending_after_from(tentative, j, s, window_end);
-            match tentative.get(j) {
-                Some(w) if w.start() < end => {
-                    candidate = w.end();
-                    i = calendar.seek_near(i, candidate);
-                }
-                _ => return Some(s),
-            }
-        }
-    }
-
-    /// The linear path: the pre-index merged base + tentative walk, kept
-    /// as the differential reference and the path of every node below
-    /// the snapshot's engagement floor.
-    fn earliest_fit_linear(
-        &self,
-        node: NodeId,
-        calendar: &NodeCalendar,
-        not_before: SimTime,
-        duration: SimDuration,
-        deadline: SimTime,
-    ) -> Option<SimTime> {
-        let mut merged = self.merged_after(node, calendar, not_before);
         let mut candidate = not_before;
         loop {
             let end = candidate.saturating_add(duration);
             if end > deadline {
                 return None;
             }
-            match merged.peek() {
-                Some(w) if w.start() < end => {
-                    // Gap too small; jump past this reservation.
+            // Past every tentative window the last step crossed; the
+            // base walk already stands past every base window it did.
+            j = first_ending_after_from(tentative, j, candidate, window_end);
+            // The earlier-starting of the two next windows blocks first;
+            // if it does not block, neither does the other.
+            let next = base.peek();
+            match (next, tentative.get(j)) {
+                (_, Some(w)) if w.start() < end && next.is_none_or(|b| w.start() < b.start()) => {
                     candidate = candidate.max_of(w.end());
-                    merged.advance();
+                }
+                (Some(b), w) if b.start() < end => {
+                    let crossed = match calendar.skip_packed(&mut base, duration, deadline) {
+                        Some(last_end) => last_end,
+                        None => {
+                            let stop = w.map_or(SimTime::MAX, |w| w.start());
+                            base.cross_run(duration, deadline, stop)
+                        }
+                    };
+                    candidate = candidate.max_of(crossed);
                 }
                 _ => return Some(candidate),
             }
@@ -709,7 +532,7 @@ mod tests {
     use super::*;
     use crate::ids::DomainId;
     use crate::perf::Perf;
-    use crate::timetable::ReservationOwner;
+    use crate::timetable::{ReservationOwner, Timetable};
 
     fn w(a: u64, b: u64) -> TimeWindow {
         TimeWindow::new(SimTime::from_ticks(a), SimTime::from_ticks(b)).unwrap()
@@ -734,13 +557,61 @@ mod tests {
         pool
     }
 
-    /// `pool_with_windows` with the engagement floor dropped to zero:
-    /// tiny calendars sit under the default floor, so without this the
-    /// indexed path never runs.
-    fn indexed_pool_with_windows(windows: &[TimeWindow]) -> ResourcePool {
-        let mut pool = pool_with_windows(windows);
-        pool.set_probe_config(ProbeConfig { index_floor: 0 });
-        pool
+    /// A pool of one node whose calendar packs `packed` full chunks of
+    /// 2-tick windows one tick apart, then one chunk whose 8th gap is
+    /// `wide` ticks, then one more packed chunk: a probe longer than a
+    /// tick skips the packed run to the wide chunk.
+    fn skip_pool(packed: u64, wide: u64) -> (ResourcePool, Vec<TimeWindow>) {
+        let per_chunk = crate::timetable::CHUNK_CAPACITY as u64;
+        let mut windows = Vec::new();
+        let mut at = 0;
+        for i in 0..(packed + 2) * per_chunk {
+            windows.push(w(at, at + 2));
+            at += if i == packed * per_chunk + 7 {
+                2 + wide
+            } else {
+                3
+            };
+        }
+        let mut pool = ResourcePool::new();
+        let n = pool.add_node(DomainId::new(0), Perf::FULL);
+        *pool.timetable_mut(n) = Timetable::from_sorted(
+            windows
+                .iter()
+                .enumerate()
+                .map(|(i, &win)| (win, ReservationOwner::Background(i as u64))),
+        );
+        (pool, windows)
+    }
+
+    /// Every probe of `overlay` on node 0 over the given starts,
+    /// durations and deadlines answers as the walk over a materialized
+    /// timetable holding `base` plus `tentative`.
+    fn assert_matches_union(
+        overlay: &TimetableOverlay,
+        base: &[TimeWindow],
+        tentative: &[TimeWindow],
+        starts: impl Iterator<Item = u64> + Clone,
+    ) {
+        let mut union = Timetable::from_sorted(
+            base.iter()
+                .map(|&win| (win, ReservationOwner::Background(0))),
+        );
+        for &win in tentative {
+            union.reserve(win, ReservationOwner::Background(1)).unwrap();
+        }
+        let horizon = base.last().map_or(0, |w| w.end().ticks()) + 10;
+        for nb in starts {
+            for dur in [1, 2, 3, 5, 8, 13] {
+                for dl in [SimTime::MAX, t(horizon / 2), t(nb + 40), t(nb + 400)] {
+                    assert_eq!(
+                        overlay.earliest_fit(NodeId::new(0), t(nb), d(dur), dl),
+                        union.earliest_fit(t(nb), d(dur), dl),
+                        "probe ({nb}, {dur}, {dl}), tentative {tentative:?}"
+                    );
+                }
+            }
+        }
     }
 
     /// The cursor search lands where a bisect of the whole list does,
@@ -849,7 +720,7 @@ mod tests {
 
     #[test]
     fn index_stats_count_seeks_and_one_shared_build() {
-        let pool = indexed_pool_with_windows(&[w(0, 4), w(10, 12)]);
+        let pool = pool_with_windows(&[w(0, 4), w(10, 12)]);
         let node = NodeId::new(0);
         let snap = pool.snapshot();
         let a = TimetableOverlay::new(snap.clone());
@@ -858,8 +729,7 @@ mod tests {
         let _ = a.earliest_fit(node, t(0), d(2), SimTime::MAX);
         // A repeat probe seeks again.
         let _ = a.earliest_fit(node, t(0), d(2), SimTime::MAX);
-        let sa = a.take_index_stats();
-        assert_eq!((sa.seeks, sa.bypasses), (2, 0));
+        assert_eq!(a.take_index_stats().seeks, 2);
         // Sibling overlay on the same snapshot: the one calendar, index
         // built at freeze, is shared.
         assert!(Arc::ptr_eq(
@@ -867,57 +737,104 @@ mod tests {
             b.base().calendar(node)
         ));
         let _ = b.earliest_fit(node, t(1), d(3), SimTime::MAX);
-        let sb = b.take_index_stats();
-        assert_eq!((sb.seeks, sb.bypasses), (1, 0));
+        assert_eq!(b.take_index_stats().seeks, 1);
         assert_eq!(a.take_index_stats(), IndexStats::default(), "drained");
     }
 
-    /// The overlay answers no `earliest_fit` from a memo: on both paths,
-    /// every call with a positive duration — repeats, probes inside an
-    /// earlier answer's range and probes between reserves included — is
-    /// one probe, counted as one seek or one bypass.
+    /// The overlay answers no `earliest_fit` from a memo: every call with
+    /// a positive duration — repeats, probes inside an earlier answer's
+    /// range and probes between reserves included — is one probe,
+    /// counted as one seek.
     #[test]
     fn every_positive_duration_call_is_one_probe() {
-        for index_floor in [0, usize::MAX] {
-            let mut pool = pool_with_windows(&[w(0, 4), w(6, 7), w(10, 12), w(20, 30)]);
-            pool.set_probe_config(ProbeConfig { index_floor });
-            let node = NodeId::new(0);
-            let mut overlay = TimetableOverlay::new(pool.snapshot());
-            let probes = [
-                (0, 2, SimTime::MAX),
-                (0, 2, SimTime::MAX),
-                (1, 2, SimTime::MAX),
-                (4, 2, SimTime::MAX),
-                (0, 9, t(25)),
-                (0, 9, t(25)),
-                (3, 9, t(25)),
-                (13, 1, t(14)),
-                (13, 1, t(14)),
-            ];
-            let mut calls = 0u64;
-            for round in 0..3 {
-                for &(nb, dur, dl) in &probes {
-                    let _ = overlay.earliest_fit(node, t(nb), d(dur), dl);
-                    calls += 1;
-                }
-                overlay
-                    .reserve_window(node, w(14 + round, 15 + round))
-                    .unwrap();
+        let pool = pool_with_windows(&[w(0, 4), w(6, 7), w(10, 12), w(20, 30)]);
+        let node = NodeId::new(0);
+        let mut overlay = TimetableOverlay::new(pool.snapshot());
+        let probes = [
+            (0, 2, SimTime::MAX),
+            (0, 2, SimTime::MAX),
+            (1, 2, SimTime::MAX),
+            (4, 2, SimTime::MAX),
+            (0, 9, t(25)),
+            (0, 9, t(25)),
+            (3, 9, t(25)),
+            (13, 1, t(14)),
+            (13, 1, t(14)),
+        ];
+        let mut calls = 0u64;
+        for round in 0..3 {
+            for &(nb, dur, dl) in &probes {
+                let _ = overlay.earliest_fit(node, t(nb), d(dur), dl);
+                calls += 1;
             }
-            let s = overlay.take_index_stats();
-            assert_eq!(s.seeks + s.bypasses, calls, "floor {index_floor}: {s:?}");
-            let path = if index_floor == 0 {
-                s.seeks
-            } else {
-                s.bypasses
-            };
-            assert_eq!(path, calls, "floor {index_floor} keeps one path");
+            let _ = overlay.earliest_fit(node, t(5), SimDuration::ZERO, SimTime::MAX);
+            overlay
+                .reserve_window(node, w(14 + round, 15 + round))
+                .unwrap();
         }
+        assert_eq!(overlay.take_index_stats().seeks, calls);
+    }
+
+    /// A skip over packed chunks gallops the tentative index past the
+    /// tentative windows it crosses: each sits in a one-tick base gap,
+    /// so the walk would have crossed it too.
+    #[test]
+    fn a_skip_crosses_tentative_windows_in_the_packed_run() {
+        let (pool, base) = skip_pool(3, 9);
+        let node = NodeId::new(0);
+        let mut overlay = TimetableOverlay::new(pool.snapshot());
+        // One-tick gaps inside chunks 0 and 1 and at the chunk 1/2 seam.
+        let tentative = [w(2, 3), w(200, 201), w(383, 384)];
+        for &win in &tentative {
+            overlay.reserve_window(node, win).unwrap();
+        }
+        // The wide gap opens after the 8th window of chunk 3.
+        let wide_start = 3 * 64 * 3 + 7 * 3 + 2;
+        assert_eq!(
+            overlay.earliest_fit(node, t(0), d(5), SimTime::MAX),
+            Some(t(wide_start))
+        );
+        assert_eq!(
+            overlay.earliest_fit(node, t(0), d(5), t(wide_start + 4)),
+            None
+        );
+        assert_matches_union(&overlay, &base, &tentative, (0..60).chain(180..220));
+    }
+
+    /// Tentative windows at the first chunk whose leaf fits: one in the
+    /// seam before it, one splitting its wide gap so the gap no longer
+    /// holds the probe. The walk resumes after the skip and takes both
+    /// into account.
+    #[test]
+    fn tentative_windows_at_the_first_wide_chunk_veto_its_gap() {
+        let (pool, base) = skip_pool(2, 9);
+        let node = NodeId::new(0);
+        let wide_start = 2 * 64 * 3 + 7 * 3 + 2;
+        let tentative = [
+            w(2 * 64 * 3 - 1, 2 * 64 * 3),
+            w(wide_start + 4, wide_start + 5),
+        ];
+        let mut overlay = TimetableOverlay::new(pool.snapshot());
+        for &win in &tentative {
+            overlay.reserve_window(node, win).unwrap();
+        }
+        // 5 ticks no longer fit the split gap (4 + 4); the probe runs on
+        // to the calendar's end, past the last packed chunk.
+        let last_end = base.last().unwrap().end();
+        assert_eq!(
+            overlay.earliest_fit(node, t(0), d(5), SimTime::MAX),
+            Some(last_end)
+        );
+        assert_eq!(
+            overlay.earliest_fit(node, t(0), d(4), SimTime::MAX),
+            Some(t(wide_start))
+        );
+        assert_matches_union(&overlay, &base, &tentative, (0..40).chain(360..420));
     }
 
     #[test]
     fn reset_to_rebases_onto_a_fresh_index_epoch() {
-        let mut pool = indexed_pool_with_windows(&[w(0, 4)]);
+        let mut pool = pool_with_windows(&[w(0, 4)]);
         let node = NodeId::new(0);
         let mut overlay = TimetableOverlay::new(pool.snapshot());
         assert_eq!(
@@ -935,7 +852,6 @@ mod tests {
             overlay.earliest_fit(node, t(0), d(2), SimTime::MAX),
             Some(t(9))
         );
-        let s = overlay.take_index_stats();
-        assert_eq!((s.seeks, s.bypasses), (1, 0));
+        assert_eq!(overlay.take_index_stats().seeks, 1);
     }
 }

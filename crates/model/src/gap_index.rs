@@ -11,15 +11,17 @@
 //! Two layouts use it. A frozen
 //! [`NodeCalendar`](crate::timetable::NodeCalendar) builds one at freeze
 //! over **one leaf per chunk** (the widest gap after any window of that
-//! chunk), so its search finds the first chunk worth scanning.
+//! chunk), so an overlay probe's walk crosses every chunk too packed for
+//! it in one search.
 //! [`GapIndex::build`] puts **one leaf per gap between consecutive
 //! windows** of a flat sorted list; [`GapIndex::earliest_fit`] over that
 //! layout is the cold reference the differential suites compare
 //! against. An index is never mutated: a calendar that changes is frozen
 //! again, with a new index. Answers are **bit-identical** to the linear
-//! walk; the proof sketch lives with [`GapIndex::earliest_fit`] and the
-//! differential property suites in `crates/model/tests/prop_gap_index.rs`
-//! and `crates/model/tests/prop_chunked_timetable.rs` pin it on random
+//! walk; the proof sketch lives with [`GapIndex::earliest_fit`] and
+//! DESIGN.md §9, and the differential property suites in
+//! `crates/model/tests/prop_gap_index.rs` and
+//! `crates/model/tests/prop_chunked_timetable.rs` pin it on random
 //! inputs.
 
 use gridsched_sim::time::{SimDuration, SimTime};

@@ -322,14 +322,6 @@ impl Job {
             .filter(|&t| self.in_edges[t.index()].is_empty())
     }
 
-    /// Tasks with no successors.
-    pub fn exit_tasks(&self) -> impl Iterator<Item = TaskId> + '_ {
-        self.tasks
-            .iter()
-            .map(Task::id)
-            .filter(|&t| self.out_edges[t.index()].is_empty())
-    }
-
     /// The job's completion deadline, relative to its release time.
     #[must_use]
     pub fn deadline(&self) -> SimDuration {
@@ -380,26 +372,16 @@ impl Job {
     ) -> LongestPath {
         let n = self.tasks.len();
         let mut finish = vec![SimDuration::ZERO; n];
-        let mut critical_pred: Vec<Option<TaskId>> = vec![None; n];
         for &t in &self.topo {
-            let mut start = SimDuration::ZERO;
-            let mut pred = None;
-            for e in self.incoming(t) {
-                let candidate = finish[e.from().index()] + edge_weight(e);
-                if candidate > start {
-                    start = candidate;
-                    pred = Some(e.from());
-                }
-            }
+            let start = self
+                .incoming(t)
+                .map(|e| finish[e.from().index()] + edge_weight(e))
+                .max()
+                .unwrap_or(SimDuration::ZERO);
             finish[t.index()] = start + task_weight(t);
-            critical_pred[t.index()] = pred;
         }
         let total = finish.iter().copied().max().unwrap_or(SimDuration::ZERO);
-        LongestPath {
-            finish,
-            critical_pred,
-            total,
-        }
+        LongestPath { finish, total }
     }
 
     /// Critical-path length when every task runs on a node of performance
@@ -449,32 +431,8 @@ impl fmt::Display for Job {
 pub struct LongestPath {
     /// Earliest finish offset per task (indexed by `TaskId::index`).
     pub finish: Vec<SimDuration>,
-    /// The predecessor realizing each task's earliest start, if any.
-    pub critical_pred: Vec<Option<TaskId>>,
     /// Length of the longest path overall.
     pub total: SimDuration,
-}
-
-impl LongestPath {
-    /// Reconstructs the critical chain ending at the task with the maximal
-    /// finish offset (ties: smallest task id).
-    #[must_use]
-    pub fn critical_chain(&self) -> Vec<TaskId> {
-        let Some((end, _)) = self
-            .finish
-            .iter()
-            .enumerate()
-            .max_by_key(|&(i, f)| (*f, std::cmp::Reverse(i)))
-        else {
-            return Vec::new();
-        };
-        let mut chain = vec![TaskId::new(end as u32)];
-        while let Some(prev) = self.critical_pred[chain.last().unwrap().index()] {
-            chain.push(prev);
-        }
-        chain.reverse();
-        chain
-    }
 }
 
 #[cfg(test)]
@@ -493,7 +451,7 @@ mod tests {
         assert_eq!(job.task_count(), 6);
         assert_eq!(job.edges().len(), 8);
         assert_eq!(job.entry_tasks().collect::<Vec<_>>(), vec![TaskId::new(0)]);
-        assert_eq!(job.exit_tasks().collect::<Vec<_>>(), vec![TaskId::new(5)]);
+        assert_eq!(job.successors(TaskId::new(5)).count(), 0, "P6 is the exit");
         assert_eq!(
             job.predecessors(TaskId::new(5)).collect::<Vec<_>>(),
             vec![TaskId::new(3), TaskId::new(4)]
@@ -535,16 +493,9 @@ mod tests {
             |e| SimDuration::from_ticks((e.volume().units() / 5.0).ceil() as u64),
         );
         assert_eq!(lp.total.ticks(), 12);
-        let chain = lp.critical_chain();
-        assert_eq!(
-            chain,
-            vec![
-                TaskId::new(0),
-                TaskId::new(1),
-                TaskId::new(3),
-                TaskId::new(5)
-            ]
-        );
+        // P1, P2, P4, P6 finish at 2, 2 + 1 + 3, 6 + 1 + 2, 9 + 1 + 2.
+        let finish = [0, 1, 3, 5].map(|i| lp.finish[i].ticks());
+        assert_eq!(finish, [2, 6, 9, 12]);
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub mod timetable;
 pub mod volume;
 pub mod window;
 
-pub use availability::{AvailabilitySnapshot, PlanConflict, ProbeConfig, TimetableOverlay};
+pub use availability::{AvailabilitySnapshot, PlanConflict, TimetableOverlay};
 pub use estimate::{EstimateScenario, ScenarioSweep};
 pub use gap_index::GapIndex;
 pub use ids::{DataId, DomainId, GlobalTaskId, JobId, NodeId, TaskId};

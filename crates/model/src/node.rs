@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use crate::availability::ProbeConfig;
 use crate::ids::{DomainId, NodeId};
 use crate::perf::{Perf, PerfGroup};
 use crate::timetable::Timetable;
@@ -82,9 +81,6 @@ pub struct ResourcePool {
     /// per-domain allocation can enumerate domains without a per-call
     /// scan.
     domains: Vec<DomainId>,
-    /// How snapshots of this pool probe: fixed into every capture, copied
-    /// by `Clone`.
-    probe: ProbeConfig,
 }
 
 impl ResourcePool {
@@ -172,26 +168,9 @@ impl ResourcePool {
         }
     }
 
-    /// The probe configuration every capture of this pool is taken under.
-    #[must_use]
-    pub fn probe_config(&self) -> ProbeConfig {
-        self.probe
-    }
-
-    /// Sets the probe configuration for later captures; snapshots already
-    /// taken keep the one they were captured with.
-    pub fn set_probe_config(&mut self, probe: ProbeConfig) {
-        self.probe = probe;
-    }
-
     /// Iterates over the nodes of one domain.
     pub fn in_domain(&self, domain: DomainId) -> impl Iterator<Item = &Node> {
         self.nodes.iter().filter(move |n| n.domain == domain)
-    }
-
-    /// Iterates over the nodes of one performance group.
-    pub fn in_group(&self, group: PerfGroup) -> impl Iterator<Item = &Node> {
-        self.nodes.iter().filter(move |n| n.group() == group)
     }
 
     /// The distinct domain ids present, ascending.
@@ -206,12 +185,6 @@ impl ResourcePool {
     #[must_use]
     pub fn domain_registry(&self) -> &[DomainId] {
         &self.domains
-    }
-
-    /// Number of distinct domains.
-    #[must_use]
-    pub fn domain_count(&self) -> usize {
-        self.domains.len()
     }
 
     /// The highest performance in the pool.
@@ -289,7 +262,11 @@ mod tests {
     #[test]
     fn group_and_domain_filters() {
         let pool = pool_with(&[1.0, 0.5, 0.33, 0.9]);
-        let fast: Vec<NodeId> = pool.in_group(PerfGroup::Fast).map(Node::id).collect();
+        let fast: Vec<NodeId> = pool
+            .nodes()
+            .filter(|n| n.group() == PerfGroup::Fast)
+            .map(Node::id)
+            .collect();
         assert_eq!(fast, vec![NodeId::new(0), NodeId::new(3)]);
         let d0: Vec<NodeId> = pool.in_domain(DomainId::new(0)).map(Node::id).collect();
         assert_eq!(d0, vec![NodeId::new(0), NodeId::new(2)]);
@@ -298,7 +275,6 @@ mod tests {
             pool.domain_registry(),
             &[DomainId::new(0), DomainId::new(1)]
         );
-        assert_eq!(pool.domain_count(), 2);
     }
 
     #[test]

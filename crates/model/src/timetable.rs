@@ -27,7 +27,6 @@
 
 use std::cmp::Ordering;
 use std::fmt;
-use std::ops::ControlFlow;
 use std::sync::{Arc, OnceLock};
 
 use gridsched_sim::time::{SimDuration, SimTime};
@@ -229,46 +228,68 @@ fn reservations_from(chunks: &[Arc<Chunk>], (c, k): Pos) -> impl Iterator<Item =
 }
 
 /// A forward walk over a chunk list's windows: the current chunk's
-/// slice, the offset in it and the chunks after it. Stepping is a slice
-/// index, and crossing into the next chunk one compare more.
+/// number and slice and the offset in it. Stepping is a slice index, and
+/// crossing into the next chunk one compare more. At the end the walk
+/// stands at `(chunk count, 0)` on an empty slice.
 #[derive(Debug, Clone)]
 pub(crate) struct Walk<'a> {
+    chunks: &'a [Arc<Chunk>],
+    c: usize,
     cur: &'a [TimeWindow],
-    at: usize,
-    rest: &'a [Arc<Chunk>],
+    k: usize,
 }
 
 impl<'a> Walk<'a> {
     fn new(chunks: &'a [Arc<Chunk>], (c, k): Pos) -> Self {
-        match chunks.get(c) {
-            Some(ch) => Walk {
-                cur: &ch.windows,
-                at: k,
-                rest: &chunks[c + 1..],
-            },
-            None => Walk {
-                cur: &[],
-                at: 0,
-                rest: &[],
-            },
+        Walk {
+            chunks,
+            c,
+            cur: chunks.get(c).map_or(&[], |ch| &ch.windows),
+            k,
         }
     }
 
     /// The window at the walk's position, if any is left.
     pub(crate) fn peek(&self) -> Option<TimeWindow> {
-        self.cur.get(self.at).copied()
+        self.cur.get(self.k).copied()
     }
 
     /// Steps past the current window.
-    pub(crate) fn advance(&mut self) {
-        self.at += 1;
-        if self.at == self.cur.len() {
-            if let Some((next, rest)) = self.rest.split_first() {
-                self.cur = &next.windows;
-                self.rest = rest;
-                self.at = 0;
-            }
+    fn advance(&mut self) {
+        self.k += 1;
+        if self.k == self.cur.len() {
+            *self = Walk::new(self.chunks, (self.c + 1, 0));
         }
+    }
+
+    /// Steps past the current window, which blocks a probe for
+    /// `duration`, and past each following window of the same chunk that
+    /// blocks it in turn: one that starts less than `duration` after the
+    /// end before it and before `stop`, where another window list cuts
+    /// in. Stops early at an end too late for a start there to meet
+    /// `deadline`. Returns the last end crossed, where a window by window
+    /// walk would stand.
+    #[inline]
+    pub(crate) fn cross_run(
+        &mut self,
+        duration: SimDuration,
+        deadline: SimTime,
+        stop: SimTime,
+    ) -> SimTime {
+        let ws = self.cur;
+        let mut end = ws[self.k].end();
+        while let Some(next) = ws.get(self.k + 1) {
+            if end.saturating_add(duration) > deadline
+                || next.start() >= stop
+                || next.start() >= end.saturating_add(duration)
+            {
+                break;
+            }
+            self.k += 1;
+            end = next.end();
+        }
+        self.advance();
+        end
     }
 }
 
@@ -357,20 +378,6 @@ impl NodeCalendar {
             + self.index.approx_bytes()
     }
 
-    /// The earliest start `s >= not_before` such that `[s, s + duration)`
-    /// avoids every frozen window and ends no later than `deadline`,
-    /// through the gap index: the same answer as
-    /// [`Timetable::earliest_fit`] on the timetable it was frozen from.
-    #[must_use]
-    pub fn earliest_fit(
-        &self,
-        not_before: SimTime,
-        duration: SimDuration,
-        deadline: SimTime,
-    ) -> Option<SimTime> {
-        self.earliest_fit_at(self.seek(not_before), not_before, duration, deadline)
-    }
-
     /// The position of the first window ending after `t`, by bisection.
     pub(crate) fn seek(&self, t: SimTime) -> Pos {
         seek(&self.chunks, t)
@@ -409,106 +416,39 @@ impl NodeCalendar {
         Walk::new(&self.chunks, at)
     }
 
-    /// [`NodeCalendar::earliest_fit`] with the seek already done: `at`
-    /// must be the position of the first window ending after
-    /// `not_before`.
+    /// The chunk skip of a probe for `duration` whose walk is blocked
+    /// by the window it stands on.
     ///
-    /// Bit-identical to the linear jump-walk: the walk's answer is
-    /// `not_before` itself (when the first window ending after it starts
-    /// late enough), or the end of the first window at or after `at`
-    /// whose gap to the next window holds `duration`, or the end of the
-    /// last window. The walk's per-step deadline exit equals one final
-    /// check because candidates only move forward, so the search may also
-    /// stop as soon as a window ends too late for a start after it to
-    /// meet the deadline: the final check would refuse whatever it found.
-    pub(crate) fn earliest_fit_at(
-        &self,
-        at: Pos,
-        not_before: SimTime,
+    /// When no gap after a window of the walk's chunk holds `duration`
+    /// (the chunk's leaf is narrower), every window from the walk's
+    /// position to the chunk's end blocks the probe in turn, and so do
+    /// the windows of each following chunk with as narrow a leaf, up to
+    /// the first window of the first chunk whose leaf fits: a window by
+    /// window walk would stand at the last end before that chunk. The
+    /// skip moves the walk to that chunk in one gap-index search and
+    /// returns that end. The search stops at a chunk whose first window
+    /// ends too late for a start after it to meet `deadline`; the walk
+    /// then goes to the calendar's end, whose last end fails the
+    /// deadline too. `None`, with the walk left in place, when the
+    /// chunk's leaf fits.
+    #[inline]
+    pub(crate) fn skip_packed<'a>(
+        &'a self,
+        walk: &mut Walk<'a>,
         duration: SimDuration,
         deadline: SimTime,
     ) -> Option<SimTime> {
-        debug_assert_eq!(
-            at,
-            self.seek(not_before),
-            "`at` is not the first window ending after `not_before`"
-        );
-        if duration.is_zero() {
-            return Some(not_before);
+        let need = duration.ticks();
+        if self.index.gap(walk.c) >= need {
+            return None;
         }
-        let (c, k) = at;
-        let candidate = match self.chunks.get(c) {
-            None => not_before,
-            Some(ch) if ch.windows[k].start() >= not_before.saturating_add(duration) => not_before,
-            Some(_) => {
-                let past = |end: SimTime| end.saturating_add(duration) > deadline;
-                self.first_wide_gap(at, duration.ticks(), past)
-                    .unwrap_or_else(|| self.ends[self.ends.len() - 1].1)
-            }
-        };
-        let end = candidate.saturating_add(duration);
-        (end <= deadline).then_some(candidate)
-    }
-
-    /// The end of the first window at or after `(c, k)` whose gap to the
-    /// next window is at least `need` ticks. `None` if no such gap lies
-    /// before the trailing one or a window `past` holds for comes first.
-    ///
-    /// Scans the rest of chunk `c` if its leaf fits, then climbs the index
-    /// to the first later chunk whose leaf fits and scans that one: at
-    /// most two chunk scans and one O(log(R/B)) search.
-    fn first_wide_gap(
-        &self,
-        (c, k): Pos,
-        need: u64,
-        past: impl Fn(SimTime) -> bool,
-    ) -> Option<SimTime> {
-        if self.index.gap(c) >= need {
-            if let ControlFlow::Break(found) = self.scan(c, k, need, &past) {
-                return found;
-            }
-        }
-        let c = self
+        let past = |c: usize| self.ends[c].0.saturating_add(duration) > deadline;
+        let next = self
             .index
-            .first_gap_at_least(c + 1, need, |c| past(self.ends[c].0))?;
-        // The leaf fits, so the scan from the chunk's start finds its gap
-        // unless the deadline stops it first.
-        self.scan(c, 0, need, &past).break_value().flatten()
-    }
-
-    /// Scans chunk `c` from offset `k`: breaks with the end of the first
-    /// window whose following gap holds `need` ticks, or with `None` at a
-    /// window `past` holds for or at the last window of the calendar;
-    /// continues if no gap after a window of this chunk fits.
-    fn scan(
-        &self,
-        c: usize,
-        k: usize,
-        need: u64,
-        past: impl Fn(SimTime) -> bool,
-    ) -> ControlFlow<Option<SimTime>> {
-        let ws = &self.chunks[c].windows[k..];
-        for pair in ws.windows(2) {
-            let end = pair[0].end();
-            if past(end) {
-                return ControlFlow::Break(None);
-            }
-            if pair[1].start().ticks() - end.ticks() >= need {
-                return ControlFlow::Break(Some(end));
-            }
-        }
-        let end = ws[ws.len() - 1].end();
-        if past(end) {
-            return ControlFlow::Break(None);
-        }
-        match self.chunks.get(c + 1) {
-            // The calendar's last window: only the trailing gap is left.
-            None => ControlFlow::Break(None),
-            Some(next) if next.windows[0].start().ticks() - end.ticks() >= need => {
-                ControlFlow::Break(Some(end))
-            }
-            Some(_) => ControlFlow::Continue(()),
-        }
+            .first_gap_at_least(walk.c + 1, need, past)
+            .unwrap_or(self.chunks.len());
+        *walk = self.walk((next, 0));
+        Some(self.ends[next - 1].1)
     }
 }
 
@@ -1265,10 +1205,7 @@ mod tests {
         let cal = Arc::clone(tt.calendar_tracked(&mut froze));
         assert!(froze);
         assert_eq!(cal.index.gap_count(), 1, "one leaf per chunk");
-        assert_eq!(
-            cal.earliest_fit(SimTime::ZERO, SimDuration::from_ticks(3), SimTime::MAX),
-            Some(SimTime::from_ticks(2))
-        );
+        assert_eq!(cal.index.gap(0), 3, "the leaf is the chunk's widest gap");
         let mut again = false;
         assert!(Arc::ptr_eq(tt.calendar_tracked(&mut again), &cal));
         assert!(!again, "a second capture reuses the calendar and its index");

@@ -76,12 +76,6 @@ impl TimeWindow {
         self.start < other.end && other.start < self.end
     }
 
-    /// Whether `other` lies entirely inside `self`.
-    #[must_use]
-    pub fn encloses(self, other: TimeWindow) -> bool {
-        self.start <= other.start && other.end <= self.end
-    }
-
     /// The overlap of two windows, if non-empty.
     #[must_use]
     pub fn intersect(self, other: TimeWindow) -> Option<TimeWindow> {
@@ -92,15 +86,6 @@ impl TimeWindow {
             other.end
         };
         TimeWindow::new(start, end).ok()
-    }
-
-    /// Shifts the window later by `delay`.
-    #[must_use]
-    pub fn shifted_by(self, delay: SimDuration) -> TimeWindow {
-        TimeWindow {
-            start: self.start + delay,
-            end: self.end + delay,
-        }
     }
 }
 
@@ -171,14 +156,6 @@ mod tests {
         assert_eq!(w(0, 10).intersect(w(5, 15)), Some(w(5, 10)));
         assert_eq!(w(0, 10).intersect(w(10, 20)), None);
         assert_eq!(w(2, 4).intersect(w(0, 10)), Some(w(2, 4)));
-    }
-
-    #[test]
-    fn enclosure_and_shift() {
-        assert!(w(0, 10).encloses(w(2, 8)));
-        assert!(w(0, 10).encloses(w(0, 10)));
-        assert!(!w(0, 10).encloses(w(2, 11)));
-        assert_eq!(w(2, 4).shifted_by(SimDuration::from_ticks(3)), w(5, 7));
     }
 
     #[test]

@@ -12,13 +12,15 @@
 //! - calendars captured between writes keep their windows;
 //! - a capture after one `reserve` shares every chunk but the touched
 //!   one with the capture before it;
-//! - indexed probes equal the linear walk, on random calendars and at
-//!   1, B − 1, B, B + 1 and 100k windows.
+//! - overlay probes, whose walk crosses packed chunks through the
+//!   calendar's gap index, equal the linear walk and the cold flat
+//!   index, on random calendars and at 1, B − 1, B, B + 1, 2B + 1 and
+//!   100k windows.
 
 use std::cell::Cell;
 use std::sync::Arc;
 
-use gridsched_model::availability::{ProbeConfig, TimetableOverlay};
+use gridsched_model::availability::TimetableOverlay;
 use gridsched_model::gap_index::GapIndex;
 use gridsched_model::ids::{DomainId, GlobalTaskId, JobId, NodeId, TaskId};
 use gridsched_model::node::ResourcePool;
@@ -110,6 +112,15 @@ fn rows(tt: &Timetable) -> Vec<Row> {
 /// A reservation id's number, read through its `r{n}` display form.
 fn id_of(id: gridsched_model::timetable::ReservationId) -> u64 {
     id.to_string()[1..].parse().expect("ids display as r<n>")
+}
+
+/// An overlay with no tentative windows over a one-node pool holding a
+/// copy of `tt` (sharing its chunks).
+fn overlay_of(tt: &Timetable) -> (TimetableOverlay, NodeId) {
+    let mut pool = ResourcePool::new();
+    let node = pool.add_node(DomainId::new(0), Perf::FULL);
+    *pool.timetable_mut(node) = tt.clone();
+    (TimetableOverlay::new(pool.snapshot()), node)
 }
 
 fn freeze(tt: &Timetable) -> Arc<NodeCalendar> {
@@ -231,13 +242,14 @@ fn random_writes_match_a_flat_reference() {
             }
             let reference = flat.windows();
             let index = GapIndex::build(&reference);
+            let (overlay, node) = overlay_of(&tt);
             for _ in 0..4 {
                 let (not_before, duration, deadline) = gen_probe(g);
                 let want = index.earliest_fit(&reference, not_before, duration, deadline);
                 assert_eq!(
-                    calendar.earliest_fit(not_before, duration, deadline),
+                    overlay.earliest_fit(node, not_before, duration, deadline),
                     want,
-                    "indexed probe ({not_before}, {duration}, {deadline})"
+                    "overlay probe ({not_before}, {duration}, {deadline})"
                 );
                 assert_eq!(
                     tt.earliest_fit(not_before, duration, deadline),
@@ -319,8 +331,8 @@ fn packed(n: usize, g: &mut Gen) -> (Timetable, Vec<TimeWindow>, u64) {
     (tt, windows, end)
 }
 
-/// Indexed probes — the frozen calendar on its own and through overlays
-/// with and without tentative windows — equal the linear walk at the
+/// Overlay probes, with and without tentative windows, equal the linear
+/// walk over the materialized union and the cold flat index at the
 /// chunk-boundary sizes 1, B − 1, B, B + 1, 2B + 1, for packed chunks
 /// (the bulk path) and for chunks left half full by splits (one reserve
 /// per window, in random order).
@@ -341,22 +353,18 @@ fn indexed_probes_match_the_linear_walk_at_chunk_boundaries() {
                     .expect("the windows are disjoint");
             }
             for tt in [bulk, split] {
-                let mut indexed = ResourcePool::new();
-                indexed.set_probe_config(ProbeConfig { index_floor: 0 });
-                let node = indexed.add_node(DomainId::new(0), Perf::FULL);
-                *indexed.timetable_mut(node) = tt.clone();
-                let mut linear = indexed.clone();
-                linear.set_probe_config(ProbeConfig {
-                    index_floor: usize::MAX,
-                });
-                let calendar = freeze(&tt);
-                let mut on = TimetableOverlay::new(indexed.snapshot());
-                let mut off = TimetableOverlay::new(linear.snapshot());
+                let (bare, node) = overlay_of(&tt);
+                let (mut on, _) = overlay_of(&tt);
+                let mut union = tt.clone();
                 for _ in 0..3 {
                     let start = g.u64_in(0, end + 5);
                     let w = win(start, start + g.u64_in(1, 4));
-                    assert_eq!(on.reserve_window(node, w), off.reserve_window(node, w));
+                    let ok = on.reserve_window(node, w).is_ok();
+                    let union_ok = union.reserve(w, ReservationOwner::Background(0)).is_ok();
+                    assert_eq!(ok, union_ok, "reserve {w}");
                 }
+                let flat: Vec<TimeWindow> = union.iter().map(|r| r.window()).collect();
+                let cold = GapIndex::build(&flat);
                 for _ in 0..24 {
                     let not_before = SimTime::from_ticks(g.u64_in(0, end + 5));
                     let duration = SimDuration::from_ticks(g.u64_in(1, 14));
@@ -367,18 +375,22 @@ fn indexed_probes_match_the_linear_walk_at_chunk_boundaries() {
                     };
                     let probe = format!("n={n} probe=({not_before}, {duration}, {deadline})");
                     assert_eq!(
-                        calendar.earliest_fit(not_before, duration, deadline),
+                        bare.earliest_fit(node, not_before, duration, deadline),
                         tt.earliest_fit(not_before, duration, deadline),
                         "{probe}"
                     );
+                    let answer = on.earliest_fit(node, not_before, duration, deadline);
                     assert_eq!(
-                        on.earliest_fit(node, not_before, duration, deadline),
-                        off.earliest_fit(node, not_before, duration, deadline),
+                        answer,
+                        union.earliest_fit(not_before, duration, deadline),
+                        "{probe}"
+                    );
+                    assert_eq!(
+                        answer,
+                        cold.earliest_fit(&flat, not_before, duration, deadline),
                         "{probe}"
                     );
                 }
-                assert_eq!(on.take_index_stats().bypasses, 0);
-                assert_eq!(off.take_index_stats().seeks, 0);
             }
         }
     });
@@ -391,8 +403,9 @@ fn indexed_probes_match_the_linear_walk_at_chunk_boundaries() {
 fn indexed_probes_match_the_linear_walk_at_100k_windows() {
     check(2, |g| {
         let (tt, windows, end) = packed(100_000, g);
-        let calendar = freeze(&tt);
-        assert_eq!(calendar.len(), windows.len());
+        let (overlay, node) = overlay_of(&tt);
+        assert_eq!(overlay.base().calendar(node).len(), windows.len());
+        let cold = GapIndex::build(&windows);
         let max_gap = windows
             .windows(2)
             .map(|p| p[1].start().ticks() - p[0].end().ticks())
@@ -413,10 +426,17 @@ fn indexed_probes_match_the_linear_walk_at_100k_windows() {
             } else {
                 SimTime::from_ticks(g.u64_in(0, end + 100))
             };
+            let answer = overlay.earliest_fit(node, not_before, duration, deadline);
+            let probe = format!("probe=({not_before}, {duration}, {deadline})");
             assert_eq!(
-                calendar.earliest_fit(not_before, duration, deadline),
+                answer,
                 tt.earliest_fit(not_before, duration, deadline),
-                "probe=({not_before}, {duration}, {deadline})"
+                "{probe}"
+            );
+            assert_eq!(
+                answer,
+                cold.earliest_fit(&windows, not_before, duration, deadline),
+                "{probe}"
             );
         }
     });
@@ -476,7 +496,6 @@ fn cursor_seeks_cross_chunks_both_ways() {
     check(64, |g| {
         let (tt, _, end) = packed(g.usize_in(1, 5 * CHUNK_CAPACITY), g);
         let mut pool = ResourcePool::new();
-        pool.set_probe_config(ProbeConfig { index_floor: 0 });
         let node: NodeId = pool.add_node(DomainId::new(0), Perf::FULL);
         *pool.timetable_mut(node) = tt;
         let snapshot = pool.snapshot();

@@ -1,14 +1,16 @@
-//! Differential property suite for the gap-indexed probe path.
+//! Differential property suite for gap-indexed probes.
 //!
-//! The DESIGN.md §9 contract: every query answered through a snapshot's
+//! The DESIGN.md §9 contract: every query answered with the help of a
 //! [`GapIndex`] is **bit-identical** to the linear reference — the
-//! [`Timetable`] jump-walk for base-only probes, a materialized
-//! base + tentative [`Timetable`] for overlay probes. These tests pin
-//! that contract on random reservation sets, including the degenerate
-//! shapes (empty calendars, fully packed touching windows, zero
-//! durations, clipped deadlines) where off-by-one descent bugs live.
+//! [`Timetable`] jump-walk for the flat index over one list, a
+//! materialized base + tentative [`Timetable`] for overlay probes, whose
+//! walk crosses packed chunks through the calendar's index. These tests
+//! pin that contract on random reservation sets, including the
+//! degenerate shapes (empty calendars, fully packed touching windows,
+//! zero durations, clipped deadlines) where off-by-one descent bugs
+//! live.
 
-use gridsched_model::availability::{ProbeConfig, TimetableOverlay};
+use gridsched_model::availability::TimetableOverlay;
 use gridsched_model::gap_index::GapIndex;
 use gridsched_model::ids::{DomainId, NodeId};
 use gridsched_model::node::ResourcePool;
@@ -36,10 +38,9 @@ fn gen_timetable(g: &mut Gen, max_attempts: usize) -> Timetable {
     tt
 }
 
-/// A one-node pool holding `timetable`, probing under `index_floor`.
-fn one_node_pool(timetable: Timetable, index_floor: usize) -> (ResourcePool, NodeId) {
+/// A one-node pool holding `timetable`.
+fn one_node_pool(timetable: Timetable) -> (ResourcePool, NodeId) {
     let mut pool = ResourcePool::new();
-    pool.set_probe_config(ProbeConfig { index_floor });
     let node = pool.add_node(DomainId::new(0), Perf::FULL);
     *pool.timetable_mut(node) = timetable;
     (pool, node)
@@ -152,15 +153,13 @@ fn index_seek_matches_linear_reference() {
     });
 }
 
-/// The hybrid indexed walk (base index proposes, tentative windows veto)
-/// equals a materialized timetable holding the union of both layers.
+/// The overlay's walk over base and tentative windows equals a
+/// materialized timetable holding the union of both layers.
 #[test]
 fn overlay_hybrid_probes_match_materialized_union() {
     check(512, |g| {
         let base = gen_timetable(g, 39);
-        // The generated calendars are far below the default engagement
-        // floor; force the indexed path so the differential bites.
-        let (pool, node) = one_node_pool(base.clone(), 0);
+        let (pool, node) = one_node_pool(base.clone());
         let mut overlay = TimetableOverlay::new(pool.snapshot());
         let mut union = base;
         for w in g.vec_of(0, 9, gen_window) {
@@ -186,7 +185,7 @@ fn overlay_hybrid_probes_match_materialized_union() {
 #[test]
 fn index_survives_reserves_and_reset() {
     check(256, |g| {
-        let (mut pool, node) = one_node_pool(gen_timetable(g, 29), 0);
+        let (mut pool, node) = one_node_pool(gen_timetable(g, 29));
         let mut overlay = TimetableOverlay::new(pool.snapshot());
         let mut held: Vec<TimeWindow> = Vec::new();
         for _ in 0..12 {
@@ -238,55 +237,17 @@ fn index_survives_reserves_and_reset() {
     });
 }
 
-/// The engagement floor never changes an answer — only which internal
-/// path produced it. Two equal pools, one indexing every calendar and one
-/// never indexing, accept the same tentative windows and answer every
-/// probe alike.
-#[test]
-fn toggle_off_is_observationally_identical() {
-    check(128, |g| {
-        let timetable = gen_timetable(g, 39);
-        let (on_pool, node) = one_node_pool(timetable.clone(), 0);
-        let (off_pool, _) = one_node_pool(timetable, usize::MAX);
-        let mut on = TimetableOverlay::new(on_pool.snapshot());
-        let mut off = TimetableOverlay::new(off_pool.snapshot());
-        for w in g.vec_of(0, 5, gen_window) {
-            assert_eq!(
-                on.reserve_window(node, w).is_ok(),
-                off.reserve_window(node, w).is_ok(),
-                "accept/reject parity for {w}"
-            );
-        }
-        let probes: Vec<_> = (0..6).map(|_| gen_probe(g)).collect();
-        let on_answers: Vec<_> = probes
-            .iter()
-            .map(|&(nb, d, dl)| on.earliest_fit(node, nb, d, dl))
-            .collect();
-        let off_answers: Vec<_> = probes
-            .iter()
-            .map(|&(nb, d, dl)| off.earliest_fit(node, nb, d, dl))
-            .collect();
-        assert_eq!(on_answers, off_answers, "probes={probes:?}");
-        // Each snapshot kept the path its pool picked.
-        assert_eq!(on.take_index_stats().bypasses, 0, "floor 0 always seeks");
-        assert_eq!(off.take_index_stats().seeks, 0, "floor MAX never seeks");
-    });
-}
-
-/// The indexed probe resumes its seek from the node's cursor. On
-/// query sequences whose `not_before` moves forward and backward,
-/// interleaved with tentative reserves, every answer of a
-/// warm indexed overlay equals the linear merged walk of a warm overlay
-/// that never indexes, and a cold `GapIndex::earliest_fit` over the
-/// materialized union of base and tentative windows.
+/// The probe resumes its seek from the node's cursor. On query
+/// sequences whose `not_before` moves forward and backward, interleaved
+/// with tentative reserves, every answer of a warm overlay equals the
+/// linear walk over the materialized union of base and tentative
+/// windows, and a cold `GapIndex::earliest_fit` over that union.
 #[test]
 fn cursor_resumed_probes_match_linear_walk_and_cold_index() {
     check(256, |g| {
         let base = gen_timetable(g, 39);
-        let (indexed_pool, node) = one_node_pool(base.clone(), 0);
-        let (linear_pool, _) = one_node_pool(base.clone(), usize::MAX);
-        let mut indexed = TimetableOverlay::new(indexed_pool.snapshot());
-        let mut linear = TimetableOverlay::new(linear_pool.snapshot());
+        let (pool, node) = one_node_pool(base.clone());
+        let mut overlay = TimetableOverlay::new(pool.snapshot());
         let mut union = base;
         let mut held: Vec<TimeWindow> = Vec::new();
         let mut not_before = g.u64_in(0, 300);
@@ -294,9 +255,7 @@ fn cursor_resumed_probes_match_linear_walk_and_cold_index() {
             match g.usize_in(0, 5) {
                 0 | 1 => {
                     let w = gen_window(g);
-                    let ok = indexed.reserve_window(node, w).is_ok();
-                    assert_eq!(ok, linear.reserve_window(node, w).is_ok(), "reserve {w}");
-                    if ok {
+                    if overlay.reserve_window(node, w).is_ok() {
                         union
                             .reserve(w, ReservationOwner::Background(1_000))
                             .expect("the overlay accepted it");
@@ -322,24 +281,15 @@ fn cursor_resumed_probes_match_linear_walk_and_cold_index() {
                         .earliest_fit(&windows, not_before, duration, deadline);
                     let probe =
                         format!("probe=({not_before}, {duration}, {deadline}) held={held:?}");
+                    let answer = overlay.earliest_fit(node, not_before, duration, deadline);
+                    assert_eq!(answer, cold, "overlay vs cold index, {probe}");
                     assert_eq!(
-                        indexed.earliest_fit(node, not_before, duration, deadline),
-                        cold,
-                        "indexed vs cold index, {probe}"
-                    );
-                    assert_eq!(
-                        linear.earliest_fit(node, not_before, duration, deadline),
-                        cold,
-                        "linear vs cold index, {probe}"
+                        answer,
+                        union.earliest_fit(not_before, duration, deadline),
+                        "overlay vs linear walk, {probe}"
                     );
                 }
             }
         }
-        assert_eq!(
-            indexed.take_index_stats().bypasses,
-            0,
-            "floor 0 always seeks"
-        );
-        assert_eq!(linear.take_index_stats().seeks, 0, "floor MAX never seeks");
     });
 }

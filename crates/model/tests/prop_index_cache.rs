@@ -11,7 +11,8 @@
 
 use std::sync::Arc;
 
-use gridsched_model::availability::{ProbeConfig, TimetableOverlay};
+use gridsched_model::availability::TimetableOverlay;
+use gridsched_model::gap_index::GapIndex;
 use gridsched_model::ids::{DomainId, GlobalTaskId, JobId, NodeId, TaskId};
 use gridsched_model::node::ResourcePool;
 use gridsched_model::perf::Perf;
@@ -48,13 +49,6 @@ fn gen_probe(g: &mut Gen) -> (SimTime, SimDuration, SimTime) {
         SimTime::from_ticks(g.u64_in(0, 500))
     };
     (not_before, duration, deadline)
-}
-
-/// An empty pool that engages the gap index on every calendar.
-fn indexed_pool() -> ResourcePool {
-    let mut pool = ResourcePool::new();
-    pool.set_probe_config(ProbeConfig { index_floor: 0 });
-    pool
 }
 
 fn win(a: u64, b: u64) -> TimeWindow {
@@ -191,7 +185,7 @@ fn clone_starts_with_a_cold_calendar() {
 /// while untouched neighbours keep sharing.
 #[test]
 fn warm_capture_shares_calendars_and_builds_once() {
-    let mut pool = indexed_pool();
+    let mut pool = ResourcePool::new();
     let hot = pool.add_node(DomainId::new(0), Perf::FULL);
     let still = pool.add_node(DomainId::new(0), Perf::FULL);
     for i in 0..40u64 {
@@ -260,7 +254,7 @@ fn warm_capture_shares_calendars_and_builds_once() {
 /// it either, it is freed.
 #[test]
 fn a_mutation_releases_that_nodes_frozen_calendar() {
-    let mut pool = indexed_pool();
+    let mut pool = ResourcePool::new();
     let hot = pool.add_node(DomainId::new(0), Perf::FULL);
     let still = pool.add_node(DomainId::new(0), Perf::FULL);
     for i in 0..30u64 {
@@ -299,7 +293,7 @@ fn a_mutation_releases_that_nodes_frozen_calendar() {
 #[test]
 fn capture_through_cache_never_serves_stale_state() {
     check(96, |g| {
-        let mut pool = indexed_pool();
+        let mut pool = ResourcePool::new();
         let n = g.u64_in(1, 4) as usize;
         let nodes: Vec<NodeId> = (0..n)
             .map(|_| pool.add_node(DomainId::new(0), Perf::FULL))
@@ -354,6 +348,7 @@ fn capture_through_cache_never_serves_stale_state() {
                 );
                 let overlay = TimetableOverlay::new(snap.clone());
                 let cold_overlay = TimetableOverlay::new(cold.clone());
+                let flat = GapIndex::build(&live);
                 for _ in 0..4 {
                     let (not_before, duration, deadline) = gen_probe(g);
                     let answer = overlay.earliest_fit(node, not_before, duration, deadline);
@@ -367,6 +362,11 @@ fn capture_through_cache_never_serves_stale_state() {
                         pool.timetable(node)
                             .earliest_fit(not_before, duration, deadline),
                         "warm capture answers like the live timetable"
+                    );
+                    assert_eq!(
+                        answer,
+                        flat.earliest_fit(&live, not_before, duration, deadline),
+                        "warm capture answers like the cold flat index"
                     );
                 }
             }

@@ -7,7 +7,7 @@
 //! clones; it now plans against copy-on-write overlays, and bit-identical
 //! strategies require bit-identical availability answers.
 
-use gridsched_model::availability::{ProbeConfig, TimetableOverlay};
+use gridsched_model::availability::TimetableOverlay;
 use gridsched_model::ids::{DomainId, NodeId};
 use gridsched_model::node::ResourcePool;
 use gridsched_model::perf::Perf;
@@ -164,56 +164,100 @@ fn warm_queries_match_cold_recompute_after_reserve_interleavings() {
     });
 }
 
-/// The node cursor both probe paths resume from is invisible: with the
-/// gap index engaged on every calendar and with it never engaged, a warm
-/// overlay answers `earliest_fit` and `first_conflict` exactly like the
-/// materialized clone, on query sequences whose `not_before` moves
-/// forward and backward, interleaved with `reserve_window`.
+/// A dense calendar of many chunks: short windows mostly 0–2 ticks
+/// apart, with a few wide gaps, so probes longer than the packed gaps
+/// cross whole chunks through the gap index.
+fn gen_dense(g: &mut Gen) -> Timetable {
+    let mut at = 0;
+    let batch: Vec<_> = (0..g.usize_in(130, 400))
+        .map(|i| {
+            let start = at
+                + if g.chance(0.02) {
+                    g.u64_in(5, 30)
+                } else {
+                    g.u64_in(0, 2)
+                };
+            at = start + g.u64_in(1, 4);
+            let w = TimeWindow::new(SimTime::from_ticks(start), SimTime::from_ticks(at))
+                .expect("len >= 1");
+            (w, ReservationOwner::Background(i as u64))
+        })
+        .collect();
+    Timetable::from_sorted(batch)
+}
+
+/// The node cursor the probe walk resumes from is invisible on both paths
+/// a probe takes through a calendar: the plain walk over a sparse
+/// one-chunk calendar, and the chunk skip over a dense calendar of many
+/// packed chunks. A warm overlay answers `earliest_fit` and
+/// `first_conflict` exactly like the materialized clone, on query
+/// sequences whose `not_before` moves forward and backward, interleaved
+/// with `reserve_window`.
 #[test]
 fn cursor_survives_backward_queries_and_mutations_on_both_paths() {
     check(128, |g| {
-        for index_floor in [0, usize::MAX] {
+        for dense in [false, true] {
             let mut pool = ResourcePool::new();
-            pool.set_probe_config(ProbeConfig { index_floor });
             let node = pool.add_node(DomainId::new(0), Perf::FULL);
-            for (i, w) in g.vec_of(0, 14, gen_window).into_iter().enumerate() {
-                let _ = pool
-                    .timetable_mut(node)
-                    .reserve(w, ReservationOwner::Background(i as u64));
+            if dense {
+                *pool.timetable_mut(node) = gen_dense(g);
+            } else {
+                for (i, w) in g.vec_of(0, 14, gen_window).into_iter().enumerate() {
+                    let _ = pool
+                        .timetable_mut(node)
+                        .reserve(w, ReservationOwner::Background(i as u64));
+                }
             }
+            // Queries and tentative windows range over the calendar.
+            let span = pool
+                .timetable(node)
+                .iter()
+                .last()
+                .map_or(200, |r| r.window().end().ticks().max(200));
+            let scale = span / 200;
             let mut clone = pool.timetable(node).clone();
             let mut overlay = TimetableOverlay::new(pool.snapshot());
-            let mut from = g.u64_in(0, 200);
+            let mut from = g.u64_in(0, span);
             for step in 0..30 {
                 match g.usize_in(0, 5) {
                     0 | 1 => {
-                        let w = gen_window(g);
+                        let start = g.u64_in(0, span);
+                        let w = TimeWindow::new(
+                            SimTime::from_ticks(start),
+                            SimTime::from_ticks(start + g.u64_in(1, 19)),
+                        )
+                        .expect("len >= 1");
                         let ok = overlay.reserve_window(node, w).is_ok();
                         let clone_ok = clone
-                            .reserve(w, ReservationOwner::Background(100 + step))
+                            .reserve(w, ReservationOwner::Background(100_000 + step))
                             .is_ok();
                         assert_eq!(ok, clone_ok, "reserve acceptance diverged on {w}");
                     }
                     _ => {
                         from = if g.chance(0.3) {
-                            from.saturating_sub(g.u64_in(0, 80))
+                            from.saturating_sub(g.u64_in(0, 80 * scale))
                         } else {
-                            from + g.u64_in(0, 25)
+                            from + g.u64_in(0, 25 * scale)
                         };
                         let f = SimTime::from_ticks(from);
                         let duration = SimDuration::from_ticks(g.u64_in(0, 25));
-                        let deadline = SimTime::from_ticks(g.u64_in(0, 400));
+                        let deadline = SimTime::from_ticks(g.u64_in(0, 2 * span));
                         assert_eq!(
                             overlay.earliest_fit(node, f, duration, deadline),
                             clone.earliest_fit(f, duration, deadline),
-                            "floor {index_floor}: earliest_fit diverged \
+                            "dense {dense}: earliest_fit diverged \
                              from={f} dur={duration} dl={deadline}"
                         );
-                        let probe = gen_window(g);
+                        let start = g.u64_in(0, span);
+                        let probe = TimeWindow::new(
+                            SimTime::from_ticks(start),
+                            SimTime::from_ticks(start + g.u64_in(1, 19)),
+                        )
+                        .expect("len >= 1");
                         assert_eq!(
                             overlay.first_conflict(node, probe),
                             clone.first_conflict(probe).map(|r| r.window()),
-                            "floor {index_floor}: first_conflict diverged on {probe}"
+                            "dense {dense}: first_conflict diverged on {probe}"
                         );
                     }
                 }

@@ -75,8 +75,6 @@ pub struct RunReport {
 pub enum StopReason {
     /// The future-event list drained.
     QueueEmpty,
-    /// The configured horizon was reached; later events remain pending.
-    HorizonReached,
     /// The configured event budget was exhausted.
     EventBudgetExhausted,
 }
@@ -114,28 +112,18 @@ pub enum StopReason {
 pub struct Engine<E> {
     queue: EventQueue<E>,
     now: SimTime,
-    horizon: SimTime,
     event_budget: u64,
 }
 
 impl<E> Engine<E> {
-    /// Creates an engine with no horizon and an effectively unlimited event
-    /// budget.
+    /// Creates an engine with an effectively unlimited event budget.
     #[must_use]
     pub fn new() -> Self {
         Engine {
             queue: EventQueue::new(),
             now: SimTime::ZERO,
-            horizon: SimTime::MAX,
             event_budget: u64::MAX,
         }
-    }
-
-    /// Limits the run to events at or before `horizon`.
-    #[must_use]
-    pub fn with_horizon(mut self, horizon: SimTime) -> Self {
-        self.horizon = horizon;
-        self
     }
 
     /// Limits the run to at most `budget` delivered events — a guard against
@@ -157,8 +145,8 @@ impl<E> Engine<E> {
         self.queue.schedule(at, event)
     }
 
-    /// Runs the event loop until the queue drains, the horizon passes, or
-    /// the event budget is exhausted.
+    /// Runs the event loop until the queue drains or the event budget is
+    /// exhausted.
     pub fn run<W: World<Event = E>>(&mut self, world: &mut W) -> RunReport {
         let mut processed: u64 = 0;
         loop {
@@ -169,25 +157,13 @@ impl<E> Engine<E> {
                     stop: StopReason::EventBudgetExhausted,
                 };
             }
-            match self.queue.peek_time() {
-                None => {
-                    return RunReport {
-                        events_processed: processed,
-                        finished_at: self.now,
-                        stop: StopReason::QueueEmpty,
-                    };
-                }
-                Some(t) if t > self.horizon => {
-                    self.now = self.horizon;
-                    return RunReport {
-                        events_processed: processed,
-                        finished_at: self.now,
-                        stop: StopReason::HorizonReached,
-                    };
-                }
-                Some(_) => {}
-            }
-            let (at, event) = self.queue.pop().expect("peeked event vanished");
+            let Some((at, event)) = self.queue.pop() else {
+                return RunReport {
+                    events_processed: processed,
+                    finished_at: self.now,
+                    stop: StopReason::QueueEmpty,
+                };
+            };
             debug_assert!(
                 at >= self.now,
                 "event queue delivered an event from the past"
@@ -270,21 +246,6 @@ mod tests {
                 (10, Tick::Ping),
             ]
         );
-    }
-
-    #[test]
-    fn horizon_stops_run() {
-        let mut engine = Engine::new().with_horizon(SimTime::from_ticks(4));
-        engine.prime(SimTime::ZERO, Tick::Ping);
-        let mut world = PingPong {
-            log: Vec::new(),
-            rounds: 100,
-        };
-        let report = engine.run(&mut world);
-        assert_eq!(report.stop, StopReason::HorizonReached);
-        assert_eq!(report.finished_at, SimTime::from_ticks(4));
-        // Only events at t=0 and t=2 fit under the horizon.
-        assert_eq!(world.log.len(), 2);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! conformed to a job structure, i.e. a task parallelism degree, and was
 //! varied from 20 to 30."
 
-use gridsched_model::availability::ProbeConfig;
 use gridsched_model::ids::DomainId;
 use gridsched_model::node::ResourcePool;
 use gridsched_model::perf::{Perf, PerfGroup};
@@ -24,9 +23,6 @@ pub struct PoolConfig {
     pub domains: u32,
     /// Share of each group `(fast, medium, slow)`; must sum to ~1.
     pub group_shares: (f64, f64, f64),
-    /// How the generated pool's snapshots probe (the gap-index floor).
-    /// Never changes a decision, only which internal path reaches it.
-    pub probe: ProbeConfig,
 }
 
 impl Default for PoolConfig {
@@ -36,7 +32,6 @@ impl Default for PoolConfig {
             nodes_max: 30,
             domains: 3,
             group_shares: (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0),
-            probe: ProbeConfig::default(),
         }
     }
 }
@@ -94,7 +89,6 @@ pub fn generate_pool(config: &PoolConfig, rng: &mut SimRng) -> ResourcePool {
     rng.shuffle(&mut perfs);
 
     let mut pool = ResourcePool::new();
-    pool.set_probe_config(config.probe);
     for (i, perf) in perfs.into_iter().enumerate() {
         let domain = DomainId::new((i as u32) % config.domains);
         pool.add_node(domain, perf);
@@ -122,7 +116,7 @@ mod tests {
         let pool = generate_pool(&PoolConfig::default(), &mut rng);
         for group in PerfGroup::ALL {
             assert!(
-                pool.in_group(group).count() > 0,
+                pool.nodes().any(|n| n.group() == group),
                 "group {group} missing from pool"
             );
         }
@@ -132,7 +126,7 @@ mod tests {
     fn slow_nodes_are_exactly_one_third_speed() {
         let mut rng = SimRng::seed_from(2);
         let pool = generate_pool(&PoolConfig::default(), &mut rng);
-        for node in pool.in_group(PerfGroup::Slow) {
+        for node in pool.nodes().filter(|n| n.group() == PerfGroup::Slow) {
             assert_eq!(node.perf().value(), 0.33);
         }
     }
