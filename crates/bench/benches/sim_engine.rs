@@ -54,9 +54,8 @@ fn main() {
     let cell = std::cell::RefCell::new(tt);
     group.bench("reserve_release_cycle", || {
         let mut tt = cell.borrow_mut();
-        let id = tt
-            .reserve(w, ReservationOwner::Background(u64::MAX))
-            .expect("free");
-        tt.release(id).expect("present");
+        let owner = ReservationOwner::Background(u64::MAX);
+        tt.reserve(w, owner).expect("free");
+        tt.release(w, owner).expect("present");
     });
 }

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 pub const DEFAULT_BUDGET: Duration = Duration::from_millis(300);
 
 /// Per-benchmark statistics, also returned to the caller so bins can
-/// post-process them (speedup ratios, JSON reports).
+/// post-process them (JSON reports).
 #[derive(Debug, Clone, Copy)]
 pub struct Stats {
     /// Timed iterations (the warm-up call is not counted).
@@ -22,15 +22,6 @@ pub struct Stats {
     pub mean: Duration,
     /// Fastest observed iteration.
     pub min: Duration,
-}
-
-impl Stats {
-    /// `self` / `other` as a throughput ratio: how many times faster
-    /// `other`'s mean iteration is than `self`'s.
-    #[must_use]
-    pub fn speedup_over(&self, other: &Stats) -> f64 {
-        self.mean.as_secs_f64() / other.mean.as_secs_f64().max(f64::EPSILON)
-    }
 }
 
 /// One benchmark group, printed as an indented block.
@@ -103,21 +94,5 @@ mod tests {
         assert!(stats.iters >= 1);
         assert!(stats.min <= stats.mean || stats.iters == 1);
         assert_eq!(g.name(), "test");
-    }
-
-    #[test]
-    fn speedup_is_a_mean_ratio() {
-        let slow = Stats {
-            iters: 1,
-            mean: Duration::from_millis(40),
-            min: Duration::from_millis(40),
-        };
-        let fast = Stats {
-            iters: 1,
-            mean: Duration::from_millis(10),
-            min: Duration::from_millis(10),
-        };
-        let ratio = slow.speedup_over(&fast);
-        assert!((ratio - 4.0).abs() < 1e-9, "got {ratio}");
     }
 }

@@ -83,11 +83,11 @@ fn decompose_remaining(
 ///
 /// The allocator optimizes [`crate::objective::Objective::MinCost`] —
 /// the paper's default criterion. Use
-/// [`PlanningSession::build_distribution_with_objective`] for the
-/// multicriteria variants.
+/// [`PlanningSession::reschedule_with_objective`] for the multicriteria
+/// variants.
 ///
-/// [`PlanningSession::build_distribution_with_objective`]:
-///     crate::session::PlanningSession::build_distribution_with_objective
+/// [`PlanningSession::reschedule_with_objective`]:
+///     crate::session::PlanningSession::reschedule_with_objective
 #[derive(Debug)]
 pub struct ScheduleRequest<'a> {
     /// The compound job.
@@ -593,7 +593,12 @@ mod tests {
         let req = request(&job, &pool, &policy);
         let cheap = session.build_distribution(&req).unwrap();
         let fast = session
-            .build_distribution_with_objective(&req, Objective::FASTEST)
+            .reschedule_with_objective(
+                &req,
+                &HashMap::new(),
+                job.absolute_deadline(),
+                Objective::FASTEST,
+            )
             .unwrap();
         assert!(
             fast.makespan() < cheap.makespan(),
@@ -618,11 +623,18 @@ mod tests {
         let req = request(&job, &pool, &policy);
         let cheap = session.build_distribution(&req).unwrap();
         let unlimited = session
-            .build_distribution_with_objective(&req, Objective::FASTEST)
+            .reschedule_with_objective(
+                &req,
+                &HashMap::new(),
+                job.absolute_deadline(),
+                Objective::FASTEST,
+            )
             .unwrap();
         let capped = session
-            .build_distribution_with_objective(
+            .reschedule_with_objective(
                 &req,
+                &HashMap::new(),
+                job.absolute_deadline(),
                 Objective::MinTime {
                     budget: Some((cheap.cost() + unlimited.cost()) / 2),
                 },
@@ -648,7 +660,12 @@ mod tests {
         let req = request(&job, &pool, &policy);
         let cheap = session.build_distribution(&req).unwrap();
         let fast = session
-            .build_distribution_with_objective(&req, Objective::FASTEST)
+            .reschedule_with_objective(
+                &req,
+                &HashMap::new(),
+                job.absolute_deadline(),
+                Objective::FASTEST,
+            )
             .unwrap();
         assert_eq!(
             fast.cost(),

@@ -249,6 +249,7 @@ impl<'p> PlanningSession<'p> {
     /// (the sequential chain heuristic can, when earlier works are packed
     /// with zero slack), the pass degrades to `MinCost` rather than fail
     /// ([`Counter::ObjectiveFallbacks`]). Under `MinCost` it is one pass.
+    /// With `fixed` empty it plans the whole job under `objective`.
     ///
     /// # Errors
     ///
@@ -276,8 +277,8 @@ impl<'p> PlanningSession<'p> {
     /// the critical works method meet `deadline` when it picks each chain's
     /// schedule under `objective`?
     ///
-    /// Unlike [`PlanningSession::build_distribution_with_objective`] this
-    /// never falls back to a `MinCost` pass when the `objective` pass
+    /// Unlike [`PlanningSession::reschedule_with_objective`] this never
+    /// falls back to a `MinCost` pass when the `objective` pass
     /// strands a critical work: the answer is the requested criterion's.
     /// The deadline is strict; a `MinTime { budget }` is not. It ranks the
     /// states of each critical work, and when no final state fits the
@@ -364,26 +365,6 @@ impl<'p> PlanningSession<'p> {
             },
         )
     }
-
-    /// [`PlanningSession::build_distribution`] under an explicit
-    /// optimization criterion: the paper's default minimizes cost;
-    /// `MinTime` buys speed, optionally capped by a per-critical-work quota
-    /// budget ("user should pay additional cost in order to … start the
-    /// task faster", §3). The `MinCost` fallback is
-    /// [`PlanningSession::reschedule_with_objective`]'s, with nothing fixed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScheduleError`] if some task cannot be placed within the
-    /// job's deadline even under `MinCost`.
-    pub fn build_distribution_with_objective(
-        &self,
-        req: &ScheduleRequest<'_>,
-        objective: Objective,
-    ) -> Result<Distribution, ScheduleError> {
-        let deadline = req.release.saturating_add(req.job.deadline());
-        self.reschedule_with_objective(req, &HashMap::new(), deadline, objective)
-    }
 }
 
 #[cfg(test)]
@@ -424,13 +405,21 @@ mod tests {
         req: &ScheduleRequest<'_>,
         fixed: &HashMap<TaskId, Placement>,
     ) -> Result<Distribution, ScheduleError> {
+        let deadline = req.release.saturating_add(req.job.deadline());
         match name {
             "build_distribution" => session.build_distribution(req),
-            "with_objective FASTEST" => {
-                session.build_distribution_with_objective(req, Objective::FASTEST)
-            }
-            "with_objective budget" => session
-                .build_distribution_with_objective(req, Objective::MinTime { budget: Some(60) }),
+            "with_objective FASTEST" => session.reschedule_with_objective(
+                req,
+                &HashMap::new(),
+                deadline,
+                Objective::FASTEST,
+            ),
+            "with_objective budget" => session.reschedule_with_objective(
+                req,
+                &HashMap::new(),
+                deadline,
+                Objective::MinTime { budget: Some(60) },
+            ),
             "in_domain" => session.build_distribution_in_domain(req, DomainId::new(1)),
             "direct" => session.build_distribution_direct(req),
             "reschedule_with_objective" => {
@@ -438,7 +427,6 @@ mod tests {
                     release: SimTime::from_ticks(3),
                     ..*req
                 };
-                let deadline = req.release.saturating_add(req.job.deadline());
                 session.reschedule_with_objective(&replan, fixed, deadline, Objective::FASTEST)
             }
             _ => unreachable!("unknown entry point {name}"),

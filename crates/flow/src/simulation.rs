@@ -29,7 +29,7 @@ use gridsched_model::ids::{GlobalTaskId, JobId, NodeId, TaskId};
 use gridsched_model::job::Job;
 use gridsched_model::node::ResourcePool;
 use gridsched_model::perf::{Perf, PerfGroup};
-use gridsched_model::timetable::{ReservationId, ReservationOwner};
+use gridsched_model::timetable::ReservationOwner;
 use gridsched_model::window::TimeWindow;
 use gridsched_sim::rng::SimRng;
 use gridsched_sim::time::{SimDuration, SimTime};
@@ -154,6 +154,10 @@ pub fn run_campaign_instrumented(config: &CampaignConfig, telemetry: &Telemetry)
 ///
 /// `pub(crate)` (with its fields) so the [`crate::simulation`] dynamics
 /// engine and the [`crate::online`] serving loop drive the same state.
+/// The job keeps no reservation handles: a pending task's reservation
+/// is its placement's window in `current` under its
+/// `ReservationOwner::Task`, and a break releases it by that pair
+/// (DESIGN.md §9 says why an exact match is enough).
 #[derive(Debug, Clone)]
 pub(crate) struct ActiveJob {
     pub(crate) record: usize,
@@ -162,8 +166,8 @@ pub(crate) struct ActiveJob {
     pub(crate) scenario: EstimateScenario,
     pub(crate) activation: SimTime,
     pub(crate) deadline_abs: SimTime,
+    /// Each task's current placement.
     pub(crate) current: HashMap<TaskId, Placement>,
-    pub(crate) reservations: HashMap<TaskId, ReservationId>,
     pub(crate) task_factors: Vec<f64>,
     /// The strategy's other supporting schedules, available for switching
     /// while no task has started yet.
@@ -452,10 +456,8 @@ impl<'a> Campaign<'a> {
             .collect();
         let reference_runtime = reference.makespan().saturating_since(release).ticks() as f64;
 
-        let mut reservations = HashMap::new();
         for p in chosen.placements() {
-            let id = self
-                .pool
+            self.pool
                 .timetable_mut(p.node)
                 .reserve(
                     p.window,
@@ -465,7 +467,6 @@ impl<'a> Campaign<'a> {
                     }),
                 )
                 .expect("activated schedule was built against current availability");
-            reservations.insert(p.task, id);
         }
 
         let record = &mut self.records[record_idx];
@@ -496,7 +497,6 @@ impl<'a> Campaign<'a> {
             activation: release,
             deadline_abs,
             current,
-            reservations,
             task_factors,
             alternatives,
             reference_starts,
@@ -642,14 +642,6 @@ impl<'a> Campaign<'a> {
             let Some(j) = self.find_live(job_id) else {
                 continue;
             };
-            // Drop the stale reservation handles the outage voided.
-            for r in &voided {
-                if let ReservationOwner::Task(gid) = r.owner() {
-                    if gid.job == job_id {
-                        self.active[j].reservations.remove(&gid.task);
-                    }
-                }
-            }
             self.break_job(j, at, BreakKind::Outage, &forced, at);
         }
     }
@@ -814,12 +806,10 @@ impl<'a> Campaign<'a> {
                 job: a.job.id(),
                 task: p.task,
             });
-            let rid = self
-                .pool
+            self.pool
                 .timetable_mut(p.node)
                 .reserve(shifted.window, owner)
                 .expect("switch candidate windows were checked free");
-            a.reservations.insert(p.task, rid);
             a.current.insert(p.task, shifted);
         }
         a.scenario = dist.scenario();
@@ -882,12 +872,15 @@ impl<'a> Campaign<'a> {
             self.active[j].pending_overrun = None;
             return;
         }
+        // A pending task's reservation is its current window, unless an
+        // outage voided it; the owner check keeps the outage's blocker.
         for t in &pending {
-            let a = &mut self.active[j];
-            if let Some(rid) = a.reservations.remove(t) {
-                let p = a.current[t];
-                self.pool.timetable_mut(p.node).release(rid);
-            }
+            let p = self.active[j].current[t];
+            let owner = ReservationOwner::Task(GlobalTaskId {
+                job: job_id,
+                task: *t,
+            });
+            self.pool.timetable_mut(p.node).release(p.window, owner);
         }
         let fixed: HashMap<TaskId, Placement> = self.active[j]
             .current
@@ -964,14 +957,11 @@ impl<'a> Campaign<'a> {
                         job: job_id,
                         task: *t,
                     });
-                    let rid = self
-                        .pool
+                    self.pool
                         .timetable_mut(p.node)
                         .reserve(p.window, owner)
                         .expect("replanned against current availability");
-                    let a = &mut self.active[j];
-                    a.reservations.insert(*t, rid);
-                    a.current.insert(*t, p);
+                    self.active[j].current.insert(*t, p);
                 }
                 let a = &mut self.active[j];
                 a.pending_overrun = next_overrun(a, &self.pool, tau);
@@ -1266,7 +1256,6 @@ mod tests {
             activation: SimTime::ZERO,
             deadline_abs: SimTime::from_ticks(100),
             current: HashMap::new(),
-            reservations: HashMap::new(),
             task_factors: Vec::new(),
             alternatives: Vec::new(),
             reference_starts: Vec::new(),

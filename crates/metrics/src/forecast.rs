@@ -3,76 +3,17 @@
 //! The paper's future-work list (§5) calls for "local processor nodes load
 //! level forecasting methods": the metascheduler dispatches job flows to
 //! domains based on where load is *going*, not just where it is. This
-//! module provides the standard lightweight forecaster — exponential
-//! smoothing over periodic utilization observations — plus a direct
-//! look-ahead that reads a timetable's already-booked future.
+//! module reads that future directly: the load already booked in each
+//! node's timetable.
 
 use gridsched_model::node::ResourcePool;
 use gridsched_model::window::TimeWindow;
 use gridsched_sim::time::{SimDuration, SimTime};
 
-/// Exponentially smoothed load estimate for one resource.
-///
-/// # Examples
-///
-/// ```
-/// use gridsched_metrics::forecast::LoadForecaster;
-///
-/// let mut f = LoadForecaster::new(0.5);
-/// f.observe(0.8);
-/// f.observe(0.4);
-/// // 0.8 then 0.5·0.4 + 0.5·0.8 = 0.6
-/// assert!((f.level() - 0.6).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct LoadForecaster {
-    alpha: f64,
-    level: Option<f64>,
-}
-
-impl LoadForecaster {
-    /// Creates a forecaster with smoothing factor `alpha` in `(0, 1]`:
-    /// higher alpha weights recent observations more.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is outside `(0, 1]`.
-    #[must_use]
-    pub fn new(alpha: f64) -> Self {
-        assert!(
-            alpha > 0.0 && alpha <= 1.0,
-            "smoothing factor must be in (0, 1], got {alpha}"
-        );
-        LoadForecaster { alpha, level: None }
-    }
-
-    /// Feeds one utilization observation in `[0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `load` is outside `[0, 1]`.
-    pub fn observe(&mut self, load: f64) {
-        assert!(
-            (0.0..=1.0).contains(&load),
-            "load observation out of range: {load}"
-        );
-        self.level = Some(match self.level {
-            None => load,
-            Some(prev) => self.alpha * load + (1.0 - self.alpha) * prev,
-        });
-    }
-
-    /// Current smoothed load level; 0.0 before any observation.
-    #[must_use]
-    pub fn level(&self) -> f64 {
-        self.level.unwrap_or(0.0)
-    }
-}
-
 /// Booked-ahead load of a domain: mean utilization of its nodes'
-/// timetables over `[now, now + lookahead)`. Unlike the smoother, this
-/// reads the reservations that *already exist* in the future — the exact
-/// information a metascheduler has when choosing a domain.
+/// timetables over `[now, now + lookahead)`. It reads the reservations
+/// that *already exist* in the future — the exact information a
+/// metascheduler has when choosing a domain.
 #[must_use]
 pub fn booked_load(
     pool: &ResourcePool,
@@ -120,39 +61,6 @@ mod tests {
     use gridsched_model::ids::DomainId;
     use gridsched_model::perf::Perf;
     use gridsched_model::timetable::ReservationOwner;
-
-    #[test]
-    fn smoothing_converges_to_constant_input() {
-        let mut f = LoadForecaster::new(0.3);
-        assert_eq!(f.level(), 0.0, "no observation yet");
-        for _ in 0..200 {
-            f.observe(0.7);
-        }
-        assert!((f.level() - 0.7).abs() < 1e-9);
-    }
-
-    #[test]
-    fn higher_alpha_tracks_changes_faster() {
-        let mut slow = LoadForecaster::new(0.1);
-        let mut fast = LoadForecaster::new(0.9);
-        for f in [&mut slow, &mut fast] {
-            f.observe(0.0);
-            f.observe(1.0);
-        }
-        assert!(fast.level() > slow.level());
-    }
-
-    #[test]
-    #[should_panic(expected = "smoothing factor")]
-    fn zero_alpha_rejected() {
-        let _ = LoadForecaster::new(0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_range_observation_rejected() {
-        LoadForecaster::new(0.5).observe(1.5);
-    }
 
     fn two_domain_pool() -> ResourcePool {
         let mut pool = ResourcePool::new();

@@ -33,7 +33,7 @@ pub mod summary;
 pub mod table;
 pub mod telemetry;
 
-pub use forecast::{booked_load, rank_domains_by_forecast, LoadForecaster};
+pub use forecast::{booked_load, rank_domains_by_forecast};
 pub use histogram::Histogram;
 pub use load::GroupLoad;
 pub use summary::Summary;

@@ -52,8 +52,6 @@ pub use job::{BuildJobError, DataEdge, Job, JobBuilder};
 pub use node::{FrozenCalendars, Node, ResourcePool};
 pub use perf::{Perf, PerfGroup};
 pub use task::Task;
-pub use timetable::{
-    NodeCalendar, Reservation, ReservationId, ReservationOwner, ReserveConflict, Timetable,
-};
+pub use timetable::{NodeCalendar, Reservation, ReservationOwner, ReserveConflict, Timetable};
 pub use volume::Volume;
 pub use window::TimeWindow;

@@ -303,16 +303,18 @@ mod tests {
 
         let mut pool = pool_with(&[1.0, 0.5]);
         let w = TimeWindow::new(SimTime::ZERO, SimTime::from_ticks(5)).unwrap();
-        let id = pool
-            .timetable_mut(NodeId::new(0))
-            .reserve(w, ReservationOwner::Background(0))
+        let owner = ReservationOwner::Background(0);
+        pool.timetable_mut(NodeId::new(0))
+            .reserve(w, owner)
             .unwrap();
         assert!(!pool.timetable(NodeId::new(0)).is_free(w));
         assert!(pool.timetable(NodeId::new(1)).is_free(w));
         *pool.timetable_mut(NodeId::new(0)) = Timetable::new();
         assert!(pool.timetable(NodeId::new(0)).is_free(w));
         assert!(
-            pool.timetable_mut(NodeId::new(0)).release(id).is_none(),
+            pool.timetable_mut(NodeId::new(0))
+                .release(w, owner)
+                .is_none(),
             "a fresh timetable holds nothing"
         );
     }

@@ -10,14 +10,18 @@
 //!
 //! A timetable stores its reservations in [`Chunk`]s of at most
 //! [`CHUNK_CAPACITY`] consecutive windows, each behind an [`Arc`]. A chunk
-//! keeps its windows contiguous (probes scan 16-byte [`TimeWindow`]s), the
-//! ids and owners beside them, its largest interior gap and its count of
+//! keeps its windows contiguous (probes scan 16-byte [`TimeWindow`]s), their
+//! owners beside them, its largest interior gap and its count of
 //! task-owned reservations. A write finds its chunk by binary search and
 //! changes only that chunk, through [`Arc::make_mut`]: in place unless a
 //! frozen calendar still shares it, else one chunk copy. A chunk splits
 //! when it overflows and is dropped when it empties. The bulk path
 //! ([`Timetable::extend_sorted`]) stays one linear pass that packs full
 //! chunks.
+//!
+//! A reservation has no name of its own: windows never overlap, so a
+//! node, a window and an owner identify it. [`Timetable::release`] finds
+//! it with the same seek a probe uses.
 //!
 //! A capture freezes a node into a [`NodeCalendar`] by cloning the chunk
 //! list, R/B pointer bumps for R windows in chunks of B, and builds the
@@ -50,19 +54,6 @@ pub const CHUNK_CAPACITY: usize = 64;
 /// end of a calendar is `(chunk count, 0)`.
 pub(crate) type Pos = (usize, usize);
 
-/// The id and owner of one reservation, stored beside its window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Tag {
-    id: ReservationId,
-    owner: ReservationOwner,
-}
-
-impl Tag {
-    fn is_task(&self) -> bool {
-        matches!(self.owner, ReservationOwner::Task(_))
-    }
-}
-
 /// Up to [`CHUNK_CAPACITY`] consecutive reservations of one
 /// [`Timetable`], shared by reference with the calendars frozen from it.
 #[derive(Debug)]
@@ -70,8 +61,8 @@ pub struct Chunk {
     /// Sorted by start, pairwise non-overlapping, never empty inside a
     /// timetable.
     windows: Vec<TimeWindow>,
-    /// `tags[k]` holds the id and owner of `windows[k]`.
-    tags: Vec<Tag>,
+    /// `owners[k]` holds `windows[k]`.
+    owners: Vec<ReservationOwner>,
     /// The largest gap between two consecutive windows, in ticks.
     max_gap: u64,
     /// How many of the reservations are task-owned.
@@ -84,7 +75,7 @@ impl Clone for Chunk {
     fn clone(&self) -> Self {
         let mut copy = Chunk::new();
         copy.windows.extend_from_slice(&self.windows);
-        copy.tags.extend_from_slice(&self.tags);
+        copy.owners.extend_from_slice(&self.owners);
         copy.max_gap = self.max_gap;
         copy.tasks = self.tasks;
         copy
@@ -105,7 +96,7 @@ impl Chunk {
     fn new() -> Self {
         Chunk {
             windows: Vec::with_capacity(CHUNK_CAPACITY + 1),
-            tags: Vec::with_capacity(CHUNK_CAPACITY + 1),
+            owners: Vec::with_capacity(CHUNK_CAPACITY + 1),
             max_gap: 0,
             tasks: 0,
         }
@@ -122,11 +113,9 @@ impl Chunk {
     }
 
     fn reservation(&self, k: usize) -> Reservation {
-        let tag = self.tags[k];
         Reservation {
-            id: tag.id,
             window: self.windows[k],
-            owner: tag.owner,
+            owner: self.owners[k],
         }
     }
 
@@ -135,21 +124,21 @@ impl Chunk {
     }
 
     /// Appends a window that starts at or after the last one's end.
-    fn push(&mut self, window: TimeWindow, tag: Tag) {
+    fn push(&mut self, window: TimeWindow, owner: ReservationOwner) {
         if let Some(last) = self.windows.last() {
             let gap = window.start().ticks().saturating_sub(last.end().ticks());
             self.max_gap = self.max_gap.max(gap);
         }
         self.windows.push(window);
-        self.tags.push(tag);
-        self.tasks += usize::from(tag.is_task());
+        self.owners.push(owner);
+        self.tasks += usize::from(owner.is_task());
     }
 
     /// Removes the reservation at offset `k`.
     fn remove(&mut self, k: usize) -> Reservation {
         let removed = self.reservation(k);
         self.windows.remove(k);
-        self.tags.remove(k);
+        self.owners.remove(k);
         self.refresh();
         removed
     }
@@ -157,16 +146,22 @@ impl Chunk {
     /// Recomputes the cached gap and task count after an edit.
     fn refresh(&mut self) {
         self.max_gap = max_interior_gap(&self.windows);
-        self.tasks = self.tags.iter().filter(|t| t.is_task()).count();
+        self.tasks = self.owners.iter().filter(|o| o.is_task()).count();
     }
 
     /// Inserts at offset `k`. If that overflows the chunk, splits off and
     /// returns the upper part: a chunk holding just the new window when it
     /// was appended past the end of the calendar (`at_end`), so calendars
     /// written in time order stay packed, else the upper half.
-    fn insert(&mut self, k: usize, window: TimeWindow, tag: Tag, at_end: bool) -> Option<Chunk> {
+    fn insert(
+        &mut self,
+        k: usize,
+        window: TimeWindow,
+        owner: ReservationOwner,
+        at_end: bool,
+    ) -> Option<Chunk> {
         self.windows.insert(k, window);
-        self.tags.insert(k, tag);
+        self.owners.insert(k, owner);
         if self.windows.len() <= CHUNK_CAPACITY {
             self.refresh();
             return None;
@@ -177,8 +172,8 @@ impl Chunk {
             self.windows.len() / 2
         };
         let mut upper = Chunk::new();
-        for (w, t) in self.windows.drain(at..).zip(self.tags.drain(at..)) {
-            upper.push(w, t);
+        for (w, o) in self.windows.drain(at..).zip(self.owners.drain(at..)) {
+            upper.push(w, o);
         }
         self.refresh();
         Some(upper)
@@ -186,24 +181,24 @@ impl Chunk {
 
     /// Removes the reservations `hit` selects, appending them to `out` in
     /// start order.
-    fn remove_where(&mut self, hit: impl Fn(TimeWindow, Tag) -> bool, out: &mut Vec<Reservation>) {
+    fn remove_where(
+        &mut self,
+        hit: impl Fn(TimeWindow, ReservationOwner) -> bool,
+        out: &mut Vec<Reservation>,
+    ) {
         let mut kept = 0;
         for k in 0..self.windows.len() {
-            let (window, tag) = (self.windows[k], self.tags[k]);
-            if hit(window, tag) {
-                out.push(Reservation {
-                    id: tag.id,
-                    window,
-                    owner: tag.owner,
-                });
+            let (window, owner) = (self.windows[k], self.owners[k]);
+            if hit(window, owner) {
+                out.push(Reservation { window, owner });
             } else {
                 self.windows[kept] = window;
-                self.tags[kept] = tag;
+                self.owners[kept] = owner;
                 kept += 1;
             }
         }
         self.windows.truncate(kept);
-        self.tags.truncate(kept);
+        self.owners.truncate(kept);
         self.refresh();
     }
 }
@@ -452,16 +447,6 @@ impl NodeCalendar {
     }
 }
 
-/// Identifier of one reservation inside one [`Timetable`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ReservationId(u64);
-
-impl fmt::Display for ReservationId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "r{}", self.0)
-    }
-}
-
 /// Who holds a reservation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReservationOwner {
@@ -474,6 +459,12 @@ pub enum ReservationOwner {
     Transfer(u64),
 }
 
+impl ReservationOwner {
+    fn is_task(self) -> bool {
+        matches!(self, ReservationOwner::Task(_))
+    }
+}
+
 impl fmt::Display for ReservationOwner {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -484,21 +475,15 @@ impl fmt::Display for ReservationOwner {
     }
 }
 
-/// One reserved window in a timetable.
+/// One reserved window in a timetable, identified by its window and
+/// owner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Reservation {
-    id: ReservationId,
     window: TimeWindow,
     owner: ReservationOwner,
 }
 
 impl Reservation {
-    /// The reservation's id.
-    #[must_use]
-    pub fn id(&self) -> ReservationId {
-        self.id
-    }
-
     /// The reserved window.
     #[must_use]
     pub fn window(&self) -> TimeWindow {
@@ -576,7 +561,6 @@ pub struct Timetable {
     /// read in order, are sorted by start and pairwise non-overlapping.
     chunks: Vec<Arc<Chunk>>,
     len: usize,
-    next_id: u64,
     /// The calendar the last capture froze, if the windows have not
     /// changed since: filled by [`Timetable::calendar_tracked`], emptied
     /// by every window-changing mutation, empty in a clone.
@@ -590,7 +574,6 @@ impl Clone for Timetable {
         Timetable {
             chunks: self.chunks.clone(),
             len: self.len,
-            next_id: self.next_id,
             frozen: OnceLock::new(),
         }
     }
@@ -679,7 +662,7 @@ impl Timetable {
         &mut self,
         window: TimeWindow,
         owner: ReservationOwner,
-    ) -> Result<ReservationId, ReserveConflict> {
+    ) -> Result<(), ReserveConflict> {
         let (c, k) = seek(&self.chunks, window.start());
         // Only the first reservation ending after `window.start()` can
         // overlap: later ones start at or after its end.
@@ -695,8 +678,6 @@ impl Timetable {
                 holder: existing.owner,
             });
         }
-        let id = ReservationId(self.next_id);
-        self.next_id += 1;
         self.thaw();
         // Every window before the seek position ends at or before
         // `window.start()`, and the one at it starts at or after
@@ -711,18 +692,18 @@ impl Timetable {
             }
         };
         let at_end = c + 1 == self.chunks.len() && k == self.chunks[c].windows.len();
-        let upper = Arc::make_mut(&mut self.chunks[c]).insert(k, window, Tag { id, owner }, at_end);
+        let upper = Arc::make_mut(&mut self.chunks[c]).insert(k, window, owner, at_end);
         if let Some(upper) = upper {
             self.chunks.insert(c + 1, Arc::new(upper));
         }
         self.len += 1;
         debug_assert!(self.invariants_hold());
-        Ok(id)
+        Ok(())
     }
 
     /// Builds a timetable from a batch of windows already sorted by start
-    /// and pairwise non-overlapping, assigning ids in batch order — the
-    /// bulk twin of repeated [`Timetable::reserve`] calls.
+    /// and pairwise non-overlapping — the bulk twin of repeated
+    /// [`Timetable::reserve`] calls.
     ///
     /// # Panics
     ///
@@ -744,8 +725,8 @@ impl Timetable {
     /// reservations. One O(existing + batch) pass that repacks the
     /// calendar into full chunks, instead of one chunk insert per window:
     /// laying down the §4 background load (~143k reservations per node at
-    /// the reference scale) stays linear. Ids are assigned in batch order,
-    /// exactly as sequential [`Timetable::reserve`] calls would.
+    /// the reference scale) stays linear. The result equals sequential
+    /// [`Timetable::reserve`] calls.
     ///
     /// # Panics
     ///
@@ -768,9 +749,7 @@ impl Timetable {
             while let Some(r) = old_iter.next_if(|r| r.window.start() <= window.start()) {
                 packed.push(r);
             }
-            let id = ReservationId(self.next_id);
-            self.next_id += 1;
-            packed.push(Reservation { id, window, owner });
+            packed.push(Reservation { window, owner });
         }
         for r in old_iter {
             packed.push(r);
@@ -782,13 +761,18 @@ impl Timetable {
         );
     }
 
-    /// Releases a reservation, returning it if it existed.
-    pub fn release(&mut self, id: ReservationId) -> Option<Reservation> {
-        let (c, k) = self
-            .chunks
-            .iter()
-            .enumerate()
-            .find_map(|(c, ch)| ch.tags.iter().position(|t| t.id == id).map(|k| (c, k)))?;
+    /// Releases the reservation `owner` holds on exactly `window`,
+    /// returning it. `None`, with the timetable and its frozen calendar
+    /// untouched, when no reservation matches both: another owner's
+    /// window, or one of this owner's that differs in either end, stays.
+    pub fn release(&mut self, window: TimeWindow, owner: ReservationOwner) -> Option<Reservation> {
+        // The reservation starting at `window.start()`, if any, is the
+        // first one ending after it: every earlier one ends at or before.
+        let (c, k) = seek(&self.chunks, window.start());
+        let ch = self.chunks.get(c)?;
+        if ch.windows[k] != window || ch.owners[k] != owner {
+            return None;
+        }
         self.thaw();
         let chunk = Arc::make_mut(&mut self.chunks[c]);
         let released = chunk.remove(k);
@@ -829,7 +813,7 @@ impl Timetable {
         let mut removed = Vec::new();
         self.remove_where(
             0..self.chunks.len(),
-            |_, t| matches!(t.owner, ReservationOwner::Task(GlobalTaskId { job: j, .. }) if j == job),
+            |_, o| matches!(o, ReservationOwner::Task(GlobalTaskId { job: j, .. }) if j == job),
             &mut removed,
         );
         removed
@@ -842,7 +826,7 @@ impl Timetable {
     fn remove_where(
         &mut self,
         range: std::ops::Range<usize>,
-        hit: impl Fn(TimeWindow, Tag) -> bool,
+        hit: impl Fn(TimeWindow, ReservationOwner) -> bool,
         out: &mut Vec<Reservation>,
     ) {
         let before = out.len();
@@ -852,13 +836,13 @@ impl Timetable {
                 && ch
                     .windows
                     .iter()
-                    .zip(&ch.tags)
-                    .any(|(&w, &t)| t.is_task() && hit(w, t));
+                    .zip(&ch.owners)
+                    .any(|(&w, &o)| o.is_task() && hit(w, o));
             if !any {
                 continue;
             }
             self.thaw();
-            Arc::make_mut(&mut self.chunks[c]).remove_where(|w, t| t.is_task() && hit(w, t), out);
+            Arc::make_mut(&mut self.chunks[c]).remove_where(|w, o| o.is_task() && hit(w, o), out);
         }
         let removed = out.len() - before;
         if removed > 0 {
@@ -937,9 +921,9 @@ impl Timetable {
         let chunks_hold = self.chunks.iter().all(|ch| {
             !ch.windows.is_empty()
                 && ch.windows.len() <= CHUNK_CAPACITY
-                && ch.windows.len() == ch.tags.len()
+                && ch.windows.len() == ch.owners.len()
                 && ch.max_gap == max_interior_gap(&ch.windows)
-                && ch.tasks == ch.tags.iter().filter(|t| t.is_task()).count()
+                && ch.tasks == ch.owners.iter().filter(|o| o.is_task()).count()
         });
         let windows = Walk::new(&self.chunks, (0, 0));
         chunks_hold
@@ -963,13 +947,7 @@ struct Packer {
 impl Packer {
     fn push(&mut self, r: Reservation) {
         let open = self.open.get_or_insert_with(Chunk::new);
-        open.push(
-            r.window,
-            Tag {
-                id: r.id,
-                owner: r.owner,
-            },
-        );
+        open.push(r.window, r.owner);
         self.len += 1;
         if open.windows.len() == CHUNK_CAPACITY {
             self.chunks
@@ -1021,20 +999,9 @@ mod tests {
         for &win in &batch {
             seq.reserve(win, bg(9)).unwrap();
         }
-        let a: Vec<_> = bulk
-            .iter()
-            .map(|r| (r.id(), r.window(), r.owner()))
-            .collect();
-        let b: Vec<_> = seq
-            .iter()
-            .map(|r| (r.id(), r.window(), r.owner()))
-            .collect();
+        let a: Vec<Reservation> = bulk.iter().collect();
+        let b: Vec<Reservation> = seq.iter().collect();
         assert_eq!(a, b, "bulk merge == one reserve per window");
-        // The id sequence continues identically after the bulk merge.
-        assert_eq!(
-            bulk.reserve(w(20, 21), bg(5)).unwrap(),
-            seq.reserve(w(20, 21), bg(5)).unwrap()
-        );
     }
 
     #[test]
@@ -1067,12 +1034,23 @@ mod tests {
     #[test]
     fn release_frees_window() {
         let mut tt = Timetable::new();
-        let id = tt.reserve(w(0, 10), bg(0)).unwrap();
+        tt.reserve(w(0, 10), bg(0)).unwrap();
+        tt.reserve(w(12, 15), bg(1)).unwrap();
         assert!(!tt.is_free(w(2, 3)));
-        let released = tt.release(id).unwrap();
+        // Only the exact window under its own owner matches.
+        assert!(tt.release(w(0, 10), bg(1)).is_none(), "another owner");
+        assert!(tt.release(w(0, 9), bg(0)).is_none(), "another end");
+        assert!(tt.release(w(10, 12), bg(0)).is_none(), "a free window");
+        assert!(tt.release(w(20, 30), bg(0)).is_none(), "past the end");
+        assert_eq!(tt.len(), 2, "a failed release removes nothing");
+        let released = tt.release(w(0, 10), bg(0)).unwrap();
         assert_eq!(released.window(), w(0, 10));
+        assert_eq!(released.owner(), bg(0));
         assert!(tt.is_free(w(2, 3)));
-        assert!(tt.release(id).is_none(), "double release returns None");
+        assert!(
+            tt.release(w(0, 10), bg(0)).is_none(),
+            "double release returns None"
+        );
     }
 
     #[test]
@@ -1094,6 +1072,11 @@ mod tests {
         assert_eq!(tt.len(), 2, "background + untouched task remain");
         assert!(tt.is_free(w(0, 4)));
         assert!(!tt.is_free(w(5, 8)), "background survives the void");
+        // An outage blocks the voided window; releasing it as the voided
+        // task misses, and the blocker stays.
+        tt.reserve(w(0, 4), bg(1)).unwrap();
+        assert!(tt.release(w(0, 4), owner(1)).is_none());
+        assert_eq!(tt.first_conflict(w(0, 4)).map(|r| r.owner()), Some(bg(1)));
     }
 
     #[test]

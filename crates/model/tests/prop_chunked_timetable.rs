@@ -8,10 +8,11 @@
 //! sorted `Vec` reference, on calendars large enough that chunks split
 //! and are emptied. They check that:
 //! - every write returns what the reference returns and leaves the same
-//!   reservations, ids included;
+//!   reservations, owners included;
 //! - calendars captured between writes keep their windows;
-//! - a capture after one `reserve` shares every chunk but the touched
-//!   one with the capture before it;
+//! - a capture after one `reserve`, or after one `release` from 100k
+//!   windows, shares every chunk but the touched one with the capture
+//!   before it;
 //! - overlay probes, whose walk crosses packed chunks through the
 //!   calendar's gap index, equal the linear walk and the cold flat
 //!   index, on random calendars and at 1, B − 1, B, B + 1, 2B + 1 and
@@ -25,7 +26,9 @@ use gridsched_model::gap_index::GapIndex;
 use gridsched_model::ids::{DomainId, GlobalTaskId, JobId, NodeId, TaskId};
 use gridsched_model::node::ResourcePool;
 use gridsched_model::perf::Perf;
-use gridsched_model::timetable::{NodeCalendar, ReservationOwner, Timetable, CHUNK_CAPACITY};
+use gridsched_model::timetable::{
+    NodeCalendar, Reservation, ReservationOwner, Timetable, CHUNK_CAPACITY,
+};
 use gridsched_model::window::TimeWindow;
 use gridsched_sim::check::{check, Gen};
 use gridsched_sim::time::{SimDuration, SimTime};
@@ -69,31 +72,28 @@ fn gen_probe(g: &mut Gen) -> (SimTime, SimDuration, SimTime) {
     (not_before, duration, deadline)
 }
 
-/// One reservation of the flat reference: `(id, window, owner)`.
-type Row = (u64, TimeWindow, ReservationOwner);
+/// One reservation of the flat reference: `(window, owner)`.
+type Row = (TimeWindow, ReservationOwner);
 
 /// The flat reference: every reservation in one sorted `Vec`, each write
 /// a plain insert or retain.
 #[derive(Default)]
 struct Flat {
     rows: Vec<Row>,
-    next_id: u64,
 }
 
 impl Flat {
     fn windows(&self) -> Vec<TimeWindow> {
-        self.rows.iter().map(|r| r.1).collect()
+        self.rows.iter().map(|r| r.0).collect()
     }
 
-    fn reserve(&mut self, w: TimeWindow, owner: ReservationOwner) -> Option<u64> {
-        if self.rows.iter().any(|r| r.1.overlaps(w)) {
-            return None;
+    fn reserve(&mut self, w: TimeWindow, owner: ReservationOwner) -> bool {
+        if self.rows.iter().any(|r| r.0.overlaps(w)) {
+            return false;
         }
-        let id = self.next_id;
-        self.next_id += 1;
-        let at = self.rows.partition_point(|r| r.1.start() < w.start());
-        self.rows.insert(at, (id, w, owner));
-        Some(id)
+        let at = self.rows.partition_point(|r| r.0.start() < w.start());
+        self.rows.insert(at, (w, owner));
+        true
     }
 
     fn remove_where(&mut self, hit: impl Fn(&Row) -> bool) -> Vec<Row> {
@@ -103,15 +103,12 @@ impl Flat {
     }
 }
 
-fn rows(tt: &Timetable) -> Vec<Row> {
-    tt.iter()
-        .map(|r| (id_of(r.id()), r.window(), r.owner()))
-        .collect()
+fn row(r: &Reservation) -> Row {
+    (r.window(), r.owner())
 }
 
-/// A reservation id's number, read through its `r{n}` display form.
-fn id_of(id: gridsched_model::timetable::ReservationId) -> u64 {
-    id.to_string()[1..].parse().expect("ids display as r<n>")
+fn rows(tt: &Timetable) -> Vec<Row> {
+    tt.iter().map(|r| row(&r)).collect()
 }
 
 /// An overlay with no tentative windows over a one-node pool holding a
@@ -146,7 +143,7 @@ fn gen_batch(g: &mut Gen, flat: &Flat) -> Vec<(TimeWindow, ReservationOwner)> {
     for t in 0..g.usize_in(0, 2 * CHUNK_CAPACITY) {
         let w = win(at, at + g.u64_in(1, 4));
         at = w.end().ticks() + g.u64_in(0, 3);
-        if !flat.rows.iter().any(|r| r.1.overlaps(w)) {
+        if !flat.rows.iter().any(|r| r.0.overlaps(w)) {
             let owner = if g.chance(0.8) {
                 task(job, t as u32)
             } else {
@@ -176,34 +173,33 @@ fn random_writes_match_a_flat_reference() {
                 0..=3 => {
                     let w = gen_window(g);
                     let owner = gen_owner(g);
-                    let got = tt.reserve(w, owner).ok().map(id_of);
+                    let got = tt.reserve(w, owner).is_ok();
                     assert_eq!(got, flat.reserve(w, owner), "reserve {w}");
                 }
                 4 => {
-                    let id = if flat.rows.is_empty() || g.chance(0.1) {
-                        u64::MAX
+                    // A held pair, or one that differs from it in its
+                    // owner or end, or a random pair: mostly absent.
+                    let (w, owner) = if flat.rows.is_empty() || g.chance(0.2) {
+                        (gen_window(g), gen_owner(g))
                     } else {
-                        g.pick(&flat.rows).0
+                        let (w, owner) = *g.pick(&flat.rows);
+                        match g.u64_in(0, 5) {
+                            0 => (w, gen_owner(g)),
+                            1 => (win(w.start().ticks(), w.end().ticks() + 1), owner),
+                            _ => (w, owner),
+                        }
                     };
-                    let victim = tt.iter().find(|r| id_of(r.id()) == id).map(|r| r.id());
-                    let got = victim.and_then(|v| tt.release(v));
-                    let want = flat.remove_where(|r| r.0 == id);
-                    assert_eq!(
-                        got.map(|r| (id_of(r.id()), r.window(), r.owner())),
-                        want.first().copied(),
-                        "release {id}"
-                    );
+                    let got = tt.release(w, owner);
+                    let want = flat.remove_where(|r| *r == (w, owner));
+                    assert_eq!(got.as_ref().map(row), want.first().copied(), "release {w}");
                 }
                 5 | 6 => {
                     let job = g.u64_in(0, 3);
                     let got = tt.release_job(JobId::new(job));
                     let want = flat.remove_where(|r| {
-                        matches!(r.2, ReservationOwner::Task(gid) if gid.job == JobId::new(job))
+                        matches!(r.1, ReservationOwner::Task(gid) if gid.job == JobId::new(job))
                     });
-                    let got: Vec<Row> = got
-                        .iter()
-                        .map(|r| (id_of(r.id()), r.window(), r.owner()))
-                        .collect();
+                    let got: Vec<Row> = got.iter().map(row).collect();
                     assert_eq!(got, want, "release_job {job}");
                 }
                 7 => {
@@ -211,23 +207,20 @@ fn random_writes_match_a_flat_reference() {
                     let w = win(start, start + g.u64_in(1, SPAN / 4));
                     let got = tt.void_tasks_within(w);
                     let want = flat.remove_where(|r| {
-                        matches!(r.2, ReservationOwner::Task(_)) && r.1.overlaps(w)
+                        matches!(r.1, ReservationOwner::Task(_)) && r.0.overlaps(w)
                     });
-                    let got: Vec<Row> = got
-                        .iter()
-                        .map(|r| (id_of(r.id()), r.window(), r.owner()))
-                        .collect();
+                    let got: Vec<Row> = got.iter().map(row).collect();
                     assert_eq!(got, want, "void_tasks_within {w}");
                 }
                 _ => {
                     let batch = gen_batch(g, &flat);
                     for &(w, owner) in &batch {
-                        flat.reserve(w, owner).expect("the batch is free");
+                        assert!(flat.reserve(w, owner), "the batch is free");
                     }
                     tt.extend_sorted(batch);
                 }
             }
-            assert_eq!(rows(&tt), flat.rows, "same reservations, ids included");
+            assert_eq!(rows(&tt), flat.rows, "same reservations, owners included");
             assert_eq!(tt.len(), flat.rows.len());
             let calendar = freeze(&tt);
             assert!(calendar
@@ -306,6 +299,42 @@ fn a_capture_after_one_reserve_shares_every_untouched_chunk() {
                 before.windows().collect::<Vec<_>>(),
                 before_windows,
                 "the earlier capture is unchanged"
+            );
+        }
+    });
+}
+
+/// A release from a frozen 100k-window calendar copies only that
+/// window's chunk: the capture after it shares every other chunk with
+/// the capture before, which keeps the window. Releasing it again
+/// misses and keeps the new frozen calendar.
+#[test]
+fn a_capture_after_one_release_shares_every_untouched_chunk() {
+    check(2, |g| {
+        let (mut tt, windows, _) = packed(100_000, g);
+        let mut picked: Vec<usize> = (0..4).map(|_| g.usize_in(0, windows.len() - 1)).collect();
+        picked.sort_unstable();
+        picked.dedup();
+        for i in picked {
+            let owner = ReservationOwner::Background(i as u64);
+            let before = freeze(&tt);
+            let released = tt.release(windows[i], owner).expect("the window is held");
+            assert_eq!(row(&released), (windows[i], owner));
+            let after = freeze(&tt);
+            assert_eq!(after.chunks().len(), before.chunks().len());
+            assert_eq!(
+                shared_chunks(&before, &after),
+                before.chunks().len() - 1,
+                "every chunk but the touched one is shared"
+            );
+            assert!(
+                before.windows().any(|w| w == windows[i]),
+                "the earlier capture keeps the window"
+            );
+            assert!(tt.release(windows[i], owner).is_none());
+            assert!(
+                Arc::ptr_eq(&after, &freeze(&tt)),
+                "a missed release keeps the frozen calendar"
             );
         }
     });
@@ -482,8 +511,8 @@ fn chunks_pack_on_bulk_and_append_and_split_in_half_in_the_middle() {
     // Releasing the task shrinks the lower half; releasing the tail
     // window drops its chunk.
     assert_eq!(middle.release_job(JobId::new(0)).len(), 1);
-    let last = middle.iter().last().unwrap().id();
-    middle.release(last).unwrap();
+    let last = middle.iter().last().unwrap();
+    middle.release(last.window(), last.owner()).unwrap();
     assert_eq!(sizes(&middle), vec![lower - 1, upper, b]);
 }
 

@@ -216,9 +216,9 @@ fn index_survives_reserves_and_reset() {
             .reserve(extra, ReservationOwner::Background(7_000))
             .is_ok();
         if g.chance(0.5) {
-            let victim = pool.timetable(node).iter().map(|r| r.id()).next();
-            if let Some(id) = victim {
-                pool.timetable_mut(node).release(id);
+            let victim = pool.timetable(node).iter().next();
+            if let Some(r) = victim {
+                pool.timetable_mut(node).release(r.window(), r.owner());
             }
         }
         assert_eq!(

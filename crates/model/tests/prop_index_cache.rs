@@ -77,8 +77,7 @@ fn every_window_changing_mutation_thaws_the_calendar() {
     freeze(&tt);
     assert!(tt.frozen().is_some(), "a capture freezes");
 
-    let id = tt
-        .reserve(win(0, 5), ReservationOwner::Background(0))
+    tt.reserve(win(0, 5), ReservationOwner::Background(0))
         .unwrap();
     assert!(tt.frozen().is_none(), "reserve thaws");
 
@@ -90,7 +89,8 @@ fn every_window_changing_mutation_thaws_the_calendar() {
     assert!(tt.frozen().is_none(), "extend_sorted thaws");
 
     freeze(&tt);
-    tt.release(id).unwrap();
+    tt.release(win(0, 5), ReservationOwner::Background(0))
+        .unwrap();
     assert!(tt.frozen().is_none(), "release thaws");
 
     tt.reserve(win(30, 33), task_owner(8, 1)).unwrap();
@@ -116,18 +116,8 @@ fn every_window_changing_mutation_thaws_the_calendar() {
 #[test]
 fn noop_mutations_keep_the_frozen_calendar() {
     let mut tt = Timetable::new();
-    let id = tt
-        .reserve(win(0, 5), ReservationOwner::Background(0))
-        .unwrap();
-    // Ids are per-timetable counters: `other`'s *second* id was never
-    // issued by `tt`, so releasing it there must be a no-op.
-    let mut other = Timetable::new();
-    let _ = other
-        .reserve(win(0, 1), ReservationOwner::Background(1))
-        .unwrap();
-    let foreign = other
-        .reserve(win(2, 3), ReservationOwner::Background(1))
-        .unwrap();
+    let owner = ReservationOwner::Background(0);
+    tt.reserve(win(0, 5), owner).unwrap();
     let frozen = freeze(&tt);
     let kept = |tt: &Timetable| tt.frozen().is_some_and(|f| Arc::ptr_eq(f, &frozen));
 
@@ -137,9 +127,17 @@ fn noop_mutations_keep_the_frozen_calendar() {
     assert!(kept(&tt), "rejected reserve is a no-op");
     tt.extend_sorted(std::iter::empty());
     assert!(kept(&tt), "empty extend is a no-op");
-    other.release(foreign);
-    assert!(tt.release(foreign).is_none());
-    assert!(kept(&tt), "release of an unknown id is a no-op");
+    assert!(tt.release(win(0, 5), task_owner(0, 0)).is_none());
+    assert!(kept(&tt), "releasing another owner's window is a no-op");
+    assert!(tt.release(win(0, 4), owner).is_none());
+    assert!(kept(&tt), "releasing a window with another end is a no-op");
+    assert!(tt.release(win(2, 3), owner).is_none());
+    assert!(
+        kept(&tt),
+        "releasing a window that starts inside one is a no-op"
+    );
+    assert!(tt.release(win(7, 9), owner).is_none());
+    assert!(kept(&tt), "releasing a free window is a no-op");
     assert!(tt.void_tasks_within(win(0, 100)).is_empty());
     assert!(kept(&tt), "voiding no tasks is a no-op");
     assert!(tt.release_job(JobId::new(3)).is_empty());
@@ -150,7 +148,7 @@ fn noop_mutations_keep_the_frozen_calendar() {
         !froze && Arc::ptr_eq(again, &frozen),
         "a warm capture reuses it"
     );
-    assert!(tt.release(id).is_some());
+    assert!(tt.release(win(0, 5), owner).is_some());
     assert!(tt.frozen().is_none());
 }
 
@@ -314,9 +312,9 @@ fn capture_through_cache_never_serves_stale_state() {
                 }
                 1 => {
                     let node = *g.pick(&nodes);
-                    let victim = pool.timetable(node).iter().map(|r| r.id()).next();
-                    if let Some(id) = victim {
-                        pool.timetable_mut(node).release(id);
+                    let victim = pool.timetable(node).iter().next();
+                    if let Some(r) = victim {
+                        pool.timetable_mut(node).release(r.window(), r.owner());
                         changed[node.index()] = true;
                     }
                 }

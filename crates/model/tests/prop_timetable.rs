@@ -92,22 +92,23 @@ fn release_restores_and_busy_accounts() {
     check(256, |g| {
         let windows = gen_windows(g, 1, 29);
         let mut tt = Timetable::new();
-        let mut ids = Vec::new();
+        let mut held = Vec::new();
         for (i, w) in windows.into_iter().enumerate() {
-            if let Ok(id) = tt.reserve(w, ReservationOwner::Background(i as u64)) {
-                ids.push((id, w));
+            let owner = ReservationOwner::Background(i as u64);
+            if tt.reserve(w, owner).is_ok() {
+                held.push((w, owner));
             }
         }
         let range =
             TimeWindow::new(SimTime::from_ticks(0), SimTime::from_ticks(250)).expect("valid range");
-        let expected: u64 = ids
+        let expected: u64 = held
             .iter()
-            .filter_map(|(_, w)| w.intersect(range))
+            .filter_map(|(w, _)| w.intersect(range))
             .map(|w| w.duration().ticks())
             .sum();
         assert_eq!(tt.busy_within(range).ticks(), expected);
-        for (id, _) in &ids {
-            assert!(tt.release(*id).is_some());
+        for &(w, owner) in &held {
+            assert!(tt.release(w, owner).is_some());
         }
         assert!(tt.is_empty());
         assert_eq!(tt.busy_within(range), SimDuration::ZERO);

@@ -46,16 +46,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         plan.makespan()
     );
     print!("{}", render_gantt(&plan, &pool));
-    let mut reserved = HashMap::new();
+    let owner = |task| {
+        ReservationOwner::Task(GlobalTaskId {
+            job: job.id(),
+            task,
+        })
+    };
     for p in plan.placements() {
-        let id = pool.timetable_mut(p.node).reserve(
-            p.window,
-            ReservationOwner::Task(GlobalTaskId {
-                job: job.id(),
-                task: p.task,
-            }),
-        )?;
-        reserved.insert(p.task, id);
+        pool.timetable_mut(p.node)
+            .reserve(p.window, owner(p.task))?;
     }
 
     // 2. At t = 4, an independent local job seizes the node hosting the
@@ -77,7 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut fixed = HashMap::new();
     for p in plan.placements() {
         if p.window.start() > break_time {
-            pool.timetable_mut(p.node).release(reserved[&p.task]);
+            pool.timetable_mut(p.node).release(p.window, owner(p.task));
         } else {
             fixed.insert(p.task, *p);
         }

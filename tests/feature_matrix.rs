@@ -1,6 +1,8 @@
 //! Integration test: the scheduling variants compose — objectives ×
 //! domains × strategies on shared workloads.
 
+use std::collections::HashMap;
+
 use gridsched::core::method::ScheduleRequest;
 use gridsched::core::objective::Objective;
 use gridsched::core::session::PlanningSession;
@@ -44,18 +46,21 @@ fn every_scheduling_variant_yields_valid_schedules() {
         let policy = DataPolicy::remote_access();
         let req = request(&job, &pool, &policy);
         let session = PlanningSession::open(&pool);
+        let (no_fixed, deadline) = (HashMap::new(), job.absolute_deadline());
 
         let variants: Vec<(&str, Result<_, _>)> = vec![
             ("default", session.build_distribution(&req)),
             ("direct", session.build_distribution_direct(&req)),
             (
                 "min-time",
-                session.build_distribution_with_objective(&req, Objective::FASTEST),
+                session.reschedule_with_objective(&req, &no_fixed, deadline, Objective::FASTEST),
             ),
             (
                 "budgeted",
-                session.build_distribution_with_objective(
+                session.reschedule_with_objective(
                     &req,
+                    &no_fixed,
+                    deadline,
                     Objective::MinTime { budget: Some(50) },
                 ),
             ),
@@ -104,8 +109,12 @@ fn strategies_and_objectives_do_not_interfere() {
         let config = StrategyConfig::for_kind(kind, &pool);
         let _ = Strategy::generate(&job, &pool, &config, SimTime::ZERO);
     }
-    let _ = PlanningSession::open(&pool)
-        .build_distribution_with_objective(&request(&job, &pool, &policy), Objective::FASTEST);
+    let _ = PlanningSession::open(&pool).reschedule_with_objective(
+        &request(&job, &pool, &policy),
+        &HashMap::new(),
+        job.absolute_deadline(),
+        Objective::FASTEST,
+    );
     let after = PlanningSession::open(&pool)
         .build_distribution(&request(&job, &pool, &policy))
         .map(|d| d.cost());
