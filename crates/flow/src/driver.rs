@@ -4,25 +4,23 @@
 //! ([`crate::online`]) face the same event alphabet — job releases,
 //! perturbations, injected faults — and the same settle-before-handle
 //! discipline. This module expresses that shape once: a [`FlowMachine`]
-//! plugs campaign-specific handlers into a [`gridsched_sim::engine::Engine`]
-//! run, so the two drivers are two configurations of the same machine
-//! rather than two hand-rolled event loops.
+//! plugs campaign-specific handlers into one loop over the campaign's
+//! pre-drawn events, so the two drivers are two configurations of the
+//! same machine rather than two hand-rolled event loops.
 //!
-//! The engine's event budget is wired in as a runaway guard: flow worlds
-//! never schedule follow-up events, so a run that exceeds
-//! [`flow_event_budget`] deliveries can only mean a self-perpetuating bug —
-//! [`drive`] fails loudly with
-//! [`crate::oracle::OracleViolation::EventBudgetExhausted`].
+//! Both drivers draw their whole event stream before the run starts, and
+//! machines schedule nothing: overruns and completions are settled inline
+//! by [`FlowMachine::settle`]. A sorted pass over that stream is therefore
+//! the entire event kernel.
 //!
 //! # Determinism
 //!
-//! [`drive`] sorts the primed events by time with a stable sort and the
-//! engine's queue fires equal-time events in insertion order, so event
-//! delivery reproduces the pre-hierarchy sorted-vector loop bit for bit.
+//! [`drive`] sorts the events by time with a stable sort, so equal-time
+//! events fire in construction order and event delivery reproduces the
+//! pre-hierarchy sorted-vector loop bit for bit.
 
 use gridsched_model::ids::NodeId;
 use gridsched_model::job::Job;
-use gridsched_sim::engine::{Engine, Scheduler, StopReason, World};
 use gridsched_sim::time::{SimDuration, SimTime};
 
 use crate::faults::Fault;
@@ -69,119 +67,146 @@ pub(crate) trait FlowMachine {
     fn after_event(&mut self, _now: SimTime) {}
 }
 
-/// Adapter: any [`FlowMachine`] is a [`World`] over [`FlowEvent`]s.
-struct FlowWorld<M>(M);
-
-impl<M: FlowMachine> World for FlowWorld<M> {
-    type Event = FlowEvent;
-
-    fn handle(&mut self, now: SimTime, event: FlowEvent, _: &mut Scheduler<'_, FlowEvent>) {
-        self.0.settle(now);
-        match event {
-            FlowEvent::Release(job) => self.0.on_release(job),
-            FlowEvent::Perturbation { at, node, len } => self.0.on_perturbation(at, node, len),
-            FlowEvent::Fault(fault) => self.0.on_fault(fault),
-        }
-        self.0.after_event(now);
-    }
-}
-
-/// The runaway guard for a run priming `n` events. Flow machines schedule
-/// nothing themselves, so `n` deliveries suffice; the slack absorbs future
-/// machines that schedule a bounded number of follow-ups without letting a
-/// self-perpetuating loop run away.
-pub(crate) fn flow_event_budget(n: usize) -> u64 {
-    n as u64 * 2 + 64
-}
-
-/// Drives `machine` through `events` on a [`gridsched_sim::engine::Engine`]
-/// and hands it back once the queue drains.
+/// Drives `machine` through `events` in time order and hands it back
+/// settled to `horizon_end`.
 ///
-/// # Panics
-///
-/// Panics with [`crate::oracle::OracleViolation::EventBudgetExhausted`] if
-/// the engine stops on its event budget — a flow world must drain its
-/// primed events and nothing more.
-pub(crate) fn drive<M: FlowMachine>(mut events: Vec<FlowEvent>, machine: M, budget: u64) -> M {
+/// Each event is preceded by [`FlowMachine::settle`] at its instant and
+/// followed by [`FlowMachine::after_event`]; once the last event is
+/// handled, the machine settles to `horizon_end`.
+pub(crate) fn drive<M: FlowMachine>(
+    mut events: Vec<FlowEvent>,
+    mut machine: M,
+    horizon_end: SimTime,
+) -> M {
     // Stable by-time sort: equal-time events keep their construction order
-    // (releases before perturbations before faults), exactly as the
-    // engine's queue will fire them.
+    // (releases before perturbations before faults).
     events.sort_by_key(FlowEvent::time);
-    let mut engine = Engine::new().with_event_budget(budget);
     for event in events {
-        engine.prime(event.time(), event);
-    }
-    let mut world = FlowWorld(machine);
-    let report = engine.run(&mut world);
-    assert!(
-        report.stop != StopReason::EventBudgetExhausted,
-        "flow driver violated its oracle: {}",
-        crate::oracle::OracleViolation::EventBudgetExhausted {
-            processed: report.events_processed,
+        let now = event.time();
+        machine.settle(now);
+        match event {
+            FlowEvent::Release(job) => machine.on_release(job),
+            FlowEvent::Perturbation { at, node, len } => machine.on_perturbation(at, node, len),
+            FlowEvent::Fault(fault) => machine.on_fault(fault),
         }
-    );
-    world.0
+        machine.after_event(now);
+    }
+    machine.settle(horizon_end);
+    machine
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use gridsched_model::ids::JobId;
+    use gridsched_model::job::JobBuilder;
+    use gridsched_model::volume::Volume;
+    use gridsched_sim::check::{check, Gen};
 
-    /// Records the delivery order; schedules nothing.
+    use super::*;
+    use crate::faults::FaultKind;
+
+    /// One call into the machine; deliveries carry the event's time and
+    /// its construction index.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Step {
+        Settle(u64),
+        Deliver(u64, u64),
+        After(u64),
+    }
+
+    /// Records every call in order.
     #[derive(Default)]
     struct Recorder {
-        log: Vec<(u64, &'static str)>,
-        settled_to: Vec<u64>,
+        log: Vec<Step>,
     }
 
     impl FlowMachine for Recorder {
         fn settle(&mut self, now: SimTime) {
-            self.settled_to.push(now.ticks());
+            self.log.push(Step::Settle(now.ticks()));
         }
         fn on_release(&mut self, job: Job) {
-            self.log.push((job.release().ticks(), "release"));
+            self.log
+                .push(Step::Deliver(job.release().ticks(), job.id().raw()));
         }
-        fn on_perturbation(&mut self, at: SimTime, _: NodeId, _: SimDuration) {
-            self.log.push((at.ticks(), "perturbation"));
+        fn on_perturbation(&mut self, at: SimTime, node: NodeId, _: SimDuration) {
+            self.log
+                .push(Step::Deliver(at.ticks(), u64::from(node.raw())));
         }
         fn on_fault(&mut self, fault: Fault) {
-            self.log.push((fault.at.ticks(), "fault"));
+            self.log
+                .push(Step::Deliver(fault.at.ticks(), u64::from(fault.node.raw())));
+        }
+        fn after_event(&mut self, now: SimTime) {
+            self.log.push(Step::After(now.ticks()));
         }
     }
 
-    fn perturbation(at: u64) -> FlowEvent {
-        FlowEvent::Perturbation {
-            at: SimTime::from_ticks(at),
-            node: NodeId::new(0),
-            len: SimDuration::from_ticks(1),
+    /// Event `id` of a random kind at `at`; the id rides in the job or
+    /// node id so the recorder can tell deliveries apart.
+    fn event(g: &mut Gen, id: u32, at: u64) -> FlowEvent {
+        let at = SimTime::from_ticks(at);
+        let node = NodeId::new(id);
+        match g.usize_in(0, 4) {
+            0 => {
+                let mut b = JobBuilder::new();
+                b.add_task(Volume::new(1.0));
+                b.release_at(at);
+                FlowEvent::Release(b.build(JobId::new(u64::from(id))).expect("valid job"))
+            }
+            1 => FlowEvent::Perturbation {
+                at,
+                node,
+                len: SimDuration::from_ticks(1),
+            },
+            k => FlowEvent::Fault(Fault {
+                at,
+                node,
+                kind: match k {
+                    2 => FaultKind::Outage {
+                        len: SimDuration::from_ticks(2),
+                    },
+                    3 => FaultKind::Degradation { factor: 0.5 },
+                    _ => FaultKind::TransferFault {
+                        retry: SimDuration::from_ticks(1),
+                    },
+                },
+            }),
         }
     }
 
     #[test]
     fn events_fire_in_time_order_with_stable_ties() {
-        use crate::faults::FaultKind;
-        let events = vec![
-            perturbation(7),
-            FlowEvent::Fault(Fault {
-                at: SimTime::from_ticks(7),
-                node: NodeId::new(1),
-                kind: FaultKind::Degradation { factor: 0.5 },
-            }),
-            perturbation(3),
-        ];
-        let machine = drive(events, Recorder::default(), flow_event_budget(3));
-        assert_eq!(
-            machine.log,
-            vec![(3, "perturbation"), (7, "perturbation"), (7, "fault")]
-        );
-        // Settle runs before every event, at the event's instant.
-        assert_eq!(machine.settled_to, vec![3, 7, 7]);
-    }
+        check(128, |g: &mut Gen| {
+            // Times from a few ticks, so equal-time ties are common.
+            let times = g.vec_of(0, 60, |g| g.u64_in(0, 4));
+            let events = (0u32..)
+                .zip(&times)
+                .map(|(id, &at)| event(g, id, at))
+                .collect();
+            let horizon = g.u64_in(4, 6);
+            let log = drive(events, Recorder::default(), SimTime::from_ticks(horizon)).log;
 
-    #[test]
-    #[should_panic(expected = "event kernel exhausted its budget")]
-    fn exhausted_budget_fails_loudly() {
-        let events = (0..8).map(perturbation).collect();
-        let _ = drive(events, Recorder::default(), 4);
+            // One settle, delivery, after-event triple per event at the
+            // event's instant, then one settle at the horizon.
+            assert_eq!(log.len(), times.len() * 3 + 1);
+            assert_eq!(log.last(), Some(&Step::Settle(horizon)));
+            let mut delivered = Vec::new();
+            for step in log.chunks_exact(3) {
+                let &[Step::Settle(s), Step::Deliver(at, id), Step::After(a)] = step else {
+                    panic!("not a settle/deliver/after triple: {step:?}");
+                };
+                assert!(s == at && a == at, "{step:?}");
+                delivered.push((at, id));
+            }
+            // Times never decrease; equal times keep construction order.
+            for pair in delivered.windows(2) {
+                assert!(pair[0] < pair[1], "out of order: {pair:?}");
+            }
+            // Every event exactly once, at its own time.
+            let mut ids: Vec<u64> = delivered.iter().map(|&(_, id)| id).collect();
+            ids.sort_unstable();
+            assert!(ids.iter().copied().eq(0..times.len() as u64));
+            assert!(delivered.iter().all(|&(at, id)| times[id as usize] == at));
+        });
     }
 }

@@ -9,8 +9,8 @@
 //!   (single flow, round-robin, by job size) and home-domain selection
 //!   for activated schedules;
 //! - `driver` (crate-private): the shared event machine both campaign
-//!   flavours run on, over the [`gridsched_sim::engine::Engine`] kernel
-//!   with an event-budget runaway guard;
+//!   flavours run on — one stable time-sorted pass over the campaign's
+//!   pre-drawn releases, perturbations and faults;
 //! - [`simulation`]: the campaign driver — strategy generation per job,
 //!   activation of the supporting schedule matching observed conditions,
 //!   background perturbations, task overruns, and the dynamic reallocation

@@ -75,7 +75,7 @@ use gridsched_sim::rng::SimRng;
 use gridsched_sim::time::{SimDuration, SimTime};
 use gridsched_workload::arrivals::{generate_arrivals, ArrivalProcess};
 
-use crate::driver::{drive, flow_event_budget, FlowEvent, FlowMachine};
+use crate::driver::{drive, FlowEvent, FlowMachine};
 use crate::faults::Fault;
 use crate::report::{JobRecord, VoReport};
 use crate::simulation::{collision_tally, Campaign, CampaignConfig};
@@ -295,11 +295,9 @@ pub fn run_online_instrumented(config: &OnlineConfig, telemetry: &Telemetry) -> 
         queue_waits: Vec::new(),
         queue_peak: 0,
     };
-    // The same event kernel as the batch campaign drives the serving
-    // loop; only the machine plugged into it differs.
-    let budget = flow_event_budget(events.len());
-    let mut online = drive(events, online, budget);
-    online.settle_due(horizon_end);
+    // The same loop as the batch campaign drives the serving loop; only
+    // the machine plugged into it differs.
+    let online = drive(events, online, horizon_end);
     let finalize_span = telemetry.span_under("finalize", root);
     let report = online.finalize();
     drop(finalize_span);

@@ -123,12 +123,6 @@ pub enum OracleViolation {
     /// Consecutive `Migrated` events on a job do not chain: a later
     /// migration's `from` domain differs from the previous one's `to`.
     MigrationChainBroken(JobId),
-    /// The event kernel exhausted its runaway budget — the flow driver
-    /// scheduled more events than any lawful campaign could need.
-    EventBudgetExhausted {
-        /// Events processed before the kernel gave up.
-        processed: u64,
-    },
 }
 
 impl fmt::Display for OracleViolation {
@@ -198,12 +192,6 @@ impl fmt::Display for OracleViolation {
             }
             OracleViolation::MigrationChainBroken(j) => {
                 write!(f, "{j}: migration domains do not chain")
-            }
-            OracleViolation::EventBudgetExhausted { processed } => {
-                write!(
-                    f,
-                    "event kernel exhausted its budget after {processed} events"
-                )
             }
         }
     }

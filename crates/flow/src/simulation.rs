@@ -37,7 +37,7 @@ use gridsched_workload::background::{apply_background_load, BackgroundConfig};
 use gridsched_workload::jobs::{generate_stream, JobConfig};
 use gridsched_workload::pool::{generate_pool, PoolConfig};
 
-use crate::driver::{drive, flow_event_budget, FlowEvent, FlowMachine};
+use crate::driver::{drive, FlowEvent, FlowMachine};
 use crate::faults::{Fault, FaultConfig, FaultKind, FaultPlan, FaultSummary};
 use crate::metascheduler::{select_domain, FlowAssignment, Metascheduler};
 use crate::report::{JobRecord, VoReport};
@@ -339,11 +339,8 @@ impl<'a> Campaign<'a> {
         let mut events: Vec<FlowEvent> = jobs.into_iter().map(FlowEvent::Release).collect();
         events.extend(this.dynamics_events(&mut pert_rng, &mut fault_rng));
 
-        // The shared event kernel drives the whole campaign; its budget is
-        // a runaway guard (the machine schedules nothing itself).
-        let budget = flow_event_budget(events.len());
-        let mut this = drive(events, this, budget);
-        this.settle_overruns(this.horizon_end);
+        let horizon_end = this.horizon_end;
+        let this = drive(events, this, horizon_end);
         let finalize_span = this.telemetry.span_under("finalize", this.root);
         let report = this.finalize();
         drop(finalize_span);

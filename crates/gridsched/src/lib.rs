@@ -15,7 +15,7 @@
 //!
 //! | crate | contents |
 //! |-------|----------|
-//! | [`sim`] | deterministic discrete-event engine, seeded RNG |
+//! | [`sim`] | integer simulated time, seeded RNG, property-test harness |
 //! | [`model`] | nodes, performance groups, timetables, compound-job DAGs |
 //! | [`data`] | transfer model, replica catalog, S1/S2/S3 data policies |
 //! | [`batch`] | local batch systems: FCFS, LWF, backfilling, reservations |

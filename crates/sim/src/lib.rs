@@ -1,15 +1,12 @@
 //! # gridsched-sim
 //!
-//! Deterministic discrete-event simulation engine underlying the `gridsched`
+//! Deterministic simulation substrate underlying the `gridsched`
 //! reproduction of Toporkov's PaCT 2009 scheduling framework.
 //!
 //! The crate provides three small building blocks:
 //!
 //! - [`time`]: integer simulated time ([`time::SimTime`]) and spans
 //!   ([`time::SimDuration`]);
-//! - [`event`]: a deterministic future-event list with cancellation;
-//! - [`engine`]: the event loop ([`engine::Engine`]) driving a user-supplied
-//!   [`engine::World`];
 //! - [`rng`]: seeded random streams ([`rng::SimRng`]) so whole simulation
 //!   campaigns replay bit-identically;
 //! - [`check`]: a tiny deterministic property-testing harness used by the
@@ -18,37 +15,30 @@
 //! # Examples
 //!
 //! ```
-//! use gridsched_sim::engine::{Engine, Scheduler, World};
+//! use gridsched_sim::rng::SimRng;
 //! use gridsched_sim::time::{SimDuration, SimTime};
 //!
-//! // A world that fires a chain of three events, 5 ticks apart.
-//! struct Chain(u32);
-//! impl World for Chain {
-//!     type Event = ();
-//!     fn handle(&mut self, _now: SimTime, _ev: (), s: &mut Scheduler<'_, ()>) {
-//!         self.0 += 1;
-//!         if self.0 < 3 {
-//!             s.after(SimDuration::from_ticks(5), ());
-//!         }
-//!     }
-//! }
-//!
-//! let mut engine = Engine::new();
-//! engine.prime(SimTime::ZERO, ());
-//! let report = engine.run(&mut Chain(0));
-//! assert_eq!(report.finished_at.ticks(), 10);
+//! // Two streams from one seed draw the same arrival times.
+//! let arrivals = |seed| {
+//!     let mut rng = SimRng::seed_from(seed);
+//!     let mut t = SimTime::ZERO;
+//!     (0..3)
+//!         .map(|_| {
+//!             t = t + SimDuration::from_ticks(rng.uniform_u64(1, 5));
+//!             t
+//!         })
+//!         .collect::<Vec<_>>()
+//! };
+//! assert_eq!(arrivals(7), arrivals(7));
+//! assert!(arrivals(7).windows(2).all(|w| w[0] < w[1]));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod check;
-pub mod engine;
-pub mod event;
 pub mod rng;
 pub mod time;
 
-pub use engine::{Engine, RunReport, Scheduler, StopReason, World};
-pub use event::{EventId, EventQueue};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -2,9 +2,9 @@
 //!
 //! Baseline trace fingerprints recorded on the pre-refactor monolithic
 //! drivers (see `fingerprint` below for the exact byte stream). The
-//! hierarchical, `Engine`-based drivers must keep these bit-identical:
-//! same seed ⇒ same records, same fault accounting, same chronological
-//! trace. If a fingerprint moves, the refactor changed observable
+//! hierarchical drivers on the shared sorted event loop must keep these
+//! bit-identical: same seed ⇒ same records, same fault accounting, same
+//! chronological trace. If a fingerprint moves, the refactor changed observable
 //! behaviour — that is a bug in the refactor, not a reason to re-record.
 //!
 //! Also holds the cross-domain migration lifecycle property test:
